@@ -88,6 +88,8 @@ class RunConfig:
             raise VortlabError("--fd-order must be 2 or 4")
         if self.nt < 2:
             raise VortlabError("--nt must be >= 2")
+        if self.t0 is not None and self.t1 is not None and self.t1 <= self.t0:
+            raise VortlabError(f"time window needs t1 > t0, got [{self.t0}, {self.t1}]")
 
 
 def _parse_params(pairs) -> dict:
@@ -131,13 +133,44 @@ def _build_fixture(cfg: RunConfig) -> Fixture:
         params.setdefault("t1", cfg.t1)
     if cfg.t0 is not None:
         params.setdefault("t0", cfg.t0)
-    return make_fixture(cfg.fixture, **params)
+    try:
+        return make_fixture(cfg.fixture, **params)
+    except (TypeError, ValueError) as exc:
+        # a bad --param name or value, or a window the fixture cannot cover
+        raise VortlabError(f"fixture {cfg.fixture!r}: {exc}") from exc
 
 
 def _window(cfg: RunConfig, fixture: Fixture) -> tuple[float, float]:
     t0 = cfg.t0 if cfg.t0 is not None else fixture.field.t0
     t1 = cfg.t1 if cfg.t1 is not None else fixture.field.t1
     return float(t0), float(t1)
+
+
+def _pipeline_tolerance(field) -> tuple[float, float]:
+    """(pipeline error, default tolerance) for a fixture's field.
+
+    For sampled fields the pipeline's own representation error is measured
+    from the data: the determinant of an advected incompressible map should
+    stay 1.
+    """
+    if field.backend != "sampled":
+        return 0.0, 1e-8
+    g = field.node_gradients("position", len(field.times) - 1)
+    err = float(np.max(np.abs(np.linalg.det(g.reshape(-1, 3, 3)) - 1.0)))
+    return err, max(1e-8, 50.0 * err)
+
+
+def _drift_grid(cfg: RunConfig, field, window):
+    """Label grid and times for the drift checks.
+
+    Sampled fields stay on their own grid and on stored slices, so the
+    vectorized node path applies.
+    """
+    if field.backend == "sampled":
+        stride = max(1, (len(field.times) - 1) // (cfg.nt - 1))
+        return field.grid, field.times[::stride]
+    grid = LabelGrid.cell_centers(field.box, cfg.grid)
+    return grid, np.linspace(window[0], window[1], cfg.nt)
 
 
 def _sample_points(fixture: Fixture, window, seed: int, n: int = 20):
@@ -168,16 +201,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     fixture = _build_fixture(cfg)
     window = _window(cfg, fixture)
     sampled = fixture.field.backend == "sampled"
-    if sampled:
-        # the pipeline's own representation error, measured from the data:
-        # the determinant of an advected incompressible map should stay 1
-        field = fixture.field
-        g = field.node_gradients("position", field.time_index(field.times[-1]))
-        pipeline_err = float(np.max(np.abs(np.linalg.det(g.reshape(-1, 3, 3)) - 1.0)))
-        default_tol = max(1e-8, 50.0 * pipeline_err)
-    else:
-        pipeline_err = 0.0
-        default_tol = 1e-8
+    pipeline_err, default_tol = _pipeline_tolerance(fixture.field)
     base_tol = cfg.tol if cfg.tol is not None else default_tol
     kin_tol = cfg.tol if cfg.tol is not None else max(default_tol, 1e-9)
     pts = _sample_points(fixture, window, cfg.seed)
@@ -195,6 +219,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     def maxnorm(fn):
         return max(float(np.max(np.abs(np.asarray(fn(a, t), float)))) for a, t in pts)
 
+    # one FD step for the time differences of the rate and Beltrami checks
     h_fd = fixture.field.dt if sampled else 1e-3 * (window[1] - window[0])
     checks.append(_check(
         "kinematic_rate_identity",
@@ -216,14 +241,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         maxnorm(lambda a, t: momentum_residual(fixture.field, fixture.material, fixture.pressure, a, t)),
         base_tol,
     ))
-    if sampled:
-        # stay on stored slices so the vectorized node path applies
-        grid = fixture.field.grid
-        stride = max(1, (len(fixture.field.times) - 1) // (cfg.nt - 1))
-        times = fixture.field.times[::stride]
-    else:
-        grid = LabelGrid.cell_centers(fixture.field.box, cfg.grid)
-        times = np.linspace(window[0], window[1], cfg.nt)
+    grid, times = _drift_grid(cfg, fixture.field, window)
     rep = cauchy_drift(fixture.field, grid, times)
     checks.append(_check("cauchy_drift", rep.max_drift, base_tol))
 
@@ -248,12 +266,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         base_tol,
     ))
     bel_tol = cfg.tol if cfg.tol is not None else max(default_tol, 1e-8)
-    dt_fd = (fixture.field.dt if sampled else 1e-3 * (window[1] - window[0]))
     bel_pts = [(a, t) for a, t in pts
-               if window[0] + 2 * dt_fd <= t <= window[1] - 2 * dt_fd][:10]
+               if window[0] + 2 * h_fd <= t <= window[1] - 2 * h_fd][:10]
     checks.append(_check(
         "beltrami_residual",
-        max(float(np.max(np.abs(beltrami_residual(fixture.field, fixture.material, a, t, dt_fd=dt_fd))))
+        max(float(np.max(np.abs(beltrami_residual(fixture.field, fixture.material, a, t, dt_fd=h_fd))))
             for a, t in bel_pts),
         bel_tol,
     ))
@@ -361,7 +378,7 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
     if run_weak:
         gq = SpaceTimeQuadrature.gauss(box, (10, 10, 10), window, 5)
         if fixture.spec.extremal:
-            gen = RelabelGenerator.from_curl(bump_potential(box), label="bump")
+            gen = _default_generator(box)
             lhs, rhs = weak_form_integral(fixture.field, fixture.material, gen, gq,
                                           pressure=fixture.pressure)
             weak_ok = abs(lhs) < 1e-8 and abs(rhs) < 1e-8
@@ -418,18 +435,8 @@ def cmd_drift(cfg: RunConfig) -> tuple[int, dict]:
         return (0 if passed else 1), report
 
     fixture = _build_fixture(cfg)
-    window = _window(cfg, fixture)
-    times = np.linspace(window[0], window[1], cfg.nt)
-    sampled = fixture.field.backend == "sampled"
-    if sampled:
-        grid = fixture.field.grid
-        times = fixture.field.times[:: max(1, len(fixture.field.times) // cfg.nt)]
-        g = fixture.field.node_gradients("position", len(fixture.field.times) - 1)
-        pipeline_err = float(np.max(np.abs(np.linalg.det(g.reshape(-1, 3, 3)) - 1.0)))
-        tol = cfg.tol if cfg.tol is not None else max(1e-8, 50.0 * pipeline_err)
-    else:
-        grid = LabelGrid.cell_centers(fixture.field.box, cfg.grid)
-        tol = cfg.tol if cfg.tol is not None else 1e-8
+    grid, times = _drift_grid(cfg, fixture.field, _window(cfg, fixture))
+    tol = cfg.tol if cfg.tol is not None else _pipeline_tolerance(fixture.field)[1]
     rep = cauchy_drift(fixture.field, grid, times, tolerance=tol)
     report["parameters"] = fixture.spec.parameters
     report["cauchy"] = rep.to_dict()

@@ -14,7 +14,10 @@ Three interchangeable backends implement this protocol:
 
 ``AnalyticTrajectoryField``
     closed-form evaluators with centered finite-difference fallbacks for any
-    derivative that is not supplied (orders 2 and 4, default 4).
+    derivative that is not supplied (orders 2 and 4, default 4).  Every
+    fallback in the package goes through :func:`derivative`,
+    :func:`second_derivative` or :func:`fd_jacobian` applied to the whole
+    vector or matrix, and every curl through :func:`curl`.
 ``PolynomialTrajectoryField``
     components are :class:`~vortlab.poly.Poly` in (a1, a2, a3, t); every
     derivative is exact, and rational query points give Fraction results.
@@ -68,6 +71,30 @@ def second_derivative(g: Callable[[float], float], h: float, order: int = 4):
     if order == 2:
         return (g(h) - 2.0 * g(0.0) + g(-h)) / h**2
     return (-g(-2 * h) + 16 * g(-h) - 30 * g(0.0) + 16 * g(h) - g(2 * h)) / (12 * h**2)
+
+
+def fd_jacobian(f: Callable[[Vec], object], a, h: float, order: int = 4) -> Vec:
+    """Centered finite-difference Jacobian ``out[..., j] = df/da_j`` at ``a``.
+
+    ``f`` may be scalar-, vector- or matrix-valued; it is evaluated once per
+    stencil offset and direction, so every output component shares the calls.
+    """
+    a = np.asarray(a, float)
+    cols = []
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = 1.0
+        cols.append(derivative(lambda s: f(a + s * e), h, order))
+    return np.asarray(np.stack(cols, axis=-1), float)
+
+
+def curl(d):
+    """Curl of a field from its Jacobian ``d[i, j] = dv_i/da_j``.
+
+    Works on float and Fraction-object matrices; a batch broadcasts when its
+    component axes come first, ``d`` of shape (3, 3, ...).
+    """
+    return np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
 
 
 @dataclass(frozen=True)
@@ -175,27 +202,12 @@ class ScalarFieldLabel:
     def gradient(self, a, t) -> Vec:
         if self.gradient_fn is not None:
             return np.asarray(self.gradient_fn(a, t))
-        a = np.asarray(a, float)
-        out = np.empty(3)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            out[j] = derivative(lambda s: self.value(a + s * e, t), self.h, self.order)
-        return out
+        return fd_jacobian(lambda b: self.value(b, t), a, self.h, self.order)
 
     def hessian(self, a, t) -> Vec:
         if self.hessian_fn is not None:
             return np.asarray(self.hessian_fn(a, t))
-        a = np.asarray(a, float)
-        out = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            for k in range(3):
-                out[j, k] = derivative(
-                    lambda s: self.gradient(a + s * e, t)[k], self.h, self.order
-                )
-        return out
+        return fd_jacobian(lambda b: self.gradient(b, t), a, self.h, self.order).T
 
     @classmethod
     def constant(cls, c: float) -> "ScalarFieldLabel":
@@ -237,21 +249,10 @@ class VectorFieldLabel:
     def jacobian(self, a, t) -> Vec:
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(a, t))
-        a = np.asarray(a, float)
-        out = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            col = [
-                derivative(lambda s, i=i: float(self.value(a + s * e, t)[i]), self.h, self.order)
-                for i in range(3)
-            ]
-            out[:, j] = col
-        return out
+        return fd_jacobian(lambda b: np.asarray(self.value(b, t), float), a, self.h, self.order)
 
     def curl(self, a, t) -> Vec:
-        D = self.jacobian(a, t)
-        return _curl_from_jacobian(D)
+        return curl(self.jacobian(a, t))
 
     def divergence(self, a, t):
         D = self.jacobian(a, t)
@@ -287,13 +288,7 @@ class EulerianScalarField:
     def gradient(self, x, t) -> Vec:
         if self.gradient_fn is not None:
             return np.asarray(self.gradient_fn(x, t))
-        x = np.asarray(x, float)
-        out = np.empty(3)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            out[j] = derivative(lambda s: self.value(x + s * e, t), self.h, self.order)
-        return out
+        return fd_jacobian(lambda y: self.value(y, t), x, self.h, self.order)
 
 
 @dataclass(frozen=True)
@@ -332,16 +327,7 @@ class EulerianVectorField:
     def jacobian(self, x, t) -> Vec:
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(x, t))
-        x = np.asarray(x, float)
-        out = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            for i in range(3):
-                out[i, j] = derivative(
-                    lambda s, i=i: float(self.value(x + s * e, t)[i]), self.h, self.order
-                )
-        return out
+        return fd_jacobian(lambda y: np.asarray(self.value(y, t), float), x, self.h, self.order)
 
     def time_derivative(self, x, t) -> Vec:
         if self.steady:
@@ -349,13 +335,10 @@ class EulerianVectorField:
         if self.time_derivative_fn is not None:
             return np.asarray(self.time_derivative_fn(np.asarray(x, float), t))
         x = np.asarray(x, float)
-        return np.array(
-            [derivative(lambda s, i=i: float(self.value(x, t + s)[i]), self.h, self.order)
-             for i in range(3)]
-        )
+        return derivative(lambda s: np.asarray(self.value(x, t + s), float), self.h, self.order)
 
     def curl(self, x, t) -> Vec:
-        return _curl_from_jacobian(self.jacobian(x, t))
+        return curl(self.jacobian(x, t))
 
     @classmethod
     def from_polys(cls, comps: Sequence[Poly]) -> "EulerianVectorField":
@@ -371,12 +354,6 @@ class EulerianVectorField:
         return cls(value=val, jacobian_fn=jac, steady=True)
 
 
-def _curl_from_jacobian(D):
-    return np.array(
-        [D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]]
-    )
-
-
 def _maybe_exact_vector(vals):
     if any(isinstance(v, float) for v in vals):
         return np.array([float(v) for v in vals])
@@ -388,22 +365,6 @@ def _maybe_exact_matrix(rows):
     if any(isinstance(v, float) for v in flat):
         return np.array([[float(v) for v in row] for row in rows])
     return np.array(rows, dtype=object)
-
-
-# Module-level operator spellings used by callers and the CLI.
-
-
-def grad_label(f: ScalarFieldLabel, a, t) -> Vec:
-    """Gradient of a label-space scalar field (exact when the field has one)."""
-    return f.gradient(a, t)
-
-
-def curl_label(v: VectorFieldLabel, a, t) -> Vec:
-    return v.curl(a, t)
-
-
-def div_label(v: VectorFieldLabel, a, t):
-    return v.divergence(a, t)
 
 
 # ---------------------------------------------------------------------------
@@ -492,32 +453,17 @@ class AnalyticTrajectoryField(TrajectoryField):
         if fn is not None:
             return np.asarray(fn(np.asarray(a, float), t), float)
         a = np.asarray(a, float)
-        return np.array(
-            [derivative(lambda s, i=i: self.position(a, t + s)[i], self.fd_step, self.order)
-             for i in range(3)]
-        )
+        return derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
 
     def acceleration(self, a, t) -> Vec:
         fn = self._fn["acceleration"]
         if fn is not None:
             return np.asarray(fn(np.asarray(a, float), t), float)
         a = np.asarray(a, float)
-        return np.array(
-            [second_derivative(lambda s, i=i: self.position(a, t + s)[i], self.fd_step, self.order)
-             for i in range(3)]
-        )
+        return second_derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
 
     def _grad_of(self, evaluate, a, t) -> Vec:
-        a = np.asarray(a, float)
-        out = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            for i in range(3):
-                out[i, j] = derivative(
-                    lambda s, i=i: evaluate(a + s * e, t)[i], self.fd_step, self.order
-                )
-        return out
+        return fd_jacobian(lambda b: evaluate(b, t), a, self.fd_step, self.order)
 
     def position_gradient(self, a, t) -> Vec:
         fn = self._fn["position_gradient"]
@@ -541,19 +487,7 @@ class AnalyticTrajectoryField(TrajectoryField):
         fn = self._fn["position_hessian"]
         if fn is not None:
             return np.asarray(fn(np.asarray(a, float), t), float)
-        a = np.asarray(a, float)
-        out = np.empty((3, 3, 3))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = 1.0
-            for i in range(3):
-                for j in range(3):
-                    out[i, j, k] = derivative(
-                        lambda s, i=i, j=j: self.position_gradient(a + s * e, t)[i, j],
-                        self.fd_step,
-                        self.order,
-                    )
-        return out
+        return self._grad_of(self.position_gradient, a, t)
 
 
 class PolynomialTrajectoryField(TrajectoryField):
@@ -826,15 +760,7 @@ class SampledTrajectoryField(TrajectoryField):
 
     def position_hessian(self, a, t) -> Vec:
         # FD of the interpolated gradient; adequate for diagnostics only.
-        a = np.asarray(a, float)
-        out = np.empty((3, 3, 3))
-        h = min(self.grid.spacings)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = 1.0
-            g = derivative(lambda s: self.position_gradient(a + s * e, t), h, 2)
-            out[:, :, k] = g
-        return out
+        return fd_jacobian(lambda b: self.position_gradient(b, t), a, min(self.grid.spacings), 2)
 
     def time_index(self, t: float) -> int:
         k = int(round((float(t) - self.t0) / self.dt))
@@ -900,23 +826,42 @@ def save_grid(field: SampledTrajectoryField, path: str):
 
 
 def load_grid(path: str) -> SampledTrajectoryField:
+    """Read either grid format; malformed content raises GridFormatError."""
     if str(path).endswith(".csv"):
         return _load_grid_csv(path)
     with np.load(path, allow_pickle=False) as data:
         if "format" not in data or str(data["format"][0]) != _GRID_MAGIC:
             raise GridFormatError(f"{path} is not a grid file")
-        axes = (data["axis1"], data["axis2"], data["axis3"])
-        spac = tuple(float(ax[1] - ax[0]) for ax in axes)
-        grid = LabelGrid(axes, spac)
-        return SampledTrajectoryField(
-            grid,
-            data["times"],
-            data["positions"],
+        try:
+            axes = (data["axis1"], data["axis2"], data["axis3"])
+            times, positions = data["times"], data["positions"]
+            periodic = tuple(bool(b) for b in data["periodic"])
+            order = int(data["order"][0])
+        except KeyError as exc:
+            raise GridFormatError(f"{path}: missing array ({exc})") from exc
+        return _field_from_arrays(
+            path, axes, times, positions,
             data["velocities"] if "velocities" in data else None,
             data["accelerations"] if "accelerations" in data else None,
-            periodic=tuple(bool(b) for b in data["periodic"]),
-            order=int(data["order"][0]),
+            periodic, order,
         )
+
+
+def _field_from_arrays(path, axes, times, positions, velocities, accelerations, periodic, order):
+    """Sampled field over uniformly spaced axes; whatever it rejects is a format error."""
+    spac = []
+    for j, ax in enumerate(axes, start=1):
+        steps = np.diff(ax)
+        if len(steps) == 0 or not np.allclose(steps, steps[0]):
+            raise GridFormatError(f"{path}: axis{j} is not uniformly spaced")
+        spac.append(float(steps[0]))
+    try:
+        return SampledTrajectoryField(
+            LabelGrid(tuple(axes), tuple(spac)), times, positions, velocities, accelerations,
+            periodic=periodic, order=order,
+        )
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: {exc}") from exc
 
 
 def _save_grid_csv(field: SampledTrajectoryField, path: str):
@@ -958,7 +903,10 @@ def _load_grid_csv(path: str) -> SampledTrajectoryField:
                 parts = line[1:].split()
                 header[parts[0]] = parts[1:]
             else:
-                rows.append([float(v) for v in line.split(",")])
+                try:
+                    rows.append([float(v) for v in line.split(",")])
+                except ValueError as exc:
+                    raise GridFormatError(f"{path}: bad number in data row ({exc})") from exc
     if _GRID_MAGIC not in header:
         raise GridFormatError(f"{path}: missing '{_GRID_MAGIC}' header line")
     try:
@@ -981,14 +929,7 @@ def _load_grid_csv(path: str) -> SampledTrajectoryField:
         )
     blocks = data.reshape(nt, n1, n2, n3, 3 * len(kinds))
     arrays = {kind: blocks[..., 3 * i:3 * i + 3] for i, kind in enumerate(kinds)}
-    spac = tuple(float(ax[1] - ax[0]) for ax in axes)
-    grid = LabelGrid(tuple(axes), spac)
-    return SampledTrajectoryField(
-        grid,
-        t0 + dt * np.arange(nt),
-        arrays["positions"],
-        arrays.get("velocities"),
-        arrays.get("accelerations"),
-        periodic=periodic,
-        order=order,
+    return _field_from_arrays(
+        path, axes, t0 + dt * np.arange(nt), arrays["positions"], arrays.get("velocities"),
+        arrays.get("accelerations"), periodic, order,
     )

@@ -8,14 +8,16 @@ with G the gradient matrix of the label map.  Because mixed second
 derivatives of the map are symmetric, the curl of any field of the form
 G^T w(a, t) needs only first derivatives:
 
-    curl_a (G^T w) = axial(Dw^T G - G^T Dw),   Dw[i, j] = dw_i/da_j,
+    curl_a (G^T w) = curl((Dw^T G)^T),   Dw[i, j] = dw_i/da_j,
 
-which is how Omega and the Cauchy residual are assembled pointwise (no
-finite differencing of V itself; tests cross-check against an FD curl).
-The Cauchy residual uses dV/dt = G^T xddot + dG^T/dt xdot, whose second
-term is a pure label-gradient and drops out of the curl, leaving
+where ``curl(D)`` (:func:`vortlab.fields.curl`, the package's one curl) is
+the curl of a field whose Jacobian is D[i, j] = dv_i/da_j.  That is how
+Omega and the Cauchy residual are assembled pointwise (no finite
+differencing of V itself; tests cross-check against an FD curl).  The
+Cauchy residual uses dV/dt = G^T xddot + dG^T/dt xdot, whose second term is
+a pure label-gradient and drops out of the curl, leaving
 
-    cauchy_residual = curl_a (G^T xddot) = axial(Ga^T G - G^T Ga),
+    cauchy_residual = curl_a (G^T xddot) = curl((Ga^T G)^T),
 
 zero exactly when the flow is extremal at (a, t).
 """
@@ -27,8 +29,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateMapError
-from .fields import LabelGrid, SampledTrajectoryField, TrajectoryField
-from .kinematics import axial, jacobian
+from .fields import LabelGrid, SampledTrajectoryField, TrajectoryField, curl
+from .kinematics import jacobian
 from .report import DriftReport
 
 
@@ -41,11 +43,11 @@ def image_velocity(field: TrajectoryField, a, t) -> np.ndarray:
 def _gradient_curl(gw, g):
     """curl_a(G^T w) from Dw and G (Hessian terms cancel in the curl).
 
-    With M[j, k] = sum_m Dw[m, j] G[m, k] the curl is axial(M); the symmetric
-    Hessian contribution to d/da_j (G^T w)_k never reaches the axial part.
+    With M[j, k] = sum_m Dw[m, j] G[m, k] the curl is curl(M^T); the
+    symmetric Hessian contribution to d/da_j (G^T w)_k never reaches it.
     """
     m = gw.T @ g
-    return axial(m)
+    return curl(m.T)
 
 
 def lagrangian_vorticity(field: TrajectoryField, a, t) -> np.ndarray:
@@ -76,15 +78,6 @@ def cauchy_residual(field: TrajectoryField, a, t) -> np.ndarray:
     if det_is_zero(g):
         raise DegenerateMapError("cauchy_residual at a singular point")
     return _gradient_curl(field.acceleration_gradient(a, t), g)
-
-
-def acceleration_potential_residual(field: TrajectoryField, a, t) -> np.ndarray:
-    """Curl-free check for dV/dt (existence of a label-space potential).
-
-    Numerically identical to :func:`cauchy_residual`; kept as a separate
-    operation so reports can label the potential-existence statement.
-    """
-    return cauchy_residual(field, a, t)
 
 
 def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.ndarray:
@@ -118,13 +111,8 @@ def _omega_on_grid(field: TrajectoryField, grid: LabelGrid, t) -> np.ndarray:
             g = field.node_gradients("position", ti)
             gv = field.node_gradients("velocity", ti)
             m = np.einsum("...mj,...mk->...jk", gv, g)
-            omega = np.stack(
-                [m[..., 1, 2] - m[..., 2, 1],
-                 m[..., 2, 0] - m[..., 0, 2],
-                 m[..., 0, 1] - m[..., 1, 0]],
-                axis=-1,
-            )
-            return omega.reshape(-1, 3)
+            omega = curl(np.moveaxis(m, (-1, -2), (0, 1)))
+            return np.moveaxis(omega, 0, -1).reshape(-1, 3)
     nodes = grid.nodes()
     return np.array([lagrangian_vorticity(field, a, t) for a in nodes])
 

@@ -19,7 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateMapError
-from .fields import EulerianVectorField, ScalarFieldLabel, TrajectoryField
+from .fields import (
+    EulerianVectorField,
+    ScalarFieldLabel,
+    TrajectoryField,
+    curl,
+    derivative,
+    fd_jacobian,
+)
 
 # Relative threshold for the scale-invariant singularity test.
 DEGENERACY_RTOL = 1e-14
@@ -54,11 +61,6 @@ def inv3(m):
 
 def solve3(m, b):
     return inv3(m) @ b
-
-
-def axial(m):
-    """axial(D) is the curl when D[j, k] = d(v_k)/da_j (derivative index first)."""
-    return np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]])
 
 
 def cofactor_rate(g, gv):
@@ -151,12 +153,8 @@ def jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None)
     if h is None:
         lhs = gv.T
     else:
-        from .fields import _CENTRAL_1
-
-        offsets, weights = _CENTRAL_1[field.order if field.order in (2, 4) else 4]
-        lhs = sum(
-            float(w) * field.position_gradient(a, t + k * h) for k, w in zip(offsets, weights)
-        ).T / h
+        order = field.order if field.order in (2, 4) else 4
+        lhs = derivative(lambda s: field.position_gradient(a, t + s), h, order).T
     return lhs - bundle.matrix.T @ grad_u_t
 
 
@@ -171,13 +169,10 @@ def inverse_jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None
     g = bundle.matrix
     gv = field.velocity_gradient(a, t)
     if h is not None:
-        from .fields import _CENTRAL_1
-
-        offsets, weights = _CENTRAL_1[field.order if field.order in (2, 4) else 4]
-        dinv_dt = sum(
-            float(w) * JacobianBundle.from_matrix(field.position_gradient(a, t + k * h)).inv
-            for k, w in zip(offsets, weights)
-        ) / h
+        order = field.order if field.order in (2, 4) else 4
+        dinv_dt = derivative(
+            lambda s: JacobianBundle.from_matrix(field.position_gradient(a, t + s)).inv, h, order
+        )
         grad_u_t = gv @ bundle.inv  # (grad_x u^T)^T = dG/dt G^-1
         return dinv_dt + bundle.inv @ grad_u_t
     adj = bundle.cof.T
@@ -198,19 +193,12 @@ def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None =
     gv = field.velocity_gradient(a, t)
     lhs = gv.T @ v
     if h is not None:
-        from .fields import derivative
 
-        a = np.asarray(a, float)
-        rhs = np.empty(3)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
+        def speed2(b):
+            w = field.velocity(b, t)
+            return float(w @ w)
 
-            def speed2(s):
-                w = field.velocity(a + s * e, t)
-                return float(w @ w)
-
-            rhs[j] = 0.5 * derivative(speed2, h, field.order if field.order in (2, 4) else 4)
+        rhs = 0.5 * fd_jacobian(speed2, a, h, field.order if field.order in (2, 4) else 4)
         return lhs - rhs
     # gradient of v.v assembled from the same velocity-gradient data,
     # component-wise, mirroring d(v_m v_m)/da_j = 2 v_m dv_m/da_j
@@ -250,8 +238,8 @@ def curl_pullback_residual(
                 chain = sum(dq[m, l] * g[l, j] for l in range(3))
                 val = val + hess[m, j, k] * qval[m] + g[m, k] * chain
             D[j, k] = val
-    lhs = axial(D)
-    curl_q = _curl_from_jac(dq)
+    lhs = curl(D.T)
+    curl_q = curl(dq)
     rhs = bundle.cof.T @ curl_q
     return lhs - rhs
 
@@ -259,8 +247,8 @@ def curl_pullback_residual(
 def curl_cross_identity_residual(v, w, dv, dw):
     """Residual of  w . (curl v)  =  (curl w) . v  +  div(v x w)
     given pointwise values and jacobians of two label-space fields."""
-    curl_v = _curl_from_jac(dv)
-    curl_w = _curl_from_jac(dw)
+    curl_v = curl(dv)
+    curl_w = curl(dw)
     lhs = sum(w[i] * curl_v[i] for i in range(3))
     mid = sum(curl_w[i] * v[i] for i in range(3))
     # div(v x w) = sum_j d/da_j (eps_jkl v_k w_l)
@@ -278,10 +266,6 @@ def curl_cross_identity_residual(v, w, dv, dw):
 _EPS = [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
         [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
         [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
-
-
-def _curl_from_jac(d):
-    return np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import VortlabError
-from .fields import Box, LabelGrid, ScalarFieldLabel, TrajectoryField, derivative
+from .fields import Box, LabelGrid, ScalarFieldLabel, TrajectoryField, derivative, fd_jacobian
 from .invariants import (
     cauchy_residual,
     image_fields_on_grid,
@@ -58,11 +58,7 @@ class LabelLoop:
     def tangent_at(self, s: float) -> np.ndarray:
         if self.tangent is not None:
             return np.asarray(self.tangent(s), float)
-        h = 1e-5
-        return np.asarray(
-            [(self.point((s + h) % 1.0)[i] - self.point((s - h) % 1.0)[i]) / (2 * h)
-             for i in range(3)]
-        )
+        return derivative(lambda d: np.asarray(self.point((s + d) % 1.0), float), 1e-5, 2)
 
     @classmethod
     def circle(cls, center, radius: float, nodes: int = 64, axes=(0, 1)) -> "LabelLoop":
@@ -166,12 +162,8 @@ class LabelRegion:
         h = 1e-4 * min(self.box.extent)
         vol = 0.0
         for a in grid.nodes():
-            div = 0.0
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = 1.0
-                div += derivative(lambda s, j=j: float(w(a + s * e)[j]), h, 4)
-            vol += div * grid.cell_volume
+            d = fd_jacobian(lambda b: np.asarray(w(b), float), a, h, 4)
+            vol += (d[0, 0] + d[1, 1] + d[2, 2]) * grid.cell_volume
         flux = 0.0
         for nodes, normal, area in self.boundary_faces():
             for a in nodes:

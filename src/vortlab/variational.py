@@ -37,6 +37,7 @@ from .fields import (
     TrajectoryField,
     VectorFieldLabel,
     derivative,
+    fd_jacobian,
 )
 from .kinematics import det3, jacobian
 
@@ -208,16 +209,6 @@ class SpaceTimeQuadrature:
         tweights = 0.5 * (t1 - t0) * wt
         return cls(nodes, weights, times, tweights, (float(t0), float(t1)), label="gauss")
 
-    @classmethod
-    def from_grid(cls, grid: LabelGrid, window, nt: int) -> "SpaceTimeQuadrature":
-        nodes = grid.nodes()
-        weights = np.full(len(nodes), grid.cell_volume)
-        t0, t1 = window
-        ht = (t1 - t0) / nt
-        times = t0 + ht * (np.arange(nt) + 0.5)
-        return cls(nodes, weights, times, np.full(nt, ht), (float(t0), float(t1)),
-                   label="midpoint")
-
 
 # ---------------------------------------------------------------------------
 # Action
@@ -286,14 +277,7 @@ class RelabelGenerator:
         """D[i, j] = d(delta_a_i)/da_j."""
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(np.asarray(a, float)))
-        a = np.asarray(a, float)
-        out = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            for i in range(3):
-                out[i, j] = derivative(lambda s, i=i: self.delta_a(a + s * e)[i], self.h, 4)
-        return out
+        return fd_jacobian(self.delta_a, a, self.h, 4)
 
     def divergence(self, a) -> float:
         d = self.jacobian(a)
@@ -429,17 +413,6 @@ def sine_potential(
     return VectorFieldLabel(value=val, jacobian_fn=jac)
 
 
-def relabel_direction(gen: RelabelGenerator, a) -> np.ndarray:
-    """The displacement delta_a at a label (curl or cross-gradient form)."""
-    return gen.delta_a(a)
-
-
-def local_variation(field: TrajectoryField, gen: RelabelGenerator, a, t) -> np.ndarray:
-    """Local variation of the position field under relabeling: -G delta_a."""
-    bundle = jacobian(field, a, t)
-    return -(bundle.matrix @ gen.delta_a(a))
-
-
 # ---------------------------------------------------------------------------
 # Variation triples and the composed configuration
 # ---------------------------------------------------------------------------
@@ -482,14 +455,7 @@ class VariationTriple:
             return np.zeros((3, 3))
         if self.delta_a_jac is not None:
             return np.asarray(self.delta_a_jac(np.asarray(a, float)))
-        a = np.asarray(a, float)
-        out = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            for i in range(3):
-                out[i, j] = derivative(lambda s, i=i: self.da(a + s * e)[i], self.h, 4)
-        return out
+        return fd_jacobian(self.da, a, self.h, 4)
 
     def dx(self, a, t) -> np.ndarray:
         return np.zeros(3) if self.delta_x is None else np.asarray(self.delta_x(np.asarray(a, float), t))
@@ -499,24 +465,14 @@ class VariationTriple:
             return np.zeros((3, 3))
         if self.delta_x_jac is not None:
             return np.asarray(self.delta_x_jac(np.asarray(a, float), t))
-        a = np.asarray(a, float)
-        out = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            for i in range(3):
-                out[i, j] = derivative(lambda s, i=i: self.dx(a + s * e, t)[i], self.h, 4)
-        return out
+        return fd_jacobian(lambda b: self.dx(b, t), a, self.h, 4)
 
     def dx_dot(self, a, t) -> np.ndarray:
         if self.delta_x is None:
             return np.zeros(3)
         if self.delta_x_dot is not None:
             return np.asarray(self.delta_x_dot(np.asarray(a, float), t))
-        a = np.asarray(a, float)
-        return np.array(
-            [derivative(lambda s, i=i: self.dx(a, t + s)[i], self.h, 4) for i in range(3)]
-        )
+        return derivative(lambda s: self.dx(a, t + s), self.h, 4)
 
     @classmethod
     def relabeling(cls, gen: RelabelGenerator) -> "VariationTriple":
@@ -720,14 +676,6 @@ def weak_form_integral(
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 
-def _lagrangian_value(field, material, pressure, a, t, rho0j0):
-    v = field.velocity(a, t)
-    x = field.position(a, t)
-    j = det3(field.position_gradient(a, t))
-    rho = rho0j0 / j
-    return (0.5 * float(v @ v) - float(material.eos.energy(rho)) - float(material.potential.value(x, t))) * rho0j0
-
-
 def rund_trautman_check(
     field: TrajectoryField,
     material: FlowMaterial,
@@ -800,7 +748,7 @@ def noether_boundary_term(
         rho0j0[idx] = float(material.initial_density(a)) * float(j0)
 
     def endpoint_integrand(idx, a, t):
-        L = _lagrangian_value(field, material, pressure, a, t, rho0j0[idx])
+        L = _lagrangian_density(field, material, a, t, rho0j0[idx])
         dbar = local_variation_of_triple(field, var, a, t)
         return L * var.dt(t) + rho0j0[idx] * float(field.velocity(a, t) @ dbar)
 
@@ -814,7 +762,7 @@ def noether_boundary_term(
 
     def flux(a, t):
         rj = float(material.initial_density(a)) * float(jacobian(field, a, field.t0).det)
-        L = _lagrangian_value(field, material, pressure, a, t, rj)
+        L = _lagrangian_density(field, material, a, t, rj)
         bundle = jacobian(field, a, t)
         dbar = local_variation_of_triple(field, var, a, t)
         p = float(pressure(a, t))
@@ -823,11 +771,6 @@ def noether_boundary_term(
     div_terms = []
     for a, wa in zip(quad.space_nodes, quad.space_weights):
         for t, wt in zip(quad.time_nodes, quad.time_weights):
-            div = 0.0
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = 1.0
-                div += derivative(lambda s, j=j: float(flux(np.asarray(a, float) + s * e, t)[j]),
-                                  div_step, 4)
-            div_terms.append(wa * wt * div)
+            d = fd_jacobian(lambda b: flux(b, t), a, div_step, 4)
+            div_terms.append(wa * wt * (d[0, 0] + d[1, 1] + d[2, 2]))
     return endpoint + math.fsum(div_terms)

@@ -45,6 +45,17 @@ class TestExitCodes:
         code, _ = run_cli(["verify", "--fixture", "identity", "--tol", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--fixture", "gerstner", "--param", "bogus=1"],
+        ["--fixture", "identity", "--t0", "1", "--t1", "0"],
+        ["--fixture", "identity", "--t0", "5"],
+    ])
+    def test_bad_fixture_arguments_usage_error(self, args):
+        r = subprocess.run([sys.executable, "-m", "vortlab.cli", "verify", *args],
+                           capture_output=True, text=True)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+
 
 class TestIdentities:
     def test_default_battery_passes(self, capsys):
@@ -128,6 +139,12 @@ class TestDriftCommand:
         rep = json.loads(out)
         assert code == 0
         assert 12.0 <= rep["drift_ratio"] <= 20.0
+
+    def test_sampled_times_reach_window_end(self, capsys):
+        code, out = run_cli(["drift", "--fixture", "taylor-green", "--nt", "3"], capsys)
+        times = json.loads(out)["cauchy"]["times"]
+        assert code == 0
+        assert len(times) == 3 and times[-1] == 1.0
 
     def test_step_pair_rejected_for_analytic_fixture(self, capsys):
         code, _ = run_cli(["drift", "--fixture", "identity", "--dt", "0.1,0.05"], capsys)

@@ -16,10 +16,8 @@ from vortlab.fields import (
     SampledTrajectoryField,
     ScalarFieldLabel,
     VectorFieldLabel,
-    curl_label,
-    div_label,
     eval_state,
-    grad_label,
+    fd_jacobian,
     load_grid,
     save_grid,
 )
@@ -64,23 +62,23 @@ class TestEvalState:
 class TestLabelOperators:
     def test_gradient_of_coordinate(self):
         f = ScalarFieldLabel(value=lambda a, t: a[0])
-        assert np.allclose(grad_label(f, (0.3, 0.1, 0.0), 0.0), [1.0, 0.0, 0.0])
+        assert np.allclose(f.gradient((0.3, 0.1, 0.0), 0.0), [1.0, 0.0, 0.0])
 
     def test_gradient_example(self):
         f = ScalarFieldLabel(value=lambda a, t: a[0] * a[1] + a[2] ** 2)
-        assert np.allclose(grad_label(f, (1.0, 2.0, 3.0), 0.0), [2.0, 1.0, 6.0], atol=1e-10)
+        assert np.allclose(f.gradient((1.0, 2.0, 3.0), 0.0), [2.0, 1.0, 6.0], atol=1e-10)
 
     def test_gradient_of_constant(self):
         f = ScalarFieldLabel.constant(4.2)
-        assert np.allclose(grad_label(f, (0.0, 0.0, 0.0), 0.0), 0.0)
+        assert np.allclose(f.gradient((0.0, 0.0, 0.0), 0.0), 0.0)
 
     def test_curl_and_div_examples(self):
         v = VectorFieldLabel(value=lambda a, t: np.array([-a[1], a[0], 0.0]))
-        assert np.allclose(curl_label(v, (0.2, 0.3, 0.4), 0.0), [0.0, 0.0, 2.0], atol=1e-10)
-        assert abs(div_label(v, (0.2, 0.3, 0.4), 0.0)) < 1e-10
+        assert np.allclose(v.curl((0.2, 0.3, 0.4), 0.0), [0.0, 0.0, 2.0], atol=1e-10)
+        assert abs(v.divergence((0.2, 0.3, 0.4), 0.0)) < 1e-10
         r = VectorFieldLabel(value=lambda a, t: np.asarray(a, float))
-        assert abs(div_label(r, (0.2, 0.3, 0.4), 0.0) - 3.0) < 1e-10
-        assert np.allclose(curl_label(r, (0.2, 0.3, 0.4), 0.0), 0.0, atol=1e-10)
+        assert abs(r.divergence((0.2, 0.3, 0.4), 0.0) - 3.0) < 1e-10
+        assert np.allclose(r.curl((0.2, 0.3, 0.4), 0.0), 0.0, atol=1e-10)
 
     def test_curl_of_gradient_exactly_zero_on_polynomials(self):
         # v = grad(a1 a2 a3): symbolic curl must be the zero polynomial
@@ -120,6 +118,53 @@ class TestLabelOperators:
         for make, order in ((f4, 4), (f2, 2)):
             errs = [np.max(np.abs(make(h).gradient(a, 0.0) - exact)) for h in hs]
             assert _fit_slope(hs, errs) >= order - 0.2
+
+
+class TestFdJacobian:
+    # a centered stencil of order p differentiates a polynomial exactly when
+    # its degree in the differenced variable is at most p
+    A = np.array([0.3, -0.7, 1.1])
+
+    @staticmethod
+    def _counted(f, calls):
+        def g(b):
+            calls.append(1)
+            return f(b)
+        return g
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_scalar_valued(self, order):
+        k, (b0, b1, b2) = order, self.A
+        calls = []
+        f = self._counted(lambda b: b[0] ** k * b[1] + b[2] ** k, calls)
+        out = fd_jacobian(f, self.A, 1e-2, order)
+        exact = [k * b0 ** (k - 1) * b1, b0 ** k, k * b2 ** (k - 1)]
+        assert out.shape == (3,)
+        assert np.allclose(out, exact, rtol=0, atol=1e-10)
+        assert len(calls) == 3 * order  # once per stencil offset and direction
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_vector_valued(self, order):
+        k, (b0, b1, b2) = order, self.A
+        calls = []
+        f = self._counted(lambda b: np.array([b[0] * b[1], b[1] ** k, b[2] * b[0] ** k]), calls)
+        out = fd_jacobian(f, self.A, 1e-2, order)
+        exact = [[b1, b0, 0.0],
+                 [0.0, k * b1 ** (k - 1), 0.0],
+                 [k * b0 ** (k - 1) * b2, 0.0, b0 ** k]]
+        assert out.shape == (3, 3)
+        assert np.allclose(out, exact, rtol=0, atol=1e-10)
+        assert len(calls) == 3 * order
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matrix_valued(self, order):
+        k, (b0, b1, b2) = order, self.A
+        f = lambda b: np.array([[b[0] ** k, b[1] * b[2]], [b[2], b[0] * b[1]]])
+        out = fd_jacobian(f, self.A, 1e-2, order)
+        exact = [[[k * b0 ** (k - 1), 0.0, 0.0], [0.0, b2, b1]],
+                 [[0.0, 0.0, 1.0], [b1, b0, 0.0]]]
+        assert out.shape == (2, 2, 3)
+        assert np.allclose(out, exact, rtol=0, atol=1e-10)
 
 
 class TestAnalyticFallbacks:
@@ -225,6 +270,39 @@ class TestGridIO:
         path.write_text("1.0,2.0,3.0\n")
         with pytest.raises(GridFormatError):
             load_grid(str(path))
+
+    def test_rejects_bad_csv_number(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        save_grid(self._small_field(), str(path))
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[row] = "not-a-number" + lines[row][lines[row].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridFormatError):
+            load_grid(str(path))
+
+    def _rewrite_npz(self, path, **changes):
+        save_grid(self._small_field(), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        for key, val in changes.items():
+            if val is None:
+                del arrays[key]
+            else:
+                arrays[key] = val
+        np.savez(path, **arrays)
+
+    def test_rejects_missing_npz_array(self, tmp_path):
+        path = str(tmp_path / "grid.npz")
+        self._rewrite_npz(path, times=None)
+        with pytest.raises(GridFormatError):
+            load_grid(path)
+
+    def test_rejects_nonuniform_npz_axis(self, tmp_path):
+        path = str(tmp_path / "grid.npz")
+        self._rewrite_npz(path, axis1=np.array([-1.0, -0.5, 0.25, 0.5, 1.0]))
+        with pytest.raises(GridFormatError):
+            load_grid(path)
 
 
 class TestGrids:

@@ -13,7 +13,6 @@ from vortlab.fields import (
     VectorFieldLabel,
 )
 from vortlab.invariants import (
-    acceleration_potential_residual,
     cauchy_drift,
     cauchy_residual,
     cauchy_vorticity_reconstruct,
@@ -196,12 +195,6 @@ class TestCauchyResidual:
         fx = flows.make_fixture("non-euler")
         r = cauchy_residual(fx.field, (Fraction(0), Fraction(1), Fraction(0)), Fraction(1))
         assert list(r) == [0, 0, -4]
-
-    def test_alias_reports_same_quantity(self):
-        fx = flows.make_fixture("non-euler")
-        a, t = (0.0, 1.0, 0.0), 1.0
-        assert np.allclose(acceleration_potential_residual(fx.field, a, t),
-                           cauchy_residual(fx.field, a, t))
 
     def test_matches_fd_curl_of_assembled_rate(self):
         # oracle: finite-difference curl of dV/dt = G^T xddot + dG^T/dt xdot

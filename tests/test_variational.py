@@ -22,12 +22,11 @@ from vortlab.variational import (
     density_from_map,
     el_part,
     fit_loglog_slope,
-    local_variation,
+    local_variation_of_triple,
     mass_residual,
     momentum_residual,
     noether_boundary_term,
     pressure_from_eos,
-    relabel_direction,
     relabeling_invariance_scan,
     rund_trautman_check,
     sine_potential,
@@ -152,14 +151,14 @@ class TestAction:
 class TestRelabelGenerators:
     def test_curl_of_quadratic_potential(self):
         gen = poly_generator()
-        assert np.allclose(relabel_direction(gen, (0.3, 0.4, 0.9)), [0.3, -0.4, 0.0])
+        assert np.allclose(gen.delta_a((0.3, 0.4, 0.9)), [0.3, -0.4, 0.0])
         assert abs(gen.divergence((0.3, 0.4, 0.9))) < 1e-14
 
     def test_gradient_potential_gives_zero(self):
         # delta_R = grad(phi) has zero curl
         phi = Poly.variable(4, 0) * Poly.variable(4, 1) * Poly.variable(4, 2)
         gen = RelabelGenerator.from_potential_polys([phi.diff(0), phi.diff(1), phi.diff(2)])
-        assert np.allclose(relabel_direction(gen, (0.5, -0.4, 0.8)), 0.0)
+        assert np.allclose(gen.delta_a((0.5, -0.4, 0.8)), 0.0)
 
     def test_scalar_pair_cross_gradient(self):
         dR1 = ScalarFieldLabel(value=lambda a, t: a[0],
@@ -167,7 +166,7 @@ class TestRelabelGenerators:
         R2 = ScalarFieldLabel(value=lambda a, t: a[1],
                               gradient_fn=lambda a, t: np.array([0.0, 1.0, 0.0]))
         gen = RelabelGenerator.from_scalar_pair(dR1, R2)
-        assert np.allclose(relabel_direction(gen, (0.3, 0.3, 0.3)), [0.0, 0.0, 1.0])
+        assert np.allclose(gen.delta_a((0.3, 0.3, 0.3)), [0.0, 0.0, 1.0])
         assert abs(gen.divergence((0.3, 0.3, 0.3))) < 1e-9
 
     def test_divergence_free_for_random_polynomial_potentials(self):
@@ -188,21 +187,21 @@ class TestRelabelGenerators:
 class TestLocalVariation:
     def test_identity_map(self):
         fx = flows.make_fixture("identity")
-        gen = poly_generator()
-        out = local_variation(fx.field, gen, (0.3, 0.4, 0.0), 0.2)
+        var = VariationTriple.relabeling(poly_generator())
+        out = local_variation_of_triple(fx.field, var, (0.3, 0.4, 0.0), 0.2)
         assert np.allclose(out, [-0.3, 0.4, 0.0])
 
     def test_dilation_scaling(self):
         fx = flows.make_fixture("dilation")
-        gen = poly_generator()
-        out = local_variation(fx.field, gen, (0.3, 0.4, 0.0), 1.0)
+        var = VariationTriple.relabeling(poly_generator())
+        out = local_variation_of_triple(fx.field, var, (0.3, 0.4, 0.0), 1.0)
         assert np.allclose(out, [-0.6, 0.8, 0.0])
 
     def test_shear_matrix(self):
         f = flows.make_fixture("shear", t1=5.0).field
         gen = RelabelGenerator(delta_fn=lambda a: np.array([0.0, 1.0, 0.0]),
                                jacobian_fn=lambda a: np.zeros((3, 3)))
-        out = local_variation(f, gen, (0.0, 0.0, 0.0), 3.0)
+        out = local_variation_of_triple(f, VariationTriple.relabeling(gen), (0.0, 0.0, 0.0), 3.0)
         assert np.allclose(out, [-3.0, -1.0, 0.0])
 
     def test_matches_triple_form(self):
@@ -210,10 +209,8 @@ class TestLocalVariation:
         gen = poly_generator()
         var = VariationTriple.relabeling(gen)
         a, t = np.array([0.2, -0.6, 0.1]), 1.1
-        from vortlab.variational import local_variation_of_triple
-
-        assert np.allclose(local_variation(fx.field, gen, a, t),
-                           local_variation_of_triple(fx.field, var, a, t))
+        assert np.allclose(local_variation_of_triple(fx.field, var, a, t),
+                           -(fx.field.position_gradient(a, t) @ gen.delta_a(a)))
 
 
 class TestInvarianceScan:
