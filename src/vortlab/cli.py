@@ -164,11 +164,14 @@ def _drift_grid(cfg: RunConfig, field, window):
     """Label grid and times for the drift checks.
 
     Sampled fields stay on their own grid and on stored slices, so the
-    vectorized node path applies.
+    vectorized node path applies; the last stored slice is always included.
     """
     if field.backend == "sampled":
         stride = max(1, (len(field.times) - 1) // (cfg.nt - 1))
-        return field.grid, field.times[::stride]
+        times = field.times[::stride]
+        if times[-1] != field.times[-1]:
+            times = np.append(times, field.times[-1])
+        return field.grid, times
     grid = LabelGrid.cell_centers(field.box, cfg.grid)
     return grid, np.linspace(window[0], window[1], cfg.nt)
 

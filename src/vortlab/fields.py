@@ -922,6 +922,8 @@ def _load_grid_csv(path: str) -> SampledTrajectoryField:
         order = int(header["order"][0])
     except (KeyError, ValueError) as exc:
         raise GridFormatError(f"{path}: malformed header ({exc})") from exc
+    if "positions" not in kinds:
+        raise GridFormatError(f"{path}: '# fields' does not list positions")
     data = np.asarray(rows)
     if data.shape != (nt * n1 * n2 * n3, 3 * len(kinds)):
         raise GridFormatError(

@@ -12,14 +12,22 @@ G^T w(a, t) needs only first derivatives:
 
 where ``curl(D)`` (:func:`vortlab.fields.curl`, the package's one curl) is
 the curl of a field whose Jacobian is D[i, j] = dv_i/da_j.  That is how
-Omega and the Cauchy residual are assembled pointwise (no finite
-differencing of V itself; tests cross-check against an FD curl).  The
-Cauchy residual uses dV/dt = G^T xddot + dG^T/dt xdot, whose second term is
-a pure label-gradient and drops out of the curl, leaving
+Omega and the Cauchy residual are assembled (no finite differencing of V
+itself; tests cross-check against an FD curl).  The Cauchy residual uses
+dV/dt = G^T xddot + dG^T/dt xdot, whose second term is a pure label-gradient
+and drops out of the curl, leaving
 
     cauchy_residual = curl_a (G^T xddot) = curl((Ga^T G)^T),
 
 zero exactly when the flow is extremal at (a, t).
+
+Diagnostics over a label grid evaluate once per time over all nodes:
+:func:`gradients_on_grid` stacks the gradients with component axes first,
+(3, 3, N), and the arithmetic runs on the whole stack.  A sampled field on
+its own grid at a stored time is read from its node arrays; that is the one
+place the package takes this shortcut.  Every other field or grid is
+evaluated node by node, with the same domain and singular-map checks as the
+pointwise functions.
 """
 
 from __future__ import annotations
@@ -28,9 +36,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMapError
 from .fields import LabelGrid, SampledTrajectoryField, TrajectoryField, curl
-from .kinematics import jacobian
+from .kinematics import checked_det, jacobian
 from .report import DriftReport
 
 
@@ -40,29 +47,22 @@ def image_velocity(field: TrajectoryField, a, t) -> np.ndarray:
     return bundle.matrix.T @ field.velocity(a, t)
 
 
-def _gradient_curl(gw, g):
+def gradient_curl(gw, g):
     """curl_a(G^T w) from Dw and G (Hessian terms cancel in the curl).
 
     With M[j, k] = sum_m Dw[m, j] G[m, k] the curl is curl(M^T); the
     symmetric Hessian contribution to d/da_j (G^T w)_k never reaches it.
+    Stacks of shape (3, 3, ...) give a (3, ...) result.
     """
-    m = gw.T @ g
-    return curl(m.T)
+    return curl(np.einsum("mj...,mk...->kj...", gw, g))
 
 
 def lagrangian_vorticity(field: TrajectoryField, a, t) -> np.ndarray:
     """Omega = curl_a V, assembled from the position and velocity gradients."""
     field.check_domain(a, t)
     g = field.position_gradient(a, t)
-    if det_is_zero(g):
-        raise DegenerateMapError("lagrangian_vorticity at a singular point")
-    return _gradient_curl(field.velocity_gradient(a, t), g)
-
-
-def det_is_zero(g) -> bool:
-    from .kinematics import det3
-
-    return det3(g) == 0
+    checked_det(g)
+    return gradient_curl(field.velocity_gradient(a, t), g)
 
 
 def lagrangian_vorticity_pullback(field: TrajectoryField, omega_x, a, t) -> np.ndarray:
@@ -75,9 +75,8 @@ def cauchy_residual(field: TrajectoryField, a, t) -> np.ndarray:
     """curl_a(dV/dt); zero iff the flow is extremal at (a, t)."""
     field.check_domain(a, t)
     g = field.position_gradient(a, t)
-    if det_is_zero(g):
-        raise DegenerateMapError("cauchy_residual at a singular point")
-    return _gradient_curl(field.acceleration_gradient(a, t), g)
+    checked_det(g)
+    return gradient_curl(field.acceleration_gradient(a, t), g)
 
 
 def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.ndarray:
@@ -96,25 +95,31 @@ def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _omega_on_grid(field: TrajectoryField, grid: LabelGrid, t) -> np.ndarray:
-    """(N, 3) array of Omega at every grid node, C order.
+def _grid_stack(field: TrajectoryField, grid: LabelGrid, t, method: str) -> np.ndarray:
+    """The protocol evaluator ``method`` ("velocity", "position_gradient", ...)
+    at every grid node, C order, stacked along a leading node axis.
 
-    Sampled fields evaluated on their own grid at a stored time use the
-    vectorized node arrays; everything else goes pointwise.
+    A sampled field on its own grid at a stored time inside its window is
+    read from its node arrays; everything else is evaluated node by node
+    after ``check_domain``.
     """
-    if isinstance(field, SampledTrajectoryField) and _grid_matches(field, grid):
+    ti = None
+    if (isinstance(field, SampledTrajectoryField) and _grid_matches(field, grid)
+            and field.t0 <= t <= field.t1):
         try:
             ti = field.time_index(t)
         except ValueError:
-            ti = None
-        if ti is not None:
-            g = field.node_gradients("position", ti)
-            gv = field.node_gradients("velocity", ti)
-            m = np.einsum("...mj,...mk->...jk", gv, g)
-            omega = curl(np.moveaxis(m, (-1, -2), (0, 1)))
-            return np.moveaxis(omega, 0, -1).reshape(-1, 3)
-    nodes = grid.nodes()
-    return np.array([lagrangian_vorticity(field, a, t) for a in nodes])
+            pass
+    if ti is not None:
+        kind, _, grad = method.partition("_")
+        data = field.node_gradients(kind, ti) if grad else field.node_values(kind, ti)
+        return data.reshape(-1, *data.shape[3:])
+    evaluate = getattr(field, method)
+    out = []
+    for a in grid.nodes():
+        field.check_domain(a, t)
+        out.append(evaluate(a, t))
+    return np.asarray(out, float)
 
 
 def _grid_matches(field: SampledTrajectoryField, grid: LabelGrid) -> bool:
@@ -122,6 +127,25 @@ def _grid_matches(field: SampledTrajectoryField, grid: LabelGrid) -> bool:
         len(ax) == len(bx) and np.allclose(ax, bx)
         for ax, bx in zip(field.grid.axes, grid.axes)
     )
+
+
+def gradients_on_grid(field: TrajectoryField, grid: LabelGrid, t, kind: str) -> np.ndarray:
+    """(3, 3, N) stack of d(kind)_i/da_j over the grid nodes, C order.
+
+    ``kind`` is "position", "velocity" or "acceleration".  Component axes
+    come first, as in :func:`vortlab.fields.curl`.  A position-gradient stack
+    passes the singular-map test of :func:`vortlab.kinematics.checked_det`.
+    """
+    g = np.moveaxis(_grid_stack(field, grid, t, f"{kind}_gradient"), 0, -1)
+    if kind == "position":
+        checked_det(g)
+    return g
+
+
+def _omega_on_grid(field: TrajectoryField, grid: LabelGrid, t) -> np.ndarray:
+    """(N, 3) array of Omega at every grid node, C order, from one gradient stack."""
+    g = gradients_on_grid(field, grid, t, "position")
+    return gradient_curl(gradients_on_grid(field, grid, t, "velocity"), g).T
 
 
 def cauchy_drift(
@@ -161,17 +185,6 @@ def cauchy_drift(
 
 def image_fields_on_grid(field: TrajectoryField, grid: LabelGrid, t):
     """(V, Omega) as (N, 3) arrays over the grid nodes (helicity building block)."""
-    if isinstance(field, SampledTrajectoryField) and _grid_matches(field, grid):
-        try:
-            ti = field.time_index(t)
-        except ValueError:
-            ti = None
-        if ti is not None:
-            g = field.node_gradients("position", ti)
-            v = field.node_values("velocity", ti)
-            V = np.einsum("...mj,...m->...j", g, v).reshape(-1, 3)
-            return V, _omega_on_grid(field, grid, t)
-    nodes = grid.nodes()
-    V = np.array([image_velocity(field, a, t) for a in nodes])
-    omega = np.array([lagrangian_vorticity(field, a, t) for a in nodes])
-    return V, omega
+    g = gradients_on_grid(field, grid, t, "position")
+    V = np.einsum("mjn,nm->nj", g, _grid_stack(field, grid, t, "velocity"))
+    return V, gradient_curl(gradients_on_grid(field, grid, t, "velocity"), g).T

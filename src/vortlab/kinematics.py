@@ -12,7 +12,6 @@ polynomial backend.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +32,12 @@ DEGENERACY_RTOL = 1e-14
 
 
 def det3(m):
+    """Determinant of ``m[i, j]``.
+
+    Batches broadcast with the component axes first, ``m`` of shape
+    (3, 3, ...), as in :func:`vortlab.fields.curl`; the result then has the
+    trailing shape.
+    """
     return (
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
@@ -41,8 +46,11 @@ def det3(m):
 
 
 def cof3(m):
-    """Cofactor matrix: cof[i, j] is the signed minor of m[i, j]."""
-    out = np.empty((3, 3), dtype=m.dtype if m.dtype == object else float)
+    """Cofactor matrix: cof[i, j] is the signed minor of m[i, j].
+
+    Batches broadcast with the component axes first, as in :func:`det3`.
+    """
+    out = np.empty(m.shape, dtype=m.dtype if m.dtype == object else float)
     for i in range(3):
         r = [k for k in range(3) if k != i]
         for j in range(3):
@@ -101,19 +109,28 @@ class JacobianBundle:
 
     @classmethod
     def from_matrix(cls, g: np.ndarray) -> "JacobianBundle":
-        d = det3(g)
-        scale = _row_scale(g)
-        if d == 0 or (scale > 0 and abs(float(d)) < DEGENERACY_RTOL * scale**3):
-            raise DegenerateMapError(f"Jacobian determinant {d} below degeneracy threshold")
+        d = checked_det(g)
         c = cof3(g)
         return cls(matrix=g, det=d, cof=c, inv=c.T / d)
 
 
-def _row_scale(g) -> float:
-    norms = [math.sqrt(sum(float(g[i, j]) ** 2 for j in range(3))) for i in range(3)]
-    if any(n == 0.0 for n in norms):
-        return 0.0
-    return math.exp(sum(math.log(n) for n in norms) / 3.0)
+def checked_det(g):
+    """det3(g), raising DegenerateMapError where the map is singular.
+
+    The one singular-map test of the package.  It is scale-invariant: a map
+    is singular where J == 0 or |J| < DEGENERACY_RTOL * s**3, with s**3 the
+    product of the row norms of G.  J == 0 is decided exactly on Fraction
+    matrices.  ``g`` is one matrix or a stack of shape (3, 3, ...).
+    """
+    d = det3(g)
+    gf = np.asarray(g, float)
+    rows = np.sqrt(gf[:, 0] ** 2 + gf[:, 1] ** 2 + gf[:, 2] ** 2)
+    bound = DEGENERACY_RTOL * rows[0] * rows[1] * rows[2]
+    singular = np.ravel((d == 0) | (np.abs(np.asarray(d, float)) < bound))
+    if singular.any():
+        first = np.ravel(d)[int(np.argmax(singular))]
+        raise DegenerateMapError(f"Jacobian determinant {first} below degeneracy threshold")
+    return d
 
 
 def jacobian(field: TrajectoryField, a, t) -> JacobianBundle:

@@ -146,6 +146,14 @@ class TestDriftCommand:
         assert code == 0
         assert len(times) == 3 and times[-1] == 1.0
 
+    def test_sampled_times_keep_last_slice_when_stride_misses_it(self, capsys):
+        # 21 stamps at --nt 7 give stride 3, which stops at 0.9 without the end slice
+        code, out = run_cli(["drift", "--fixture", "taylor-green", "--nt", "7"], capsys)
+        times = json.loads(out)["cauchy"]["times"]
+        assert code == 0
+        assert times[-1] == 1.0
+        assert times[:-1] == pytest.approx([0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9])
+
     def test_step_pair_rejected_for_analytic_fixture(self, capsys):
         code, _ = run_cli(["drift", "--fixture", "identity", "--dt", "0.1,0.05"], capsys)
         assert code == 2

@@ -281,6 +281,14 @@ class TestGridIO:
         with pytest.raises(GridFormatError):
             load_grid(str(path))
 
+    def test_rejects_csv_fields_without_positions(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        save_grid(self._small_field(), str(path))
+        text = path.read_text().replace("# fields positions ", "# fields displacements ")
+        path.write_text(text)
+        with pytest.raises(GridFormatError):
+            load_grid(str(path))
+
     def _rewrite_npz(self, path, **changes):
         save_grid(self._small_field(), path)
         with np.load(path) as data:

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 
+import pytest
+
 from vortlab import flows
+from vortlab.errors import DegenerateMapError
 from vortlab.fields import (
+    AnalyticTrajectoryField,
     Box,
     LabelGrid,
     PolynomialTrajectoryField,
@@ -16,6 +20,8 @@ from vortlab.invariants import (
     cauchy_drift,
     cauchy_residual,
     cauchy_vorticity_reconstruct,
+    gradients_on_grid,
+    image_fields_on_grid,
     image_velocity,
     lagrangian_vorticity,
     lagrangian_vorticity_pullback,
@@ -236,6 +242,50 @@ class TestCauchyDrift:
         assert csv.splitlines()[-1].startswith("2.0,")
         rep.write(str(tmp_path / "drift.csv"))
         assert (tmp_path / "drift.csv").read_text() == csv
+
+
+class TestSingularMapPolicy:
+    def test_nearly_singular_map_raises(self):
+        # |J| = 1e-16 against row norms 1, 1, sqrt 2: singular at the scale of the map
+        g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-16]])
+        field = AnalyticTrajectoryField(
+            lambda a, t: g @ a, BOX,
+            position_gradient=lambda a, t: g.copy(),
+            velocity_gradient=lambda a, t: np.zeros((3, 3)),
+            acceleration_gradient=lambda a, t: np.zeros((3, 3)),
+        )
+        a = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(DegenerateMapError):
+            lagrangian_vorticity(field, a, 0.5)
+        with pytest.raises(DegenerateMapError):
+            cauchy_residual(field, a, 0.5)
+        with pytest.raises(DegenerateMapError):
+            jacobian(field, a, 0.5)
+
+
+class TestGridEvaluation:
+    def test_own_grid_reads_node_arrays_component_axes_first(self):
+        fx = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)
+        field = fx.field
+        g = gradients_on_grid(field, field.grid, field.times[2], "velocity")
+        nodes = field.node_gradients("velocity", 2).reshape(-1, 3, 3)
+        assert g.shape == (3, 3, 216)
+        assert np.array_equal(g, np.moveaxis(nodes, 0, -1))
+
+    @pytest.mark.parametrize("case", ["analytic", "sampled-off-node"])
+    def test_other_grids_match_pointwise_evaluators(self, case):
+        if case == "analytic":
+            field = flows.make_fixture("gerstner").field
+            grid, t = LabelGrid.cell_centers(field.box, (3, 2, 3)), 0.4
+        else:
+            field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05).field
+            grid, t = LabelGrid.cell_centers(field.box, (2, 3, 2)), 0.125  # between slices
+        g = gradients_on_grid(field, grid, t, "position")
+        V, omega = image_fields_on_grid(field, grid, t)
+        for n, a in enumerate(grid.nodes()):
+            assert np.array_equal(g[:, :, n], field.position_gradient(a, t))
+            assert np.allclose(V[n], image_velocity(field, a, t), rtol=0.0, atol=1e-14)
+            assert np.allclose(omega[n], lagrangian_vorticity(field, a, t), rtol=0.0, atol=1e-14)
 
 
 class TestAdvectedDriftOrder:

@@ -16,9 +16,12 @@ from vortlab.fields import (
 )
 from vortlab.kinematics import (
     JacobianBundle,
+    checked_det,
+    cof3,
     convective_gradient_residual,
     curl_cross_identity_residual,
     curl_pullback_residual,
+    det3,
     inverse_jacobian_rate_residual,
     jacobian,
     jacobian_rate_residual,
@@ -79,6 +82,41 @@ class TestBundle:
         collapsing = PolynomialTrajectoryField([a1, a2, t * a3], BOX, -1.0, 1.0)
         with pytest.raises(DegenerateMapError):
             jacobian(collapsing, (Fraction(0), Fraction(0), Fraction(1)), Fraction(0))
+
+
+class TestBatchedMatrixHelpers:
+    def test_stack_with_component_axes_first_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(3, 3, 4, 2))
+        d, c = det3(stack), cof3(stack)
+        assert d.shape == (4, 2) and c.shape == (3, 3, 4, 2)
+        for idx in np.ndindex(4, 2):
+            m = stack[(slice(None), slice(None)) + idx]
+            assert d[idx] == det3(m)
+            assert np.array_equal(c[(slice(None), slice(None)) + idx], cof3(m))
+
+    def test_checked_det_flags_one_bad_matrix_in_a_stack(self):
+        stack = np.repeat(np.eye(3)[:, :, None], 5, axis=2)
+        assert np.array_equal(checked_det(stack), np.ones(5))
+        stack[:, :, 3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-16]]
+        with pytest.raises(DegenerateMapError):
+            checked_det(stack)
+
+    def test_checked_det_is_scale_invariant(self):
+        # a tiny but well-conditioned map is not singular; a skewed one is
+        assert checked_det(1e-7 * np.eye(3)) == pytest.approx(1e-21)
+        skewed = 1e6 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-16]])
+        with pytest.raises(DegenerateMapError):
+            checked_det(skewed)
+
+    def test_checked_det_exact_on_fractions(self):
+        g = np.array([[Fraction(1), Fraction(2), Fraction(0)],
+                      [Fraction(0), Fraction(1, 3), Fraction(1)],
+                      [Fraction(1), Fraction(2), Fraction(0)]], dtype=object)
+        with pytest.raises(DegenerateMapError):
+            checked_det(g)
+        g[2, 2] = Fraction(1, 7)
+        assert checked_det(g) == Fraction(1, 21)
 
 
 class TestVolumeTransport:

@@ -5,10 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from vortlab import flows
-from vortlab.errors import VortlabError
-from vortlab.fields import LabelGrid, ScalarFieldLabel
-from vortlab.invariants import cauchy_residual, lagrangian_vorticity
+from vortlab import flows, theorems
+from vortlab.errors import (
+    DegenerateMapError,
+    NonPositiveDensityError,
+    OutOfDomainError,
+    VortlabError,
+)
+from vortlab.fields import (
+    AnalyticTrajectoryField,
+    Box,
+    LabelGrid,
+    SampledTrajectoryField,
+    ScalarFieldLabel,
+)
+from vortlab.invariants import cauchy_drift, cauchy_residual, lagrangian_vorticity
 from vortlab.kinematics import inv3, jacobian
 from vortlab.theorems import (
     LabelLoop,
@@ -24,6 +35,7 @@ from vortlab.theorems import (
     helicity,
     helicity_drift,
 )
+from vortlab.variational import FlowMaterial
 
 S_LABEL = ScalarFieldLabel(
     value=lambda a, t: a[2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
@@ -106,6 +118,125 @@ class TestErtel:
         rep = ertel_drift(fx.field, fx.material, S_LABEL, grid,
                           np.linspace(fx.field.t0, fx.field.t1, 5), tolerance=1e-8)
         assert rep.passed
+
+
+# S = a1 a2 + a3^2 / 2: a label-only scalar whose gradient varies over the grid
+S_QUADRATIC = ScalarFieldLabel(
+    value=lambda a, t: a[0] * a[1] + 0.5 * a[2] ** 2,
+    gradient_fn=lambda a, t: np.array([a[1], a[0], a[2]], float),
+)
+
+
+def _ertel_drift_by_pointwise_loop(field, material, S, grid, times):
+    """(max, L2) deviations of ertel_pv from its value at times[0], node by node."""
+    nodes = grid.nodes()
+    base = np.array([ertel_pv(field, material, S, a, times[0]) for a in nodes])
+    max_dev, l2_dev = [], []
+    for t in times:
+        diff = np.abs(np.array([ertel_pv(field, material, S, a, t) for a in nodes]) - base)
+        max_dev.append(float(diff.max()))
+        l2_dev.append(math.sqrt(float(np.sum(diff**2)) * grid.cell_volume))
+    return max_dev, l2_dev
+
+
+def _small_abc():
+    return flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)
+
+
+class TestErtelBatched:
+    @pytest.mark.parametrize("case", ["sampled-own-grid", "sampled-off-node", "closed-form"])
+    def test_matches_pointwise_loop(self, case):
+        if case == "closed-form":
+            # the non-Euler map drifts, so the comparison is not between zeros
+            fx = flows.make_fixture("non-euler")
+            grid = LabelGrid.cell_centers(fx.field.box, (5, 5, 5))
+            times = np.linspace(fx.field.t0, fx.field.t1, 4)
+        else:
+            fx = _small_abc()
+            own = case == "sampled-own-grid"
+            grid = fx.field.grid if own else LabelGrid.cell_centers(fx.field.box, (4, 4, 4))
+            times = fx.field.times[::2]
+        rep = ertel_drift(fx.field, fx.material, S_QUADRATIC, grid, times)
+        max_dev, l2_dev = _ertel_drift_by_pointwise_loop(
+            fx.field, fx.material, S_QUADRATIC, grid, times)
+        assert max(max_dev) > 1e-8
+        assert np.allclose(rep.max_deviation, max_dev, rtol=0.0, atol=1e-12)
+        assert np.allclose(rep.l2_deviation, l2_dev, rtol=0.0, atol=1e-12)
+
+    def test_grid_beyond_box_raises_like_pointwise(self):
+        fx = flows.make_fixture("gerstner")
+        lo, hi = np.asarray(fx.field.box.lo), np.asarray(fx.field.box.hi)
+        grid = LabelGrid.cell_centers(Box(tuple(lo), tuple(hi + fx.field.box.extent)), (3, 3, 3))
+        with pytest.raises(OutOfDomainError):
+            ertel_pv(fx.field, fx.material, S_LABEL, grid.nodes()[-1], 0.0)
+        with pytest.raises(OutOfDomainError):
+            ertel_drift(fx.field, fx.material, S_LABEL, grid, [0.0, 0.5])
+
+    def test_time_beyond_stored_window_raises_on_own_grid(self):
+        fx = _small_abc()
+        late = fx.field.t1 + fx.field.dt
+        with pytest.raises(OutOfDomainError):
+            ertel_pv(fx.field, fx.material, S_LABEL, fx.field.grid.nodes()[0], late)
+        with pytest.raises(OutOfDomainError):
+            ertel_drift(fx.field, fx.material, S_LABEL, fx.field.grid, [fx.field.t0, late])
+        with pytest.raises(OutOfDomainError):
+            cauchy_drift(fx.field, fx.field.grid, [fx.field.t0, late])
+
+    def test_singular_map_raises_like_pointwise(self):
+        g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-16]])
+        box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+        field = AnalyticTrajectoryField(
+            lambda a, t: g @ a, box,
+            position_gradient=lambda a, t: g.copy(),
+            velocity_gradient=lambda a, t: np.zeros((3, 3)),
+        )
+        material = flows.make_fixture("identity").material
+        grid = LabelGrid.cell_centers(box, (2, 2, 2))
+        with pytest.raises(DegenerateMapError):
+            ertel_pv(field, material, S_LABEL, grid.nodes()[0], 0.5)
+        with pytest.raises(DegenerateMapError):
+            ertel_drift(field, material, S_LABEL, grid, [0.0, 0.5])
+
+    def test_negative_initial_density_raises_like_pointwise(self):
+        fx = flows.make_fixture("gerstner")
+        material = FlowMaterial(
+            rho0=ScalarFieldLabel.constant(-1.0), eos=fx.material.eos,
+            potential=fx.material.potential,
+        )
+        grid = LabelGrid.cell_centers(fx.field.box, (2, 2, 2))
+        with pytest.raises(NonPositiveDensityError):
+            ertel_pv(fx.field, material, S_LABEL, grid.nodes()[0], 0.5)
+        with pytest.raises(NonPositiveDensityError):
+            ertel_drift(fx.field, material, S_LABEL, grid, [0.0, 0.5])
+
+
+class TestGridDriftStaysOnNodeArrays:
+    """On stored slices of its own grid a sampled field is read from its node
+    arrays: no trilinear lookup and no pointwise Ertel evaluation."""
+
+    def test_no_pointwise_calls(self, monkeypatch):
+        fx = flows.make_fixture("taylor-green")
+        field = fx.field
+        calls = {"_locate": 0, "ertel_pv": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(SampledTrajectoryField, "_locate")
+        counting(theorems, "ertel_pv")
+        times = field.times[::5]
+        ertel_drift(field, fx.material, S_LABEL, field.grid, times)
+        cauchy_drift(field, field.grid, times)
+        assert calls == {"_locate": 0, "ertel_pv": 0}
+        # the counters see pointwise work when there is some
+        theorems.ertel_pv(field, fx.material, S_LABEL, field.grid.nodes()[1], times[1])
+        assert calls["_locate"] > 0 and calls["ertel_pv"] == 1
 
 
 class TestCirculation:
