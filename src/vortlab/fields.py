@@ -10,6 +10,15 @@ Conventions used throughout the package:
   are its first and second time derivatives (``dv_i/da_j``, ``dw_i/da_j``).
 * ``position_hessian(a, t)[i, j, k] = d^2 x_i / (da_j da_k)``.
 
+Evaluation protocol: every trajectory-field method takes labels of shape
+(..., 3) and a scalar time, and returns (..., 3), (..., 3, 3) or
+(..., 3, 3, 3); one label is the case with an empty leading shape.  A grid or
+loop diagnostic evaluates all of its labels in one call per time.  Callables
+supplied to :class:`AnalyticTrajectoryField` and :class:`EulerianVectorField`
+receive the whole (..., 3) stack and may return any value that broadcasts to
+the output shape, such as a constant (3, 3) matrix; it is broadcast only when
+its shape differs.
+
 Three interchangeable backends implement this protocol:
 
 ``AnalyticTrajectoryField``
@@ -25,12 +34,16 @@ Three interchangeable backends implement this protocol:
     node data on a rectilinear grid of labels and a uniform time ladder;
     derivatives by finite differences at a declared order (one-sided stencils
     of matching order at non-periodic edges), trilinear-in-space /
-    linear-in-time interpolation off the nodes.
+    linear-in-time interpolation off the nodes.  A query within rounding of a
+    node or a stored slice reads it exactly; labels beyond the grid on a
+    non-periodic axis raise :class:`~vortlab.errors.OutOfDomainError`.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -38,9 +51,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridFormatError, OutOfDomainError
-from .poly import Poly
+from .poly import Poly, is_rational
 
 Vec = np.ndarray
+
+# A fractional grid or ladder index this close to an integer is on the node.
+_SNAP = 1e-9
 
 # Centered first-derivative stencils: offsets and weights (divide by h).
 _CENTRAL_1 = {
@@ -97,6 +113,47 @@ def curl(d):
     return np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
 
 
+def _fit(out: np.ndarray, shape: tuple) -> np.ndarray:
+    """``out`` at the protocol ``shape``; a value of another shape is broadcast."""
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
+def _poly_jacobian(polys) -> np.ndarray:
+    """Object array ``out[..., j] = d polys[...] / da_j`` of a sequence of Polys."""
+    return np.array([[p.diff(j) for j in range(3)] for p in polys], dtype=object)
+
+
+def _poly_eval(polys: np.ndarray, a, *rest) -> np.ndarray:
+    """Evaluate an object array of Polys at points ``a`` of shape (..., n).
+
+    ``rest`` holds trailing scalar coordinates (the time).  The result has
+    shape ``a.shape[:-1] + polys.shape``: an object array of Fractions when
+    every coordinate is rational, a float array otherwise.
+    """
+    # a sequence becomes an object array, so int and Fraction labels stay exact
+    a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+    coords = [*(a if a.ndim == 1 else np.moveaxis(a, -1, 0)), *rest]
+    exact = all(is_rational(x) for x in coords)
+    out = np.empty(a.shape[:-1] + (polys.size,), dtype=object if exact else float)
+    for k, p in enumerate(polys.flat):
+        out[..., k] = p(coords)
+    return out.reshape(a.shape[:-1] + polys.shape)
+
+
+# Corner offsets of the trilinear stencil, (3, corners, 1), keyed by the axes
+# with a query off its node; the others need no upper corner.
+_CORNERS = {
+    off: np.array(list(itertools.product(*((0, 1) if o else (0,) for o in off)))).T[:, :, None]
+    for off in itertools.product((False, True), repeat=3)
+}
+
+
+def _snap(s):
+    """Fractional grid indices, with those within rounding of an integer set to it."""
+    r = np.rint(s)
+    return np.where(np.abs(s - r) <= _SNAP, r, s)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box in label space."""
@@ -108,8 +165,24 @@ class Box:
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError("box must have positive extent on every axis")
 
+    def first_outside(self, a, pad: float = 0.0):
+        """The first label of ``a`` (one label or an array stack (..., 3))
+        outside the box, or None."""
+        if getattr(a, "ndim", 1) == 1:
+            x, y, z = a.tolist() if isinstance(a, np.ndarray) else a
+            (l1, l2, l3), (h1, h2, h3) = self.lo, self.hi
+            inside = (l1 - pad <= x <= h1 + pad and l2 - pad <= y <= h2 + pad
+                      and l3 - pad <= z <= h3 + pad)
+            return None if inside else a
+        flat = np.asarray(a, float).reshape(-1, 3)
+        inside = (flat >= np.subtract(self.lo, pad)) & (flat <= np.add(self.hi, pad))
+        if inside.all():
+            return None
+        return flat[np.argmin(inside.all(axis=1))]
+
     def contains(self, a, pad: float = 0.0) -> bool:
-        return all(l - pad <= float(x) <= h + pad for x, l, h in zip(a, self.lo, self.hi))
+        """Whether the label ``a``, or every label of a stack (..., 3), lies in the box."""
+        return self.first_outside(a, pad) is None
 
     @property
     def extent(self) -> np.ndarray:
@@ -217,21 +290,14 @@ class ScalarFieldLabel:
     @classmethod
     def from_poly(cls, p: Poly) -> "ScalarFieldLabel":
         """Wrap a 4-variable polynomial in (a1, a2, a3, t); derivatives exact."""
-        grads = [p.diff(j) for j in range(3)]
-        hess = [[grads[j].diff(k) for k in range(3)] for j in range(3)]
+        grad = _poly_jacobian([p])[0]
+        hess = _poly_jacobian(grad)
 
         def val(a, t):
             return p((a[0], a[1], a[2], t))
 
-        def grad(a, t):
-            pt = (a[0], a[1], a[2], t)
-            return _maybe_exact_vector([g(pt) for g in grads])
-
-        def hes(a, t):
-            pt = (a[0], a[1], a[2], t)
-            return _maybe_exact_matrix([[hess[j][k](pt) for k in range(3)] for j in range(3)])
-
-        return cls(value=val, gradient_fn=grad, hessian_fn=hes)
+        return cls(value=val, gradient_fn=lambda a, t: _poly_eval(grad, a, t),
+                   hessian_fn=lambda a, t: _poly_eval(hess, a, t))
 
 
 @dataclass(frozen=True)
@@ -260,17 +326,9 @@ class VectorFieldLabel:
 
     @classmethod
     def from_polys(cls, comps: Sequence[Poly]) -> "VectorFieldLabel":
-        dcomp = [[comps[i].diff(j) for j in range(3)] for i in range(3)]
-
-        def val(a, t):
-            pt = (a[0], a[1], a[2], t)
-            return _maybe_exact_vector([c(pt) for c in comps])
-
-        def jac(a, t):
-            pt = (a[0], a[1], a[2], t)
-            return _maybe_exact_matrix([[dcomp[i][j](pt) for j in range(3)] for i in range(3)])
-
-        return cls(value=val, jacobian_fn=jac)
+        val, jac = np.array(comps, dtype=object), _poly_jacobian(comps)
+        return cls(value=lambda a, t: _poly_eval(val, a, t),
+                   jacobian_fn=lambda a, t: _poly_eval(jac, a, t))
 
 
 @dataclass(frozen=True)
@@ -295,47 +353,33 @@ class EulerianScalarField:
 class EulerianVectorField:
     """A vector field over physical space; jacobian[i, j] = dq_i/dx_j.
 
-    ``values_fn`` / ``jacobians_fn`` are optional batched evaluators taking
-    an (N, 3) array of points; they fall back to a loop over the pointwise
-    evaluators.
+    The callables receive points of shape (..., 3) under the module's
+    evaluation protocol; calling the field and its ``jacobian`` and
+    ``time_derivative`` return (..., 3) and (..., 3, 3) arrays.
     """
 
     value: Callable[[Vec, float], Vec]
     jacobian_fn: Callable[[Vec, float], Vec] | None = None
     time_derivative_fn: Callable[[Vec, float], Vec] | None = None
-    values_fn: Callable[[Vec, float], Vec] | None = None
-    jacobians_fn: Callable[[Vec, float], Vec] | None = None
     steady: bool = False
     h: float = 1e-4
     order: int = 4
 
-    def values(self, xs, t) -> Vec:
-        xs = np.asarray(xs, float)
-        if self.values_fn is not None:
-            return np.asarray(self.values_fn(xs, t))
-        return np.array([self.value(x, t) for x in xs])
-
-    def jacobians(self, xs, t) -> Vec:
-        xs = np.asarray(xs, float)
-        if self.jacobians_fn is not None:
-            return np.asarray(self.jacobians_fn(xs, t))
-        return np.array([self.jacobian(x, t) for x in xs])
-
     def __call__(self, x, t) -> Vec:
-        return np.asarray(self.value(x, t))
+        return _fit(np.asarray(self.value(x, t)), np.shape(x)[:-1] + (3,))
 
     def jacobian(self, x, t) -> Vec:
         if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(x, t))
-        return fd_jacobian(lambda y: np.asarray(self.value(y, t), float), x, self.h, self.order)
+            return _fit(np.asarray(self.jacobian_fn(x, t)), np.shape(x)[:-1] + (3, 3))
+        return fd_jacobian(lambda y: np.asarray(self(y, t), float), x, self.h, self.order)
 
     def time_derivative(self, x, t) -> Vec:
-        if self.steady:
-            return np.zeros(3)
-        if self.time_derivative_fn is not None:
-            return np.asarray(self.time_derivative_fn(np.asarray(x, float), t))
         x = np.asarray(x, float)
-        return derivative(lambda s: np.asarray(self.value(x, t + s), float), self.h, self.order)
+        if self.steady:
+            return np.zeros(x.shape)
+        if self.time_derivative_fn is not None:
+            return _fit(np.asarray(self.time_derivative_fn(x, t)), x.shape)
+        return derivative(lambda s: np.asarray(self(x, t + s), float), self.h, self.order)
 
     def curl(self, x, t) -> Vec:
         return curl(self.jacobian(x, t))
@@ -343,33 +387,22 @@ class EulerianVectorField:
     @classmethod
     def from_polys(cls, comps: Sequence[Poly]) -> "EulerianVectorField":
         """Wrap three 3-variable polynomials in (x1, x2, x3); steady, exact."""
-        dcomp = [[comps[i].diff(j) for j in range(3)] for i in range(3)]
-
-        def val(x, t):
-            return _maybe_exact_vector([c(tuple(x)) for c in comps])
-
-        def jac(x, t):
-            return _maybe_exact_matrix([[dcomp[i][j](tuple(x)) for j in range(3)] for i in range(3)])
-
-        return cls(value=val, jacobian_fn=jac, steady=True)
-
-
-def _maybe_exact_vector(vals):
-    if any(isinstance(v, float) for v in vals):
-        return np.array([float(v) for v in vals])
-    return np.array(vals, dtype=object)
-
-
-def _maybe_exact_matrix(rows):
-    flat = [v for row in rows for v in row]
-    if any(isinstance(v, float) for v in flat):
-        return np.array([[float(v) for v in row] for row in rows])
-    return np.array(rows, dtype=object)
+        val, jac = np.array(comps, dtype=object), _poly_jacobian(comps)
+        return cls(value=lambda x, t: _poly_eval(val, x),
+                   jacobian_fn=lambda x, t: _poly_eval(jac, x), steady=True)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory fields
 # ---------------------------------------------------------------------------
+
+
+# Trailing output shape of each protocol method.
+_TAIL = {
+    "position": (3,), "velocity": (3,), "acceleration": (3,),
+    "position_gradient": (3, 3), "velocity_gradient": (3, 3), "acceleration_gradient": (3, 3),
+    "position_hessian": (3, 3, 3),
+}
 
 
 class TrajectoryField:
@@ -385,15 +418,18 @@ class TrajectoryField:
         self.t1 = float(t1)
         self.order = order
 
-    # Subclasses implement:
-    #   position, velocity, acceleration           -> (3,)
+    # Subclasses implement, for labels a of shape (..., 3) and a scalar t:
+    #   position, velocity, acceleration           -> (..., 3)
     #   position_gradient, velocity_gradient,
-    #   acceleration_gradient                      -> (3, 3)
-    #   position_hessian                           -> (3, 3, 3)
+    #   acceleration_gradient                      -> (..., 3, 3)
+    #   position_hessian                           -> (..., 3, 3, 3)
 
     def check_domain(self, a, t, time_pad: float = 0.0):
-        if not self.box.contains(a):
-            raise OutOfDomainError(f"label {tuple(float(x) for x in a)} outside {self.box}")
+        """Raise OutOfDomainError for the first label of ``a`` outside the box
+        or a time outside the window."""
+        bad = self.box.first_outside(a)
+        if bad is not None:
+            raise OutOfDomainError(f"label {tuple(float(x) for x in bad)} outside {self.box}")
         if not (self.t0 - time_pad <= float(t) <= self.t1 + time_pad):
             raise OutOfDomainError(f"time {t} outside window [{self.t0}, {self.t1}]")
 
@@ -445,49 +481,42 @@ class AnalyticTrajectoryField(TrajectoryField):
         }
         self.fd_step = fd_step
 
+    def _evaluate(self, name, a, t, lower=None):
+        """The supplied evaluator ``name`` at labels ``a``, broadcast to its
+        protocol shape; without one, the FD fallback: time derivatives of the
+        position, or the label gradient of the evaluator ``lower``."""
+        a = np.asarray(a, float)
+        fn = self._fn[name]
+        if fn is not None:
+            out = np.asarray(fn(a, t), float)
+            # a stack call may get one constant back; one label gets its value as is
+            return _fit(out, a.shape[:-1] + _TAIL[name]) if a.ndim > 1 else out
+        if name == "velocity":
+            return derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
+        if name == "acceleration":
+            return second_derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
+        return fd_jacobian(lambda b: lower(b, t), a, self.fd_step, self.order)
+
     def position(self, a, t) -> Vec:
-        return np.asarray(self._fn["position"](np.asarray(a, float), t), float)
+        return self._evaluate("position", a, t)
 
     def velocity(self, a, t) -> Vec:
-        fn = self._fn["velocity"]
-        if fn is not None:
-            return np.asarray(fn(np.asarray(a, float), t), float)
-        a = np.asarray(a, float)
-        return derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
+        return self._evaluate("velocity", a, t)
 
     def acceleration(self, a, t) -> Vec:
-        fn = self._fn["acceleration"]
-        if fn is not None:
-            return np.asarray(fn(np.asarray(a, float), t), float)
-        a = np.asarray(a, float)
-        return second_derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
-
-    def _grad_of(self, evaluate, a, t) -> Vec:
-        return fd_jacobian(lambda b: evaluate(b, t), a, self.fd_step, self.order)
+        return self._evaluate("acceleration", a, t)
 
     def position_gradient(self, a, t) -> Vec:
-        fn = self._fn["position_gradient"]
-        if fn is not None:
-            return np.asarray(fn(np.asarray(a, float), t), float)
-        return self._grad_of(self.position, a, t)
+        return self._evaluate("position_gradient", a, t, self.position)
 
     def velocity_gradient(self, a, t) -> Vec:
-        fn = self._fn["velocity_gradient"]
-        if fn is not None:
-            return np.asarray(fn(np.asarray(a, float), t), float)
-        return self._grad_of(self.velocity, a, t)
+        return self._evaluate("velocity_gradient", a, t, self.velocity)
 
     def acceleration_gradient(self, a, t) -> Vec:
-        fn = self._fn["acceleration_gradient"]
-        if fn is not None:
-            return np.asarray(fn(np.asarray(a, float), t), float)
-        return self._grad_of(self.acceleration, a, t)
+        return self._evaluate("acceleration_gradient", a, t, self.acceleration)
 
     def position_hessian(self, a, t) -> Vec:
-        fn = self._fn["position_hessian"]
-        if fn is not None:
-            return np.asarray(fn(np.asarray(a, float), t), float)
-        return self._grad_of(self.position_gradient, a, t)
+        return self._evaluate("position_hessian", a, t, self.position_gradient)
 
 
 class PolynomialTrajectoryField(TrajectoryField):
@@ -507,51 +536,35 @@ class PolynomialTrajectoryField(TrajectoryField):
         if len(comps) != 3 or any(p.nvars != 4 for p in comps):
             raise ValueError("need three polynomials in (a1, a2, a3, t)")
         self.components = comps
-        self._vel = tuple(p.diff(self._T) for p in comps)
-        self._acc = tuple(p.diff(self._T).diff(self._T) for p in comps)
-        self._grad = [[p.diff(j) for j in range(3)] for p in comps]
-        self._vgrad = [[p.diff(j) for j in range(3)] for p in self._vel]
-        self._agrad = [[p.diff(j) for j in range(3)] for p in self._acc]
-        self._hess = [
-            [[self._grad[i][j].diff(k) for k in range(3)] for j in range(3)]
-            for i in range(3)
-        ]
-
-    @staticmethod
-    def _pt(a, t):
-        return (a[0], a[1], a[2], t)
+        vel = [p.diff(self._T) for p in comps]
+        self._polys = {}
+        for kind, ps in (("position", comps), ("velocity", vel),
+                         ("acceleration", [p.diff(self._T) for p in vel])):
+            self._polys[kind] = np.array(ps, dtype=object)
+            self._polys[f"{kind}_gradient"] = _poly_jacobian(ps)
+        self._polys["position_hessian"] = np.array(
+            [_poly_jacobian(row) for row in self._polys["position_gradient"]], dtype=object)
 
     def position(self, a, t):
-        pt = self._pt(a, t)
-        return _maybe_exact_vector([p(pt) for p in self.components])
+        return _poly_eval(self._polys["position"], a, t)
 
     def velocity(self, a, t):
-        pt = self._pt(a, t)
-        return _maybe_exact_vector([p(pt) for p in self._vel])
+        return _poly_eval(self._polys["velocity"], a, t)
 
     def acceleration(self, a, t):
-        pt = self._pt(a, t)
-        return _maybe_exact_vector([p(pt) for p in self._acc])
+        return _poly_eval(self._polys["acceleration"], a, t)
 
     def position_gradient(self, a, t):
-        pt = self._pt(a, t)
-        return _maybe_exact_matrix([[self._grad[i][j](pt) for j in range(3)] for i in range(3)])
+        return _poly_eval(self._polys["position_gradient"], a, t)
 
     def velocity_gradient(self, a, t):
-        pt = self._pt(a, t)
-        return _maybe_exact_matrix([[self._vgrad[i][j](pt) for j in range(3)] for i in range(3)])
+        return _poly_eval(self._polys["velocity_gradient"], a, t)
 
     def acceleration_gradient(self, a, t):
-        pt = self._pt(a, t)
-        return _maybe_exact_matrix([[self._agrad[i][j](pt) for j in range(3)] for i in range(3)])
+        return _poly_eval(self._polys["acceleration_gradient"], a, t)
 
     def position_hessian(self, a, t):
-        pt = self._pt(a, t)
-        vals = [[[self._hess[i][j][k](pt) for k in range(3)] for j in range(3)] for i in range(3)]
-        flat = [v for plane in vals for row in plane for v in row]
-        if any(isinstance(v, float) for v in flat):
-            return np.array(vals, dtype=float)
-        return np.array(vals, dtype=object)
+        return _poly_eval(self._polys["position_hessian"], a, t)
 
     @classmethod
     def identity_plus(cls, deltas: Sequence[Poly], box: Box, t0=0.0, t1=1.0):
@@ -643,8 +656,14 @@ class SampledTrajectoryField(TrajectoryField):
         self.positions = positions
         self.velocities = velocities
         self.accelerations = accelerations
-        self.periodic = tuple(periodic)
+        self.periodic = tuple(bool(p) for p in periodic)
+        if len(self.periodic) != 3:
+            raise ValueError(f"need one periodic flag per label axis, got {len(self.periodic)}")
         self._mesh = np.stack(grid.meshgrid(), axis=-1)
+        # per-axis columns for the (3, M) label rows of the lookup
+        self._origin = np.array([[ax[0]] for ax in grid.axes])
+        self._step = np.array([[ax[1] - ax[0]] for ax in grid.axes])
+        self._bounded = ~np.array([[p] for p in self.periodic])
         self._cache: dict = {}
 
     # -- node-level data ----------------------------------------------------
@@ -692,53 +711,55 @@ class SampledTrajectoryField(TrajectoryField):
         self._cache[key] = grad
         return grad
 
-    # -- pointwise protocol ---------------------------------------------------
+    # -- evaluation protocol --------------------------------------------------
 
-    def _locate(self, vals: np.ndarray, a):
-        """Trilinear interpolation weights for a query point."""
-        idx, frac = [], []
-        for ax, q, per in zip(self.grid.axes, a, self.periodic):
-            n = len(ax)
-            h = float(ax[1] - ax[0]) if n > 1 else 1.0
-            s = (float(q) - float(ax[0])) / h
-            i0 = int(np.floor(s))
-            f = s - i0
-            if per:
-                i0 %= n
-            else:
-                i0 = min(max(i0, 0), n - 2)
-                f = s - i0
-            idx.append(i0)
-            frac.append(f)
-        out = 0.0
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                for d3 in (0, 1):
-                    w = (
-                        (frac[0] if d1 else 1 - frac[0])
-                        * (frac[1] if d2 else 1 - frac[1])
-                        * (frac[2] if d3 else 1 - frac[2])
-                    )
-                    if w == 0.0:
-                        continue
-                    i = (idx[0] + d1) % vals.shape[0] if self.periodic[0] else min(idx[0] + d1, vals.shape[0] - 1)
-                    j = (idx[1] + d2) % vals.shape[1] if self.periodic[1] else min(idx[1] + d2, vals.shape[1] - 1)
-                    k = (idx[2] + d3) % vals.shape[2] if self.periodic[2] else min(idx[2] + d3, vals.shape[2] - 1)
-                    out = out + w * vals[i, j, k]
-        return out
+    def _locate(self, vals: np.ndarray, a) -> np.ndarray:
+        """Trilinear interpolation of node data ``vals`` (n1, n2, n3, ...) at
+        labels ``a`` (..., 3).
+
+        A coordinate within rounding of a node index reads that node, so an
+        on-node query returns the node data exactly.  Periodic axes wrap; on
+        the others a label beyond the grid raises OutOfDomainError.
+        """
+        a = np.asarray(a, float)
+        q = np.ascontiguousarray(a.reshape(-1, 3).T)  # (3, M): one row per axis
+        shape = vals.shape[:3]
+        s = _snap((q - self._origin) / self._step)
+        i0 = np.floor(s)
+        if not all(self.periodic):
+            n = np.array(shape)[:, None]
+            outside = self._bounded & ~((s >= 0) & (s <= n - 1))
+            if outside.any():
+                j, m = np.argwhere(outside)[0]
+                raise OutOfDomainError(f"label {tuple(q[:, m].tolist())} outside the sampled "
+                                       f"grid on axis {j + 1}")
+            i0 = np.where(self._bounded, np.minimum(i0, n - 2), i0)
+        frac = s - i0
+        d = _CORNERS[tuple(frac.any(axis=1).tolist())]  # (3, corners, 1)
+        # "wrap" is the periodic index; on the other axes the index is in range
+        flat_idx = np.ravel_multi_index(i0.astype(int)[:, None, :] + d, shape, mode="wrap")
+        tail = vals.shape[3:]
+        data = np.take(vals.reshape(-1, *tail), flat_idx, axis=0)  # (corners, M, ...)
+        if d.shape[1] == 1:
+            out = data[0]
+        else:
+            w = np.where(d, frac[:, None, :], 1 - frac[:, None, :])
+            terms = (w[0] * w[1] * w[2]).reshape(*flat_idx.shape, *(1,) * len(tail)) * data
+            out = terms[0]
+            for term in terms[1:]:
+                out = out + term
+        return out.reshape(a.shape[:-1] + tail)
 
     def _interp(self, kind: str, a, t, gradient: bool = False):
-        t = float(t)
-        s = (t - self.t0) / self.dt
-        k0 = int(np.floor(s))
-        k0 = min(max(k0, 0), len(self.times) - 2)
+        s = float(_snap((float(t) - self.t0) / self.dt))
+        k0 = min(max(math.floor(s), 0), len(self.times) - 2)
         f = s - k0
         get = self.node_gradients if gradient else self.node_values
         v0 = self._locate(get(kind, k0), a)
         if f == 0.0:
-            return np.asarray(v0, float)
+            return v0
         v1 = self._locate(get(kind, k0 + 1), a)
-        return np.asarray((1 - f) * v0 + f * v1, float)
+        return (1 - f) * v0 + f * v1
 
     def position(self, a, t) -> Vec:
         return self._interp("position", a, t)
@@ -763,10 +784,14 @@ class SampledTrajectoryField(TrajectoryField):
         return fd_jacobian(lambda b: self.position_gradient(b, t), a, min(self.grid.spacings), 2)
 
     def time_index(self, t: float) -> int:
-        k = int(round((float(t) - self.t0) / self.dt))
-        if not np.isclose(self.t0 + k * self.dt, t):
+        """Index of the stored slice at ``t``: ValueError off the ladder,
+        OutOfDomainError for an on-ladder time outside the window."""
+        s = float(_snap((float(t) - self.t0) / self.dt))
+        if not s.is_integer():
             raise ValueError(f"time {t} is not on the stored ladder")
-        return min(max(k, 0), len(self.times) - 1)
+        if not 0 <= s < len(self.times):
+            raise OutOfDomainError(f"time {t} outside window [{self.t0}, {self.t1}]")
+        return int(s)
 
     @classmethod
     def from_analytic(
@@ -780,17 +805,16 @@ class SampledTrajectoryField(TrajectoryField):
     ) -> "SampledTrajectoryField":
         """Sample another backend onto a grid (testing / export utility)."""
         times = np.asarray(times, float)
-        nodes = grid.nodes()
+        nodes = np.stack(grid.meshgrid(), axis=-1)
         shape = (len(times), *grid.shape, 3)
         pos = np.empty(shape)
         vel = np.empty(shape) if store_derivatives else None
         acc = np.empty(shape) if store_derivatives else None
         for k, t in enumerate(times):
-            p = np.array([field.position(a, t) for a in nodes], float)
-            pos[k] = p.reshape(*grid.shape, 3)
+            pos[k] = field.position(nodes, t)
             if store_derivatives:
-                vel[k] = np.array([field.velocity(a, t) for a in nodes], float).reshape(*grid.shape, 3)
-                acc[k] = np.array([field.acceleration(a, t) for a in nodes], float).reshape(*grid.shape, 3)
+                vel[k] = field.velocity(nodes, t)
+                acc[k] = field.acceleration(nodes, t)
         return cls(grid, times, pos, vel, acc, periodic=periodic, order=order)
 
 
@@ -901,6 +925,8 @@ def _load_grid_csv(path: str) -> SampledTrajectoryField:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
+                if not parts:
+                    raise GridFormatError(f"{path}: empty header line")
                 header[parts[0]] = parts[1:]
             else:
                 try:
@@ -911,25 +937,25 @@ def _load_grid_csv(path: str) -> SampledTrajectoryField:
         raise GridFormatError(f"{path}: missing '{_GRID_MAGIC}' header line")
     try:
         n1, n2, n3, nt = (int(v) for v in header["shape"])
-        axes = []
+        axis_steps = []
         for j in range(1, 4):
             start, step = (float(v) for v in header[f"axis{j}"])
-            n = (n1, n2, n3)[j - 1]
-            axes.append(start + step * np.arange(n))
+            axis_steps.append((start, step))
         t0, dt = (float(v) for v in header["times"])
         kinds = header["fields"]
         periodic = tuple(bool(int(v)) for v in header["periodic"])
         order = int(header["order"][0])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, IndexError) as exc:
         raise GridFormatError(f"{path}: malformed header ({exc})") from exc
     if "positions" not in kinds:
         raise GridFormatError(f"{path}: '# fields' does not list positions")
-    data = np.asarray(rows)
-    if data.shape != (nt * n1 * n2 * n3, 3 * len(kinds)):
-        raise GridFormatError(
-            f"{path}: expected {nt * n1 * n2 * n3} rows x {3 * len(kinds)} cols, got {data.shape}"
-        )
-    blocks = data.reshape(nt, n1, n2, n3, 3 * len(kinds))
+    if min(n1, n2, n3, nt) < 1:
+        raise GridFormatError(f"{path}: '# shape' needs positive sizes")
+    expected = (nt * n1 * n2 * n3, 3 * len(kinds))
+    if len(rows) != expected[0] or any(len(r) != expected[1] for r in rows):
+        raise GridFormatError(f"{path}: expected {expected[0]} rows x {expected[1]} cols")
+    axes = [start + step * np.arange(n) for (start, step), n in zip(axis_steps, (n1, n2, n3))]
+    blocks = np.asarray(rows).reshape(nt, n1, n2, n3, 3 * len(kinds))
     arrays = {kind: blocks[..., 3 * i:3 * i + 3] for i, kind in enumerate(kinds)}
     return _field_from_arrays(
         path, axes, t0 + dt * np.arange(nt), arrays["positions"], arrays.get("velocities"),

@@ -147,14 +147,21 @@ def make_shear(rate=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
     k = float(rate)
 
     def pos(a, t):
-        return np.array([a[0] + k * t * a[1], a[1], a[2]])
+        x = a.copy()
+        x[..., 0] += k * t * a[..., 1]
+        return x
+
+    def vel(a, t):
+        v = np.zeros_like(a)
+        v[..., 0] = k * a[..., 1]
+        return v
 
     def grad(a, t):
         return np.array([[1.0, k * t, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     fld = AnalyticTrajectoryField(
         position=pos,
-        velocity=lambda a, t: np.array([k * a[1], 0.0, 0.0]),
+        velocity=vel,
         acceleration=_ZERO3,
         position_gradient=grad,
         velocity_gradient=_const_mat([[0.0, k, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
@@ -186,10 +193,10 @@ def make_rigid_rotation(omega0=1.0, gravity=0.0, rho0=1.0, box=None, t0=0.0, t1=
     w = float(omega0)
 
     fld = AnalyticTrajectoryField(
-        position=lambda a, t: _rotmat(w * (t - t0)) @ np.asarray(a, float),
-        velocity=lambda a, t: w * (_SPIN @ _rotmat(w * (t - t0))) @ np.asarray(a, float),
-        acceleration=lambda a, t: (w * w) * (_SPIN @ _SPIN @ _rotmat(w * (t - t0)))
-        @ np.asarray(a, float),
+        # np.inner(a, M) is M @ a for every label of the stack
+        position=lambda a, t: np.inner(a, _rotmat(w * (t - t0))),
+        velocity=lambda a, t: np.inner(a, w * (_SPIN @ _rotmat(w * (t - t0)))),
+        acceleration=lambda a, t: np.inner(a, (w * w) * (_SPIN @ _SPIN @ _rotmat(w * (t - t0)))),
         position_gradient=lambda a, t: _rotmat(w * (t - t0)),
         velocity_gradient=lambda a, t: w * _SPIN @ _rotmat(w * (t - t0)),
         acceleration_gradient=lambda a, t: (w * w) * _SPIN @ _SPIN @ _rotmat(w * (t - t0)),
@@ -280,58 +287,66 @@ def make_gerstner(
     box = Box((0.0, 0.0, b_top - depth), (TWO_PI / k, width, b_top))
 
     def phase(a, t):
-        return k * (a[0] + c * (t - t0))
+        return k * (a[..., 0] + c * (t - t0))
 
     def amp(a):
-        return math.exp(k * a[2])
+        return np.exp(k * a[..., 2])
 
     def pos(a, t):
         E, ph = amp(a), phase(a, t)
-        return np.array(
-            [a[0] - E / k * math.sin(ph), a[1], a[2] + E / k * math.cos(ph)]
-        )
+        x = a.copy()
+        x[..., 0] -= E / k * np.sin(ph)
+        x[..., 2] += E / k * np.cos(ph)
+        return x
 
     def vel(a, t):
         E, ph = amp(a), phase(a, t)
-        return np.array([-c * E * math.cos(ph), 0.0, -c * E * math.sin(ph)])
+        v = np.zeros_like(a)
+        v[..., 0] = -c * E * np.cos(ph)
+        v[..., 2] = -c * E * np.sin(ph)
+        return v
 
     def acc(a, t):
         E, ph = amp(a), phase(a, t)
-        return np.array([g * E * math.sin(ph), 0.0, -g * E * math.cos(ph)])
+        w = np.zeros_like(a)
+        w[..., 0] = g * E * np.sin(ph)
+        w[..., 2] = -g * E * np.cos(ph)
+        return w
+
+    def xz_block(a, diag, xx, xz, zz):
+        """(..., 3, 3) matrix with the given x-z block and ``diag`` at [1, 1]."""
+        m = np.zeros(a.shape + (3,))
+        m[..., 0, 0], m[..., 0, 2], m[..., 1, 1] = xx, xz, diag
+        m[..., 2, 0], m[..., 2, 2] = xz, zz
+        return m
 
     def grad(a, t):
         E, ph = amp(a), phase(a, t)
-        cs, sn = math.cos(ph), math.sin(ph)
-        return np.array(
-            [[1.0 - E * cs, 0.0, -E * sn], [0.0, 1.0, 0.0], [-E * sn, 0.0, 1.0 + E * cs]]
-        )
+        cs, sn = np.cos(ph), np.sin(ph)
+        return xz_block(a, 1.0, 1.0 - E * cs, -E * sn, 1.0 + E * cs)
 
     def vgrad(a, t):
         E, ph = amp(a), phase(a, t)
-        cs, sn = math.cos(ph), math.sin(ph)
+        cs, sn = np.cos(ph), np.sin(ph)
         kc = k * c
-        return np.array(
-            [[kc * E * sn, 0.0, -kc * E * cs], [0.0, 0.0, 0.0], [-kc * E * cs, 0.0, -kc * E * sn]]
-        )
+        return xz_block(a, 0.0, kc * E * sn, -kc * E * cs, -kc * E * sn)
 
     def agrad(a, t):
         E, ph = amp(a), phase(a, t)
-        cs, sn = math.cos(ph), math.sin(ph)
+        cs, sn = np.cos(ph), np.sin(ph)
         kg = k * g
-        return np.array(
-            [[kg * E * cs, 0.0, kg * E * sn], [0.0, 0.0, 0.0], [kg * E * sn, 0.0, -kg * E * cs]]
-        )
+        return xz_block(a, 0.0, kg * E * cs, kg * E * sn, -kg * E * cs)
 
     def hessian(a, t):
         E, ph = amp(a), phase(a, t)
-        cs, sn = math.cos(ph), math.sin(ph)
-        H = np.zeros((3, 3, 3))
-        H[0, 0, 0] = k * E * sn
-        H[0, 0, 2] = H[0, 2, 0] = -k * E * cs
-        H[0, 2, 2] = -k * E * sn
-        H[2, 0, 0] = -k * E * cs
-        H[2, 0, 2] = H[2, 2, 0] = -k * E * sn
-        H[2, 2, 2] = k * E * cs
+        cs, sn = np.cos(ph), np.sin(ph)
+        H = np.zeros(E.shape + (3, 3, 3))
+        H[..., 0, 0, 0] = k * E * sn
+        H[..., 0, 0, 2] = H[..., 0, 2, 0] = -k * E * cs
+        H[..., 0, 2, 2] = -k * E * sn
+        H[..., 2, 0, 0] = -k * E * cs
+        H[..., 2, 0, 2] = H[..., 2, 2, 0] = -k * E * sn
+        H[..., 2, 2, 2] = k * E * cs
         return H
 
     fld = AnalyticTrajectoryField(
@@ -392,43 +407,25 @@ def abc_velocity(A=1.0, B=1.0, C=1.0) -> EulerianVectorField:
     """Steady Beltrami field on the 2 pi periodic box (curl u = u)."""
 
     def val(x, t):
-        return np.array(
-            [
-                A * math.sin(x[2]) + C * math.cos(x[1]),
-                B * math.sin(x[0]) + A * math.cos(x[2]),
-                C * math.sin(x[1]) + B * math.cos(x[0]),
-            ]
-        )
+        x = np.asarray(x, float)
+        out = np.empty_like(x)
+        out[..., 0] = A * np.sin(x[..., 2]) + C * np.cos(x[..., 1])
+        out[..., 1] = B * np.sin(x[..., 0]) + A * np.cos(x[..., 2])
+        out[..., 2] = C * np.sin(x[..., 1]) + B * np.cos(x[..., 0])
+        return out
 
     def jac(x, t):
-        return np.array(
-            [
-                [0.0, -C * math.sin(x[1]), A * math.cos(x[2])],
-                [B * math.cos(x[0]), 0.0, -A * math.sin(x[2])],
-                [-B * math.sin(x[0]), C * math.cos(x[1]), 0.0],
-            ]
-        )
-
-    def vals(xs, t):
-        out = np.empty_like(xs)
-        out[:, 0] = A * np.sin(xs[:, 2]) + C * np.cos(xs[:, 1])
-        out[:, 1] = B * np.sin(xs[:, 0]) + A * np.cos(xs[:, 2])
-        out[:, 2] = C * np.sin(xs[:, 1]) + B * np.cos(xs[:, 0])
+        x = np.asarray(x, float)
+        out = np.zeros(x.shape + (3,))
+        out[..., 0, 1] = -C * np.sin(x[..., 1])
+        out[..., 0, 2] = A * np.cos(x[..., 2])
+        out[..., 1, 0] = B * np.cos(x[..., 0])
+        out[..., 1, 2] = -A * np.sin(x[..., 2])
+        out[..., 2, 0] = -B * np.sin(x[..., 0])
+        out[..., 2, 1] = C * np.cos(x[..., 1])
         return out
 
-    def jacs(xs, t):
-        out = np.zeros((len(xs), 3, 3))
-        out[:, 0, 1] = -C * np.sin(xs[:, 1])
-        out[:, 0, 2] = A * np.cos(xs[:, 2])
-        out[:, 1, 0] = B * np.cos(xs[:, 0])
-        out[:, 1, 2] = -A * np.sin(xs[:, 2])
-        out[:, 2, 0] = -B * np.sin(xs[:, 0])
-        out[:, 2, 1] = C * np.cos(xs[:, 1])
-        return out
-
-    return EulerianVectorField(
-        value=val, jacobian_fn=jac, values_fn=vals, jacobians_fn=jacs, steady=True
-    )
+    return EulerianVectorField(value=val, jacobian_fn=jac, steady=True)
 
 
 def abc_pressure(A=1.0, B=1.0, C=1.0) -> EulerianScalarField:
@@ -450,36 +447,22 @@ def taylor_green_velocity() -> EulerianVectorField:
     """Steady planar cellular field u = (sin x1 cos x2, -cos x1 sin x2, 0)."""
 
     def val(x, t):
-        return np.array(
-            [math.sin(x[0]) * math.cos(x[1]), -math.cos(x[0]) * math.sin(x[1]), 0.0]
-        )
+        x = np.asarray(x, float)
+        out = np.zeros_like(x)
+        out[..., 0] = np.sin(x[..., 0]) * np.cos(x[..., 1])
+        out[..., 1] = -np.cos(x[..., 0]) * np.sin(x[..., 1])
+        return out
 
     def jac(x, t):
-        return np.array(
-            [
-                [math.cos(x[0]) * math.cos(x[1]), -math.sin(x[0]) * math.sin(x[1]), 0.0],
-                [math.sin(x[0]) * math.sin(x[1]), -math.cos(x[0]) * math.cos(x[1]), 0.0],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-
-    def vals(xs, t):
-        out = np.zeros_like(xs)
-        out[:, 0] = np.sin(xs[:, 0]) * np.cos(xs[:, 1])
-        out[:, 1] = -np.cos(xs[:, 0]) * np.sin(xs[:, 1])
+        x = np.asarray(x, float)
+        out = np.zeros(x.shape + (3,))
+        out[..., 0, 0] = np.cos(x[..., 0]) * np.cos(x[..., 1])
+        out[..., 0, 1] = -np.sin(x[..., 0]) * np.sin(x[..., 1])
+        out[..., 1, 0] = np.sin(x[..., 0]) * np.sin(x[..., 1])
+        out[..., 1, 1] = -np.cos(x[..., 0]) * np.cos(x[..., 1])
         return out
 
-    def jacs(xs, t):
-        out = np.zeros((len(xs), 3, 3))
-        out[:, 0, 0] = np.cos(xs[:, 0]) * np.cos(xs[:, 1])
-        out[:, 0, 1] = -np.sin(xs[:, 0]) * np.sin(xs[:, 1])
-        out[:, 1, 0] = np.sin(xs[:, 0]) * np.sin(xs[:, 1])
-        out[:, 1, 1] = -np.cos(xs[:, 0]) * np.cos(xs[:, 1])
-        return out
-
-    return EulerianVectorField(
-        value=val, jacobian_fn=jac, values_fn=vals, jacobians_fn=jacs, steady=True
-    )
+    return EulerianVectorField(value=val, jacobian_fn=jac, steady=True)
 
 
 def taylor_green_pressure() -> EulerianScalarField:
@@ -494,20 +477,12 @@ def taylor_green_pressure() -> EulerianScalarField:
     return EulerianScalarField(value=val, gradient_fn=grad)
 
 
-def material_acceleration(u: EulerianVectorField, x, t) -> np.ndarray:
-    """du/dt + (u . grad) u at a point."""
-    v = u.value(x, t)
-    return np.asarray(u.time_derivative(x, t)) + u.jacobian(x, t) @ v
-
-
 def material_accelerations(u: EulerianVectorField, xs, t) -> np.ndarray:
-    """Batched du/dt + (u . grad) u over an (N, 3) array of points."""
-    vs = u.values(xs, t)
-    convective = np.einsum("nij,nj->ni", u.jacobians(xs, t), vs)
+    """du/dt + (u . grad) u at points of shape (..., 3)."""
+    convective = np.einsum("...ij,...j->...i", u.jacobian(xs, t), u(xs, t))
     if u.steady:
         return convective
-    dudt = np.array([u.time_derivative(x, t) for x in xs])
-    return dudt + convective
+    return u.time_derivative(xs, t) + convective
 
 
 def integrate_trajectories(
@@ -542,17 +517,17 @@ def integrate_trajectories(
     acc = np.empty(shape)
     xs = nodes.copy()
     for k, t in enumerate(times):
-        if domain is not None and not all(domain.contains(x) for x in xs):
+        if domain is not None and not domain.contains(xs):
             raise OutOfDomainError(f"trajectory left the velocity domain at t={t}")
-        k1 = u.values(xs, t)
+        k1 = u(xs, t)
         pos[k] = xs.reshape(*grid.shape, 3)
         vel[k] = k1.reshape(*grid.shape, 3)
         acc[k] = material_accelerations(u, xs, t).reshape(*grid.shape, 3)
         if k == len(times) - 1:
             break
-        k2 = u.values(xs + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = u.values(xs + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = u.values(xs + dt * k3, t + dt)
+        k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = u(xs + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = u(xs + dt * k3, t + dt)
         xs = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return SampledTrajectoryField(
         grid, times, pos, vel, acc, periodic=periodic, order=order

@@ -21,13 +21,11 @@ and drops out of the curl, leaving
 
 zero exactly when the flow is extremal at (a, t).
 
-Diagnostics over a label grid evaluate once per time over all nodes:
-:func:`gradients_on_grid` stacks the gradients with component axes first,
-(3, 3, N), and the arithmetic runs on the whole stack.  A sampled field on
-its own grid at a stored time is read from its node arrays; that is the one
-place the package takes this shortcut.  Every other field or grid is
-evaluated node by node, with the same domain and singular-map checks as the
-pointwise functions.
+Diagnostics over a label grid or loop evaluate once per time over all of
+their labels: :func:`label_stack` makes one protocol call on the (N, 3)
+label stack, after the same domain and singular-map checks as the pointwise
+functions, and returns gradients with component axes first, (3, 3, N), so
+the arithmetic runs on the whole stack.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import math
 
 import numpy as np
 
-from .fields import LabelGrid, SampledTrajectoryField, TrajectoryField, curl
+from .fields import LabelGrid, TrajectoryField, curl
 from .kinematics import checked_det, jacobian
 from .report import DriftReport
 
@@ -95,57 +93,35 @@ def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _grid_stack(field: TrajectoryField, grid: LabelGrid, t, method: str) -> np.ndarray:
+def label_stack(field: TrajectoryField, labels, t, method: str) -> np.ndarray:
     """The protocol evaluator ``method`` ("velocity", "position_gradient", ...)
-    at every grid node, C order, stacked along a leading node axis.
+    at every label of an (N, 3) stack, in one call after ``check_domain``.
 
-    A sampled field on its own grid at a stored time inside its window is
-    read from its node arrays; everything else is evaluated node by node
-    after ``check_domain``.
+    Gradients come back with component axes first, (3, 3, N), as in
+    :func:`vortlab.fields.curl`; a position-gradient stack passes the
+    singular-map test of :func:`vortlab.kinematics.checked_det`.
     """
-    ti = None
-    if (isinstance(field, SampledTrajectoryField) and _grid_matches(field, grid)
-            and field.t0 <= t <= field.t1):
-        try:
-            ti = field.time_index(t)
-        except ValueError:
-            pass
-    if ti is not None:
-        kind, _, grad = method.partition("_")
-        data = field.node_gradients(kind, ti) if grad else field.node_values(kind, ti)
-        return data.reshape(-1, *data.shape[3:])
-    evaluate = getattr(field, method)
-    out = []
-    for a in grid.nodes():
-        field.check_domain(a, t)
-        out.append(evaluate(a, t))
-    return np.asarray(out, float)
-
-
-def _grid_matches(field: SampledTrajectoryField, grid: LabelGrid) -> bool:
-    return all(
-        len(ax) == len(bx) and np.allclose(ax, bx)
-        for ax, bx in zip(field.grid.axes, grid.axes)
-    )
+    field.check_domain(labels, t)
+    out = getattr(field, method)(labels, t)
+    if method.endswith("_gradient"):
+        out = np.moveaxis(out, 0, -1)
+        if method == "position_gradient":
+            checked_det(out)
+    return out
 
 
 def gradients_on_grid(field: TrajectoryField, grid: LabelGrid, t, kind: str) -> np.ndarray:
     """(3, 3, N) stack of d(kind)_i/da_j over the grid nodes, C order.
 
-    ``kind`` is "position", "velocity" or "acceleration".  Component axes
-    come first, as in :func:`vortlab.fields.curl`.  A position-gradient stack
-    passes the singular-map test of :func:`vortlab.kinematics.checked_det`.
+    ``kind`` is "position", "velocity" or "acceleration".
     """
-    g = np.moveaxis(_grid_stack(field, grid, t, f"{kind}_gradient"), 0, -1)
-    if kind == "position":
-        checked_det(g)
-    return g
+    return label_stack(field, grid.nodes(), t, f"{kind}_gradient")
 
 
-def _omega_on_grid(field: TrajectoryField, grid: LabelGrid, t) -> np.ndarray:
-    """(N, 3) array of Omega at every grid node, C order, from one gradient stack."""
-    g = gradients_on_grid(field, grid, t, "position")
-    return gradient_curl(gradients_on_grid(field, grid, t, "velocity"), g).T
+def omega_stack(field: TrajectoryField, labels, t) -> np.ndarray:
+    """(N, 3) array of Omega at every label of an (N, 3) stack."""
+    g = label_stack(field, labels, t, "position_gradient")
+    return gradient_curl(label_stack(field, labels, t, "velocity_gradient"), g).T
 
 
 def cauchy_drift(
@@ -156,7 +132,8 @@ def cauchy_drift(
 ) -> DriftReport:
     """Max and grid-weighted L2 deviation of Omega(a, t) from Omega(a, t0)."""
     times = [float(t) for t in times]
-    base = _omega_on_grid(field, grid, times[0])
+    nodes = grid.nodes()
+    base = omega_stack(field, nodes, times[0])
     w = grid.cell_volume
     max_dev, l2_dev = [], []
     for k, t in enumerate(times):
@@ -164,7 +141,7 @@ def cauchy_drift(
             max_dev.append(0.0)
             l2_dev.append(0.0)
             continue
-        omega = _omega_on_grid(field, grid, t)
+        omega = omega_stack(field, nodes, t)
         diff = omega - base
         norms = np.sqrt(np.sum(diff * diff, axis=1))
         max_dev.append(float(np.max(norms)))
@@ -185,6 +162,7 @@ def cauchy_drift(
 
 def image_fields_on_grid(field: TrajectoryField, grid: LabelGrid, t):
     """(V, Omega) as (N, 3) arrays over the grid nodes (helicity building block)."""
-    g = gradients_on_grid(field, grid, t, "position")
-    V = np.einsum("mjn,nm->nj", g, _grid_stack(field, grid, t, "velocity"))
-    return V, gradient_curl(gradients_on_grid(field, grid, t, "velocity"), g).T
+    nodes = grid.nodes()
+    g = label_stack(field, nodes, t, "position_gradient")
+    V = np.einsum("mjn,nm->nj", g, label_stack(field, nodes, t, "velocity"))
+    return V, gradient_curl(label_stack(field, nodes, t, "velocity_gradient"), g).T

@@ -11,7 +11,9 @@ nonzero Fraction coefficients, e.g. with variables (a1, a2, a3, t)::
     {(1, 0, 0, 0): Fraction(1), (0, 2, 0, 1): Fraction(-3, 4)}
 
 represents a1 - (3/4) a2**2 t.  Evaluation preserves exactness: Fraction (or
-int) inputs give a Fraction result, float inputs give a float.
+int) inputs give a Fraction result, float inputs give a float.  Coordinates
+may be numpy arrays of one shape: object arrays of Fractions are evaluated
+exactly, anything else in floating point.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 
 def _as_coeff(c) -> Fraction:
@@ -138,15 +142,16 @@ class Poly:
     def __call__(self, point: Sequence):
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
+        exact = all(is_rational(x) for x in point)
         total = None
         for expo, coeff in self.terms.items():
-            val = coeff
+            val = coeff if exact else float(coeff)
             for x, e in zip(point, expo):
                 if e:
                     val = val * x ** e
             total = val if total is None else total + val
         if total is None:
-            return Fraction(0) if _all_rational(point) else 0.0
+            return Fraction(0) if exact else 0.0
         return total
 
     def compose(self, args: Sequence["Poly"]) -> "Poly":
@@ -182,8 +187,11 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _all_rational(point) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in point)
+def is_rational(x) -> bool:
+    """Whether a coordinate is exact: an int or Fraction, or an array of them."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == object and all(isinstance(v, (int, Fraction)) for v in x.flat)
+    return isinstance(x, (int, Fraction))
 
 
 def random_poly(

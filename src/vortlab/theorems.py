@@ -29,8 +29,9 @@ from .invariants import (
     gradient_curl,
     gradients_on_grid,
     image_fields_on_grid,
-    image_velocity,
+    label_stack,
     lagrangian_vorticity,
+    omega_stack,
 )
 from .kinematics import cof3, det3, inv3, jacobian
 from .report import DriftReport
@@ -299,13 +300,12 @@ def circulation(field: TrajectoryField, loop: LabelLoop, t) -> float:
     would otherwise degrade to first order).
     """
     n = loop.nodes
-    terms = []
-    for i in range(n):
-        s = (i + 0.5) / n
-        a = loop.point(s)
-        V = image_velocity(field, a, t).astype(float)
-        terms.append(float(V @ loop.tangent_at(s)) / n)
-    return math.fsum(terms)
+    s = (np.arange(n) + 0.5) / n
+    labels = np.array([loop.point(si) for si in s], float)
+    tangents = np.array([loop.tangent_at(si) for si in s], float)
+    g = label_stack(field, labels, t, "position_gradient")
+    V = np.einsum("mjn,nm->nj", g, label_stack(field, labels, t, "velocity"))
+    return math.fsum(np.einsum("nj,nj->n", V, tangents) / n)
 
 
 def circulation_drift(
@@ -349,12 +349,13 @@ def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:
     """Max over boundary nodes of |Omega . n| ds; zero iff the vorticity image
     is tangent to the region boundary (the condition for helicity to be a
     conserved quantity on that region)."""
-    worst = 0.0
-    for nodes, normal, area in region.boundary_faces():
-        for a in nodes:
-            omega = lagrangian_vorticity(field, a, t).astype(float)
-            worst = max(worst, abs(float(omega @ normal)) * area)
-    return worst
+    faces = region.boundary_faces()
+    if not faces:
+        return 0.0
+    omega = omega_stack(field, np.concatenate([nodes for nodes, _, _ in faces]), t)
+    ends = np.cumsum([len(nodes) for nodes, _, _ in faces])[:-1]
+    return max(float(np.max(np.abs(o @ normal))) * area
+               for o, (_, normal, area) in zip(np.split(omega, ends), faces))
 
 
 def helicity_drift(

@@ -150,7 +150,8 @@ class TestCriterion4:
     def test_rotation_endpoint_error_ratio(self):
         omega = 1.0
         u = flows.EulerianVectorField(
-            value=lambda x, t: np.array([-omega * x[1], omega * x[0], 0.0]),
+            value=lambda x, t: np.stack(
+                [-omega * x[..., 1], omega * x[..., 0], 0.0 * x[..., 2]], axis=-1),
             jacobian_fn=lambda x, t: np.array(
                 [[0.0, -omega, 0.0], [omega, 0.0, 0.0], [0.0, 0.0, 0.0]]
             ),
@@ -307,7 +308,7 @@ class TestCriterion9:
         # independent Eulerian quadrature oracle at matched resolution
         u = flows.abc_velocity()
         nodes = fx.field.grid.nodes()
-        vals = u.values(nodes, 0.0)
+        vals = u.value(nodes, 0.0)
         oracle = float(np.sum(vals * vals)) * fx.field.grid.cell_volume
         rel_err = abs(rep.values[0] - oracle) / abs(oracle)
         value_ok = rel_err < 5e-3 and abs(oracle - 3.0 * (2 * math.pi) ** 3) < 1e-8

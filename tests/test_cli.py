@@ -140,6 +140,18 @@ class TestDriftCommand:
         assert code == 0
         assert 12.0 <= rep["drift_ratio"] <= 20.0
 
+    def test_readme_step_pair_reports_fourth_order_ratio(self, capsys):
+        # README: vortlab drift --fixture abc --dt 0.01,0.005   # ratio ~ 16
+        code, out = run_cli(["drift", "--fixture", "abc", "--dt", "0.01,0.005"], capsys)
+        rep = json.loads(out)
+        assert code == 0
+        assert 12.0 <= rep["drift_ratio"] <= 20.0
+
+    def test_step_pair_below_probe_rounding_floor_usage_error(self, capsys):
+        code = main(["drift", "--fixture", "abc", "--dt", "0.002,0.001"])
+        assert code == 2
+        assert "rounding" in capsys.readouterr().err
+
     def test_sampled_times_reach_window_end(self, capsys):
         code, out = run_cli(["drift", "--fixture", "taylor-green", "--nt", "3"], capsys)
         times = json.loads(out)["cauchy"]["times"]

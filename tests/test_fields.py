@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vortlab import flows
 from vortlab.errors import GridFormatError, OutOfDomainError
@@ -181,6 +182,76 @@ class TestAnalyticFallbacks:
         )
 
 
+PROTOCOL_METHODS = (
+    "position", "velocity", "acceleration",
+    "position_gradient", "velocity_gradient", "acceleration_gradient", "position_hessian",
+)
+TAIL = {"position": (3,), "velocity": (3,), "acceleration": (3,),
+        "position_gradient": (3, 3), "velocity_gradient": (3, 3),
+        "acceleration_gradient": (3, 3), "position_hessian": (3, 3, 3)}
+
+
+def _protocol_case(case):
+    """(field, labels (N, 3), t, how stacks must compare with pointwise calls)."""
+    rng = np.random.default_rng(5)
+    if case in ("identity", "translation", "shear", "rigid-rotation", "dilation", "gerstner"):
+        field = flows.make_fixture(case).field
+        lo, hi = np.asarray(field.box.lo), np.asarray(field.box.hi)
+        return field, lo + (hi - lo) * rng.uniform(0.1, 0.9, (5, 3)), 0.3, "close"
+    if case == "analytic-fd-fallback":
+        field = AnalyticTrajectoryField(
+            lambda a, t: a + t * np.sin(a[..., ::-1]) + t * t * a[..., [1, 2, 0]] ** 2, BOX)
+        return field, rng.uniform(-0.8, 0.8, (5, 3)), 0.4, "close"
+    if case == "polynomial-float":
+        return flows.make_fixture("non-euler").field, rng.uniform(-0.8, 0.8, (5, 3)), 0.7, "close"
+    if case == "polynomial-fraction":
+        field = flows.make_fixture("non-euler").field
+        labels = np.array([[Fraction(i - 2, 3), Fraction(1, i + 2), Fraction(-i, 7)]
+                           for i in range(5)], dtype=object)
+        return field, labels, Fraction(3, 4), "exact"
+    field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05).field
+    if case == "sampled-on-node":
+        return field, field.grid.nodes()[[0, 7, 50, 129, 215]], field.times[2], "bitwise"
+    return field, rng.uniform(0.2, 5.0, (5, 3)), 0.125, "bitwise"
+
+
+class TestEvaluationProtocol:
+    @pytest.mark.parametrize("case", [
+        "identity", "translation", "shear", "rigid-rotation", "dilation", "gerstner",
+        "analytic-fd-fallback", "polynomial-float", "polynomial-fraction",
+        "sampled-on-node", "sampled-off-node",
+    ])
+    def test_stacks_match_stacked_pointwise_calls(self, case):
+        field, labels, t, how = _protocol_case(case)
+        n = len(labels)
+        stack2 = np.stack([labels, labels[::-1]])
+        for m in PROTOCOL_METHODS:
+            evaluate = getattr(field, m)
+            pointwise = np.stack([evaluate(a, t) for a in labels])
+            batch, batch2 = evaluate(labels, t), evaluate(stack2, t)
+            assert pointwise.shape == (n, *TAIL[m])
+            assert batch.shape == (n, *TAIL[m]) and batch2.shape == (2, n, *TAIL[m])
+            for got, want in ((batch, pointwise), (batch2[0], pointwise),
+                              (batch2[1], pointwise[::-1])):
+                if how == "exact":
+                    assert got.dtype == object and (got == want).all(), m
+                    assert all(isinstance(v, Fraction) for v in got.flat), m
+                elif how == "bitwise":
+                    assert np.array_equal(got, want), m
+                else:
+                    assert np.allclose(got, want, rtol=1e-13, atol=1e-13), m
+
+    def test_on_node_queries_return_node_arrays(self):
+        field, labels, t, _ = _protocol_case("sampled-on-node")
+        ti = field.time_index(t)
+        idx = [0, 7, 50, 129, 215]
+        for kind in ("position", "velocity", "acceleration"):
+            assert np.array_equal(getattr(field, kind)(labels, t),
+                                  field.node_values(kind, ti).reshape(-1, 3)[idx])
+            assert np.array_equal(getattr(field, f"{kind}_gradient")(labels, t),
+                                  field.node_gradients(kind, ti).reshape(-1, 3, 3)[idx])
+
+
 class TestSampledBackend:
     def test_reproduces_generating_field(self):
         fx = flows.make_fixture("gerstner")
@@ -232,6 +303,38 @@ class TestSampledBackend:
         for order in (2, 4):
             slope = _fit_slope(hs, errs[order])
             assert slope >= order - 0.2, (order, slope, errs[order])
+
+    def _translation_export(self):
+        fx = flows.make_fixture("translation", c=(0.5, 0.0, 0.0))
+        grid = LabelGrid.nodes_inclusive(fx.field.box, (5, 5, 5))
+        return SampledTrajectoryField.from_analytic(fx.field, grid, np.linspace(0.0, 1.0, 4))
+
+    def test_rejects_labels_beyond_non_periodic_axes(self):
+        samp = self._translation_export()
+        assert np.allclose(samp.position([1.0, 0.0, 0.0], 0.5), [1.25, 0.0, 0.0])
+        for a in ([5.0, 0.0, 0.0], [0.0, -1.5, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 1.01]]):
+            with pytest.raises(OutOfDomainError):
+                samp.position(a, 0.5)
+            with pytest.raises(OutOfDomainError):
+                samp.velocity_gradient(a, 0.5)
+
+    def test_periodic_axes_still_wrap(self):
+        field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05).field
+        a = np.array([0.3, 1.1, 2.0])
+        shifted = a + np.array([2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi])
+        assert np.allclose(field.position_gradient(shifted, 0.1),
+                           field.position_gradient(a, 0.1), rtol=0.0, atol=1e-12)
+
+    def test_time_index_rejects_on_ladder_times_outside_window(self):
+        samp = self._translation_export()
+        dt = samp.dt
+        assert samp.time_index(samp.t1) == len(samp.times) - 1
+        assert samp.time_index(samp.t0) == 0
+        for t in (samp.t1 + dt, samp.t0 - 2 * dt):
+            with pytest.raises(OutOfDomainError):
+                samp.time_index(t)
+        with pytest.raises(ValueError):
+            samp.time_index(samp.t0 + 0.5 * dt)
 
     def test_rejects_nonuniform_times(self):
         grid = LabelGrid.nodes_inclusive(BOX, (5, 5, 5))
@@ -299,6 +402,50 @@ class TestGridIO:
             else:
                 arrays[key] = val
         np.savez(path, **arrays)
+
+    @pytest.mark.parametrize("edit", [
+        ("# order 4", "#\n# order 4"),
+        ("# order 4", "# order"),
+        ("# periodic 0 0 0", "# periodic 0"),
+    ], ids=["bare-hash-line", "empty-order", "one-periodic-flag"])
+    def test_rejects_malformed_csv_header(self, tmp_path, edit):
+        path = tmp_path / "grid.csv"
+        save_grid(self._small_field(), str(path))
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1]))
+        with pytest.raises(GridFormatError):
+            load_grid(str(path))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        line=st.integers(min_value=0, max_value=8),
+        tokens=st.lists(
+            st.one_of(
+                st.integers(min_value=-3, max_value=10**12).map(str),
+                st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                st.sampled_from(["", "positions", "velocities", "accelerations", "0", "1",
+                                 "x", "-", "1e-320", "1e308"]),
+            ),
+            max_size=6,
+        ),
+        drop=st.booleans(),
+    )
+    def test_fuzzed_csv_header_loads_or_raises_format_error(self, tmp_path, line, tokens, drop):
+        path = tmp_path / "fuzz.csv"
+        if not path.exists():
+            save_grid(self._small_field(), str(path))
+            (tmp_path / "fuzz.orig").write_text(path.read_text())
+        lines = (tmp_path / "fuzz.orig").read_text().splitlines()
+        key = lines[line][1:].split()[0]
+        lines[line] = "" if drop else " ".join(["#", key, *tokens])
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            field = load_grid(str(path))
+        except GridFormatError:
+            return
+        assert field.position(field.grid.nodes()[0], field.t0).shape == (3,)
 
     def test_rejects_missing_npz_array(self, tmp_path):
         path = str(tmp_path / "grid.npz")

@@ -79,7 +79,8 @@ class TestIntegrator:
     def test_rotation_fourth_order(self):
         omega = 1.0
         u = flows.EulerianVectorField(
-            value=lambda x, t: np.array([-omega * x[1], omega * x[0], 0.0]),
+            value=lambda x, t: np.stack(
+                [-omega * x[..., 1], omega * x[..., 0], 0.0 * x[..., 2]], axis=-1),
             jacobian_fn=lambda x, t: np.array(
                 [[0.0, -omega, 0.0], [omega, 0.0, 0.0], [0.0, 0.0, 0.0]]
             ),

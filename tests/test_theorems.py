@@ -210,13 +210,12 @@ class TestErtelBatched:
             ertel_drift(fx.field, material, S_LABEL, grid, [0.0, 0.5])
 
 
-class TestGridDriftStaysOnNodeArrays:
-    """On stored slices of its own grid a sampled field is read from its node
-    arrays: no trilinear lookup and no pointwise Ertel evaluation."""
+class TestGridDriftEvaluatesOncePerTime:
+    """Grid drifts make one evaluator call per time and gradient kind over all
+    nodes: the trilinear lookups they trigger do not grow with the node count,
+    and no pointwise Ertel evaluation runs."""
 
-    def test_no_pointwise_calls(self, monkeypatch):
-        fx = flows.make_fixture("taylor-green")
-        field = fx.field
+    def test_lookups_bounded_per_time_and_kind(self, monkeypatch):
         calls = {"_locate": 0, "ertel_pv": 0}
 
         def counting(owner, name):
@@ -230,13 +229,22 @@ class TestGridDriftStaysOnNodeArrays:
 
         counting(SampledTrajectoryField, "_locate")
         counting(theorems, "ertel_pv")
-        times = field.times[::5]
-        ertel_drift(field, fx.material, S_LABEL, field.grid, times)
-        cauchy_drift(field, field.grid, times)
-        assert calls == {"_locate": 0, "ertel_pv": 0}
+        times = [0.0, 0.125, 0.25, 0.5]  # 0.125 lies between stored slices
+        counts = []
+        for shape in ((8, 8, 4), (24, 24, 4)):
+            fx = flows.make_fixture("taylor-green", shape=shape, t1=0.5)
+            calls.update({"_locate": 0, "ertel_pv": 0})
+            ertel_drift(fx.field, fx.material, S_LABEL, fx.field.grid, times)
+            cauchy_drift(fx.field, fx.field.grid, times)
+            counts.append(dict(calls))
+        # ertel: position at t0, then position and velocity per time; cauchy:
+        # position and velocity per time; at most two slices per evaluation
+        assert counts[0] == counts[1]
+        assert 0 < counts[0]["_locate"] <= 2 * (1 + 4 * len(times))
+        assert counts[0]["ertel_pv"] == 0
         # the counters see pointwise work when there is some
-        theorems.ertel_pv(field, fx.material, S_LABEL, field.grid.nodes()[1], times[1])
-        assert calls["_locate"] > 0 and calls["ertel_pv"] == 1
+        theorems.ertel_pv(fx.field, fx.material, S_LABEL, fx.field.grid.nodes()[1], 0.125)
+        assert calls["ertel_pv"] == 1 and calls["_locate"] > counts[1]["_locate"]
 
 
 class TestCirculation:
