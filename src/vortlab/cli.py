@@ -111,7 +111,7 @@ def _parse_params(pairs) -> dict:
 def _read_config_file(path: str) -> list[str]:
     """key=value lines become --key value argument pairs."""
     args = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -257,7 +257,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
                          circulation=crep.values[0]))
 
     S = ScalarFieldLabel(
-        value=lambda a, t: a[2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
+        value=lambda a, t: a[..., 2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
     )
     small = LabelGrid.cell_centers(box, (5, 5, 5)) if not sampled else grid
     erep = ertel_drift(fixture.field, fixture.material, S, small, times[:: max(1, len(times) // 5)])
@@ -396,15 +396,12 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
 
     if run_rt:
         gen = _default_generator(box)
-        ladder = []
-        for eps in DEFAULT_EPS_LADDER:
-            # the split uses the action's own (EOS-derived) pressure
-            tot, el, bd = rund_trautman_check(
-                fixture.field, fixture.material, VariationTriple.relabeling(gen), quad,
-                eps=eps,
-            )
-            ladder.append({"eps": eps, "total": tot, "el_part": el, "bd_part": bd,
-                           "mismatch": abs(tot - el - bd)})
+        # the split uses the action's own (EOS-derived) pressure
+        rows = rund_trautman_check(fixture.field, fixture.material,
+                                   VariationTriple.relabeling(gen), quad, eps=DEFAULT_EPS_LADDER)
+        ladder = [{"eps": eps, "total": tot, "el_part": el, "bd_part": bd,
+                   "mismatch": abs(tot - el - bd)}
+                  for eps, (tot, el, bd) in zip(DEFAULT_EPS_LADDER, rows)]
         floor = 1e-12
         mism = [row["mismatch"] for row in ladder]
         slope = fit_loglog_slope(DEFAULT_EPS_LADDER, mism, floor=floor)
@@ -598,12 +595,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    grid = tuple(int(v) for v in str(args.grid).split(","))
+    try:
+        grid = tuple(int(v) for v in str(args.grid).split(","))
+    except ValueError:
+        raise VortlabError(f"--grid wants 1 or 3 integers, got {args.grid!r}") from None
     if len(grid) == 1:
         grid = grid * 3
     if len(grid) != 3:
         raise VortlabError(f"--grid wants 1 or 3 integers, got {args.grid!r}")
-    dt = tuple(float(v) for v in str(args.dt).split(",")) if args.dt else ()
+    try:
+        dt = tuple(float(v) for v in str(args.dt).split(",")) if args.dt else ()
+    except ValueError:
+        raise VortlabError(f"--dt wants numbers separated by commas, got {args.dt!r}") from None
     return RunConfig(
         fixture=getattr(args, "fixture", None),
         params=_parse_params(getattr(args, "param", None)),
@@ -627,8 +630,10 @@ def main(argv=None) -> int:
     if "--config" in argv:
         idx = argv.index("--config")
         try:
+            if idx + 1 == len(argv):
+                raise VortlabError("--config needs a file path")
             extra = _read_config_file(argv[idx + 1])
-        except (OSError, VortlabError) as exc:
+        except (OSError, UnicodeDecodeError, VortlabError) as exc:
             print(f"vortlab: config error: {exc}", file=sys.stderr)
             return 2
         argv = argv[:idx] + extra + argv[idx + 2:]

@@ -13,11 +13,15 @@ Conventions used throughout the package:
 Evaluation protocol: every trajectory-field method takes labels of shape
 (..., 3) and a scalar time, and returns (..., 3), (..., 3, 3) or
 (..., 3, 3, 3); one label is the case with an empty leading shape.  A grid or
-loop diagnostic evaluates all of its labels in one call per time.  Callables
-supplied to :class:`AnalyticTrajectoryField` and :class:`EulerianVectorField`
-receive the whole (..., 3) stack and may return any value that broadcasts to
-the output shape, such as a constant (3, 3) matrix; it is broadcast only when
-its shape differs.
+loop diagnostic evaluates all of its labels in one call per time.  The scalar
+and vector fields over labels and over physical space follow the same rule
+(values (...), gradients (..., 3), Hessians and Jacobians (..., 3, 3)).
+Callables supplied to any of them receive the whole (..., 3) stack, indexed
+``a[..., i]``, and return the full output shape or a constant of one label's
+shape, such as a (3, 3) matrix, which is broadcast (:func:`fit_to_stack`);
+any other shape raises ValueError.  A stack evaluates bitwise like its labels
+one at a time: matrix-vector products go through :func:`matvec` and libm
+functions through :func:`elementwise` where numpy's loops round differently.
 
 Three interchangeable backends implement this protocol:
 
@@ -113,9 +117,63 @@ def curl(d):
     return np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
 
 
-def _fit(out: np.ndarray, shape: tuple) -> np.ndarray:
-    """``out`` at the protocol ``shape``; a value of another shape is broadcast."""
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+def _stack_curl(d):
+    """:func:`curl` of Jacobians ``d`` (..., 3, 3) with the stack axes first; (..., 3)."""
+    return np.moveaxis(curl(np.moveaxis(d, (-2, -1), (0, 1))), 0, -1)
+
+
+def fit_to_stack(out, lead: tuple, tail: tuple) -> np.ndarray:
+    """A supplied callable's value at the protocol shape ``lead + tail``.
+
+    ``lead`` is the leading shape of the labels and ``tail`` the value of one
+    label.  A value of shape ``tail`` is a constant and is broadcast; any other
+    shape raises ValueError, so a callable written for one label (``a[i]``
+    where the protocol needs ``a[..., i]``) fails on a stack.
+    """
+    out = np.asarray(out)
+    if out.shape == lead + tail:
+        return out
+    if out.shape == tail:
+        return np.broadcast_to(out, lead + tail).copy()
+    raise ValueError(
+        f"evaluator returned shape {out.shape} for labels of leading shape {lead}; "
+        f"expected {lead + tail} or a constant of shape {tail} (index labels as a[..., i])"
+    )
+
+
+def _supplied(fn, a, t, tail: tuple):
+    """``fn(a, t)`` under the protocol: a stack's value is fitted by :func:`fit_to_stack`,
+    one label's value is returned as it is (a Fraction stays a Fraction).
+
+    ``fn`` always receives an array, so ``a[..., i]`` works on a tuple label;
+    a sequence of ints and Fractions becomes an object array and stays exact.
+    """
+    if not isinstance(a, np.ndarray):
+        exact = all(isinstance(x, (int, Fraction)) for x in a)
+        a = np.array(a, dtype=object) if exact else np.asarray(a, float)
+    out = fn(a, t)
+    return fit_to_stack(out, a.shape[:-1], tail) if a.ndim > 1 else out
+
+
+def matvec(m, v):
+    """``m @ v`` for every label of stacks ``m`` (..., 3, 3) and ``v`` (..., 3).
+
+    Each row is bitwise equal to the product of one matrix and one vector;
+    ``np.inner`` and ``np.einsum`` are not.
+    """
+    return (m @ np.asarray(v)[..., None])[..., 0]
+
+
+def elementwise(fn, *args):
+    """A scalar function (``math.exp``, ``pow`` ...) applied to every element
+    of its broadcast arguments.
+
+    numpy's vector loops for exp, sin, cos and power can round differently
+    from libm, so closed forms that must match their one-label values bitwise
+    on a stack go through here.  Scalar arguments give a float.
+    """
+    out = np.frompyfunc(fn, len(args), 1)(*args)
+    return out.astype(float) if isinstance(out, np.ndarray) else float(out)
 
 
 def _poly_jacobian(polys) -> np.ndarray:
@@ -261,7 +319,11 @@ class LabelGrid:
 
 @dataclass(frozen=True)
 class ScalarFieldLabel:
-    """A scalar field psi(a, t) with optional exact derivative evaluators."""
+    """A scalar field psi(a, t) with optional exact derivative evaluators.
+
+    Labels follow the module's protocol: ``a`` of shape (..., 3) gives values
+    (...), gradients (..., 3) and Hessians (..., 3, 3).
+    """
 
     value: Callable[[Vec, float], float]
     gradient_fn: Callable[[Vec, float], Vec] | None = None
@@ -270,17 +332,18 @@ class ScalarFieldLabel:
     order: int = 4
 
     def __call__(self, a, t):
-        return self.value(a, t)
+        return _supplied(self.value, a, t, ())
 
     def gradient(self, a, t) -> Vec:
         if self.gradient_fn is not None:
-            return np.asarray(self.gradient_fn(a, t))
-        return fd_jacobian(lambda b: self.value(b, t), a, self.h, self.order)
+            return np.asarray(_supplied(self.gradient_fn, a, t, (3,)))
+        return fd_jacobian(lambda b: self(b, t), a, self.h, self.order)
 
     def hessian(self, a, t) -> Vec:
         if self.hessian_fn is not None:
-            return np.asarray(self.hessian_fn(a, t))
-        return fd_jacobian(lambda b: self.gradient(b, t), a, self.h, self.order).T
+            return np.asarray(_supplied(self.hessian_fn, a, t, (3, 3)))
+        hess = fd_jacobian(lambda b: self.gradient(b, t), a, self.h, self.order)
+        return np.swapaxes(hess, -1, -2)
 
     @classmethod
     def constant(cls, c: float) -> "ScalarFieldLabel":
@@ -290,19 +353,18 @@ class ScalarFieldLabel:
     @classmethod
     def from_poly(cls, p: Poly) -> "ScalarFieldLabel":
         """Wrap a 4-variable polynomial in (a1, a2, a3, t); derivatives exact."""
+        val = np.array(p, dtype=object)
         grad = _poly_jacobian([p])[0]
         hess = _poly_jacobian(grad)
-
-        def val(a, t):
-            return p((a[0], a[1], a[2], t))
-
-        return cls(value=val, gradient_fn=lambda a, t: _poly_eval(grad, a, t),
+        # [()] unwraps one label's 0-d result into its Fraction or float
+        return cls(value=lambda a, t: _poly_eval(val, a, t)[()],
+                   gradient_fn=lambda a, t: _poly_eval(grad, a, t),
                    hessian_fn=lambda a, t: _poly_eval(hess, a, t))
 
 
 @dataclass(frozen=True)
 class VectorFieldLabel:
-    """A vector field v(a, t) in label space; jacobian[i, j] = dv_i/da_j."""
+    """A vector field v(a, t) in label space; jacobian[..., i, j] = dv_i/da_j."""
 
     value: Callable[[Vec, float], Vec]
     jacobian_fn: Callable[[Vec, float], Vec] | None = None
@@ -310,19 +372,19 @@ class VectorFieldLabel:
     order: int = 4
 
     def __call__(self, a, t) -> Vec:
-        return np.asarray(self.value(a, t))
+        return np.asarray(_supplied(self.value, a, t, (3,)))
 
     def jacobian(self, a, t) -> Vec:
         if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(a, t))
-        return fd_jacobian(lambda b: np.asarray(self.value(b, t), float), a, self.h, self.order)
+            return np.asarray(_supplied(self.jacobian_fn, a, t, (3, 3)))
+        return fd_jacobian(lambda b: np.asarray(self(b, t), float), a, self.h, self.order)
 
     def curl(self, a, t) -> Vec:
-        return curl(self.jacobian(a, t))
+        return _stack_curl(self.jacobian(a, t))
 
     def divergence(self, a, t):
         D = self.jacobian(a, t)
-        return D[0, 0] + D[1, 1] + D[2, 2]
+        return D[..., 0, 0] + D[..., 1, 1] + D[..., 2, 2]
 
     @classmethod
     def from_polys(cls, comps: Sequence[Poly]) -> "VectorFieldLabel":
@@ -333,7 +395,8 @@ class VectorFieldLabel:
 
 @dataclass(frozen=True)
 class EulerianScalarField:
-    """A scalar field over physical space, e.g. an external potential P(x)."""
+    """A scalar field over physical space, e.g. an external potential P(x);
+    points of shape (..., 3) give values (...) and gradients (..., 3)."""
 
     value: Callable[[Vec, float], float]
     gradient_fn: Callable[[Vec, float], Vec] | None = None
@@ -341,12 +404,12 @@ class EulerianScalarField:
     order: int = 4
 
     def __call__(self, x, t):
-        return self.value(x, t)
+        return _supplied(self.value, x, t, ())
 
     def gradient(self, x, t) -> Vec:
         if self.gradient_fn is not None:
-            return np.asarray(self.gradient_fn(x, t))
-        return fd_jacobian(lambda y: self.value(y, t), x, self.h, self.order)
+            return np.asarray(_supplied(self.gradient_fn, x, t, (3,)))
+        return fd_jacobian(lambda y: self(y, t), x, self.h, self.order)
 
 
 @dataclass(frozen=True)
@@ -366,11 +429,11 @@ class EulerianVectorField:
     order: int = 4
 
     def __call__(self, x, t) -> Vec:
-        return _fit(np.asarray(self.value(x, t)), np.shape(x)[:-1] + (3,))
+        return fit_to_stack(self.value(x, t), np.shape(x)[:-1], (3,))
 
     def jacobian(self, x, t) -> Vec:
         if self.jacobian_fn is not None:
-            return _fit(np.asarray(self.jacobian_fn(x, t)), np.shape(x)[:-1] + (3, 3))
+            return fit_to_stack(self.jacobian_fn(x, t), np.shape(x)[:-1], (3, 3))
         return fd_jacobian(lambda y: np.asarray(self(y, t), float), x, self.h, self.order)
 
     def time_derivative(self, x, t) -> Vec:
@@ -378,11 +441,11 @@ class EulerianVectorField:
         if self.steady:
             return np.zeros(x.shape)
         if self.time_derivative_fn is not None:
-            return _fit(np.asarray(self.time_derivative_fn(x, t)), x.shape)
+            return fit_to_stack(self.time_derivative_fn(x, t), x.shape[:-1], (3,))
         return derivative(lambda s: np.asarray(self(x, t + s), float), self.h, self.order)
 
     def curl(self, x, t) -> Vec:
-        return curl(self.jacobian(x, t))
+        return _stack_curl(self.jacobian(x, t))
 
     @classmethod
     def from_polys(cls, comps: Sequence[Poly]) -> "EulerianVectorField":
@@ -488,9 +551,7 @@ class AnalyticTrajectoryField(TrajectoryField):
         a = np.asarray(a, float)
         fn = self._fn[name]
         if fn is not None:
-            out = np.asarray(fn(a, t), float)
-            # a stack call may get one constant back; one label gets its value as is
-            return _fit(out, a.shape[:-1] + _TAIL[name]) if a.ndim > 1 else out
+            return np.asarray(_supplied(fn, a, t, _TAIL[name]), float)
         if name == "velocity":
             return derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
         if name == "acceleration":

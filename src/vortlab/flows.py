@@ -31,6 +31,8 @@ from .fields import (
     SampledTrajectoryField,
     ScalarFieldLabel,
     TrajectoryField,
+    elementwise,
+    matvec,
 )
 from .poly import Poly
 from .variational import BarotropicEOS, FlowMaterial, zero_potential
@@ -39,7 +41,7 @@ from .variational import BarotropicEOS, FlowMaterial, zero_potential
 def gravity_potential(g: float) -> EulerianScalarField:
     """External potential of uniform gravity along x3."""
     return EulerianScalarField(
-        value=lambda x, t: g * x[2], gradient_fn=lambda x, t: np.array([0.0, 0.0, g])
+        value=lambda x, t: g * x[..., 2], gradient_fn=lambda x, t: np.array([0.0, 0.0, g])
     )
 
 TWO_PI = 2.0 * math.pi
@@ -193,10 +195,10 @@ def make_rigid_rotation(omega0=1.0, gravity=0.0, rho0=1.0, box=None, t0=0.0, t1=
     w = float(omega0)
 
     fld = AnalyticTrajectoryField(
-        # np.inner(a, M) is M @ a for every label of the stack
-        position=lambda a, t: np.inner(a, _rotmat(w * (t - t0))),
-        velocity=lambda a, t: np.inner(a, w * (_SPIN @ _rotmat(w * (t - t0)))),
-        acceleration=lambda a, t: np.inner(a, (w * w) * (_SPIN @ _SPIN @ _rotmat(w * (t - t0)))),
+        # matvec is M @ a bitwise for every label of the stack (np.inner is not)
+        position=lambda a, t: matvec(_rotmat(w * (t - t0)), a),
+        velocity=lambda a, t: matvec(w * (_SPIN @ _rotmat(w * (t - t0))), a),
+        acceleration=lambda a, t: matvec((w * w) * (_SPIN @ _SPIN @ _rotmat(w * (t - t0))), a),
         position_gradient=lambda a, t: _rotmat(w * (t - t0)),
         velocity_gradient=lambda a, t: w * _SPIN @ _rotmat(w * (t - t0)),
         acceleration_gradient=lambda a, t: (w * w) * _SPIN @ _SPIN @ _rotmat(w * (t - t0)),
@@ -212,8 +214,9 @@ def make_rigid_rotation(omega0=1.0, gravity=0.0, rho0=1.0, box=None, t0=0.0, t1=
         potential=gravity_potential(g),
     )
     pressure = ScalarFieldLabel(
-        value=lambda a, t: rho0 * (0.5 * w * w * (a[0] ** 2 + a[1] ** 2) - g * a[2]),
-        gradient_fn=lambda a, t: rho0 * np.array([w * w * a[0], w * w * a[1], -g]),
+        value=lambda a, t: rho0 * (0.5 * w * w * (a[..., 0] ** 2 + a[..., 1] ** 2) - g * a[..., 2]),
+        gradient_fn=lambda a, t: rho0 * np.stack(
+            [w * w * a[..., 0], w * w * a[..., 1], np.full(np.shape(a)[:-1], -g)], axis=-1),
     )
     spec = FixtureSpec(
         "rigid-rotation", {"omega0": w, "gravity": g, "rho0": rho0}, box, t0, t1, extremal=True
@@ -367,11 +370,15 @@ def make_gerstner(
         potential=gravity_potential(g),
     )
     # dp/da3 = -rho0 g (1 - exp(2 k a3)); balances the orbital acceleration.
+    def p_grad(a, t):
+        out = np.zeros(np.shape(a))
+        out[..., 2] = -rho0 * g * (1.0 - elementwise(math.exp, 2.0 * k * a[..., 2]))
+        return out
+
     pressure = ScalarFieldLabel(
-        value=lambda a, t: -rho0 * g * (a[2] - math.exp(2.0 * k * a[2]) / (2.0 * k)),
-        gradient_fn=lambda a, t: np.array(
-            [0.0, 0.0, -rho0 * g * (1.0 - math.exp(2.0 * k * a[2]))]
-        ),
+        value=lambda a, t: -rho0 * g * (
+            a[..., 2] - elementwise(math.exp, 2.0 * k * a[..., 2]) / (2.0 * k)),
+        gradient_fn=p_grad,
     )
     spec = FixtureSpec(
         "gerstner",
@@ -433,12 +440,11 @@ def abc_pressure(A=1.0, B=1.0, C=1.0) -> EulerianScalarField:
     u = abc_velocity(A, B, C)
 
     def val(x, t):
-        v = u.value(x, t)
-        return -0.5 * float(v @ v)
+        v = u(x, t)
+        return -0.5 * np.vecdot(v, v)
 
     def grad(x, t):
-        v = u.value(x, t)
-        return -(u.jacobian(x, t).T @ v)
+        return -matvec(np.swapaxes(u.jacobian(x, t), -1, -2), u(x, t))
 
     return EulerianScalarField(value=val, gradient_fn=grad)
 
@@ -469,10 +475,14 @@ def taylor_green_pressure() -> EulerianScalarField:
     # (u . grad) u = grad(-(cos 2x1 + cos 2x2)/4) for this velocity, so the
     # balancing pressure is +(cos 2x1 + cos 2x2)/4 at unit density
     def val(x, t):
-        return 0.25 * (math.cos(2.0 * x[0]) + math.cos(2.0 * x[1]))
+        cos = [elementwise(math.cos, 2.0 * x[..., i]) for i in (0, 1)]
+        return 0.25 * (cos[0] + cos[1])
 
     def grad(x, t):
-        return np.array([-0.5 * math.sin(2.0 * x[0]), -0.5 * math.sin(2.0 * x[1]), 0.0])
+        out = np.zeros(np.shape(x))
+        out[..., 0] = -0.5 * elementwise(math.sin, 2.0 * x[..., 0])
+        out[..., 1] = -0.5 * elementwise(math.sin, 2.0 * x[..., 1])
+        return out
 
     return EulerianScalarField(value=val, gradient_fn=grad)
 
@@ -592,11 +602,11 @@ def eulerian_pressure_as_label_field(
     """p(x(a, t), t) as a label field; grad_a p = G^T grad_x p."""
 
     def val(a, t):
-        return p.value(field.position(a, t), t)
+        return p(field.position(a, t), t)
 
     def grad(a, t):
         x = field.position(a, t)
-        return field.position_gradient(a, t).T @ p.gradient(x, t)
+        return matvec(np.swapaxes(field.position_gradient(a, t), -1, -2), p.gradient(x, t))
 
     return ScalarFieldLabel(value=val, gradient_fn=grad)
 

@@ -100,7 +100,8 @@ def det_rate(g, gv):
 
 @dataclass(frozen=True)
 class JacobianBundle:
-    """[G], J = det G, cofactor matrix and inverse at one point (a, t)."""
+    """[G], J = det G, cofactor matrix and inverse at one point (a, t), or at
+    every label of a stack: matrices (..., 3, 3) and determinants (...)."""
 
     matrix: np.ndarray
     det: float | Fraction
@@ -109,9 +110,11 @@ class JacobianBundle:
 
     @classmethod
     def from_matrix(cls, g: np.ndarray) -> "JacobianBundle":
-        d = checked_det(g)
-        c = cof3(g)
-        return cls(matrix=g, det=d, cof=c, inv=c.T / d)
+        gc = np.moveaxis(g, (-2, -1), (0, 1))  # component axes first
+        d = checked_det(gc)
+        # C order, so matrix products on the stack round like those on one matrix
+        c = np.ascontiguousarray(np.moveaxis(cof3(gc), (0, 1), (-2, -1)))
+        return cls(matrix=g, det=d, cof=c, inv=np.swapaxes(c, -1, -2) / np.expand_dims(d, (-2, -1)))
 
 
 def checked_det(g):
@@ -134,7 +137,8 @@ def checked_det(g):
 
 
 def jacobian(field: TrajectoryField, a, t) -> JacobianBundle:
-    """The Jacobian bundle of the label map at (a, t)."""
+    """The Jacobian bundle of the label map at (a, t); labels (..., 3) give a
+    stacked bundle from one evaluator call."""
     field.check_domain(a, t)
     return JacobianBundle.from_matrix(field.position_gradient(a, t))
 

@@ -148,7 +148,7 @@ class Poly:
             val = coeff if exact else float(coeff)
             for x, e in zip(point, expo):
                 if e:
-                    val = val * x ** e
+                    val = val * _power(x, e)
             total = val if total is None else total + val
         if total is None:
             return Fraction(0) if exact else 0.0
@@ -185,6 +185,18 @@ class Poly:
             mono = "*".join(f"x{i}^{e}" for i, e in enumerate(expo) if e) or "1"
             bits.append(f"{coeff}*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _power(x, e: int):
+    """x ** e, with libm rounding on float arrays as on float scalars.
+
+    numpy's array power (squaring, vector loops) can differ from ``pow`` by an
+    ulp, so without this a stack of labels would not evaluate bitwise like
+    the same labels one at a time.
+    """
+    if isinstance(x, np.ndarray) and x.dtype != object and e > 1:
+        return np.frompyfunc(pow, 2, 1)(x, e).astype(float)
+    return x ** e
 
 
 def is_rational(x) -> bool:

@@ -253,7 +253,7 @@ def ertel_drift(
     """
     times = [float(t) for t in times]
     nodes = grid.nodes()
-    rho0 = np.array([float(material.initial_density(a)) for a in nodes])
+    rho0 = np.asarray(material.initial_density(nodes), float)
     rho0j0 = rho0 * det3(gradients_on_grid(field, grid, field.t0, "position"))
 
     def pv(t):
@@ -265,7 +265,7 @@ def ertel_drift(
         if np.any(rho <= 0.0):
             k = int(np.argmax(rho <= 0.0))
             raise NonPositiveDensityError(f"density {rho[k]} at a={nodes[k]}, t={t}")
-        grad_a_S = np.array([S.gradient(a, t) for a in nodes], float).T
+        grad_a_S = np.asarray(S.gradient(nodes, t), float).T
         grad_x_S = np.einsum("ijn,jn->in", cof3(g), grad_a_S) / j
         return np.sum((omega / rho) * grad_x_S, axis=0)
 
@@ -342,7 +342,7 @@ def helicity(field: TrajectoryField, region: LabelRegion, t) -> float:
             raise VortlabError("region exceeds the field's label domain")
     V, omega = image_fields_on_grid(field, grid, t)
     w = grid.cell_volume
-    return math.fsum(float(v @ o) * w for v, o in zip(V, omega))
+    return math.fsum(np.vecdot(V, omega) * w)
 
 
 def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:

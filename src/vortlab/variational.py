@@ -16,8 +16,17 @@ gradients.  Perturbed actions are evaluated on the *composed* configuration
 a genuine trajectory field over the original chart whose gradient picks up
 the product-rule factor (I + eps grad delta_a^T); invariance scans, the weak
 formulation and the Rund-Trautman split all reuse this one construction.
-Quadrature sums are accumulated with math.fsum, so results are deterministic
-and the tiny differences S(eps) - S(0) are not lost to summation noise.
+
+Every function here evaluates the whole (N, 3) quadrature node stack once per
+time under the evaluation protocol of :mod:`vortlab.fields`: material data,
+generators, variation triples and the composed configuration take labels
+(..., 3).  The Noether flux is evaluated once per time on each of the 12
+stencil-shifted copies of the stack, and the Rund-Trautman split computes
+S(0), the bulk and the boundary brace once for a whole eps ladder.  Each
+node's term is bitwise equal to a one-label evaluation, and quadrature sums
+are accumulated with math.fsum (exactly rounded, so independent of order):
+results are deterministic and the tiny differences S(eps) - S(0) are not
+lost to summation noise.
 """
 
 from __future__ import annotations
@@ -37,8 +46,12 @@ from .fields import (
     TrajectoryField,
     VectorFieldLabel,
     derivative,
+    elementwise,
     fd_jacobian,
+    fit_to_stack,
+    matvec,
 )
+from .invariants import gradient_curl, label_stack
 from .kinematics import det3, jacobian
 
 
@@ -87,11 +100,17 @@ class BarotropicEOS:
         if gamma == 1:
             raise VortlabError("polytropic exponent gamma must differ from 1")
 
+        def power(rho, n):
+            # libm pow on a float stack too, so it rounds like one density at a time
+            if isinstance(rho, np.ndarray) and rho.dtype != object:
+                return elementwise(pow, rho, n)
+            return rho ** n
+
         def energy(rho):
-            return K * rho ** (gamma - 1) / (gamma - 1)
+            return K * power(rho, gamma - 1) / (gamma - 1)
 
         def denergy(rho):
-            return K * rho ** (gamma - 2)
+            return K * power(rho, gamma - 2)
 
         return cls(energy=energy, denergy=denergy, label=f"polytropic(K={K}, gamma={gamma})")
 
@@ -102,6 +121,17 @@ def zero_potential() -> EulerianScalarField:
     )
 
 
+def _reject(bad, values, a, what: str, error=NonPositiveDensityError, t=None):
+    """Raise ``error`` naming the first label of ``a`` (one label or a stack)
+    where ``bad`` holds, with ``values`` there."""
+    flags = np.ravel(bad)
+    if flags.any():
+        k = int(np.argmax(flags))
+        label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
+        at = f"a={label}" if t is None else f"a={label}, t={t}"
+        raise error(f"{what} = {np.ravel(values)[k]} at {at}")
+
+
 @dataclass(frozen=True)
 class FlowMaterial:
     """Initial density, barotropic EOS and external conservative potential."""
@@ -110,10 +140,10 @@ class FlowMaterial:
     eos: BarotropicEOS
     potential: EulerianScalarField
 
-    def initial_density(self, a) -> float:
+    def initial_density(self, a):
+        """rho0 at one label or at every label of a stack (..., 3)."""
         rho = self.rho0(a, 0.0)
-        if float(rho) <= 0.0:
-            raise NonPositiveDensityError(f"rho0({a}) = {rho}")
+        _reject(np.asarray(rho, float) <= 0.0, rho, a, "rho0")
         return rho
 
 
@@ -127,8 +157,7 @@ def density_from_map(field: TrajectoryField, material: FlowMaterial, a, t):
     j0 = jacobian(field, a, field.t0).det
     j = jacobian(field, a, t).det
     rho = material.initial_density(a) * j0 / j
-    if float(rho) <= 0.0:
-        raise NonPositiveDensityError(f"density {rho} at a={a}, t={t}")
+    _reject(np.asarray(rho, float) <= 0.0, rho, a, "density", t=t)
     return rho
 
 
@@ -152,14 +181,14 @@ def momentum_residual(
     rho0j0 = material.initial_density(a) * j0
     x = field.position(a, t)
     body = field.acceleration(a, t) + material.potential.gradient(x, t)
-    return rho0j0 * body + bundle.cof @ pressure.gradient(a, t)
+    return np.expand_dims(rho0j0, -1) * body + matvec(bundle.cof, pressure.gradient(a, t))
 
 
 def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarFieldLabel:
     """p(a, t) = p_eos(rho(a, t)) as a label field (FD gradient)."""
 
     def val(a, t):
-        return float(material.eos.pressure(density_from_map(field, material, a, t)))
+        return np.asarray(material.eos.pressure(density_from_map(field, material, a, t)), float)[()]
 
     return ScalarFieldLabel(value=val)
 
@@ -215,18 +244,28 @@ class SpaceTimeQuadrature:
 # ---------------------------------------------------------------------------
 
 
+def _det(field, a, t):
+    """det G at labels ``a``, without the domain and singular-map checks of
+    :func:`vortlab.kinematics.jacobian` (the action tests J and rho itself)."""
+    return det3(np.moveaxis(field.position_gradient(a, t), (-2, -1), (0, 1)))
+
+
+def _mass_reference(field, material, a):
+    """rho0 J0 at labels ``a``, J0 taken at the field's own t0."""
+    return np.asarray(material.initial_density(a), float) * jacobian(field, a, field.t0).det
+
+
 def _lagrangian_density(field, material, a, t, rho0j0):
-    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 at one node."""
+    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 at labels ``a`` (..., 3)."""
     v = field.velocity(a, t)
     x = field.position(a, t)
-    j = det3(field.position_gradient(a, t))
-    if float(j) == 0.0:
-        raise NonPositiveDensityError(f"J = 0 at a={a}, t={t}")
+    j = _det(field, a, t)
+    _reject(j == 0.0, j, a, "J", t=t)
     rho = rho0j0 / j
-    if float(rho) <= 0.0:
-        raise NonPositiveDensityError(f"rho = {rho} at a={a}, t={t}")
-    kinetic = 0.5 * float(v @ v)
-    return (kinetic - float(material.eos.energy(rho)) - float(material.potential.value(x, t))) * float(rho0j0)
+    _reject(rho <= 0.0, rho, a, "rho", t=t)
+    kinetic = 0.5 * np.vecdot(v, v)
+    energy = np.asarray(material.eos.energy(rho), float)
+    return (kinetic - energy - np.asarray(material.potential(x, t), float)) * rho0j0
 
 
 def action(
@@ -239,15 +278,12 @@ def action(
     The mass reference rho0 J0 is frozen at the field's own t0, so deformed
     configurations are referenced consistently with their base.
     """
-    t0 = field.t0
+    nodes = quad.space_nodes
+    rho0j0 = np.asarray(material.initial_density(nodes), float) * _det(field, nodes, field.t0)
     terms = []
-    rho0j0 = []
-    for a in quad.space_nodes:
-        j0 = det3(field.position_gradient(a, t0))
-        rho0j0.append(float(material.initial_density(a)) * float(j0))
     for t, wt in zip(quad.time_nodes, quad.time_weights):
-        for a, wa, rj in zip(quad.space_nodes, quad.space_weights, rho0j0):
-            terms.append(wt * wa * _lagrangian_density(field, material, a, t, rj))
+        L = _lagrangian_density(field, material, nodes, t, rho0j0)
+        terms.extend(wt * quad.space_weights * L)
     return math.fsum(terms)
 
 
@@ -260,6 +296,8 @@ def action(
 class RelabelGenerator:
     """A relabeling direction delta_a(a), divergence-free by construction.
 
+    ``delta_fn`` and ``jacobian_fn`` receive labels (..., 3) and return
+    (..., 3) and (..., 3, 3), or a constant of one label's shape.
     ``potential`` (the vector field whose curl is delta_a) is retained when
     available because the weak-form pairing integrates against it.
     """
@@ -271,17 +309,19 @@ class RelabelGenerator:
     h: float = 1e-4
 
     def delta_a(self, a) -> np.ndarray:
-        return np.asarray(self.delta_fn(np.asarray(a, float)))
+        a = np.asarray(a, float)
+        return fit_to_stack(self.delta_fn(a), a.shape[:-1], (3,))
 
     def jacobian(self, a) -> np.ndarray:
-        """D[i, j] = d(delta_a_i)/da_j."""
+        """D[..., i, j] = d(delta_a_i)/da_j."""
+        a = np.asarray(a, float)
         if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(np.asarray(a, float)))
+            return fit_to_stack(self.jacobian_fn(a), a.shape[:-1], (3, 3))
         return fd_jacobian(self.delta_a, a, self.h, 4)
 
-    def divergence(self, a) -> float:
+    def divergence(self, a):
         d = self.jacobian(a)
-        return float(d[0, 0] + d[1, 1] + d[2, 2])
+        return d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]
 
     @classmethod
     def from_curl(cls, potential: VectorFieldLabel, label="curl") -> "RelabelGenerator":
@@ -294,24 +334,14 @@ class RelabelGenerator:
     def from_potential_polys(cls, comps, label="curl-poly") -> "RelabelGenerator":
         """Exact generator from three polynomials in (a1, a2, a3, t)."""
         comps = list(comps)
-        curl = [
+        curl = VectorFieldLabel.from_polys([
             comps[2].diff(1) - comps[1].diff(2),
             comps[0].diff(2) - comps[2].diff(0),
             comps[1].diff(0) - comps[0].diff(1),
-        ]
-        dcurl = [[curl[i].diff(j) for j in range(3)] for i in range(3)]
-
-        def delta(a):
-            pt = (a[0], a[1], a[2], 0.0)
-            return np.array([float(c(pt)) for c in curl])
-
-        def jac(a):
-            pt = (a[0], a[1], a[2], 0.0)
-            return np.array([[float(dcurl[i][j](pt)) for j in range(3)] for i in range(3)])
-
+        ])
         return cls(
-            delta_fn=delta,
-            jacobian_fn=jac,
+            delta_fn=lambda a: curl(a, 0.0),
+            jacobian_fn=lambda a: curl.jacobian(a, 0.0),
             potential=VectorFieldLabel.from_polys(comps),
             label=label,
         )
@@ -328,17 +358,21 @@ class RelabelGenerator:
         return cls(delta_fn=delta, label=label)
 
 
-def _bump1d(s: float) -> float:
-    # C-infinity bump on (-1, 1)
-    if abs(s) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - s * s)) * math.e
+def _bump1d(s):
+    # C-infinity bump on (-1, 1), elementwise; libm exp, as for one label
+    out = np.zeros(np.shape(s))
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = elementwise(math.exp, -1.0 / (1.0 - si * si)) * math.e
+    return out
 
 
-def _bump1d_deriv(s: float) -> float:
-    if abs(s) >= 1.0:
-        return 0.0
-    return _bump1d(s) * (-2.0 * s / (1.0 - s * s) ** 2)
+def _bump1d_deriv(s):
+    out = np.zeros(np.shape(s))
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = _bump1d(si) * (-2.0 * si / elementwise(pow, 1.0 - si * si, 2))
+    return out
 
 
 def bump_potential(box: Box, amplitude: float = 1.0, margin: float = 0.05) -> VectorFieldLabel:
@@ -350,24 +384,25 @@ def bump_potential(box: Box, amplitude: float = 1.0, margin: float = 0.05) -> Ve
     half = (0.5 - margin) * (hi - lo)
 
     def val(a, t):
-        a = np.asarray(a, float)
+        s = (a - c) / half
         v = amplitude
         for i in range(3):
-            v *= _bump1d((a[i] - c[i]) / half[i])
-        return np.array([0.0, 0.0, v])
+            v = v * _bump1d(s[..., i])
+        out = np.zeros(np.shape(a))
+        out[..., 2] = v
+        return out
 
     def jac(a, t):
-        a = np.asarray(a, float)
-        s = [(a[i] - c[i]) / half[i] for i in range(3)]
-        vals = [_bump1d(si) for si in s]
-        ders = [_bump1d_deriv(si) / half[i] for i, si in enumerate(s)]
-        out = np.zeros((3, 3))
+        s = (a - c) / half
+        vals = [_bump1d(s[..., i]) for i in range(3)]
+        ders = [_bump1d_deriv(s[..., i]) / half[i] for i in range(3)]
+        out = np.zeros(np.shape(a) + (3,))
         for j in range(3):
             term = amplitude * ders[j]
             for i in range(3):
                 if i != j:
-                    term *= vals[i]
-            out[2, j] = term
+                    term = term * vals[i]
+            out[..., 2, j] = term
         return out
 
     return VectorFieldLabel(value=val, jacobian_fn=jac)
@@ -390,24 +425,28 @@ def sine_potential(
     def factors(a):
         vals, ders = [], []
         for i in range(3):
-            ph = k[i] * (a[i] - lo[i])
-            s, cs = math.sin(ph), math.cos(ph)
-            mono = a[i] ** exponents[i] if exponents[i] else 1.0
-            dmono = exponents[i] * a[i] ** (exponents[i] - 1) if exponents[i] else 0.0
+            ai = a[..., i]
+            ph = k[i] * (ai - lo[i])
+            s, cs = elementwise(math.sin, ph), elementwise(math.cos, ph)
+            e = exponents[i]
+            mono = elementwise(pow, ai, e) if e else 1.0
+            dmono = e * elementwise(pow, ai, e - 1) if e else 0.0
             vals.append(mono * s)
             ders.append(dmono * s + mono * k[i] * cs)
         return vals, ders
 
     def val(a, t):
         vals, _ = factors(a)
-        return np.array([0.0, 0.0, amplitude * vals[0] * vals[1] * vals[2]])
+        out = np.zeros(np.shape(a))
+        out[..., 2] = amplitude * vals[0] * vals[1] * vals[2]
+        return out
 
     def jac(a, t):
         vals, ders = factors(a)
-        out = np.zeros((3, 3))
-        out[2, 0] = amplitude * ders[0] * vals[1] * vals[2]
-        out[2, 1] = amplitude * vals[0] * ders[1] * vals[2]
-        out[2, 2] = amplitude * vals[0] * vals[1] * ders[2]
+        out = np.zeros(np.shape(a) + (3,))
+        out[..., 2, 0] = amplitude * ders[0] * vals[1] * vals[2]
+        out[..., 2, 1] = amplitude * vals[0] * ders[1] * vals[2]
+        out[..., 2, 2] = amplitude * vals[0] * vals[1] * ders[2]
         return out
 
     return VectorFieldLabel(value=val, jacobian_fn=jac)
@@ -424,7 +463,8 @@ class VariationTriple:
 
     Supported shapes: delta_t = delta_t(t), delta_a = delta_a(a) and
     delta_x = delta_x(a, t); that covers relabelings, time translations and
-    direct field variations.
+    direct field variations.  The label callables receive labels (..., 3)
+    and return (..., 3) or (..., 3, 3), or a constant of one label's shape.
     """
 
     delta_t: Callable[[float], float] | None = None
@@ -447,31 +487,39 @@ class VariationTriple:
             return float(self.delta_t_rate(t))
         return derivative(lambda s: self.delta_t(t + s), self.h, 4)
 
+    @staticmethod
+    def _eval(fn, a, tail, *t):
+        """``fn(a, *t)`` at labels ``a`` (..., 3), or zeros when ``fn`` is None."""
+        a = np.asarray(a, float)
+        if fn is None:
+            return np.zeros(a.shape[:-1] + tail)
+        return fit_to_stack(fn(a, *t), a.shape[:-1], tail)
+
     def da(self, a) -> np.ndarray:
-        return np.zeros(3) if self.delta_a is None else np.asarray(self.delta_a(np.asarray(a, float)))
+        return self._eval(self.delta_a, a, (3,))
 
     def da_jac(self, a) -> np.ndarray:
         if self.delta_a is None:
-            return np.zeros((3, 3))
+            return self._eval(None, a, (3, 3))
         if self.delta_a_jac is not None:
-            return np.asarray(self.delta_a_jac(np.asarray(a, float)))
+            return self._eval(self.delta_a_jac, a, (3, 3))
         return fd_jacobian(self.da, a, self.h, 4)
 
     def dx(self, a, t) -> np.ndarray:
-        return np.zeros(3) if self.delta_x is None else np.asarray(self.delta_x(np.asarray(a, float), t))
+        return self._eval(self.delta_x, a, (3,), t)
 
     def dx_jac(self, a, t) -> np.ndarray:
         if self.delta_x is None:
-            return np.zeros((3, 3))
+            return self._eval(None, a, (3, 3))
         if self.delta_x_jac is not None:
-            return np.asarray(self.delta_x_jac(np.asarray(a, float), t))
+            return self._eval(self.delta_x_jac, a, (3, 3), t)
         return fd_jacobian(lambda b: self.dx(b, t), a, self.h, 4)
 
     def dx_dot(self, a, t) -> np.ndarray:
         if self.delta_x is None:
-            return np.zeros(3)
+            return self._eval(None, a, (3,))
         if self.delta_x_dot is not None:
-            return np.asarray(self.delta_x_dot(np.asarray(a, float), t))
+            return self._eval(self.delta_x_dot, a, (3,), t)
         return derivative(lambda s: self.dx(a, t + s), self.h, 4)
 
     @classmethod
@@ -490,16 +538,17 @@ class VariationTriple:
 def local_variation_of_triple(field: TrajectoryField, var: VariationTriple, a, t) -> np.ndarray:
     """delta-bar x = delta_x - xdot delta_t - (delta_a . grad_a) x."""
     g = field.position_gradient(a, t)
-    return var.dx(a, t) - field.velocity(a, t) * var.dt(t) - g @ var.da(a)
+    return var.dx(a, t) - field.velocity(a, t) * var.dt(t) - matvec(g, var.da(a))
 
 
 class DeformedTrajectoryField:
     """The composed configuration y(a, t) = x(a~, t~) + eps delta_x(a~, t~).
 
     Only the pieces the action needs are implemented (position, velocity,
-    position gradient); gradients carry the product-rule factor
-    (I + eps grad delta_a^T).  A fold of the label chart (non-positive
-    det(I + eps D delta_a)) raises immediately.
+    position gradient), for labels (..., 3) like the other backends;
+    gradients carry the product-rule factor (I + eps grad delta_a^T).  A fold
+    of the label chart (non-positive det(I + eps D delta_a)) raises
+    immediately.
     """
 
     backend = "deformed"
@@ -519,13 +568,12 @@ class DeformedTrajectoryField:
         tt = t + self.eps * self.var.dt(t)
         return at, tt
 
-    def fold_factor(self, a) -> float:
+    def fold_factor(self, a):
+        """det(I + eps D delta_a) at labels ``a``; raises FoldedRelabelingError
+        at the first label where it is not positive."""
         d = np.eye(3) + self.eps * self.var.da_jac(a)
-        det = float(det3(d))
-        if det <= 0.0:
-            raise FoldedRelabelingError(
-                f"relabeling folds the domain at a={tuple(np.asarray(a, float))}: det={det}"
-            )
+        det = det3(np.moveaxis(d, (-2, -1), (0, 1)))
+        _reject(det <= 0.0, det, a, "relabeling folds the domain: det", FoldedRelabelingError)
         return det
 
     def position(self, a, t):
@@ -539,7 +587,6 @@ class DeformedTrajectoryField:
 
     def position_gradient(self, a, t):
         at, tt = self._chart(a, t)
-        a = np.asarray(a, float)
         chart = np.eye(3) + self.eps * self.var.da_jac(a)
         core = self.base.position_gradient(at, tt) + self.eps * self.var.dx_jac(at, tt)
         return core @ chart
@@ -614,14 +661,14 @@ def relabeling_invariance_scan(
     flagged by its ~1 slope.
     """
     var = VariationTriple.relabeling(gen)
+    nodes = quad.space_nodes
     s0 = action(field, material, quad)
     deltas = []
     for eps in eps_list:
         deformed = DeformedTrajectoryField(field, var, eps)
-        for a in quad.space_nodes:
-            deformed.fold_factor(a)
+        deformed.fold_factor(nodes)
         deltas.append(abs(action(deformed, material, quad) - s0))
-    max_div = max(abs(gen.divergence(a)) for a in quad.space_nodes)
+    max_div = float(np.max(np.abs(gen.divergence(nodes))))
     slope = fit_loglog_slope(eps_list, deltas, floor=max(abs(s0), 1.0) * 1e-14)
     symmetric = slope is None or slope >= slope_threshold
     return ScanResult(
@@ -658,21 +705,20 @@ def weak_form_integral(
         raise VortlabError("weak_form_integral needs a curl-form generator (vector potential)")
     if pressure is None:
         pressure = pressure_from_eos(field, material)
-    from .invariants import cauchy_residual
-
+    nodes, wa = quad.space_nodes, quad.space_weights
+    rho0j0 = _mass_reference(field, material, nodes)
+    da = gen.delta_a(nodes)
+    dR = np.asarray(gen.potential(nodes, 0.0), float)
     lhs_terms, rhs_terms = [], []
-    for a, wa in zip(quad.space_nodes, quad.space_weights):
-        j0 = jacobian(field, a, field.t0).det
-        rho0j0 = float(material.initial_density(a)) * float(j0)
-        da = gen.delta_a(a)
-        dR = np.asarray(gen.potential.value(a, 0.0), float)
-        for t, wt in zip(quad.time_nodes, quad.time_weights):
-            w = wa * wt
-            res = momentum_residual(field, material, pressure, a, t)
-            g = field.position_gradient(a, t)
-            lhs_terms.append(w * float(res @ (-(g @ da))))
-            cr = cauchy_residual(field, a, t)
-            rhs_terms.append(-w * rho0j0 * float(np.asarray(cr, float) @ dR))
+    for t, wt in zip(quad.time_nodes, quad.time_weights):
+        w = wa * wt
+        res = momentum_residual(field, material, pressure, nodes, t)
+        g = field.position_gradient(nodes, t)
+        lhs_terms.extend(w * np.vecdot(res, -matvec(g, da)))
+        # the Cauchy residual curl_a(dV/dt) at every node
+        cr = gradient_curl(label_stack(field, nodes, t, "acceleration_gradient"),
+                           label_stack(field, nodes, t, "position_gradient"))
+        rhs_terms.extend(-w * rho0j0 * np.vecdot(cr.T, dR))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 
@@ -681,9 +727,9 @@ def rund_trautman_check(
     material: FlowMaterial,
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
-    eps: float = 1e-3,
+    eps=1e-3,
     pressure: ScalarFieldLabel | None = None,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float] | list[tuple[float, float, float]]:
     """(total, el_part, bd_part) of the fundamental variational split.
 
     total: finite difference (S(eps) - S(0)) / eps of the action under the
@@ -691,6 +737,10 @@ def rund_trautman_check(
     local variation.  bd_part: time-endpoint terms plus the space-divergence
     quadrature.  The identity total = el_part + bd_part holds to O(eps) plus
     quadrature error.
+
+    ``eps`` may be a sequence (a ladder); the result is then a list with one
+    triple per rung.  S(0), el_part and bd_part do not depend on eps and are
+    computed once for the whole ladder.
 
     ``pressure`` must be the action's own stress, rho^2 E'(rho); it defaults
     to the EOS-derived field and exists only so callers with a closed form
@@ -700,11 +750,13 @@ def rund_trautman_check(
     if pressure is None:
         pressure = pressure_from_eos(field, material)
     s0 = action(field, material, quad)
-    deformed = DeformedTrajectoryField(field, var, eps)
-    total = (action(deformed, material, quad) - s0) / eps
     el = el_part(field, material, var, quad, pressure)
     bd = noether_boundary_term(field, material, var, quad, pressure)
-    return total, el, bd
+    rows = [
+        ((action(DeformedTrajectoryField(field, var, e), material, quad) - s0) / e, el, bd)
+        for e in np.ravel(eps).tolist()
+    ]
+    return rows if np.ndim(eps) else rows[0]
 
 
 def el_part(
@@ -717,12 +769,12 @@ def el_part(
     """Bulk brace of the variational formula: -(momentum residual) . delta-bar x."""
     if pressure is None:
         pressure = pressure_from_eos(field, material)
+    nodes, wa = quad.space_nodes, quad.space_weights
     terms = []
-    for a, wa in zip(quad.space_nodes, quad.space_weights):
-        for t, wt in zip(quad.time_nodes, quad.time_weights):
-            res = momentum_residual(field, material, pressure, a, t)
-            dbar = local_variation_of_triple(field, var, a, t)
-            terms.append(-wa * wt * float(res @ dbar))
+    for t, wt in zip(quad.time_nodes, quad.time_weights):
+        res = momentum_residual(field, material, pressure, nodes, t)
+        dbar = local_variation_of_triple(field, var, nodes, t)
+        terms.extend(-wa * wt * np.vecdot(res, dbar))
     return math.fsum(terms)
 
 
@@ -738,39 +790,43 @@ def noether_boundary_term(
     plus the space-time quadrature of the divergence of the Noether flux
 
         w_j = L delta_a_j + p (cof^T delta-bar x)_j .
+
+    The flux is evaluated once per time on each stencil-shifted copy of the
+    node stack (12 at order 4); rho0 J0 does not depend on time and is taken
+    once per copy.
     """
     if pressure is None:
         pressure = pressure_from_eos(field, material)
     t_lo, t_hi = quad.window
-    rho0j0 = {}
-    for idx, a in enumerate(quad.space_nodes):
-        j0 = jacobian(field, a, field.t0).det
-        rho0j0[idx] = float(material.initial_density(a)) * float(j0)
+    nodes, wa = quad.space_nodes, quad.space_weights
+    rho0j0 = {}  # rho0 J0 per label stack, keyed by the stack's bytes
 
-    def endpoint_integrand(idx, a, t):
-        L = _lagrangian_density(field, material, a, t, rho0j0[idx])
-        dbar = local_variation_of_triple(field, var, a, t)
-        return L * var.dt(t) + rho0j0[idx] * float(field.velocity(a, t) @ dbar)
+    def mass_reference(b):
+        key = b.tobytes()
+        if key not in rho0j0:
+            rho0j0[key] = _mass_reference(field, material, b)
+        return rho0j0[key]
 
-    endpoint = math.fsum(
-        wa * (endpoint_integrand(i, a, t_hi) - endpoint_integrand(i, a, t_lo))
-        for i, (a, wa) in enumerate(zip(quad.space_nodes, quad.space_weights))
-    )
+    def endpoint_integrand(t):
+        rj = mass_reference(nodes)
+        L = _lagrangian_density(field, material, nodes, t, rj)
+        dbar = local_variation_of_triple(field, var, nodes, t)
+        return L * var.dt(t) + rj * np.vecdot(field.velocity(nodes, t), dbar)
+
+    endpoint = math.fsum(wa * (endpoint_integrand(t_hi) - endpoint_integrand(t_lo)))
 
     if div_step is None:
         div_step = 1e-3 * min(field.box.extent)
 
-    def flux(a, t):
-        rj = float(material.initial_density(a)) * float(jacobian(field, a, field.t0).det)
-        L = _lagrangian_density(field, material, a, t, rj)
-        bundle = jacobian(field, a, t)
-        dbar = local_variation_of_triple(field, var, a, t)
-        p = float(pressure(a, t))
-        return L * var.da(a) + p * (bundle.cof.T @ dbar)
+    def flux(b, t):
+        L = _lagrangian_density(field, material, b, t, mass_reference(b))
+        cof_t = np.swapaxes(jacobian(field, b, t).cof, -1, -2)
+        dbar = local_variation_of_triple(field, var, b, t)
+        p = np.asarray(pressure(b, t), float)
+        return L[..., None] * var.da(b) + p[..., None] * matvec(cof_t, dbar)
 
     div_terms = []
-    for a, wa in zip(quad.space_nodes, quad.space_weights):
-        for t, wt in zip(quad.time_nodes, quad.time_weights):
-            d = fd_jacobian(lambda b: flux(b, t), a, div_step, 4)
-            div_terms.append(wa * wt * (d[0, 0] + d[1, 1] + d[2, 2]))
+    for t, wt in zip(quad.time_nodes, quad.time_weights):
+        d = fd_jacobian(lambda b: flux(b, t), nodes, div_step, 4)
+        div_terms.extend(wa * wt * (d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]))
     return endpoint + math.fsum(div_terms)

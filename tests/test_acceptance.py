@@ -59,7 +59,7 @@ def poly_generator():
     return RelabelGenerator.from_potential_polys([zero, zero, a1 * a2], label="psi=a1*a2")
 
 
-S_A3 = ScalarFieldLabel(value=lambda a, t: a[2],
+S_A3 = ScalarFieldLabel(value=lambda a, t: a[..., 2],
                         gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0]))
 
 

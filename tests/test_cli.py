@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vortlab.cli import main
 from vortlab.fields import load_grid
@@ -112,6 +113,47 @@ class TestFormatsAndConfig:
         cfg.write_text("this is not key value\n")
         code, _ = run_cli(["verify", "--config", str(cfg)], capsys)
         assert code == 2
+
+    def test_config_without_path_usage_error(self, capsys):
+        code = main(["verify", "--fixture", "gerstner", "--config"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("vortlab: config error: ")
+
+    def test_config_not_utf8_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"nt=3\n\xff\xfe=1\n")
+        code = main(["verify", "--fixture", "gerstner", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("vortlab: config error: ")
+
+    @pytest.mark.parametrize("flag", [["--grid", "4,x,4"], ["--grid", ""], ["--dt", "0.1,fast"]])
+    def test_unparsable_numbers_usage_error(self, flag, capsys):
+        code = main(["identities", "--trials", "1", *flag])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("vortlab: ")
+
+    # key=value lines with real option names and arbitrary values; --out and
+    # --trials stay out so an example can neither write files nor run long
+    _CONFIG_LINES = st.lists(
+        st.tuples(
+            st.sampled_from(["grid", "nt", "dt", "t0", "t1", "seed", "tol", "fd-order",
+                             "format", "param", "fixture", "config", "bogus", ""]),
+            st.text(max_size=12),
+        ).map(lambda kv: f"{kv[0]}={kv[1]}"),
+        max_size=5,
+    ).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(st.binary(max_size=64), _CONFIG_LINES))
+    def test_fuzzed_config_runs_or_exits_2(self, tmp_path, capsys, data):
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_bytes(data)
+        code = main(["identities", "--config", str(cfg), "--trials", "1"])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith(("vortlab: ", "usage: "))
 
 
 class TestActionCommand:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,3 +91,12 @@ class TestComposeAndDiff:
         a = Poly.variable(2, 0)
         assert (a ** 3 + a).degree() == 3
         assert Poly(2, {}).degree() == 0
+
+    def test_float_arrays_evaluate_bitwise_like_scalars(self):
+        # numpy squares and cubes arrays with its own loops; a stack of points
+        # must round like the same points one at a time
+        x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+        p = Fraction(1, 3) * x0 ** 3 * x1 ** 2 - x1 ** 3 + Fraction(5, 7) * x0 ** 2
+        pts = np.random.default_rng(3).uniform(-1.5, 1.5, (2000, 2))
+        stacked = p([pts[:, 0], pts[:, 1]])
+        assert (stacked == np.array([p(tuple(q)) for q in pts])).all()

@@ -38,7 +38,7 @@ from vortlab.theorems import (
 from vortlab.variational import FlowMaterial
 
 S_LABEL = ScalarFieldLabel(
-    value=lambda a, t: a[2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
+    value=lambda a, t: a[..., 2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
 )
 
 
@@ -122,8 +122,8 @@ class TestErtel:
 
 # S = a1 a2 + a3^2 / 2: a label-only scalar whose gradient varies over the grid
 S_QUADRATIC = ScalarFieldLabel(
-    value=lambda a, t: a[0] * a[1] + 0.5 * a[2] ** 2,
-    gradient_fn=lambda a, t: np.array([a[1], a[0], a[2]], float),
+    value=lambda a, t: a[..., 0] * a[..., 1] + 0.5 * a[..., 2] ** 2,
+    gradient_fn=lambda a, t: np.stack([a[..., 1], a[..., 0], a[..., 2]], axis=-1).astype(float),
 )
 
 

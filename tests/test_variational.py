@@ -1,14 +1,16 @@
 """Action functional, relabeling machinery and the variational identities."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vortlab import flows
-from vortlab.errors import FoldedRelabelingError, VortlabError
-from vortlab.fields import Box, ScalarFieldLabel
+from vortlab import flows, variational
+from vortlab.errors import FoldedRelabelingError, NonPositiveDensityError, VortlabError
+from vortlab.fields import Box, ScalarFieldLabel, fd_jacobian
+from vortlab.kinematics import cof3, det3
 from vortlab.poly import Poly
 from vortlab.variational import (
     BarotropicEOS,
@@ -33,6 +35,13 @@ from vortlab.variational import (
     weak_form_integral,
     zero_potential,
 )
+
+
+def first_component(x):
+    """Vectors (x, 0, 0) for every label of a stack: (..., 3)."""
+    out = np.zeros(np.shape(x) + (3,))
+    out[..., 0] = x
+    return out
 
 
 def poly_generator():
@@ -92,7 +101,7 @@ class TestMassAndMomentum:
             potential=flows.gravity_potential(g),
         )
         pressure = ScalarFieldLabel(
-            value=lambda a, t: -g * a[2],
+            value=lambda a, t: -g * a[..., 2],
             gradient_fn=lambda a, t: np.array([0.0, 0.0, -g]),
         )
         r = momentum_residual(fx.field, material, pressure, (0.3, -0.3, 0.5), 0.5)
@@ -161,9 +170,9 @@ class TestRelabelGenerators:
         assert np.allclose(gen.delta_a((0.5, -0.4, 0.8)), 0.0)
 
     def test_scalar_pair_cross_gradient(self):
-        dR1 = ScalarFieldLabel(value=lambda a, t: a[0],
+        dR1 = ScalarFieldLabel(value=lambda a, t: a[..., 0],
                                gradient_fn=lambda a, t: np.array([1.0, 0.0, 0.0]))
-        R2 = ScalarFieldLabel(value=lambda a, t: a[1],
+        R2 = ScalarFieldLabel(value=lambda a, t: a[..., 1],
                               gradient_fn=lambda a, t: np.array([0.0, 1.0, 0.0]))
         gen = RelabelGenerator.from_scalar_pair(dR1, R2)
         assert np.allclose(gen.delta_a((0.3, 0.3, 0.3)), [0.0, 0.0, 1.0])
@@ -384,11 +393,11 @@ class TestRundTrautman:
         ne = flows.make_fixture("non-euler")
         quad = SpaceTimeQuadrature.gauss(ne.field.box, (6, 6, 6), (0.0, 1.0), 4)
         vt = VariationTriple(
-            delta_x=lambda a, t: np.array([0.1 * (1 + a[1]) * (1 + t), 0.0, 0.0]),
+            delta_x=lambda a, t: first_component(0.1 * (1 + a[..., 1]) * (1 + t)),
             delta_x_jac=lambda a, t: np.array(
                 [[0.0, 0.1 * (1 + t), 0.0], [0, 0, 0], [0, 0, 0]]
             ),
-            delta_x_dot=lambda a, t: np.array([0.1 * (1 + a[1]), 0.0, 0.0]),
+            delta_x_dot=lambda a, t: first_component(0.1 * (1 + a[..., 1])),
         )
         mism = []
         for eps in (1e-2, 3e-3, 1e-3):
@@ -411,11 +420,232 @@ class TestRundTrautman:
         fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
         quad = SpaceTimeQuadrature.gauss(fx.field.box, (6, 6, 6), (0.0, 1.0), 4)
         vt = VariationTriple(
-            delta_x=lambda a, t: np.array([0.2 * (1 + a[1]) * t, 0.0, 0.0]),
+            delta_x=lambda a, t: first_component(0.2 * (1 + a[..., 1]) * t),
             delta_x_jac=lambda a, t: np.array([[0.0, 0.2 * t, 0.0], [0, 0, 0], [0, 0, 0]]),
-            delta_x_dot=lambda a, t: np.array([0.2 * (1 + a[1]), 0.0, 0.0]),
+            delta_x_dot=lambda a, t: first_component(0.2 * (1 + a[..., 1])),
         )
         eps = 1e-4
         tot, el, bd = rund_trautman_check(fx.field, fx.material, vt, quad, eps=eps)
         assert abs(el) > 0.01 and abs(bd) > 0.01
         assert abs(tot - el - bd) < 1e-3 * max(1.0, abs(tot))
+
+
+# ---------------------------------------------------------------------------
+# Pointwise reference: the variational formulas one node at a time, as they
+# were written before the layer evaluated the whole node stack per time.
+# ---------------------------------------------------------------------------
+
+
+def ref_rho0j0(field, material, a):
+    return float(material.initial_density(a)) * float(det3(field.position_gradient(a, field.t0)))
+
+
+def ref_lagrangian(field, material, a, t, rj):
+    v = field.velocity(a, t)
+    x = field.position(a, t)
+    rho = rj / det3(field.position_gradient(a, t))
+    kinetic = 0.5 * float(v @ v)
+    return (kinetic - float(material.eos.energy(rho)) - float(material.potential(x, t))) * float(rj)
+
+
+def ref_action(field, material, quad):
+    rjs = [ref_rho0j0(field, material, a) for a in quad.space_nodes]
+    return math.fsum(
+        wt * wa * ref_lagrangian(field, material, a, t, rj)
+        for t, wt in zip(quad.time_nodes, quad.time_weights)
+        for a, wa, rj in zip(quad.space_nodes, quad.space_weights, rjs)
+    )
+
+
+def ref_momentum_residual(field, material, pressure, a, t):
+    cof = cof3(field.position_gradient(a, t))
+    rj = material.initial_density(a) * det3(field.position_gradient(a, field.t0))
+    x = field.position(a, t)
+    body = field.acceleration(a, t) + material.potential.gradient(x, t)
+    return rj * body + cof @ pressure.gradient(a, t)
+
+
+def ref_local_variation(field, var, a, t):
+    g = field.position_gradient(a, t)
+    return var.dx(a, t) - field.velocity(a, t) * var.dt(t) - g @ var.da(a)
+
+
+def ref_el_part(field, material, var, quad, pressure):
+    return math.fsum(
+        -wa * wt * float(ref_momentum_residual(field, material, pressure, a, t)
+                         @ ref_local_variation(field, var, a, t))
+        for a, wa in zip(quad.space_nodes, quad.space_weights)
+        for t, wt in zip(quad.time_nodes, quad.time_weights)
+    )
+
+
+def ref_noether(field, material, var, quad, pressure):
+    t_lo, t_hi = quad.window
+
+    def endpoint(a, t):
+        rj = ref_rho0j0(field, material, a)
+        L = ref_lagrangian(field, material, a, t, rj)
+        dbar = ref_local_variation(field, var, a, t)
+        return L * var.dt(t) + rj * float(field.velocity(a, t) @ dbar)
+
+    def flux(a, t):
+        L = ref_lagrangian(field, material, a, t, ref_rho0j0(field, material, a))
+        dbar = ref_local_variation(field, var, a, t)
+        p = float(pressure(a, t))
+        return L * var.da(a) + p * (cof3(field.position_gradient(a, t)).T @ dbar)
+
+    h = 1e-3 * min(field.box.extent)
+    ends = math.fsum(wa * (endpoint(a, t_hi) - endpoint(a, t_lo))
+                     for a, wa in zip(quad.space_nodes, quad.space_weights))
+    div = []
+    for a, wa in zip(quad.space_nodes, quad.space_weights):
+        for t, wt in zip(quad.time_nodes, quad.time_weights):
+            d = fd_jacobian(lambda b: flux(b, t), a, h, 4)
+            div.append(wa * wt * (d[0, 0] + d[1, 1] + d[2, 2]))
+    return ends + math.fsum(div)
+
+
+def _batched_case(name):
+    """(fixture, material, generator, 4^3 x 2 Gauss quadrature) of an action test case.
+
+    Gauss nodes are irrational, so sums and products of node values round;
+    on cell centres of a symmetric box many of them are exact and a product
+    that rounds differently on a stack would go unnoticed.
+    """
+    if name == "non-euler":
+        fx = flows.make_fixture("non-euler")
+        gen = poly_generator()
+    else:
+        fx = flows.make_fixture(name, **({"t1": 2.0} if name == "rigid-rotation" else {}))
+        gen = RelabelGenerator.from_curl(bump_potential(fx.field.box), label="bump")
+    material = fx.material
+    if name == "dilation":
+        # a density that varies over the labels and enters the energy, so
+        # rho0 J0 on the stencil-shifted stacks and E(rho) are compared, and
+        # delta_a = (0, 2 a2 a3, -a3^2), which meets the gravity imbalance along a3
+        rho0 = ScalarFieldLabel(
+            value=lambda a, t: 1.0 + 0.25 * a[..., 0] + 0.2 * a[..., 1] * a[..., 1] * a[..., 2])
+        material = FlowMaterial(rho0=rho0, eos=BarotropicEOS.polytropic(0.7, 2.4),
+                                potential=material.potential)
+        a2, a3 = Poly.variable(4, 1), Poly.variable(4, 2)
+        zero = Poly(4, {})
+        gen = RelabelGenerator.from_potential_polys([a2 * a3 * a3, zero, zero],
+                                                    label="psi=a2*a3^2")
+    quad = SpaceTimeQuadrature.gauss(fx.field.box, (4, 4, 4), (0.1, 0.9), 2)
+    return fx, material, gen, quad
+
+
+BATCHED_CASES = ["rigid-rotation", "dilation", "non-euler"]
+
+
+class TestBatchedVariationalLayer:
+    @pytest.mark.parametrize("name", BATCHED_CASES)
+    def test_action_and_scan_bitwise(self, name):
+        fx, material, gen, quad = _batched_case(name)
+        s0 = ref_action(fx.field, material, quad)
+        assert action(fx.field, material, quad) == s0
+        var = VariationTriple.relabeling(gen)
+        ladder = (1e-2, 3e-3)
+        scan = relabeling_invariance_scan(fx.field, material, gen, quad, eps_list=ladder)
+        want = []
+        for eps in ladder:
+            s_eps = ref_action(DeformedTrajectoryField(fx.field, var, eps), material, quad)
+            assert action(DeformedTrajectoryField(fx.field, var, eps), material, quad) == s_eps
+            want.append(abs(s_eps - s0))
+        assert scan.deviation == want
+        assert scan.base_action == s0
+        assert scan.max_divergence == max(abs(float(gen.divergence(a))) for a in quad.space_nodes)
+
+    @pytest.mark.parametrize("name", BATCHED_CASES)
+    def test_integrands_bitwise_per_node(self, name):
+        # fsum absorbs an ulp in one term, so the sums alone would not show a
+        # product that rounds differently on the stack
+        fx, material, gen, quad = _batched_case(name)
+        var = VariationTriple.relabeling(gen)
+        pressure = variational.pressure_from_eos(fx.field, material)
+        nodes = quad.space_nodes
+        for field in (fx.field, DeformedTrajectoryField(fx.field, var, 1e-2)):
+            rj = np.array([ref_rho0j0(field, material, a) for a in nodes])
+            for t in quad.time_nodes:
+                got = variational._lagrangian_density(field, material, nodes, t, rj)
+                want = [ref_lagrangian(field, material, a, t, r) for a, r in zip(nodes, rj)]
+                assert (got == np.array(want)).all()
+        for t in quad.time_nodes:
+            got = momentum_residual(fx.field, material, pressure, nodes, t)
+            want = [ref_momentum_residual(fx.field, material, pressure, a, t) for a in nodes]
+            assert (got == np.array(want)).all()
+            got = local_variation_of_triple(fx.field, var, nodes, t)
+            want = [ref_local_variation(fx.field, var, a, t) for a in nodes]
+            assert (got == np.array(want)).all()
+
+    @pytest.mark.parametrize("name", BATCHED_CASES)
+    def test_el_part_bitwise_and_noether_close(self, name):
+        fx, material, gen, quad = _batched_case(name)
+        var = VariationTriple.relabeling(gen)
+        pressure = variational.pressure_from_eos(fx.field, material)
+        assert el_part(fx.field, material, var, quad, pressure) == \
+            ref_el_part(fx.field, material, var, quad, pressure)
+        got = noether_boundary_term(fx.field, material, var, quad, pressure)
+        assert abs(got - ref_noether(fx.field, material, var, quad, pressure)) <= 1e-13
+
+    def test_rund_trautman_ladder_matches_single_rungs(self, monkeypatch):
+        fx, material, gen, quad = _batched_case("rigid-rotation")
+        var = VariationTriple.relabeling(gen)
+        ladder = (1e-2, 1e-3)
+        singles = [rund_trautman_check(fx.field, material, var, quad, eps=e) for e in ladder]
+        calls = {"el_part": 0, "noether_boundary_term": 0}
+        for fn in calls:
+            original = getattr(variational, fn)
+
+            def counted(*args, _fn=fn, _original=original, **kwargs):
+                calls[_fn] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(variational, fn, counted)
+        rows = rund_trautman_check(fx.field, material, var, quad, eps=ladder)
+        assert rows == singles
+        assert calls == {"el_part": 1, "noether_boundary_term": 1}
+
+    def test_fold_error_names_first_folded_node(self):
+        fx, material, _, quad = _batched_case("rigid-rotation")
+        # folds only where a1 > 0.2
+        folding = RelabelGenerator(
+            delta_fn=lambda a: np.zeros(3),
+            jacobian_fn=lambda a: np.where(a[..., 0, None, None] > 0.2, -2.0, 0.0) * np.eye(3),
+            label="half-fold",
+        )
+        first = next(a for a in quad.space_nodes if a[0] > 0.2)
+        with pytest.raises(FoldedRelabelingError, match=re.escape(str(tuple(first.tolist())))):
+            relabeling_invariance_scan(fx.field, material, folding, quad, eps_list=(0.9,))
+
+    def test_nonpositive_density_still_raises(self):
+        fx, _, gen, quad = _batched_case("rigid-rotation")
+        # rho0 = a1 is negative on half the box
+        material = FlowMaterial(rho0=ScalarFieldLabel(value=lambda a, t: a[..., 0]),
+                                eos=BarotropicEOS.zero(), potential=zero_potential())
+        first = str(tuple(next(a for a in quad.space_nodes if a[0] <= 0.0).tolist()))
+        for run in (lambda: action(fx.field, material, quad),
+                    lambda: density_from_map(fx.field, material, quad.space_nodes, 0.5),
+                    lambda: el_part(fx.field, material, VariationTriple.relabeling(gen), quad)):
+            with pytest.raises(NonPositiveDensityError, match=re.escape(first)):
+                run()
+
+    def test_noether_evaluator_calls_independent_of_node_count(self, monkeypatch):
+        fx = flows.make_fixture("rigid-rotation", t1=2.0)
+        var = VariationTriple.relabeling(poly_generator())
+        methods = ("position", "velocity", "acceleration", "position_gradient",
+                   "velocity_gradient", "acceleration_gradient", "position_hessian")
+        counts = []
+        for n in (4, 6):
+            quad = SpaceTimeQuadrature.midpoint(fx.field.box, (n, n, n), (0.0, 1.0), 2)
+            calls = [0]
+            with monkeypatch.context() as m:
+                for name in methods:
+                    def counted(a, t, _original=getattr(fx.field, name)):
+                        calls[0] += 1
+                        return _original(a, t)
+
+                    m.setattr(fx.field, name, counted)
+                noether_boundary_term(fx.field, fx.material, var, quad)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
