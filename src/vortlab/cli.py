@@ -358,10 +358,10 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
         "seed": cfg.seed,
     }
     ok = True
+    bump = _default_generator(box)
 
     if run_scan:
-        gen = _default_generator(box)
-        scan = relabeling_invariance_scan(fixture.field, fixture.material, gen, quad,
+        scan = relabeling_invariance_scan(fixture.field, fixture.material, bump, quad,
                                           eps_list=DEFAULT_EPS_LADDER)
         divergent = RelabelGenerator(
             delta_fn=lambda a: np.asarray(a, float),
@@ -381,7 +381,7 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
     if run_weak:
         gq = SpaceTimeQuadrature.gauss(box, (10, 10, 10), window, 5)
         if fixture.spec.extremal:
-            gen = _default_generator(box)
+            gen = bump
             lhs, rhs = weak_form_integral(fixture.field, fixture.material, gen, gq,
                                           pressure=fixture.pressure)
             weak_ok = abs(lhs) < 1e-8 and abs(rhs) < 1e-8
@@ -395,10 +395,9 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
         report["weak_form"] = {"lhs": lhs, "rhs": rhs, "generator": gen.label, "pass": weak_ok}
 
     if run_rt:
-        gen = _default_generator(box)
         # the split uses the action's own (EOS-derived) pressure
         rows = rund_trautman_check(fixture.field, fixture.material,
-                                   VariationTriple.relabeling(gen), quad, eps=DEFAULT_EPS_LADDER)
+                                   VariationTriple.relabeling(bump), quad, eps=DEFAULT_EPS_LADDER)
         ladder = [{"eps": eps, "total": tot, "el_part": el, "bd_part": bd,
                    "mismatch": abs(tot - el - bd)}
                   for eps, (tot, el, bd) in zip(DEFAULT_EPS_LADDER, rows)]

@@ -496,10 +496,6 @@ class TrajectoryField:
         if not (self.t0 - time_pad <= float(t) <= self.t1 + time_pad):
             raise OutOfDomainError(f"time {t} outside window [{self.t0}, {self.t1}]")
 
-    @property
-    def time_window(self) -> tuple[float, float]:
-        return (self.t0, self.t1)
-
 
 def eval_state(field: TrajectoryField, a, t):
     """Position, velocity and acceleration of the parcel labeled ``a`` at ``t``."""

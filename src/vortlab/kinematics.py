@@ -67,10 +67,6 @@ def inv3(m):
     return cof3(m).T / d
 
 
-def solve3(m, b):
-    return inv3(m) @ b
-
-
 def cofactor_rate(g, gv):
     """d(cof G)/dt from G and dG/dt via the minor product rule."""
     out = np.empty((3, 3), dtype=g.dtype if g.dtype == object else float)

@@ -22,7 +22,11 @@ time under the evaluation protocol of :mod:`vortlab.fields`: material data,
 generators, variation triples and the composed configuration take labels
 (..., 3).  The Noether flux is evaluated once per time on each of the 12
 stencil-shifted copies of the stack, and the Rund-Trautman split computes
-S(0), the bulk and the boundary brace once for a whole eps ladder.  Each
+S(0), the bulk and the boundary brace once for a whole eps ladder.  Data
+that depends on the labels alone (the generator delta_a, its Jacobian and
+rho0 J0) is evaluated once per label stack and reused across times and eps
+rungs; the memo is keyed on the stack's content and owned by the relabeling
+triple, the EOS pressure field or the Noether term that reads it.  Each
 node's term is bitwise equal to a one-label evaluation, and quadrature sums
 are accumulated with math.fsum (exactly rounded, so independent of order):
 results are deterministic and the tiny differences S(eps) - S(0) are not
@@ -32,7 +36,7 @@ lost to summation noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
@@ -132,6 +136,22 @@ def _reject(bad, values, a, what: str, error=NonPositiveDensityError, t=None):
         raise error(f"{what} = {np.ravel(values)[k]} at {at}")
 
 
+def _per_stack(fn):
+    """The label-only function ``fn``, evaluated once per distinct label stack:
+    keyed on the stack's shape and bytes (not its identity), values read-only."""
+    memo = {}
+
+    def cached(a):
+        a = np.asarray(a, float)
+        key = (a.shape, a.tobytes())
+        if key not in memo:
+            memo[key] = np.asarray(fn(a))
+            memo[key].flags.writeable = False
+        return memo[key]
+
+    return cached
+
+
 @dataclass(frozen=True)
 class FlowMaterial:
     """Initial density, barotropic EOS and external conservative potential."""
@@ -185,10 +205,14 @@ def momentum_residual(
 
 
 def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarFieldLabel:
-    """p(a, t) = p_eos(rho(a, t)) as a label field (FD gradient)."""
+    """p(a, t) = p_eos(rho0 J0 / J(a, t)) as a label field (FD gradient), the
+    density of :func:`density_from_map` with rho0 J0 taken once per label stack."""
+    rho0j0 = _per_stack(lambda a: _mass_reference(field, material, a))
 
     def val(a, t):
-        return np.asarray(material.eos.pressure(density_from_map(field, material, a, t)), float)[()]
+        rho = rho0j0(a) / jacobian(field, a, t).det
+        _reject(rho <= 0.0, rho, a, "density", t=t)
+        return np.asarray(material.eos.pressure(rho), float)[()]
 
     return ScalarFieldLabel(value=val)
 
@@ -524,7 +548,9 @@ class VariationTriple:
 
     @classmethod
     def relabeling(cls, gen: RelabelGenerator) -> "VariationTriple":
-        return cls(delta_a=gen.delta_a, delta_a_jac=gen.jacobian, label=f"relabeling[{gen.label}]")
+        # delta_a and its Jacobian depend on the labels only: once per stack
+        return cls(delta_a=_per_stack(gen.delta_a), delta_a_jac=_per_stack(gen.jacobian),
+                   label=f"relabeling[{gen.label}]")
 
     @classmethod
     def time_translation(cls) -> "VariationTriple":
@@ -612,27 +638,17 @@ class ScanResult:
     metadata: dict = dataclass_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "deviation": self.deviation,
-            "slope": self.slope,
-            "max_divergence": self.max_divergence,
-            "base_action": self.base_action,
-            "symmetric": self.symmetric,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 SLOPE_FLOOR = 1e-14
 
 
-def fit_loglog_slope(xs, ys, floor: float | None = None) -> float | None:
+def fit_loglog_slope(xs, ys, floor: float = SLOPE_FLOOR) -> float | None:
     """Least-squares slope of log y against log x; None when y sits at the
     rounding floor everywhere (nothing to fit)."""
     xs = [float(x) for x in xs]
     ys = [abs(float(y)) for y in ys]
-    if floor is None:
-        floor = SLOPE_FLOOR
     kept = [(x, y) for x, y in zip(xs, ys) if y > floor]
     if len(kept) < 2:
         return None
@@ -668,7 +684,8 @@ def relabeling_invariance_scan(
         deformed = DeformedTrajectoryField(field, var, eps)
         deformed.fold_factor(nodes)
         deltas.append(abs(action(deformed, material, quad) - s0))
-    max_div = float(np.max(np.abs(gen.divergence(nodes))))
+    d = var.da_jac(nodes)
+    max_div = float(np.max(np.abs(d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2])))
     slope = fit_loglog_slope(eps_list, deltas, floor=max(abs(s0), 1.0) * 1e-14)
     symmetric = slope is None or slope >= slope_threshold
     return ScanResult(
@@ -784,7 +801,6 @@ def noether_boundary_term(
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
     pressure: ScalarFieldLabel | None = None,
-    div_step: float | None = None,
 ) -> float:
     """Boundary brace: time-endpoint spatial quadratures at the window ends
     plus the space-time quadrature of the divergence of the Noether flux
@@ -799,13 +815,7 @@ def noether_boundary_term(
         pressure = pressure_from_eos(field, material)
     t_lo, t_hi = quad.window
     nodes, wa = quad.space_nodes, quad.space_weights
-    rho0j0 = {}  # rho0 J0 per label stack, keyed by the stack's bytes
-
-    def mass_reference(b):
-        key = b.tobytes()
-        if key not in rho0j0:
-            rho0j0[key] = _mass_reference(field, material, b)
-        return rho0j0[key]
+    mass_reference = _per_stack(lambda b: _mass_reference(field, material, b))
 
     def endpoint_integrand(t):
         rj = mass_reference(nodes)
@@ -814,9 +824,7 @@ def noether_boundary_term(
         return L * var.dt(t) + rj * np.vecdot(field.velocity(nodes, t), dbar)
 
     endpoint = math.fsum(wa * (endpoint_integrand(t_hi) - endpoint_integrand(t_lo)))
-
-    if div_step is None:
-        div_step = 1e-3 * min(field.box.extent)
+    div_step = 1e-3 * min(field.box.extent)
 
     def flux(b, t):
         L = _lagrangian_density(field, material, b, t, mass_reference(b))

@@ -1,5 +1,6 @@
 """Action functional, relabeling machinery and the variational identities."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vortlab import flows, variational
+from vortlab import cli, flows, variational
 from vortlab.errors import FoldedRelabelingError, NonPositiveDensityError, VortlabError
 from vortlab.fields import Box, ScalarFieldLabel, fd_jacobian
 from vortlab.kinematics import cof3, det3
@@ -649,3 +650,64 @@ class TestBatchedVariationalLayer:
                 noether_boundary_term(fx.field, fx.material, var, quad)
             counts.append(calls[0])
         assert counts[0] == counts[1] > 0
+
+    def test_relabeling_memo_keys_on_content_and_is_read_only(self):
+        fx, _, gen, quad = _batched_case("rigid-rotation")
+        var = VariationTriple.relabeling(gen)
+        nodes = quad.space_nodes.copy()
+        da, jac = var.da(nodes), var.da_jac(nodes)
+        assert not da.flags.writeable and not jac.flags.writeable
+        with pytest.raises(ValueError):
+            da[0, 0] = 1.0
+        # the same labels in another array share the first evaluation
+        assert var.da(nodes.copy()) is da
+        nodes[0] = (0.1, -0.2, 0.3)
+        assert (var.da(nodes) == gen.delta_a(nodes)).all()
+        assert (var.da_jac(nodes) == gen.jacobian(nodes)).all()
+        assert not (var.da(nodes) == da).all()
+
+    @pytest.mark.parametrize("name", BATCHED_CASES)
+    def test_memoized_relabeling_triple_bitwise(self, name):
+        fx, material, gen, quad = _batched_case(name)
+        plain = VariationTriple(delta_a=gen.delta_a, delta_a_jac=gen.jacobian)
+        ladder = (1e-2, 1e-3)
+        assert rund_trautman_check(fx.field, material, VariationTriple.relabeling(gen), quad,
+                                   eps=ladder) == \
+            rund_trautman_check(fx.field, material, plain, quad, eps=ladder)
+
+    @pytest.mark.parametrize("name", BATCHED_CASES)
+    def test_eos_pressure_bitwise(self, name):
+        fx, material, _, quad = _batched_case(name)
+        pressure = pressure_from_eos(fx.field, material)
+        nodes = quad.space_nodes
+        for t in quad.time_nodes:
+            want = material.eos.pressure(density_from_map(fx.field, material, nodes, t))
+            for _ in range(2):  # the second call reads rho0 J0 from the memo
+                assert (pressure(nodes, t) == want).all()
+        a = tuple(nodes[5].tolist())
+        assert pressure(a, 0.5) == material.eos.pressure(density_from_map(fx.field, material, a, 0.5))
+
+    def test_action_evaluates_generator_once_per_stack(self, monkeypatch):
+        calls = {"jacobian_fn": 0, "density_from_map": 0}
+        original_bump = cli.bump_potential
+        original_density = variational.density_from_map
+
+        def counted_bump(*args, **kwargs):
+            pot = original_bump(*args, **kwargs)
+
+            def jac(a, t, _fn=pot.jacobian_fn):
+                calls["jacobian_fn"] += 1
+                return _fn(a, t)
+
+            return dataclasses.replace(pot, jacobian_fn=jac)
+
+        def counted_density(*args, **kwargs):
+            calls["density_from_map"] += 1
+            return original_density(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bump_potential", counted_bump)
+        monkeypatch.setattr(variational, "density_from_map", counted_density)
+        code, _ = cli.cmd_action(cli.RunConfig(fixture="rigid-rotation", grid=(4, 4, 4), nt=3))
+        assert code == 0
+        assert 0 < calls["jacobian_fn"] <= 40
+        assert calls["density_from_map"] == 0
