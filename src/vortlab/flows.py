@@ -487,9 +487,9 @@ def taylor_green_pressure() -> EulerianScalarField:
     return EulerianScalarField(value=val, gradient_fn=grad)
 
 
-def material_accelerations(u: EulerianVectorField, xs, t) -> np.ndarray:
-    """du/dt + (u . grad) u at points of shape (..., 3)."""
-    convective = np.einsum("...ij,...j->...i", u.jacobian(xs, t), u(xs, t))
+def material_accelerations(u: EulerianVectorField, xs, t, v) -> np.ndarray:
+    """du/dt + (u . grad) u at points of shape (..., 3), given v = u(xs, t)."""
+    convective = np.einsum("...ij,...j->...i", u.jacobian(xs, t), v)
     if u.steady:
         return convective
     return u.time_derivative(xs, t) + convective
@@ -508,10 +508,11 @@ def integrate_trajectories(
     """Advect every grid label through u with the classical 4th-order scheme.
 
     Positions, velocities and material accelerations are stored at every
-    step.  Positions are kept unwrapped so the displacement x - a stays a
-    periodic function of the labels for periodic fields; for non-periodic
-    fields a ``domain`` box triggers an out-of-domain error when any
-    trajectory escapes.
+    step; the stage-1 velocity is the stored one and feeds the acceleration,
+    so each step evaluates u four times.  Positions are kept unwrapped so the
+    displacement x - a stays a periodic function of the labels for periodic
+    fields; for non-periodic fields a ``domain`` box triggers an
+    out-of-domain error when any trajectory escapes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -532,7 +533,7 @@ def integrate_trajectories(
         k1 = u(xs, t)
         pos[k] = xs.reshape(*grid.shape, 3)
         vel[k] = k1.reshape(*grid.shape, 3)
-        acc[k] = material_accelerations(u, xs, t).reshape(*grid.shape, 3)
+        acc[k] = material_accelerations(u, xs, t, k1).reshape(*grid.shape, 3)
         if k == len(times) - 1:
             break
         k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)

@@ -1,8 +1,10 @@
 """CLI contract: exit codes, determinism, report formats, export."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,20 @@ class TestActionCommand:
         assert rep["scan"]["generator"]["slope"] is None or \
             rep["scan"]["generator"]["slope"] >= 1.9
         assert rep["scan"]["divergent_control"]["slope"] <= 1.2
+        assert "asserted" not in rep["scan"]["divergent_control"]
+
+    def test_scan_on_zero_action_decides_on_generator(self, capsys):
+        # the identity map's action is identically zero, so the divergent
+        # control cannot deviate; no tolerance failed and the scan passes
+        code, out = run_cli(
+            ["action", "--fixture", "identity", "--grid", "4,4,4", "--nt", "3", "--scan"],
+            capsys)
+        scan = json.loads(out)["scan"]
+        assert code == 0
+        assert scan["pass"] is True
+        assert scan["divergent_control"]["deviation"] == [0.0] * 4
+        assert scan["divergent_control"]["asserted"] is False
+        assert "0" in scan["divergent_control"]["reason"]
 
 
 class TestDriftCommand:
@@ -208,6 +224,14 @@ class TestDriftCommand:
         assert times[-1] == 1.0
         assert times[:-1] == pytest.approx([0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9])
 
+    @pytest.mark.parametrize("fixture,dt", [("abc", "0.01,0.005"), ("taylor-green", "0.1,0.05")])
+    def test_step_pair_needs_fourth_order_stencils(self, fixture, dt, capsys):
+        code = main(["drift", "--fixture", fixture, "--dt", dt, "--fd-order", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--fd-order 4" in captured.err
+
     def test_step_pair_rejected_for_analytic_fixture(self, capsys):
         code, _ = run_cli(["drift", "--fixture", "identity", "--dt", "0.1,0.05"], capsys)
         assert code == 2
@@ -224,3 +248,46 @@ class TestExport:
         field = load_grid(str(path))
         assert field.grid.shape == (5, 4, 5)
         assert len(field.times) == 3
+
+
+def _readme_examples():
+    """(command, comment) for each line of the README's "Examples:" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    rows = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        rows.append((command.strip(), comment.strip()))
+    return rows
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        assert len(README_EXAMPLES) == 6
+
+    @pytest.mark.parametrize("command,comment", README_EXAMPLES,
+                             ids=[c.split()[1] + "-" + c.split()[3] for c, _ in README_EXAMPLES])
+    def test_example_does_what_its_comment_says(self, command, comment, tmp_path, capsys):
+        argv = shlex.split(command)
+        assert argv[0] == "vortlab"
+        argv = argv[1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, out = run_cli(argv, capsys)
+        assert code == (1 if "exit 1" in comment else 0), comment
+        rep = json.loads(out)
+        if "exact zeros" in comment:
+            assert comment.startswith("100/100")
+            assert rep["exact_zero_counts"] and \
+                all(v == 100 for v in rep["exact_zero_counts"].values())
+        if "slope" in comment:
+            assert comment == "slope >= 1.9"
+            assert rep["scan"]["generator"]["slope"] >= 1.9
+        if "ratio" in comment:
+            assert 12.0 <= rep["drift_ratio"] <= 20.0
+        if "--out" in argv:
+            assert load_grid(argv[argv.index("--out") + 1]).grid.shape == (17, 5, 17)

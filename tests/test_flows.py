@@ -123,6 +123,43 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("steady", [True, False])
+    def test_four_velocity_calls_per_step_and_stored_accelerations(self, steady):
+        calls = []
+
+        def value(x, t):
+            calls.append(t)
+            return np.stack([np.sin(x[..., 1]) + t * x[..., 2], np.cos(x[..., 2]),
+                             (1.0 + t) * np.sin(x[..., 0])], axis=-1)
+
+        def jac(x, t):
+            out = np.zeros(x.shape + (3,))
+            out[..., 0, 1] = np.cos(x[..., 1])
+            out[..., 0, 2] = t
+            out[..., 1, 2] = -np.sin(x[..., 2])
+            out[..., 2, 0] = (1.0 + t) * np.cos(x[..., 0])
+            return out
+
+        def dudt(x, t):
+            return np.stack([x[..., 2], 0.0 * x[..., 1], np.sin(x[..., 0])], axis=-1)
+
+        if steady:
+            u = flows.EulerianVectorField(
+                value=lambda x, t: value(x, 0.0), jacobian_fn=lambda x, t: jac(x, 0.0),
+                steady=True)
+        else:
+            u = flows.EulerianVectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
+        grid = LabelGrid.nodes_inclusive(Box((0.1, 0.2, 0.3), (0.6, 0.9, 0.5)), (4, 3, 5))
+        fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.125)
+        assert len(calls) == 4 * 8 + 1
+        for k, t in enumerate(fld.times):
+            x = fld.positions[k].reshape(-1, 3)
+            expected = np.einsum("...ij,...j->...i", u.jacobian(x, t), u(x, t))
+            if not steady:
+                expected = u.time_derivative(x, t) + expected
+            assert np.array_equal(fld.accelerations[k].reshape(-1, 3), expected)
+            assert np.array_equal(fld.velocities[k].reshape(-1, 3), u(x, t))
+
     def test_taylor_green_fixture_planar(self):
         fx = flows.make_fixture("taylor-green", shape=(12, 12, 4), t1=0.2, dt=0.05)
         v = fx.field.node_values("velocity", 0)

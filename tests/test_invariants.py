@@ -298,6 +298,31 @@ class TestAdvectedDriftOrder:
         order = np.log2(probe["drift_ratio"])
         assert order >= 3.7, probe
 
+    def test_probe_matches_full_patch_reference(self):
+        # the probe advects the inner grid plus its stencil halo; advecting
+        # the whole 17^3 patch must give the same drifts, bit for bit
+        from vortlab.cli import RunConfig, _dt_ratio_probe
+
+        probe = _dt_ratio_probe(RunConfig(fixture="abc", dt=(0.1, 0.05), t1=1.0))
+        h, n, margin = 0.05 / 2.5, 17, 4
+        center = np.array([1.3, 2.1, 0.7])
+        half = h * (n - 1) / 2
+        patch = LabelGrid.nodes_inclusive(Box(tuple(center - half), tuple(center + half)),
+                                          (n, n, n))
+        inner = half - margin * h
+        igrid = LabelGrid.nodes_inclusive(Box(tuple(center - inner), tuple(center + inner)),
+                                          (n - 2 * margin,) * 3)
+        times = np.linspace(0.0, 1.0, 6)
+        drifts = [
+            cauchy_drift(flows.integrate_trajectories(flows.abc_velocity(), patch, 0.0, 1.0, dt),
+                         igrid, times).max_drift
+            for dt in (0.1, 0.05)
+        ]
+        assert probe["drift"] == drifts
+        assert probe["drift_ratio"] == drifts[0] / drifts[1]
+        assert probe["patch"] == {"center": list(center), "spacing": h, "nodes": n,
+                                  "margin": margin}
+
 
 class TestVorticityReconstruction:
     def test_identity_returns_seed(self):
