@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -446,27 +447,32 @@ def cmd_drift(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _dt_ratio_probe(cfg: RunConfig) -> dict:
-    """Cauchy-drift ratio between two step sizes on a fine interior patch.
+    """Cauchy-drift ratio between a step and its half on a fine interior patch.
 
-    The patch spacing is 0.4 of the finer step: with 4th-order stencils in
-    space and time both errors scale as the 4th power, so the spatial floor
-    stays a fixed fraction of the integrator drift; the probe therefore needs
-    ``--fd-order 4``.  Below a spacing of 1e-3 the FD differentiation meets
-    its rounding floor, and the probe refuses.  The drift is measured on the
-    inner grid, away from the patch edges (one-sided stencils there carry a
-    step-independent floor), and only that grid plus the 2-node halo its
-    central stencils read is advected.
+    The pass band [12, 20] is 2^4 +- 25% for exactly that pair, so any other
+    ``--dt`` list is a usage error.  The patch spacing is 0.4 of the finer
+    step: with 4th-order stencils in space and time both errors scale as the
+    4th power, so the spatial floor stays a fixed fraction of the integrator
+    drift; the probe therefore needs ``--fd-order 4``.  Below a spacing of
+    1e-3 the FD differentiation meets its rounding floor, and the probe
+    refuses.  The drift is measured on the inner grid, away from the patch
+    edges (one-sided stencils there carry a step-independent floor), and
+    only that grid plus the 2-node halo its central stencils read is
+    advected.
     """
     from .fields import Box
     from .flows import abc_velocity, taylor_green_velocity
 
+    if len(cfg.dt) != 2 or not math.isclose(cfg.dt[1], cfg.dt[0] / 2, rel_tol=1e-12):
+        raise VortlabError("--dt pairs need exactly two steps A,B with B = A/2 (the pass band "
+                           f"[12, 20] is 2^4 +- 25%), got {','.join(map(str, cfg.dt))}")
     if cfg.fd_order != 4:
         raise VortlabError("--dt pairs need --fd-order 4: the probe's spacing rule "
                            "assumes 4th-order spatial stencils")
-    h, n, margin = min(cfg.dt[:2]) / 2.5, 17, 4
+    h, n, margin = cfg.dt[1] / 2.5, 17, 4
     if h < 1e-3:
         raise VortlabError(
-            f"--dt {min(cfg.dt[:2])} needs probe spacing {h:.3g} < 0.001, below which "
+            f"--dt {cfg.dt[1]} needs probe spacing {h:.3g} < 0.001, below which "
             "finite-difference rounding swamps the integrator drift; use steps >= 0.0025"
         )
     u = abc_velocity() if cfg.fixture == "abc" else taylor_green_velocity()
@@ -480,15 +486,15 @@ def _dt_ratio_probe(cfg: RunConfig) -> dict:
     igrid = LabelGrid.nodes_inclusive(inner, (n - 2 * margin,) * 3)
     t1 = cfg.t1 if cfg.t1 is not None else 1.0
     times = np.linspace(0.0, t1, 6)
-    drifts = {}
-    for dt in cfg.dt[:2]:
-        fld = integrate_trajectories(u, grid, 0.0, t1, dt, order=cfg.fd_order)
-        drifts[dt] = cauchy_drift(fld, igrid, times).max_drift
-    d_coarse, d_fine = (drifts[d] for d in cfg.dt[:2])
+    drift = [
+        cauchy_drift(integrate_trajectories(u, grid, 0.0, t1, dt, order=cfg.fd_order),
+                     igrid, times).max_drift
+        for dt in cfg.dt
+    ]
     return {
-        "dt": list(cfg.dt[:2]),
-        "drift": [d_coarse, d_fine],
-        "drift_ratio": d_coarse / d_fine,
+        "dt": list(cfg.dt),
+        "drift": drift,
+        "drift_ratio": drift[0] / drift[1],
         "patch": {"center": list(center), "spacing": h, "nodes": n, "margin": margin},
     }
 

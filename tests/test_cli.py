@@ -232,6 +232,16 @@ class TestDriftCommand:
         assert captured.out == ""
         assert "--fd-order 4" in captured.err
 
+    @pytest.mark.parametrize("dt", ["0.1,0.05,0.025", "0.1,0.1", "0.05,0.1"])
+    def test_step_list_other_than_step_and_half_usage_error(self, dt, capsys):
+        # the [12, 20] band holds for a step and its half only: three steps,
+        # equal steps or the finer step first are usage errors, not failures
+        code = main(["drift", "--fixture", "abc", "--dt", dt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "B = A/2" in captured.err
+
     def test_step_pair_rejected_for_analytic_fixture(self, capsys):
         code, _ = run_cli(["drift", "--fixture", "identity", "--dt", "0.1,0.05"], capsys)
         assert code == 2

@@ -1,6 +1,9 @@
 """Fixture catalog and the trajectory integrator."""
 
+import dataclasses
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -177,3 +180,147 @@ class TestIntegrator:
                                       nodes[idx], 0.1)
                 worst = max(worst, float(np.max(np.abs(r))))
             assert worst < 5e-2, (name, worst)
+
+
+def _serial_rk4(u, grid, t0, t1, dt, domain=None):
+    """Reference: the integrator's RK4 loop over the whole label stack in one thread."""
+    nsteps = int(round((t1 - t0) / dt))
+    times = t0 + dt * np.arange(nsteps + 1)
+    xs = grid.nodes().copy()
+    pos, vel, acc = [], [], []
+    for k, t in enumerate(times):
+        if domain is not None and not domain.contains(xs):
+            raise OutOfDomainError(f"trajectory left the velocity domain at t={t}")
+        k1 = u(xs, t)
+        pos.append(xs)
+        vel.append(k1)
+        acc.append(flows.material_accelerations(u, xs, t, k1))
+        if k == nsteps:
+            break
+        k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = u(xs + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = u(xs + dt * k3, t + dt)
+        xs = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    shape = (len(times), *grid.shape, 3)
+    return tuple(np.reshape(v, shape) for v in (pos, vel, acc))
+
+
+def _unsteady_velocity():
+    """The unsteady field of the call-count test, with its exact time derivative."""
+
+    def value(x, t):
+        return np.stack([np.sin(x[..., 1]) + t * x[..., 2], np.cos(x[..., 2]),
+                         (1.0 + t) * np.sin(x[..., 0])], axis=-1)
+
+    def jac(x, t):
+        out = np.zeros(x.shape + (3,))
+        out[..., 0, 1] = np.cos(x[..., 1])
+        out[..., 0, 2] = t
+        out[..., 1, 2] = -np.sin(x[..., 2])
+        out[..., 2, 0] = (1.0 + t) * np.cos(x[..., 0])
+        return out
+
+    def dudt(x, t):
+        return np.stack([x[..., 2], 0.0 * x[..., 1], np.sin(x[..., 0])], axis=-1)
+
+    return flows.EulerianVectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
+
+
+def _advection_case(name, shape):
+    """(velocity field, label grid) of a steady (abc) or unsteady test flow."""
+    if name == "abc":
+        box = Box((0.0, 0.0, 0.0), (flows.TWO_PI,) * 3)
+        return flows.abc_velocity(), LabelGrid.cell_centers(box, shape)
+    return _unsteady_velocity(), LabelGrid.nodes_inclusive(
+        Box((0.1, 0.2, 0.3), (0.6, 0.9, 0.5)), shape)
+
+
+def _counting(u, calls):
+    """``u`` with every velocity call's stack length appended to ``calls``."""
+    return dataclasses.replace(u, value=lambda x, t: calls.append(len(x)) or u.value(x, t))
+
+
+@pytest.fixture
+def force_chunks(monkeypatch):
+    """Pin the CPU count (and optionally the chunk floor) the integrator sees."""
+
+    def force(cpus, floor=None):
+        monkeypatch.setattr(flows, "_usable_cpus", lambda: cpus)
+        if floor is not None:
+            monkeypatch.setattr(flows, "_CHUNK_FLOOR", floor)
+
+    return force
+
+
+class TestConcurrentAdvection:
+    @pytest.mark.parametrize("name", ["abc", "unsteady"])
+    def test_chunks_match_serial_reference_bitwise(self, name, force_chunks):
+        force_chunks(2)
+        u, grid = _advection_case(name, (24, 24, 8))  # 4,608 labels: two chunks of 2,304
+        calls = []
+        fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.125)
+        assert calls == [2304] * 2 * (4 * 4 + 1)
+        pos, vel, acc = _serial_rk4(u, grid, 0.0, 0.5, 0.125)
+        assert np.array_equal(fld.positions, pos)
+        assert np.array_equal(fld.velocities, vel)
+        assert np.array_equal(fld.accelerations, acc)
+
+    def test_small_stacks_stay_in_one_chunk(self, force_chunks):
+        force_chunks(2)
+        u, grid = _advection_case("abc", (12, 12, 14))  # 2,016 labels, below the floor
+        calls = []
+        flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.25, 0.125)
+        assert calls == [2016] * (4 * 2 + 1)
+
+    def test_earliest_escape_over_chunks_is_reported(self, force_chunks):
+        # u = x1 e1 grows like exp(t), so the labels of the second chunk
+        # (larger a1) leave the box at t = 0.7, the first chunk's only at 1.1
+        force_chunks(2, floor=8)
+        u = flows.EulerianVectorField(
+            value=lambda x, t: x * np.array([1.0, 0.0, 0.0]),
+            jacobian_fn=lambda x, t: np.diag([1.0, 0.0, 0.0]), steady=True)
+        grid = LabelGrid.nodes_inclusive(Box((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), (4, 3, 3))
+        domain = Box((0.0, -1.0, -1.0), (2.0, 2.0, 2.0))
+        with pytest.raises(OutOfDomainError) as expected:
+            _serial_rk4(u, grid, 0.0, 2.0, 0.1, domain=domain)
+        with pytest.raises(OutOfDomainError) as got:
+            flows.integrate_trajectories(u, grid, 0.0, 2.0, 0.1, domain=domain)
+        assert str(got.value) == str(expected.value)
+        assert "t=0.7" in str(got.value)
+
+    def test_worker_exception_reaches_the_caller(self, force_chunks):
+        class Boom(RuntimeError):
+            pass
+
+        def value(x, t):
+            if t > 0.3 and x[0, 0] > 0.75:  # second chunk only
+                raise Boom("velocity failed")
+            return np.zeros(x.shape)
+
+        force_chunks(2, floor=8)
+        u = flows.EulerianVectorField(value=value, steady=True)
+        grid = LabelGrid.nodes_inclusive(Box((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), (4, 3, 3))
+        with pytest.raises(Boom):
+            flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("name", ["abc", "unsteady"])
+    def test_stress_more_chunks_than_cores(self, name, force_chunks):
+        # 8 chunks of 108 labels on any core count, with thread switches
+        # forced every microsecond: every chunk writes only its own rows of
+        # the shared arrays, so the result stays bitwise the serial one
+        force_chunks(8, floor=16)
+        u, grid = _advection_case(name, (12, 12, 6))
+        calls = []
+        interval = sys.getswitchinterval()
+        start = time.monotonic()
+        try:
+            sys.setswitchinterval(1e-6)
+            fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.05)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - start < 60.0
+        assert calls == [108] * 8 * (4 * 10 + 1)
+        pos, vel, acc = _serial_rk4(u, grid, 0.0, 0.5, 0.05)
+        assert np.array_equal(fld.positions, pos)
+        assert np.array_equal(fld.velocities, vel)
+        assert np.array_equal(fld.accelerations, acc)

@@ -20,10 +20,12 @@ from vortlab.invariants import (
     cauchy_drift,
     cauchy_residual,
     cauchy_vorticity_reconstruct,
+    gradient_curl,
     gradients_on_grid,
     image_fields_on_grid,
     image_velocity,
     lagrangian_vorticity,
+    label_stack,
     lagrangian_vorticity_pullback,
 )
 from vortlab.kinematics import jacobian
@@ -286,6 +288,28 @@ class TestGridEvaluation:
             assert np.array_equal(g[:, :, n], field.position_gradient(a, t))
             assert np.allclose(V[n], image_velocity(field, a, t), rtol=0.0, atol=1e-14)
             assert np.allclose(omega[n], lagrangian_vorticity(field, a, t), rtol=0.0, atol=1e-14)
+
+
+class TestLabelStackLayout:
+    @pytest.mark.parametrize("case", ["sampled", "analytic"])
+    def test_c_order_stacks_curl_like_moveaxis_views(self, case):
+        if case == "sampled":
+            field = flows.make_fixture("abc", shape=(12, 12, 12), t1=0.2, dt=0.05).field
+            grid, t = field.grid, field.times[2]
+        else:
+            field = flows.make_fixture("gerstner").field
+            grid, t = LabelGrid.cell_centers(field.box, (12, 12, 12)), 0.4
+        nodes = grid.nodes()
+        kinds = ("position", "velocity", "acceleration")
+        stacks = {k: gradients_on_grid(field, grid, t, k) for k in kinds}
+        views = {k: np.moveaxis(getattr(field, f"{k}_gradient")(nodes, t), 0, -1) for k in kinds}
+        for k in kinds:
+            assert stacks[k].flags.c_contiguous and not views[k].flags.c_contiguous
+            assert np.array_equal(stacks[k], views[k])
+        assert label_stack(field, nodes, t, "velocity_gradient").flags.c_contiguous
+        for k in ("velocity", "acceleration"):
+            assert np.array_equal(gradient_curl(stacks[k], stacks["position"]),
+                                  gradient_curl(views[k], views["position"]))
 
 
 class TestAdvectedDriftOrder:
