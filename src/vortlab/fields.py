@@ -883,8 +883,18 @@ _GRID_MAGIC = "vortlab-grid"
 _GRID_VERSION = 1
 
 
+def _check_stencil_fit(path, field: SampledTrajectoryField):
+    """Grid files hold fields whose non-periodic axes fit the order's one-sided stencil."""
+    width = len(_EDGE_1[field.order][0])
+    for j, (n, periodic) in enumerate(zip(field.grid.shape, field.periodic), start=1):
+        if not periodic and n < width:
+            raise GridFormatError(f"{path}: non-periodic axis{j} of length {n} is too short "
+                                  f"for the {width}-point order-{field.order} stencils")
+
+
 def save_grid(field: SampledTrajectoryField, path: str):
     """Write the self-describing binary (.npz) or CSV (.csv) grid format."""
+    _check_stencil_fit(path, field)
     if str(path).endswith(".csv"):
         _save_grid_csv(field, path)
         return
@@ -937,12 +947,14 @@ def _field_from_arrays(path, axes, times, positions, velocities, accelerations, 
             raise GridFormatError(f"{path}: axis{j} is not uniformly spaced")
         spac.append(float(steps[0]))
     try:
-        return SampledTrajectoryField(
+        field = SampledTrajectoryField(
             LabelGrid(tuple(axes), tuple(spac)), times, positions, velocities, accelerations,
             periodic=periodic, order=order,
         )
     except ValueError as exc:
         raise GridFormatError(f"{path}: {exc}") from exc
+    _check_stencil_fit(path, field)
+    return field
 
 
 def _save_grid_csv(field: SampledTrajectoryField, path: str):
@@ -1008,6 +1020,10 @@ def _load_grid_csv(path: str) -> SampledTrajectoryField:
         raise GridFormatError(f"{path}: '# fields' does not list positions")
     if min(n1, n2, n3, nt) < 1:
         raise GridFormatError(f"{path}: '# shape' needs positive sizes")
+    starts_steps = [*axis_steps, (t0, dt)]
+    ends = [start + step * (n - 1) for (start, step), n in zip(starts_steps, (n1, n2, n3, nt))]
+    if not all(map(math.isfinite, [*itertools.chain(*starts_steps), *ends])):
+        raise GridFormatError(f"{path}: axis and time ladders need finite numbers")
     expected = (nt * n1 * n2 * n3, 3 * len(kinds))
     if len(rows) != expected[0] or any(len(r) != expected[1] for r in rows):
         raise GridFormatError(f"{path}: expected {expected[0]} rows x {expected[1]} cols")

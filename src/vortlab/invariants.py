@@ -21,11 +21,11 @@ and drops out of the curl, leaving
 
 zero exactly when the flow is extremal at (a, t).
 
-Diagnostics over a label grid or loop evaluate once per time over all of
-their labels: :func:`label_stack` makes one protocol call on the (N, 3)
-label stack, after the same domain and singular-map checks as the pointwise
-functions, and returns gradients with component axes first, (3, 3, N), so
-the arithmetic runs on the whole stack.
+Each quantity has one implementation on the protocol of :mod:`vortlab.fields`:
+labels (..., 3) give values (..., 3), one label being the empty leading
+shape, and the drift reports call it on their whole label stack once per
+time.  :func:`label_stack` makes the protocol call after the domain and
+singular-map checks; its gradients come back components first, (3, 3, ...).
 """
 
 from __future__ import annotations
@@ -34,15 +34,29 @@ import math
 
 import numpy as np
 
-from .fields import LabelGrid, TrajectoryField, curl
+from .fields import LabelGrid, TrajectoryField, curl, matvec
 from .kinematics import checked_det, jacobian
 from .report import DriftReport
 
 
-def image_velocity(field: TrajectoryField, a, t) -> np.ndarray:
-    """Label-space velocity image V = G^T xdot; V.da equals u.dx by construction."""
-    bundle = jacobian(field, a, t)
-    return bundle.matrix.T @ field.velocity(a, t)
+def label_stack(field: TrajectoryField, labels, t, method: str) -> np.ndarray:
+    """The protocol evaluator ``method`` ("velocity", "position_gradient", ...)
+    at labels (..., 3), in one call after ``check_domain``.
+
+    Gradients come back with component axes first, (3, 3, ...), as in
+    :func:`vortlab.fields.curl`, copied to C order: ``einsum`` and the
+    elementwise stack arithmetic run ~5x faster on a contiguous stack than
+    on the strided ``moveaxis`` view, with bitwise equal results.  A
+    position-gradient stack passes the singular-map test of
+    :func:`vortlab.kinematics.checked_det`.
+    """
+    field.check_domain(labels, t)
+    out = getattr(field, method)(labels, t)
+    if method.endswith("_gradient"):
+        out = np.ascontiguousarray(np.moveaxis(out, (-2, -1), (0, 1)))
+        if method == "position_gradient":
+            checked_det(out)
+    return out
 
 
 def gradient_curl(gw, g):
@@ -55,26 +69,36 @@ def gradient_curl(gw, g):
     return curl(np.einsum("mj...,mk...->kj...", gw, g))
 
 
+def _image(g, w) -> np.ndarray:
+    """G^T w at every label, from a :func:`label_stack` G (3, 3, ...) and w (..., 3)."""
+    return np.einsum("mj...,...m->...j", g, w)
+
+
+def _curl_image(field: TrajectoryField, a, t, g, kind: str) -> np.ndarray:
+    """curl_a(G^T w) at labels (..., 3) for w the map's ``kind`` ("velocity" or
+    "acceleration"), given its position-gradient stack ``g``; (..., 3)."""
+    return np.moveaxis(gradient_curl(label_stack(field, a, t, f"{kind}_gradient"), g), 0, -1)
+
+
+def image_velocity(field: TrajectoryField, a, t) -> np.ndarray:
+    """Label-space velocity image V = G^T xdot; V.da equals u.dx by construction."""
+    g = label_stack(field, a, t, "position_gradient")
+    return _image(g, label_stack(field, a, t, "velocity"))
+
+
 def lagrangian_vorticity(field: TrajectoryField, a, t) -> np.ndarray:
     """Omega = curl_a V, assembled from the position and velocity gradients."""
-    field.check_domain(a, t)
-    g = field.position_gradient(a, t)
-    checked_det(g)
-    return gradient_curl(field.velocity_gradient(a, t), g)
+    return _curl_image(field, a, t, label_stack(field, a, t, "position_gradient"), "velocity")
 
 
 def lagrangian_vorticity_pullback(field: TrajectoryField, omega_x, a, t) -> np.ndarray:
     """Omega from the Eulerian vorticity: cof(G)^T omega_x."""
-    bundle = jacobian(field, a, t)
-    return bundle.cof.T @ np.asarray(omega_x)
+    return matvec(np.swapaxes(jacobian(field, a, t).cof, -1, -2), omega_x)
 
 
 def cauchy_residual(field: TrajectoryField, a, t) -> np.ndarray:
     """curl_a(dV/dt); zero iff the flow is extremal at (a, t)."""
-    field.check_domain(a, t)
-    g = field.position_gradient(a, t)
-    checked_det(g)
-    return gradient_curl(field.acceleration_gradient(a, t), g)
+    return _curl_image(field, a, t, label_stack(field, a, t, "position_gradient"), "acceleration")
 
 
 def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.ndarray:
@@ -84,8 +108,8 @@ def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.nda
     a -> Omega(a, t0).
     """
     bundle = jacobian(field, a, t)
-    base = omega0(a) if callable(omega0) else np.asarray(omega0)
-    return (bundle.matrix @ base) / bundle.det
+    base = omega0(a) if callable(omega0) else omega0
+    return matvec(bundle.matrix, base) / np.expand_dims(bundle.det, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -93,38 +117,20 @@ def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def label_stack(field: TrajectoryField, labels, t, method: str) -> np.ndarray:
-    """The protocol evaluator ``method`` ("velocity", "position_gradient", ...)
-    at every label of an (N, 3) stack, in one call after ``check_domain``.
-
-    Gradients come back with component axes first, (3, 3, N), as in
-    :func:`vortlab.fields.curl`, copied to C order: ``einsum`` and the
-    elementwise stack arithmetic run ~5x faster on a contiguous stack than
-    on the strided ``moveaxis`` view, with bitwise equal results.  A
-    position-gradient stack passes the singular-map test of
-    :func:`vortlab.kinematics.checked_det`.
-    """
-    field.check_domain(labels, t)
-    out = getattr(field, method)(labels, t)
-    if method.endswith("_gradient"):
-        out = np.ascontiguousarray(np.moveaxis(out, 0, -1))
-        if method == "position_gradient":
-            checked_det(out)
-    return out
-
-
-def gradients_on_grid(field: TrajectoryField, grid: LabelGrid, t, kind: str) -> np.ndarray:
-    """(3, 3, N) stack of d(kind)_i/da_j over the grid nodes, C order.
-
-    ``kind`` is "position", "velocity" or "acceleration".
-    """
-    return label_stack(field, grid.nodes(), t, f"{kind}_gradient")
-
-
-def omega_stack(field: TrajectoryField, labels, t) -> np.ndarray:
-    """(N, 3) array of Omega at every label of an (N, 3) stack."""
-    g = label_stack(field, labels, t, "position_gradient")
-    return gradient_curl(label_stack(field, labels, t, "velocity_gradient"), g).T
+def _grid_drift(theorem: str, quantity, grid: LabelGrid, times, tolerance, metadata) -> DriftReport:
+    """Max and cell-weighted L2 over the grid of the per-node deviation of
+    ``quantity(t)`` from ``quantity(times[0])``: the Euclidean norm of a
+    vector quantity (N, 3), the absolute value of a scalar one (N,)."""
+    times = [float(t) for t in times]
+    base = quantity(times[0])
+    max_dev, l2_dev = [0.0], [0.0]
+    for t in times[1:]:
+        diff = quantity(t) - base
+        dev = np.sqrt(np.sum(diff * diff, axis=1)) if diff.ndim > 1 else np.abs(diff)
+        max_dev.append(float(np.max(dev)))
+        l2_dev.append(math.sqrt(float(np.sum(dev**2)) * grid.cell_volume))
+    return DriftReport(theorem=theorem, times=times, max_deviation=max_dev,
+                       l2_deviation=l2_dev, tolerance=tolerance, metadata=metadata)
 
 
 def cauchy_drift(
@@ -134,38 +140,8 @@ def cauchy_drift(
     tolerance: float | None = None,
 ) -> DriftReport:
     """Max and grid-weighted L2 deviation of Omega(a, t) from Omega(a, t0)."""
-    times = [float(t) for t in times]
     nodes = grid.nodes()
-    base = omega_stack(field, nodes, times[0])
-    w = grid.cell_volume
-    max_dev, l2_dev = [], []
-    for k, t in enumerate(times):
-        if k == 0:
-            max_dev.append(0.0)
-            l2_dev.append(0.0)
-            continue
-        omega = omega_stack(field, nodes, t)
-        diff = omega - base
-        norms = np.sqrt(np.sum(diff * diff, axis=1))
-        max_dev.append(float(np.max(norms)))
-        l2_dev.append(math.sqrt(float(np.sum(norms**2)) * w))
-    return DriftReport(
-        theorem="cauchy",
-        times=times,
-        max_deviation=max_dev,
-        l2_deviation=l2_dev,
-        tolerance=tolerance,
-        metadata={
-            "backend": field.backend,
-            "grid_shape": list(grid.shape),
-            "fd_order": field.order,
-        },
+    return _grid_drift(
+        "cauchy", lambda t: lagrangian_vorticity(field, nodes, t), grid, times, tolerance,
+        {"backend": field.backend, "grid_shape": list(grid.shape), "fd_order": field.order},
     )
-
-
-def image_fields_on_grid(field: TrajectoryField, grid: LabelGrid, t):
-    """(V, Omega) as (N, 3) arrays over the grid nodes (helicity building block)."""
-    nodes = grid.nodes()
-    g = label_stack(field, nodes, t, "position_gradient")
-    V = np.einsum("mjn,nm->nj", g, label_stack(field, nodes, t, "velocity"))
-    return V, gradient_curl(label_stack(field, nodes, t, "velocity_gradient"), g).T

@@ -25,6 +25,7 @@ from .fields import (
     curl,
     derivative,
     fd_jacobian,
+    matvec,
 )
 
 # Relative threshold for the scale-invariant singularity test.
@@ -60,13 +61,6 @@ def cof3(m):
     return out
 
 
-def inv3(m):
-    d = det3(m)
-    if d == 0:
-        raise DegenerateMapError("singular 3x3 matrix")
-    return cof3(m).T / d
-
-
 def cofactor_rate(g, gv):
     """d(cof G)/dt from G and dG/dt via the minor product rule."""
     out = np.empty((3, 3), dtype=g.dtype if g.dtype == object else float)
@@ -85,13 +79,7 @@ def cofactor_rate(g, gv):
 def det_rate(g, gv):
     """dJ/dt by Jacobi's formula: sum_ij cof(G)_ij dG_ij/dt."""
     c = cof3(g)
-    total = c[0, 0] * gv[0, 0]
-    for i in range(3):
-        for j in range(3):
-            if i == 0 and j == 0:
-                continue
-            total = total + c[i, j] * gv[i, j]
-    return total
+    return sum(c[i, j] * gv[i, j] for i in range(3) for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,7 @@ def jacobian(field: TrajectoryField, a, t) -> JacobianBundle:
 
 def pullback_gradient(bundle: JacobianBundle, grad_x) -> np.ndarray:
     """Label-space gradient of a quantity whose physical gradient is grad_x."""
-    return bundle.matrix.T @ np.asarray(grad_x)
+    return matvec(np.swapaxes(bundle.matrix, -1, -2), grad_x)
 
 
 def eulerian_velocity_gradient(field: TrajectoryField, a, t) -> np.ndarray:
@@ -350,12 +338,12 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
 
 def transform_line(bundle: JacobianBundle, da) -> np.ndarray:
     """Line element: dx = G da."""
-    return bundle.matrix @ np.asarray(da)
+    return matvec(bundle.matrix, da)
 
 
 def transform_surface(bundle: JacobianBundle, ds) -> np.ndarray:
     """Oriented surface element: ds_x = cof(G) ds_a."""
-    return bundle.cof @ np.asarray(ds)
+    return matvec(bundle.cof, ds)
 
 
 def transform_volume(bundle: JacobianBundle, dv):

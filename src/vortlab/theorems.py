@@ -12,6 +12,11 @@ Each theorem becomes a residual or drift operation:
 Loops use the composite trapezoid rule on their periodic parametrization;
 regions use the midpoint rule on cells, with boundary face quadratures for
 the tangency number.
+
+The residuals and the potential vorticity take labels (..., 3), and the
+drift reports call the same kernels on their whole label stack once per
+time: the Ertel drift shares the grid loop of the Cauchy drift, and the
+circulation and helicity drifts share one loop over a scalar time series.
 """
 
 from __future__ import annotations
@@ -22,20 +27,20 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveDensityError, VortlabError
+from .errors import VortlabError
 from .fields import Box, LabelGrid, ScalarFieldLabel, TrajectoryField, derivative, fd_jacobian
 from .invariants import (
-    cauchy_residual,
+    _curl_image,
+    _grid_drift,
+    _image,
     gradient_curl,
-    gradients_on_grid,
-    image_fields_on_grid,
+    image_velocity,
     label_stack,
     lagrangian_vorticity,
-    omega_stack,
 )
-from .kinematics import cof3, det3, inv3, jacobian
+from .kinematics import cof3, det3, jacobian
 from .report import DriftReport
-from .variational import FlowMaterial, density_from_map
+from .variational import FlowMaterial, _mass_reference, _reject, density_from_map
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +187,12 @@ class LabelRegion:
 def dalembert_euler_residual(field: TrajectoryField, a, t) -> np.ndarray:
     """curl_x of the material acceleration, pulled back through the cofactors.
 
-    Equals inv(cof^T) applied to the curl of dV/dt, so it vanishes exactly
-    where the Cauchy residual does.
+    Equals inv(cof^T) = G / J applied to the Cauchy residual R = curl_a(dV/dt),
+    so it vanishes exactly where R does.
     """
-    bundle = jacobian(field, a, t)
-    return inv3(bundle.cof.T) @ cauchy_residual(field, a, t)
+    g = label_stack(field, a, t, "position_gradient")
+    r = _curl_image(field, a, t, g, "acceleration")
+    return np.einsum("ij...,...j->...i", g, r) / np.expand_dims(det3(g), -1)
 
 
 def beltrami_residual(
@@ -205,7 +211,7 @@ def beltrami_residual(
     if dt_fd is None:
         dt_fd = 1e-3 * (field.t1 - field.t0)
     omega0 = lagrangian_vorticity(field, a, field.t0).astype(float)
-    rho0j0 = float(material.initial_density(a)) * float(jacobian(field, a, field.t0).det)
+    rho0j0 = float(_mass_reference(field, material, a))
     density_from_map(field, material, a, t)  # raises on rho <= 0
 
     def omega_over_rho(tt):
@@ -219,13 +225,24 @@ def beltrami_residual(
     return lhs - rhs
 
 
-def ertel_pv(field: TrajectoryField, material: FlowMaterial, S: ScalarFieldLabel, a, t) -> float:
-    """Potential vorticity q = (omega/rho) . grad_x S for a label-only S."""
-    bundle = jacobian(field, a, t)
-    omega = (np.asarray(bundle.matrix, float) @ lagrangian_vorticity(field, a, t).astype(float)) / float(bundle.det)
-    rho = float(density_from_map(field, material, a, t))
-    grad_x_S = np.asarray(inv3(bundle.matrix.T), float) @ np.asarray(S.gradient(a, t), float)
-    return float((omega / rho) @ grad_x_S)
+def _pv(field: TrajectoryField, S: ScalarFieldLabel, a, t, rho0j0):
+    """q at labels (..., 3) given rho0 J0 there: with J = det G, omega = G Omega / J,
+    rho = rho0 J0 / J and grad_x S = cof(G) grad_a S / J, q = (omega / rho) . grad_x S."""
+    g = label_stack(field, a, t, "position_gradient")
+    j = det3(g)
+    omega_label = gradient_curl(label_stack(field, a, t, "velocity_gradient"), g)
+    omega = np.einsum("ij...,j...->i...", g, omega_label) / j
+    rho = rho0j0 / j
+    _reject(rho <= 0.0, rho, a, "density", t=t)
+    grad_a_S = np.moveaxis(np.asarray(S.gradient(a, t), float), -1, 0)
+    grad_x_S = np.einsum("ij...,j...->i...", cof3(g), grad_a_S) / j
+    return np.sum((omega / rho) * grad_x_S, axis=0)
+
+
+def ertel_pv(field: TrajectoryField, material: FlowMaterial, S: ScalarFieldLabel, a, t):
+    """Potential vorticity q = (omega/rho) . grad_x S for a label-only S, at
+    labels (..., 3); one label gives a float."""
+    return _pv(field, S, a, t, _mass_reference(field, material, a))
 
 
 def ertel_pv_label_form(
@@ -233,7 +250,7 @@ def ertel_pv_label_form(
 ) -> float:
     """The equivalent label-space form q = Omega . grad_a S / (rho0 J0)."""
     omega_label = lagrangian_vorticity(field, a, t).astype(float)
-    rho0j0 = float(material.initial_density(a)) * float(jacobian(field, a, field.t0).det)
+    rho0j0 = float(_mass_reference(field, material, a))
     return float(omega_label @ np.asarray(S.gradient(a, t), float)) / rho0j0
 
 
@@ -245,44 +262,13 @@ def ertel_drift(
     times,
     tolerance: float | None = None,
 ) -> DriftReport:
-    """Max and grid-weighted L2 deviation of the potential vorticity from t = times[0].
-
-    q is :func:`ertel_pv` evaluated once per time over all nodes: with J =
-    det G, omega = G Omega / J, rho = rho0 J0 / J (rho0 J0 taken once at the
-    field's t0) and grad_x S = cof(G) grad_a S / J, q = (omega / rho) . grad_x S.
-    """
-    times = [float(t) for t in times]
+    """Max and grid-weighted L2 deviation of the potential vorticity from t = times[0]:
+    :func:`ertel_pv` once per time over all nodes, with rho0 J0 taken once."""
     nodes = grid.nodes()
-    rho0 = np.asarray(material.initial_density(nodes), float)
-    rho0j0 = rho0 * det3(gradients_on_grid(field, grid, field.t0, "position"))
-
-    def pv(t):
-        g = gradients_on_grid(field, grid, t, "position")
-        j = det3(g)
-        omega_label = gradient_curl(gradients_on_grid(field, grid, t, "velocity"), g)
-        omega = np.einsum("ijn,jn->in", g, omega_label) / j
-        rho = rho0j0 / j
-        if np.any(rho <= 0.0):
-            k = int(np.argmax(rho <= 0.0))
-            raise NonPositiveDensityError(f"density {rho[k]} at a={nodes[k]}, t={t}")
-        grad_a_S = np.asarray(S.gradient(nodes, t), float).T
-        grad_x_S = np.einsum("ijn,jn->in", cof3(g), grad_a_S) / j
-        return np.sum((omega / rho) * grad_x_S, axis=0)
-
-    base = pv(times[0])
-    w = grid.cell_volume
-    max_dev, l2_dev = [0.0], [0.0]
-    for t in times[1:]:
-        diff = np.abs(pv(t) - base)
-        max_dev.append(float(diff.max()))
-        l2_dev.append(math.sqrt(float(np.sum(diff**2)) * w))
-    return DriftReport(
-        theorem="ertel",
-        times=times,
-        max_deviation=max_dev,
-        l2_deviation=l2_dev,
-        tolerance=tolerance,
-        metadata={"backend": field.backend, "grid_shape": list(grid.shape)},
+    rho0j0 = _mass_reference(field, material, nodes)
+    return _grid_drift(
+        "ertel", lambda t: _pv(field, S, nodes, t, rho0j0), grid, times, tolerance,
+        {"backend": field.backend, "grid_shape": list(grid.shape)},
     )
 
 
@@ -303,9 +289,17 @@ def circulation(field: TrajectoryField, loop: LabelLoop, t) -> float:
     s = (np.arange(n) + 0.5) / n
     labels = np.array([loop.point(si) for si in s], float)
     tangents = np.array([loop.tangent_at(si) for si in s], float)
-    g = label_stack(field, labels, t, "position_gradient")
-    V = np.einsum("mjn,nm->nj", g, label_stack(field, labels, t, "velocity"))
-    return math.fsum(np.einsum("nj,nj->n", V, tangents) / n)
+    return math.fsum(np.einsum("nj,nj->n", image_velocity(field, labels, t), tangents) / n)
+
+
+def _series_drift(theorem: str, value, times, tolerance, metadata) -> DriftReport:
+    """Scalar series ``value(t)`` and its deviation from ``value(times[0])`` (max = L2)."""
+    times = [float(t) for t in times]
+    values = [value(t) for t in times]
+    devs = [abs(v - values[0]) for v in values]
+    devs[0] = 0.0
+    return DriftReport(theorem=theorem, times=times, values=values, max_deviation=devs,
+                       l2_deviation=devs, tolerance=tolerance, metadata=metadata)
 
 
 def circulation_drift(
@@ -314,18 +308,9 @@ def circulation_drift(
     times,
     tolerance: float | None = None,
 ) -> DriftReport:
-    times = [float(t) for t in times]
-    values = [circulation(field, loop, t) for t in times]
-    devs = [abs(v - values[0]) for v in values]
-    devs[0] = 0.0
-    return DriftReport(
-        theorem="circulation",
-        times=times,
-        values=values,
-        max_deviation=devs,
-        l2_deviation=devs,
-        tolerance=tolerance,
-        metadata={"backend": field.backend, "loop_nodes": loop.nodes},
+    return _series_drift(
+        "circulation", lambda t: circulation(field, loop, t), times, tolerance,
+        {"backend": field.backend, "loop_nodes": loop.nodes},
     )
 
 
@@ -340,9 +325,11 @@ def helicity(field: TrajectoryField, region: LabelRegion, t) -> float:
     for ax, lo_b, hi_b in zip(grid.axes, field.box.lo, field.box.hi):
         if ax[0] < lo_b - 1e-9 or ax[-1] > hi_b + 1e-9:
             raise VortlabError("region exceeds the field's label domain")
-    V, omega = image_fields_on_grid(field, grid, t)
-    w = grid.cell_volume
-    return math.fsum(np.vecdot(V, omega) * w)
+    nodes = grid.nodes()
+    g = label_stack(field, nodes, t, "position_gradient")
+    V = _image(g, label_stack(field, nodes, t, "velocity"))
+    omega = _curl_image(field, nodes, t, g, "velocity")
+    return math.fsum(np.vecdot(V, omega) * grid.cell_volume)
 
 
 def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:
@@ -352,7 +339,7 @@ def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:
     faces = region.boundary_faces()
     if not faces:
         return 0.0
-    omega = omega_stack(field, np.concatenate([nodes for nodes, _, _ in faces]), t)
+    omega = lagrangian_vorticity(field, np.concatenate([nodes for nodes, _, _ in faces]), t)
     ends = np.cumsum([len(nodes) for nodes, _, _ in faces])[:-1]
     return max(float(np.max(np.abs(o @ normal))) * area
                for o, (_, normal, area) in zip(np.split(omega, ends), faces))
@@ -367,22 +354,10 @@ def helicity_drift(
     """Helicity time series; the report always carries the tangency number,
     and conservation is only claimable when it vanishes (or the region is a
     full periodic cell)."""
-    times = [float(t) for t in times]
-    values = [helicity(field, region, t) for t in times]
-    devs = [abs(v - values[0]) for v in values]
-    devs[0] = 0.0
-    tangency = 0.0 if region.periodic else boundary_tangency(field, region, times[0])
-    return DriftReport(
-        theorem="helicity",
-        times=times,
-        values=values,
-        max_deviation=devs,
-        l2_deviation=devs,
-        tolerance=tolerance,
-        metadata={
-            "backend": field.backend,
-            "region_shape": list(region.shape),
-            "periodic": region.periodic,
-            "boundary_tangency": tangency,
-        },
+    report = _series_drift(
+        "helicity", lambda t: helicity(field, region, t), times, tolerance,
+        {"backend": field.backend, "region_shape": list(region.shape), "periodic": region.periodic},
     )
+    report.metadata["boundary_tangency"] = (
+        0.0 if region.periodic else boundary_tangency(field, region, report.times[0]))
+    return report

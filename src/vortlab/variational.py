@@ -55,7 +55,7 @@ from .fields import (
     fit_to_stack,
     matvec,
 )
-from .invariants import gradient_curl, label_stack
+from .invariants import cauchy_residual, label_stack
 from .kinematics import det3, jacobian
 
 
@@ -172,20 +172,22 @@ class FlowMaterial:
 # ---------------------------------------------------------------------------
 
 
+def _mass_reference(field, material, a):
+    """rho0 J0 at labels ``a``, J0 taken at the field's own t0."""
+    rho0 = np.asarray(material.initial_density(a), float)
+    return rho0 * det3(label_stack(field, a, field.t0, "position_gradient"))
+
+
 def density_from_map(field: TrajectoryField, material: FlowMaterial, a, t):
     """rho = rho0(a) J(a, t0) / J(a, t)."""
-    j0 = jacobian(field, a, field.t0).det
-    j = jacobian(field, a, t).det
-    rho = material.initial_density(a) * j0 / j
-    _reject(np.asarray(rho, float) <= 0.0, rho, a, "density", t=t)
+    rho = _mass_reference(field, material, a) / jacobian(field, a, t).det
+    _reject(rho <= 0.0, rho, a, "density", t=t)
     return rho
 
 
 def mass_residual(field: TrajectoryField, material: FlowMaterial, rho_fn, a, t):
     """rho J - rho0 J0 for an independently supplied density evaluator."""
-    j0 = jacobian(field, a, field.t0).det
-    j = jacobian(field, a, t).det
-    return rho_fn(a, t) * j - material.initial_density(a) * j0
+    return rho_fn(a, t) * jacobian(field, a, t).det - _mass_reference(field, material, a)
 
 
 def momentum_residual(
@@ -197,8 +199,7 @@ def momentum_residual(
 ) -> np.ndarray:
     """rho0 J0 (xddot + grad_x P) + cof(G) grad_a p; zero on extremal flows."""
     bundle = jacobian(field, a, t)
-    j0 = jacobian(field, a, field.t0).det
-    rho0j0 = material.initial_density(a) * j0
+    rho0j0 = _mass_reference(field, material, a)
     x = field.position(a, t)
     body = field.acceleration(a, t) + material.potential.gradient(x, t)
     return np.expand_dims(rho0j0, -1) * body + matvec(bundle.cof, pressure.gradient(a, t))
@@ -272,11 +273,6 @@ def _det(field, a, t):
     """det G at labels ``a``, without the domain and singular-map checks of
     :func:`vortlab.kinematics.jacobian` (the action tests J and rho itself)."""
     return det3(np.moveaxis(field.position_gradient(a, t), (-2, -1), (0, 1)))
-
-
-def _mass_reference(field, material, a):
-    """rho0 J0 at labels ``a``, J0 taken at the field's own t0."""
-    return np.asarray(material.initial_density(a), float) * jacobian(field, a, field.t0).det
 
 
 def _lagrangian_density(field, material, a, t, rho0j0):
@@ -732,10 +728,7 @@ def weak_form_integral(
         res = momentum_residual(field, material, pressure, nodes, t)
         g = field.position_gradient(nodes, t)
         lhs_terms.extend(w * np.vecdot(res, -matvec(g, da)))
-        # the Cauchy residual curl_a(dV/dt) at every node
-        cr = gradient_curl(label_stack(field, nodes, t, "acceleration_gradient"),
-                           label_stack(field, nodes, t, "position_gradient"))
-        rhs_terms.extend(-w * rho0j0 * np.vecdot(cr.T, dR))
+        rhs_terms.extend(-w * rho0j0 * np.vecdot(cauchy_residual(field, nodes, t), dR))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 
@@ -815,10 +808,10 @@ def noether_boundary_term(
         pressure = pressure_from_eos(field, material)
     t_lo, t_hi = quad.window
     nodes, wa = quad.space_nodes, quad.space_weights
-    mass_reference = _per_stack(lambda b: _mass_reference(field, material, b))
+    rho0j0 = _per_stack(lambda b: _mass_reference(field, material, b))
 
     def endpoint_integrand(t):
-        rj = mass_reference(nodes)
+        rj = rho0j0(nodes)
         L = _lagrangian_density(field, material, nodes, t, rj)
         dbar = local_variation_of_triple(field, var, nodes, t)
         return L * var.dt(t) + rj * np.vecdot(field.velocity(nodes, t), dbar)
@@ -827,7 +820,7 @@ def noether_boundary_term(
     div_step = 1e-3 * min(field.box.extent)
 
     def flux(b, t):
-        L = _lagrangian_density(field, material, b, t, mass_reference(b))
+        L = _lagrangian_density(field, material, b, t, rho0j0(b))
         cof_t = np.swapaxes(jacobian(field, b, t).cof, -1, -2)
         dbar = local_variation_of_triple(field, var, b, t)
         p = np.asarray(pressure(b, t), float)

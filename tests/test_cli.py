@@ -253,11 +253,20 @@ class TestExport:
         path = tmp_path / f"wave{suffix}"
         code, _ = run_cli(
             ["export", "--fixture", "gerstner", "--grid", "5,4,5", "--nt", "3",
-             "--out", str(path)], capsys)
+             "--fd-order", "2", "--out", str(path)], capsys)
         assert code == 0
         field = load_grid(str(path))
         assert field.grid.shape == (5, 4, 5)
         assert len(field.times) == 3
+
+    @pytest.mark.parametrize("suffix", [".npz", ".csv"])
+    def test_axis_shorter_than_stencil_is_a_usage_error(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"wave{suffix}"
+        code = main(["export", "--fixture", "gerstner", "--grid", "5,4,3", "--nt", "3",
+                     "--out", str(path)])
+        assert code == 2
+        assert "axis2 of length 4 is too short" in capsys.readouterr().err
+        assert not path.exists()
 
 
 def _readme_examples():

@@ -392,7 +392,7 @@ class TestSampledBackend:
 class TestGridIO:
     def _small_field(self):
         fx = flows.make_fixture("translation", c=(0.5, 0.0, 0.0))
-        grid = LabelGrid.nodes_inclusive(fx.field.box, (5, 4, 3))
+        grid = LabelGrid.nodes_inclusive(fx.field.box, (5, 5, 5))
         times = np.linspace(0.0, 1.0, 4)
         return SampledTrajectoryField.from_analytic(fx.field, grid, times)
 
@@ -463,6 +463,49 @@ class TestGridIO:
         with pytest.raises(GridFormatError):
             load_grid(str(path))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("line", [
+        "# axis1 1e308 1e308", "# axis1 inf 0.5", "# axis2 0.0 nan",
+        "# times nan 0.25", "# times 0.0 inf",
+    ])
+    def test_rejects_nonfinite_csv_ladder(self, tmp_path, line):
+        # checked before any array arithmetic, so no overflow or invalid-value warning
+        path = tmp_path / "grid.csv"
+        save_grid(self._small_field(), str(path))
+        key = line.split()[1]
+        lines = [line if text.split()[1:2] == [key] else text
+                 for text in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridFormatError, match="need finite numbers"):
+            load_grid(str(path))
+
+    @pytest.mark.parametrize("suffix", [".npz", ".csv"])
+    def test_rejects_axis_shorter_than_stencil(self, tmp_path, suffix):
+        # a 5x4x3 grid at order 4: axes 2 and 3 are shorter than the 5-point
+        # one-sided stencil, so it is neither written nor read; order 2
+        # (3 points) or periodic short axes fit
+        fx = flows.make_fixture("translation", c=(0.5, 0.0, 0.0))
+        grid = LabelGrid.nodes_inclusive(fx.field.box, (5, 4, 3))
+        times = np.linspace(0.0, 1.0, 4)
+        path = str(tmp_path / f"grid{suffix}")
+        with pytest.raises(GridFormatError, match="axis2 of length 4 is too short"):
+            save_grid(SampledTrajectoryField.from_analytic(fx.field, grid, times), path)
+        periodic = SampledTrajectoryField.from_analytic(fx.field, grid, times,
+                                                        periodic=(False, True, True))
+        save_grid(periodic, path)
+        assert load_grid(path).periodic == (False, True, True)
+        save_grid(SampledTrajectoryField.from_analytic(fx.field, grid, times, order=2), path)
+        if suffix == ".csv":
+            text = (tmp_path / "grid.csv").read_text()
+            (tmp_path / "grid.csv").write_text(text.replace("# order 2", "# order 4"))
+        else:
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files}
+            np.savez(path, **{**arrays, "order": np.array([4])})
+        with pytest.raises(GridFormatError, match="axis2 of length 4 is too short"):
+            load_grid(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

@@ -14,6 +14,7 @@ from vortlab.fields import (
     Box,
     LabelGrid,
     PolynomialTrajectoryField,
+    ScalarFieldLabel,
     VectorFieldLabel,
 )
 from vortlab.invariants import (
@@ -21,15 +22,14 @@ from vortlab.invariants import (
     cauchy_residual,
     cauchy_vorticity_reconstruct,
     gradient_curl,
-    gradients_on_grid,
-    image_fields_on_grid,
     image_velocity,
     lagrangian_vorticity,
     label_stack,
     lagrangian_vorticity_pullback,
 )
-from vortlab.kinematics import jacobian
+from vortlab.kinematics import jacobian, pullback_gradient, transform_line, transform_surface
 from vortlab.poly import Poly, random_point, random_poly
+from vortlab.theorems import dalembert_euler_residual, ertel_pv
 
 BOX = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -269,25 +269,51 @@ class TestGridEvaluation:
     def test_own_grid_reads_node_arrays_component_axes_first(self):
         fx = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)
         field = fx.field
-        g = gradients_on_grid(field, field.grid, field.times[2], "velocity")
+        g = label_stack(field, field.grid.nodes(), field.times[2], "velocity_gradient")
         nodes = field.node_gradients("velocity", 2).reshape(-1, 3, 3)
         assert g.shape == (3, 3, 216)
         assert np.array_equal(g, np.moveaxis(nodes, 0, -1))
 
     @pytest.mark.parametrize("case", ["analytic", "sampled-off-node"])
     def test_other_grids_match_pointwise_evaluators(self, case):
+        # every public label-space function: one call on a label stack equals
+        # its calls label by label (one label is the empty leading shape)
         if case == "analytic":
-            field = flows.make_fixture("gerstner").field
-            grid, t = LabelGrid.cell_centers(field.box, (3, 2, 3)), 0.4
+            fx = flows.make_fixture("gerstner")
+            grid, t = LabelGrid.cell_centers(fx.field.box, (3, 2, 3)), 0.4
         else:
-            field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05).field
-            grid, t = LabelGrid.cell_centers(field.box, (2, 3, 2)), 0.125  # between slices
-        g = gradients_on_grid(field, grid, t, "position")
-        V, omega = image_fields_on_grid(field, grid, t)
-        for n, a in enumerate(grid.nodes()):
+            fx = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)
+            grid, t = LabelGrid.cell_centers(fx.field.box, (2, 3, 2)), 0.125  # between slices
+        field, nodes = fx.field, grid.nodes()
+        g = label_stack(field, nodes, t, "position_gradient")
+        for n, a in enumerate(nodes):
             assert np.array_equal(g[:, :, n], field.position_gradient(a, t))
-            assert np.allclose(V[n], image_velocity(field, a, t), rtol=0.0, atol=1e-14)
-            assert np.allclose(omega[n], lagrangian_vorticity(field, a, t), rtol=0.0, atol=1e-14)
+        w = np.cos(np.arange(nodes.size)).reshape(nodes.shape)  # one vector per label
+        S = ScalarFieldLabel(
+            value=lambda a, tt: a[..., 0] * a[..., 1] + 0.5 * a[..., 2] ** 2,
+            gradient_fn=lambda a, tt: np.stack([a[..., 1], a[..., 0], a[..., 2]], axis=-1),
+        )
+        kernels = {
+            "image_velocity": lambda a, v: image_velocity(field, a, t),
+            "lagrangian_vorticity": lambda a, v: lagrangian_vorticity(field, a, t),
+            "cauchy_residual": lambda a, v: cauchy_residual(field, a, t),
+            "lagrangian_vorticity_pullback":
+                lambda a, v: lagrangian_vorticity_pullback(field, v, a, t),
+            "cauchy_vorticity_reconstruct":
+                lambda a, v: cauchy_vorticity_reconstruct(field, v, a, t),
+            "cauchy_vorticity_reconstruct(callable)": lambda a, v: cauchy_vorticity_reconstruct(
+                field, lambda b: lagrangian_vorticity(field, b, field.t0), a, t),
+            "pullback_gradient": lambda a, v: pullback_gradient(jacobian(field, a, t), v),
+            "transform_line": lambda a, v: transform_line(jacobian(field, a, t), v),
+            "transform_surface": lambda a, v: transform_surface(jacobian(field, a, t), v),
+            "ertel_pv": lambda a, v: ertel_pv(field, fx.material, S, a, t),
+            "dalembert_euler_residual": lambda a, v: dalembert_euler_residual(field, a, t),
+        }
+        for name, kernel in kernels.items():
+            stacked = np.asarray(kernel(nodes, w), float)
+            by_label = np.array([kernel(a, v) for a, v in zip(nodes, w)], float)
+            assert stacked.shape == by_label.shape, name
+            assert np.allclose(stacked, by_label, rtol=0.0, atol=1e-14), name
 
 
 class TestLabelStackLayout:
@@ -301,12 +327,11 @@ class TestLabelStackLayout:
             grid, t = LabelGrid.cell_centers(field.box, (12, 12, 12)), 0.4
         nodes = grid.nodes()
         kinds = ("position", "velocity", "acceleration")
-        stacks = {k: gradients_on_grid(field, grid, t, k) for k in kinds}
+        stacks = {k: label_stack(field, nodes, t, f"{k}_gradient") for k in kinds}
         views = {k: np.moveaxis(getattr(field, f"{k}_gradient")(nodes, t), 0, -1) for k in kinds}
         for k in kinds:
             assert stacks[k].flags.c_contiguous and not views[k].flags.c_contiguous
             assert np.array_equal(stacks[k], views[k])
-        assert label_stack(field, nodes, t, "velocity_gradient").flags.c_contiguous
         for k in ("velocity", "acceleration"):
             assert np.array_equal(gradient_curl(stacks[k], stacks["position"]),
                                   gradient_curl(views[k], views["position"]))

@@ -20,7 +20,7 @@ from vortlab.fields import (
     ScalarFieldLabel,
 )
 from vortlab.invariants import cauchy_drift, cauchy_residual, lagrangian_vorticity
-from vortlab.kinematics import inv3, jacobian
+from vortlab.kinematics import jacobian
 from vortlab.theorems import (
     LabelLoop,
     LabelRegion,
@@ -58,8 +58,8 @@ class TestDalembertEuler:
         a, t = np.array([0.3, 0.8, -0.2]), 0.9
         lhs = dalembert_euler_residual(fx.field, a, t)
         bundle = jacobian(fx.field, a, t)
-        rhs = np.asarray(inv3(np.asarray(bundle.cof, float).T), float) @ \
-            cauchy_residual(fx.field, a, t).astype(float)
+        rhs = np.linalg.solve(np.asarray(bundle.cof, float).T,
+                              cauchy_residual(fx.field, a, t).astype(float))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
         assert np.max(np.abs(lhs)) > 1e-3
 
@@ -233,18 +233,33 @@ class TestGridDriftEvaluatesOncePerTime:
         counts = []
         for shape in ((8, 8, 4), (24, 24, 4)):
             fx = flows.make_fixture("taylor-green", shape=shape, t1=0.5)
-            calls.update({"_locate": 0, "ertel_pv": 0})
-            ertel_drift(fx.field, fx.material, S_LABEL, fx.field.grid, times)
-            cauchy_drift(fx.field, fx.field.grid, times)
-            counts.append(dict(calls))
+            box = fx.field.box
+            loop = LabelLoop.circle(box.center, 0.2 * float(min(box.extent)))
+            reports = {
+                "ertel": lambda: ertel_drift(fx.field, fx.material, S_LABEL, fx.field.grid, times),
+                "cauchy": lambda: cauchy_drift(fx.field, fx.field.grid, times),
+                "circulation": lambda: circulation_drift(fx.field, loop, times),
+                "helicity": lambda: helicity_drift(fx.field, LabelRegion(box, (4, 4, 2)), times),
+            }
+            count = {}
+            for name, report in reports.items():
+                calls.update({"_locate": 0, "ertel_pv": 0})
+                report()
+                count[name] = calls["_locate"]
+                assert calls["ertel_pv"] == 0
+            counts.append(count)
         # ertel: position at t0, then position and velocity per time; cauchy:
         # position and velocity per time; at most two slices per evaluation
         assert counts[0] == counts[1]
-        assert 0 < counts[0]["_locate"] <= 2 * (1 + 4 * len(times))
-        assert counts[0]["ertel_pv"] == 0
+        assert 0 < counts[0]["ertel"] + counts[0]["cauchy"] <= 2 * (1 + 4 * len(times))
+        # lookups pinned per report (circulation: position gradient and
+        # velocity per time; helicity: those and the velocity gradient, plus
+        # the boundary-tangency vorticity at times[0])
+        assert counts[0] == {"ertel": 13, "cauchy": 12, "circulation": 12, "helicity": 20}
         # the counters see pointwise work when there is some
+        calls.update({"_locate": 0, "ertel_pv": 0})
         theorems.ertel_pv(fx.field, fx.material, S_LABEL, fx.field.grid.nodes()[1], 0.125)
-        assert calls["ertel_pv"] == 1 and calls["_locate"] > counts[1]["_locate"]
+        assert calls["ertel_pv"] == 1 and calls["_locate"] > 0
 
 
 class TestCirculation:
