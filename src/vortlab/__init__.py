@@ -14,14 +14,12 @@ from .errors import (
 from .fields import (
     AnalyticTrajectoryField,
     Box,
-    EulerianScalarField,
-    EulerianVectorField,
     LabelGrid,
     PolynomialTrajectoryField,
     SampledTrajectoryField,
-    ScalarFieldLabel,
+    ScalarField,
     TrajectoryField,
-    VectorFieldLabel,
+    VectorField,
     eval_state,
     load_grid,
     save_grid,

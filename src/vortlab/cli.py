@@ -5,7 +5,7 @@ Subcommands::
     vortlab verify     --fixture NAME ...   full invariant suite, exit 0/1
     vortlab identities --trials N --seed S  exact-arithmetic identity battery
     vortlab action     --fixture NAME ...   relabeling scan / weak form / variational split
-    vortlab drift      --fixture NAME ...   drift reports (cauchy, circulation, ertel, helicity)
+    vortlab drift      --fixture NAME ...   Cauchy drift report, or the --dt convergence probe
     vortlab export     --fixture NAME --out FILE   sampled-grid export (.npz or .csv)
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error.
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import VortlabError
-from .fields import LabelGrid, SampledTrajectoryField, ScalarFieldLabel, save_grid
+from .fields import LabelGrid, SampledTrajectoryField, ScalarField, VectorField, save_grid
 from .flows import Fixture, integrate_trajectories, make_fixture
 from .invariants import cauchy_drift
 from .kinematics import (
@@ -257,7 +257,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     checks.append(_check("circulation_drift", crep.max_drift, base_tol,
                          circulation=crep.values[0]))
 
-    S = ScalarFieldLabel(
+    S = ScalarField(
         value=lambda a, t: a[..., 2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
     )
     small = LabelGrid.cell_centers(box, (5, 5, 5)) if not sampled else grid
@@ -365,8 +365,8 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
         scan = relabeling_invariance_scan(fixture.field, fixture.material, bump, quad,
                                           eps_list=DEFAULT_EPS_LADDER)
         divergent = RelabelGenerator(
-            delta_fn=lambda a: np.asarray(a, float),
-            jacobian_fn=lambda a: np.eye(3),
+            VectorField(value=lambda a, t: np.asarray(a, float),
+                        jacobian_fn=lambda a, t: np.eye(3)),
             label="divergent-control",
         )
         bad = relabeling_invariance_scan(fixture.field, fixture.material, divergent, quad,

@@ -13,21 +13,24 @@ Conventions used throughout the package:
 Evaluation protocol: every trajectory-field method takes labels of shape
 (..., 3) and a scalar time, and returns (..., 3), (..., 3, 3) or
 (..., 3, 3, 3); one label is the case with an empty leading shape.  A grid or
-loop diagnostic evaluates all of its labels in one call per time.  The scalar
-and vector fields over labels and over physical space follow the same rule
-(values (...), gradients (..., 3), Hessians and Jacobians (..., 3, 3)).
-Callables supplied to any of them receive the whole (..., 3) stack, indexed
-``a[..., i]``, and return the full output shape or a constant of one label's
-shape, such as a (3, 3) matrix, which is broadcast (:func:`fit_to_stack`);
-any other shape raises ValueError.  A stack evaluates bitwise like its labels
-one at a time: matrix-vector products go through :func:`matvec` and libm
-functions through :func:`elementwise` where numpy's loops round differently.
+loop diagnostic evaluates all of its labels in one call per time.  Two field
+types, :class:`ScalarField` and :class:`VectorField`, cover every scalar and
+vector field, whether over labels ``(a, t)`` or over physical space
+``(x, t)``, and follow the same rule (values (...) or (..., 3), gradients
+(..., 3), Hessians and Jacobians (..., 3, 3)).  Callables supplied to any of
+them receive the whole (..., 3) stack, indexed ``a[..., i]``, and return the
+full output shape or a constant of one label's shape, such as a (3, 3)
+matrix, which is broadcast; any other shape raises ValueError.  A derivative
+without a callable is an order-4 finite difference at :data:`FD_STEP`.  A
+stack evaluates bitwise like its labels one at a time: matrix-vector products
+go through :func:`matvec` and libm functions through :func:`elementwise`
+where numpy's loops round differently.
 
 Three interchangeable backends implement this protocol:
 
 ``AnalyticTrajectoryField``
-    closed-form evaluators with centered finite-difference fallbacks for any
-    derivative that is not supplied (orders 2 and 4, default 4).  Every
+    closed-form evaluators with centered order-4 finite-difference fallbacks
+    (step :data:`ANALYTIC_FD_STEP`) for any derivative not supplied.  Every
     fallback in the package goes through :func:`derivative`,
     :func:`second_derivative` or :func:`fd_jacobian` applied to the whole
     vector or matrix, and every curl through :func:`curl`.
@@ -54,13 +57,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridFormatError, OutOfDomainError
+from .errors import GridFormatError, OutOfDomainError, VortlabError
 from .poly import Poly, is_rational
 
 Vec = np.ndarray
 
 # A fractional grid or ladder index this close to an integer is on the node.
 _SNAP = 1e-9
+
+# Steps of the order-4 finite-difference fallbacks for derivatives without an
+# evaluator: scalar and vector fields (and a variation's time-shift rate), and
+# the analytic trajectory backend.
+FD_STEP = 1e-4
+ANALYTIC_FD_STEP = 1e-3
 
 # Centered first-derivative stencils: offsets and weights (divide by h).
 _CENTRAL_1 = {
@@ -122,15 +131,24 @@ def _stack_curl(d):
     return np.moveaxis(curl(np.moveaxis(d, (-2, -1), (0, 1))), 0, -1)
 
 
-def fit_to_stack(out, lead: tuple, tail: tuple) -> np.ndarray:
-    """A supplied callable's value at the protocol shape ``lead + tail``.
+def _supplied(fn, a, t, tail: tuple):
+    """``fn(a, t)`` under the protocol, for labels or points ``a`` (..., 3).
 
-    ``lead`` is the leading shape of the labels and ``tail`` the value of one
-    label.  A value of shape ``tail`` is a constant and is broadcast; any other
-    shape raises ValueError, so a callable written for one label (``a[i]``
-    where the protocol needs ``a[..., i]``) fails on a stack.
+    ``fn`` always receives an array, so ``a[..., i]`` works on a tuple label;
+    a sequence of ints and Fractions becomes an object array and stays exact.
+    One label's value is returned as it is (a Fraction stays a Fraction).  On
+    a stack of leading shape ``lead``, a value of shape ``tail`` (one label's)
+    is a constant and is broadcast; any shape other than ``lead + tail``
+    raises ValueError, so a callable written for one label (``a[i]`` where the
+    protocol needs ``a[..., i]``) fails on a stack.
     """
-    out = np.asarray(out)
+    if not isinstance(a, np.ndarray):
+        exact = all(isinstance(x, (int, Fraction)) for x in a)
+        a = np.array(a, dtype=object) if exact else np.asarray(a, float)
+    out = fn(a, t)
+    if a.ndim == 1:
+        return out
+    out, lead = np.asarray(out), a.shape[:-1]
     if out.shape == lead + tail:
         return out
     if out.shape == tail:
@@ -139,20 +157,6 @@ def fit_to_stack(out, lead: tuple, tail: tuple) -> np.ndarray:
         f"evaluator returned shape {out.shape} for labels of leading shape {lead}; "
         f"expected {lead + tail} or a constant of shape {tail} (index labels as a[..., i])"
     )
-
-
-def _supplied(fn, a, t, tail: tuple):
-    """``fn(a, t)`` under the protocol: a stack's value is fitted by :func:`fit_to_stack`,
-    one label's value is returned as it is (a Fraction stays a Fraction).
-
-    ``fn`` always receives an array, so ``a[..., i]`` works on a tuple label;
-    a sequence of ints and Fractions becomes an object array and stays exact.
-    """
-    if not isinstance(a, np.ndarray):
-        exact = all(isinstance(x, (int, Fraction)) for x in a)
-        a = np.array(a, dtype=object) if exact else np.asarray(a, float)
-    out = fn(a, t)
-    return fit_to_stack(out, a.shape[:-1], tail) if a.ndim > 1 else out
 
 
 def matvec(m, v):
@@ -313,45 +317,44 @@ class LabelGrid:
 
 
 # ---------------------------------------------------------------------------
-# Generic scalar / vector fields over (a, t) and over physical space.
+# Scalar and vector fields over labels (a, t) or over physical space (x, t).
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ScalarFieldLabel:
-    """A scalar field psi(a, t) with optional exact derivative evaluators.
+class ScalarField:
+    """A scalar field psi(p, t) with optional exact derivative evaluators.
 
-    Labels follow the module's protocol: ``a`` of shape (..., 3) gives values
-    (...), gradients (..., 3) and Hessians (..., 3, 3).
+    The points ``p`` are labels or physical positions; under the module's
+    protocol ``p`` of shape (..., 3) gives values (...), gradients (..., 3)
+    and Hessians (..., 3, 3).  A derivative without an evaluator is a
+    finite difference at :data:`FD_STEP`.
     """
 
     value: Callable[[Vec, float], float]
     gradient_fn: Callable[[Vec, float], Vec] | None = None
     hessian_fn: Callable[[Vec, float], Vec] | None = None
-    h: float = 1e-4
-    order: int = 4
 
-    def __call__(self, a, t):
-        return _supplied(self.value, a, t, ())
+    def __call__(self, p, t):
+        return _supplied(self.value, p, t, ())
 
-    def gradient(self, a, t) -> Vec:
+    def gradient(self, p, t) -> Vec:
         if self.gradient_fn is not None:
-            return np.asarray(_supplied(self.gradient_fn, a, t, (3,)))
-        return fd_jacobian(lambda b: self(b, t), a, self.h, self.order)
+            return np.asarray(_supplied(self.gradient_fn, p, t, (3,)))
+        return fd_jacobian(lambda q: self(q, t), p, FD_STEP)
 
-    def hessian(self, a, t) -> Vec:
+    def hessian(self, p, t) -> Vec:
         if self.hessian_fn is not None:
-            return np.asarray(_supplied(self.hessian_fn, a, t, (3, 3)))
-        hess = fd_jacobian(lambda b: self.gradient(b, t), a, self.h, self.order)
-        return np.swapaxes(hess, -1, -2)
+            return np.asarray(_supplied(self.hessian_fn, p, t, (3, 3)))
+        return np.swapaxes(fd_jacobian(lambda q: self.gradient(q, t), p, FD_STEP), -1, -2)
 
     @classmethod
-    def constant(cls, c: float) -> "ScalarFieldLabel":
-        return cls(value=lambda a, t: c, gradient_fn=lambda a, t: np.zeros(3),
-                   hessian_fn=lambda a, t: np.zeros((3, 3)))
+    def constant(cls, c: float) -> "ScalarField":
+        return cls(value=lambda p, t: c, gradient_fn=lambda p, t: np.zeros(3),
+                   hessian_fn=lambda p, t: np.zeros((3, 3)))
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "ScalarFieldLabel":
+    def from_poly(cls, p: Poly) -> "ScalarField":
         """Wrap a 4-variable polynomial in (a1, a2, a3, t); derivatives exact."""
         val = np.array(p, dtype=object)
         grad = _poly_jacobian([p])[0]
@@ -363,96 +366,54 @@ class ScalarFieldLabel:
 
 
 @dataclass(frozen=True)
-class VectorFieldLabel:
-    """A vector field v(a, t) in label space; jacobian[..., i, j] = dv_i/da_j."""
+class VectorField:
+    """A vector field q(p, t) over labels or physical positions;
+    ``jacobian(p, t)[..., i, j] = dq_i/dp_j``.
 
-    value: Callable[[Vec, float], Vec]
-    jacobian_fn: Callable[[Vec, float], Vec] | None = None
-    h: float = 1e-4
-    order: int = 4
-
-    def __call__(self, a, t) -> Vec:
-        return np.asarray(_supplied(self.value, a, t, (3,)))
-
-    def jacobian(self, a, t) -> Vec:
-        if self.jacobian_fn is not None:
-            return np.asarray(_supplied(self.jacobian_fn, a, t, (3, 3)))
-        return fd_jacobian(lambda b: np.asarray(self(b, t), float), a, self.h, self.order)
-
-    def curl(self, a, t) -> Vec:
-        return _stack_curl(self.jacobian(a, t))
-
-    def divergence(self, a, t):
-        D = self.jacobian(a, t)
-        return D[..., 0, 0] + D[..., 1, 1] + D[..., 2, 2]
-
-    @classmethod
-    def from_polys(cls, comps: Sequence[Poly]) -> "VectorFieldLabel":
-        val, jac = np.array(comps, dtype=object), _poly_jacobian(comps)
-        return cls(value=lambda a, t: _poly_eval(val, a, t),
-                   jacobian_fn=lambda a, t: _poly_eval(jac, a, t))
-
-
-@dataclass(frozen=True)
-class EulerianScalarField:
-    """A scalar field over physical space, e.g. an external potential P(x);
-    points of shape (..., 3) give values (...) and gradients (..., 3)."""
-
-    value: Callable[[Vec, float], float]
-    gradient_fn: Callable[[Vec, float], Vec] | None = None
-    h: float = 1e-4
-    order: int = 4
-
-    def __call__(self, x, t):
-        return _supplied(self.value, x, t, ())
-
-    def gradient(self, x, t) -> Vec:
-        if self.gradient_fn is not None:
-            return np.asarray(_supplied(self.gradient_fn, x, t, (3,)))
-        return fd_jacobian(lambda y: self(y, t), x, self.h, self.order)
-
-
-@dataclass(frozen=True)
-class EulerianVectorField:
-    """A vector field over physical space; jacobian[i, j] = dq_i/dx_j.
-
-    The callables receive points of shape (..., 3) under the module's
-    evaluation protocol; calling the field and its ``jacobian`` and
-    ``time_derivative`` return (..., 3) and (..., 3, 3) arrays.
+    Points of shape (..., 3) give values and time derivatives (..., 3) and
+    Jacobians (..., 3, 3).  A ``steady`` field has a zero time derivative; a
+    Jacobian or time derivative without an evaluator is a finite difference
+    at :data:`FD_STEP`.
     """
 
     value: Callable[[Vec, float], Vec]
     jacobian_fn: Callable[[Vec, float], Vec] | None = None
     time_derivative_fn: Callable[[Vec, float], Vec] | None = None
     steady: bool = False
-    h: float = 1e-4
-    order: int = 4
 
-    def __call__(self, x, t) -> Vec:
-        return fit_to_stack(self.value(x, t), np.shape(x)[:-1], (3,))
+    def __call__(self, p, t) -> Vec:
+        return np.asarray(_supplied(self.value, p, t, (3,)))
 
-    def jacobian(self, x, t) -> Vec:
+    def jacobian(self, p, t) -> Vec:
         if self.jacobian_fn is not None:
-            return fit_to_stack(self.jacobian_fn(x, t), np.shape(x)[:-1], (3, 3))
-        return fd_jacobian(lambda y: np.asarray(self(y, t), float), x, self.h, self.order)
+            return np.asarray(_supplied(self.jacobian_fn, p, t, (3, 3)))
+        return fd_jacobian(lambda q: np.asarray(self(q, t), float), p, FD_STEP)
 
-    def time_derivative(self, x, t) -> Vec:
-        x = np.asarray(x, float)
+    def time_derivative(self, p, t) -> Vec:
         if self.steady:
-            return np.zeros(x.shape)
+            return np.zeros(np.shape(p))
         if self.time_derivative_fn is not None:
-            return fit_to_stack(self.time_derivative_fn(x, t), x.shape[:-1], (3,))
-        return derivative(lambda s: np.asarray(self(x, t + s), float), self.h, self.order)
+            return np.asarray(_supplied(self.time_derivative_fn, p, t, (3,)))
+        p = np.asarray(p, float)
+        return derivative(lambda s: np.asarray(self(p, t + s), float), FD_STEP)
 
-    def curl(self, x, t) -> Vec:
-        return _stack_curl(self.jacobian(x, t))
+    def curl(self, p, t) -> Vec:
+        return _stack_curl(self.jacobian(p, t))
+
+    def divergence(self, p, t):
+        d = self.jacobian(p, t)
+        return d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]
 
     @classmethod
-    def from_polys(cls, comps: Sequence[Poly]) -> "EulerianVectorField":
-        """Wrap three 3-variable polynomials in (x1, x2, x3); steady, exact."""
+    def from_polys(cls, comps: Sequence[Poly]) -> "VectorField":
+        """Wrap three polynomials, all exact: in (x1, x2, x3) a steady field,
+        in (a1, a2, a3, t) a time-dependent one."""
         val, jac = np.array(comps, dtype=object), _poly_jacobian(comps)
-        return cls(value=lambda x, t: _poly_eval(val, x),
-                   jacobian_fn=lambda x, t: _poly_eval(jac, x), steady=True)
+        if comps[0].nvars == 3:
+            return cls(value=lambda x, t: _poly_eval(val, x),
+                       jacobian_fn=lambda x, t: _poly_eval(jac, x), steady=True)
+        return cls(value=lambda a, t: _poly_eval(val, a, t),
+                   jacobian_fn=lambda a, t: _poly_eval(jac, a, t))
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +468,8 @@ class AnalyticTrajectoryField(TrajectoryField):
     """Trajectory field from closed-form evaluators with FD fallbacks.
 
     Any derivative evaluator that is not supplied is replaced by a centered
-    finite difference of the next-lower-level evaluator, at the declared
-    order and step.
+    order-4 finite difference of the next-lower-level evaluator at
+    :data:`ANALYTIC_FD_STEP`.
     """
 
     backend = "analytic"
@@ -525,10 +486,8 @@ class AnalyticTrajectoryField(TrajectoryField):
         velocity_gradient: Callable | None = None,
         acceleration_gradient: Callable | None = None,
         position_hessian: Callable | None = None,
-        order: int = 4,
-        fd_step: float = 1e-3,
     ):
-        super().__init__(box, t0, t1, order)
+        super().__init__(box, t0, t1)
         self._fn = {
             "position": position,
             "velocity": velocity,
@@ -538,7 +497,6 @@ class AnalyticTrajectoryField(TrajectoryField):
             "acceleration_gradient": acceleration_gradient,
             "position_hessian": position_hessian,
         }
-        self.fd_step = fd_step
 
     def _evaluate(self, name, a, t, lower=None):
         """The supplied evaluator ``name`` at labels ``a``, broadcast to its
@@ -549,10 +507,10 @@ class AnalyticTrajectoryField(TrajectoryField):
         if fn is not None:
             return np.asarray(_supplied(fn, a, t, _TAIL[name]), float)
         if name == "velocity":
-            return derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
+            return derivative(lambda s: self.position(a, t + s), ANALYTIC_FD_STEP)
         if name == "acceleration":
-            return second_derivative(lambda s: self.position(a, t + s), self.fd_step, self.order)
-        return fd_jacobian(lambda b: lower(b, t), a, self.fd_step, self.order)
+            return second_derivative(lambda s: self.position(a, t + s), ANALYTIC_FD_STEP)
+        return fd_jacobian(lambda b: lower(b, t), a, ANALYTIC_FD_STEP)
 
     def position(self, a, t) -> Vec:
         return self._evaluate("position", a, t)
@@ -635,11 +593,22 @@ class PolynomialTrajectoryField(TrajectoryField):
 # ---------------------------------------------------------------------------
 
 
-def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic: bool):
-    """FD derivative of gridded data along one axis.
+def _fit_stencil(n: int, order: int, name: str, error=VortlabError):
+    """Raise ``error`` when the non-periodic axis ``name`` of ``n`` points is
+    shorter than the order's one-sided edge stencil."""
+    width = len(_EDGE_1[order][0])
+    if n < width:
+        raise error(f"{name} of length {n} is too short for the {width}-point "
+                    f"order-{order} stencils")
+
+
+def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic: bool,
+                     name: str):
+    """FD derivative of gridded data along one axis, called ``name`` in errors.
 
     Periodic axes use circular central stencils; otherwise interior points are
-    central and edges fall back to one-sided stencils of the same order.
+    central and edges fall back to one-sided stencils of the same order, and
+    an axis too short for them raises VortlabError.
     """
     offsets, weights = _CENTRAL_1[order]
     if periodic:
@@ -649,11 +618,9 @@ def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic
         return out / h
 
     n = data.shape[axis]
+    _fit_stencil(n, order, name)
     need = order // 2
     edge = _EDGE_1[order]
-    width = len(edge[0])
-    if n < width:
-        raise ValueError(f"axis of length {n} too short for order-{order} stencils")
     out = np.zeros_like(data)
 
     def sl(idx):
@@ -734,11 +701,13 @@ class SampledTrajectoryField(TrajectoryField):
         if kind == "velocity":
             data = self.velocities
             if data is None:
-                data = _axis_derivative(self.positions, self.dt, 0, self.order, False)
+                data = _axis_derivative(self.positions, self.dt, 0, self.order, False,
+                                        "time ladder")
         elif kind == "acceleration":
             data = self.accelerations
             if data is None:
-                data = _axis_derivative(self._time_series("velocity"), self.dt, 0, self.order, False)
+                data = _axis_derivative(self._time_series("velocity"), self.dt, 0, self.order,
+                                        False, "time ladder")
         else:
             raise KeyError(kind)
         self._cache[key] = data
@@ -760,7 +729,7 @@ class SampledTrajectoryField(TrajectoryField):
         for j in range(3):
             cols.append(
                 _axis_derivative(data, self.grid.spacings[j], axis=j, order=self.order,
-                                 periodic=self.periodic[j])
+                                 periodic=self.periodic[j], name=f"non-periodic axis{j + 1}")
             )
         grad = np.stack(cols, axis=-1)  # (..., 3 comps, 3 dirs)
         if kind == "position":
@@ -885,11 +854,9 @@ _GRID_VERSION = 1
 
 def _check_stencil_fit(path, field: SampledTrajectoryField):
     """Grid files hold fields whose non-periodic axes fit the order's one-sided stencil."""
-    width = len(_EDGE_1[field.order][0])
     for j, (n, periodic) in enumerate(zip(field.grid.shape, field.periodic), start=1):
-        if not periodic and n < width:
-            raise GridFormatError(f"{path}: non-periodic axis{j} of length {n} is too short "
-                                  f"for the {width}-point order-{field.order} stencils")
+        if not periodic:
+            _fit_stencil(n, field.order, f"{path}: non-periodic axis{j}", GridFormatError)
 
 
 def save_grid(field: SampledTrajectoryField, path: str):

@@ -26,23 +26,22 @@ from .errors import OutOfDomainError, VortlabError
 from .fields import (
     AnalyticTrajectoryField,
     Box,
-    EulerianScalarField,
-    EulerianVectorField,
     LabelGrid,
     PolynomialTrajectoryField,
     SampledTrajectoryField,
-    ScalarFieldLabel,
+    ScalarField,
     TrajectoryField,
+    VectorField,
     elementwise,
     matvec,
 )
 from .poly import Poly
-from .variational import BarotropicEOS, FlowMaterial, zero_potential
+from .variational import BarotropicEOS, FlowMaterial
 
 
-def gravity_potential(g: float) -> EulerianScalarField:
+def gravity_potential(g: float) -> ScalarField:
     """External potential of uniform gravity along x3."""
-    return EulerianScalarField(
+    return ScalarField(
         value=lambda x, t: g * x[..., 2], gradient_fn=lambda x, t: np.array([0.0, 0.0, g])
     )
 
@@ -67,12 +66,7 @@ class Fixture:
     spec: FixtureSpec
     field: TrajectoryField
     material: FlowMaterial
-    pressure: ScalarFieldLabel | None = None
-    velocity_field: EulerianVectorField | None = None
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
+    pressure: ScalarField | None = None
 
     @property
     def extremal(self) -> bool:
@@ -97,9 +91,9 @@ _ZERO333 = lambda a, t: np.zeros((3, 3, 3))
 
 def _simple_material(rho0: float = 1.0) -> FlowMaterial:
     return FlowMaterial(
-        rho0=ScalarFieldLabel.constant(rho0),
+        rho0=ScalarField.constant(rho0),
         eos=BarotropicEOS.zero(),
-        potential=zero_potential(),
+        potential=ScalarField.constant(0.0),
     )
 
 
@@ -123,7 +117,7 @@ def make_identity(box=None, t0=0.0, t1=1.0) -> Fixture:
         t1=t1,
     )
     spec = FixtureSpec("identity", {}, box, t0, t1, extremal=True, notes="fluid at rest")
-    return Fixture(spec, fld, _simple_material(), pressure=ScalarFieldLabel.constant(0.0))
+    return Fixture(spec, fld, _simple_material(), pressure=ScalarField.constant(0.0))
 
 
 def make_translation(c=(1.0, 0.0, 0.0), box=None, t0=0.0, t1=1.0) -> Fixture:
@@ -142,7 +136,7 @@ def make_translation(c=(1.0, 0.0, 0.0), box=None, t0=0.0, t1=1.0) -> Fixture:
         t1=t1,
     )
     spec = FixtureSpec("translation", {"c": list(cv)}, box, t0, t1, extremal=True)
-    return Fixture(spec, fld, _simple_material(), pressure=ScalarFieldLabel.constant(0.0))
+    return Fixture(spec, fld, _simple_material(), pressure=ScalarField.constant(0.0))
 
 
 def make_shear(rate=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
@@ -176,7 +170,7 @@ def make_shear(rate=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
         t1=t1,
     )
     spec = FixtureSpec("shear", {"rate": k}, box, t0, t1, extremal=True)
-    return Fixture(spec, fld, _simple_material(), pressure=ScalarFieldLabel.constant(0.0))
+    return Fixture(spec, fld, _simple_material(), pressure=ScalarField.constant(0.0))
 
 
 _SPIN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -211,11 +205,11 @@ def make_rigid_rotation(omega0=1.0, gravity=0.0, rho0=1.0, box=None, t0=0.0, t1=
     )
     g = float(gravity)
     material = FlowMaterial(
-        rho0=ScalarFieldLabel.constant(rho0),
+        rho0=ScalarField.constant(rho0),
         eos=BarotropicEOS.zero(),
         potential=gravity_potential(g),
     )
-    pressure = ScalarFieldLabel(
+    pressure = ScalarField(
         value=lambda a, t: rho0 * (0.5 * w * w * (a[..., 0] ** 2 + a[..., 1] ** 2) - g * a[..., 2]),
         gradient_fn=lambda a, t: rho0 * np.stack(
             [w * w * a[..., 0], w * w * a[..., 1], np.full(np.shape(a)[:-1], -g)], axis=-1),
@@ -249,14 +243,14 @@ def make_dilation(rho0=1.0, gravity=9.81, box=None, t0=0.0, t1=1.0) -> Fixture:
         t1=t1,
     )
     material = FlowMaterial(
-        rho0=ScalarFieldLabel.constant(rho0),
+        rho0=ScalarField.constant(rho0),
         eos=BarotropicEOS.zero(),
         potential=gravity_potential(float(gravity)),
     )
     spec = FixtureSpec(
         "dilation", {"rho0": rho0, "gravity": float(gravity)}, box, t0, t1, extremal=False
     )
-    return Fixture(spec, fld, material, pressure=ScalarFieldLabel.constant(0.0))
+    return Fixture(spec, fld, material, pressure=ScalarField.constant(0.0))
 
 
 def make_gerstner(
@@ -367,7 +361,7 @@ def make_gerstner(
         t1=t1,
     )
     material = FlowMaterial(
-        rho0=ScalarFieldLabel.constant(rho0),
+        rho0=ScalarField.constant(rho0),
         eos=BarotropicEOS.zero(),
         potential=gravity_potential(g),
     )
@@ -377,7 +371,7 @@ def make_gerstner(
         out[..., 2] = -rho0 * g * (1.0 - elementwise(math.exp, 2.0 * k * a[..., 2]))
         return out
 
-    pressure = ScalarFieldLabel(
+    pressure = ScalarField(
         value=lambda a, t: -rho0 * g * (
             a[..., 2] - elementwise(math.exp, 2.0 * k * a[..., 2]) / (2.0 * k)),
         gradient_fn=p_grad,
@@ -404,7 +398,7 @@ def make_non_euler(strength=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
     comps = [a1 + s * t * t * a2 * a2, a2, a3]
     fld = PolynomialTrajectoryField(comps, box, t0, t1)
     spec = FixtureSpec("non-euler", {"strength": float(s)}, box, t0, t1, extremal=False)
-    return Fixture(spec, fld, _simple_material(), pressure=ScalarFieldLabel.constant(0.0))
+    return Fixture(spec, fld, _simple_material(), pressure=ScalarField.constant(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +406,7 @@ def make_non_euler(strength=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-def abc_velocity(A=1.0, B=1.0, C=1.0) -> EulerianVectorField:
+def abc_velocity(A=1.0, B=1.0, C=1.0) -> VectorField:
     """Steady Beltrami field on the 2 pi periodic box (curl u = u)."""
 
     def val(x, t):
@@ -434,10 +428,10 @@ def abc_velocity(A=1.0, B=1.0, C=1.0) -> EulerianVectorField:
         out[..., 2, 1] = C * np.cos(x[..., 1])
         return out
 
-    return EulerianVectorField(value=val, jacobian_fn=jac, steady=True)
+    return VectorField(value=val, jacobian_fn=jac, steady=True)
 
 
-def abc_pressure(A=1.0, B=1.0, C=1.0) -> EulerianScalarField:
+def abc_pressure(A=1.0, B=1.0, C=1.0) -> ScalarField:
     """Steady pressure for the Beltrami field: p = -|u|^2 / 2 (unit density)."""
     u = abc_velocity(A, B, C)
 
@@ -448,10 +442,10 @@ def abc_pressure(A=1.0, B=1.0, C=1.0) -> EulerianScalarField:
     def grad(x, t):
         return -matvec(np.swapaxes(u.jacobian(x, t), -1, -2), u(x, t))
 
-    return EulerianScalarField(value=val, gradient_fn=grad)
+    return ScalarField(value=val, gradient_fn=grad)
 
 
-def taylor_green_velocity() -> EulerianVectorField:
+def taylor_green_velocity() -> VectorField:
     """Steady planar cellular field u = (sin x1 cos x2, -cos x1 sin x2, 0)."""
 
     def val(x, t):
@@ -470,10 +464,10 @@ def taylor_green_velocity() -> EulerianVectorField:
         out[..., 1, 1] = -np.cos(x[..., 0]) * np.cos(x[..., 1])
         return out
 
-    return EulerianVectorField(value=val, jacobian_fn=jac, steady=True)
+    return VectorField(value=val, jacobian_fn=jac, steady=True)
 
 
-def taylor_green_pressure() -> EulerianScalarField:
+def taylor_green_pressure() -> ScalarField:
     # (u . grad) u = grad(-(cos 2x1 + cos 2x2)/4) for this velocity, so the
     # balancing pressure is +(cos 2x1 + cos 2x2)/4 at unit density
     def val(x, t):
@@ -486,10 +480,10 @@ def taylor_green_pressure() -> EulerianScalarField:
         out[..., 1] = -0.5 * elementwise(math.sin, 2.0 * x[..., 1])
         return out
 
-    return EulerianScalarField(value=val, gradient_fn=grad)
+    return ScalarField(value=val, gradient_fn=grad)
 
 
-def material_accelerations(u: EulerianVectorField, xs, t, v) -> np.ndarray:
+def material_accelerations(u: VectorField, xs, t, v) -> np.ndarray:
     """du/dt + (u . grad) u at points of shape (..., 3), given v = u(xs, t)."""
     convective = np.einsum("...ij,...j->...i", u.jacobian(xs, t), v)
     if u.steady:
@@ -509,7 +503,7 @@ def _usable_cpus() -> int:
 
 
 def integrate_trajectories(
-    u: EulerianVectorField,
+    u: VectorField,
     grid: LabelGrid,
     t0: float,
     t1: float,
@@ -608,7 +602,7 @@ def make_abc(
         extremal=True,
         notes="numerically advected",
     )
-    return Fixture(spec, fld, material, pressure=pressure, velocity_field=u)
+    return Fixture(spec, fld, material, pressure=pressure)
 
 
 def make_taylor_green(
@@ -626,12 +620,12 @@ def make_taylor_green(
         "taylor-green", {"shape": list(shape), "dt": dt}, box, t0, t1, extremal=True,
         notes="numerically advected",
     )
-    return Fixture(spec, fld, _simple_material(rho0), pressure=pressure, velocity_field=u)
+    return Fixture(spec, fld, _simple_material(rho0), pressure=pressure)
 
 
 def eulerian_pressure_as_label_field(
-    field: TrajectoryField, p: EulerianScalarField
-) -> ScalarFieldLabel:
+    field: TrajectoryField, p: ScalarField
+) -> ScalarField:
     """p(x(a, t), t) as a label field; grad_a p = G^T grad_x p."""
 
     def val(a, t):
@@ -641,7 +635,7 @@ def eulerian_pressure_as_label_field(
         x = field.position(a, t)
         return matvec(np.swapaxes(field.position_gradient(a, t), -1, -2), p.gradient(x, t))
 
-    return ScalarFieldLabel(value=val, gradient_fn=grad)
+    return ScalarField(value=val, gradient_fn=grad)
 
 
 # ---------------------------------------------------------------------------

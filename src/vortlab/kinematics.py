@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DegenerateMapError
 from .fields import (
-    EulerianVectorField,
-    ScalarFieldLabel,
+    ScalarField,
     TrajectoryField,
+    VectorField,
     curl,
     derivative,
     fd_jacobian,
@@ -213,8 +213,8 @@ def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None =
 
 def curl_pullback_residual(
     field: TrajectoryField,
-    q: EulerianVectorField,
-    F: ScalarFieldLabel,
+    q: VectorField,
+    F: ScalarField,
     a,
     t,
 ):
@@ -305,10 +305,10 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
         fld = _fields.PolynomialTrajectoryField.identity_plus(deltas, box, -1.0, 1.0)
         a = random_point(rng, 3, 6)
         t = random_point(rng, 1, 6)[0]
-        q = _fields.EulerianVectorField.from_polys(
+        q = _fields.VectorField.from_polys(
             [random_poly(rng, 3, degree=3, nterms=4) for _ in range(3)]
         )
-        F = _fields.ScalarFieldLabel.from_poly(random_poly(rng, 4, degree=3, nterms=4))
+        F = _fields.ScalarField.from_poly(random_poly(rng, 4, degree=3, nterms=4))
         try:
             r3 = jacobian_rate_residual(fld, a, t)
             r4 = inverse_jacobian_rate_residual(fld, a, t)
@@ -317,10 +317,10 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
         except DegenerateMapError:
             redraws += 1
             continue
-        v = _fields.VectorFieldLabel.from_polys(
+        v = _fields.VectorField.from_polys(
             [random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)]
         )
-        w = _fields.VectorFieldLabel.from_polys(
+        w = _fields.VectorField.from_polys(
             [random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)]
         )
         pt = (a[0], a[1], a[2])

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import VortlabError
-from .fields import Box, LabelGrid, ScalarFieldLabel, TrajectoryField, derivative, fd_jacobian
+from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative, fd_jacobian
 from .invariants import (
     _curl_image,
     _grid_drift,
@@ -225,7 +225,7 @@ def beltrami_residual(
     return lhs - rhs
 
 
-def _pv(field: TrajectoryField, S: ScalarFieldLabel, a, t, rho0j0):
+def _pv(field: TrajectoryField, S: ScalarField, a, t, rho0j0):
     """q at labels (..., 3) given rho0 J0 there: with J = det G, omega = G Omega / J,
     rho = rho0 J0 / J and grad_x S = cof(G) grad_a S / J, q = (omega / rho) . grad_x S."""
     g = label_stack(field, a, t, "position_gradient")
@@ -239,14 +239,14 @@ def _pv(field: TrajectoryField, S: ScalarFieldLabel, a, t, rho0j0):
     return np.sum((omega / rho) * grad_x_S, axis=0)
 
 
-def ertel_pv(field: TrajectoryField, material: FlowMaterial, S: ScalarFieldLabel, a, t):
+def ertel_pv(field: TrajectoryField, material: FlowMaterial, S: ScalarField, a, t):
     """Potential vorticity q = (omega/rho) . grad_x S for a label-only S, at
     labels (..., 3); one label gives a float."""
     return _pv(field, S, a, t, _mass_reference(field, material, a))
 
 
 def ertel_pv_label_form(
-    field: TrajectoryField, material: FlowMaterial, S: ScalarFieldLabel, a, t
+    field: TrajectoryField, material: FlowMaterial, S: ScalarField, a, t
 ) -> float:
     """The equivalent label-space form q = Omega . grad_a S / (rho0 J0)."""
     omega_label = lagrangian_vorticity(field, a, t).astype(float)
@@ -257,7 +257,7 @@ def ertel_pv_label_form(
 def ertel_drift(
     field: TrajectoryField,
     material: FlowMaterial,
-    S: ScalarFieldLabel,
+    S: ScalarField,
     grid: LabelGrid,
     times,
     tolerance: float | None = None,

@@ -43,16 +43,15 @@ import numpy as np
 
 from .errors import FoldedRelabelingError, NonPositiveDensityError, VortlabError
 from .fields import (
+    FD_STEP,
     Box,
-    EulerianScalarField,
     LabelGrid,
-    ScalarFieldLabel,
+    ScalarField,
     TrajectoryField,
-    VectorFieldLabel,
+    VectorField,
     derivative,
     elementwise,
     fd_jacobian,
-    fit_to_stack,
     matvec,
 )
 from .invariants import cauchy_residual, label_stack
@@ -119,12 +118,6 @@ class BarotropicEOS:
         return cls(energy=energy, denergy=denergy, label=f"polytropic(K={K}, gamma={gamma})")
 
 
-def zero_potential() -> EulerianScalarField:
-    return EulerianScalarField(
-        value=lambda x, t: 0.0, gradient_fn=lambda x, t: np.zeros(3)
-    )
-
-
 def _reject(bad, values, a, what: str, error=NonPositiveDensityError, t=None):
     """Raise ``error`` naming the first label of ``a`` (one label or a stack)
     where ``bad`` holds, with ``values`` there."""
@@ -156,9 +149,9 @@ def _per_stack(fn):
 class FlowMaterial:
     """Initial density, barotropic EOS and external conservative potential."""
 
-    rho0: ScalarFieldLabel
+    rho0: ScalarField
     eos: BarotropicEOS
-    potential: EulerianScalarField
+    potential: ScalarField
 
     def initial_density(self, a):
         """rho0 at one label or at every label of a stack (..., 3)."""
@@ -193,7 +186,7 @@ def mass_residual(field: TrajectoryField, material: FlowMaterial, rho_fn, a, t):
 def momentum_residual(
     field: TrajectoryField,
     material: FlowMaterial,
-    pressure: ScalarFieldLabel,
+    pressure: ScalarField,
     a,
     t,
 ) -> np.ndarray:
@@ -205,7 +198,7 @@ def momentum_residual(
     return np.expand_dims(rho0j0, -1) * body + matvec(bundle.cof, pressure.gradient(a, t))
 
 
-def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarFieldLabel:
+def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarField:
     """p(a, t) = p_eos(rho0 J0 / J(a, t)) as a label field (FD gradient), the
     density of :func:`density_from_map` with rho0 J0 taken once per label stack."""
     rho0j0 = _per_stack(lambda a: _mass_reference(field, material, a))
@@ -215,7 +208,7 @@ def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarF
         _reject(rho <= 0.0, rho, a, "density", t=t)
         return np.asarray(material.eos.pressure(rho), float)[()]
 
-    return ScalarFieldLabel(value=val)
+    return ScalarField(value=val)
 
 
 # ---------------------------------------------------------------------------
@@ -316,66 +309,44 @@ def action(
 class RelabelGenerator:
     """A relabeling direction delta_a(a), divergence-free by construction.
 
-    ``delta_fn`` and ``jacobian_fn`` receive labels (..., 3) and return
-    (..., 3) and (..., 3, 3), or a constant of one label's shape.
+    ``field`` is delta_a as a vector field over labels, read at t = 0.
     ``potential`` (the vector field whose curl is delta_a) is retained when
     available because the weak-form pairing integrates against it.
     """
 
-    delta_fn: Callable[[np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    potential: VectorFieldLabel | None = None
+    field: VectorField
+    potential: VectorField | None = None
     label: str = "custom"
-    h: float = 1e-4
 
     def delta_a(self, a) -> np.ndarray:
-        a = np.asarray(a, float)
-        return fit_to_stack(self.delta_fn(a), a.shape[:-1], (3,))
+        return self.field(a, 0.0)
 
     def jacobian(self, a) -> np.ndarray:
         """D[..., i, j] = d(delta_a_i)/da_j."""
-        a = np.asarray(a, float)
-        if self.jacobian_fn is not None:
-            return fit_to_stack(self.jacobian_fn(a), a.shape[:-1], (3, 3))
-        return fd_jacobian(self.delta_a, a, self.h, 4)
-
-    def divergence(self, a):
-        d = self.jacobian(a)
-        return d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]
+        return self.field.jacobian(a, 0.0)
 
     @classmethod
-    def from_curl(cls, potential: VectorFieldLabel, label="curl") -> "RelabelGenerator":
-        def delta(a):
-            return potential.curl(a, 0.0)
-
-        return cls(delta_fn=delta, potential=potential, label=label)
+    def from_curl(cls, potential: VectorField, label="curl") -> "RelabelGenerator":
+        return cls(VectorField(value=potential.curl), potential=potential, label=label)
 
     @classmethod
     def from_potential_polys(cls, comps, label="curl-poly") -> "RelabelGenerator":
         """Exact generator from three polynomials in (a1, a2, a3, t)."""
         comps = list(comps)
-        curl = VectorFieldLabel.from_polys([
+        curl = VectorField.from_polys([
             comps[2].diff(1) - comps[1].diff(2),
             comps[0].diff(2) - comps[2].diff(0),
             comps[1].diff(0) - comps[0].diff(1),
         ])
-        return cls(
-            delta_fn=lambda a: curl(a, 0.0),
-            jacobian_fn=lambda a: curl.jacobian(a, 0.0),
-            potential=VectorFieldLabel.from_polys(comps),
-            label=label,
-        )
+        return cls(curl, potential=VectorField.from_polys(comps), label=label)
 
     @classmethod
     def from_scalar_pair(
-        cls, dR1: ScalarFieldLabel, R2: ScalarFieldLabel, label="cross-gradient"
+        cls, dR1: ScalarField, R2: ScalarField, label="cross-gradient"
     ) -> "RelabelGenerator":
         """delta_a = grad dR1 x grad R2 (the alternative representation)."""
-
-        def delta(a):
-            return np.cross(dR1.gradient(a, 0.0), R2.gradient(a, 0.0))
-
-        return cls(delta_fn=delta, label=label)
+        delta = VectorField(value=lambda a, t: np.cross(dR1.gradient(a, t), R2.gradient(a, t)))
+        return cls(delta, label=label)
 
 
 def _bump1d(s):
@@ -395,7 +366,7 @@ def _bump1d_deriv(s):
     return out
 
 
-def bump_potential(box: Box, amplitude: float = 1.0, margin: float = 0.05) -> VectorFieldLabel:
+def bump_potential(box: Box, amplitude: float = 1.0, margin: float = 0.05) -> VectorField:
     """Compactly supported vector potential (0, 0, bump(a)); vanishes with all
     derivatives before reaching the box boundary."""
     lo = np.asarray(box.lo, float)
@@ -425,12 +396,12 @@ def bump_potential(box: Box, amplitude: float = 1.0, margin: float = 0.05) -> Ve
             out[..., 2, j] = term
         return out
 
-    return VectorFieldLabel(value=val, jacobian_fn=jac)
+    return VectorField(value=val, jacobian_fn=jac)
 
 
 def sine_potential(
     box: Box, waves=(1, 1, 1), amplitude: float = 1.0, exponents=(0, 0, 0)
-) -> VectorFieldLabel:
+) -> VectorField:
     """Periodic vector potential (0, 0, psi) vanishing on every box face.
 
     psi = amplitude * prod a_i^{e_i} sin(2 pi n_i (a_i - lo_i) / L_i).  The
@@ -469,7 +440,7 @@ def sine_potential(
         out[..., 2, 2] = amplitude * vals[0] * vals[1] * ders[2]
         return out
 
-    return VectorFieldLabel(value=val, jacobian_fn=jac)
+    return VectorField(value=val, jacobian_fn=jac)
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +452,17 @@ def sine_potential(
 class VariationTriple:
     """Evaluable (delta_t, delta_a, delta_x) direction.
 
-    Supported shapes: delta_t = delta_t(t), delta_a = delta_a(a) and
-    delta_x = delta_x(a, t); that covers relabelings, time translations and
-    direct field variations.  The label callables receive labels (..., 3)
-    and return (..., 3) or (..., 3, 3), or a constant of one label's shape.
+    Supported shapes: delta_t = delta_t(t), delta_a = delta_a(a) (a vector
+    field over labels, read at t = 0) and delta_x = delta_x(a, t); that
+    covers relabelings, time translations and direct field variations.  A
+    direction left None is zero.
     """
 
     delta_t: Callable[[float], float] | None = None
     delta_t_rate: Callable[[float], float] | None = None
-    delta_a: Callable[[np.ndarray], np.ndarray] | None = None
-    delta_a_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    delta_x: Callable[[np.ndarray, float], np.ndarray] | None = None
-    delta_x_jac: Callable[[np.ndarray, float], np.ndarray] | None = None
-    delta_x_dot: Callable[[np.ndarray, float], np.ndarray] | None = None
+    delta_a: VectorField | None = None
+    delta_x: VectorField | None = None
     label: str = "custom"
-    h: float = 1e-4
 
     def dt(self, t) -> float:
         return 0.0 if self.delta_t is None else float(self.delta_t(t))
@@ -505,48 +472,35 @@ class VariationTriple:
             return 0.0
         if self.delta_t_rate is not None:
             return float(self.delta_t_rate(t))
-        return derivative(lambda s: self.delta_t(t + s), self.h, 4)
+        return derivative(lambda s: self.delta_t(t + s), FD_STEP)
 
     @staticmethod
-    def _eval(fn, a, tail, *t):
-        """``fn(a, *t)`` at labels ``a`` (..., 3), or zeros when ``fn`` is None."""
-        a = np.asarray(a, float)
-        if fn is None:
-            return np.zeros(a.shape[:-1] + tail)
-        return fit_to_stack(fn(a, *t), a.shape[:-1], tail)
+    def _zeros(a, tail):
+        return np.zeros(np.shape(a)[:-1] + tail)
 
     def da(self, a) -> np.ndarray:
-        return self._eval(self.delta_a, a, (3,))
+        return self._zeros(a, (3,)) if self.delta_a is None else self.delta_a(a, 0.0)
 
     def da_jac(self, a) -> np.ndarray:
-        if self.delta_a is None:
-            return self._eval(None, a, (3, 3))
-        if self.delta_a_jac is not None:
-            return self._eval(self.delta_a_jac, a, (3, 3))
-        return fd_jacobian(self.da, a, self.h, 4)
+        return self._zeros(a, (3, 3)) if self.delta_a is None else self.delta_a.jacobian(a, 0.0)
 
     def dx(self, a, t) -> np.ndarray:
-        return self._eval(self.delta_x, a, (3,), t)
+        return self._zeros(a, (3,)) if self.delta_x is None else self.delta_x(a, t)
 
     def dx_jac(self, a, t) -> np.ndarray:
-        if self.delta_x is None:
-            return self._eval(None, a, (3, 3))
-        if self.delta_x_jac is not None:
-            return self._eval(self.delta_x_jac, a, (3, 3), t)
-        return fd_jacobian(lambda b: self.dx(b, t), a, self.h, 4)
+        return self._zeros(a, (3, 3)) if self.delta_x is None else self.delta_x.jacobian(a, t)
 
     def dx_dot(self, a, t) -> np.ndarray:
         if self.delta_x is None:
-            return self._eval(None, a, (3,))
-        if self.delta_x_dot is not None:
-            return self._eval(self.delta_x_dot, a, (3,), t)
-        return derivative(lambda s: self.dx(a, t + s), self.h, 4)
+            return self._zeros(a, (3,))
+        return self.delta_x.time_derivative(a, t)
 
     @classmethod
     def relabeling(cls, gen: RelabelGenerator) -> "VariationTriple":
         # delta_a and its Jacobian depend on the labels only: once per stack
-        return cls(delta_a=_per_stack(gen.delta_a), delta_a_jac=_per_stack(gen.jacobian),
-                   label=f"relabeling[{gen.label}]")
+        da, jac = _per_stack(gen.delta_a), _per_stack(gen.jacobian)
+        delta_a = VectorField(value=lambda a, t: da(a), jacobian_fn=lambda a, t: jac(a))
+        return cls(delta_a=delta_a, label=f"relabeling[{gen.label}]")
 
     @classmethod
     def time_translation(cls) -> "VariationTriple":
@@ -680,8 +634,7 @@ def relabeling_invariance_scan(
         deformed = DeformedTrajectoryField(field, var, eps)
         deformed.fold_factor(nodes)
         deltas.append(abs(action(deformed, material, quad) - s0))
-    d = var.da_jac(nodes)
-    max_div = float(np.max(np.abs(d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2])))
+    max_div = float(np.max(np.abs(var.delta_a.divergence(nodes, 0.0))))
     slope = fit_loglog_slope(eps_list, deltas, floor=max(abs(s0), 1.0) * 1e-14)
     symmetric = slope is None or slope >= slope_threshold
     return ScanResult(
@@ -705,7 +658,7 @@ def weak_form_integral(
     material: FlowMaterial,
     gen: RelabelGenerator,
     quad: SpaceTimeQuadrature,
-    pressure: ScalarFieldLabel | None = None,
+    pressure: ScalarField | None = None,
 ) -> tuple[float, float]:
     """Both sides of the weak-form pairing for a relabeling direction.
 
@@ -738,7 +691,7 @@ def rund_trautman_check(
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
     eps=1e-3,
-    pressure: ScalarFieldLabel | None = None,
+    pressure: ScalarField | None = None,
 ) -> tuple[float, float, float] | list[tuple[float, float, float]]:
     """(total, el_part, bd_part) of the fundamental variational split.
 
@@ -774,7 +727,7 @@ def el_part(
     material: FlowMaterial,
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
-    pressure: ScalarFieldLabel | None = None,
+    pressure: ScalarField | None = None,
 ) -> float:
     """Bulk brace of the variational formula: -(momentum residual) . delta-bar x."""
     if pressure is None:
@@ -793,7 +746,7 @@ def noether_boundary_term(
     material: FlowMaterial,
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
-    pressure: ScalarFieldLabel | None = None,
+    pressure: ScalarField | None = None,
 ) -> float:
     """Boundary brace: time-endpoint spatial quadratures at the window ends
     plus the space-time quadrature of the divergence of the Noether flux

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from vortlab import flows
-from vortlab.fields import Box, LabelGrid, ScalarFieldLabel
+from vortlab.fields import Box, LabelGrid, ScalarField, VectorField
 from vortlab.invariants import cauchy_drift, cauchy_residual
 from vortlab.kinematics import run_identity_battery
 from vortlab.poly import Poly
@@ -59,8 +59,8 @@ def poly_generator():
     return RelabelGenerator.from_potential_polys([zero, zero, a1 * a2], label="psi=a1*a2")
 
 
-S_A3 = ScalarFieldLabel(value=lambda a, t: a[..., 2],
-                        gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0]))
+S_A3 = ScalarField(value=lambda a, t: a[..., 2],
+                   gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0]))
 
 
 class TestCriterion1:
@@ -149,7 +149,7 @@ class TestCriterion4:
 
     def test_rotation_endpoint_error_ratio(self):
         omega = 1.0
-        u = flows.EulerianVectorField(
+        u = VectorField(
             value=lambda x, t: np.stack(
                 [-omega * x[..., 1], omega * x[..., 0], 0.0 * x[..., 2]], axis=-1),
             jacobian_fn=lambda x, t: np.array(
@@ -187,8 +187,9 @@ class TestCriterion5:
         )
         divergent = relabeling_invariance_scan(
             fx.field, fx.material,
-            RelabelGenerator(delta_fn=lambda a: np.asarray(a, float),
-                             jacobian_fn=lambda a: np.eye(3), label="divergent"),
+            RelabelGenerator(VectorField(value=lambda a, t: np.asarray(a, float),
+                                         jacobian_fn=lambda a, t: np.eye(3)),
+                             label="divergent"),
             quad, eps_list=DEFAULT_EPS_LADDER,
         )
         g_ok = good.slope is None or good.slope >= 1.9

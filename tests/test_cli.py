@@ -1,6 +1,7 @@
 """CLI contract: exit codes, determinism, report formats, export."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vortlab.cli import main
+from vortlab.cli import build_parser, main
 from vortlab.fields import load_grid
 
 
@@ -269,9 +270,45 @@ class TestExport:
         assert not path.exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_synopsis():
+    """(subcommand, [(flag, metavar or "")]) for each line of the README's
+    "Command line" block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    rows = []
+    for line in block.splitlines():
+        usage = line.partition("#")[0]
+        rows.append((usage.split()[1],
+                     re.findall(r"(--[a-z-]+)(?:\s+([A-Z][A-Z0-9]*|\.\.\.))?", usage)))
+    return rows
+
+
+README_SYNOPSIS = _readme_synopsis()
+# a value of the right kind for each metavar of the synopsis
+SYNOPSIS_VALUES = {"NAME": "identity", "N": "3", "S": "2", "DT": "0.01,0.005",
+                   "FILE": "out.npz", "...": "cauchy"}
+
+
+class TestReadmeSynopsis:
+    def test_block_found(self):
+        assert [command for command, _ in README_SYNOPSIS] == \
+            ["verify", "identities", "action", "drift", "export"]
+
+    @pytest.mark.parametrize("command,flags", README_SYNOPSIS,
+                             ids=[command for command, _ in README_SYNOPSIS])
+    def test_every_flag_parses(self, command, flags):
+        argv = [command]
+        for flag, metavar in flags:
+            argv += [flag, SYNOPSIS_VALUES[metavar]] if metavar else [flag]
+        build_parser().parse_args(argv)
+
+
 def _readme_examples():
     """(command, comment) for each line of the README's "Examples:" block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     rows = []
     for line in block.splitlines():

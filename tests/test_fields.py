@@ -15,8 +15,9 @@ from vortlab.fields import (
     LabelGrid,
     PolynomialTrajectoryField,
     SampledTrajectoryField,
-    ScalarFieldLabel,
-    VectorFieldLabel,
+    ScalarField,
+    VectorField,
+    derivative,
     eval_state,
     fd_jacobian,
     load_grid,
@@ -62,22 +63,22 @@ class TestEvalState:
 
 class TestLabelOperators:
     def test_gradient_of_coordinate(self):
-        f = ScalarFieldLabel(value=lambda a, t: a[..., 0])
+        f = ScalarField(value=lambda a, t: a[..., 0])
         assert np.allclose(f.gradient((0.3, 0.1, 0.0), 0.0), [1.0, 0.0, 0.0])
 
     def test_gradient_example(self):
-        f = ScalarFieldLabel(value=lambda a, t: a[..., 0] * a[..., 1] + a[..., 2] ** 2)
+        f = ScalarField(value=lambda a, t: a[..., 0] * a[..., 1] + a[..., 2] ** 2)
         assert np.allclose(f.gradient((1.0, 2.0, 3.0), 0.0), [2.0, 1.0, 6.0], atol=1e-10)
 
     def test_gradient_of_constant(self):
-        f = ScalarFieldLabel.constant(4.2)
+        f = ScalarField.constant(4.2)
         assert np.allclose(f.gradient((0.0, 0.0, 0.0), 0.0), 0.0)
 
     def test_curl_and_div_examples(self):
-        v = VectorFieldLabel(value=lambda a, t: np.stack([-a[..., 1], a[..., 0], 0.0 * a[..., 2]], -1))
+        v = VectorField(value=lambda a, t: np.stack([-a[..., 1], a[..., 0], 0.0 * a[..., 2]], -1))
         assert np.allclose(v.curl((0.2, 0.3, 0.4), 0.0), [0.0, 0.0, 2.0], atol=1e-10)
         assert abs(v.divergence((0.2, 0.3, 0.4), 0.0)) < 1e-10
-        r = VectorFieldLabel(value=lambda a, t: np.asarray(a, float))
+        r = VectorField(value=lambda a, t: np.asarray(a, float))
         assert abs(r.divergence((0.2, 0.3, 0.4), 0.0) - 3.0) < 1e-10
         assert np.allclose(r.curl((0.2, 0.3, 0.4), 0.0), 0.0, atol=1e-10)
 
@@ -110,15 +111,32 @@ class TestLabelOperators:
             assert div.is_zero
 
     def test_fd_gradient_convergence_order(self):
-        f4 = lambda h: ScalarFieldLabel(value=lambda a, t: np.sin(2 * a[..., 0]) * np.cos(a[..., 1]), h=h, order=4)
-        f2 = lambda h: ScalarFieldLabel(value=lambda a, t: np.sin(2 * a[..., 0]) * np.cos(a[..., 1]), h=h, order=2)
+        f = lambda a: np.sin(2 * a[..., 0]) * np.cos(a[..., 1])
         a = (0.3, -0.4, 0.2)
         exact = np.array([2 * math.cos(2 * a[0]) * math.cos(a[1]),
                           -math.sin(2 * a[0]) * math.sin(a[1]), 0.0])
         hs = [0.2, 0.1, 0.05]
-        for make, order in ((f4, 4), (f2, 2)):
-            errs = [np.max(np.abs(make(h).gradient(a, 0.0) - exact)) for h in hs]
+        for order in (4, 2):
+            errs = [np.max(np.abs(fd_jacobian(f, a, h, order) - exact)) for h in hs]
             assert _fit_slope(hs, errs) >= order - 0.2
+
+    def test_fallbacks_use_the_module_steps_at_order_4(self):
+        # bitwise on a stack and on one label: generic fields at 1e-4, the
+        # analytic backend at 1e-3
+        value = lambda a, t: np.sin(2 * a[..., 0]) * np.cos(a[..., 1]) * (1.0 + t * a[..., 2])
+        vector = lambda a, t: np.stack([value(a, t), a[..., 2] * a[..., 0] ** 2 * t,
+                                        np.exp(a[..., 1] - t)], axis=-1)
+        s, v = ScalarField(value=value), VectorField(value=vector)
+        field = AnalyticTrajectoryField(vector, BOX)
+        t = 0.3
+        stack = np.random.default_rng(8).uniform(-0.8, 0.8, (4, 3))
+        for pts in (stack, stack[1]):
+            assert (s.gradient(pts, t) == fd_jacobian(lambda b: value(b, t), pts, 1e-4, 4)).all()
+            assert (v.jacobian(pts, t) == fd_jacobian(lambda b: vector(b, t), pts, 1e-4, 4)).all()
+            assert (v.time_derivative(pts, t) ==
+                    derivative(lambda dt: vector(pts, t + dt), 1e-4, 4)).all()
+            assert (field.position_gradient(pts, t) ==
+                    fd_jacobian(lambda b: vector(b, t), pts, 1e-3, 4)).all()
 
 
 class TestFdJacobian:
@@ -257,8 +275,8 @@ class TestEvaluationProtocol:
         labels = LabelGrid.cell_centers(fx.field.box, (5, 5, 5)).nodes()
         gerstner = flows.make_fixture("gerstner")
         glabels = LabelGrid.cell_centers(gerstner.field.box, (5, 5, 5)).nodes()
-        poly = ScalarFieldLabel.from_poly(Poly.variable(4, 0) * Poly.variable(4, 1) ** 3)
-        fd = ScalarFieldLabel(value=lambda a, t: np.sin(a[..., 0]) * a[..., 2])
+        poly = ScalarField.from_poly(Poly.variable(4, 0) * Poly.variable(4, 1) ** 3)
+        fd = ScalarField(value=lambda a, t: np.sin(a[..., 0]) * a[..., 2])
         cases = [(fx.pressure, labels), (fx.material.rho0, labels), (gerstner.pressure, glabels),
                  (poly, labels), (fd, labels)]
         for f, pts in cases:
@@ -274,13 +292,13 @@ class TestEvaluationProtocol:
         u = flows.abc_velocity()
         assert (u.curl(xs, 0.0) == np.stack([u.curl(x, 0.0) for x in xs])).all()
         a2, a3 = Poly.variable(4, 1), Poly.variable(4, 2)
-        v = VectorFieldLabel.from_polys([a2 ** 2, a3, Poly(4, {})])
+        v = VectorField.from_polys([a2 ** 2, a3, Poly(4, {})])
         assert (v.curl(labels, 0.4) == np.stack([v.curl(a, 0.4) for a in labels])).all()
 
     def test_single_label_callable_fails_on_a_stack(self):
         labels = LabelGrid.cell_centers(BOX, (2, 2, 2)).nodes()
-        old_spelling = ScalarFieldLabel(value=lambda a, t: a[0] * a[1],
-                                        gradient_fn=lambda a, t: np.array([a[1], a[0], 0.0 * a[2]]))
+        old_spelling = ScalarField(value=lambda a, t: a[0] * a[1],
+                                   gradient_fn=lambda a, t: np.array([a[1], a[0], 0.0 * a[2]]))
         with pytest.raises(ValueError, match=r"a\[\.\.\., i\]"):
             old_spelling(labels, 0.0)
         with pytest.raises(ValueError, match=r"a\[\.\.\., i\]"):

@@ -10,8 +10,8 @@ import pytest
 
 from vortlab import flows
 from vortlab.errors import OutOfDomainError, VortlabError
-from vortlab.fields import Box, LabelGrid
-from vortlab.invariants import cauchy_residual
+from vortlab.fields import Box, LabelGrid, SampledTrajectoryField, VectorField
+from vortlab.invariants import cauchy_residual, lagrangian_vorticity
 from vortlab.variational import momentum_residual
 
 
@@ -73,15 +73,30 @@ class TestCatalog:
 class TestIntegrator:
     def test_constant_field_exact(self):
         c = np.array([0.3, -0.2, 0.1])
-        u = flows.EulerianVectorField(value=lambda x, t: c.copy(), steady=True)
+        u = VectorField(value=lambda x, t: c.copy(), steady=True)
         grid = LabelGrid.nodes_inclusive(Box((0, 0, 0), (1, 1, 1)), (3, 3, 3))
         fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.25)
         a = grid.nodes()[13]
         assert np.allclose(fld.position(a, 1.0), a + c, atol=1e-14)
 
+    def test_gradient_on_axis_shorter_than_stencil_names_it(self):
+        # positions read fine; an order-4 label gradient on a 3-node axis, or
+        # a time derivative on a 3-stamp ladder, is a VortlabError naming it
+        u = VectorField(value=lambda x, t: np.stack([x[..., 1], 0 * x[..., 0], 0 * x[..., 2]],
+                                                    axis=-1), steady=True)
+        grid = LabelGrid.nodes_inclusive(Box((0, 0, 0), (1, 1, 1)), (3, 3, 3))
+        fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.25)
+        fld.position(grid.nodes(), 0.5)
+        with pytest.raises(VortlabError, match="non-periodic axis1 of length 3 is too short "
+                                               "for the 5-point order-4 stencils"):
+            lagrangian_vorticity(fld, grid.nodes()[13], 0.5)
+        short = SampledTrajectoryField(grid, fld.times[:3], fld.positions[:3])
+        with pytest.raises(VortlabError, match="time ladder of length 3 is too short"):
+            short.velocity(grid.nodes()[13], 0.25)
+
     def test_rotation_fourth_order(self):
         omega = 1.0
-        u = flows.EulerianVectorField(
+        u = VectorField(
             value=lambda x, t: np.stack(
                 [-omega * x[..., 1], omega * x[..., 0], 0.0 * x[..., 2]], axis=-1),
             jacobian_fn=lambda x, t: np.array(
@@ -112,14 +127,14 @@ class TestIntegrator:
         assert np.max(np.abs(J - 1.0)) < 5e-3
 
     def test_domain_escape_detected(self):
-        u = flows.EulerianVectorField(value=lambda x, t: np.array([1.0, 0.0, 0.0]), steady=True)
+        u = VectorField(value=lambda x, t: np.array([1.0, 0.0, 0.0]), steady=True)
         grid = LabelGrid.nodes_inclusive(Box((0, 0, 0), (1, 1, 1)), (3, 3, 3))
         with pytest.raises(OutOfDomainError):
             flows.integrate_trajectories(u, grid, 0.0, 5.0, 0.5,
                                          domain=Box((0, 0, 0), (2, 2, 2)))
 
     def test_rejects_bad_step(self):
-        u = flows.EulerianVectorField(value=lambda x, t: np.zeros(3), steady=True)
+        u = VectorField(value=lambda x, t: np.zeros(3), steady=True)
         grid = LabelGrid.nodes_inclusive(Box((0, 0, 0), (1, 1, 1)), (3, 3, 3))
         with pytest.raises(ValueError):
             flows.integrate_trajectories(u, grid, 0.0, 1.0, -0.1)
@@ -147,11 +162,11 @@ class TestIntegrator:
             return np.stack([x[..., 2], 0.0 * x[..., 1], np.sin(x[..., 0])], axis=-1)
 
         if steady:
-            u = flows.EulerianVectorField(
+            u = VectorField(
                 value=lambda x, t: value(x, 0.0), jacobian_fn=lambda x, t: jac(x, 0.0),
                 steady=True)
         else:
-            u = flows.EulerianVectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
+            u = VectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
         grid = LabelGrid.nodes_inclusive(Box((0.1, 0.2, 0.3), (0.6, 0.9, 0.5)), (4, 3, 5))
         fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.125)
         assert len(calls) == 4 * 8 + 1
@@ -223,7 +238,7 @@ def _unsteady_velocity():
     def dudt(x, t):
         return np.stack([x[..., 2], 0.0 * x[..., 1], np.sin(x[..., 0])], axis=-1)
 
-    return flows.EulerianVectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
+    return VectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
 
 
 def _advection_case(name, shape):
@@ -276,7 +291,7 @@ class TestConcurrentAdvection:
         # u = x1 e1 grows like exp(t), so the labels of the second chunk
         # (larger a1) leave the box at t = 0.7, the first chunk's only at 1.1
         force_chunks(2, floor=8)
-        u = flows.EulerianVectorField(
+        u = VectorField(
             value=lambda x, t: x * np.array([1.0, 0.0, 0.0]),
             jacobian_fn=lambda x, t: np.diag([1.0, 0.0, 0.0]), steady=True)
         grid = LabelGrid.nodes_inclusive(Box((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), (4, 3, 3))
@@ -298,7 +313,7 @@ class TestConcurrentAdvection:
             return np.zeros(x.shape)
 
         force_chunks(2, floor=8)
-        u = flows.EulerianVectorField(value=value, steady=True)
+        u = VectorField(value=value, steady=True)
         grid = LabelGrid.nodes_inclusive(Box((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), (4, 3, 3))
         with pytest.raises(Boom):
             flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.1)

@@ -10,9 +10,9 @@ from vortlab import flows
 from vortlab.errors import DegenerateMapError
 from vortlab.fields import (
     Box,
-    EulerianVectorField,
     PolynomialTrajectoryField,
-    ScalarFieldLabel,
+    ScalarField,
+    VectorField,
 )
 from vortlab.kinematics import (
     JacobianBundle,
@@ -235,8 +235,8 @@ class TestCurlPullback:
         fld = PolynomialTrajectoryField.identity_plus(
             [Fraction(1, 8) * random_poly(rng, 4) for _ in range(3)], BOX, -1.0, 1.0
         )
-        q = EulerianVectorField.from_polys([Poly(3, {}) for _ in range(3)])
-        F = ScalarFieldLabel.from_poly(random_poly(rng, 4))
+        q = VectorField.from_polys([Poly(3, {}) for _ in range(3)])
+        F = ScalarField.from_poly(random_poly(rng, 4))
         r = curl_pullback_residual(fld, q, F, random_point(rng, 3, 4), Fraction(1, 2))
         assert all(v == 0 for v in r)
 
@@ -244,8 +244,8 @@ class TestCurlPullback:
         rng = random.Random(4)
         a_vars = [Poly.variable(4, i) for i in range(3)]
         fld = PolynomialTrajectoryField(a_vars, BOX, -1.0, 1.0)
-        q = EulerianVectorField.from_polys([random_poly(rng, 3) for _ in range(3)])
-        F = ScalarFieldLabel.from_poly(Poly(4, {}))
+        q = VectorField.from_polys([random_poly(rng, 3) for _ in range(3)])
+        F = ScalarField.from_poly(Poly(4, {}))
         r = curl_pullback_residual(fld, q, F, random_point(rng, 3, 4), Fraction(0))
         assert all(v == 0 for v in r)
 
@@ -253,8 +253,8 @@ class TestCurlPullback:
         a1, a2, a3, t = (Poly.variable(4, i) for i in range(4))
         fld = PolynomialTrajectoryField([a1 + t * a2, a2, a3], BOX, 0.0, 5.0)
         x2 = Poly.variable(3, 1)
-        q = EulerianVectorField.from_polys([x2, Poly(3, {}), Poly(3, {})])
-        F = ScalarFieldLabel.from_poly(Poly(4, {}))
+        q = VectorField.from_polys([x2, Poly(3, {}), Poly(3, {})])
+        F = ScalarField.from_poly(Poly(4, {}))
         r = curl_pullback_residual(fld, q, F, (Fraction(1), Fraction(1), Fraction(0)), Fraction(3))
         assert all(v == 0 for v in r)
 

@@ -17,7 +17,7 @@ from vortlab.fields import (
     Box,
     LabelGrid,
     SampledTrajectoryField,
-    ScalarFieldLabel,
+    ScalarField,
 )
 from vortlab.invariants import cauchy_drift, cauchy_residual, lagrangian_vorticity
 from vortlab.kinematics import jacobian
@@ -37,7 +37,7 @@ from vortlab.theorems import (
 )
 from vortlab.variational import FlowMaterial
 
-S_LABEL = ScalarFieldLabel(
+S_LABEL = ScalarField(
     value=lambda a, t: a[..., 2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
 )
 
@@ -89,7 +89,7 @@ class TestBeltrami:
 class TestErtel:
     def test_constant_scalar_gives_zero(self):
         fx = flows.make_fixture("gerstner")
-        S = ScalarFieldLabel.constant(4.0)
+        S = ScalarField.constant(4.0)
         assert abs(ertel_pv(fx.field, fx.material, S, (2.0, 0.5, -1.0), 0.3)) < 1e-14
 
     def test_rotation_value_and_drift(self):
@@ -121,7 +121,7 @@ class TestErtel:
 
 
 # S = a1 a2 + a3^2 / 2: a label-only scalar whose gradient varies over the grid
-S_QUADRATIC = ScalarFieldLabel(
+S_QUADRATIC = ScalarField(
     value=lambda a, t: a[..., 0] * a[..., 1] + 0.5 * a[..., 2] ** 2,
     gradient_fn=lambda a, t: np.stack([a[..., 1], a[..., 0], a[..., 2]], axis=-1).astype(float),
 )
@@ -200,7 +200,7 @@ class TestErtelBatched:
     def test_negative_initial_density_raises_like_pointwise(self):
         fx = flows.make_fixture("gerstner")
         material = FlowMaterial(
-            rho0=ScalarFieldLabel.constant(-1.0), eos=fx.material.eos,
+            rho0=ScalarField.constant(-1.0), eos=fx.material.eos,
             potential=fx.material.potential,
         )
         grid = LabelGrid.cell_centers(fx.field.box, (2, 2, 2))

@@ -10,7 +10,7 @@ import pytest
 
 from vortlab import cli, flows, variational
 from vortlab.errors import FoldedRelabelingError, NonPositiveDensityError, VortlabError
-from vortlab.fields import Box, ScalarFieldLabel, fd_jacobian
+from vortlab.fields import Box, ScalarField, VectorField, fd_jacobian
 from vortlab.kinematics import cof3, det3
 from vortlab.poly import Poly
 from vortlab.variational import (
@@ -34,7 +34,6 @@ from vortlab.variational import (
     rund_trautman_check,
     sine_potential,
     weak_form_integral,
-    zero_potential,
 )
 
 
@@ -97,11 +96,11 @@ class TestMassAndMomentum:
         g = 9.81
         fx = flows.make_fixture("identity")
         material = FlowMaterial(
-            rho0=ScalarFieldLabel.constant(1.0),
+            rho0=ScalarField.constant(1.0),
             eos=BarotropicEOS.zero(),
             potential=flows.gravity_potential(g),
         )
-        pressure = ScalarFieldLabel(
+        pressure = ScalarField(
             value=lambda a, t: -g * a[..., 2],
             gradient_fn=lambda a, t: np.array([0.0, 0.0, -g]),
         )
@@ -110,7 +109,7 @@ class TestMassAndMomentum:
 
     def test_translation_constant_pressure(self):
         fx = flows.make_fixture("translation")
-        r = momentum_residual(fx.field, fx.material, ScalarFieldLabel.constant(7.0),
+        r = momentum_residual(fx.field, fx.material, ScalarField.constant(7.0),
                               (0.1, 0.1, 0.1), 0.5)
         assert np.max(np.abs(r)) < 1e-12
 
@@ -130,7 +129,7 @@ class TestMassAndMomentum:
         material = FlowMaterial(
             rho0=fx.material.rho0,
             eos=BarotropicEOS.polytropic(1.0, 2),
-            potential=zero_potential(),
+            potential=ScalarField.constant(0.0),
         )
         p = pressure_from_eos(fx.field, material)
         assert p((0.2, 0.2, 0.2), 1.0) == pytest.approx((1.0 + 1.0) ** -6)
@@ -162,7 +161,7 @@ class TestRelabelGenerators:
     def test_curl_of_quadratic_potential(self):
         gen = poly_generator()
         assert np.allclose(gen.delta_a((0.3, 0.4, 0.9)), [0.3, -0.4, 0.0])
-        assert abs(gen.divergence((0.3, 0.4, 0.9))) < 1e-14
+        assert abs(gen.field.divergence((0.3, 0.4, 0.9), 0.0)) < 1e-14
 
     def test_gradient_potential_gives_zero(self):
         # delta_R = grad(phi) has zero curl
@@ -171,13 +170,13 @@ class TestRelabelGenerators:
         assert np.allclose(gen.delta_a((0.5, -0.4, 0.8)), 0.0)
 
     def test_scalar_pair_cross_gradient(self):
-        dR1 = ScalarFieldLabel(value=lambda a, t: a[..., 0],
-                               gradient_fn=lambda a, t: np.array([1.0, 0.0, 0.0]))
-        R2 = ScalarFieldLabel(value=lambda a, t: a[..., 1],
-                              gradient_fn=lambda a, t: np.array([0.0, 1.0, 0.0]))
+        dR1 = ScalarField(value=lambda a, t: a[..., 0],
+                          gradient_fn=lambda a, t: np.array([1.0, 0.0, 0.0]))
+        R2 = ScalarField(value=lambda a, t: a[..., 1],
+                         gradient_fn=lambda a, t: np.array([0.0, 1.0, 0.0]))
         gen = RelabelGenerator.from_scalar_pair(dR1, R2)
         assert np.allclose(gen.delta_a((0.3, 0.3, 0.3)), [0.0, 0.0, 1.0])
-        assert abs(gen.divergence((0.3, 0.3, 0.3))) < 1e-9
+        assert abs(gen.field.divergence((0.3, 0.3, 0.3), 0.0)) < 1e-9
 
     def test_divergence_free_for_random_polynomial_potentials(self):
         import random
@@ -191,7 +190,7 @@ class TestRelabelGenerators:
             )
             for _ in range(5):
                 a = [rng.uniform(-1, 1) for _ in range(3)]
-                assert abs(gen.divergence(a)) < 1e-12
+                assert abs(gen.field.divergence(a, 0.0)) < 1e-12
 
 
 class TestLocalVariation:
@@ -209,8 +208,8 @@ class TestLocalVariation:
 
     def test_shear_matrix(self):
         f = flows.make_fixture("shear", t1=5.0).field
-        gen = RelabelGenerator(delta_fn=lambda a: np.array([0.0, 1.0, 0.0]),
-                               jacobian_fn=lambda a: np.zeros((3, 3)))
+        gen = RelabelGenerator(VectorField(value=lambda a, t: np.array([0.0, 1.0, 0.0]),
+                                           jacobian_fn=lambda a, t: np.zeros((3, 3))))
         out = local_variation_of_triple(f, VariationTriple.relabeling(gen), (0.0, 0.0, 0.0), 3.0)
         assert np.allclose(out, [-3.0, -1.0, 0.0])
 
@@ -248,16 +247,17 @@ class TestInvarianceScan:
         assert 1.9 <= scan.slope <= 2.6
 
     def test_divergent_generator_flagged(self):
-        bad = RelabelGenerator(delta_fn=lambda a: np.asarray(a, float),
-                               jacobian_fn=lambda a: np.eye(3), label="divergent")
+        bad = RelabelGenerator(VectorField(value=lambda a, t: np.asarray(a, float),
+                                           jacobian_fn=lambda a, t: np.eye(3)), label="divergent")
         scan = relabeling_invariance_scan(self.fx.field, self.fx.material, bad, self.quad)
         assert not scan.symmetric
         assert scan.slope <= 1.2
         assert scan.max_divergence > 1.0
 
     def test_fold_detection(self):
-        bad = RelabelGenerator(delta_fn=lambda a: -2.0 * np.asarray(a, float),
-                               jacobian_fn=lambda a: -2.0 * np.eye(3), label="folding")
+        bad = RelabelGenerator(VectorField(value=lambda a, t: -2.0 * np.asarray(a, float),
+                                           jacobian_fn=lambda a, t: -2.0 * np.eye(3)),
+                               label="folding")
         with pytest.raises(FoldedRelabelingError):
             relabeling_invariance_scan(self.fx.field, self.fx.material, bad, self.quad,
                                        eps_list=(0.9,))
@@ -314,7 +314,7 @@ class TestWeakForm:
         gen = poly_generator()
         quad = SpaceTimeQuadrature.gauss(fx.field.box, (4, 4, 4), (0.0, 1.0), 3)
         lhs, rhs = weak_form_integral(fx.field, fx.material, gen, quad,
-                                      pressure=ScalarFieldLabel.constant(0.0))
+                                      pressure=ScalarField.constant(0.0))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_non_extremal_equality(self):
@@ -329,7 +329,7 @@ class TestWeakForm:
 
     def test_requires_vector_potential(self):
         fx = flows.make_fixture("identity")
-        bare = RelabelGenerator(delta_fn=lambda a: np.zeros(3))
+        bare = RelabelGenerator(VectorField(value=lambda a, t: np.zeros(3)))
         quad = SpaceTimeQuadrature.gauss(fx.field.box, (3, 3, 3), (0.0, 1.0), 2)
         with pytest.raises(VortlabError):
             weak_form_integral(fx.field, fx.material, bare, quad)
@@ -393,13 +393,13 @@ class TestRundTrautman:
         # are all nonzero and the mismatch decays at first order
         ne = flows.make_fixture("non-euler")
         quad = SpaceTimeQuadrature.gauss(ne.field.box, (6, 6, 6), (0.0, 1.0), 4)
-        vt = VariationTriple(
-            delta_x=lambda a, t: first_component(0.1 * (1 + a[..., 1]) * (1 + t)),
-            delta_x_jac=lambda a, t: np.array(
+        vt = VariationTriple(delta_x=VectorField(
+            value=lambda a, t: first_component(0.1 * (1 + a[..., 1]) * (1 + t)),
+            jacobian_fn=lambda a, t: np.array(
                 [[0.0, 0.1 * (1 + t), 0.0], [0, 0, 0], [0, 0, 0]]
             ),
-            delta_x_dot=lambda a, t: first_component(0.1 * (1 + a[..., 1])),
-        )
+            time_derivative_fn=lambda a, t: first_component(0.1 * (1 + a[..., 1])),
+        ))
         mism = []
         for eps in (1e-2, 3e-3, 1e-3):
             tot, el, bd = rund_trautman_check(ne.field, ne.material, vt, quad, eps=eps)
@@ -420,11 +420,11 @@ class TestRundTrautman:
         # el and bd are both nonzero and total converges to their sum
         fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
         quad = SpaceTimeQuadrature.gauss(fx.field.box, (6, 6, 6), (0.0, 1.0), 4)
-        vt = VariationTriple(
-            delta_x=lambda a, t: first_component(0.2 * (1 + a[..., 1]) * t),
-            delta_x_jac=lambda a, t: np.array([[0.0, 0.2 * t, 0.0], [0, 0, 0], [0, 0, 0]]),
-            delta_x_dot=lambda a, t: first_component(0.2 * (1 + a[..., 1])),
-        )
+        vt = VariationTriple(delta_x=VectorField(
+            value=lambda a, t: first_component(0.2 * (1 + a[..., 1]) * t),
+            jacobian_fn=lambda a, t: np.array([[0.0, 0.2 * t, 0.0], [0, 0, 0], [0, 0, 0]]),
+            time_derivative_fn=lambda a, t: first_component(0.2 * (1 + a[..., 1])),
+        ))
         eps = 1e-4
         tot, el, bd = rund_trautman_check(fx.field, fx.material, vt, quad, eps=eps)
         assert abs(el) > 0.01 and abs(bd) > 0.01
@@ -524,7 +524,7 @@ def _batched_case(name):
         # a density that varies over the labels and enters the energy, so
         # rho0 J0 on the stencil-shifted stacks and E(rho) are compared, and
         # delta_a = (0, 2 a2 a3, -a3^2), which meets the gravity imbalance along a3
-        rho0 = ScalarFieldLabel(
+        rho0 = ScalarField(
             value=lambda a, t: 1.0 + 0.25 * a[..., 0] + 0.2 * a[..., 1] * a[..., 1] * a[..., 2])
         material = FlowMaterial(rho0=rho0, eos=BarotropicEOS.polytropic(0.7, 2.4),
                                 potential=material.potential)
@@ -555,7 +555,8 @@ class TestBatchedVariationalLayer:
             want.append(abs(s_eps - s0))
         assert scan.deviation == want
         assert scan.base_action == s0
-        assert scan.max_divergence == max(abs(float(gen.divergence(a))) for a in quad.space_nodes)
+        assert scan.max_divergence == max(abs(float(gen.field.divergence(a, 0.0)))
+                                          for a in quad.space_nodes)
 
     @pytest.mark.parametrize("name", BATCHED_CASES)
     def test_integrands_bitwise_per_node(self, name):
@@ -611,8 +612,8 @@ class TestBatchedVariationalLayer:
         fx, material, _, quad = _batched_case("rigid-rotation")
         # folds only where a1 > 0.2
         folding = RelabelGenerator(
-            delta_fn=lambda a: np.zeros(3),
-            jacobian_fn=lambda a: np.where(a[..., 0, None, None] > 0.2, -2.0, 0.0) * np.eye(3),
+            VectorField(value=lambda a, t: np.zeros(3), jacobian_fn=lambda a, t: np.where(
+                a[..., 0, None, None] > 0.2, -2.0, 0.0) * np.eye(3)),
             label="half-fold",
         )
         first = next(a for a in quad.space_nodes if a[0] > 0.2)
@@ -622,8 +623,8 @@ class TestBatchedVariationalLayer:
     def test_nonpositive_density_still_raises(self):
         fx, _, gen, quad = _batched_case("rigid-rotation")
         # rho0 = a1 is negative on half the box
-        material = FlowMaterial(rho0=ScalarFieldLabel(value=lambda a, t: a[..., 0]),
-                                eos=BarotropicEOS.zero(), potential=zero_potential())
+        material = FlowMaterial(rho0=ScalarField(value=lambda a, t: a[..., 0]),
+                                eos=BarotropicEOS.zero(), potential=ScalarField.constant(0.0))
         first = str(tuple(next(a for a in quad.space_nodes if a[0] <= 0.0).tolist()))
         for run in (lambda: action(fx.field, material, quad),
                     lambda: density_from_map(fx.field, material, quad.space_nodes, 0.5),
@@ -669,7 +670,7 @@ class TestBatchedVariationalLayer:
     @pytest.mark.parametrize("name", BATCHED_CASES)
     def test_memoized_relabeling_triple_bitwise(self, name):
         fx, material, gen, quad = _batched_case(name)
-        plain = VariationTriple(delta_a=gen.delta_a, delta_a_jac=gen.jacobian)
+        plain = VariationTriple(delta_a=gen.field)
         ladder = (1e-2, 1e-3)
         assert rund_trautman_check(fx.field, material, VariationTriple.relabeling(gen), quad,
                                    eps=ladder) == \
