@@ -89,6 +89,8 @@ class RunConfig:
             raise VortlabError("--fd-order must be 2 or 4")
         if self.nt < 2:
             raise VortlabError("--nt must be >= 2")
+        if self.trials < 0:
+            raise VortlabError(f"--trials must be >= 0, got {self.trials}")
         if self.t0 is not None and self.t1 is not None and self.t1 <= self.t0:
             raise VortlabError(f"time window needs t1 > t0, got [{self.t0}, {self.t1}]")
 

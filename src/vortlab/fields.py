@@ -551,35 +551,41 @@ class PolynomialTrajectoryField(TrajectoryField):
         if len(comps) != 3 or any(p.nvars != 4 for p in comps):
             raise ValueError("need three polynomials in (a1, a2, a3, t)")
         self.components = comps
-        vel = [p.diff(self._T) for p in comps]
-        self._polys = {}
-        for kind, ps in (("position", comps), ("velocity", vel),
-                         ("acceleration", [p.diff(self._T) for p in vel])):
-            self._polys[kind] = np.array(ps, dtype=object)
-            self._polys[f"{kind}_gradient"] = _poly_jacobian(ps)
-        self._polys["position_hessian"] = np.array(
-            [_poly_jacobian(row) for row in self._polys["position_gradient"]], dtype=object)
+        self._polys = {"position": np.array(comps, dtype=object)}
+
+    def _table(self, kind: str) -> np.ndarray:
+        """The Polys behind protocol method ``kind``, differentiated on first use."""
+        if kind not in self._polys:
+            if kind == "position_hessian":
+                rows = self._table("position_gradient")
+                self._polys[kind] = np.array([_poly_jacobian(r) for r in rows], dtype=object)
+            elif kind.endswith("_gradient"):
+                self._polys[kind] = _poly_jacobian(self._table(kind.removesuffix("_gradient")))
+            else:  # velocity and acceleration: time derivatives of the kind before
+                prev = self._table("position" if kind == "velocity" else "velocity")
+                self._polys[kind] = np.array([p.diff(self._T) for p in prev], dtype=object)
+        return self._polys[kind]
 
     def position(self, a, t):
-        return _poly_eval(self._polys["position"], a, t)
+        return _poly_eval(self._table("position"), a, t)
 
     def velocity(self, a, t):
-        return _poly_eval(self._polys["velocity"], a, t)
+        return _poly_eval(self._table("velocity"), a, t)
 
     def acceleration(self, a, t):
-        return _poly_eval(self._polys["acceleration"], a, t)
+        return _poly_eval(self._table("acceleration"), a, t)
 
     def position_gradient(self, a, t):
-        return _poly_eval(self._polys["position_gradient"], a, t)
+        return _poly_eval(self._table("position_gradient"), a, t)
 
     def velocity_gradient(self, a, t):
-        return _poly_eval(self._polys["velocity_gradient"], a, t)
+        return _poly_eval(self._table("velocity_gradient"), a, t)
 
     def acceleration_gradient(self, a, t):
-        return _poly_eval(self._polys["acceleration_gradient"], a, t)
+        return _poly_eval(self._table("acceleration_gradient"), a, t)
 
     def position_hessian(self, a, t):
-        return _poly_eval(self._polys["position_hessian"], a, t)
+        return _poly_eval(self._table("position_hessian"), a, t)
 
     @classmethod
     def identity_plus(cls, deltas: Sequence[Poly], box: Box, t0=0.0, t1=1.0):

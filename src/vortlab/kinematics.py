@@ -12,6 +12,7 @@ polynomial backend.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ import numpy as np
 
 from .errors import DegenerateMapError
 from .fields import (
+    Box,
+    PolynomialTrajectoryField,
     ScalarField,
     TrajectoryField,
     VectorField,
@@ -27,6 +30,7 @@ from .fields import (
     fd_jacobian,
     matvec,
 )
+from .poly import random_point, random_poly
 
 # Relative threshold for the scale-invariant singularity test.
 DEGENERACY_RTOL = 1e-14
@@ -76,10 +80,9 @@ def cofactor_rate(g, gv):
     return out
 
 
-def det_rate(g, gv):
+def det_rate(cof, gv):
     """dJ/dt by Jacobi's formula: sum_ij cof(G)_ij dG_ij/dt."""
-    c = cof3(g)
-    return sum(c[i, j] * gv[i, j] for i in range(3) for j in range(3))
+    return sum(cof[i, j] * gv[i, j] for i in range(3) for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -154,12 +157,16 @@ def jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None)
     """
     bundle = jacobian(field, a, t)
     gv = field.velocity_gradient(a, t)
-    grad_u_t = bundle.inv.T @ gv.T  # (grad_x u^T) = G^-T dG^T/dt
     if h is None:
-        lhs = gv.T
-    else:
-        order = field.order if field.order in (2, 4) else 4
-        lhs = derivative(lambda s: field.position_gradient(a, t + s), h, order).T
+        return _rate_residual(bundle, gv, gv.T)
+    order = field.order if field.order in (2, 4) else 4
+    lhs = derivative(lambda s: field.position_gradient(a, t + s), h, order).T
+    return _rate_residual(bundle, gv, lhs)
+
+
+def _rate_residual(bundle: JacobianBundle, gv, lhs):
+    """lhs - G^T (grad_x u)^T, with lhs a value of d(G^T)/dt."""
+    grad_u_t = bundle.inv.T @ gv.T  # (grad_x u^T) = G^-T dG^T/dt
     return lhs - bundle.matrix.T @ grad_u_t
 
 
@@ -171,18 +178,22 @@ def inverse_jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None
     dG/dt adj G = 0, then divided back by J^2.
     """
     bundle = jacobian(field, a, t)
-    g = bundle.matrix
     gv = field.velocity_gradient(a, t)
-    if h is not None:
-        order = field.order if field.order in (2, 4) else 4
-        dinv_dt = derivative(
-            lambda s: JacobianBundle.from_matrix(field.position_gradient(a, t + s)).inv, h, order
-        )
-        grad_u_t = gv @ bundle.inv  # (grad_x u^T)^T = dG/dt G^-1
-        return dinv_dt + bundle.inv @ grad_u_t
+    if h is None:
+        return _inverse_rate_residual(bundle, gv)
+    order = field.order if field.order in (2, 4) else 4
+    dinv_dt = derivative(
+        lambda s: JacobianBundle.from_matrix(field.position_gradient(a, t + s)).inv, h, order
+    )
+    grad_u_t = gv @ bundle.inv  # (grad_x u^T)^T = dG/dt G^-1
+    return dinv_dt + bundle.inv @ grad_u_t
+
+
+def _inverse_rate_residual(bundle: JacobianBundle, gv):
+    """The exact J^2-scaled route of :func:`inverse_jacobian_rate_residual`."""
     adj = bundle.cof.T
-    adj_rate = cofactor_rate(g, gv).T
-    j_rate = det_rate(g, gv)
+    adj_rate = cofactor_rate(bundle.matrix, gv).T
+    j_rate = det_rate(bundle.cof, gv)
     scaled = bundle.det * adj_rate - j_rate * adj + adj @ gv @ adj
     return scaled / (bundle.det * bundle.det)
 
@@ -196,19 +207,21 @@ def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None =
     """
     v = field.velocity(a, t)
     gv = field.velocity_gradient(a, t)
-    lhs = gv.T @ v
-    if h is not None:
+    if h is None:
+        return _convective_residual(v, gv)
 
-        def speed2(b):
-            w = field.velocity(b, t)
-            return float(w @ w)
+    def speed2(b):
+        w = field.velocity(b, t)
+        return float(w @ w)
 
-        rhs = 0.5 * fd_jacobian(speed2, a, h, field.order if field.order in (2, 4) else 4)
-        return lhs - rhs
-    # gradient of v.v assembled from the same velocity-gradient data,
+    return gv.T @ v - 0.5 * fd_jacobian(speed2, a, h, field.order if field.order in (2, 4) else 4)
+
+
+def _convective_residual(v, gv):
+    """(grad_a v^T) v minus grad_a(|v|^2) / 2 assembled from the same dv/da."""
     # component-wise, mirroring d(v_m v_m)/da_j = 2 v_m dv_m/da_j
     rhs = np.array([sum(v[m] * gv[m, j] for m in range(3)) for j in range(3)])
-    return lhs - rhs
+    return gv.T @ v - rhs
 
 
 def curl_pullback_residual(
@@ -225,28 +238,27 @@ def curl_pullback_residual(
     The left curl is assembled honestly from second derivatives of the map
     (the Hessian contributions cancel only inside the antisymmetrization).
     """
-    field.check_domain(a, t)
-    g = field.position_gradient(a, t)
-    bundle = JacobianBundle.from_matrix(g)
+    bundle = jacobian(field, a, t)
     x = field.position(a, t)
-    qval = q.value(x, t)
-    dq = q.jacobian(x, t)
-    hess = field.position_hessian(a, t)
-    hessF = F.hessian(a, t)
+    return _curl_pullback_residual(
+        bundle, field.position_hessian(a, t), q(x, t), q.jacobian(x, t), F.hessian(a, t)
+    )
+
+
+def _curl_pullback_residual(bundle: JacobianBundle, hess, qval, dq, hessF):
+    """curl_a(G^T q(x) + grad_a F) - cof(G)^T curl_x q from the values at one point."""
+    g = bundle.matrix
+    # chain[m, j] = d q_m(x) / da_j
+    chain = [[sum(dq[m, l] * g[l, j] for l in range(3)) for j in range(3)] for m in range(3)]
     # D[j, k] = d/da_j of (G^T q(x) + grad F)_k
-    exact = g.dtype == object
-    D = np.empty((3, 3), dtype=object if exact else float)
+    D = np.empty((3, 3), dtype=object if g.dtype == object else float)
     for j in range(3):
         for k in range(3):
             val = hessF[j, k]
             for m in range(3):
-                chain = sum(dq[m, l] * g[l, j] for l in range(3))
-                val = val + hess[m, j, k] * qval[m] + g[m, k] * chain
+                val = val + hess[m, j, k] * qval[m] + g[m, k] * chain[m][j]
             D[j, k] = val
-    lhs = curl(D.T)
-    curl_q = curl(dq)
-    rhs = bundle.cof.T @ curl_q
-    return lhs - rhs
+    return curl(D.T) - bundle.cof.T @ curl(dq)
 
 
 def curl_cross_identity_residual(v, w, dv, dw):
@@ -285,16 +297,13 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
     rational coefficients (degree <= 3), a random polynomial Eulerian field q,
     a random label-space scalar F and a rational sample point, then checks
     that all five kinematic identities evaluate to exactly zero Fractions.
-    Draws that land on an exactly singular sample point are redrawn; the
-    count of redraws is reported.
+    Each quantity is evaluated once per trial: G and its bundle, dG/dt, v, x
+    and the position Hessian feed every residual that needs them.  Draws that
+    land on an exactly singular sample point are redrawn; the count of
+    redraws is reported.
     """
-    import random
-
-    from . import fields as _fields
-    from .poly import random_poly, random_point
-
     if box is None:
-        box = _fields.Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
+        box = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
     rng = random.Random(seed)
     scale = Fraction(1, 8)
     exact = {"rate": 0, "inverse_rate": 0, "convective": 0, "curl_pullback": 0, "curl_cross": 0}
@@ -302,36 +311,31 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
     done = 0
     while done < trials:
         deltas = [scale * random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)]
-        fld = _fields.PolynomialTrajectoryField.identity_plus(deltas, box, -1.0, 1.0)
+        fld = PolynomialTrajectoryField.identity_plus(deltas, box, -1.0, 1.0)
         a = random_point(rng, 3, 6)
         t = random_point(rng, 1, 6)[0]
-        q = _fields.VectorField.from_polys(
-            [random_poly(rng, 3, degree=3, nterms=4) for _ in range(3)]
-        )
-        F = _fields.ScalarField.from_poly(random_poly(rng, 4, degree=3, nterms=4))
+        q = VectorField.from_polys([random_poly(rng, 3, degree=3, nterms=4) for _ in range(3)])
+        F = ScalarField.from_poly(random_poly(rng, 4, degree=3, nterms=4))
         try:
-            r3 = jacobian_rate_residual(fld, a, t)
-            r4 = inverse_jacobian_rate_residual(fld, a, t)
-            r5 = convective_gradient_residual(fld, a, t)
-            r6 = curl_pullback_residual(fld, q, F, a, t)
+            bundle = jacobian(fld, a, t)
         except DegenerateMapError:
             redraws += 1
             continue
-        v = _fields.VectorField.from_polys(
-            [random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)]
-        )
-        w = _fields.VectorField.from_polys(
-            [random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)]
-        )
-        pt = (a[0], a[1], a[2])
-        r7 = curl_cross_identity_residual(
-            v.value(pt, t), w.value(pt, t), v.jacobian(pt, t), w.jacobian(pt, t)
-        )
-        exact["rate"] += int(all(x == 0 for x in r3.flat))
-        exact["inverse_rate"] += int(all(x == 0 for x in r4.flat))
-        exact["convective"] += int(all(x == 0 for x in r5))
-        exact["curl_pullback"] += int(all(x == 0 for x in r6))
-        exact["curl_cross"] += int(r7 == 0)
+        gv = fld.velocity_gradient(a, t)
+        pos = fld.position(a, t)
+        v, w = (VectorField.from_polys([random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)])
+                for _ in range(2))
+        residuals = {
+            "rate": _rate_residual(bundle, gv, gv.T).flat,
+            "inverse_rate": _inverse_rate_residual(bundle, gv).flat,
+            "convective": _convective_residual(fld.velocity(a, t), gv),
+            "curl_pullback": _curl_pullback_residual(
+                bundle, fld.position_hessian(a, t), q(pos, t), q.jacobian(pos, t), F.hessian(a, t)),
+            "curl_cross": [curl_cross_identity_residual(
+                v.value(a, t), w.value(a, t), v.jacobian(a, t), w.jacobian(a, t))],
+        }
+        for name, r in residuals.items():
+            exact[name] += int(all(x == 0 for x in r))
         done += 1
     return {"trials": trials, "seed": seed, "redraws": redraws, "exact_zero_counts": exact}
 

@@ -50,6 +50,14 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _unchecked(cls, nvars: int, terms: dict) -> "Poly":
+        """A Poly over already clean terms (int exponent tuples to nonzero Fractions)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
 
@@ -79,12 +87,12 @@ class Poly:
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
             terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return Poly(self.nvars, terms)
+        return Poly._unchecked(self.nvars, {e: c for e, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._unchecked(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._lift(other))
@@ -99,7 +107,7 @@ class Poly:
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, terms)
+        return Poly._unchecked(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -137,7 +145,7 @@ class Poly:
             new = list(expo)
             new[i] -= 1
             terms[tuple(new)] = coeff * expo[i]
-        return Poly(self.nvars, terms)
+        return Poly._unchecked(self.nvars, terms)
 
     def __call__(self, point: Sequence):
         if len(point) != self.nvars:
@@ -220,12 +228,13 @@ def random_poly(
     count is honoured (up to exponent collisions).
     """
     terms: dict[tuple[int, ...], Fraction] = {}
+    nums = [n for n in range(-max_num, max_num + 1) if n != 0]
     for _ in range(nterms):
         d = rng.randint(0, degree)
         expo = [0] * nvars
         for _ in range(d):
             expo[rng.randrange(nvars)] += 1
-        num = rng.choice([n for n in range(-max_num, max_num + 1) if n != 0])
+        num = rng.choice(nums)
         den = rng.randint(1, max_den)
         terms[tuple(expo)] = terms.get(tuple(expo), Fraction(0)) + Fraction(num, den)
     return Poly(nvars, terms)

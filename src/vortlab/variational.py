@@ -54,7 +54,7 @@ from .fields import (
     fd_jacobian,
     matvec,
 )
-from .invariants import cauchy_residual, label_stack
+from .invariants import _curl_image, label_stack
 from .kinematics import det3, jacobian
 
 
@@ -681,7 +681,10 @@ def weak_form_integral(
         res = momentum_residual(field, material, pressure, nodes, t)
         g = field.position_gradient(nodes, t)
         lhs_terms.extend(w * np.vecdot(res, -matvec(g, da)))
-        rhs_terms.extend(-w * rho0j0 * np.vecdot(cauchy_residual(field, nodes, t), dR))
+        # the Cauchy residual curl_a(G^T xddot) on this G, in label_stack's layout
+        gc = np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1)))
+        cauchy = _curl_image(field, nodes, t, gc, "acceleration")
+        rhs_terms.extend(-w * rho0j0 * np.vecdot(cauchy, dR))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 

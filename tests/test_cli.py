@@ -73,6 +73,15 @@ class TestIdentities:
         assert code == 0
         assert json.loads(out)["trials"] == 0
 
+    def test_negative_trials_usage_error(self, tmp_path, capsys):
+        code, out = run_cli(["identities", "--trials", "-3"], capsys)
+        assert code == 2 and out == ""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=-3\n")
+        code = main(["identities", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("vortlab: --trials must be >= 0")
+
     def test_seed_reproduces_identical_bytes(self, capsys):
         _, out1 = run_cli(["identities", "--trials", "10", "--seed", "5"], capsys)
         _, out2 = run_cli(["identities", "--trials", "10", "--seed", "5"], capsys)

@@ -267,6 +267,29 @@ class TestBattery:
             "curl_pullback": 100, "curl_cross": 100,
         }
 
+    def test_each_quantity_evaluated_once_per_trial(self, monkeypatch):
+        calls = {"position_gradient": 0, "velocity_gradient": 0}
+        built = set()
+        for name in calls:
+            method = getattr(PolynomialTrajectoryField, name)
+
+            def counted(self, a, t, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, a, t)
+
+            monkeypatch.setattr(PolynomialTrajectoryField, name, counted)
+        table = PolynomialTrajectoryField._table
+
+        def recorded(self, kind):
+            built.add(kind)
+            return table(self, kind)
+
+        monkeypatch.setattr(PolynomialTrajectoryField, "_table", recorded)
+        out = run_identity_battery(seed=1, trials=10)
+        assert out["redraws"] == 0
+        assert calls == {"position_gradient": 10, "velocity_gradient": 10}
+        assert not built & {"acceleration", "acceleration_gradient"}
+
     def test_battery_is_deterministic(self):
         assert run_identity_battery(seed=9, trials=10) == run_identity_battery(seed=9, trials=10)
 

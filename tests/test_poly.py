@@ -66,6 +66,42 @@ class TestArithmetic:
         assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
 
 
+class TestRingResultsAreClean:
+    """Ring operations build their results without the checking constructor;
+    those results must still look exactly like checked ones."""
+
+    @staticmethod
+    def assert_clean(r):
+        assert all(c != 0 and isinstance(c, Fraction) for c in r.terms.values())
+        assert all(type(e) is tuple and all(type(k) is int for k in e) for e in r.terms)
+        checked = Poly(r.nvars, dict(r.terms))
+        assert r == checked and hash(r) == hash(checked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_polys(), small_polys(), st.integers(0, 2),
+           st.fractions(max_denominator=5), st.integers(-3, 3))
+    def test_results_hold_no_zero_coefficient(self, p, q, i, c, n):
+        for r in (p + q, p - q, q - p, p - p, p + (-p), -p, p * q, p * (q - q),
+                  p * c, c * p, p * n, n + p, n - p, p - n, p.diff(i), (p - p).diff(i)):
+            self.assert_clean(r)
+
+    def test_cancellation_leaves_no_term(self):
+        a, b = Poly.variable(2, 0), Poly.variable(2, 1)
+        assert ((a + b) * (a - b) - a ** 2).terms == {(0, 2): Fraction(-1)}
+        assert (a * b - b * a).terms == {}
+        assert (a * 0).terms == {}
+
+    def test_random_poly_draw_sequence_is_pinned(self):
+        assert random_poly(random.Random(0), 4).terms == {
+            (1, 0, 1, 1): Fraction(1), (0, 0, 2, 1): Fraction(2),
+            (0, 0, 1, 0): Fraction(-2), (0, 1, 1, 0): Fraction(-1),
+        }
+        assert random_poly(random.Random(5), 3, degree=2, nterms=6, max_num=5, max_den=7).terms == {
+            (0, 1, 1): Fraction(1, 7), (0, 0, 2): Fraction(4),
+            (1, 0, 0): Fraction(-5, 2), (0, 0, 0): Fraction(63, 20),
+        }
+
+
 class TestComposeAndDiff:
     def test_compose_chain_rule(self):
         rng = random.Random(7)

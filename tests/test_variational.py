@@ -309,6 +309,26 @@ class TestWeakForm:
         lhs, rhs = weak_form_integral(fx.field, fx.material, gen, quad, pressure=fx.pressure)
         assert abs(lhs) < 1e-8 and abs(rhs) < 1e-8
 
+    def test_position_gradient_evaluations_per_time_node(self, monkeypatch):
+        # one G for the momentum residual's bundle and one shared by the
+        # variation -G delta_a and the Cauchy-residual curl
+        fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
+        gen = RelabelGenerator.from_curl(bump_potential(fx.field.box), label="bump")
+        quad = SpaceTimeQuadrature.gauss(fx.field.box, (3, 3, 3), (0.0, 1.0), 3)
+        calls = {}
+        method = fx.field.position_gradient
+
+        def counted(a, t):
+            if np.shape(a) == quad.space_nodes.shape:
+                calls[float(t)] = calls.get(float(t), 0) + 1
+            return method(a, t)
+
+        monkeypatch.setattr(fx.field, "position_gradient", counted)
+        weak_form_integral(fx.field, fx.material, gen, quad, pressure=fx.pressure)
+        nodes = [float(t) for t in quad.time_nodes]
+        assert set(nodes) <= set(calls)
+        assert all(calls[t] <= 2 for t in nodes)
+
     def test_identity_zero(self):
         fx = flows.make_fixture("identity")
         gen = poly_generator()
