@@ -117,18 +117,19 @@ def fd_jacobian(f: Callable[[Vec], object], a, h: float, order: int = 4) -> Vec:
     return np.asarray(np.stack(cols, axis=-1), float)
 
 
+def entries(m):
+    """``e[i][j] = m[..., i, j]`` for one matrix (3, 3) or a stack (..., 3, 3):
+    views of a stack, the scalars of one matrix (``[()]`` unwraps its 0-d
+    arrays, on which arithmetic is several times slower)."""
+    return [[m[..., i, j][()] for j in range(3)] for i in range(3)]
+
+
 def curl(d):
-    """Curl of a field from its Jacobian ``d[i, j] = dv_i/da_j``.
-
-    Works on float and Fraction-object matrices; a batch broadcasts when its
-    component axes come first, ``d`` of shape (3, 3, ...).
-    """
-    return np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
-
-
-def _stack_curl(d):
-    """:func:`curl` of Jacobians ``d`` (..., 3, 3) with the stack axes first; (..., 3)."""
-    return np.moveaxis(curl(np.moveaxis(d, (-2, -1), (0, 1))), 0, -1)
+    """Curl of a field from its Jacobian ``d[..., i, j] = dv_i/da_j``: one
+    matrix (3, 3) or a stack (..., 3, 3) of float or Fraction-object entries;
+    the result is (..., 3)."""
+    e = entries(d)
+    return np.stack([e[2][1] - e[1][2], e[0][2] - e[2][0], e[1][0] - e[0][1]], axis=-1)
 
 
 def _supplied(fn, a, t, tail: tuple):
@@ -198,7 +199,7 @@ def _poly_eval(polys: np.ndarray, a, *rest) -> np.ndarray:
     exact = all(is_rational(x) for x in coords)
     out = np.empty(a.shape[:-1] + (polys.size,), dtype=object if exact else float)
     for k, p in enumerate(polys.flat):
-        out[..., k] = p(coords)
+        out[..., k] = p._eval(coords, exact)
     return out.reshape(a.shape[:-1] + polys.shape)
 
 
@@ -398,7 +399,7 @@ class VectorField:
         return derivative(lambda s: np.asarray(self(p, t + s), float), FD_STEP)
 
     def curl(self, p, t) -> Vec:
-        return _stack_curl(self.jacobian(p, t))
+        return curl(self.jacobian(p, t))
 
     def divergence(self, p, t):
         d = self.jacobian(p, t)

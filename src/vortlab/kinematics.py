@@ -3,11 +3,11 @@
 The bundle at a point (a, t) collects the gradient matrix G (``G[i, j] =
 dx_i/da_j``), its determinant J, the cofactor matrix and the inverse.  The
 cofactor matrix is built directly from 2x2 minors, so it stays meaningful
-near (but not at) singular maps; the inverse is then cof.T / J.
+near (but not at) singular maps; the inverse is then cof^T / J.
 
-All helpers work on float arrays and on object arrays of Fractions alike,
-which is how the identity battery gets exactly-zero residuals on the
-polynomial backend.
+Matrix arguments are one matrix (3, 3) or, outside the curl identities, a
+stack (..., 3, 3), of floats or Fractions alike: Fraction object arrays give
+the identity battery its exactly-zero residuals on the polynomial backend.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .fields import (
     VectorField,
     curl,
     derivative,
+    entries,
     fd_jacobian,
     matvec,
 )
@@ -37,52 +38,45 @@ DEGENERACY_RTOL = 1e-14
 
 
 def det3(m):
-    """Determinant of ``m[i, j]``.
+    """Determinant of ``m[..., i, j]``: one matrix (3, 3) or a stack (..., 3, 3),
+    whose result has the leading shape."""
+    (a, b, c), (d, e, f), (g, h, i) = entries(m)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
-    Batches broadcast with the component axes first, ``m`` of shape
-    (3, 3, ...), as in :func:`vortlab.fields.curl`; the result then has the
-    trailing shape.
-    """
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+
+def _minor_matrix(minor, like):
+    """out[..., i, j] = (-1)**(i + j) minor(r0, r1, c0, c1), r0 < r1 the rows other
+    than i and c0 < c1 the columns other than j, shaped and typed like ``like``."""
+    out = np.empty(like.shape, dtype=like.dtype if like.dtype == object else float)
+    for i in range(3):
+        r = [k for k in range(3) if k != i]
+        for j in range(3):
+            value = minor(*r, *[k for k in range(3) if k != j])
+            out[..., i, j] = value if (i + j) % 2 == 0 else -value
+    return out
 
 
 def cof3(m):
-    """Cofactor matrix: cof[i, j] is the signed minor of m[i, j].
-
-    Batches broadcast with the component axes first, as in :func:`det3`.
-    """
-    out = np.empty(m.shape, dtype=m.dtype if m.dtype == object else float)
-    for i in range(3):
-        r = [k for k in range(3) if k != i]
-        for j in range(3):
-            c = [k for k in range(3) if k != j]
-            minor = m[r[0], c[0]] * m[r[1], c[1]] - m[r[0], c[1]] * m[r[1], c[0]]
-            out[i, j] = minor if (i + j) % 2 == 0 else -minor
-    return out
+    """Cofactor matrix: cof[..., i, j] is the signed minor of m[..., i, j]."""
+    e = entries(m)
+    return _minor_matrix(lambda r0, r1, c0, c1: e[r0][c0] * e[r1][c1] - e[r0][c1] * e[r1][c0], m)
 
 
 def cofactor_rate(g, gv):
-    """d(cof G)/dt from G and dG/dt via the minor product rule."""
-    out = np.empty((3, 3), dtype=g.dtype if g.dtype == object else float)
-    for i in range(3):
-        r = [k for k in range(3) if k != i]
-        for j in range(3):
-            c = [k for k in range(3) if k != j]
-            rate = (
-                gv[r[0], c[0]] * g[r[1], c[1]] + g[r[0], c[0]] * gv[r[1], c[1]]
-                - gv[r[0], c[1]] * g[r[1], c[0]] - g[r[0], c[1]] * gv[r[1], c[0]]
-            )
-            out[i, j] = rate if (i + j) % 2 == 0 else -rate
-    return out
+    """d(cof G)/dt from G and dG/dt (..., 3, 3) via the minor product rule."""
+    x, v = entries(g), entries(gv)
+
+    def rate(r0, r1, c0, c1):
+        return (v[r0][c0] * x[r1][c1] + x[r0][c0] * v[r1][c1]
+                - v[r0][c1] * x[r1][c0] - x[r0][c1] * v[r1][c0])
+
+    return _minor_matrix(rate, g)
 
 
 def det_rate(cof, gv):
     """dJ/dt by Jacobi's formula: sum_ij cof(G)_ij dG_ij/dt."""
-    return sum(cof[i, j] * gv[i, j] for i in range(3) for j in range(3))
+    c, v = entries(cof), entries(gv)
+    return sum(c[i][j] * v[i][j] for i in range(3) for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -97,10 +91,7 @@ class JacobianBundle:
 
     @classmethod
     def from_matrix(cls, g: np.ndarray) -> "JacobianBundle":
-        gc = np.moveaxis(g, (-2, -1), (0, 1))  # component axes first
-        d = checked_det(gc)
-        # C order, so matrix products on the stack round like those on one matrix
-        c = np.ascontiguousarray(np.moveaxis(cof3(gc), (0, 1), (-2, -1)))
+        d, c = checked_det(g), cof3(g)
         return cls(matrix=g, det=d, cof=c, inv=np.swapaxes(c, -1, -2) / np.expand_dims(d, (-2, -1)))
 
 
@@ -110,12 +101,12 @@ def checked_det(g):
     The one singular-map test of the package.  It is scale-invariant: a map
     is singular where J == 0 or |J| < DEGENERACY_RTOL * s**3, with s**3 the
     product of the row norms of G.  J == 0 is decided exactly on Fraction
-    matrices.  ``g`` is one matrix or a stack of shape (3, 3, ...).
+    matrices.  ``g`` is one matrix (3, 3) or a stack (..., 3, 3).
     """
     d = det3(g)
     gf = np.asarray(g, float)
-    rows = np.sqrt(gf[:, 0] ** 2 + gf[:, 1] ** 2 + gf[:, 2] ** 2)
-    bound = DEGENERACY_RTOL * rows[0] * rows[1] * rows[2]
+    rows = np.sqrt(gf[..., 0] ** 2 + gf[..., 1] ** 2 + gf[..., 2] ** 2)
+    bound = DEGENERACY_RTOL * rows[..., 0] * rows[..., 1] * rows[..., 2]
     singular = np.ravel((d == 0) | (np.abs(np.asarray(d, float)) < bound))
     if singular.any():
         first = np.ravel(d)[int(np.argmax(singular))]
@@ -146,6 +137,11 @@ def eulerian_velocity_gradient(field: TrajectoryField, a, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _fd_order(field: TrajectoryField) -> int:
+    """Stencil order of an FD route: the field's own, or 4 on the exact backend."""
+    return field.order if field.order in (2, 4) else 4
+
+
 def jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None):
     """Residual of d(G^T)/dt = G^T (grad_x u)^T with the Eulerian velocity
     gradient recovered by inverse pullback.
@@ -158,16 +154,15 @@ def jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None)
     bundle = jacobian(field, a, t)
     gv = field.velocity_gradient(a, t)
     if h is None:
-        return _rate_residual(bundle, gv, gv.T)
-    order = field.order if field.order in (2, 4) else 4
-    lhs = derivative(lambda s: field.position_gradient(a, t + s), h, order).T
-    return _rate_residual(bundle, gv, lhs)
+        return _rate_residual(bundle, gv, np.swapaxes(gv, -1, -2))
+    lhs = derivative(lambda s: field.position_gradient(a, t + s), h, _fd_order(field))
+    return _rate_residual(bundle, gv, np.swapaxes(lhs, -1, -2))
 
 
 def _rate_residual(bundle: JacobianBundle, gv, lhs):
-    """lhs - G^T (grad_x u)^T, with lhs a value of d(G^T)/dt."""
-    grad_u_t = bundle.inv.T @ gv.T  # (grad_x u^T) = G^-T dG^T/dt
-    return lhs - bundle.matrix.T @ grad_u_t
+    """lhs - G^T (grad_x u)^T, with lhs a value of d(G^T)/dt; stacks (..., 3, 3)."""
+    grad_u_t = np.swapaxes(bundle.inv, -1, -2) @ np.swapaxes(gv, -1, -2)  # G^-T dG^T/dt
+    return lhs - np.swapaxes(bundle.matrix, -1, -2) @ grad_u_t
 
 
 def inverse_jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None):
@@ -181,21 +176,18 @@ def inverse_jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None
     gv = field.velocity_gradient(a, t)
     if h is None:
         return _inverse_rate_residual(bundle, gv)
-    order = field.order if field.order in (2, 4) else 4
-    dinv_dt = derivative(
-        lambda s: JacobianBundle.from_matrix(field.position_gradient(a, t + s)).inv, h, order
-    )
+    dinv_dt = derivative(lambda s: JacobianBundle.from_matrix(field.position_gradient(a, t + s)).inv,
+                         h, _fd_order(field))
     grad_u_t = gv @ bundle.inv  # (grad_x u^T)^T = dG/dt G^-1
     return dinv_dt + bundle.inv @ grad_u_t
 
 
 def _inverse_rate_residual(bundle: JacobianBundle, gv):
-    """The exact J^2-scaled route of :func:`inverse_jacobian_rate_residual`."""
-    adj = bundle.cof.T
-    adj_rate = cofactor_rate(bundle.matrix, gv).T
-    j_rate = det_rate(bundle.cof, gv)
-    scaled = bundle.det * adj_rate - j_rate * adj + adj @ gv @ adj
-    return scaled / (bundle.det * bundle.det)
+    """The exact J^2-scaled route of :func:`inverse_jacobian_rate_residual`; stacks (..., 3, 3)."""
+    adj = np.swapaxes(bundle.cof, -1, -2)
+    adj_rate = np.swapaxes(cofactor_rate(bundle.matrix, gv), -1, -2)
+    j, j_rate = (np.expand_dims(x, (-2, -1)) for x in (bundle.det, det_rate(bundle.cof, gv)))
+    return (j * adj_rate - j_rate * adj + adj @ gv @ adj) / (j * j)
 
 
 def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None = None):
@@ -214,14 +206,16 @@ def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None =
         w = field.velocity(b, t)
         return float(w @ w)
 
-    return gv.T @ v - 0.5 * fd_jacobian(speed2, a, h, field.order if field.order in (2, 4) else 4)
+    return gv.T @ v - 0.5 * fd_jacobian(speed2, a, h, _fd_order(field))
 
 
 def _convective_residual(v, gv):
-    """(grad_a v^T) v minus grad_a(|v|^2) / 2 assembled from the same dv/da."""
+    """(grad_a v^T) v minus grad_a(|v|^2) / 2 assembled from the same dv/da;
+    v (..., 3) and gv (..., 3, 3)."""
     # component-wise, mirroring d(v_m v_m)/da_j = 2 v_m dv_m/da_j
-    rhs = np.array([sum(v[m] * gv[m, j] for m in range(3)) for j in range(3)])
-    return gv.T @ v - rhs
+    e = entries(gv)
+    rhs = np.stack([sum(v[..., m][()] * e[m][j] for m in range(3)) for j in range(3)], axis=-1)
+    return matvec(np.swapaxes(gv, -1, -2), v) - rhs
 
 
 def curl_pullback_residual(
@@ -326,7 +320,7 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
         v, w = (VectorField.from_polys([random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)])
                 for _ in range(2))
         residuals = {
-            "rate": _rate_residual(bundle, gv, gv.T).flat,
+            "rate": _rate_residual(bundle, gv, np.swapaxes(gv, -1, -2)).flat,
             "inverse_rate": _inverse_rate_residual(bundle, gv).flat,
             "convective": _convective_residual(fld.velocity(a, t), gv),
             "curl_pullback": _curl_pullback_residual(

@@ -148,9 +148,12 @@ class Poly:
         return Poly._unchecked(self.nvars, terms)
 
     def __call__(self, point: Sequence):
+        return self._eval(point, all(is_rational(x) for x in point))
+
+    def _eval(self, point: Sequence, exact: bool):
+        """The value at ``point``: in Fractions when the caller has found it ``exact``."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
-        exact = all(is_rational(x) for x in point)
         total = None
         for expo, coeff in self.terms.items():
             val = coeff if exact else float(coeff)

@@ -33,12 +33,12 @@ from .invariants import (
     _curl_image,
     _grid_drift,
     _image,
-    gradient_curl,
+    _position_stack,
     image_velocity,
     label_stack,
     lagrangian_vorticity,
 )
-from .kinematics import cof3, det3, jacobian
+from .kinematics import cof3, jacobian
 from .report import DriftReport
 from .variational import FlowMaterial, _mass_reference, _reject, density_from_map
 
@@ -190,9 +190,9 @@ def dalembert_euler_residual(field: TrajectoryField, a, t) -> np.ndarray:
     Equals inv(cof^T) = G / J applied to the Cauchy residual R = curl_a(dV/dt),
     so it vanishes exactly where R does.
     """
-    g = label_stack(field, a, t, "position_gradient")
+    g, j = _position_stack(field, a, t)
     r = _curl_image(field, a, t, g, "acceleration")
-    return np.einsum("ij...,...j->...i", g, r) / np.expand_dims(det3(g), -1)
+    return _image(np.swapaxes(g, -1, -2), r) / np.expand_dims(j, -1)
 
 
 def beltrami_residual(
@@ -228,15 +228,14 @@ def beltrami_residual(
 def _pv(field: TrajectoryField, S: ScalarField, a, t, rho0j0):
     """q at labels (..., 3) given rho0 J0 there: with J = det G, omega = G Omega / J,
     rho = rho0 J0 / J and grad_x S = cof(G) grad_a S / J, q = (omega / rho) . grad_x S."""
-    g = label_stack(field, a, t, "position_gradient")
-    j = det3(g)
-    omega_label = gradient_curl(label_stack(field, a, t, "velocity_gradient"), g)
-    omega = np.einsum("ij...,j...->i...", g, omega_label) / j
+    g, j = _position_stack(field, a, t)
+    jv = np.expand_dims(j, -1)
+    omega = _image(np.swapaxes(g, -1, -2), _curl_image(field, a, t, g, "velocity")) / jv
     rho = rho0j0 / j
     _reject(rho <= 0.0, rho, a, "density", t=t)
-    grad_a_S = np.moveaxis(np.asarray(S.gradient(a, t), float), -1, 0)
-    grad_x_S = np.einsum("ij...,j...->i...", cof3(g), grad_a_S) / j
-    return np.sum((omega / rho) * grad_x_S, axis=0)
+    grad_x_S = _image(np.swapaxes(cof3(g), -1, -2), np.asarray(S.gradient(a, t), float)) / jv
+    q = (omega / np.expand_dims(rho, -1)) * grad_x_S
+    return q[..., 0] + q[..., 1] + q[..., 2]
 
 
 def ertel_pv(field: TrajectoryField, material: FlowMaterial, S: ScalarField, a, t):
@@ -326,7 +325,7 @@ def helicity(field: TrajectoryField, region: LabelRegion, t) -> float:
         if ax[0] < lo_b - 1e-9 or ax[-1] > hi_b + 1e-9:
             raise VortlabError("region exceeds the field's label domain")
     nodes = grid.nodes()
-    g = label_stack(field, nodes, t, "position_gradient")
+    g, _ = _position_stack(field, nodes, t)
     V = _image(g, label_stack(field, nodes, t, "velocity"))
     omega = _curl_image(field, nodes, t, g, "velocity")
     return math.fsum(np.vecdot(V, omega) * grid.cell_volume)

@@ -54,7 +54,7 @@ from .fields import (
     fd_jacobian,
     matvec,
 )
-from .invariants import _curl_image, label_stack
+from .invariants import _curl_image, _position_stack
 from .kinematics import det3, jacobian
 
 
@@ -168,7 +168,7 @@ class FlowMaterial:
 def _mass_reference(field, material, a):
     """rho0 J0 at labels ``a``, J0 taken at the field's own t0."""
     rho0 = np.asarray(material.initial_density(a), float)
-    return rho0 * det3(label_stack(field, a, field.t0, "position_gradient"))
+    return rho0 * _position_stack(field, a, field.t0)[1]
 
 
 def density_from_map(field: TrajectoryField, material: FlowMaterial, a, t):
@@ -191,8 +191,12 @@ def momentum_residual(
     t,
 ) -> np.ndarray:
     """rho0 J0 (xddot + grad_x P) + cof(G) grad_a p; zero on extremal flows."""
-    bundle = jacobian(field, a, t)
-    rho0j0 = _mass_reference(field, material, a)
+    return _momentum_residual(field, material, pressure, a, t, jacobian(field, a, t),
+                              _mass_reference(field, material, a))
+
+
+def _momentum_residual(field, material, pressure, a, t, bundle, rho0j0):
+    """:func:`momentum_residual` given the Jacobian bundle and rho0 J0 at (a, t)."""
     x = field.position(a, t)
     body = field.acceleration(a, t) + material.potential.gradient(x, t)
     return np.expand_dims(rho0j0, -1) * body + matvec(bundle.cof, pressure.gradient(a, t))
@@ -262,17 +266,11 @@ class SpaceTimeQuadrature:
 # ---------------------------------------------------------------------------
 
 
-def _det(field, a, t):
-    """det G at labels ``a``, without the domain and singular-map checks of
-    :func:`vortlab.kinematics.jacobian` (the action tests J and rho itself)."""
-    return det3(np.moveaxis(field.position_gradient(a, t), (-2, -1), (0, 1)))
-
-
 def _lagrangian_density(field, material, a, t, rho0j0):
     """(|v|^2/2 - E(rho) - P(x)) rho0 J0 at labels ``a`` (..., 3)."""
     v = field.velocity(a, t)
     x = field.position(a, t)
-    j = _det(field, a, t)
+    j = det3(field.position_gradient(a, t))  # no singular-map check: J and rho are tested here
     _reject(j == 0.0, j, a, "J", t=t)
     rho = rho0j0 / j
     _reject(rho <= 0.0, rho, a, "rho", t=t)
@@ -292,7 +290,8 @@ def action(
     configurations are referenced consistently with their base.
     """
     nodes = quad.space_nodes
-    rho0j0 = np.asarray(material.initial_density(nodes), float) * _det(field, nodes, field.t0)
+    rho0 = np.asarray(material.initial_density(nodes), float)
+    rho0j0 = rho0 * det3(field.position_gradient(nodes, field.t0))
     terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         L = _lagrangian_density(field, material, nodes, t, rho0j0)
@@ -547,8 +546,7 @@ class DeformedTrajectoryField:
     def fold_factor(self, a):
         """det(I + eps D delta_a) at labels ``a``; raises FoldedRelabelingError
         at the first label where it is not positive."""
-        d = np.eye(3) + self.eps * self.var.da_jac(a)
-        det = det3(np.moveaxis(d, (-2, -1), (0, 1)))
+        det = det3(np.eye(3) + self.eps * self.var.da_jac(a))
         _reject(det <= 0.0, det, a, "relabeling folds the domain: det", FoldedRelabelingError)
         return det
 
@@ -678,12 +676,11 @@ def weak_form_integral(
     lhs_terms, rhs_terms = [], []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         w = wa * wt
-        res = momentum_residual(field, material, pressure, nodes, t)
-        g = field.position_gradient(nodes, t)
-        lhs_terms.extend(w * np.vecdot(res, -matvec(g, da)))
-        # the Cauchy residual curl_a(G^T xddot) on this G, in label_stack's layout
-        gc = np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1)))
-        cauchy = _curl_image(field, nodes, t, gc, "acceleration")
+        bundle = jacobian(field, nodes, t)
+        res = _momentum_residual(field, material, pressure, nodes, t, bundle, rho0j0)
+        lhs_terms.extend(w * np.vecdot(res, -matvec(bundle.matrix, da)))
+        # the Cauchy residual curl_a(G^T xddot) on the same G
+        cauchy = _curl_image(field, nodes, t, bundle.matrix, "acceleration")
         rhs_terms.extend(-w * rho0j0 * np.vecdot(cauchy, dR))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
@@ -736,9 +733,10 @@ def el_part(
     if pressure is None:
         pressure = pressure_from_eos(field, material)
     nodes, wa = quad.space_nodes, quad.space_weights
+    rho0j0 = _mass_reference(field, material, nodes)
     terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
-        res = momentum_residual(field, material, pressure, nodes, t)
+        res = _momentum_residual(field, material, pressure, nodes, t, jacobian(field, nodes, t), rho0j0)
         dbar = local_variation_of_triple(field, var, nodes, t)
         terms.extend(-wa * wt * np.vecdot(res, dbar))
     return math.fsum(terms)

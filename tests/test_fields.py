@@ -61,6 +61,31 @@ class TestEvalState:
             eval_state(fx.field, (0.0, 0.0, 0.0), 99.0)
 
 
+class TestPolyEval:
+    def test_exactness_decided_once_per_call(self, monkeypatch):
+        from vortlab import fields, poly
+
+        calls = []
+        original = poly.is_rational
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(fields, "is_rational", counted)
+        monkeypatch.setattr(poly, "is_rational", counted)
+        a1, a2, a3, t = (Poly.variable(4, i) for i in range(4))
+        polys = np.array([[a1 * t, a2 ** 2, a3], [a1 + a2, t ** 3, a1 * a2 * a3]], dtype=object)
+        labels = np.array([[Fraction(1, 2), Fraction(-1, 3), Fraction(2)],
+                           [Fraction(1), Fraction(0), Fraction(-3, 4)]], dtype=object)
+        out = fields._poly_eval(polys, labels, Fraction(1, 5))
+        # one check per coordinate (three label axes and the time), none per polynomial
+        assert len(calls) <= 4
+        assert out.shape == (2, 2, 3) and out.dtype == object
+        assert out[0, 1, 1] == Fraction(1, 125) and out[1, 1, 2] == 0
+        assert all(isinstance(x, Fraction) for x in out.flat)
+
+
 class TestLabelOperators:
     def test_gradient_of_coordinate(self):
         f = ScalarField(value=lambda a, t: a[..., 0])

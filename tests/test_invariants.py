@@ -265,13 +265,27 @@ class TestSingularMapPolicy:
 
 
 class TestGridEvaluation:
-    def test_own_grid_reads_node_arrays_component_axes_first(self):
+    def test_own_grid_reads_node_arrays(self):
         fx = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)
         field = fx.field
         g = label_stack(field, field.grid.nodes(), field.times[2], "velocity_gradient")
         nodes = field.node_gradients("velocity", 2).reshape(-1, 3, 3)
-        assert g.shape == (3, 3, 216)
-        assert np.array_equal(g, np.moveaxis(nodes, 0, -1))
+        assert g.shape == (216, 3, 3)
+        assert np.array_equal(g, nodes)
+
+    @pytest.mark.parametrize("method", ["position_gradient", "velocity_gradient", "velocity"])
+    def test_label_stack_returns_the_evaluators_array(self, method, monkeypatch):
+        fx = flows.make_fixture("gerstner")
+        nodes, t = LabelGrid.cell_centers(fx.field.box, (3, 2, 3)).nodes(), 0.4
+        out = {}
+        original = getattr(fx.field, method)
+
+        def recorded(a, tt):
+            out["array"] = original(a, tt)
+            return out["array"]
+
+        monkeypatch.setattr(fx.field, method, recorded)
+        assert label_stack(fx.field, nodes, t, method) is out["array"]
 
     @pytest.mark.parametrize("case", ["analytic", "sampled-off-node"])
     def test_other_grids_match_pointwise_evaluators(self, case):
@@ -286,7 +300,7 @@ class TestGridEvaluation:
         field, nodes = fx.field, grid.nodes()
         g = label_stack(field, nodes, t, "position_gradient")
         for n, a in enumerate(nodes):
-            assert np.array_equal(g[:, :, n], field.position_gradient(a, t))
+            assert np.array_equal(g[n], field.position_gradient(a, t))
         w = np.cos(np.arange(nodes.size)).reshape(nodes.shape)  # one vector per label
         S = ScalarField(
             value=lambda a, tt: a[..., 0] * a[..., 1] + 0.5 * a[..., 2] ** 2,
@@ -312,7 +326,7 @@ class TestGridEvaluation:
             stacked = np.asarray(kernel(nodes, w), float)
             by_label = np.array([kernel(a, v) for a, v in zip(nodes, w)], float)
             assert stacked.shape == by_label.shape, name
-            assert np.allclose(stacked, by_label, rtol=0.0, atol=1e-14), name
+            assert np.array_equal(stacked, by_label), name
 
 
 class TestLabelStackLayout:
@@ -327,13 +341,17 @@ class TestLabelStackLayout:
         nodes = grid.nodes()
         kinds = ("position", "velocity", "acceleration")
         stacks = {k: label_stack(field, nodes, t, f"{k}_gradient") for k in kinds}
+        # reference: the stacked einsum curl on C-order components-first copies
         views = {k: np.moveaxis(getattr(field, f"{k}_gradient")(nodes, t), 0, -1) for k in kinds}
         for k in kinds:
             assert stacks[k].flags.c_contiguous and not views[k].flags.c_contiguous
-            assert np.array_equal(stacks[k], views[k])
+            assert np.array_equal(stacks[k], np.moveaxis(views[k], -1, 0))
         for k in ("velocity", "acceleration"):
+            m = np.einsum("mj...,mk...->kj...", np.ascontiguousarray(views[k]),
+                          np.ascontiguousarray(views["position"]))
+            reference = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
             assert np.array_equal(gradient_curl(stacks[k], stacks["position"]),
-                                  gradient_curl(views[k], views["position"]))
+                                  np.moveaxis(reference, 0, -1))
 
 
 class TestAdvectedDriftOrder:

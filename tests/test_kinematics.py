@@ -16,12 +16,17 @@ from vortlab.fields import (
 )
 from vortlab.kinematics import (
     JacobianBundle,
+    _convective_residual,
+    _inverse_rate_residual,
+    _rate_residual,
     checked_det,
     cof3,
+    cofactor_rate,
     convective_gradient_residual,
     curl_cross_identity_residual,
     curl_pullback_residual,
     det3,
+    det_rate,
     inverse_jacobian_rate_residual,
     jacobian,
     jacobian_rate_residual,
@@ -85,20 +90,20 @@ class TestBundle:
 
 
 class TestBatchedMatrixHelpers:
-    def test_stack_with_component_axes_first_matches_each_matrix(self):
+    def test_stack_matches_each_matrix(self):
         rng = np.random.default_rng(3)
-        stack = rng.normal(size=(3, 3, 4, 2))
+        stack = rng.normal(size=(4, 2, 3, 3))
         d, c = det3(stack), cof3(stack)
-        assert d.shape == (4, 2) and c.shape == (3, 3, 4, 2)
+        assert d.shape == (4, 2) and c.shape == (4, 2, 3, 3)
         for idx in np.ndindex(4, 2):
-            m = stack[(slice(None), slice(None)) + idx]
+            m = stack[idx]
             assert d[idx] == det3(m)
-            assert np.array_equal(c[(slice(None), slice(None)) + idx], cof3(m))
+            assert np.array_equal(c[idx], cof3(m))
 
     def test_checked_det_flags_one_bad_matrix_in_a_stack(self):
-        stack = np.repeat(np.eye(3)[:, :, None], 5, axis=2)
+        stack = np.repeat(np.eye(3)[None], 5, axis=0)
         assert np.array_equal(checked_det(stack), np.ones(5))
-        stack[:, :, 3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-16]]
+        stack[3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-16]]
         with pytest.raises(DegenerateMapError):
             checked_det(stack)
 
@@ -226,6 +231,41 @@ class TestRateIdentities:
         assert all(v == 0 for v in jacobian_rate_residual(fld, pt, tt).flat)
         assert all(v == 0 for v in inverse_jacobian_rate_residual(fld, pt, tt).flat)
         assert all(v == 0 for v in convective_gradient_residual(fld, pt, tt))
+
+
+class TestStackedCores:
+    CORES = {
+        "cofactor_rate": lambda b, gv, v: cofactor_rate(b.matrix, gv),
+        "det_rate": lambda b, gv, v: det_rate(b.cof, gv),
+        "rate": lambda b, gv, v: _rate_residual(b, gv, np.swapaxes(gv, -1, -2)),
+        "inverse_rate": lambda b, gv, v: _inverse_rate_residual(b, gv),
+        "convective": lambda b, gv, v: _convective_residual(v, gv),
+    }
+
+    @staticmethod
+    def _draw(rng, shape, exact):
+        num, den = rng.integers(-9, 10, size=shape), rng.integers(1, 8, size=shape)
+        if exact:
+            return np.vectorize(lambda n, d: Fraction(int(n), int(d)), otypes=[object])(num, den)
+        return num / den + 1e-3 * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_stack_equals_its_labels(self, exact):
+        rng = np.random.default_rng(11)
+        g = np.eye(3, dtype=object if exact else float) + self._draw(rng, (5, 3, 3), exact) / 4
+        gv, v = self._draw(rng, (5, 3, 3), exact), self._draw(rng, (5, 3), exact)
+        stacked_bundle = JacobianBundle.from_matrix(g)
+        for name, core in self.CORES.items():
+            stacked = core(stacked_bundle, gv, v)
+            for n in range(5):
+                one = core(JacobianBundle.from_matrix(g[n]), gv[n], v[n])
+                if exact:
+                    assert all(isinstance(x, Fraction) for x in np.ravel(one)), name
+                    assert np.all(stacked[n] == one), name
+                else:
+                    assert np.array_equal(stacked[n], one), name
+            if exact and name in ("rate", "inverse_rate", "convective"):
+                assert all(x == 0 for x in stacked.flat), name
 
 
 class TestCurlPullback:

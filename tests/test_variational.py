@@ -329,6 +329,23 @@ class TestWeakForm:
         assert set(nodes) <= set(calls)
         assert all(calls[t] <= 2 for t in nodes)
 
+    def test_one_position_gradient_per_time_node(self, monkeypatch):
+        # the momentum residual's bundle also serves -G delta_a and the Cauchy-residual curl
+        fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
+        gen = RelabelGenerator.from_curl(bump_potential(fx.field.box), label="bump")
+        quad = SpaceTimeQuadrature.gauss(fx.field.box, (3, 3, 3), (0.0, 1.0), 3)
+        calls = []
+        method = fx.field.position_gradient
+
+        def counted(a, t):
+            calls.append(float(t))
+            return method(a, t)
+
+        monkeypatch.setattr(fx.field, "position_gradient", counted)
+        weak_form_integral(fx.field, fx.material, gen, quad, pressure=fx.pressure)
+        # one G per time node, and the mass reference's one G at t0
+        assert sorted(calls) == sorted([fx.field.t0, *(float(t) for t in quad.time_nodes)])
+
     def test_identity_zero(self):
         fx = flows.make_fixture("identity")
         gen = poly_generator()
