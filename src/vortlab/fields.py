@@ -51,6 +51,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -96,9 +97,7 @@ def derivative(g: Callable[[float], float], h: float, order: int = 4):
     return sum(float(w) * g(k * h) for k, w in zip(offsets, weights)) / h
 
 
-def second_derivative(g: Callable[[float], float], h: float, order: int = 4):
-    if order == 2:
-        return (g(h) - 2.0 * g(0.0) + g(-h)) / h**2
+def second_derivative(g: Callable[[float], float], h: float):
     return (-g(-2 * h) + 16 * g(-h) - 30 * g(0.0) + 16 * g(h) - g(2 * h)) / (12 * h**2)
 
 
@@ -228,24 +227,22 @@ class Box:
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError("box must have positive extent on every axis")
 
-    def first_outside(self, a, pad: float = 0.0):
+    def first_outside(self, a):
         """The first label of ``a`` (one label or an array stack (..., 3))
         outside the box, or None."""
         if getattr(a, "ndim", 1) == 1:
             x, y, z = a.tolist() if isinstance(a, np.ndarray) else a
             (l1, l2, l3), (h1, h2, h3) = self.lo, self.hi
-            inside = (l1 - pad <= x <= h1 + pad and l2 - pad <= y <= h2 + pad
-                      and l3 - pad <= z <= h3 + pad)
-            return None if inside else a
+            return None if l1 <= x <= h1 and l2 <= y <= h2 and l3 <= z <= h3 else a
         flat = np.asarray(a, float).reshape(-1, 3)
-        inside = (flat >= np.subtract(self.lo, pad)) & (flat <= np.add(self.hi, pad))
+        inside = (flat >= np.asarray(self.lo, float)) & (flat <= np.asarray(self.hi, float))
         if inside.all():
             return None
         return flat[np.argmin(inside.all(axis=1))]
 
-    def contains(self, a, pad: float = 0.0) -> bool:
+    def contains(self, a) -> bool:
         """Whether the label ``a``, or every label of a stack (..., 3), lies in the box."""
-        return self.first_outside(a, pad) is None
+        return self.first_outside(a) is None
 
     @property
     def extent(self) -> np.ndarray:
@@ -449,13 +446,13 @@ class TrajectoryField:
     #   acceleration_gradient                      -> (..., 3, 3)
     #   position_hessian                           -> (..., 3, 3, 3)
 
-    def check_domain(self, a, t, time_pad: float = 0.0):
+    def check_domain(self, a, t):
         """Raise OutOfDomainError for the first label of ``a`` outside the box
         or a time outside the window."""
         bad = self.box.first_outside(a)
         if bad is not None:
             raise OutOfDomainError(f"label {tuple(float(x) for x in bad)} outside {self.box}")
-        if not (self.t0 - time_pad <= float(t) <= self.t1 + time_pad):
+        if not (self.t0 <= float(t) <= self.t1):
             raise OutOfDomainError(f"time {t} outside window [{self.t0}, {self.t1}]")
 
 
@@ -868,6 +865,8 @@ def _check_stencil_fit(path, field: SampledTrajectoryField):
 
 def save_grid(field: SampledTrajectoryField, path: str):
     """Write the self-describing binary (.npz) or CSV (.csv) grid format."""
+    if not str(path).endswith((".npz", ".csv")):
+        raise GridFormatError(f"{path}: a grid file is named *.npz or *.csv")
     _check_stencil_fit(path, field)
     if str(path).endswith(".csv"):
         _save_grid_csv(field, path)
@@ -894,7 +893,13 @@ def load_grid(path: str) -> SampledTrajectoryField:
     """Read either grid format; malformed content raises GridFormatError."""
     if str(path).endswith(".csv"):
         return _load_grid_csv(path)
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise GridFormatError(f"{path} is not an .npz archive ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise GridFormatError(f"{path} holds one bare array, not an .npz archive")
+    with data:
         if "format" not in data or str(data["format"][0]) != _GRID_MAGIC:
             raise GridFormatError(f"{path} is not a grid file")
         try:
@@ -961,21 +966,24 @@ def _save_grid_csv(field: SampledTrajectoryField, path: str):
 def _load_grid_csv(path: str) -> SampledTrajectoryField:
     header: dict[str, list[str]] = {}
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if not parts:
-                    raise GridFormatError(f"{path}: empty header line")
-                header[parts[0]] = parts[1:]
-            else:
-                try:
-                    rows.append([float(v) for v in line.split(",")])
-                except ValueError as exc:
-                    raise GridFormatError(f"{path}: bad number in data row ({exc})") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if not parts:
+                        raise GridFormatError(f"{path}: empty header line")
+                    header[parts[0]] = parts[1:]
+                else:
+                    try:
+                        rows.append([float(v) for v in line.split(",")])
+                    except ValueError as exc:
+                        raise GridFormatError(f"{path}: bad number in data row ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{path} is not UTF-8 text ({exc})") from exc
     if _GRID_MAGIC not in header:
         raise GridFormatError(f"{path}: missing '{_GRID_MAGIC}' header line")
     try:

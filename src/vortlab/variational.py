@@ -22,15 +22,15 @@ time under the evaluation protocol of :mod:`vortlab.fields`: material data,
 generators, variation triples and the composed configuration take labels
 (..., 3).  The Noether flux is evaluated once per time on each of the 12
 stencil-shifted copies of the stack, and the Rund-Trautman split computes
-S(0), the bulk and the boundary brace once for a whole eps ladder.  Data
-that depends on the labels alone (the generator delta_a, its Jacobian and
-rho0 J0) is evaluated once per label stack and reused across times and eps
-rungs; the memo is keyed on the stack's content and owned by the relabeling
-triple, the EOS pressure field or the Noether term that reads it.  Each
+S(0), the bulk and the boundary brace once for a whole eps ladder; each
+brace uses the action's own p = p_eos(rho0 J0 / J) and reads G once per
+(label stack, time).  Label-only data (delta_a, its Jacobian and rho0 J0) is
+evaluated once per label stack and reused across times and eps rungs; the
+memo is keyed on the stack's content and owned by the relabeling triple, the
+bulk brace's EOS pressure field or the Noether term that reads it.  Each
 node's term is bitwise equal to a one-label evaluation, and quadrature sums
 are accumulated with math.fsum (exactly rounded, so independent of order):
-results are deterministic and the tiny differences S(eps) - S(0) are not
-lost to summation noise.
+results are deterministic and S(eps) - S(0) is not lost to summation noise.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .fields import (
     matvec,
 )
 from .invariants import _curl_image, _position_stack
-from .kinematics import det3, jacobian
+from .kinematics import cof3, det3
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +78,16 @@ class BarotropicEOS:
     def pressure(self, rho):
         return rho * rho * self.denergy(rho)
 
-    def check_pressure(self, p_fn: Callable[[float], float], rhos, rtol: float = 1e-12):
-        """Max relative mismatch between the derived and supplied pressure."""
+    def check_pressure(self, p_fn: Callable[[float], float], rhos):
+        """Max relative mismatch between the derived and supplied pressure (<= 1e-12)."""
         worst = 0.0
         for rho in rhos:
             derived = self.pressure(rho)
             supplied = p_fn(rho)
             scale = max(abs(float(derived)), abs(float(supplied)), 1e-300)
             worst = max(worst, abs(float(derived - supplied)) / scale)
-        if worst > rtol:
-            raise VortlabError(f"EOS pressure mismatch {worst:.3e} exceeds rtol {rtol:.1e}")
+        if worst > 1e-12:
+            raise VortlabError(f"EOS pressure mismatch {worst:.3e} exceeds rtol 1.0e-12")
         return worst
 
     @classmethod
@@ -173,14 +173,14 @@ def _mass_reference(field, material, a):
 
 def density_from_map(field: TrajectoryField, material: FlowMaterial, a, t):
     """rho = rho0(a) J(a, t0) / J(a, t)."""
-    rho = _mass_reference(field, material, a) / jacobian(field, a, t).det
+    rho = _mass_reference(field, material, a) / _position_stack(field, a, t)[1]
     _reject(rho <= 0.0, rho, a, "density", t=t)
     return rho
 
 
 def mass_residual(field: TrajectoryField, material: FlowMaterial, rho_fn, a, t):
     """rho J - rho0 J0 for an independently supplied density evaluator."""
-    return rho_fn(a, t) * jacobian(field, a, t).det - _mass_reference(field, material, a)
+    return rho_fn(a, t) * _position_stack(field, a, t)[1] - _mass_reference(field, material, a)
 
 
 def momentum_residual(
@@ -191,15 +191,15 @@ def momentum_residual(
     t,
 ) -> np.ndarray:
     """rho0 J0 (xddot + grad_x P) + cof(G) grad_a p; zero on extremal flows."""
-    return _momentum_residual(field, material, pressure, a, t, jacobian(field, a, t),
+    return _momentum_residual(field, material, pressure, a, t, _position_stack(field, a, t)[0],
                               _mass_reference(field, material, a))
 
 
-def _momentum_residual(field, material, pressure, a, t, bundle, rho0j0):
-    """:func:`momentum_residual` given the Jacobian bundle and rho0 J0 at (a, t)."""
+def _momentum_residual(field, material, pressure, a, t, g, rho0j0):
+    """:func:`momentum_residual` given G and rho0 J0 at (a, t)."""
     x = field.position(a, t)
     body = field.acceleration(a, t) + material.potential.gradient(x, t)
-    return np.expand_dims(rho0j0, -1) * body + matvec(bundle.cof, pressure.gradient(a, t))
+    return np.expand_dims(rho0j0, -1) * body + matvec(cof3(g), pressure.gradient(a, t))
 
 
 def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarField:
@@ -208,7 +208,7 @@ def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarF
     rho0j0 = _per_stack(lambda a: _mass_reference(field, material, a))
 
     def val(a, t):
-        rho = rho0j0(a) / jacobian(field, a, t).det
+        rho = rho0j0(a) / _position_stack(field, a, t)[1]
         _reject(rho <= 0.0, rho, a, "density", t=t)
         return np.asarray(material.eos.pressure(rho), float)[()]
 
@@ -266,11 +266,10 @@ class SpaceTimeQuadrature:
 # ---------------------------------------------------------------------------
 
 
-def _lagrangian_density(field, material, a, t, rho0j0):
-    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 at labels ``a`` (..., 3)."""
+def _lagrangian_density(field, material, a, t, rho0j0, j):
+    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 at labels ``a`` (..., 3), rho = rho0 J0 / J."""
     v = field.velocity(a, t)
     x = field.position(a, t)
-    j = det3(field.position_gradient(a, t))  # no singular-map check: J and rho are tested here
     _reject(j == 0.0, j, a, "J", t=t)
     rho = rho0j0 / j
     _reject(rho <= 0.0, rho, a, "rho", t=t)
@@ -294,7 +293,8 @@ def action(
     rho0j0 = rho0 * det3(field.position_gradient(nodes, field.t0))
     terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
-        L = _lagrangian_density(field, material, nodes, t, rho0j0)
+        j = det3(field.position_gradient(nodes, t))  # no singular-map check: L tests J and rho
+        L = _lagrangian_density(field, material, nodes, t, rho0j0, j)
         terms.extend(wt * quad.space_weights * L)
     return math.fsum(terms)
 
@@ -512,7 +512,11 @@ class VariationTriple:
 
 def local_variation_of_triple(field: TrajectoryField, var: VariationTriple, a, t) -> np.ndarray:
     """delta-bar x = delta_x - xdot delta_t - (delta_a . grad_a) x."""
-    g = field.position_gradient(a, t)
+    return _local_variation(field, var, a, t, field.position_gradient(a, t))
+
+
+def _local_variation(field, var, a, t, g):
+    """:func:`local_variation_of_triple` given G at (a, t)."""
     return var.dx(a, t) - field.velocity(a, t) * var.dt(t) - matvec(g, var.da(a))
 
 
@@ -565,10 +569,6 @@ class DeformedTrajectoryField:
         core = self.base.position_gradient(at, tt) + self.eps * self.var.dx_jac(at, tt)
         return core @ chart
 
-    def check_domain(self, a, t, time_pad: float = 0.0):
-        # evaluators extend smoothly past the box; the base map is the arbiter
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Relabeling invariance scan
@@ -590,6 +590,7 @@ class ScanResult:
 
 
 SLOPE_FLOOR = 1e-14
+SLOPE_THRESHOLD = 1.9
 
 
 def fit_loglog_slope(xs, ys, floor: float = SLOPE_FLOOR) -> float | None:
@@ -602,8 +603,7 @@ def fit_loglog_slope(xs, ys, floor: float = SLOPE_FLOOR) -> float | None:
         return None
     lx = np.log([x for x, _ in kept])
     ly = np.log([y for _, y in kept])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
+    return float(np.polyfit(lx, ly, 1)[0])
 
 
 DEFAULT_EPS_LADDER = (1e-2, 3e-3, 1e-3, 3e-4)
@@ -615,14 +615,13 @@ def relabeling_invariance_scan(
     gen: RelabelGenerator,
     quad: SpaceTimeQuadrature,
     eps_list=DEFAULT_EPS_LADDER,
-    slope_threshold: float = 1.9,
 ) -> ScanResult:
     """|S(eps) - S(0)| ladder for a relabeling direction.
 
     S(eps) is the action of the composed configuration on the same
     quadrature.  A divergence-free generator leaves no first-order term, so
-    the fitted log-log slope is ~2 (or better); a divergent generator is
-    flagged by its ~1 slope.
+    the fitted log-log slope is ~2 (or better, symmetric at SLOPE_THRESHOLD);
+    a divergent generator is flagged by its ~1 slope.
     """
     var = VariationTriple.relabeling(gen)
     nodes = quad.space_nodes
@@ -634,14 +633,13 @@ def relabeling_invariance_scan(
         deltas.append(abs(action(deformed, material, quad) - s0))
     max_div = float(np.max(np.abs(var.delta_a.divergence(nodes, 0.0))))
     slope = fit_loglog_slope(eps_list, deltas, floor=max(abs(s0), 1.0) * 1e-14)
-    symmetric = slope is None or slope >= slope_threshold
     return ScanResult(
         eps=[float(e) for e in eps_list],
         deviation=deltas,
         slope=slope,
         max_divergence=max_div,
         base_action=s0,
-        symmetric=symmetric,
+        symmetric=slope is None or slope >= SLOPE_THRESHOLD,
         metadata={"generator": gen.label, "quadrature": quad.label},
     )
 
@@ -656,19 +654,17 @@ def weak_form_integral(
     material: FlowMaterial,
     gen: RelabelGenerator,
     quad: SpaceTimeQuadrature,
-    pressure: ScalarField | None = None,
+    pressure: ScalarField,
 ) -> tuple[float, float]:
     """Both sides of the weak-form pairing for a relabeling direction.
 
-    lhs: momentum residual dotted with the local variation -G delta_a.
+    lhs: momentum residual under ``pressure`` dotted with the local variation -G delta_a.
     rhs: -(rho0 J0) curl_a(dV/dt) dotted with the vector potential delta_R
     (the divergence term is dropped; use a potential that vanishes on the
     boundary, has compact support, or a periodic domain).
     """
     if gen.potential is None:
         raise VortlabError("weak_form_integral needs a curl-form generator (vector potential)")
-    if pressure is None:
-        pressure = pressure_from_eos(field, material)
     nodes, wa = quad.space_nodes, quad.space_weights
     rho0j0 = _mass_reference(field, material, nodes)
     da = gen.delta_a(nodes)
@@ -676,11 +672,11 @@ def weak_form_integral(
     lhs_terms, rhs_terms = [], []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         w = wa * wt
-        bundle = jacobian(field, nodes, t)
-        res = _momentum_residual(field, material, pressure, nodes, t, bundle, rho0j0)
-        lhs_terms.extend(w * np.vecdot(res, -matvec(bundle.matrix, da)))
+        g, _ = _position_stack(field, nodes, t)
+        res = _momentum_residual(field, material, pressure, nodes, t, g, rho0j0)
+        lhs_terms.extend(w * np.vecdot(res, -matvec(g, da)))
         # the Cauchy residual curl_a(G^T xddot) on the same G
-        cauchy = _curl_image(field, nodes, t, bundle.matrix, "acceleration")
+        cauchy = _curl_image(field, nodes, t, g, "acceleration")
         rhs_terms.extend(-w * rho0j0 * np.vecdot(cauchy, dR))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
@@ -691,7 +687,6 @@ def rund_trautman_check(
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
     eps=1e-3,
-    pressure: ScalarField | None = None,
 ) -> tuple[float, float, float] | list[tuple[float, float, float]]:
     """(total, el_part, bd_part) of the fundamental variational split.
 
@@ -705,16 +700,13 @@ def rund_trautman_check(
     triple per rung.  S(0), el_part and bd_part do not depend on eps and are
     computed once for the whole ladder.
 
-    ``pressure`` must be the action's own stress, rho^2 E'(rho); it defaults
-    to the EOS-derived field and exists only so callers with a closed form
-    for that same quantity can avoid the FD pressure gradient.  Substituting
-    an unrelated momentum-balancing pressure breaks the identity.
+    Both braces use the action's own stress p = rho^2 E'(rho) at
+    rho = rho0 J0 / J (:func:`el_part`, :func:`noether_boundary_term`); any
+    other pressure, such as a momentum-balancing one, breaks the identity.
     """
-    if pressure is None:
-        pressure = pressure_from_eos(field, material)
     s0 = action(field, material, quad)
-    el = el_part(field, material, var, quad, pressure)
-    bd = noether_boundary_term(field, material, var, quad, pressure)
+    el = el_part(field, material, var, quad)
+    bd = noether_boundary_term(field, material, var, quad)
     rows = [
         ((action(DeformedTrajectoryField(field, var, e), material, quad) - s0) / e, el, bd)
         for e in np.ravel(eps).tolist()
@@ -727,17 +719,17 @@ def el_part(
     material: FlowMaterial,
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
-    pressure: ScalarField | None = None,
 ) -> float:
-    """Bulk brace of the variational formula: -(momentum residual) . delta-bar x."""
-    if pressure is None:
-        pressure = pressure_from_eos(field, material)
+    """Bulk brace of the variational formula: -(momentum residual) . delta-bar x, with
+    the FD-differentiated :func:`pressure_from_eos`; cof(G) and delta-bar x share one G."""
+    pressure = pressure_from_eos(field, material)
     nodes, wa = quad.space_nodes, quad.space_weights
     rho0j0 = _mass_reference(field, material, nodes)
     terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
-        res = _momentum_residual(field, material, pressure, nodes, t, jacobian(field, nodes, t), rho0j0)
-        dbar = local_variation_of_triple(field, var, nodes, t)
+        g, _ = _position_stack(field, nodes, t)
+        res = _momentum_residual(field, material, pressure, nodes, t, g, rho0j0)
+        dbar = _local_variation(field, var, nodes, t, g)
         terms.extend(-wa * wt * np.vecdot(res, dbar))
     return math.fsum(terms)
 
@@ -747,37 +739,37 @@ def noether_boundary_term(
     material: FlowMaterial,
     var: VariationTriple,
     quad: SpaceTimeQuadrature,
-    pressure: ScalarField | None = None,
 ) -> float:
     """Boundary brace: time-endpoint spatial quadratures at the window ends
     plus the space-time quadrature of the divergence of the Noether flux
 
-        w_j = L delta_a_j + p (cof^T delta-bar x)_j .
+        w_j = L delta_a_j + p (cof^T delta-bar x)_j ,   p = p_eos(rho0 J0 / J).
 
     The flux is evaluated once per time on each stencil-shifted copy of the
     node stack (12 at order 4); rho0 J0 does not depend on time and is taken
-    once per copy.
+    once per copy.  L, delta-bar x, cof(G) and p share one G per (copy, time).
     """
-    if pressure is None:
-        pressure = pressure_from_eos(field, material)
     t_lo, t_hi = quad.window
     nodes, wa = quad.space_nodes, quad.space_weights
     rho0j0 = _per_stack(lambda b: _mass_reference(field, material, b))
 
     def endpoint_integrand(t):
         rj = rho0j0(nodes)
-        L = _lagrangian_density(field, material, nodes, t, rj)
-        dbar = local_variation_of_triple(field, var, nodes, t)
+        g = field.position_gradient(nodes, t)
+        L = _lagrangian_density(field, material, nodes, t, rj, det3(g))
+        dbar = _local_variation(field, var, nodes, t, g)
         return L * var.dt(t) + rj * np.vecdot(field.velocity(nodes, t), dbar)
 
     endpoint = math.fsum(wa * (endpoint_integrand(t_hi) - endpoint_integrand(t_lo)))
     div_step = 1e-3 * min(field.box.extent)
 
     def flux(b, t):
-        L = _lagrangian_density(field, material, b, t, rho0j0(b))
-        cof_t = np.swapaxes(jacobian(field, b, t).cof, -1, -2)
-        dbar = local_variation_of_triple(field, var, b, t)
-        p = np.asarray(pressure(b, t), float)
+        g, j = _position_stack(field, b, t)
+        rj = rho0j0(b)
+        L = _lagrangian_density(field, material, b, t, rj, j)
+        p = np.asarray(material.eos.pressure(rj / j), float)
+        dbar = _local_variation(field, var, b, t, g)
+        cof_t = np.swapaxes(cof3(g), -1, -2)
         return L[..., None] * var.da(b) + p[..., None] * matvec(cof_t, dbar)
 
     div_terms = []

@@ -278,6 +278,12 @@ class TestExport:
         assert "axis2 of length 4 is too short" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_unknown_suffix_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        code = main(["export", "--fixture", "identity", "--out", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert "x.txt" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -457,6 +457,51 @@ class TestGridIO:
         with pytest.raises(GridFormatError):
             load_grid(path)
 
+    def test_save_rejects_unknown_suffix(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        with pytest.raises(GridFormatError, match="grid.txt"):
+            save_grid(self._small_field(), str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_text_under_npz_loader(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        save_grid(self._small_field(), str(tmp_path / "grid.csv"))
+        (tmp_path / "grid.csv").rename(path)
+        with pytest.raises(GridFormatError, match="grid.txt"):
+            load_grid(str(path))
+
+    def test_rejects_empty_npz(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        path.write_bytes(b"")
+        with pytest.raises(GridFormatError, match="empty.npz"):
+            load_grid(str(path))
+
+    def test_rejects_bare_array_named_npz(self, tmp_path):
+        np.save(tmp_path / "bare.npy", np.arange(3.0))
+        path = tmp_path / "bare.npz"
+        (tmp_path / "bare.npy").rename(path)
+        with pytest.raises(GridFormatError, match="bare.npz"):
+            load_grid(str(path))
+
+    def test_rejects_truncated_npz(self, tmp_path):
+        path = tmp_path / "cut.npz"
+        save_grid(self._small_field(), str(path))
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(GridFormatError, match="cut.npz"):
+            load_grid(str(path))
+
+    def test_rejects_non_utf8_csv(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        save_grid(self._small_field(), str(path))
+        path.write_bytes(b"# \xe9t\xe9\n" + path.read_bytes())
+        with pytest.raises(GridFormatError, match="latin.csv"):
+            load_grid(str(path))
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        for name in ("gone.npz", "gone.csv"):
+            with pytest.raises(FileNotFoundError):
+                load_grid(str(tmp_path / name))
+
     def test_rejects_malformed_csv(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("1.0,2.0,3.0\n")

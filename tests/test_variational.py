@@ -1,5 +1,6 @@
 """Action functional, relabeling machinery and the variational identities."""
 
+import collections
 import dataclasses
 import math
 import re
@@ -369,7 +370,7 @@ class TestWeakForm:
         bare = RelabelGenerator(VectorField(value=lambda a, t: np.zeros(3)))
         quad = SpaceTimeQuadrature.gauss(fx.field.box, (3, 3, 3), (0.0, 1.0), 2)
         with pytest.raises(VortlabError):
-            weak_form_integral(fx.field, fx.material, bare, quad)
+            weak_form_integral(fx.field, fx.material, bare, quad, fx.pressure)
 
     def test_weak_and_noether_routes_equivalent(self):
         # extremal + symmetry: both routes vanish together; non-extremal +
@@ -606,7 +607,8 @@ class TestBatchedVariationalLayer:
         for field in (fx.field, DeformedTrajectoryField(fx.field, var, 1e-2)):
             rj = np.array([ref_rho0j0(field, material, a) for a in nodes])
             for t in quad.time_nodes:
-                got = variational._lagrangian_density(field, material, nodes, t, rj)
+                j = det3(field.position_gradient(nodes, t))
+                got = variational._lagrangian_density(field, material, nodes, t, rj, j)
                 want = [ref_lagrangian(field, material, a, t, r) for a, r in zip(nodes, rj)]
                 assert (got == np.array(want)).all()
         for t in quad.time_nodes:
@@ -622,9 +624,9 @@ class TestBatchedVariationalLayer:
         fx, material, gen, quad = _batched_case(name)
         var = VariationTriple.relabeling(gen)
         pressure = variational.pressure_from_eos(fx.field, material)
-        assert el_part(fx.field, material, var, quad, pressure) == \
+        assert el_part(fx.field, material, var, quad) == \
             ref_el_part(fx.field, material, var, quad, pressure)
-        got = noether_boundary_term(fx.field, material, var, quad, pressure)
+        got = noether_boundary_term(fx.field, material, var, quad)
         assert abs(got - ref_noether(fx.field, material, var, quad, pressure)) <= 1e-13
 
     def test_rund_trautman_ladder_matches_single_rungs(self, monkeypatch):
@@ -688,6 +690,27 @@ class TestBatchedVariationalLayer:
                 noether_boundary_term(fx.field, fx.material, var, quad)
             counts.append(calls[0])
         assert counts[0] == counts[1] > 0
+
+    def test_each_brace_reads_g_once_per_stack_and_time(self, monkeypatch):
+        fx = flows.make_fixture("rigid-rotation")
+        box, window = fx.field.box, (fx.field.t0, fx.field.t1)
+        var = VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(box)))
+        quad = SpaceTimeQuadrature.midpoint(box, (4, 4, 4), window, 3)
+        reads = collections.Counter()
+        original = fx.field.position_gradient
+
+        def counted(a, t):
+            reads[np.asarray(a, float).tobytes(), float(t)] += 1
+            return original(a, t)
+
+        monkeypatch.setattr(fx.field, "position_gradient", counted)
+        el_part(fx.field, fx.material, var, quad)
+        assert set(reads.values()) == {1}
+        reads.clear()
+        noether_boundary_term(fx.field, fx.material, var, quad)
+        # rho0 J0 on the node stack and the t_lo endpoint both read (nodes, t0)
+        assert reads.pop((quad.space_nodes.tobytes(), fx.field.t0)) == 2
+        assert set(reads.values()) == {1}
 
     def test_relabeling_memo_keys_on_content_and_is_read_only(self):
         fx, _, gen, quad = _batched_case("rigid-rotation")
