@@ -33,7 +33,10 @@ Three interchangeable backends implement this protocol:
     (step :data:`ANALYTIC_FD_STEP`) for any derivative not supplied.  Every
     fallback in the package goes through :func:`derivative`,
     :func:`second_derivative` or :func:`fd_jacobian` applied to the whole
-    vector or matrix, and every curl through :func:`curl`.
+    vector or matrix, and every curl through :func:`curl`.  A label gradient
+    is one call of the lower evaluator: :func:`fd_jacobian` hands it one
+    stack of shape ``(3 * len(offsets), *a.shape)`` holding every
+    stencil-shifted copy of the labels.
 ``PolynomialTrajectoryField``
     components are :class:`~vortlab.poly.Poly` in (a1, a2, a3, t); every
     derivative is exact, and rational query points give Fraction results.
@@ -104,16 +107,25 @@ def second_derivative(g: Callable[[float], float], h: float):
 def fd_jacobian(f: Callable[[Vec], object], a, h: float, order: int = 4) -> Vec:
     """Centered finite-difference Jacobian ``out[..., j] = df/da_j`` at ``a``.
 
-    ``f`` may be scalar-, vector- or matrix-valued; it is evaluated once per
-    stencil offset and direction, so every output component shares the calls.
+    ``f`` follows the evaluation protocol and may be scalar-, vector- or
+    matrix-valued.  It is called once, on one stack of shape
+    ``(3 * len(offsets), *a.shape)`` holding ``a + (k * h) * e_j`` in
+    (direction j, offset k) order, and returns one value per label; each
+    direction's values are combined like :func:`derivative` combines them.
+    A raise inside ``f`` names the first offending label in that order, the
+    one a call per offset would meet first.
     """
+    offsets, weights = _CENTRAL_1[order]
     a = np.asarray(a, float)
-    cols = []
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1.0
-        cols.append(derivative(lambda s: f(a + s * e), h, order))
-    return np.asarray(np.stack(cols, axis=-1), float)
+    eye = np.eye(3)
+    shifted = np.stack([a + (k * h) * eye[j] for j in range(3) for k in offsets])
+    values = np.asarray(f(shifted), float)
+    lead = shifted.shape[:-1]
+    if values.shape[:len(lead)] != lead:
+        raise ValueError(f"f returned shape {values.shape} for labels of leading shape {lead}; "
+                         f"index labels as a[..., i]")
+    values = values.reshape(3, len(offsets), *values.shape[1:])
+    return np.stack(sum(float(w) * values[:, i] for i, w in enumerate(weights)) / h, axis=-1)
 
 
 def entries(m):

@@ -51,7 +51,7 @@ def _position_stack(field: TrajectoryField, labels, t):
     """G from :func:`label_stack` at labels (..., 3) and its determinant J,
     after the singular-map test of :func:`vortlab.kinematics.checked_det`."""
     g = label_stack(field, labels, t, "position_gradient")
-    return g, checked_det(g)
+    return g, checked_det(g, labels, t)
 
 
 def gradient_curl(gw, g):

@@ -90,18 +90,21 @@ class JacobianBundle:
     inv: np.ndarray
 
     @classmethod
-    def from_matrix(cls, g: np.ndarray) -> "JacobianBundle":
-        d, c = checked_det(g), cof3(g)
+    def from_matrix(cls, g: np.ndarray, a=None, t=None) -> "JacobianBundle":
+        """The bundle of G; ``a`` and ``t`` locate it for :func:`checked_det`."""
+        d, c = checked_det(g, a, t), cof3(g)
         return cls(matrix=g, det=d, cof=c, inv=np.swapaxes(c, -1, -2) / np.expand_dims(d, (-2, -1)))
 
 
-def checked_det(g):
+def checked_det(g, a=None, t=None):
     """det3(g), raising DegenerateMapError where the map is singular.
 
     The one singular-map test of the package.  It is scale-invariant: a map
     is singular where J == 0 or |J| < DEGENERACY_RTOL * s**3, with s**3 the
     product of the row norms of G.  J == 0 is decided exactly on Fraction
-    matrices.  ``g`` is one matrix (3, 3) or a stack (..., 3, 3).
+    matrices.  ``g`` is one matrix (3, 3) or a stack (..., 3, 3); given the
+    labels ``a`` of ``g`` and its time ``t``, the error names the first
+    singular label and ``t``.
     """
     d = det3(g)
     gf = np.asarray(g, float)
@@ -109,8 +112,13 @@ def checked_det(g):
     bound = DEGENERACY_RTOL * rows[..., 0] * rows[..., 1] * rows[..., 2]
     singular = np.ravel((d == 0) | (np.abs(np.asarray(d, float)) < bound))
     if singular.any():
-        first = np.ravel(d)[int(np.argmax(singular))]
-        raise DegenerateMapError(f"Jacobian determinant {first} below degeneracy threshold")
+        k = int(np.argmax(singular))
+        at = ""
+        if a is not None:
+            label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
+            at = f" at a={label}, t={t}"
+        raise DegenerateMapError(f"Jacobian determinant {np.ravel(d)[k]} below degeneracy "
+                                 f"threshold{at}")
     return d
 
 
@@ -118,7 +126,7 @@ def jacobian(field: TrajectoryField, a, t) -> JacobianBundle:
     """The Jacobian bundle of the label map at (a, t); labels (..., 3) give a
     stacked bundle from one evaluator call."""
     field.check_domain(a, t)
-    return JacobianBundle.from_matrix(field.position_gradient(a, t))
+    return JacobianBundle.from_matrix(field.position_gradient(a, t), a, t)
 
 
 def pullback_gradient(bundle: JacobianBundle, grad_x) -> np.ndarray:
@@ -204,9 +212,9 @@ def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None =
 
     def speed2(b):
         w = field.velocity(b, t)
-        return float(w @ w)
+        return np.vecdot(w, w)
 
-    return gv.T @ v - 0.5 * fd_jacobian(speed2, a, h, _fd_order(field))
+    return matvec(np.swapaxes(gv, -1, -2), v) - 0.5 * fd_jacobian(speed2, a, h, _fd_order(field))
 
 
 def _convective_residual(v, gv):

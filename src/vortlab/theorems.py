@@ -163,15 +163,20 @@ class LabelRegion:
 
     def divergence_selftest(self, w: Callable[[np.ndarray], np.ndarray]) -> float:
         """|volume integral of div w - boundary flux| for a caller-supplied
-        linear field; a quadrature sanity check for the region's geometry."""
+        linear field; a quadrature sanity check for the region's geometry.
+
+        ``w`` follows the evaluation protocol: labels (..., 3), indexed
+        ``a[..., i]``, give values (..., 3).  The divergence takes one call
+        over every grid node; the boundary flux one call per face node.
+        """
         if self.periodic:
             return 0.0
         grid = self.grid()
         h = 1e-4 * min(self.box.extent)
+        d = fd_jacobian(w, grid.nodes(), h, 4)
         vol = 0.0
-        for a in grid.nodes():
-            d = fd_jacobian(lambda b: np.asarray(w(b), float), a, h, 4)
-            vol += (d[0, 0] + d[1, 1] + d[2, 2]) * grid.cell_volume
+        for div in (d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]).tolist():
+            vol += div * grid.cell_volume
         flux = 0.0
         for nodes, normal, area in self.boundary_faces():
             for a in nodes:

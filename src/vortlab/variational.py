@@ -745,9 +745,10 @@ def noether_boundary_term(
 
         w_j = L delta_a_j + p (cof^T delta-bar x)_j ,   p = p_eos(rho0 J0 / J).
 
-    The flux is evaluated once per time on each stencil-shifted copy of the
-    node stack (12 at order 4); rho0 J0 does not depend on time and is taken
-    once per copy.  L, delta-bar x, cof(G) and p share one G per (copy, time).
+    The flux is evaluated once per time, on one stack of the 12
+    stencil-shifted copies of the nodes (order 4); rho0 J0 does not depend on
+    time and is taken once for that stack.  L, delta-bar x, cof(G) and p share
+    one G per time.
     """
     t_lo, t_hi = quad.window
     nodes, wa = quad.space_nodes, quad.space_weights

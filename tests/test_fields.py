@@ -164,6 +164,31 @@ class TestLabelOperators:
                     fd_jacobian(lambda b: vector(b, t), pts, 1e-3, 4)).all()
 
 
+def per_offset_jacobian(f, a, h, order):
+    """The centered FD Jacobian with one call of ``f`` per stencil offset and
+    direction: the reference for the one-call stack of :func:`fd_jacobian`."""
+    a = np.asarray(a, float)
+    cols = []
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = 1.0
+        cols.append(derivative(lambda s: f(a + s * e), h, order))
+    return np.asarray(np.stack(cols, axis=-1), float)
+
+
+# Scalar-, vector- and matrix-valued protocol callables built from + , * and /
+# only, so a stack and its labels one at a time round alike.
+FD_CALLABLES = {
+    "scalar": lambda b: b[..., 0] * b[..., 0] * b[..., 1] / (3.0 + b[..., 2]),
+    "vector": lambda b: np.stack([b[..., 0] * b[..., 1], b[..., 1] / (2.5 - b[..., 0]),
+                                  b[..., 2] * b[..., 0] * b[..., 0]], axis=-1),
+    "matrix": lambda b: np.stack([
+        np.stack([b[..., 0] * b[..., 0], b[..., 1] * b[..., 2]], axis=-1),
+        np.stack([b[..., 2] / 7.0, b[..., 0] * b[..., 1] + b[..., 2]], axis=-1),
+    ], axis=-2),
+}
+
+
 class TestFdJacobian:
     # a centered stencil of order p differentiates a polynomial exactly when
     # its degree in the differenced variable is at most p
@@ -172,7 +197,7 @@ class TestFdJacobian:
     @staticmethod
     def _counted(f, calls):
         def g(b):
-            calls.append(1)
+            calls.append(b.shape)
             return f(b)
         return g
 
@@ -180,35 +205,74 @@ class TestFdJacobian:
     def test_scalar_valued(self, order):
         k, (b0, b1, b2) = order, self.A
         calls = []
-        f = self._counted(lambda b: b[0] ** k * b[1] + b[2] ** k, calls)
+        f = self._counted(lambda b: b[..., 0] ** k * b[..., 1] + b[..., 2] ** k, calls)
         out = fd_jacobian(f, self.A, 1e-2, order)
         exact = [k * b0 ** (k - 1) * b1, b0 ** k, k * b2 ** (k - 1)]
         assert out.shape == (3,)
         assert np.allclose(out, exact, rtol=0, atol=1e-10)
-        assert len(calls) == 3 * order  # once per stencil offset and direction
+        assert len(calls) == 1  # one stack of every stencil offset and direction
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_vector_valued(self, order):
         k, (b0, b1, b2) = order, self.A
         calls = []
-        f = self._counted(lambda b: np.array([b[0] * b[1], b[1] ** k, b[2] * b[0] ** k]), calls)
+        f = self._counted(lambda b: np.stack([b[..., 0] * b[..., 1], b[..., 1] ** k,
+                                              b[..., 2] * b[..., 0] ** k], axis=-1), calls)
         out = fd_jacobian(f, self.A, 1e-2, order)
         exact = [[b1, b0, 0.0],
                  [0.0, k * b1 ** (k - 1), 0.0],
                  [k * b0 ** (k - 1) * b2, 0.0, b0 ** k]]
         assert out.shape == (3, 3)
         assert np.allclose(out, exact, rtol=0, atol=1e-10)
-        assert len(calls) == 3 * order
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_matrix_valued(self, order):
         k, (b0, b1, b2) = order, self.A
-        f = lambda b: np.array([[b[0] ** k, b[1] * b[2]], [b[2], b[0] * b[1]]])
+        f = lambda b: np.stack([np.stack([b[..., 0] ** k, b[..., 1] * b[..., 2]], axis=-1),
+                                np.stack([b[..., 2], b[..., 0] * b[..., 1]], axis=-1)], axis=-2)
         out = fd_jacobian(f, self.A, 1e-2, order)
         exact = [[[k * b0 ** (k - 1), 0.0, 0.0], [0.0, b2, b1]],
                  [[0.0, 0.0, 1.0], [b1, b0, 0.0]]]
         assert out.shape == (2, 2, 3)
         assert np.allclose(out, exact, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(FD_CALLABLES))
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 4)])
+    def test_one_call_bitwise_equal_to_per_offset_loop(self, order, kind, lead):
+        a = np.random.default_rng(len(lead) + order).uniform(-0.9, 0.9, (*lead, 3))
+        calls = []
+        got = fd_jacobian(self._counted(FD_CALLABLES[kind], calls), a, 1e-3, order)
+        want = per_offset_jacobian(FD_CALLABLES[kind], a, 1e-3, order)
+        assert calls == [(3 * order, *lead, 3)]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_callable_for_one_label_raises(self):
+        with pytest.raises(ValueError, match=r"a\[\.\.\., i\]"):
+            fd_jacobian(lambda b: b[0] * b[1], self.A, 1e-2)
+
+    def test_out_of_domain_shift_names_the_per_offset_first_label(self):
+        # node 1 sits within one step of the top of axis 2 and node 2 of the
+        # bottom of axis 3: the a2 + h shift of node 1 is the first one out
+        h = 1e-2
+        a = np.array([[0.0, 0.1, 0.2], [0.3, 1.0 - 0.5 * h, -0.4], [-0.5, 0.6, -1.0 + 0.5 * h]])
+        analytic = AnalyticTrajectoryField(lambda b, t: 2.0 * b, BOX)
+        grid = LabelGrid.nodes_inclusive(BOX, (6, 6, 6))
+        sampled = SampledTrajectoryField.from_analytic(analytic, grid, [0.0, 1.0])
+
+        def checked(b):
+            analytic.check_domain(b, 0.5)
+            return analytic.position(b, 0.5)
+
+        for f in (checked, lambda b: sampled.position(b, 0.5)):
+            with pytest.raises(OutOfDomainError) as want:
+                per_offset_jacobian(f, a, h, 4)
+            with pytest.raises(OutOfDomainError) as got:
+                fd_jacobian(f, a, h, 4)
+            assert str(got.value) == str(want.value)
+            assert repr(1.0 + 0.5 * h) in str(got.value)
 
 
 class TestAnalyticFallbacks:

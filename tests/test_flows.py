@@ -308,7 +308,7 @@ class TestConcurrentAdvection:
             pass
 
         def value(x, t):
-            if t > 0.3 and x[0, 0] > 0.75:  # second chunk only
+            if t > 0.3 and x.reshape(-1, 3)[0, 0] > 0.75:  # second chunk only
                 raise Boom("velocity failed")
             return np.zeros(x.shape)
 

@@ -17,6 +17,7 @@ from vortlab.fields import (
     ScalarField,
     VectorField,
     fd_jacobian,
+    matvec,
 )
 from vortlab.invariants import (
     cauchy_drift,
@@ -210,8 +211,8 @@ class TestCauchyResidual:
         def vdot(a, t=1.0):
             g = fx.field.position_gradient(a, t).astype(float)
             gv = fx.field.velocity_gradient(a, t).astype(float)
-            return g.T @ fx.field.acceleration(a, t).astype(float) + \
-                gv.T @ fx.field.velocity(a, t).astype(float)
+            return matvec(np.swapaxes(g, -1, -2), fx.field.acceleration(a, t).astype(float)) + \
+                matvec(np.swapaxes(gv, -1, -2), fx.field.velocity(a, t).astype(float))
 
         field = VectorField(value=lambda a, t: vdot(a))
         a = np.array([0.0, 1.0, 0.0])

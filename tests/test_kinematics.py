@@ -9,6 +9,7 @@ import pytest
 from vortlab import flows
 from vortlab.errors import DegenerateMapError
 from vortlab.fields import (
+    AnalyticTrajectoryField,
     Box,
     PolynomialTrajectoryField,
     ScalarField,
@@ -36,6 +37,7 @@ from vortlab.kinematics import (
     transform_surface,
     transform_volume,
 )
+from vortlab.invariants import _position_stack
 from vortlab.poly import Poly, random_point, random_poly
 
 BOX = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
@@ -87,6 +89,24 @@ class TestBundle:
         collapsing = PolynomialTrajectoryField([a1, a2, t * a3], BOX, -1.0, 1.0)
         with pytest.raises(DegenerateMapError):
             jacobian(collapsing, (Fraction(0), Fraction(0), Fraction(1)), Fraction(0))
+
+    def test_singular_map_error_names_first_label_and_time(self):
+        # x = (a1, a2, (1 - t(2 - t)) a3) over [0, 2] collapses every label at t = 1
+        box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+        field = AnalyticTrajectoryField(
+            lambda a, t: np.stack([a[..., 0], a[..., 1], (1 - t * (2 - t)) * a[..., 2]], axis=-1),
+            box, 0.0, 2.0,
+            position_gradient=lambda a, t: np.diag([1.0, 1.0, 1 - t * (2 - t)]),
+        )
+        nodes = np.array([[0.5, -0.25, 0.75], [0.1, 0.2, 0.3]])
+        want = r"Jacobian determinant 0\.0 below degeneracy threshold at a=\(0\.5, -0\.25, 0\.75\), t=1\.0$"
+        with pytest.raises(DegenerateMapError, match=want):
+            _position_stack(field, nodes, 1.0)
+        with pytest.raises(DegenerateMapError, match=want):
+            jacobian(field, nodes[0], 1.0)
+        with pytest.raises(DegenerateMapError, match=want):
+            jacobian(field, nodes, 1.0)
+        assert jacobian(field, nodes, 0.5).det.shape == (2,)
 
 
 class TestBatchedMatrixHelpers:

@@ -345,5 +345,6 @@ class TestHelicity:
 
     def test_divergence_selftest_on_linear_field(self):
         region = LabelRegion(flows.Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), (6, 6, 6))
-        gap = region.divergence_selftest(lambda a: np.array([a[0] + 2 * a[1], a[2], -a[0]]))
+        gap = region.divergence_selftest(
+            lambda a: np.stack([a[..., 0] + 2 * a[..., 1], a[..., 2], -a[..., 0]], axis=-1))
         assert gap < 1e-10

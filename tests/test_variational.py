@@ -11,7 +11,7 @@ import pytest
 
 from vortlab import cli, flows, variational
 from vortlab.errors import FoldedRelabelingError, NonPositiveDensityError, VortlabError
-from vortlab.fields import Box, ScalarField, VectorField, fd_jacobian
+from vortlab.fields import Box, ScalarField, VectorField, derivative
 from vortlab.kinematics import cof3, det3
 from vortlab.poly import Poly
 from vortlab.variational import (
@@ -518,6 +518,16 @@ def ref_el_part(field, material, var, quad, pressure):
     )
 
 
+def per_offset_jacobian(f, a, h, order=4):
+    """Centered FD Jacobian of a one-label ``f``, one call per stencil offset and direction."""
+    cols = []
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = 1.0
+        cols.append(derivative(lambda s: f(a + s * e), h, order))
+    return np.stack(cols, axis=-1)
+
+
 def ref_noether(field, material, var, quad, pressure):
     t_lo, t_hi = quad.window
 
@@ -539,7 +549,7 @@ def ref_noether(field, material, var, quad, pressure):
     div = []
     for a, wa in zip(quad.space_nodes, quad.space_weights):
         for t, wt in zip(quad.time_nodes, quad.time_weights):
-            d = fd_jacobian(lambda b: flux(b, t), a, h, 4)
+            d = per_offset_jacobian(lambda b: flux(b, t), a, h)
             div.append(wa * wt * (d[0, 0] + d[1, 1] + d[2, 2]))
     return ends + math.fsum(div)
 
@@ -711,6 +721,24 @@ class TestBatchedVariationalLayer:
         # rho0 J0 on the node stack and the t_lo endpoint both read (nodes, t0)
         assert reads.pop((quad.space_nodes.tobytes(), fx.field.t0)) == 2
         assert set(reads.values()) == {1}
+
+    def test_flux_divergence_reads_g_once_per_time_node(self, monkeypatch):
+        fx = flows.make_fixture("rigid-rotation")
+        box, window = fx.field.box, (fx.field.t0, fx.field.t1)
+        var = VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(box)))
+        quad = SpaceTimeQuadrature.midpoint(box, (4, 4, 4), window, 3)
+        reads = collections.defaultdict(list)
+        original = fx.field.position_gradient
+
+        def counted(a, t):
+            reads[float(t)].append(np.shape(a))
+            return original(a, t)
+
+        monkeypatch.setattr(fx.field, "position_gradient", counted)
+        noether_boundary_term(fx.field, fx.material, var, quad)
+        # the window ends are not midpoint nodes: every read at a node is the
+        # flux's, one stack of the 12 stencil-shifted copies of the nodes
+        assert [reads[float(t)] for t in quad.time_nodes] == [[(12, 64, 3)]] * 3
 
     def test_relabeling_memo_keys_on_content_and_is_read_only(self):
         fx, _, gen, quad = _batched_case("rigid-rotation")
