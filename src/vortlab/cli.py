@@ -209,7 +209,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     sampled = fixture.field.backend == "sampled"
     pipeline_err, default_tol = _pipeline_tolerance(fixture.field)
     base_tol = cfg.tol if cfg.tol is not None else default_tol
-    kin_tol = cfg.tol if cfg.tol is not None else max(default_tol, 1e-9)
     pts = _sample_points(fixture, window, cfg.seed)
     if sampled:
         # keep probes on stored nodes and slices so interpolation error does
@@ -230,17 +229,17 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     checks.append(_check(
         "kinematic_rate_identity",
         maxnorm(lambda a, t: jacobian_rate_residual(fixture.field, a, t, h=h_fd)),
-        kin_tol,
+        base_tol,
     ))
     checks.append(_check(
         "kinematic_inverse_rate_identity",
         maxnorm(lambda a, t: inverse_jacobian_rate_residual(fixture.field, a, t)),
-        kin_tol,
+        base_tol,
     ))
     checks.append(_check(
         "kinematic_convective_identity",
         maxnorm(lambda a, t: convective_gradient_residual(fixture.field, a, t)),
-        kin_tol,
+        base_tol,
     ))
     checks.append(_check(
         "momentum_residual",
@@ -271,14 +270,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         maxnorm(lambda a, t: dalembert_euler_residual(fixture.field, a, t)),
         base_tol,
     ))
-    bel_tol = cfg.tol if cfg.tol is not None else max(default_tol, 1e-8)
     bel_pts = [(a, t) for a, t in pts
                if window[0] + 2 * h_fd <= t <= window[1] - 2 * h_fd][:10]
     checks.append(_check(
         "beltrami_residual",
         max(float(np.max(np.abs(beltrami_residual(fixture.field, fixture.material, a, t, dt_fd=h_fd))))
             for a, t in bel_pts),
-        bel_tol,
+        base_tol,
     ))
 
     periodic = sampled and all(fixture.field.periodic)

@@ -94,10 +94,16 @@ _EDGE_1 = {
 }
 
 
+def _combine(weights, values, h):
+    """``sum(w * value) / h`` in stencil order: the one sum of every
+    first-derivative stencil in the package."""
+    return sum(float(w) * v for w, v in zip(weights, values)) / h
+
+
 def derivative(g: Callable[[float], float], h: float, order: int = 4):
     """Centered finite-difference derivative of a callable at 0."""
     offsets, weights = _CENTRAL_1[order]
-    return sum(float(w) * g(k * h) for k, w in zip(offsets, weights)) / h
+    return _combine(weights, (g(k * h) for k in offsets), h)
 
 
 def second_derivative(g: Callable[[float], float], h: float):
@@ -111,7 +117,7 @@ def fd_jacobian(f: Callable[[Vec], object], a, h: float, order: int = 4) -> Vec:
     matrix-valued.  It is called once, on one stack of shape
     ``(3 * len(offsets), *a.shape)`` holding ``a + (k * h) * e_j`` in
     (direction j, offset k) order, and returns one value per label; each
-    direction's values are combined like :func:`derivative` combines them.
+    direction's values are combined by the stencil sum of :func:`derivative`.
     A raise inside ``f`` names the first offending label in that order, the
     one a call per offset would meet first.
     """
@@ -125,7 +131,7 @@ def fd_jacobian(f: Callable[[Vec], object], a, h: float, order: int = 4) -> Vec:
         raise ValueError(f"f returned shape {values.shape} for labels of leading shape {lead}; "
                          f"index labels as a[..., i]")
     values = values.reshape(3, len(offsets), *values.shape[1:])
-    return np.stack(sum(float(w) * values[:, i] for i, w in enumerate(weights)) / h, axis=-1)
+    return np.stack(_combine(weights, np.swapaxes(values, 0, 1), h), axis=-1)
 
 
 def entries(m):
@@ -240,12 +246,8 @@ class Box:
             raise ValueError("box must have positive extent on every axis")
 
     def first_outside(self, a):
-        """The first label of ``a`` (one label or an array stack (..., 3))
-        outside the box, or None."""
-        if getattr(a, "ndim", 1) == 1:
-            x, y, z = a.tolist() if isinstance(a, np.ndarray) else a
-            (l1, l2, l3), (h1, h2, h3) = self.lo, self.hi
-            return None if l1 <= x <= h1 and l2 <= y <= h2 and l3 <= z <= h3 else a
+        """The first label of ``a`` (one label or a stack (..., 3)) outside
+        the box, in stack order, or None."""
         flat = np.asarray(a, float).reshape(-1, 3)
         inside = (flat >= np.asarray(self.lo, float)) & (flat <= np.asarray(self.hi, float))
         if inside.all():
@@ -309,6 +311,12 @@ class LabelGrid:
             spac.append((hi - lo) / (n - 1))
         return cls(tuple(axes), tuple(spac))
 
+    @classmethod
+    def periodic_cell(cls, box: Box, shape: Sequence[int]) -> "LabelGrid":
+        """Nodes of a periodic cell: one on each ``lo`` face, none on ``hi``."""
+        return cls(*zip(*((np.linspace(lo, hi, n, endpoint=False), (hi - lo) / n)
+                          for lo, hi, n in zip(box.lo, box.hi, shape))))
+
     @property
     def shape(self) -> tuple[int, int, int]:
         return tuple(len(ax) for ax in self.axes)
@@ -317,13 +325,13 @@ class LabelGrid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
+    def mesh(self) -> np.ndarray:
+        """All nodes as an (n1, n2, n3, 3) array."""
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+
     def nodes(self) -> np.ndarray:
         """All nodes as an (N, 3) array in C (row-major) order."""
-        g1, g2, g3 = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=-1)
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.meshgrid(*self.axes, indexing="ij")
+        return self.mesh().reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -628,15 +636,11 @@ def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic
     """
     offsets, weights = _CENTRAL_1[order]
     if periodic:
-        out = np.zeros_like(data)
-        for k, w in zip(offsets, weights):
-            out += float(w) * np.roll(data, -k, axis=axis)
-        return out / h
+        return _combine(weights, (np.roll(data, -k, axis=axis) for k in offsets), h)
 
     n = data.shape[axis]
     _fit_stencil(n, order, name)
     need = order // 2
-    edge = _EDGE_1[order]
     out = np.zeros_like(data)
 
     def sl(idx):
@@ -644,18 +648,12 @@ def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic
         s[axis] = idx
         return tuple(s)
 
-    # interior
-    interior = slice(need, n - need)
-    acc = np.zeros_like(data[sl(interior)])
-    for k, w in zip(offsets, weights):
-        acc += float(w) * data[sl(slice(need + k, n - need + k))]
-    out[sl(interior)] = acc / h
+    out[sl(slice(need, n - need))] = _combine(
+        weights, (data[sl(slice(need + k, n - need + k))] for k in offsets), h)
     # edges: boundary-anchored stencils, mirrored (with sign flip) on the right
-    for i, ws in enumerate(edge):
-        fwd = sum(float(w) * data[sl(k)] for k, w in enumerate(ws))
-        out[sl(i)] = fwd / h
-        bwd = sum(float(w) * data[sl(n - 1 - k)] for k, w in enumerate(ws))
-        out[sl(n - 1 - i)] = -bwd / h
+    for i, ws in enumerate(_EDGE_1[order]):
+        out[sl(i)] = _combine(ws, (data[sl(k)] for k in range(len(ws))), h)
+        out[sl(n - 1 - i)] = -_combine(ws, (data[sl(n - 1 - k)] for k in range(len(ws))), h)
     return out
 
 
@@ -699,7 +697,7 @@ class SampledTrajectoryField(TrajectoryField):
         self.periodic = tuple(bool(p) for p in periodic)
         if len(self.periodic) != 3:
             raise ValueError(f"need one periodic flag per label axis, got {len(self.periodic)}")
-        self._mesh = np.stack(grid.meshgrid(), axis=-1)
+        self._mesh = grid.mesh()
         # per-axis columns for the (3, M) label rows of the lookup
         self._origin = np.array([[ax[0]] for ax in grid.axes])
         self._step = np.array([[ax[1] - ax[0]] for ax in grid.axes])
@@ -772,7 +770,8 @@ class SampledTrajectoryField(TrajectoryField):
             n = np.array(shape)[:, None]
             outside = self._bounded & ~((s >= 0) & (s <= n - 1))
             if outside.any():
-                j, m = np.argwhere(outside)[0]
+                m = np.argmax(outside.any(axis=0))  # the first flagged label in stack order
+                j = np.argmax(outside[:, m])
                 raise OutOfDomainError(f"label {tuple(q[:, m].tolist())} outside the sampled "
                                        f"grid on axis {j + 1}")
             i0 = np.where(self._bounded, np.minimum(i0, n - 2), i0)
@@ -847,7 +846,7 @@ class SampledTrajectoryField(TrajectoryField):
     ) -> "SampledTrajectoryField":
         """Sample another backend onto a grid (testing / export utility)."""
         times = np.asarray(times, float)
-        nodes = np.stack(grid.meshgrid(), axis=-1)
+        nodes = grid.mesh()
         shape = (len(times), *grid.shape, 3)
         pos = np.empty(shape)
         vel = np.empty(shape) if store_derivatives else None
@@ -964,13 +963,10 @@ def _save_grid_csv(field: SampledTrajectoryField, path: str):
     buf.write(f"# fields {' '.join(kinds)}\n")
     buf.write(f"# periodic {' '.join(str(int(p)) for p in field.periodic)}\n")
     buf.write(f"# order {field.order}\n")
-    cols = {"positions": field.positions, "velocities": field.velocities,
-            "accelerations": field.accelerations}
-    for k in range(len(field.times)):
-        flat = [cols[kind][k].reshape(-1, 3) for kind in kinds]
-        for row in range(n1 * n2 * n3):
-            buf.write(",".join(repr(float(v)) for block in flat for v in block[row]))
-            buf.write("\n")
+    # one row per (time, node), the kinds side by side
+    table = np.concatenate([getattr(field, kind).reshape(-1, 3) for kind in kinds], axis=1)
+    for row in table.tolist():
+        buf.write(",".join(map(repr, row)) + "\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 

@@ -571,6 +571,18 @@ def integrate_trajectories(
     return SampledTrajectoryField(grid, times, pos, vel, acc, periodic=periodic, order=order)
 
 
+def _advected(name, u, p, shape, t0, t1, dt, rho0, order, parameters) -> Fixture:
+    """A steady field ``u`` advected on the 2 pi periodic cell (labels = initial
+    positions), with the Eulerian pressure ``p`` pulled back to the labels."""
+    box = Box((0.0, 0.0, 0.0), (TWO_PI, TWO_PI, TWO_PI))
+    grid = LabelGrid.periodic_cell(box, shape)
+    fld = integrate_trajectories(u, grid, t0, t1, dt, periodic=(True, True, True), order=order)
+    pressure = eulerian_pressure_as_label_field(fld, p)
+    spec = FixtureSpec(name, {**parameters, "shape": list(shape), "dt": dt}, box, t0, t1,
+                       extremal=True, notes="numerically advected")
+    return Fixture(spec, fld, _simple_material(rho0), pressure=pressure)
+
+
 def make_abc(
     A=1.0,
     B=1.0,
@@ -583,44 +595,16 @@ def make_abc(
     order=4,
 ) -> Fixture:
     """ABC trajectories on the full periodic box, labels = initial positions."""
-    box = Box((0.0, 0.0, 0.0), (TWO_PI, TWO_PI, TWO_PI))
-    # periodic cell: node at 0, none at 2 pi
-    axes = tuple(np.linspace(0.0, TWO_PI, n, endpoint=False) for n in shape)
-    spac = tuple(TWO_PI / n for n in shape)
-    grid = LabelGrid(axes, spac)
-    u = abc_velocity(A, B, C)
-    fld = integrate_trajectories(u, grid, t0, t1, dt, periodic=(True, True, True), order=order)
-    material = _simple_material(rho0)
-    p = abc_pressure(A, B, C)
-    pressure = eulerian_pressure_as_label_field(fld, p)
-    spec = FixtureSpec(
-        "abc",
-        {"A": A, "B": B, "C": C, "shape": list(shape), "dt": dt},
-        box,
-        t0,
-        t1,
-        extremal=True,
-        notes="numerically advected",
-    )
-    return Fixture(spec, fld, material, pressure=pressure)
+    return _advected("abc", abc_velocity(A, B, C), abc_pressure(A, B, C), shape, t0, t1, dt,
+                     rho0, order, {"A": A, "B": B, "C": C})
 
 
 def make_taylor_green(
     shape=(24, 24, 4), t0=0.0, t1=1.0, dt=0.05, rho0=1.0, order=4
 ) -> Fixture:
     """Taylor-Green cellular trajectories; planar vorticity, zero helicity."""
-    box = Box((0.0, 0.0, 0.0), (TWO_PI, TWO_PI, TWO_PI))
-    axes = tuple(np.linspace(0.0, TWO_PI, n, endpoint=False) for n in shape)
-    spac = tuple(TWO_PI / n for n in shape)
-    grid = LabelGrid(axes, spac)
-    u = taylor_green_velocity()
-    fld = integrate_trajectories(u, grid, t0, t1, dt, periodic=(True, True, True), order=order)
-    pressure = eulerian_pressure_as_label_field(fld, taylor_green_pressure())
-    spec = FixtureSpec(
-        "taylor-green", {"shape": list(shape), "dt": dt}, box, t0, t1, extremal=True,
-        notes="numerically advected",
-    )
-    return Fixture(spec, fld, _simple_material(rho0), pressure=pressure)
+    return _advected("taylor-green", taylor_green_velocity(), taylor_green_pressure(), shape,
+                     t0, t1, dt, rho0, order, {})
 
 
 def eulerian_pressure_as_label_field(

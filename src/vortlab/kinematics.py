@@ -250,17 +250,9 @@ def curl_pullback_residual(
 def _curl_pullback_residual(bundle: JacobianBundle, hess, qval, dq, hessF):
     """curl_a(G^T q(x) + grad_a F) - cof(G)^T curl_x q from the values at one point."""
     g = bundle.matrix
-    # chain[m, j] = d q_m(x) / da_j
-    chain = [[sum(dq[m, l] * g[l, j] for l in range(3)) for j in range(3)] for m in range(3)]
-    # D[j, k] = d/da_j of (G^T q(x) + grad F)_k
-    D = np.empty((3, 3), dtype=object if g.dtype == object else float)
-    for j in range(3):
-        for k in range(3):
-            val = hessF[j, k]
-            for m in range(3):
-                val = val + hess[m, j, k] * qval[m] + g[m, k] * chain[m][j]
-            D[j, k] = val
-    return curl(D.T) - bundle.cof.T @ curl(dq)
+    # d/da_j of (G^T q(x) + grad F)_k at [k, j]; dq @ g is d q(x) / da by the chain rule
+    d = hessF.T + np.einsum("mjk,m->kj", hess, qval) + g.T @ (dq @ g)
+    return curl(d) - bundle.cof.T @ curl(dq)
 
 
 def curl_cross_identity_residual(v, w, dv, dw):
@@ -270,21 +262,10 @@ def curl_cross_identity_residual(v, w, dv, dw):
     curl_w = curl(dw)
     lhs = sum(w[i] * curl_v[i] for i in range(3))
     mid = sum(curl_w[i] * v[i] for i in range(3))
-    # div(v x w) = sum_j d/da_j (eps_jkl v_k w_l)
-    eps = _EPS
-    div = 0
-    for j in range(3):
-        for k in range(3):
-            for l in range(3):
-                e = eps[j][k][l]
-                if e:
-                    div = div + e * (dv[k, j] * w[l] + v[k] * dw[l, j])
+    # div(v x w): d/da_j (v_k w_l - v_l w_k) over the cyclic (j, k, l)
+    div = sum(dv[k, j] * w[l] + v[k] * dw[l, j] - dv[l, j] * w[k] - v[l] * dw[k, j]
+              for j, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     return lhs - mid - div
-
-
-_EPS = [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
-        [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
-        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
 
 
 # ---------------------------------------------------------------------------

@@ -125,32 +125,20 @@ class LabelRegion:
     periodic: bool = False
 
     def grid(self) -> LabelGrid:
-        if self.periodic:
-            axes = tuple(
-                np.linspace(lo, hi, n, endpoint=False)
-                for lo, hi, n in zip(self.box.lo, self.box.hi, self.shape)
-            )
-            spac = tuple((hi - lo) / n for lo, hi, n in zip(self.box.lo, self.box.hi, self.shape))
-            return LabelGrid(axes, spac)
-        return LabelGrid.cell_centers(self.box, self.shape)
+        layout = LabelGrid.periodic_cell if self.periodic else LabelGrid.cell_centers
+        return layout(self.box, self.shape)
 
     def boundary_faces(self):
         """(nodes, outward normal, per-node area) for each of the six faces;
         empty for a periodic cell (no boundary)."""
         if self.periodic:
             return []
+        cells = LabelGrid.cell_centers(self.box, self.shape)
         faces = []
         for axis in range(3):
             others = [k for k in range(3) if k != axis]
-            centers = []
-            for k in others:
-                lo, hi, n = self.box.lo[k], self.box.hi[k], self.shape[k]
-                h = (hi - lo) / n
-                centers.append(lo + h * (np.arange(n) + 0.5))
-            u, v = np.meshgrid(*centers, indexing="ij")
-            area = np.prod(
-                [(self.box.hi[k] - self.box.lo[k]) / self.shape[k] for k in others]
-            )
+            u, v = np.meshgrid(*(cells.axes[k] for k in others), indexing="ij")
+            area = np.prod([cells.spacings[k] for k in others])
             for side, coord in ((-1.0, self.box.lo[axis]), (1.0, self.box.hi[axis])):
                 nodes = np.empty((u.size, 3))
                 nodes[:, axis] = coord
@@ -324,11 +312,9 @@ def circulation_drift(
 
 
 def helicity(field: TrajectoryField, region: LabelRegion, t) -> float:
-    """Volume integral of Omega . V over the region (midpoint rule)."""
+    """Volume integral of Omega . V over the region (midpoint rule); a region
+    node outside the field's domain raises OutOfDomainError naming it."""
     grid = region.grid()
-    for ax, lo_b, hi_b in zip(grid.axes, field.box.lo, field.box.hi):
-        if ax[0] < lo_b - 1e-9 or ax[-1] > hi_b + 1e-9:
-            raise VortlabError("region exceeds the field's label domain")
     nodes = grid.nodes()
     g, _ = _position_stack(field, nodes, t)
     V = _image(g, label_stack(field, nodes, t, "velocity"))

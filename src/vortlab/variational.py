@@ -20,8 +20,8 @@ formulation and the Rund-Trautman split all reuse this one construction.
 Every function here evaluates the whole (N, 3) quadrature node stack once per
 time under the evaluation protocol of :mod:`vortlab.fields`: material data,
 generators, variation triples and the composed configuration take labels
-(..., 3).  The Noether flux is evaluated once per time on each of the 12
-stencil-shifted copies of the stack, and the Rund-Trautman split computes
+(..., 3).  The Noether flux is evaluated once per time, on one stack of the
+12 stencil-shifted copies of the nodes, and the Rund-Trautman split computes
 S(0), the bulk and the boundary brace once for a whole eps ladder; each
 brace uses the action's own p = p_eos(rho0 J0 / J) and reads G once per
 (label stack, time).  Label-only data (delta_a, its Jacobian and rho0 J0) is
@@ -365,81 +365,75 @@ def _bump1d_deriv(s):
     return out
 
 
-def bump_potential(box: Box, amplitude: float = 1.0, margin: float = 0.05) -> VectorField:
-    """Compactly supported vector potential (0, 0, bump(a)); vanishes with all
-    derivatives before reaching the box boundary."""
+def _separable_potential(values, slopes) -> VectorField:
+    """Vector potential (0, 0, f1(a1) f2(a2) f3(a3)) from the per-axis values
+    ``values(a)`` = [f_i] and derivatives ``slopes(a)`` = [f_i']; each product
+    is taken in axis order."""
+
+    def val(a, t):
+        f = values(a)
+        out = np.zeros(np.shape(a))
+        out[..., 2] = f[0] * f[1] * f[2]
+        return out
+
+    def jac(a, t):
+        f, df = values(a), slopes(a)
+        out = np.zeros(np.shape(a) + (3,))
+        out[..., 2, 0] = df[0] * f[1] * f[2]
+        out[..., 2, 1] = f[0] * df[1] * f[2]
+        out[..., 2, 2] = f[0] * f[1] * df[2]
+        return out
+
+    return VectorField(value=val, jacobian_fn=jac)
+
+
+def bump_potential(box: Box, margin: float = 0.05) -> VectorField:
+    """Compactly supported vector potential (0, 0, prod_i bump_i(a_i)); it vanishes
+    with all derivatives ``margin`` * L_i before each box face."""
     lo = np.asarray(box.lo, float)
     hi = np.asarray(box.hi, float)
     c = 0.5 * (lo + hi)
     half = (0.5 - margin) * (hi - lo)
 
-    def val(a, t):
+    def values(a):
         s = (a - c) / half
-        v = amplitude
-        for i in range(3):
-            v = v * _bump1d(s[..., i])
-        out = np.zeros(np.shape(a))
-        out[..., 2] = v
-        return out
+        return [_bump1d(s[..., i]) for i in range(3)]
 
-    def jac(a, t):
+    def slopes(a):
         s = (a - c) / half
-        vals = [_bump1d(s[..., i]) for i in range(3)]
-        ders = [_bump1d_deriv(s[..., i]) / half[i] for i in range(3)]
-        out = np.zeros(np.shape(a) + (3,))
-        for j in range(3):
-            term = amplitude * ders[j]
-            for i in range(3):
-                if i != j:
-                    term = term * vals[i]
-            out[..., 2, j] = term
-        return out
+        return [_bump1d_deriv(s[..., i]) / half[i] for i in range(3)]
 
-    return VectorField(value=val, jacobian_fn=jac)
+    return _separable_potential(values, slopes)
 
 
-def sine_potential(
-    box: Box, waves=(1, 1, 1), amplitude: float = 1.0, exponents=(0, 0, 0)
-) -> VectorField:
+def sine_potential(box: Box, exponents=(0, 0, 0)) -> VectorField:
     """Periodic vector potential (0, 0, psi) vanishing on every box face.
 
-    psi = amplitude * prod a_i^{e_i} sin(2 pi n_i (a_i - lo_i) / L_i).  The
-    optional monomial modulation breaks full-period orthogonality against
-    polynomial integrands while keeping psi (hence delta_R) zero on all
-    faces, which is what drops the weak-form divergence term.
+    psi = prod a_i^{e_i} sin(2 pi (a_i - lo_i) / L_i), one period per axis.
+    The optional monomial modulation breaks full-period orthogonality
+    against polynomial integrands while keeping psi (hence delta_R) zero on
+    all faces, which is what drops the weak-form divergence term.
     """
     lo = np.asarray(box.lo, float)
     L = box.extent
-    k = [2.0 * math.pi * waves[i] / L[i] for i in range(3)]
+    k = [2.0 * math.pi / L[i] for i in range(3)]
 
-    def factors(a):
-        vals, ders = [], []
-        for i in range(3):
-            ai = a[..., i]
-            ph = k[i] * (ai - lo[i])
-            s, cs = elementwise(math.sin, ph), elementwise(math.cos, ph)
-            e = exponents[i]
-            mono = elementwise(pow, ai, e) if e else 1.0
-            dmono = e * elementwise(pow, ai, e - 1) if e else 0.0
-            vals.append(mono * s)
-            ders.append(dmono * s + mono * k[i] * cs)
-        return vals, ders
+    def mono(a, i):
+        return elementwise(pow, a[..., i], exponents[i]) if exponents[i] else 1.0
 
-    def val(a, t):
-        vals, _ = factors(a)
-        out = np.zeros(np.shape(a))
-        out[..., 2] = amplitude * vals[0] * vals[1] * vals[2]
-        return out
+    def values(a):
+        return [mono(a, i) * elementwise(math.sin, k[i] * (a[..., i] - lo[i])) for i in range(3)]
 
-    def jac(a, t):
-        vals, ders = factors(a)
-        out = np.zeros(np.shape(a) + (3,))
-        out[..., 2, 0] = amplitude * ders[0] * vals[1] * vals[2]
-        out[..., 2, 1] = amplitude * vals[0] * ders[1] * vals[2]
-        out[..., 2, 2] = amplitude * vals[0] * vals[1] * ders[2]
-        return out
+    def slopes(a):
+        ders = []
+        for i, e in enumerate(exponents):
+            ph = k[i] * (a[..., i] - lo[i])
+            dmono = e * elementwise(pow, a[..., i], e - 1) if e else 0.0
+            ders.append(dmono * elementwise(math.sin, ph)
+                        + mono(a, i) * k[i] * elementwise(math.cos, ph))
+        return ders
 
-    return VectorField(value=val, jacobian_fn=jac)
+    return _separable_potential(values, slopes)
 
 
 # ---------------------------------------------------------------------------

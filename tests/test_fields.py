@@ -24,6 +24,7 @@ from vortlab.fields import (
     save_grid,
 )
 from vortlab.poly import Poly
+from vortlab.theorems import LabelRegion
 
 BOX = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 
@@ -471,6 +472,17 @@ class TestSampledBackend:
             with pytest.raises(OutOfDomainError):
                 samp.velocity_gradient(a, 0.5)
 
+    def test_out_of_grid_error_names_first_label_in_stack_order(self):
+        fx = flows.make_fixture("rigid-rotation")
+        grid = LabelGrid.nodes_inclusive(BOX, (5, 5, 5))
+        samp = SampledTrajectoryField.from_analytic(fx.field, grid, np.linspace(0.0, 1.0, 3))
+        labels = np.array([[0.0, 0.0, 1.5], [1.5, 0.0, 0.0]])
+        with pytest.raises(OutOfDomainError, match=r"\(0\.0, 0\.0, 1\.5\) .* on axis 3"):
+            samp.position(labels, 0.5)
+        # the same label the analytic box check names
+        with pytest.raises(OutOfDomainError, match=r"\(0\.0, 0\.0, 1\.5\)"):
+            fx.field.check_domain(labels, 0.5)
+
     def test_periodic_axes_still_wrap(self):
         field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05).field
         a = np.array([0.3, 1.1, 2.0])
@@ -707,6 +719,34 @@ class TestGrids:
         nodes = grid.nodes()
         assert len(nodes) == 64
         assert abs(grid.cell_volume * 64 - BOX.volume) < 1e-12
+
+    def test_periodic_cell_matches_the_fixture_and_region_layouts(self):
+        two_pi = 2.0 * math.pi
+        cell = Box((0.0, 0.0, 0.0), (two_pi, two_pi, two_pi))
+        cases = [(cell, (24, 24, 24)), (cell, (24, 24, 4)),
+                 (Box((-1.0, 0.5, 2.0), (1.0, 3.0, 2.5)), (5, 3, 7))]
+        for box, shape in cases:
+            grid = LabelGrid.periodic_cell(box, shape)
+            region = LabelRegion(box, shape, periodic=True).grid()
+            for j, (lo, hi, n) in enumerate(zip(box.lo, box.hi, shape)):
+                axis = np.linspace(lo, hi, n, endpoint=False)
+                assert grid.axes[j].tobytes() == axis.tobytes()
+                assert grid.spacings[j] == (hi - lo) / n
+                assert region.axes[j].tobytes() == axis.tobytes()
+                assert region.spacings[j] == grid.spacings[j]
+        fields = (flows.make_fixture("abc", shape=(6, 5, 4), t1=0.1).field,
+                  flows.make_fixture("taylor-green", shape=(6, 5, 4), t1=0.1).field)
+        for field in fields:
+            grid = LabelGrid.periodic_cell(cell, (6, 5, 4))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(field.grid.axes, grid.axes))
+            assert field.grid.spacings == grid.spacings
+
+    def test_mesh_holds_the_nodes_in_row_major_order(self):
+        grid = LabelGrid.cell_centers(BOX, (2, 3, 4))
+        mesh = grid.mesh()
+        assert mesh.shape == (2, 3, 4, 3)
+        assert mesh[1, 2, 3].tolist() == [grid.axes[0][1], grid.axes[1][2], grid.axes[2][3]]
+        assert grid.nodes().tobytes() == mesh.reshape(-1, 3).tobytes()
 
     def test_rejects_decreasing_axes(self):
         with pytest.raises(ValueError):

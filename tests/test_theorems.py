@@ -302,6 +302,13 @@ class TestCirculation:
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
 
+    def test_loop_without_tangent_uses_the_fd_tangent(self):
+        fx = flows.make_fixture("rigid-rotation", omega0=1.0)
+        c = LabelLoop.circle((0.1, -0.2, 0.3), 0.5, nodes=64)
+        bare = LabelLoop(point=c.point, nodes=64)
+        assert bare.tangent is None
+        assert abs(circulation(fx.field, bare, 0.5) - circulation(fx.field, c, 0.5)) < 1e-8
+
     def test_loop_validation(self):
         with pytest.raises(VortlabError):
             LabelLoop.circle((0, 0, 0), 0.5, nodes=4)
@@ -341,6 +348,13 @@ class TestHelicity:
             flows.Box((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0)), (4, 4, 4)
         )
         with pytest.raises(VortlabError):
+            helicity(fx.field, region, 0.0)
+
+    def test_region_past_the_box_names_its_first_outside_label(self):
+        fx = flows.make_fixture("rigid-rotation")
+        # cell centers on a1: -0.6875, -0.0625, 0.5625, 1.1875; the box ends at 1
+        region = LabelRegion(Box((-1.0, -1.0, -1.0), (1.5, 1.0, 1.0)), (4, 4, 4))
+        with pytest.raises(OutOfDomainError, match=r"label \(1\.1875, -0\.75, -0\.75\) outside"):
             helicity(fx.field, region, 0.0)
 
     def test_divergence_selftest_on_linear_field(self):
