@@ -228,6 +228,11 @@ _CORNERS = {
 }
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # a caller's in-place write would change later reads
+    return a
+
+
 def _snap(s):
     """Fractional grid indices, with those within rounding of an integer set to it."""
     r = np.rint(s)
@@ -314,6 +319,8 @@ class LabelGrid:
     @classmethod
     def periodic_cell(cls, box: Box, shape: Sequence[int]) -> "LabelGrid":
         """Nodes of a periodic cell: one on each ``lo`` face, none on ``hi``."""
+        if min(shape) < 1:
+            raise ValueError("need at least one cell per axis")
         return cls(*zip(*((np.linspace(lo, hi, n, endpoint=False), (hi - lo) / n)
                           for lo, hi, n in zip(box.lo, box.hi, shape))))
 
@@ -635,19 +642,20 @@ def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic
     an axis too short for them raises VortlabError.
     """
     offsets, weights = _CENTRAL_1[order]
-    if periodic:
-        return _combine(weights, (np.roll(data, -k, axis=axis) for k in offsets), h)
-
-    n = data.shape[axis]
-    _fit_stencil(n, order, name)
-    need = order // 2
-    out = np.zeros_like(data)
+    n, need = data.shape[axis], order // 2
 
     def sl(idx):
         s = [slice(None)] * data.ndim
         s[axis] = idx
         return tuple(s)
 
+    if periodic:
+        # one copy wrapped by the stencil half-width: wrapped[need + i] = data[i mod n]
+        wrapped = np.take(data, np.arange(-need, n + need) % n, axis=axis)
+        return _combine(weights, (wrapped[sl(slice(need + k, need + k + n))] for k in offsets), h)
+
+    _fit_stencil(n, order, name)
+    out = np.zeros_like(data)
     out[sl(slice(need, n - need))] = _combine(
         weights, (data[sl(slice(need + k, n - need + k))] for k in offsets), h)
     # edges: boundary-anchored stencils, mirrored (with sign flip) on the right
@@ -662,8 +670,10 @@ class SampledTrajectoryField(TrajectoryField):
 
     ``positions`` has shape (nt, n1, n2, n3, 3); ``velocities`` and
     ``accelerations`` are optional and, when absent, are produced by finite
-    differences along the time axis.  Spatial derivatives of the positions go
-    through the displacement field x - a so that periodic axes can wrap.
+    differences along the time axis.  ``accelerations`` may also be a
+    callable giving the slice at a stamp index, called on its first read.
+    Spatial derivatives of the positions go through the displacement field
+    x - a so that periodic axes can wrap; cached node arrays are read-only.
     """
 
     backend = "sampled"
@@ -674,7 +684,7 @@ class SampledTrajectoryField(TrajectoryField):
         times: np.ndarray,
         positions: np.ndarray,
         velocities: np.ndarray | None = None,
-        accelerations: np.ndarray | None = None,
+        accelerations: np.ndarray | Callable[[int], np.ndarray] | None = None,
         periodic: tuple[bool, bool, bool] = (False, False, False),
         order: int = 4,
     ):
@@ -693,7 +703,7 @@ class SampledTrajectoryField(TrajectoryField):
         self.dt = float(times[1] - times[0])
         self.positions = positions
         self.velocities = velocities
-        self.accelerations = accelerations
+        self._accelerations = accelerations
         self.periodic = tuple(bool(p) for p in periodic)
         if len(self.periodic) != 3:
             raise ValueError(f"need one periodic flag per label axis, got {len(self.periodic)}")
@@ -706,28 +716,33 @@ class SampledTrajectoryField(TrajectoryField):
 
     # -- node-level data ----------------------------------------------------
 
+    @property
+    def accelerations(self) -> np.ndarray | None:
+        """(nt, n1, n2, n3, 3) stored accelerations, every slice computed if not yet read."""
+        if callable(self._accelerations):
+            return np.stack([self.node_values("acceleration", k) for k in range(len(self.times))])
+        return self._accelerations
+
     def _time_series(self, kind: str) -> np.ndarray:
-        if kind == "position":
-            return self.positions
-        key = ("series", kind)
-        if key in self._cache:
-            return self._cache[key]
-        if kind == "velocity":
-            data = self.velocities
-            if data is None:
-                data = _axis_derivative(self.positions, self.dt, 0, self.order, False,
-                                        "time ladder")
-        elif kind == "acceleration":
-            data = self.accelerations
-            if data is None:
-                data = _axis_derivative(self._time_series("velocity"), self.dt, 0, self.order,
-                                        False, "time ladder")
-        else:
-            raise KeyError(kind)
-        self._cache[key] = data
-        return data
+        """Node data of ``kind`` at every stamp: the stored array, or the time
+        derivative of the kind before it."""
+        stored, prev = {"position": (self.positions, None),
+                        "velocity": (self.velocities, "position"),
+                        "acceleration": (self._accelerations, "velocity")}[kind]
+        if stored is not None:
+            return stored
+        if ("series", kind) not in self._cache:
+            self._cache["series", kind] = _frozen(_axis_derivative(
+                self._time_series(prev), self.dt, 0, self.order, False, "time ladder"))
+        return self._cache["series", kind]
 
     def node_values(self, kind: str, ti: int) -> np.ndarray:
+        """(n1, n2, n3, 3) node data of ``kind`` at stamp index ``ti``."""
+        if kind == "acceleration" and callable(self._accelerations):
+            key = ("acceleration", ti)
+            if key not in self._cache:
+                self._cache[key] = _frozen(np.asarray(self._accelerations(ti), float))
+            return self._cache[key]
         return self._time_series(kind)[ti]
 
     def node_gradients(self, kind: str, ti: int) -> np.ndarray:
@@ -748,7 +763,7 @@ class SampledTrajectoryField(TrajectoryField):
         grad = np.stack(cols, axis=-1)  # (..., 3 comps, 3 dirs)
         if kind == "position":
             grad = grad + np.eye(3)
-        self._cache[key] = grad
+        self._cache[key] = _frozen(grad)
         return grad
 
     # -- evaluation protocol --------------------------------------------------
@@ -758,10 +773,14 @@ class SampledTrajectoryField(TrajectoryField):
         labels ``a`` (..., 3).
 
         A coordinate within rounding of a node index reads that node, so an
-        on-node query returns the node data exactly.  Periodic axes wrap; on
-        the others a label beyond the grid raises OutOfDomainError.
+        on-node query returns the node data exactly (the field's own node
+        stack a read-only view of ``vals``).  Periodic axes wrap; on the
+        others a label beyond the grid raises OutOfDomainError.
         """
         a = np.asarray(a, float)
+        tail = vals.shape[3:]
+        if a.size == self._mesh.size and np.array_equal(a.reshape(self._mesh.shape), self._mesh):
+            return _frozen(vals.reshape(a.shape[:-1] + tail))
         q = np.ascontiguousarray(a.reshape(-1, 3).T)  # (3, M): one row per axis
         shape = vals.shape[:3]
         s = _snap((q - self._origin) / self._step)
@@ -774,12 +793,12 @@ class SampledTrajectoryField(TrajectoryField):
                 j = np.argmax(outside[:, m])
                 raise OutOfDomainError(f"label {tuple(q[:, m].tolist())} outside the sampled "
                                        f"grid on axis {j + 1}")
-            i0 = np.where(self._bounded, np.minimum(i0, n - 2), i0)
         frac = s - i0
         d = _CORNERS[tuple(frac.any(axis=1).tolist())]  # (3, corners, 1)
-        # "wrap" is the periodic index; on the other axes the index is in range
-        flat_idx = np.ravel_multi_index(i0.astype(int)[:, None, :] + d, shape, mode="wrap")
-        tail = vals.shape[3:]
+        # "wrap" is the periodic index; "clip" keeps the upper corner of a label
+        # on a bounded axis's last node, whose weight is 0, on that node
+        modes = ["wrap" if p else "clip" for p in self.periodic]
+        flat_idx = np.ravel_multi_index(i0.astype(int)[:, None, :] + d, shape, mode=modes)
         data = np.take(vals.reshape(-1, *tail), flat_idx, axis=0)  # (corners, M, ...)
         if d.shape[1] == 1:
             out = data[0]

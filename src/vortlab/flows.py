@@ -10,7 +10,8 @@ For advected flows the labels are the initial positions, so G(a, t0) = I and
 the initial density is the initial Eulerian density.  The integrator is the
 classical one-step 4th-order scheme; velocities come from the generating
 field and accelerations from du/dt + (u . grad) u along the path, so sampled
-fields carry exact-in-time derivative data at the nodes.
+fields carry exact-in-time derivative data at the nodes; the accelerations
+are computed per stored slice on its first read.
 """
 
 from __future__ import annotations
@@ -514,12 +515,13 @@ def integrate_trajectories(
 ) -> SampledTrajectoryField:
     """Advect every grid label through u with the classical 4th-order scheme.
 
-    Positions, velocities and material accelerations are stored at every
-    step; the stage-1 velocity is the stored one and feeds the acceleration,
-    so each step evaluates u four times.  Positions are kept unwrapped so the
-    displacement x - a stays a periodic function of the labels for periodic
-    fields; for non-periodic fields a ``domain`` box triggers an
-    out-of-domain error at the earliest step any trajectory left it.
+    Positions and stage-1 velocities are stored at every step, so each step
+    evaluates u four times; accelerations are computed per stored
+    slice on its first read, by :func:`material_accelerations`.  Positions
+    are kept unwrapped so the displacement x - a stays a periodic function
+    of the labels for periodic fields; for non-periodic fields a ``domain``
+    box triggers an out-of-domain error at the earliest step any trajectory
+    left it.
 
     Contiguous chunks of the label stack are advected concurrently, one per
     CPU the process may run on but at least ``_CHUNK_FLOOR`` labels each:
@@ -540,7 +542,6 @@ def integrate_trajectories(
     shape = (len(times), len(nodes), 3)
     pos = np.empty(shape)
     vel = np.empty(shape)
-    acc = np.empty(shape)
 
     def advect(lo, hi):
         # RK4 on labels lo:hi; the first step at which one left ``domain``, or None
@@ -551,7 +552,6 @@ def integrate_trajectories(
             k1 = u(xs, t)
             pos[k, lo:hi] = xs
             vel[k, lo:hi] = k1
-            acc[k, lo:hi] = material_accelerations(u, xs, t, k1)
             if k == len(times) - 1:
                 break
             k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)
@@ -567,8 +567,10 @@ def integrate_trajectories(
         escaped = [k for k in (f.result() for f in futures) if k is not None]
     if escaped:
         raise OutOfDomainError(f"trajectory left the velocity domain at t={times[min(escaped)]}")
-    pos, vel, acc = (v.reshape(len(times), *grid.shape, 3) for v in (pos, vel, acc))
-    return SampledTrajectoryField(grid, times, pos, vel, acc, periodic=periodic, order=order)
+    pos, vel = (v.reshape(len(times), *grid.shape, 3) for v in (pos, vel))
+    return SampledTrajectoryField(
+        grid, times, pos, vel, lambda k: material_accelerations(u, pos[k], times[k], vel[k]),
+        periodic=periodic, order=order)
 
 
 def _advected(name, u, p, shape, t0, t1, dt, rho0, order, parameters) -> Fixture:

@@ -277,11 +277,17 @@ def circulation(field: TrajectoryField, loop: LabelLoop, t) -> float:
     avoids evaluating the tangent at parametrization corners (square loops
     would otherwise degrade to first order).
     """
+    return _circulation_series(field, loop)(t)
+
+
+def _circulation_series(field: TrajectoryField, loop: LabelLoop):
+    """:func:`circulation` as a function of t, the loop quadrature built once."""
     n = loop.nodes
     s = (np.arange(n) + 0.5) / n
     labels = np.array([loop.point(si) for si in s], float)
     tangents = np.array([loop.tangent_at(si) for si in s], float)
-    return math.fsum(np.einsum("nj,nj->n", image_velocity(field, labels, t), tangents) / n)
+    return lambda t: math.fsum(
+        np.einsum("nj,nj->n", image_velocity(field, labels, t), tangents) / n)
 
 
 def _series_drift(theorem: str, value, times, tolerance, metadata) -> DriftReport:
@@ -301,7 +307,7 @@ def circulation_drift(
     tolerance: float | None = None,
 ) -> DriftReport:
     return _series_drift(
-        "circulation", lambda t: circulation(field, loop, t), times, tolerance,
+        "circulation", _circulation_series(field, loop), times, tolerance,
         {"backend": field.backend, "loop_nodes": loop.nodes},
     )
 

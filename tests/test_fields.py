@@ -501,6 +501,66 @@ class TestSampledBackend:
         with pytest.raises(ValueError):
             samp.time_index(samp.t0 + 0.5 * dt)
 
+    @staticmethod
+    def _own_node_field(periodic):
+        """A periodic advected field or a bounded sample of gerstner, both small."""
+        if periodic:
+            return flows.make_fixture("abc", shape=(6, 5, 4), t1=0.2, dt=0.05).field
+        fx = flows.make_fixture("gerstner")
+        grid = LabelGrid.nodes_inclusive(fx.field.box, (5, 5, 6))
+        return SampledTrajectoryField.from_analytic(
+            fx.field, grid, np.linspace(fx.field.t0, fx.field.t1, 5))
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_own_node_reads_equal_the_trilinear_gather_bitwise(self, periodic):
+        field = self._own_node_field(periodic)
+        nodes, mesh = field.grid.nodes(), field.grid.mesh()
+        for t in (field.times[2], 0.5 * (field.times[1] + field.times[2])):
+            for kind in ("position", "velocity", "acceleration"):
+                for m in (kind, f"{kind}_gradient"):
+                    got = getattr(field, m)(nodes, t)
+                    gathered = np.stack([getattr(field, m)(a, t) for a in nodes])
+                    assert got.tobytes() == gathered.tobytes()
+                    assert getattr(field, m)(mesh, t).tobytes() == got.tobytes()
+        on_ladder = field.position(nodes, field.times[2])
+        assert np.shares_memory(on_ladder, field.positions)  # a view: no gather
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_permuted_or_nearby_node_stacks_fall_through_to_the_gather(self, periodic):
+        field = self._own_node_field(periodic)
+        nodes, t = field.grid.nodes(), field.times[2]
+        own = field.position(nodes, t), field.velocity_gradient(nodes, t)
+        perm = np.random.default_rng(3).permutation(len(nodes))
+        for labels, order in ((nodes[perm], perm), (nodes + 5e-13, slice(None))):
+            got = field.position(labels, t)
+            assert not np.shares_memory(got, field.positions)
+            assert got.tobytes() == own[0][order].tobytes()
+            assert field.velocity_gradient(labels, t).tobytes() == own[1][order].tobytes()
+
+    def test_cached_and_own_node_stacks_are_read_only(self):
+        field = self._own_node_field(True)
+        nodes, t = field.grid.nodes(), field.times[1]
+        reads = [lambda: field.position(nodes, t), lambda: field.velocity_gradient(nodes, t),
+                 lambda: field.acceleration(nodes, t), lambda: field.node_gradients("position", 1),
+                 lambda: field.node_values("acceleration", 1)]
+        for read in reads:
+            before = read().copy()
+            with pytest.raises(ValueError, match="read-only"):
+                read()[...] += 1.0
+            assert read().tobytes() == before.tobytes()
+
+    def test_periodic_stencils_equal_the_rolled_sum_bitwise(self):
+        from vortlab.fields import _CENTRAL_1, _axis_derivative
+
+        data = np.random.default_rng(4).normal(size=(7, 2, 1, 3))
+        for order in (2, 4):
+            offsets, weights = _CENTRAL_1[order]
+            for axis in range(3):
+                rolled = sum(float(w) * np.roll(data, -k, axis=axis)
+                             for w, k in zip(weights, offsets)) / 0.3
+                got = _axis_derivative(data, 0.3, axis, order, True, "axis")
+                assert got.tobytes() == rolled.tobytes()
+
     def test_rejects_nonuniform_times(self):
         grid = LabelGrid.nodes_inclusive(BOX, (5, 5, 5))
         pos = np.zeros((3, 5, 5, 5, 3))
@@ -740,6 +800,15 @@ class TestGrids:
             grid = LabelGrid.periodic_cell(cell, (6, 5, 4))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(field.grid.axes, grid.axes))
             assert field.grid.spacings == grid.spacings
+
+    def test_zero_length_axis_is_a_value_error(self):
+        makers = (lambda: LabelGrid.periodic_cell(BOX, (0, 2, 2)),
+                  lambda: LabelRegion(BOX, (2, 0, 2), periodic=True).grid(),
+                  lambda: LabelGrid.cell_centers(BOX, (2, 2, 0)),
+                  lambda: flows.make_fixture("abc", shape=(0, 4, 4)))
+        for make in makers:
+            with pytest.raises(ValueError, match="need at least one cell per axis"):
+                make()
 
     def test_mesh_holds_the_nodes_in_row_major_order(self):
         grid = LabelGrid.cell_centers(BOX, (2, 3, 4))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from vortlab import flows
+from vortlab.cli import main
 from vortlab.errors import OutOfDomainError, VortlabError
-from vortlab.fields import Box, LabelGrid, SampledTrajectoryField, VectorField
+from vortlab.fields import Box, LabelGrid, SampledTrajectoryField, VectorField, load_grid
 from vortlab.invariants import cauchy_residual, lagrangian_vorticity
 from vortlab.variational import momentum_residual
 
@@ -339,3 +340,39 @@ class TestConcurrentAdvection:
         assert np.array_equal(fld.positions, pos)
         assert np.array_equal(fld.velocities, vel)
         assert np.array_equal(fld.accelerations, acc)
+
+
+class TestAccelerationsOnFirstRead:
+    def test_one_jacobian_call_per_stamp_on_its_first_read(self, monkeypatch):
+        u, grid = _advection_case("unsteady", (5, 5, 5))
+        calls = []
+        jacobian = VectorField.jacobian
+        monkeypatch.setattr(VectorField, "jacobian",
+                            lambda self, p, t: calls.append(t) or jacobian(self, p, t))
+        fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.125)
+        assert calls == []
+        a = grid.nodes()[7]
+        fld.acceleration(a, fld.times[2])
+        fld.acceleration_gradient(a, fld.times[2])
+        fld.node_values("acceleration", 2)
+        assert calls == [fld.times[2]]
+        assert fld.accelerations.shape == fld.positions.shape
+        assert sorted(calls) == sorted(fld.times)
+
+    def test_dt_pair_probe_never_evaluates_the_velocity_jacobian(self, monkeypatch, capsys):
+        calls = []
+        jacobian = VectorField.jacobian
+        monkeypatch.setattr(VectorField, "jacobian",
+                            lambda self, p, t: calls.append(t) or jacobian(self, p, t))
+        assert main(["drift", "--fixture", "abc", "--dt", "0.01,0.005"]) == 0
+        assert '"pass": true' in capsys.readouterr().out
+        assert calls == []
+
+    @pytest.mark.parametrize("suffix", [".npz", ".csv"])
+    def test_exported_accelerations_equal_the_eager_reference(self, tmp_path, capsys, suffix):
+        path = str(tmp_path / f"abc{suffix}")
+        assert main(["export", "--fixture", "abc", "--t1", "0.1", "--out", path]) == 0
+        box = Box((0.0, 0.0, 0.0), (flows.TWO_PI,) * 3)
+        grid = LabelGrid.periodic_cell(box, (24, 24, 24))
+        _, _, acc = _serial_rk4(flows.abc_velocity(), grid, 0.0, 0.1, 0.05)
+        assert load_grid(path).accelerations.tobytes() == acc.tobytes()

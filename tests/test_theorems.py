@@ -302,6 +302,18 @@ class TestCirculation:
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
 
+    def test_drift_builds_the_loop_quadrature_once(self):
+        fx = flows.make_fixture("rigid-rotation", omega0=1.0)
+        c = LabelLoop.circle((0.1, -0.2, 0.3), 0.5, nodes=16)
+        points = []
+        loop = LabelLoop(point=lambda s: points.append(s) or c.point(s), tangent=c.tangent,
+                         nodes=16)
+        points.clear()  # the closure check's two calls
+        times = np.linspace(0.0, 1.0, 9)
+        rep = circulation_drift(fx.field, loop, times)
+        assert len(points) == 16
+        assert rep.values == [circulation(fx.field, c, t) for t in times]
+
     def test_loop_without_tangent_uses_the_fd_tangent(self):
         fx = flows.make_fixture("rigid-rotation", omega0=1.0)
         c = LabelLoop.circle((0.1, -0.2, 0.3), 0.5, nodes=64)
