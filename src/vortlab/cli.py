@@ -16,6 +16,8 @@ byte-identical output, and no timestamps or machine identifiers are embedded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import io
 import math
 import random
@@ -50,11 +52,14 @@ from .variational import (
     RelabelGenerator,
     SpaceTimeQuadrature,
     VariationTriple,
+    _action_ladder,
+    _scan_result,
+    _split_rows,
     bump_potential,
+    el_part,
     fit_loglog_slope,
     momentum_residual,
-    relabeling_invariance_scan,
-    rund_trautman_check,
+    noether_boundary_term,
     sine_potential,
     weak_form_integral,
 )
@@ -96,19 +101,24 @@ class RunConfig:
 
 
 def _parse_params(pairs) -> dict:
+    """KEY=VALUE pairs; a comma-separated list of numbers becomes a tuple."""
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise VortlabError(f"fixture parameter {pair!r} is not key=value")
         key, val = pair.split("=", 1)
-        try:
-            out[key] = int(val)
-        except ValueError:
-            try:
-                out[key] = float(val)
-            except ValueError:
-                out[key] = val
+        parts = [_number(v) for v in val.split(",")]
+        numbers = len(parts) > 1 and not any(isinstance(v, str) for v in parts)
+        out[key] = tuple(parts) if numbers else _number(val)
     return out
+
+
+def _number(text: str):
+    """``text`` as an int, else a float, else unchanged."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
 
 
 def _read_config_file(path: str) -> list[str]:
@@ -360,17 +370,21 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
     }
     ok = True
     bump = _default_generator(box)
+    field, material = fixture.field, fixture.material
+    if run_scan or run_rt:  # one S(0) and one bump ladder for the scan, its control and the split
+        var = VariationTriple.relabeling(bump)
+        s0, rungs = _action_ladder(field, material, var, quad, DEFAULT_EPS_LADDER)
 
     if run_scan:
-        scan = relabeling_invariance_scan(fixture.field, fixture.material, bump, quad,
-                                          eps_list=DEFAULT_EPS_LADDER)
+        scan = _scan_result(bump, var, quad, DEFAULT_EPS_LADDER, s0, rungs)
         divergent = RelabelGenerator(
             VectorField(value=lambda a, t: np.asarray(a, float),
                         jacobian_fn=lambda a, t: np.eye(3)),
             label="divergent-control",
         )
-        bad = relabeling_invariance_scan(fixture.field, fixture.material, divergent, quad,
-                                         eps_list=DEFAULT_EPS_LADDER)
+        dvar = VariationTriple.relabeling(divergent)
+        bad = _scan_result(divergent, dvar, quad, DEFAULT_EPS_LADDER,
+                           *_action_ladder(field, material, dvar, quad, DEFAULT_EPS_LADDER, s0))
         control = bad.to_dict()
         if any(bad.deviation):
             scan_ok = scan.symmetric and not bad.symmetric
@@ -391,15 +405,15 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
                                              label="modulated-sine")
             passes = lambda lhs, rhs: (
                 abs(lhs - rhs) / (abs(lhs) + abs(rhs) + sys.float_info.epsilon) < 1e-6)
-        lhs, rhs = weak_form_integral(fixture.field, fixture.material, gen, gq, fixture.pressure)
+        lhs, rhs = weak_form_integral(field, material, gen, gq, fixture.pressure)
         weak_ok = passes(lhs, rhs)
         ok = ok and weak_ok
         report["weak_form"] = {"lhs": lhs, "rhs": rhs, "generator": gen.label, "pass": weak_ok}
 
     if run_rt:
         # the split uses the action's own (EOS-derived) pressure
-        rows = rund_trautman_check(fixture.field, fixture.material,
-                                   VariationTriple.relabeling(bump), quad, eps=DEFAULT_EPS_LADDER)
+        rows = _split_rows(s0, rungs, DEFAULT_EPS_LADDER, el_part(field, material, var, quad),
+                           noether_boundary_term(field, material, var, quad))
         ladder = [{"eps": eps, "total": tot, "el_part": el, "bd_part": bd,
                    "mismatch": abs(tot - el - bd)}
                   for eps, (tot, el, bd) in zip(DEFAULT_EPS_LADDER, rows)]
@@ -566,7 +580,9 @@ def _report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # one per process: parsing leaves it as it was (--param appends to a fresh list)
     parser = argparse.ArgumentParser(
         prog="vortlab",
         description="Label-space flow kinematics and conservation-law verification",
@@ -663,12 +679,8 @@ def main(argv=None) -> int:
         elif args.command == "identities":
             code, report = cmd_identities(cfg)
         elif args.command == "action":
-            chosen = [args.scan, getattr(args, "weak_form"), getattr(args, "rund_trautman")]
-            if any(chosen):
-                code, report = cmd_action(cfg, run_scan=args.scan,
-                                          run_weak=args.weak_form, run_rt=args.rund_trautman)
-            else:
-                code, report = cmd_action(cfg)
+            chosen = (args.scan, args.weak_form, args.rund_trautman)  # none chosen: all three
+            code, report = cmd_action(cfg, *(chosen if any(chosen) else (True,) * 3))
         elif args.command == "drift":
             code, report = cmd_drift(cfg)
         elif args.command == "export":

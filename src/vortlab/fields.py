@@ -215,8 +215,9 @@ def _poly_eval(polys: np.ndarray, a, *rest) -> np.ndarray:
     coords = [*(a if a.ndim == 1 else np.moveaxis(a, -1, 0)), *rest]
     exact = all(is_rational(x) for x in coords)
     out = np.empty(a.shape[:-1] + (polys.size,), dtype=object if exact else float)
+    powers = {}  # each coordinate power once per call
     for k, p in enumerate(polys.flat):
-        out[..., k] = p._eval(coords, exact)
+        out[..., k] = p._eval(coords, exact, powers)
     return out.reshape(a.shape[:-1] + polys.shape)
 
 

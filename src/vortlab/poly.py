@@ -148,18 +148,20 @@ class Poly:
         return Poly._unchecked(self.nvars, terms)
 
     def __call__(self, point: Sequence):
-        return self._eval(point, all(is_rational(x) for x in point))
+        return self._eval(point, all(is_rational(x) for x in point), {})
 
-    def _eval(self, point: Sequence, exact: bool):
-        """The value at ``point``: in Fractions when the caller has found it ``exact``."""
+    def _eval(self, point: Sequence, exact: bool, powers: dict):
+        """Value at ``point`` (Fractions if ``exact``); ``powers`` caches (i, e) -> x_i ** e."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
         total = None
         for expo, coeff in self.terms.items():
             val = coeff if exact else float(coeff)
-            for x, e in zip(point, expo):
+            for i, e in enumerate(expo):
                 if e:
-                    val = val * _power(x, e)
+                    if (i, e) not in powers:
+                        powers[i, e] = _power(point[i], e)
+                    val = val * powers[i, e]
             total = val if total is None else total + val
         if total is None:
             return Fraction(0) if exact else 0.0

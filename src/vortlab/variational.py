@@ -21,8 +21,8 @@ Every function here evaluates the whole (N, 3) quadrature node stack once per
 time under the evaluation protocol of :mod:`vortlab.fields`: material data,
 generators, variation triples and the composed configuration take labels
 (..., 3).  The Noether flux is evaluated once per time, on one stack of the
-12 stencil-shifted copies of the nodes, and the Rund-Trautman split computes
-S(0), the bulk and the boundary brace once for a whole eps ladder; each
+12 stencil-shifted copies of the nodes.  The scan and the Rund-Trautman split
+reduce one ladder S(0), [S(eps)], and the split takes its two braces once; each
 brace uses the action's own p = p_eos(rho0 J0 / J) and reads G once per
 (label stack, time).  Label-only data (delta_a, its Jacobian and rho0 J0) is
 evaluated once per label stack and reused across times and eps rungs; the
@@ -603,6 +603,29 @@ def fit_loglog_slope(xs, ys, floor: float = SLOPE_FLOOR) -> float | None:
 DEFAULT_EPS_LADDER = (1e-2, 3e-3, 1e-3, 3e-4)
 
 
+def _action_ladder(field, material, var, quad, eps_list, s0=None):
+    """S(0) (unless given) and [S(eps)] of one triple on one quadrature; each
+    rung's chart is checked for folds before its action is evaluated."""
+    s0 = action(field, material, quad) if s0 is None else s0
+    rungs = []
+    for eps in eps_list:
+        deformed = DeformedTrajectoryField(field, var, eps)
+        deformed.fold_factor(quad.space_nodes)
+        rungs.append(action(deformed, material, quad))
+    return s0, rungs
+
+
+def _scan_result(gen, var, quad, eps_list, s0, rungs) -> ScanResult:
+    """The invariance scan of ``gen`` (relabeling triple ``var``) read off its ladder."""
+    deltas = [abs(s - s0) for s in rungs]
+    max_div = float(np.max(np.abs(var.delta_a.divergence(quad.space_nodes, 0.0))))
+    slope = fit_loglog_slope(eps_list, deltas, floor=max(abs(s0), 1.0) * 1e-14)
+    return ScanResult(eps=[float(e) for e in eps_list], deviation=deltas, slope=slope,
+                      max_divergence=max_div, base_action=s0,
+                      symmetric=slope is None or slope >= SLOPE_THRESHOLD,
+                      metadata={"generator": gen.label, "quadrature": quad.label})
+
+
 def relabeling_invariance_scan(
     field: TrajectoryField,
     material: FlowMaterial,
@@ -618,24 +641,8 @@ def relabeling_invariance_scan(
     a divergent generator is flagged by its ~1 slope.
     """
     var = VariationTriple.relabeling(gen)
-    nodes = quad.space_nodes
-    s0 = action(field, material, quad)
-    deltas = []
-    for eps in eps_list:
-        deformed = DeformedTrajectoryField(field, var, eps)
-        deformed.fold_factor(nodes)
-        deltas.append(abs(action(deformed, material, quad) - s0))
-    max_div = float(np.max(np.abs(var.delta_a.divergence(nodes, 0.0))))
-    slope = fit_loglog_slope(eps_list, deltas, floor=max(abs(s0), 1.0) * 1e-14)
-    return ScanResult(
-        eps=[float(e) for e in eps_list],
-        deviation=deltas,
-        slope=slope,
-        max_divergence=max_div,
-        base_action=s0,
-        symmetric=slope is None or slope >= SLOPE_THRESHOLD,
-        metadata={"generator": gen.label, "quadrature": quad.label},
-    )
+    return _scan_result(gen, var, quad, eps_list,
+                        *_action_ladder(field, material, var, quad, eps_list))
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +699,23 @@ def rund_trautman_check(
 
     ``eps`` may be a sequence (a ladder); the result is then a list with one
     triple per rung.  S(0), el_part and bd_part do not depend on eps and are
-    computed once for the whole ladder.
+    computed once for the whole ladder, the one the scan reduces (folds are
+    checked per rung); ``vortlab action`` evaluates it once for both.
 
     Both braces use the action's own stress p = rho^2 E'(rho) at
     rho = rho0 J0 / J (:func:`el_part`, :func:`noether_boundary_term`); any
     other pressure, such as a momentum-balancing one, breaks the identity.
     """
-    s0 = action(field, material, quad)
-    el = el_part(field, material, var, quad)
-    bd = noether_boundary_term(field, material, var, quad)
-    rows = [
-        ((action(DeformedTrajectoryField(field, var, e), material, quad) - s0) / e, el, bd)
-        for e in np.ravel(eps).tolist()
-    ]
+    eps_list = np.ravel(eps).tolist()
+    s0, rungs = _action_ladder(field, material, var, quad, eps_list)
+    rows = _split_rows(s0, rungs, eps_list, el_part(field, material, var, quad),
+                       noether_boundary_term(field, material, var, quad))
     return rows if np.ndim(eps) else rows[0]
+
+
+def _split_rows(s0, rungs, eps_list, el, bd):
+    """(total, el_part, bd_part) per rung, total = (S(eps) - S(0)) / eps."""
+    return [((s - s0) / e, el, bd) for s, e in zip(rungs, eps_list)]
 
 
 def el_part(

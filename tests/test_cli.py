@@ -194,6 +194,71 @@ class TestActionCommand:
         assert "0" in scan["divergent_control"]["reason"]
 
 
+class TestActionSharing:
+    """`action` evaluates each distinct action once: one S(0) and one bump
+    ladder serve the scan, its divergent control and the split."""
+
+    ARGS = ["action", "--fixture", "rigid-rotation", "--grid", "4", "--nt", "3"]
+
+    @pytest.mark.parametrize("flags,calls", [([], 9), (["--scan"], 9),
+                                             (["--rund-trautman"], 5)])
+    def test_each_distinct_action_evaluated_once(self, flags, calls, monkeypatch, capsys):
+        from vortlab import variational
+        count = [0]
+        action = variational.action
+
+        def counted(*args):
+            count[0] += 1
+            return action(*args)
+
+        monkeypatch.setattr(variational, "action", counted)
+        code, _ = run_cli(self.ARGS + flags, capsys)
+        assert code == 0
+        assert count[0] == calls
+
+    @pytest.mark.parametrize("flag,block", [("--scan", "scan"),
+                                            ("--rund-trautman", "rund_trautman")])
+    def test_one_part_alone_reports_the_default_runs_bytes(self, flag, block, capsys):
+        _, full = run_cli(self.ARGS, capsys)
+        _, alone = run_cli(self.ARGS + [flag], capsys)
+        full, alone = json.loads(full)[block], json.loads(alone)[block]
+        if block == "rund_trautman":
+            full, alone = full["ladder"], alone["ladder"]
+        # repr round-trips floats, so equal dumps mean equal bits
+        assert json.dumps(alone) == json.dumps(full)
+
+
+class TestParser:
+    def test_built_once_and_parses_afresh(self, capsys):
+        assert build_parser() is build_parser()
+        args = ["action", "--fixture", "shear", "--grid", "4", "--nt", "3", "--weak-form"]
+        _, first = run_cli(args + ["--param", "rate=2"], capsys)
+        _, second = run_cli(args, capsys)
+        assert json.loads(first)["parameters"]["rate"] == 2
+        assert json.loads(second)["parameters"]["rate"] == 1.0
+
+    def test_version_and_usage_error_keep_their_exit_codes(self, capsys):
+        for _ in range(2):
+            assert main(["--version"]) == 0
+            assert main(["verify"]) == 2
+        assert capsys.readouterr().err.count("usage: ") == 2
+
+    @pytest.mark.parametrize("fixture,param,recorded", [
+        ("abc", "shape=8,8,8", ("shape", [8, 8, 8])),
+        ("translation", "c=1,0,0", ("c", [1.0, 0.0, 0.0])),
+    ])
+    def test_number_list_param_is_a_tuple(self, fixture, param, recorded, capsys):
+        code, out = run_cli(["verify", "--fixture", fixture, "--param", param], capsys)
+        assert code == 0
+        key, value = recorded
+        assert json.loads(out)["parameters"][key] == value
+
+    def test_param_value_rules(self):
+        from vortlab.cli import _parse_params
+        assert _parse_params(["n=2", "x=0.5", "s=abc", "v=1,2.5,-3", "w=1,a", "e=8,"]) == {
+            "n": 2, "x": 0.5, "s": "abc", "v": (1, 2.5, -3), "w": "1,a", "e": "8,"}
+
+
 class TestDriftCommand:
     def test_identity_all_zero(self, capsys):
         code, out = run_cli(

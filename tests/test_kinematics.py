@@ -350,6 +350,19 @@ class TestBattery:
         assert calls == {"position_gradient": 10, "velocity_gradient": 10}
         assert not built & {"acceleration", "acceleration_gradient"}
 
+    def test_each_coordinate_power_once_per_evaluation(self, monkeypatch):
+        calls = [0]
+        power = Fraction.__pow__
+
+        def counted(self, *args):
+            calls[0] += 1
+            return power(self, *args)
+
+        monkeypatch.setattr(Fraction, "__pow__", counted)
+        out = run_identity_battery(seed=1, trials=100)
+        assert set(out["exact_zero_counts"].values()) == {100}
+        assert calls[0] <= 5200
+
     def test_battery_is_deterministic(self):
         assert run_identity_battery(seed=9, trials=10) == run_identity_battery(seed=9, trials=10)
 
