@@ -5,7 +5,7 @@ Subcommands::
     vortlab verify     --fixture NAME ...   full invariant suite, exit 0/1
     vortlab identities --trials N --seed S  exact-arithmetic identity battery
     vortlab action     --fixture NAME ...   relabeling scan / weak form / variational split
-    vortlab drift      --fixture NAME ...   Cauchy drift report, or the --dt convergence probe
+    vortlab drift      --fixture NAME ...   one --theorem's drift, or the --dt convergence probe
     vortlab export     --fixture NAME --out FILE   sampled-grid export (.npz or .csv)
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error.
@@ -32,18 +32,19 @@ from .fields import LabelGrid, SampledTrajectoryField, ScalarField, VectorField,
 from .flows import Fixture, integrate_trajectories, make_fixture
 from .invariants import cauchy_drift
 from .kinematics import (
-    convective_gradient_residual,
-    inverse_jacobian_rate_residual,
-    jacobian_rate_residual,
+    Frame,
+    _convective_residual,
+    _frame_rate_residual,
+    _inverse_rate_residual,
     run_identity_battery,
 )
-from .report import dumps_deterministic
+from .report import DriftReport, dumps_deterministic
 from .theorems import (
     LabelLoop,
     LabelRegion,
-    beltrami_residual,
+    _beltrami,
+    _dalembert_euler,
     circulation_drift,
-    dalembert_euler_residual,
     ertel_drift,
     helicity_drift,
 )
@@ -53,18 +54,20 @@ from .variational import (
     SpaceTimeQuadrature,
     VariationTriple,
     _action_ladder,
+    _mass_reference,
+    _momentum_residual,
     _scan_result,
     _split_rows,
     bump_potential,
     el_part,
     fit_loglog_slope,
-    momentum_residual,
     noether_boundary_term,
     sine_potential,
     weak_form_integral,
 )
 
 _SAMPLED = ("abc", "taylor-green")
+THEOREMS = ("cauchy", "circulation", "ertel", "helicity")
 
 
 @dataclass
@@ -189,6 +192,48 @@ def _drift_grid(cfg: RunConfig, field, window):
     return grid, np.linspace(window[0], window[1], cfg.nt)
 
 
+def _drift_reports(cfg: RunConfig, fixture: Fixture, tol, theorems=THEOREMS) -> dict:
+    """The drift report of each of ``theorems`` on the grid, times, loop, region and S that
+    ``verify`` and ``drift`` share; theorems on the same nodes read one held frame per time."""
+    field, box = fixture.field, fixture.field.box
+    sampled = field.backend == "sampled"
+    grid, times = _drift_grid(cfg, field, _window(cfg, fixture))
+
+    def held(nodes):  # t -> the Frame of nodes at t, made once and held for the call
+        return functools.cache(lambda t: Frame(field, nodes, t))
+
+    grid_frames = held(grid.nodes())
+
+    def frames_on(nodes):
+        return grid_frames if np.array_equal(nodes, grid.nodes()) else held(nodes)
+
+    loop = LabelLoop.circle(box.center, 0.2 * float(min(box.extent)), max(64, 8 * cfg.grid[0]))
+    S = ScalarField(value=lambda a, t: a[..., 2],
+                    gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0]))
+    small = grid if sampled else LabelGrid.cell_centers(box, (5, 5, 5))
+    region = LabelRegion(fixture.spec.box, field.grid.shape if sampled else cfg.grid,
+                         periodic=sampled and all(field.periodic))
+    run = {
+        "cauchy": lambda: cauchy_drift(field, grid, times, tol, frames=grid_frames),
+        "circulation": lambda: circulation_drift(field, loop, times, tol),
+        "ertel": lambda: ertel_drift(field, fixture.material, S, small,
+                                     times[::max(1, len(times) // 5)], tol,
+                                     frames=frames_on(small.nodes())),
+        "helicity": lambda: helicity_drift(field, region, times[::max(1, len(times) // 4)],
+                                           frames=frames_on(region.grid().nodes())),
+    }
+    reports = {name: run[name]() for name in theorems}
+    if "helicity" in reports:  # the tolerance scales with |H(t0)|
+        reports["helicity"].tolerance = max(tol, 10 * tol * abs(reports["helicity"].values[0]))
+    return reports
+
+
+def _claimable(rep: DriftReport) -> bool:
+    """Whether the drift may fail a run: helicity only on a periodic cell or a tangent boundary."""
+    meta = rep.metadata
+    return rep.theorem != "helicity" or meta["periodic"] or meta["boundary_tangency"] <= 1e-10
+
+
 def _sample_points(fixture: Fixture, window, seed: int, n: int = 20):
     rng = random.Random(seed)
     box = fixture.field.box
@@ -215,91 +260,53 @@ def _check(name, value, tol, asserted=True, **extra) -> dict:
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     fixture = _build_fixture(cfg)
+    field, material = fixture.field, fixture.material
     window = _window(cfg, fixture)
-    sampled = fixture.field.backend == "sampled"
-    pipeline_err, default_tol = _pipeline_tolerance(fixture.field)
+    sampled = field.backend == "sampled"
+    pipeline_err, default_tol = _pipeline_tolerance(field)
     base_tol = cfg.tol if cfg.tol is not None else default_tol
     pts = _sample_points(fixture, window, cfg.seed)
     if sampled:
         # keep probes on stored nodes and slices so interpolation error does
         # not mask the residuals under test
         rng = random.Random(cfg.seed)
-        nodes = fixture.field.grid.nodes()
-        stamps = [t for t in fixture.field.times if window[0] <= t <= window[1]]
+        nodes = field.grid.nodes()
+        stamps = [t for t in field.times if window[0] <= t <= window[1]]
         inner = stamps[1:-1] or stamps
         pts = [(nodes[rng.randrange(len(nodes))], inner[rng.randrange(len(inner))])
                for _ in range(len(pts))]
-    checks = []
-
-    def maxnorm(fn):
-        return max(float(np.max(np.abs(np.asarray(fn(a, t), float)))) for a, t in pts)
-
     # one FD step for the time differences of the rate and Beltrami checks
-    h_fd = fixture.field.dt if sampled else 1e-3 * (window[1] - window[0])
-    checks.append(_check(
-        "kinematic_rate_identity",
-        maxnorm(lambda a, t: jacobian_rate_residual(fixture.field, a, t, h=h_fd)),
-        base_tol,
-    ))
-    checks.append(_check(
-        "kinematic_inverse_rate_identity",
-        maxnorm(lambda a, t: inverse_jacobian_rate_residual(fixture.field, a, t)),
-        base_tol,
-    ))
-    checks.append(_check(
-        "kinematic_convective_identity",
-        maxnorm(lambda a, t: convective_gradient_residual(fixture.field, a, t)),
-        base_tol,
-    ))
-    checks.append(_check(
-        "momentum_residual",
-        maxnorm(lambda a, t: momentum_residual(fixture.field, fixture.material, fixture.pressure, a, t)),
-        base_tol,
-    ))
-    grid, times = _drift_grid(cfg, fixture.field, window)
-    rep = cauchy_drift(fixture.field, grid, times)
-    checks.append(_check("cauchy_drift", rep.max_drift, base_tol))
+    h_fd = field.dt if sampled else 1e-3 * (window[1] - window[0])
+    # one frame per probe at (a, t) and one at (a, t0), read by every probe check
+    probes = [(Frame(field, a, t), Frame(field, a, field.t0)) for a, t in pts]
+    bel = [p for p in probes if window[0] + 2 * h_fd <= p[0].t <= window[1] - 2 * h_fd][:10]
+    if not bel:
+        raise VortlabError(
+            f"no probe time lies 2*h = {2 * h_fd:g} inside the window {list(window)}, as the "
+            f"beltrami_residual stencil needs; use a window >= {4 * h_fd:g} or another --seed")
 
-    box = fixture.field.box
-    center = box.center
-    radius = 0.2 * float(min(box.extent))
-    loop = LabelLoop.circle(center, radius, nodes=max(64, 8 * cfg.grid[0]))
-    crep = circulation_drift(fixture.field, loop, times)
-    checks.append(_check("circulation_drift", crep.max_drift, base_tol,
-                         circulation=crep.values[0]))
+    def probe_check(name, fn, frames=probes):
+        value = max(float(np.max(np.abs(np.asarray(fn(*f), float)))) for f in frames)
+        return _check(name, value, base_tol)
 
-    S = ScalarField(
-        value=lambda a, t: a[..., 2], gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0])
-    )
-    small = LabelGrid.cell_centers(box, (5, 5, 5)) if not sampled else grid
-    erep = ertel_drift(fixture.field, fixture.material, S, small, times[:: max(1, len(times) // 5)])
-    checks.append(_check("ertel_drift", erep.max_drift, base_tol))
-
-    checks.append(_check(
-        "dalembert_euler_residual",
-        maxnorm(lambda a, t: dalembert_euler_residual(fixture.field, a, t)),
-        base_tol,
-    ))
-    bel_pts = [(a, t) for a, t in pts
-               if window[0] + 2 * h_fd <= t <= window[1] - 2 * h_fd][:10]
-    checks.append(_check(
-        "beltrami_residual",
-        max(float(np.max(np.abs(beltrami_residual(fixture.field, fixture.material, a, t, dt_fd=h_fd))))
-            for a, t in bel_pts),
-        base_tol,
-    ))
-
-    periodic = sampled and all(fixture.field.periodic)
-    region = LabelRegion(fixture.spec.box, cfg.grid if not sampled else fixture.field.grid.shape,
-                         periodic=periodic)
-    hrep = helicity_drift(fixture.field, region, times[:: max(1, len(times) // 4)])
-    tang = hrep.metadata["boundary_tangency"]
-    checks.append(_check(
-        "helicity_drift", hrep.max_drift,
-        max(base_tol, 10 * base_tol * abs(hrep.values[0])),
-        asserted=periodic or tang <= 1e-10,
-        helicity=hrep.values[0], boundary_tangency=tang,
-    ))
+    drift = _drift_reports(cfg, fixture, base_tol)
+    crep, hrep = drift["circulation"], drift["helicity"]
+    checks = [
+        probe_check("kinematic_rate_identity", lambda f, _: _frame_rate_residual(f, h_fd)),
+        probe_check("kinematic_inverse_rate_identity",
+                    lambda f, _: _inverse_rate_residual(f, f.read("velocity_gradient"))),
+        probe_check("kinematic_convective_identity", lambda f, _: _convective_residual(
+            f.read("velocity"), f.read("velocity_gradient"))),
+        probe_check("momentum_residual", lambda f, f0: _momentum_residual(
+            f, material, fixture.pressure, _mass_reference(field, material, f.labels, f0))),
+        _check("cauchy_drift", drift["cauchy"].max_drift, base_tol),
+        _check("circulation_drift", crep.max_drift, base_tol, circulation=crep.values[0]),
+        _check("ertel_drift", drift["ertel"].max_drift, base_tol),
+        probe_check("dalembert_euler_residual", lambda f, _: _dalembert_euler(f)),
+        probe_check("beltrami_residual", lambda f, f0: _beltrami(f, f0, material, h_fd), bel),
+        _check("helicity_drift", hrep.max_drift, hrep.tolerance, asserted=_claimable(hrep),
+               helicity=hrep.values[0], boundary_tangency=hrep.metadata["boundary_tangency"]),
+    ]
 
     passed = all(c["pass"] for c in checks)
     report = {
@@ -433,7 +440,7 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
 # ---------------------------------------------------------------------------
 
 
-def cmd_drift(cfg: RunConfig) -> tuple[int, dict]:
+def cmd_drift(cfg: RunConfig, theorem: str = "cauchy") -> tuple[int, dict]:
     report = {
         "command": "drift",
         "version": __version__,
@@ -443,6 +450,8 @@ def cmd_drift(cfg: RunConfig) -> tuple[int, dict]:
     if len(cfg.dt) >= 2:
         if cfg.fixture not in _SAMPLED:
             raise VortlabError("--dt pairs apply to the advected fixtures (abc, taylor-green)")
+        if theorem != "cauchy":
+            raise VortlabError(f"--dt pairs probe the Cauchy drift, not --theorem {theorem}")
         ratio = _dt_ratio_probe(cfg)
         report.update(ratio)
         passed = 12.0 <= ratio["drift_ratio"] <= 20.0
@@ -450,13 +459,11 @@ def cmd_drift(cfg: RunConfig) -> tuple[int, dict]:
         return (0 if passed else 1), report
 
     fixture = _build_fixture(cfg)
-    grid, times = _drift_grid(cfg, fixture.field, _window(cfg, fixture))
     tol = cfg.tol if cfg.tol is not None else _pipeline_tolerance(fixture.field)[1]
-    rep = cauchy_drift(fixture.field, grid, times, tolerance=tol)
-    report["parameters"] = fixture.spec.parameters
-    report["cauchy"] = rep.to_dict()
-    report["pass"] = bool(rep.passed)
-    return (0 if rep.passed else 1), report
+    rep = _drift_reports(cfg, fixture, tol, (theorem,))[theorem]
+    passed = bool(rep.passed) or not _claimable(rep)
+    report.update({"parameters": fixture.spec.parameters, theorem: rep.to_dict(), "pass": passed})
+    return (0 if passed else 1), report
 
 
 def _dt_ratio_probe(cfg: RunConfig) -> dict:
@@ -618,6 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("--rund-trautman", action="store_true", help="only the variational split")
     p_drift = sub.add_parser("drift", help="drift reports")
     common(p_drift)
+    p_drift.add_argument("--theorem", default="cauchy", choices=THEOREMS,
+                         help="the drift to report, as verify measures it")
     p_exp = sub.add_parser("export", help="export a fixture in the sampled-grid format")
     common(p_exp)
     return parser
@@ -682,7 +691,7 @@ def main(argv=None) -> int:
             chosen = (args.scan, args.weak_form, args.rund_trautman)  # none chosen: all three
             code, report = cmd_action(cfg, *(chosen if any(chosen) else (True,) * 3))
         elif args.command == "drift":
-            code, report = cmd_drift(cfg)
+            code, report = cmd_drift(cfg, args.theorem)
         elif args.command == "export":
             code, report = cmd_export(cfg)
         else:  # pragma: no cover

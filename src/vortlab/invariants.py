@@ -21,11 +21,11 @@ and drops out of the curl, leaving
 
 zero exactly when the flow is extremal at (a, t).
 
-Each quantity has one implementation on the protocol of :mod:`vortlab.fields`:
-labels (..., 3) give values (..., 3) and gradients (..., 3, 3), one label
-being the empty leading shape, and the drift reports call it on their whole
-label stack once per time.  :func:`label_stack` makes the protocol call after
-the domain check, and :func:`_position_stack` adds the singular-map check of G.
+Each quantity has one implementation, on a :class:`vortlab.kinematics.Frame`:
+the kinematics of one label stack (..., 3) at one time under the protocol of
+:mod:`vortlab.fields`, one label being the empty leading shape.  The drift
+reports read one frame per time on their whole label stack; a caller that
+holds the frames (``vortlab verify``) hands them to every drift on those nodes.
 """
 
 from __future__ import annotations
@@ -34,64 +34,29 @@ import math
 
 import numpy as np
 
-from .fields import LabelGrid, TrajectoryField, entries, matvec
-from .kinematics import checked_det, jacobian
+from .fields import LabelGrid, TrajectoryField, matvec
+from .kinematics import Frame, gradient_curl, jacobian  # noqa: F401 (gradient_curl re-exported)
 from .report import DriftReport
 
 
 def label_stack(field: TrajectoryField, labels, t, method: str) -> np.ndarray:
-    """The protocol evaluator ``method`` ("velocity", "velocity_gradient", ...)
-    at labels (..., 3), in one call after ``check_domain``; the evaluator's
-    array is returned as it is."""
-    field.check_domain(labels, t)
-    return getattr(field, method)(labels, t)
+    """The evaluator ``method`` at labels (..., 3) after the domain check, as it is."""
+    return Frame(field, labels, t).read(method)
 
 
 def _position_stack(field: TrajectoryField, labels, t):
-    """G from :func:`label_stack` at labels (..., 3) and its determinant J,
-    after the singular-map test of :func:`vortlab.kinematics.checked_det`."""
-    g = label_stack(field, labels, t, "position_gradient")
-    return g, checked_det(g, labels, t)
-
-
-def gradient_curl(gw, g):
-    """curl_a(G^T w) from Dw and G (Hessian terms cancel in the curl): the
-    :func:`vortlab.fields.curl` of D[k, j] = sum_m G[m, k] Dw[m, j] from the six
-    entries it reads, each an explicit three-term sum in m order, so a stack
-    (..., 3, 3) rounds like each of its labels; (..., 3)."""
-    x, w = entries(g), entries(gw)
-
-    def d(k, j):
-        return x[0][k] * w[0][j] + x[1][k] * w[1][j] + x[2][k] * w[2][j]
-
-    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1)
-
-
-def _image(g, w) -> np.ndarray:
-    """G^T w, sum_m G[..., m, j] w[..., m], at every label of G (..., 3, 3)
-    and w (..., 3), as an explicit three-term sum in m order, so a stack
-    rounds like its labels.  ``G w`` is ``_image(np.swapaxes(g, -1, -2), w)``."""
-    x, v = entries(g), [w[..., m][()] for m in range(3)]
-    return np.stack([x[0][j] * v[0] + x[1][j] * v[1] + x[2][j] * v[2] for j in range(3)], axis=-1)
-
-
-def _curl_image(field: TrajectoryField, a, t, g, kind: str) -> np.ndarray:
-    """curl_a(G^T w) at labels (..., 3) for w the map's ``kind`` ("velocity" or
-    "acceleration"), given the position-gradient stack ``g`` that a checked
-    call (:func:`_position_stack`, :func:`vortlab.kinematics.jacobian`) read at
-    the same labels and time, so the domain is not checked twice; (..., 3)."""
-    return gradient_curl(getattr(field, f"{kind}_gradient")(a, t), g)
+    """G at labels (..., 3) and its checked J."""
+    return (frame := Frame(field, labels, t)).matrix, frame.det
 
 
 def image_velocity(field: TrajectoryField, a, t) -> np.ndarray:
     """Label-space velocity image V = G^T xdot; V.da equals u.dx by construction."""
-    g, _ = _position_stack(field, a, t)
-    return _image(g, label_stack(field, a, t, "velocity"))
+    return Frame(field, a, t).image
 
 
 def lagrangian_vorticity(field: TrajectoryField, a, t) -> np.ndarray:
     """Omega = curl_a V, assembled from the position and velocity gradients."""
-    return _curl_image(field, a, t, _position_stack(field, a, t)[0], "velocity")
+    return Frame(field, a, t).omega
 
 
 def lagrangian_vorticity_pullback(field: TrajectoryField, omega_x, a, t) -> np.ndarray:
@@ -101,7 +66,7 @@ def lagrangian_vorticity_pullback(field: TrajectoryField, omega_x, a, t) -> np.n
 
 def cauchy_residual(field: TrajectoryField, a, t) -> np.ndarray:
     """curl_a(dV/dt); zero iff the flow is extremal at (a, t)."""
-    return _curl_image(field, a, t, _position_stack(field, a, t)[0], "acceleration")
+    return Frame(field, a, t).cauchy
 
 
 def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.ndarray:
@@ -141,10 +106,13 @@ def cauchy_drift(
     grid: LabelGrid,
     times,
     tolerance: float | None = None,
+    *, frames=None,
 ) -> DriftReport:
-    """Max and grid-weighted L2 deviation of Omega(a, t) from Omega(a, t0)."""
+    """Max and grid-weighted L2 deviation of Omega(a, t) from Omega(a, t0); ``frames(t)``,
+    when given, is the :class:`Frame` of the grid's nodes at t that the caller holds."""
     nodes = grid.nodes()
+    frames = frames or (lambda t: Frame(field, nodes, t))
     return _grid_drift(
-        "cauchy", lambda t: lagrangian_vorticity(field, nodes, t), grid, times, tolerance,
+        "cauchy", lambda t: frames(t).omega, grid, times, tolerance,
         {"backend": field.backend, "grid_shape": list(grid.shape), "fd_order": field.order},
     )

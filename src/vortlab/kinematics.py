@@ -1,9 +1,10 @@
-"""Jacobian bundle of the label map and checkable kinematic identities.
+"""Jacobian bundle and kinematic frame of the label map, and checkable kinematic identities.
 
 The bundle at a point (a, t) collects the gradient matrix G (``G[i, j] =
 dx_i/da_j``), its determinant J, the cofactor matrix and the inverse.  The
 cofactor matrix is built directly from 2x2 minors, so it stays meaningful
-near (but not at) singular maps; the inverse is then cof^T / J.
+near (but not at) singular maps; the inverse is then cof^T / J.  A :class:`Frame`
+adds a field's evaluator reads, V, Omega and the Cauchy residual on one label stack.
 
 Matrix arguments are one matrix (3, 3) or, outside the curl identities, a
 stack (..., 3, 3), of floats or Fractions alike: Fraction object arrays give
@@ -13,8 +14,8 @@ the identity battery its exactly-zero residuals on the polynomial backend.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -79,21 +80,52 @@ def det_rate(cof, gv):
     return sum(c[i][j] * v[i][j] for i in range(3) for j in range(3))
 
 
-@dataclass(frozen=True)
 class JacobianBundle:
-    """[G], J = det G, cofactor matrix and inverse at one point (a, t), or at
-    every label of a stack: matrices (..., 3, 3) and determinants (...)."""
+    """[G] (``matrix``), J = det G (``det``, checked by :func:`checked_det`), the
+    cofactor matrix and the inverse (each computed on first read) at one point
+    (a, t), or at every label of a stack: matrices (..., 3, 3), determinants (...)."""
 
-    matrix: np.ndarray
-    det: float | Fraction
-    cof: np.ndarray
-    inv: np.ndarray
+    def __init__(self, g: np.ndarray, a=None, t=None):
+        self.matrix, self.det = g, checked_det(g, a, t)
 
     @classmethod
     def from_matrix(cls, g: np.ndarray, a=None, t=None) -> "JacobianBundle":
         """The bundle of G; ``a`` and ``t`` locate it for :func:`checked_det`."""
-        d, c = checked_det(g, a, t), cof3(g)
-        return cls(matrix=g, det=d, cof=c, inv=np.swapaxes(c, -1, -2) / np.expand_dims(d, (-2, -1)))
+        return JacobianBundle(g, a, t)
+
+    cof = cached_property(lambda self: cof3(self.matrix))
+    inv = cached_property(
+        lambda self: np.swapaxes(self.cof, -1, -2) / np.expand_dims(self.det, (-2, -1)))
+
+
+class Frame(JacobianBundle):
+    """The kinematics of ``field`` on one label stack (..., 3) at one time t, its
+    domain checked once: each evaluator :meth:`read`, G with its checked J,
+    cof(G), G^-1, V = G^T xdot (``image``), Omega = curl_a V (``omega``) and the
+    Cauchy residual curl_a(G^T xddot) (``cauchy``), each computed on first read
+    and kept.  A command holds one frame per (stack, time) while its checks
+    read there and hands it to each of them; nothing else keeps frames."""
+
+    def __init__(self, field: TrajectoryField, labels, t):
+        field.check_domain(labels, t)
+        self.field, self.labels, self.t, self._reads = field, labels, t, {}
+
+    def read(self, method: str, s=0.0):
+        """The evaluator ``method`` ("velocity", ...) at the labels and time t + s, as it
+        returns it; a shifted time (of a finite-difference stencil) is not domain-checked."""
+        if (method, s) not in self._reads:
+            t = self.t + s if s else self.t
+            self._reads[method, s] = getattr(self.field, method)(self.labels, t)
+        return self._reads[method, s]
+
+    _checked = cached_property(lambda self: (g := self.read("position_gradient"),
+                                             checked_det(g, self.labels, self.t)))
+    matrix = property(lambda self: self._checked[0])
+    det = property(lambda self: self._checked[1])
+    image = cached_property(lambda self: _image(self.matrix, self.read("velocity")))
+    omega = cached_property(lambda self: gradient_curl(self.read("velocity_gradient"), self.matrix))
+    cauchy = cached_property(
+        lambda self: gradient_curl(self.read("acceleration_gradient"), self.matrix))
 
 
 def checked_det(g, a=None, t=None):
@@ -122,11 +154,32 @@ def checked_det(g, a=None, t=None):
     return d
 
 
-def jacobian(field: TrajectoryField, a, t) -> JacobianBundle:
-    """The Jacobian bundle of the label map at (a, t); labels (..., 3) give a
-    stacked bundle from one evaluator call."""
-    field.check_domain(a, t)
-    return JacobianBundle.from_matrix(field.position_gradient(a, t), a, t)
+def gradient_curl(gw, g):
+    """curl_a(G^T w) from Dw and G (Hessian terms cancel in the curl): the
+    :func:`vortlab.fields.curl` of D[k, j] = sum_m G[m, k] Dw[m, j] from the six
+    entries it reads, each an explicit three-term sum in m order, so a stack
+    (..., 3, 3) rounds like each of its labels; (..., 3)."""
+    x, w = entries(g), entries(gw)
+
+    def d(k, j):
+        return x[0][k] * w[0][j] + x[1][k] * w[1][j] + x[2][k] * w[2][j]
+
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1)
+
+
+def _image(g, w) -> np.ndarray:
+    """G^T w, sum_m G[..., m, j] w[..., m], at every label of G (..., 3, 3)
+    and w (..., 3), as an explicit three-term sum in m order, so a stack
+    rounds like its labels.  ``G w`` is ``_image(np.swapaxes(g, -1, -2), w)``."""
+    x, v = entries(g), [w[..., m][()] for m in range(3)]
+    return np.stack([x[0][j] * v[0] + x[1][j] * v[1] + x[2][j] * v[2] for j in range(3)], axis=-1)
+
+
+def jacobian(field: TrajectoryField, a, t) -> Frame:
+    """The :class:`Frame` of (a, t) with G read and J checked now; labels (..., 3) give a stack."""
+    frame = Frame(field, a, t)
+    frame.det  # read now, so a singular map raises here
+    return frame
 
 
 def pullback_gradient(bundle: JacobianBundle, grad_x) -> np.ndarray:
@@ -159,12 +212,15 @@ def jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None)
     velocity-gradient evaluator is used and the residual isolates the exact
     matrix algebra (identically zero on the polynomial backend).
     """
-    bundle = jacobian(field, a, t)
-    gv = field.velocity_gradient(a, t)
-    if h is None:
-        return _rate_residual(bundle, gv, np.swapaxes(gv, -1, -2))
-    lhs = derivative(lambda s: field.position_gradient(a, t + s), h, _fd_order(field))
-    return _rate_residual(bundle, gv, np.swapaxes(lhs, -1, -2))
+    return _frame_rate_residual(jacobian(field, a, t), h)
+
+
+def _frame_rate_residual(frame: Frame, h: float | None = None):
+    """:func:`jacobian_rate_residual` on a frame, whose shifted G reads feed the time stencil."""
+    gv = frame.read("velocity_gradient")
+    lhs = gv if h is None else derivative(
+        lambda s: frame.read("position_gradient", s), h, _fd_order(frame.field))
+    return _rate_residual(frame, gv, np.swapaxes(lhs, -1, -2))
 
 
 def _rate_residual(bundle: JacobianBundle, gv, lhs):
@@ -180,14 +236,14 @@ def inverse_jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None
     in the entries of G and dG/dt:  J d(adj G)/dt - (dJ/dt) adj G + adj G
     dG/dt adj G = 0, then divided back by J^2.
     """
-    bundle = jacobian(field, a, t)
-    gv = field.velocity_gradient(a, t)
+    frame = jacobian(field, a, t)
+    gv = frame.read("velocity_gradient")
     if h is None:
-        return _inverse_rate_residual(bundle, gv)
-    dinv_dt = derivative(lambda s: JacobianBundle.from_matrix(field.position_gradient(a, t + s)).inv,
+        return _inverse_rate_residual(frame, gv)
+    dinv_dt = derivative(lambda s: JacobianBundle(frame.read("position_gradient", s)).inv,
                          h, _fd_order(field))
-    grad_u_t = gv @ bundle.inv  # (grad_x u^T)^T = dG/dt G^-1
-    return dinv_dt + bundle.inv @ grad_u_t
+    grad_u_t = gv @ frame.inv  # (grad_x u^T)^T = dG/dt G^-1
+    return dinv_dt + frame.inv @ grad_u_t
 
 
 def _inverse_rate_residual(bundle: JacobianBundle, gv):

@@ -29,18 +29,10 @@ import numpy as np
 
 from .errors import VortlabError
 from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative, fd_jacobian
-from .invariants import (
-    _curl_image,
-    _grid_drift,
-    _image,
-    _position_stack,
-    image_velocity,
-    label_stack,
-    lagrangian_vorticity,
-)
-from .kinematics import cof3, jacobian
+from .invariants import _grid_drift, image_velocity, lagrangian_vorticity
+from .kinematics import Frame, _image
 from .report import DriftReport
-from .variational import FlowMaterial, _mass_reference, _reject, density_from_map
+from .variational import FlowMaterial, _density, _mass_reference
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +175,12 @@ def dalembert_euler_residual(field: TrajectoryField, a, t) -> np.ndarray:
     Equals inv(cof^T) = G / J applied to the Cauchy residual R = curl_a(dV/dt),
     so it vanishes exactly where R does.
     """
-    g, j = _position_stack(field, a, t)
-    r = _curl_image(field, a, t, g, "acceleration")
-    return _image(np.swapaxes(g, -1, -2), r) / np.expand_dims(j, -1)
+    return _dalembert_euler(Frame(field, a, t))
+
+
+def _dalembert_euler(frame: Frame) -> np.ndarray:
+    """:func:`dalembert_euler_residual` on a frame."""
+    return _image(np.swapaxes(frame.matrix, -1, -2), frame.cauchy) / np.expand_dims(frame.det, -1)
 
 
 def beltrami_residual(
@@ -201,32 +196,33 @@ def beltrami_residual(
     omega/rho = G Omega0 / (rho0 J0) and the material derivative is a
     centered difference of step dt_fd (default 1e-3 of the window).
     """
-    if dt_fd is None:
-        dt_fd = 1e-3 * (field.t1 - field.t0)
-    omega0 = lagrangian_vorticity(field, a, field.t0).astype(float)
-    rho0j0 = float(_mass_reference(field, material, a))
-    density_from_map(field, material, a, t)  # raises on rho <= 0
+    dt_fd = 1e-3 * (field.t1 - field.t0) if dt_fd is None else dt_fd
+    return _beltrami(Frame(field, a, t), Frame(field, a, field.t0), material, dt_fd)
 
-    def omega_over_rho(tt):
-        g = field.position_gradient(a, tt).astype(float)
-        return (g @ omega0) / rho0j0
 
-    lhs = (omega_over_rho(t + dt_fd) - omega_over_rho(t - dt_fd)) / (2.0 * dt_fd)
-    bundle = jacobian(field, a, t)
-    du = field.velocity_gradient(a, t).astype(float) @ np.asarray(bundle.inv, float)
-    rhs = du @ omega_over_rho(t)
+def _beltrami(frame: Frame, frame0: Frame, material: FlowMaterial, dt_fd: float) -> np.ndarray:
+    """:func:`beltrami_residual` on the frame of (a, t) and ``frame0``, that of (a, t0)."""
+    omega0 = frame0.omega.astype(float)
+    rho0j0 = float(_mass_reference(frame.field, material, frame.labels, frame0))
+    _density(frame, rho0j0)  # raises on rho <= 0
+
+    def omega_over_rho(s):
+        return (frame.read("position_gradient", s).astype(float) @ omega0) / rho0j0
+
+    lhs = (omega_over_rho(dt_fd) - omega_over_rho(-dt_fd)) / (2.0 * dt_fd)
+    du = frame.read("velocity_gradient").astype(float) @ np.asarray(frame.inv, float)
+    rhs = du @ omega_over_rho(0.0)
     return lhs - rhs
 
 
-def _pv(field: TrajectoryField, S: ScalarField, a, t, rho0j0):
-    """q at labels (..., 3) given rho0 J0 there: with J = det G, omega = G Omega / J,
+def _pv(frame: Frame, S: ScalarField, rho0j0):
+    """q on a frame's labels given rho0 J0 there: with J = det G, omega = G Omega / J,
     rho = rho0 J0 / J and grad_x S = cof(G) grad_a S / J, q = (omega / rho) . grad_x S."""
-    g, j = _position_stack(field, a, t)
-    jv = np.expand_dims(j, -1)
-    omega = _image(np.swapaxes(g, -1, -2), _curl_image(field, a, t, g, "velocity")) / jv
-    rho = rho0j0 / j
-    _reject(rho <= 0.0, rho, a, "density", t=t)
-    grad_x_S = _image(np.swapaxes(cof3(g), -1, -2), np.asarray(S.gradient(a, t), float)) / jv
+    jv = np.expand_dims(frame.det, -1)
+    omega = _image(np.swapaxes(frame.matrix, -1, -2), frame.omega) / jv
+    rho = _density(frame, rho0j0)
+    grad_S = np.asarray(S.gradient(frame.labels, frame.t), float)
+    grad_x_S = _image(np.swapaxes(frame.cof, -1, -2), grad_S) / jv
     q = (omega / np.expand_dims(rho, -1)) * grad_x_S
     return q[..., 0] + q[..., 1] + q[..., 2]
 
@@ -234,7 +230,7 @@ def _pv(field: TrajectoryField, S: ScalarField, a, t, rho0j0):
 def ertel_pv(field: TrajectoryField, material: FlowMaterial, S: ScalarField, a, t):
     """Potential vorticity q = (omega/rho) . grad_x S for a label-only S, at
     labels (..., 3); one label gives a float."""
-    return _pv(field, S, a, t, _mass_reference(field, material, a))
+    return _pv(Frame(field, a, t), S, _mass_reference(field, material, a))
 
 
 def ertel_pv_label_form(
@@ -253,13 +249,16 @@ def ertel_drift(
     grid: LabelGrid,
     times,
     tolerance: float | None = None,
+    *, frames=None,
 ) -> DriftReport:
     """Max and grid-weighted L2 deviation of the potential vorticity from t = times[0]:
-    :func:`ertel_pv` once per time over all nodes, with rho0 J0 taken once."""
+    :func:`ertel_pv` once per time over all nodes, with rho0 J0 taken once from the
+    frame at the field's t0; ``frames`` is as in :func:`vortlab.invariants.cauchy_drift`."""
     nodes = grid.nodes()
-    rho0j0 = _mass_reference(field, material, nodes)
+    frames = frames or (lambda t: Frame(field, nodes, t))
+    rho0j0 = _mass_reference(field, material, nodes, frames(field.t0))
     return _grid_drift(
-        "ertel", lambda t: _pv(field, S, nodes, t, rho0j0), grid, times, tolerance,
+        "ertel", lambda t: _pv(frames(t), S, rho0j0), grid, times, tolerance,
         {"backend": field.backend, "grid_shape": list(grid.shape)},
     )
 
@@ -321,11 +320,12 @@ def helicity(field: TrajectoryField, region: LabelRegion, t) -> float:
     """Volume integral of Omega . V over the region (midpoint rule); a region
     node outside the field's domain raises OutOfDomainError naming it."""
     grid = region.grid()
-    nodes = grid.nodes()
-    g, _ = _position_stack(field, nodes, t)
-    V = _image(g, label_stack(field, nodes, t, "velocity"))
-    omega = _curl_image(field, nodes, t, g, "velocity")
-    return math.fsum(np.vecdot(V, omega) * grid.cell_volume)
+    return _helicity(Frame(field, grid.nodes(), t), grid)
+
+
+def _helicity(frame: Frame, grid: LabelGrid) -> float:
+    """:func:`helicity` on the frame of the region grid's nodes."""
+    return math.fsum(np.vecdot(frame.image, frame.omega) * grid.cell_volume)
 
 
 def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:
@@ -346,12 +346,16 @@ def helicity_drift(
     region: LabelRegion,
     times,
     tolerance: float | None = None,
+    *, frames=None,
 ) -> DriftReport:
-    """Helicity time series; the report always carries the tangency number,
-    and conservation is only claimable when it vanishes (or the region is a
-    full periodic cell)."""
+    """Helicity time series; the report always carries the tangency number, and
+    conservation is only claimable when it vanishes (or the region is a full periodic
+    cell).  ``frames`` is as in :func:`vortlab.invariants.cauchy_drift`, on its grid."""
+    grid = region.grid()
+    nodes = grid.nodes()
+    frames = frames or (lambda t: Frame(field, nodes, t))
     report = _series_drift(
-        "helicity", lambda t: helicity(field, region, t), times, tolerance,
+        "helicity", lambda t: _helicity(frames(t), grid), times, tolerance,
         {"backend": field.backend, "region_shape": list(region.shape), "periodic": region.periodic},
     )
     report.metadata["boundary_tangency"] = (

@@ -54,8 +54,7 @@ from .fields import (
     fd_jacobian,
     matvec,
 )
-from .invariants import _curl_image, _position_stack
-from .kinematics import cof3, det3
+from .kinematics import Frame, det3
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +164,27 @@ class FlowMaterial:
 # ---------------------------------------------------------------------------
 
 
-def _mass_reference(field, material, a):
-    """rho0 J0 at labels ``a``, J0 taken at the field's own t0."""
+def _mass_reference(field, material, a, frame0: Frame | None = None):
+    """rho0 J0 at labels ``a``, J0 taken at the field's own t0 (from ``frame0``, if given)."""
     rho0 = np.asarray(material.initial_density(a), float)
-    return rho0 * _position_stack(field, a, field.t0)[1]
+    return rho0 * (frame0 or Frame(field, a, field.t0)).det
+
+
+def _density(frame: Frame, rho0j0):
+    """rho = rho0 J0 / J on a frame's labels; raises where it is not positive."""
+    rho = rho0j0 / frame.det
+    _reject(rho <= 0.0, rho, frame.labels, "density", t=frame.t)
+    return rho
 
 
 def density_from_map(field: TrajectoryField, material: FlowMaterial, a, t):
     """rho = rho0(a) J(a, t0) / J(a, t)."""
-    rho = _mass_reference(field, material, a) / _position_stack(field, a, t)[1]
-    _reject(rho <= 0.0, rho, a, "density", t=t)
-    return rho
+    return _density(Frame(field, a, t), _mass_reference(field, material, a))
 
 
 def mass_residual(field: TrajectoryField, material: FlowMaterial, rho_fn, a, t):
     """rho J - rho0 J0 for an independently supplied density evaluator."""
-    return rho_fn(a, t) * _position_stack(field, a, t)[1] - _mass_reference(field, material, a)
+    return rho_fn(a, t) * Frame(field, a, t).det - _mass_reference(field, material, a)
 
 
 def momentum_residual(
@@ -191,15 +195,16 @@ def momentum_residual(
     t,
 ) -> np.ndarray:
     """rho0 J0 (xddot + grad_x P) + cof(G) grad_a p; zero on extremal flows."""
-    return _momentum_residual(field, material, pressure, a, t, _position_stack(field, a, t)[0],
+    return _momentum_residual(Frame(field, a, t), material, pressure,
                               _mass_reference(field, material, a))
 
 
-def _momentum_residual(field, material, pressure, a, t, g, rho0j0):
-    """:func:`momentum_residual` given G and rho0 J0 at (a, t)."""
-    x = field.position(a, t)
-    body = field.acceleration(a, t) + material.potential.gradient(x, t)
-    return np.expand_dims(rho0j0, -1) * body + matvec(cof3(g), pressure.gradient(a, t))
+def _momentum_residual(frame: Frame, material, pressure, rho0j0):
+    """:func:`momentum_residual` on a frame, given rho0 J0 on its labels."""
+    x = frame.read("position")
+    body = frame.read("acceleration") + material.potential.gradient(x, frame.t)
+    grad_p = pressure.gradient(frame.labels, frame.t)
+    return np.expand_dims(rho0j0, -1) * body + matvec(frame.cof, grad_p)
 
 
 def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarField:
@@ -208,9 +213,7 @@ def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarF
     rho0j0 = _per_stack(lambda a: _mass_reference(field, material, a))
 
     def val(a, t):
-        rho = rho0j0(a) / _position_stack(field, a, t)[1]
-        _reject(rho <= 0.0, rho, a, "density", t=t)
-        return np.asarray(material.eos.pressure(rho), float)[()]
+        return np.asarray(material.eos.pressure(_density(Frame(field, a, t), rho0j0(a))), float)[()]
 
     return ScalarField(value=val)
 
@@ -673,12 +676,11 @@ def weak_form_integral(
     lhs_terms, rhs_terms = [], []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         w = wa * wt
-        g, _ = _position_stack(field, nodes, t)
-        res = _momentum_residual(field, material, pressure, nodes, t, g, rho0j0)
-        lhs_terms.extend(w * np.vecdot(res, -matvec(g, da)))
+        frame = Frame(field, nodes, t)
+        res = _momentum_residual(frame, material, pressure, rho0j0)
+        lhs_terms.extend(w * np.vecdot(res, -matvec(frame.matrix, da)))
         # the Cauchy residual curl_a(G^T xddot) on the same G
-        cauchy = _curl_image(field, nodes, t, g, "acceleration")
-        rhs_terms.extend(-w * rho0j0 * np.vecdot(cauchy, dR))
+        rhs_terms.extend(-w * rho0j0 * np.vecdot(frame.cauchy, dR))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 
@@ -731,9 +733,9 @@ def el_part(
     rho0j0 = _mass_reference(field, material, nodes)
     terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
-        g, _ = _position_stack(field, nodes, t)
-        res = _momentum_residual(field, material, pressure, nodes, t, g, rho0j0)
-        dbar = _local_variation(field, var, nodes, t, g)
+        frame = Frame(field, nodes, t)
+        res = _momentum_residual(frame, material, pressure, rho0j0)
+        dbar = _local_variation(field, var, nodes, t, frame.matrix)
         terms.extend(-wa * wt * np.vecdot(res, dbar))
     return math.fsum(terms)
 
@@ -769,12 +771,12 @@ def noether_boundary_term(
     div_step = 1e-3 * min(field.box.extent)
 
     def flux(b, t):
-        g, j = _position_stack(field, b, t)
+        frame = Frame(field, b, t)
         rj = rho0j0(b)
-        L = _lagrangian_density(field, material, b, t, rj, j)
-        p = np.asarray(material.eos.pressure(rj / j), float)
-        dbar = _local_variation(field, var, b, t, g)
-        cof_t = np.swapaxes(cof3(g), -1, -2)
+        L = _lagrangian_density(field, material, b, t, rj, frame.det)
+        p = np.asarray(material.eos.pressure(rj / frame.det), float)
+        dbar = _local_variation(field, var, b, t, frame.matrix)
+        cof_t = np.swapaxes(frame.cof, -1, -2)
         return L[..., None] * var.da(b) + p[..., None] * matvec(cof_t, dbar)
 
     div_terms = []
