@@ -91,6 +91,10 @@ class RunConfig:
     def validate(self):
         if any(n < 2 for n in self.grid):
             raise VortlabError(f"grid resolution must be >= 2 per axis, got {self.grid}")
+        for flag, value in (("--t0", self.t0), ("--t1", self.t1), ("--tol", self.tol),
+                            *(("--dt", dt) for dt in self.dt)):
+            if value is not None and not math.isfinite(value):
+                raise VortlabError(f"{flag} must be a finite number, got {value}")
         if self.tol is not None and self.tol <= 0:
             raise VortlabError("tolerance must be positive")
         if self.fd_order not in (2, 4):
@@ -111,6 +115,8 @@ def _parse_params(pairs) -> dict:
             raise VortlabError(f"fixture parameter {pair!r} is not key=value")
         key, val = pair.split("=", 1)
         parts = [_number(v) for v in val.split(",")]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
+            raise VortlabError(f"fixture parameter {pair!r} is not finite")
         numbers = len(parts) > 1 and not any(isinstance(v, str) for v in parts)
         out[key] = tuple(parts) if numbers else _number(val)
     return out
@@ -139,6 +145,16 @@ def _read_config_file(path: str) -> list[str]:
     return args
 
 
+@contextlib.contextmanager
+def _usage_error(prefix: str, kinds=(TypeError, ValueError, OverflowError)):
+    """Re-raise an exception of ``kinds`` in the block as a usage error (exit 2); the default
+    kinds are a bad --param name or value, or a window a fixture's steps cannot cover."""
+    try:
+        yield
+    except kinds as exc:
+        raise VortlabError(f"{prefix}: {exc}") from exc
+
+
 def _build_fixture(cfg: RunConfig) -> Fixture:
     params = dict(cfg.params)
     if cfg.fixture in _SAMPLED:
@@ -149,11 +165,8 @@ def _build_fixture(cfg: RunConfig) -> Fixture:
         params.setdefault("t1", cfg.t1)
     if cfg.t0 is not None:
         params.setdefault("t0", cfg.t0)
-    try:
+    with _usage_error(f"fixture {cfg.fixture!r}"):
         return make_fixture(cfg.fixture, **params)
-    except (TypeError, ValueError) as exc:
-        # a bad --param name or value, or a window the fixture cannot cover
-        raise VortlabError(f"fixture {cfg.fixture!r}: {exc}") from exc
 
 
 def _window(cfg: RunConfig, fixture: Fixture) -> tuple[float, float]:
@@ -504,13 +517,17 @@ def _dt_ratio_probe(cfg: RunConfig) -> dict:
     grid = LabelGrid(tuple(ax[skip:n - skip] for ax in full.axes), full.spacings)
     inner = Box(tuple(center - (half - margin * h)), tuple(center + (half - margin * h)))
     igrid = LabelGrid.nodes_inclusive(inner, (n - 2 * margin,) * 3)
+    if cfg.t0 not in (None, 0.0):
+        raise VortlabError(f"--dt pairs advect from t0 = 0, got --t0 {cfg.t0}")
     t1 = cfg.t1 if cfg.t1 is not None else 1.0
     times = np.linspace(0.0, t1, 6)
-    drift = [
-        cauchy_drift(integrate_trajectories(u, grid, 0.0, t1, dt, order=cfg.fd_order),
-                     igrid, times).max_drift
-        for dt in cfg.dt
-    ]
+
+    def drift_at(dt):  # one advected patch alive at a time
+        with _usage_error(f"fixture {cfg.fixture!r}"):
+            field = integrate_trajectories(u, grid, 0.0, t1, dt, order=cfg.fd_order)
+        return cauchy_drift(field, igrid, times).max_drift
+
+    drift = [drift_at(dt) for dt in cfg.dt]
     return {
         "dt": list(cfg.dt),
         "drift": drift,
@@ -537,7 +554,8 @@ def cmd_export(cfg: RunConfig) -> tuple[int, dict]:
         field = SampledTrajectoryField.from_analytic(
             fixture.field, grid, times, order=cfg.fd_order
         )
-    save_grid(field, cfg.out)
+    with _usage_error("--out", OSError):
+        save_grid(field, cfg.out)
     report = {
         "command": "export",
         "version": __version__,
@@ -562,7 +580,7 @@ def _emit(report: dict, cfg: RunConfig):
     else:
         text = dumps_deterministic(report) + "\n"
     if cfg.out and report.get("command") != "export":
-        with open(cfg.out, "w") as fh:
+        with _usage_error("--out", OSError), open(cfg.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

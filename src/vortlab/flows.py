@@ -16,7 +16,9 @@ are computed per stored slice on its first read.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -646,11 +648,28 @@ def fixture_names() -> list[str]:
 
 
 def make_fixture(name: str, **params) -> Fixture:
-    """Instantiate a catalog fixture by name with keyword overrides."""
+    """Instantiate a catalog fixture by name with keyword overrides, each of its
+    default's kind: a Box for ``box``, as many numbers as a tuple default, else a number."""
     try:
         maker = _CATALOG[name]
     except KeyError:
         raise VortlabError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
+    # the signature is read only for overrides: it costs twice a default build
+    defaults = inspect.signature(maker).parameters if params else {}
+    for key, value in params.items():
+        if key not in defaults:
+            continue  # the maker's TypeError names it
+        default = defaults[key].default
+        if key == "box":
+            ok, want = isinstance(value, Box), "a Box"
+        elif isinstance(default, tuple):
+            ok = (isinstance(value, (tuple, list)) and len(value) == len(default)
+                  and all(isinstance(v, numbers.Real) for v in value))
+            want = f"{len(default)} numbers"
+        else:
+            ok, want = isinstance(value, numbers.Real), "a number"
+        if not ok:
+            raise VortlabError(f"fixture {name!r}: {key} wants {want}, got {value!r}")
     return maker(**params)

@@ -39,16 +39,6 @@ from .kinematics import Frame, gradient_curl, jacobian  # noqa: F401 (gradient_c
 from .report import DriftReport
 
 
-def label_stack(field: TrajectoryField, labels, t, method: str) -> np.ndarray:
-    """The evaluator ``method`` at labels (..., 3) after the domain check, as it is."""
-    return Frame(field, labels, t).read(method)
-
-
-def _position_stack(field: TrajectoryField, labels, t):
-    """G at labels (..., 3) and its checked J."""
-    return (frame := Frame(field, labels, t)).matrix, frame.det
-
-
 def image_velocity(field: TrajectoryField, a, t) -> np.ndarray:
     """Label-space velocity image V = G^T xdot; V.da equals u.dx by construction."""
     return Frame(field, a, t).image

@@ -88,11 +88,6 @@ class JacobianBundle:
     def __init__(self, g: np.ndarray, a=None, t=None):
         self.matrix, self.det = g, checked_det(g, a, t)
 
-    @classmethod
-    def from_matrix(cls, g: np.ndarray, a=None, t=None) -> "JacobianBundle":
-        """The bundle of G; ``a`` and ``t`` locate it for :func:`checked_det`."""
-        return JacobianBundle(g, a, t)
-
     cof = cached_property(lambda self: cof3(self.matrix))
     inv = cached_property(
         lambda self: np.swapaxes(self.cof, -1, -2) / np.expand_dims(self.det, (-2, -1)))
@@ -187,12 +182,6 @@ def pullback_gradient(bundle: JacobianBundle, grad_x) -> np.ndarray:
     return matvec(np.swapaxes(bundle.matrix, -1, -2), grad_x)
 
 
-def eulerian_velocity_gradient(field: TrajectoryField, a, t) -> np.ndarray:
-    """du_i/dx_j along the trajectory, from dG/dt composed with G^-1."""
-    bundle = jacobian(field, a, t)
-    return field.velocity_gradient(a, t) @ bundle.inv
-
-
 # ---------------------------------------------------------------------------
 # Identity battery
 # ---------------------------------------------------------------------------
@@ -282,29 +271,9 @@ def _convective_residual(v, gv):
     return matvec(np.swapaxes(gv, -1, -2), v) - rhs
 
 
-def curl_pullback_residual(
-    field: TrajectoryField,
-    q: VectorField,
-    F: ScalarField,
-    a,
-    t,
-):
-    """Residual of the curl transformation rule for Q = G^T q(x) + grad_a F:
-
-        curl_a Q  =  cof(G)^T (curl_x q)
-
-    The left curl is assembled honestly from second derivatives of the map
-    (the Hessian contributions cancel only inside the antisymmetrization).
-    """
-    bundle = jacobian(field, a, t)
-    x = field.position(a, t)
-    return _curl_pullback_residual(
-        bundle, field.position_hessian(a, t), q(x, t), q.jacobian(x, t), F.hessian(a, t)
-    )
-
-
 def _curl_pullback_residual(bundle: JacobianBundle, hess, qval, dq, hessF):
-    """curl_a(G^T q(x) + grad_a F) - cof(G)^T curl_x q from the values at one point."""
+    """curl_a(G^T q(x) + grad_a F) - cof(G)^T curl_x q from the values at one point; the
+    map's Hessian terms cancel only inside the antisymmetrization."""
     g = bundle.matrix
     # d/da_j of (G^T q(x) + grad F)_k at [k, j]; dq @ g is d q(x) / da by the chain rule
     d = hessF.T + np.einsum("mjk,m->kj", hess, qval) + g.T @ (dq @ g)
@@ -322,11 +291,6 @@ def curl_cross_identity_residual(v, w, dv, dw):
     div = sum(dv[k, j] * w[l] + v[k] * dw[l, j] - dv[l, j] * w[k] - v[l] * dw[k, j]
               for j, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     return lhs - mid - div
-
-
-# ---------------------------------------------------------------------------
-# Geometric element transport
-# ---------------------------------------------------------------------------
 
 
 def run_identity_battery(seed: int, trials: int, box=None) -> dict:
@@ -377,18 +341,3 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
             exact[name] += int(all(x == 0 for x in r))
         done += 1
     return {"trials": trials, "seed": seed, "redraws": redraws, "exact_zero_counts": exact}
-
-
-def transform_line(bundle: JacobianBundle, da) -> np.ndarray:
-    """Line element: dx = G da."""
-    return matvec(bundle.matrix, da)
-
-
-def transform_surface(bundle: JacobianBundle, ds) -> np.ndarray:
-    """Oriented surface element: ds_x = cof(G) ds_a."""
-    return matvec(bundle.cof, ds)
-
-
-def transform_volume(bundle: JacobianBundle, dv):
-    """Volume element: dV_x = J dV_a."""
-    return bundle.det * dv

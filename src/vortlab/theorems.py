@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import VortlabError
-from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative, fd_jacobian
+from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative
 from .invariants import _grid_drift, image_velocity, lagrangian_vorticity
 from .kinematics import Frame, _image
 from .report import DriftReport
@@ -140,28 +140,6 @@ class LabelRegion:
                 normal[axis] = side
                 faces.append((nodes, normal, float(area)))
         return faces
-
-    def divergence_selftest(self, w: Callable[[np.ndarray], np.ndarray]) -> float:
-        """|volume integral of div w - boundary flux| for a caller-supplied
-        linear field; a quadrature sanity check for the region's geometry.
-
-        ``w`` follows the evaluation protocol: labels (..., 3), indexed
-        ``a[..., i]``, give values (..., 3).  The divergence takes one call
-        over every grid node; the boundary flux one call per face node.
-        """
-        if self.periodic:
-            return 0.0
-        grid = self.grid()
-        h = 1e-4 * min(self.box.extent)
-        d = fd_jacobian(w, grid.nodes(), h, 4)
-        vol = 0.0
-        for div in (d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]).tolist():
-            vol += div * grid.cell_volume
-        flux = 0.0
-        for nodes, normal, area in self.boundary_faces():
-            for a in nodes:
-                flux += float(np.asarray(w(a)) @ normal) * area
-        return abs(vol - flux)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,7 @@ from .kinematics import Frame, det3
 class BarotropicEOS:
     """Internal energy per unit mass E(rho) and its derivative.
 
-    The pressure is always derived as p = rho^2 E'(rho); an independently
-    supplied pressure law can be checked against it.
+    The pressure is always derived as p = rho^2 E'(rho).
     """
 
     energy: Callable[[float], float]
@@ -76,18 +75,6 @@ class BarotropicEOS:
 
     def pressure(self, rho):
         return rho * rho * self.denergy(rho)
-
-    def check_pressure(self, p_fn: Callable[[float], float], rhos):
-        """Max relative mismatch between the derived and supplied pressure (<= 1e-12)."""
-        worst = 0.0
-        for rho in rhos:
-            derived = self.pressure(rho)
-            supplied = p_fn(rho)
-            scale = max(abs(float(derived)), abs(float(supplied)), 1e-300)
-            worst = max(worst, abs(float(derived - supplied)) / scale)
-        if worst > 1e-12:
-            raise VortlabError(f"EOS pressure mismatch {worst:.3e} exceeds rtol 1.0e-12")
-        return worst
 
     @classmethod
     def zero(cls) -> "BarotropicEOS":
@@ -180,11 +167,6 @@ def _density(frame: Frame, rho0j0):
 def density_from_map(field: TrajectoryField, material: FlowMaterial, a, t):
     """rho = rho0(a) J(a, t0) / J(a, t)."""
     return _density(Frame(field, a, t), _mass_reference(field, material, a))
-
-
-def mass_residual(field: TrajectoryField, material: FlowMaterial, rho_fn, a, t):
-    """rho J - rho0 J0 for an independently supplied density evaluator."""
-    return rho_fn(a, t) * Frame(field, a, t).det - _mass_reference(field, material, a)
 
 
 def momentum_residual(

@@ -61,6 +61,50 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
 
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--fixture", "identity", "--tol", "nan"],
+        ["verify", "--fixture", "identity", "--t0=-inf"],
+        ["export", "--fixture", "identity", "--out", "x.npz", "--t1", "nan"],
+        ["export", "--fixture", "identity", "--out", "x.npz", "--t1", "inf"],
+        ["verify", "--fixture", "abc", "--param", "t1=inf"],
+        ["verify", "--fixture", "rigid-rotation", "--param", "omega0=nan"],
+        ["verify", "--fixture", "translation", "--param", "c=1,nan,0"],
+    ])
+    def test_non_finite_number_usage_error(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "finite" in captured.err
+        assert not (tmp_path / "x.npz").exists()
+
+    @pytest.mark.parametrize("fixture,param,want", [
+        *((name, "box=1", "box wants a Box") for name in
+          ("identity", "translation", "shear", "rigid-rotation", "dilation", "non-euler")),
+        ("rigid-rotation", "rho0=1,2", "rho0 wants a number"),
+        ("gerstner", "rho0=x", "rho0 wants a number"),
+        ("abc", "rho0=1,2,3", "rho0 wants a number"),
+        ("translation", "c=1,2", "c wants 3 numbers"),
+        ("abc", "shape=8", "shape wants 3 numbers"),
+    ])
+    def test_param_of_the_wrong_kind_usage_error(self, fixture, param, want, capsys):
+        code = main(["verify", "--fixture", fixture, "--param", param])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and want in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "identities", "export"])
+    def test_unwritable_out_usage_error(self, command, tmp_path, capsys):
+        out = {"verify": tmp_path / "missing" / "x.json", "identities": tmp_path,
+               "export": tmp_path / "missing" / "x.npz"}[command]
+        args = ["--trials", "1"] if command == "identities" else ["--fixture", "identity"]
+        code = main([command, *args, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("vortlab: --out: ")
+        assert not (tmp_path / "missing").exists()
+
+
 class TestIdentities:
     def test_default_battery_passes(self, capsys):
         code, out = run_cli(["identities", "--trials", "25", "--seed", "7"], capsys)
@@ -316,6 +360,19 @@ class TestDriftCommand:
         assert code == 2
         assert captured.out == ""
         assert "B = A/2" in captured.err
+
+    @pytest.mark.parametrize("window,message", [
+        (["--t1", "0"], "fixture 'abc': need a uniform time ladder"),
+        (["--t1", "-1"], "fixture 'abc': need a uniform time ladder"),
+        (["--t1", "0.013"], "fixture 'abc': t1 - t0 must be an integer number of steps"),
+        (["--t0", "0.5"], "--dt pairs advect from t0 = 0"),
+    ])
+    def test_step_pair_window_usage_error(self, window, message, capsys):
+        # the window rules of verify: a window the steps cannot cover exits 2
+        code = main(["drift", "--fixture", "abc", "--dt", "0.01,0.005", *window])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and message in captured.err
 
     def test_step_pair_rejected_for_analytic_fixture(self, capsys):
         code, _ = run_cli(["drift", "--fixture", "identity", "--dt", "0.1,0.05"], capsys)

@@ -42,8 +42,7 @@ class TestFrame:
     def test_frame_values_are_the_bundle_values(self):
         fx = flows.make_fixture("gerstner")
         a, t = np.array([2.3, 0.5, -1.1]), 0.4
-        frame, bundle = Frame(fx.field, a, t), JacobianBundle.from_matrix(
-            fx.field.position_gradient(a, t))
+        frame, bundle = Frame(fx.field, a, t), JacobianBundle(fx.field.position_gradient(a, t))
         for name in ("matrix", "det", "cof", "inv"):
             assert np.array_equal(getattr(frame, name), getattr(bundle, name)), name
 

@@ -26,10 +26,9 @@ from vortlab.invariants import (
     gradient_curl,
     image_velocity,
     lagrangian_vorticity,
-    label_stack,
     lagrangian_vorticity_pullback,
 )
-from vortlab.kinematics import jacobian, pullback_gradient, transform_line, transform_surface
+from vortlab.kinematics import Frame, jacobian, pullback_gradient
 from vortlab.poly import Poly, random_point, random_poly
 from vortlab.theorems import dalembert_euler_residual, ertel_pv
 
@@ -269,7 +268,7 @@ class TestGridEvaluation:
     def test_own_grid_reads_node_arrays(self):
         fx = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)
         field = fx.field
-        g = label_stack(field, field.grid.nodes(), field.times[2], "velocity_gradient")
+        g = Frame(field, field.grid.nodes(), field.times[2]).read("velocity_gradient")
         nodes = field.node_gradients("velocity", 2).reshape(-1, 3, 3)
         assert g.shape == (216, 3, 3)
         assert np.array_equal(g, nodes)
@@ -286,7 +285,7 @@ class TestGridEvaluation:
             return out["array"]
 
         monkeypatch.setattr(fx.field, method, recorded)
-        assert label_stack(fx.field, nodes, t, method) is out["array"]
+        assert Frame(fx.field, nodes, t).read(method) is out["array"]
 
     @pytest.mark.parametrize("case", ["analytic", "sampled-off-node"])
     def test_other_grids_match_pointwise_evaluators(self, case):
@@ -299,7 +298,7 @@ class TestGridEvaluation:
             fx = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)
             grid, t = LabelGrid.cell_centers(fx.field.box, (2, 3, 2)), 0.125  # between slices
         field, nodes = fx.field, grid.nodes()
-        g = label_stack(field, nodes, t, "position_gradient")
+        g = Frame(field, nodes, t).read("position_gradient")
         for n, a in enumerate(nodes):
             assert np.array_equal(g[n], field.position_gradient(a, t))
         w = np.cos(np.arange(nodes.size)).reshape(nodes.shape)  # one vector per label
@@ -318,8 +317,6 @@ class TestGridEvaluation:
             "cauchy_vorticity_reconstruct(callable)": lambda a, v: cauchy_vorticity_reconstruct(
                 field, lambda b: lagrangian_vorticity(field, b, field.t0), a, t),
             "pullback_gradient": lambda a, v: pullback_gradient(jacobian(field, a, t), v),
-            "transform_line": lambda a, v: transform_line(jacobian(field, a, t), v),
-            "transform_surface": lambda a, v: transform_surface(jacobian(field, a, t), v),
             "ertel_pv": lambda a, v: ertel_pv(field, fx.material, S, a, t),
             "dalembert_euler_residual": lambda a, v: dalembert_euler_residual(field, a, t),
         }
@@ -341,7 +338,7 @@ class TestLabelStackLayout:
             grid, t = LabelGrid.cell_centers(field.box, (12, 12, 12)), 0.4
         nodes = grid.nodes()
         kinds = ("position", "velocity", "acceleration")
-        stacks = {k: label_stack(field, nodes, t, f"{k}_gradient") for k in kinds}
+        stacks = {k: Frame(field, nodes, t).read(f"{k}_gradient") for k in kinds}
         # reference: the stacked einsum curl on C-order components-first copies
         views = {k: np.moveaxis(getattr(field, f"{k}_gradient")(nodes, t), 0, -1) for k in kinds}
         for k in kinds:

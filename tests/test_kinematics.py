@@ -12,10 +12,9 @@ from vortlab.fields import (
     AnalyticTrajectoryField,
     Box,
     PolynomialTrajectoryField,
-    ScalarField,
-    VectorField,
 )
 from vortlab.kinematics import (
+    Frame,
     JacobianBundle,
     _convective_residual,
     _inverse_rate_residual,
@@ -25,7 +24,6 @@ from vortlab.kinematics import (
     cofactor_rate,
     convective_gradient_residual,
     curl_cross_identity_residual,
-    curl_pullback_residual,
     det3,
     det_rate,
     inverse_jacobian_rate_residual,
@@ -33,11 +31,7 @@ from vortlab.kinematics import (
     jacobian_rate_residual,
     pullback_gradient,
     run_identity_battery,
-    transform_line,
-    transform_surface,
-    transform_volume,
 )
-from vortlab.invariants import _position_stack
 from vortlab.poly import Poly, random_point, random_poly
 
 BOX = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
@@ -57,7 +51,7 @@ class TestBundle:
 
     def test_dilation_scaling(self):
         # x = 2a: J = 8, cofactors 4 I
-        b = JacobianBundle.from_matrix(2.0 * np.eye(3))
+        b = JacobianBundle(2.0 * np.eye(3))
         assert b.det == pytest.approx(8.0)
         assert np.allclose(b.cof, 4.0 * np.eye(3))
         assert np.allclose(b.inv, 0.5 * np.eye(3))
@@ -101,7 +95,7 @@ class TestBundle:
         nodes = np.array([[0.5, -0.25, 0.75], [0.1, 0.2, 0.3]])
         want = r"Jacobian determinant 0\.0 below degeneracy threshold at a=\(0\.5, -0\.25, 0\.75\), t=1\.0$"
         with pytest.raises(DegenerateMapError, match=want):
-            _position_stack(field, nodes, 1.0)
+            Frame(field, nodes, 1.0).det
         with pytest.raises(DegenerateMapError, match=want):
             jacobian(field, nodes[0], 1.0)
         with pytest.raises(DegenerateMapError, match=want):
@@ -166,38 +160,16 @@ class TestVolumeTransport:
 
 class TestPullbackAndTransport:
     def test_identity_pullback(self):
-        b = JacobianBundle.from_matrix(np.eye(3))
+        b = JacobianBundle(np.eye(3))
         assert np.allclose(pullback_gradient(b, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_dilation_pullback(self):
-        b = JacobianBundle.from_matrix(2.0 * np.eye(3))
+        b = JacobianBundle(2.0 * np.eye(3))
         assert np.allclose(pullback_gradient(b, [1.0, 1.0, 1.0]), [2.0, 2.0, 2.0])
 
     def test_shear_pullback(self):
         b = jacobian(shear_field(), (0.0, 0.0, 0.0), 3.0)
         assert np.allclose(pullback_gradient(b, [1.0, 0.0, 0.0]), [1.0, 3.0, 0.0])
-
-    def test_element_transport(self):
-        ident = JacobianBundle.from_matrix(np.eye(3))
-        assert np.allclose(transform_line(ident, [1.0, 2.0, 0.0]), [1.0, 2.0, 0.0])
-        dil = JacobianBundle.from_matrix(2.0 * np.eye(3))
-        assert np.allclose(transform_line(dil, [1.0, 0.0, 0.0]), [2.0, 0.0, 0.0])
-        assert np.allclose(transform_surface(dil, [1.0, 0.0, 0.0]), [4.0, 0.0, 0.0])
-        assert transform_volume(dil, 1.0) == pytest.approx(8.0)
-        sh = jacobian(shear_field(), (0.0, 0.0, 0.0), 3.0)
-        assert np.allclose(transform_line(sh, [0.0, 1.0, 0.0]), [3.0, 1.0, 0.0])
-
-    def test_surface_transport_matches_transported_edge_cross(self):
-        # cof(G)(u x v) = (G u) x (G v): the transported area element is the
-        # cross product of the transported edges
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            m = rng.normal(size=(3, 3))
-            b = JacobianBundle.from_matrix(m)
-            u, v = rng.normal(size=3), rng.normal(size=3)
-            lhs = transform_surface(b, np.cross(u, v))
-            rhs = np.cross(m @ u, m @ v)
-            assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_pullback_gradient_matches_fd_composition(self):
         # grad_a of psi(x(a, t)) equals G^T grad_x psi
@@ -216,13 +188,6 @@ class TestPullbackAndTransport:
             xm = fx.field.position(a - h * e, t)
             got[j] = (np.sin(xp[0]) * xp[2] - np.sin(xm[0]) * xm[2]) / (2 * h)
         assert np.allclose(want, got, atol=1e-8)
-
-    def test_eulerian_velocity_gradient_rotation(self):
-        from vortlab.kinematics import eulerian_velocity_gradient
-
-        fx = flows.make_fixture("rigid-rotation", omega0=1.3)
-        du = eulerian_velocity_gradient(fx.field, (0.2, -0.4, 0.1), 3.7)
-        assert np.allclose(du, 1.3 * np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]]), atol=1e-12)
 
 
 class TestRateIdentities:
@@ -274,11 +239,11 @@ class TestStackedCores:
         rng = np.random.default_rng(11)
         g = np.eye(3, dtype=object if exact else float) + self._draw(rng, (5, 3, 3), exact) / 4
         gv, v = self._draw(rng, (5, 3, 3), exact), self._draw(rng, (5, 3), exact)
-        stacked_bundle = JacobianBundle.from_matrix(g)
+        stacked_bundle = JacobianBundle(g)
         for name, core in self.CORES.items():
             stacked = core(stacked_bundle, gv, v)
             for n in range(5):
-                one = core(JacobianBundle.from_matrix(g[n]), gv[n], v[n])
+                one = core(JacobianBundle(g[n]), gv[n], v[n])
                 if exact:
                     assert all(isinstance(x, Fraction) for x in np.ravel(one)), name
                     assert np.all(stacked[n] == one), name
@@ -286,37 +251,6 @@ class TestStackedCores:
                     assert np.array_equal(stacked[n], one), name
             if exact and name in ("rate", "inverse_rate", "convective"):
                 assert all(x == 0 for x in stacked.flat), name
-
-
-class TestCurlPullback:
-    def test_zero_field_with_potential(self):
-        # q = 0: the residual reduces to curl(grad F) = 0
-        rng = random.Random(3)
-        fld = PolynomialTrajectoryField.identity_plus(
-            [Fraction(1, 8) * random_poly(rng, 4) for _ in range(3)], BOX, -1.0, 1.0
-        )
-        q = VectorField.from_polys([Poly(3, {}) for _ in range(3)])
-        F = ScalarField.from_poly(random_poly(rng, 4))
-        r = curl_pullback_residual(fld, q, F, random_point(rng, 3, 4), Fraction(1, 2))
-        assert all(v == 0 for v in r)
-
-    def test_identity_map_any_polynomial_q(self):
-        rng = random.Random(4)
-        a_vars = [Poly.variable(4, i) for i in range(3)]
-        fld = PolynomialTrajectoryField(a_vars, BOX, -1.0, 1.0)
-        q = VectorField.from_polys([random_poly(rng, 3) for _ in range(3)])
-        F = ScalarField.from_poly(Poly(4, {}))
-        r = curl_pullback_residual(fld, q, F, random_point(rng, 3, 4), Fraction(0))
-        assert all(v == 0 for v in r)
-
-    def test_shear_map_exact(self):
-        a1, a2, a3, t = (Poly.variable(4, i) for i in range(4))
-        fld = PolynomialTrajectoryField([a1 + t * a2, a2, a3], BOX, 0.0, 5.0)
-        x2 = Poly.variable(3, 1)
-        q = VectorField.from_polys([x2, Poly(3, {}), Poly(3, {})])
-        F = ScalarField.from_poly(Poly(4, {}))
-        r = curl_pullback_residual(fld, q, F, (Fraction(1), Fraction(1), Fraction(0)), Fraction(3))
-        assert all(v == 0 for v in r)
 
 
 class TestBattery:

@@ -368,9 +368,3 @@ class TestHelicity:
         region = LabelRegion(Box((-1.0, -1.0, -1.0), (1.5, 1.0, 1.0)), (4, 4, 4))
         with pytest.raises(OutOfDomainError, match=r"label \(1\.1875, -0\.75, -0\.75\) outside"):
             helicity(fx.field, region, 0.0)
-
-    def test_divergence_selftest_on_linear_field(self):
-        region = LabelRegion(flows.Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), (6, 6, 6))
-        gap = region.divergence_selftest(
-            lambda a: np.stack([a[..., 0] + 2 * a[..., 1], a[..., 2], -a[..., 0]], axis=-1))
-        assert gap < 1e-10

@@ -27,7 +27,6 @@ from vortlab.variational import (
     el_part,
     fit_loglog_slope,
     local_variation_of_triple,
-    mass_residual,
     momentum_residual,
     noether_boundary_term,
     pressure_from_eos,
@@ -58,12 +57,6 @@ class TestEOS:
         # E = K rho^2 / 2, p = rho^2 E' = K rho^3
         assert eos.energy(rho) == Fraction(9, 4)
         assert eos.pressure(rho) == Fraction(27, 4)
-        eos.check_pressure(lambda r: Fraction(2) * r ** 3, [Fraction(1, 2), Fraction(5, 3)])
-
-    def test_pressure_mismatch_detected(self):
-        eos = BarotropicEOS.polytropic(1.0, 2)
-        with pytest.raises(VortlabError):
-            eos.check_pressure(lambda r: 1.001 * r * r, [1.0, 2.0])
 
     def test_gamma_one_rejected(self):
         with pytest.raises(VortlabError):
@@ -84,13 +77,6 @@ class TestMassAndMomentum:
         fx = flows.make_fixture("rigid-rotation")
         for t in (0.0, 3.3, 9.9):
             assert density_from_map(fx.field, fx.material, (0.4, 0.1, 0.0), t) == pytest.approx(1.0)
-
-    def test_mass_residual_vanishes_for_consistent_density(self):
-        fx = flows.make_fixture("dilation")
-        rho_fn = lambda a, t: (1.0 + t) ** -3
-        assert abs(mass_residual(fx.field, fx.material, rho_fn, (0.1, 0.1, 0.1), 0.8)) < 1e-14
-        bad = lambda a, t: 1.0
-        assert abs(mass_residual(fx.field, fx.material, bad, (0.1, 0.1, 0.1), 0.8)) > 1e-3
 
     def test_hydrostatic_rest_balances(self):
         # x = a, p = -g rho0 a3, P = g x3
