@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import io
+import itertools
 import math
 import random
 import sys
@@ -68,6 +69,8 @@ from .variational import (
 
 _SAMPLED = ("abc", "taylor-green")
 THEOREMS = ("cauchy", "circulation", "ertel", "helicity")
+_CORNER_READS = ("position", "velocity", "acceleration",
+                 "position_gradient", "velocity_gradient", "acceleration_gradient")
 
 
 @dataclass
@@ -165,8 +168,25 @@ def _build_fixture(cfg: RunConfig) -> Fixture:
         params.setdefault("t1", cfg.t1)
     if cfg.t0 is not None:
         params.setdefault("t0", cfg.t0)
-    with _usage_error(f"fixture {cfg.fixture!r}"):
-        return make_fixture(cfg.fixture, **params)
+    with _usage_error(f"fixture {cfg.fixture!r}"), np.errstate(all="ignore"):
+        fixture = make_fixture(cfg.fixture, **params)
+        _check_corners(fixture)
+    return fixture
+
+
+def _check_corners(fixture: Fixture):
+    """Reject a fixture whose evaluators are not finite at the box corners at either window
+    end, as a --param too large for float arithmetic makes them; an overflow that raises
+    there is left to the caller's catch.  A sampled field is read only in its stored
+    positions and velocities: any other read computes a whole slice."""
+    field = fixture.field
+    corners = np.array(list(itertools.product(*zip(field.box.lo, field.box.hi))), float)
+    reads = _CORNER_READS[:2] if field.backend == "sampled" else _CORNER_READS
+    for t in (field.t0, field.t1):
+        for method in reads:
+            if not np.isfinite(np.asarray(getattr(field, method)(corners, t), float)).all():
+                raise VortlabError(f"fixture {fixture.spec.name!r}: {method} is not finite at "
+                                   f"the box corners at t = {t:g}; a --param value is too large")
 
 
 def _window(cfg: RunConfig, fixture: Fixture) -> tuple[float, float]:
@@ -465,6 +485,9 @@ def cmd_drift(cfg: RunConfig, theorem: str = "cauchy") -> tuple[int, dict]:
             raise VortlabError("--dt pairs apply to the advected fixtures (abc, taylor-green)")
         if theorem != "cauchy":
             raise VortlabError(f"--dt pairs probe the Cauchy drift, not --theorem {theorem}")
+        if cfg.params:
+            raise VortlabError("--dt pairs advect the fixture's default velocity and take no "
+                               f"--param, got {', '.join(sorted(cfg.params))}")
         ratio = _dt_ratio_probe(cfg)
         report.update(ratio)
         passed = 12.0 <= ratio["drift_ratio"] <= 20.0

@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridFormatError, OutOfDomainError, VortlabError
-from .poly import Poly, is_rational
+from .poly import Poly, Rat, is_rational
 
 Vec = np.ndarray
 
@@ -77,19 +77,19 @@ ANALYTIC_FD_STEP = 1e-3
 
 # Centered first-derivative stencils: offsets and weights (divide by h).
 _CENTRAL_1 = {
-    2: ((-1, 1), (Fraction(-1, 2), Fraction(1, 2))),
-    4: ((-2, -1, 1, 2), (Fraction(1, 12), Fraction(-2, 3), Fraction(2, 3), Fraction(-1, 12))),
+    2: ((-1, 1), (Rat(-1, 2), Rat(1, 2))),
+    4: ((-2, -1, 1, 2), (Rat(1, 12), Rat(-2, 3), Rat(2, 3), Rat(-1, 12))),
 }
 # Edge stencils of matching order anchored at the boundary: entry i holds the
 # weights (on points 0..width-1) for the derivative AT point i.  Mirrored and
 # negated for the other end.
 _EDGE_1 = {
     2: [
-        (Fraction(-3, 2), Fraction(2), Fraction(-1, 2)),
+        (Rat(-3, 2), Rat(2), Rat(-1, 2)),
     ],
     4: [
-        (Fraction(-25, 12), Fraction(4), Fraction(-3), Fraction(4, 3), Fraction(-1, 4)),
-        (Fraction(-1, 4), Fraction(-5, 6), Fraction(3, 2), Fraction(-1, 2), Fraction(1, 12)),
+        (Rat(-25, 12), Rat(4), Rat(-3), Rat(4, 3), Rat(-1, 4)),
+        (Rat(-1, 4), Rat(-5, 6), Rat(3, 2), Rat(-1, 2), Rat(1, 12)),
     ],
 }
 

@@ -16,6 +16,7 @@ are computed per stored slice on its first read.
 
 from __future__ import annotations
 
+import contextvars
 import inspect
 import math
 import numbers
@@ -565,7 +566,9 @@ def integrate_trajectories(
     chunks = max(1, min(_usable_cpus(), len(nodes) // _CHUNK_FLOOR))
     bounds = [len(nodes) * i // chunks for i in range(chunks + 1)]
     with ThreadPoolExecutor(max_workers=chunks) as pool:
-        futures = [pool.submit(advect, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        # each chunk runs in a copy of the caller's context, so an np.errstate holds there
+        futures = [pool.submit(contextvars.copy_context().run, advect, lo, hi)
+                   for lo, hi in zip(bounds, bounds[1:])]
         escaped = [k for k in (f.result() for f in futures) if k is not None]
     if escaped:
         raise OutOfDomainError(f"trajectory left the velocity domain at t={times[min(escaped)]}")

@@ -14,7 +14,6 @@ the identity battery its exactly-zero residuals on the polynomial backend.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +31,7 @@ from .fields import (
     fd_jacobian,
     matvec,
 )
-from .poly import random_point, random_poly
+from .poly import Rat, random_point, random_poly
 
 # Relative threshold for the scale-invariant singularity test.
 DEGENERACY_RTOL = 1e-14
@@ -308,7 +307,7 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
     if box is None:
         box = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
     rng = random.Random(seed)
-    scale = Fraction(1, 8)
+    scale = Rat(1, 8)
     exact = {"rate": 0, "inverse_rate": 0, "convective": 0, "curl_pullback": 0, "curl_cross": 0}
     redraws = 0
     done = 0

@@ -2,13 +2,17 @@
 
 This is the arithmetic core of the exact trajectory-field backend: label maps,
 their derivatives and the kinematic identity battery all reduce to polynomial
-differentiation and evaluation with ``fractions.Fraction`` coefficients, so
-residuals that vanish analytically vanish *exactly* (no rounding floor).
+differentiation and evaluation with exact rational coefficients, so residuals
+that vanish analytically vanish *exactly* (no rounding floor).
+
+Every exact value the package makes is a :class:`Rat`, a ``fractions.Fraction``
+subclass whose arithmetic with another Rat or an int skips Fraction's operand
+dispatch; it is a Fraction to every ``isinstance`` test and to ``float()``.
 
 A polynomial in ``nvars`` variables is a dict mapping exponent tuples to
-nonzero Fraction coefficients, e.g. with variables (a1, a2, a3, t)::
+nonzero Rat coefficients, e.g. with variables (a1, a2, a3, t)::
 
-    {(1, 0, 0, 0): Fraction(1), (0, 2, 0, 1): Fraction(-3, 4)}
+    {(1, 0, 0, 0): Rat(1), (0, 2, 0, 1): Rat(-3, 4)}
 
 represents a1 - (3/4) a2**2 t.  Evaluation preserves exactness: Fraction (or
 int) inputs give a Fraction result, float inputs give a float.  Coordinates
@@ -20,16 +24,126 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 
-def _as_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
+class Rat(Fraction):
+    """An exact rational: a Fraction whose ``+ - * /``, unary ``-`` and
+    non-negative int ``**`` with another Rat or an int work directly on the
+    stored numerator and denominator and give a Rat in lowest terms with a
+    positive denominator.  Any other operand takes Fraction's own path and
+    result.  It reads and writes the ``_numerator`` and ``_denominator`` slots
+    that ``Fraction`` keeps."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if isinstance(b, Rat):
+            return _add(a._numerator, a._denominator, b._numerator, b._denominator)
+        if isinstance(b, int):
+            return _rat(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    __radd__ = __add__  # both are commutative, on the lean path and on Fraction's
+
+    def __sub__(a, b):
+        if isinstance(b, Rat):
+            return _add(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if isinstance(b, int):
+            return _rat(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(b, a):
+        if isinstance(a, int):
+            return _rat(a * b._denominator - b._numerator, b._denominator)
+        return Fraction.__rsub__(b, a)
+
+    def __mul__(a, b):
+        if isinstance(b, Rat):
+            return _mul(a._numerator, a._denominator, b._numerator, b._denominator)
+        if isinstance(b, int):
+            return _mul(a._numerator, a._denominator, b, 1)
+        return Fraction.__mul__(a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if isinstance(b, Rat):
+            return _div(a._numerator, a._denominator, b._numerator, b._denominator)
+        if isinstance(b, int):
+            return _div(a._numerator, a._denominator, b, 1)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(b, a):
+        if isinstance(a, int):
+            return _div(a, 1, b._numerator, b._denominator)
+        return Fraction.__rtruediv__(b, a)
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if isinstance(b, int) and b >= 0:
+            return _rat(a._numerator ** b, a._denominator ** b)
+        return Fraction.__pow__(a, b)
+
+
+_new = object.__new__
+
+
+def _rat(n: int, d: int) -> Rat:
+    """The Rat n/d of coprime n and d > 0, built without re-validation."""
+    r = _new(Rat)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _add(na, da, nb, db) -> Rat:
+    """na/da + nb/db in lowest terms, dividing out gcd(da, db) first (Knuth 4.5.1)."""
+    g = gcd(da, db)
+    if g == 1:
+        return _rat(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
+
+
+def _mul(na, da, nb, db) -> Rat:
+    """(na/da) (nb/db) in lowest terms, cross-cancelling before the products."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _rat(na * nb, da * db)
+
+
+def _div(na, da, nb, db) -> Rat:
+    if not nb:
+        raise ZeroDivisionError(f"Rat({na * db}, 0)")
+    if nb < 0:
+        na, nb = -na, -nb
+    return _mul(na, da, db, nb)
+
+
+_ZERO = Rat(0)
+
+
+def _as_coeff(c) -> Rat:
+    if type(c) is Rat:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, (int, Fraction)):
+        return Rat(c)
     raise TypeError(f"polynomial coefficients must be rational, got {type(c).__name__}")
 
 
@@ -39,7 +153,7 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Rat] = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != nvars or any(e < 0 for e in expo):
@@ -52,7 +166,7 @@ class Poly:
 
     @classmethod
     def _unchecked(cls, nvars: int, terms: dict) -> "Poly":
-        """A Poly over already clean terms (int exponent tuples to nonzero Fractions)."""
+        """A Poly over already clean terms (int exponent tuples to nonzero Rats)."""
         out = object.__new__(cls)
         object.__setattr__(out, "nvars", nvars)
         object.__setattr__(out, "terms", terms)
@@ -71,7 +185,7 @@ class Poly:
     def variable(cls, nvars: int, i: int) -> "Poly":
         expo = [0] * nvars
         expo[i] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)})
+        return cls(nvars, {tuple(expo): Rat(1)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -86,7 +200,7 @@ class Poly:
         other = self._lift(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
+            terms[expo] = terms.get(expo, _ZERO) + coeff
         return Poly._unchecked(self.nvars, {e: c for e, c in terms.items() if c})
 
     __radd__ = __add__
@@ -102,11 +216,11 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = self._lift(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Rat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
+                terms[expo] = terms.get(expo, _ZERO) + c1 * c2
         return Poly._unchecked(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
@@ -138,7 +252,7 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         """Exact partial derivative with respect to variable i."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Rat] = {}
         for expo, coeff in self.terms.items():
             if expo[i] == 0:
                 continue
@@ -164,7 +278,7 @@ class Poly:
                     val = val * powers[i, e]
             total = val if total is None else total + val
         if total is None:
-            return Fraction(0) if exact else 0.0
+            return _ZERO if exact else 0.0
         return total
 
     def compose(self, args: Sequence["Poly"]) -> "Poly":
@@ -232,7 +346,7 @@ def random_poly(
     The coefficient pool deliberately excludes zero so the requested term
     count is honoured (up to exponent collisions).
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Rat] = {}
     nums = [n for n in range(-max_num, max_num + 1) if n != 0]
     for _ in range(nterms):
         d = rng.randint(0, degree)
@@ -241,15 +355,15 @@ def random_poly(
             expo[rng.randrange(nvars)] += 1
         num = rng.choice(nums)
         den = rng.randint(1, max_den)
-        terms[tuple(expo)] = terms.get(tuple(expo), Fraction(0)) + Fraction(num, den)
+        terms[tuple(expo)] = terms.get(tuple(expo), _ZERO) + Rat(num, den)
     return Poly(nvars, terms)
 
 
-def random_point(rng: random.Random, n: int, max_den: int = 8) -> tuple[Fraction, ...]:
+def random_point(rng: random.Random, n: int, max_den: int = 8) -> tuple[Rat, ...]:
     """A random rational point with coordinates in [-1, 1]."""
     out = []
     for _ in range(n):
         den = rng.randint(1, max_den)
         num = rng.randint(-den, den)
-        out.append(Fraction(num, den))
+        out.append(Rat(num, den))
     return tuple(out)

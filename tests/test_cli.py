@@ -93,6 +93,21 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == "" and want in captured.err
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--fixture", "abc", "--param", "A=1e308"],
+        ["verify", "--fixture", "non-euler", "--param", "strength=1e308"],
+        ["verify", "--fixture", "non-euler", "--param", "t1=1e308"],
+        *([command, "--fixture", "rigid-rotation", "--param", "omega0=1e308"]
+          for command in ("verify", "drift", "action")),
+        ["verify", "--fixture", "rigid-rotation", "--param", "omega0=1e200"],
+    ])
+    def test_overflowing_param_usage_error(self, args, capsys):
+        # finite values too large for float arithmetic are caught when the fixture is built
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith(f"vortlab: fixture {args[2]!r}: ")
+
     @pytest.mark.parametrize("command", ["verify", "identities", "export"])
     def test_unwritable_out_usage_error(self, command, tmp_path, capsys):
         out = {"verify": tmp_path / "missing" / "x.json", "identities": tmp_path,
@@ -373,6 +388,13 @@ class TestDriftCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and message in captured.err
+
+    def test_step_pair_with_param_usage_error(self, capsys):
+        # the probe advects the default velocity, so a --param would be ignored
+        code = main(["drift", "--fixture", "abc", "--dt", "0.1,0.05", "--param", "A=2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "take no --param, got A" in captured.err
 
     def test_step_pair_rejected_for_analytic_fixture(self, capsys):
         code, _ = run_cli(["drift", "--fixture", "identity", "--dt", "0.1,0.05"], capsys)

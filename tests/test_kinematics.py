@@ -32,7 +32,7 @@ from vortlab.kinematics import (
     pullback_gradient,
     run_identity_battery,
 )
-from vortlab.poly import Poly, random_point, random_poly
+from vortlab.poly import Poly, Rat, random_point, random_poly
 
 BOX = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -286,16 +286,41 @@ class TestBattery:
 
     def test_each_coordinate_power_once_per_evaluation(self, monkeypatch):
         calls = [0]
-        power = Fraction.__pow__
+        power = Rat.__pow__
 
         def counted(self, *args):
             calls[0] += 1
             return power(self, *args)
 
-        monkeypatch.setattr(Fraction, "__pow__", counted)
+        monkeypatch.setattr(Rat, "__pow__", counted)
         out = run_identity_battery(seed=1, trials=100)
         assert set(out["exact_zero_counts"].values()) == {100}
-        assert calls[0] <= 5200
+        assert 0 < calls[0] <= 5200
+
+    def test_perturbed_inputs_give_no_exact_zero(self):
+        # negative control: exact Rat arithmetic must not manufacture a zero
+        rng = random.Random(3)
+        fld = PolynomialTrajectoryField.identity_plus(
+            [Rat(1, 8) * random_poly(rng, 4) for _ in range(3)], BOX, -1.0, 1.0)
+        a, t = random_point(rng, 3, 6), random_point(rng, 1, 6)[0]
+        bundle = jacobian(fld, a, t)
+        gv = fld.velocity_gradient(a, t)
+        bad = gv.copy()
+        bad[0, 1] += Rat(1, 7)
+        rate = _rate_residual(bundle, bad, np.swapaxes(gv, -1, -2))
+        want = np.full((3, 3), Fraction(0), dtype=object)
+        want[1, 0] = Fraction(-1, 7)
+        assert (rate == want).all() and all(type(x) is Rat for x in rate.flat)
+        # the J^2-scaled inverse route vanishes for every dG/dt, so its control perturbs J:
+        # the residual is then (1/7) d(adj G)/dt / J'^2, here computed in plain Fractions
+        off = JacobianBundle(bundle.matrix)
+        off.det = off.det + Rat(1, 7)
+        inv = _inverse_rate_residual(off, gv)
+        plain = np.vectorize(Fraction, otypes=[object])
+        adj_rate = np.swapaxes(cofactor_rate(plain(bundle.matrix), plain(gv)), -1, -2)
+        want = Fraction(1, 7) * adj_rate / Fraction(off.det) ** 2
+        assert not all(x == 0 for x in inv.flat)
+        assert (inv == want).all() and all(type(x) is Rat for x in inv.flat)
 
     def test_battery_is_deterministic(self):
         assert run_identity_battery(seed=9, trials=10) == run_identity_battery(seed=9, trials=10)

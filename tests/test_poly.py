@@ -1,5 +1,7 @@
 """Tests for the exact polynomial layer."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortlab.poly import Poly, random_point, random_poly
+from vortlab.poly import Poly, Rat, random_point, random_poly
 
 
 def small_polys(nvars=3):
@@ -66,13 +68,72 @@ class TestArithmetic:
         assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
 
 
+_BIG = st.integers(2**64, 2**80)
+# zero, +-1, small values of either sign and magnitudes above 2**64
+INTS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50), _BIG, _BIG.map(operator.neg))
+RATS = st.builds(Rat, INTS, st.one_of(st.sampled_from([1, 2]), st.integers(1, 50), _BIG))
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def outcome(op, *args):
+    """(type, value) of op(*args), or the type of what it raised."""
+    try:
+        got = op(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+    return type(got), got
+
+
+class TestRat:
+    """Rat's own arithmetic with a Rat or an int must give Fraction's value, as a Rat in
+    lowest terms; with anything else it must give Fraction's own result."""
+
+    @staticmethod
+    def assert_lean(got, want):
+        assert type(got) is Rat and got == want and hash(got) == hash(want)
+        assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATS, st.one_of(RATS, INTS))
+    def test_binary_operations_match_fraction(self, x, y):
+        for op in BINARY:
+            for a, b in ((x, y), (y, x)):
+                if op is operator.truediv and b == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        op(a, b)
+                else:
+                    self.assert_lean(op(a, b), op(Fraction(a), Fraction(b)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(RATS, st.integers(0, 6))
+    def test_negation_and_power_match_fraction(self, x, n):
+        self.assert_lean(-x, -Fraction(x))
+        self.assert_lean(x ** n, Fraction(x) ** n)
+
+    def test_division_by_zero_raises(self):
+        for zero in (0, Rat(0)):
+            with pytest.raises(ZeroDivisionError):
+                Rat(3, 4) / zero
+        with pytest.raises(ZeroDivisionError):
+            5 / Rat(0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RATS, st.one_of(st.fractions(), st.floats(-1e6, 1e6)), st.integers(-3, -1))
+    def test_other_operands_take_fractions_path(self, x, y, n):
+        fx = Fraction(x)
+        for op in BINARY:
+            assert outcome(op, x, y) == outcome(op, fx, y)
+            assert outcome(op, y, x) == outcome(op, y, fx)
+        assert outcome(operator.pow, x, n) == outcome(operator.pow, fx, n)
+
+
 class TestRingResultsAreClean:
     """Ring operations build their results without the checking constructor;
     those results must still look exactly like checked ones."""
 
     @staticmethod
     def assert_clean(r):
-        assert all(c != 0 and isinstance(c, Fraction) for c in r.terms.values())
+        assert all(c != 0 and type(c) is Rat for c in r.terms.values())
         assert all(type(e) is tuple and all(type(k) is int for k in e) for e in r.terms)
         checked = Poly(r.nvars, dict(r.terms))
         assert r == checked and hash(r) == hash(checked)
