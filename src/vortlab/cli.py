@@ -37,6 +37,7 @@ from .kinematics import (
     _convective_residual,
     _frame_rate_residual,
     _inverse_rate_residual,
+    det3,
     run_identity_battery,
 )
 from .report import DriftReport, dumps_deterministic
@@ -175,17 +176,30 @@ def _build_fixture(cfg: RunConfig) -> Fixture:
 
 
 def _check_corners(fixture: Fixture):
-    """Reject a fixture whose evaluators are not finite at the box corners at either window
+    """Reject a fixture whose reads are not finite at the box corners at either window
     end, as a --param too large for float arithmetic makes them; an overflow that raises
-    there is left to the caller's catch.  A sampled field is read only in its stored
-    positions and velocities: any other read computes a whole slice."""
-    field = fixture.field
+    there is left to the caller's catch.  The reads are the field's evaluators, det G,
+    the body force rho0 (xddot + grad P(x)) and the fixture pressure with its gradient.
+    A sampled field is read only in its stored positions and velocities, and its body
+    force as rho0 grad P(x): any other read computes a whole slice."""
+    field, material = fixture.field, fixture.material
+    sampled = field.backend == "sampled"
     corners = np.array(list(itertools.product(*zip(field.box.lo, field.box.hi))), float)
-    reads = _CORNER_READS[:2] if field.backend == "sampled" else _CORNER_READS
+    rho0 = np.expand_dims(np.asarray(material.rho0(corners, 0.0), float), -1)
     for t in (field.t0, field.t1):
-        for method in reads:
-            if not np.isfinite(np.asarray(getattr(field, method)(corners, t), float)).all():
-                raise VortlabError(f"fixture {fixture.spec.name!r}: {method} is not finite at "
+        reads = {m: getattr(field, m)(corners, t)
+                 for m in (_CORNER_READS[:2] if sampled else _CORNER_READS)}
+        force = material.potential.gradient(reads["position"], t)
+        if sampled:
+            reads["rho0 grad P(x)"] = rho0 * force
+        else:
+            reads["det G"] = det3(reads["position_gradient"])
+            reads["rho0 (acceleration + grad P(x))"] = rho0 * (reads["acceleration"] + force)
+            reads["pressure"] = fixture.pressure(corners, t)
+            reads["pressure gradient"] = fixture.pressure.gradient(corners, t)
+        for name, value in reads.items():
+            if not np.isfinite(np.asarray(value, float)).all():
+                raise VortlabError(f"fixture {fixture.spec.name!r}: {name} is not finite at "
                                    f"the box corners at t = {t:g}; a --param value is too large")
 
 

@@ -127,24 +127,27 @@ def checked_det(g, a=None, t=None):
 
     The one singular-map test of the package.  It is scale-invariant: a map
     is singular where J == 0 or |J| < DEGENERACY_RTOL * s**3, with s**3 the
-    product of the row norms of G.  J == 0 is decided exactly on Fraction
-    matrices.  ``g`` is one matrix (3, 3) or a stack (..., 3, 3); given the
-    labels ``a`` of ``g`` and its time ``t``, the error names the first
-    singular label and ``t``.
+    product of the row norms of G (each taken by np.hypot, so a finite norm
+    does not overflow).  J == 0 is decided exactly on Fraction matrices.
+    ``g`` is one matrix (3, 3) or a stack (..., 3, 3); given the labels ``a``
+    of ``g`` and its time ``t``, the error names the first singular label and ``t``.
     """
     d = det3(g)
     gf = np.asarray(g, float)
-    rows = np.sqrt(gf[..., 0] ** 2 + gf[..., 1] ** 2 + gf[..., 2] ** 2)
+    rows = np.hypot(np.hypot(gf[..., 0], gf[..., 1]), gf[..., 2])
     bound = DEGENERACY_RTOL * rows[..., 0] * rows[..., 1] * rows[..., 2]
     singular = np.ravel((d == 0) | (np.abs(np.asarray(d, float)) < bound))
     if singular.any():
         k = int(np.argmax(singular))
+        dk, norms = np.ravel(d)[k], np.reshape(rows, (-1, 3))[k].tolist()
+        ratio = abs(float(dk)) / norms[0] / norms[1] / norms[2] if dk != 0 else 0.0
         at = ""
         if a is not None:
             label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
             at = f" at a={label}, t={t}"
-        raise DegenerateMapError(f"Jacobian determinant {np.ravel(d)[k]} below degeneracy "
-                                 f"threshold{at}")
+        raise DegenerateMapError(
+            f"singular map (|J| over the product of G's row norms is {ratio:.3g} < "
+            f"{DEGENERACY_RTOL:g}): Jacobian determinant {dk} below degeneracy threshold{at}")
     return d
 
 
@@ -249,8 +252,8 @@ def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None =
     through the backend (symbolic product rule on the polynomial backend);
     with ``h`` it uses a centered difference of |v|^2 in the labels.
     """
-    v = field.velocity(a, t)
-    gv = field.velocity_gradient(a, t)
+    frame = Frame(field, a, t)
+    v, gv = frame.read("velocity"), frame.read("velocity_gradient")
     if h is None:
         return _convective_residual(v, gv)
 
@@ -299,10 +302,10 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
     rational coefficients (degree <= 3), a random polynomial Eulerian field q,
     a random label-space scalar F and a rational sample point, then checks
     that all five kinematic identities evaluate to exactly zero Fractions.
-    Each quantity is evaluated once per trial: G and its bundle, dG/dt, v, x
-    and the position Hessian feed every residual that needs them.  Draws that
-    land on an exactly singular sample point are redrawn; the count of
-    redraws is reported.
+    Each quantity is read once per trial through the trial's :class:`Frame`: G
+    with its checked J, dG/dt, v, x and the position Hessian feed every
+    residual that needs them.  Draws that land on an exactly singular sample
+    point are redrawn; the count of redraws is reported.
     """
     if box is None:
         box = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
@@ -319,20 +322,19 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
         q = VectorField.from_polys([random_poly(rng, 3, degree=3, nterms=4) for _ in range(3)])
         F = ScalarField.from_poly(random_poly(rng, 4, degree=3, nterms=4))
         try:
-            bundle = jacobian(fld, a, t)
+            frame = jacobian(fld, a, t)
         except DegenerateMapError:
             redraws += 1
             continue
-        gv = fld.velocity_gradient(a, t)
-        pos = fld.position(a, t)
+        gv, pos = frame.read("velocity_gradient"), frame.read("position")
         v, w = (VectorField.from_polys([random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)])
                 for _ in range(2))
         residuals = {
-            "rate": _rate_residual(bundle, gv, np.swapaxes(gv, -1, -2)).flat,
-            "inverse_rate": _inverse_rate_residual(bundle, gv).flat,
-            "convective": _convective_residual(fld.velocity(a, t), gv),
-            "curl_pullback": _curl_pullback_residual(
-                bundle, fld.position_hessian(a, t), q(pos, t), q.jacobian(pos, t), F.hessian(a, t)),
+            "rate": _rate_residual(frame, gv, np.swapaxes(gv, -1, -2)).flat,
+            "inverse_rate": _inverse_rate_residual(frame, gv).flat,
+            "convective": _convective_residual(frame.read("velocity"), gv),
+            "curl_pullback": _curl_pullback_residual(frame, frame.read("position_hessian"),
+                                                    q(pos, t), q.jacobian(pos, t), F.hessian(a, t)),
             "curl_cross": [curl_cross_identity_residual(
                 v.value(a, t), w.value(a, t), v.jacobian(a, t), w.jacobian(a, t))],
         }

@@ -187,7 +187,7 @@ def _beltrami(frame: Frame, frame0: Frame, material: FlowMaterial, dt_fd: float)
     def omega_over_rho(s):
         return (frame.read("position_gradient", s).astype(float) @ omega0) / rho0j0
 
-    lhs = (omega_over_rho(dt_fd) - omega_over_rho(-dt_fd)) / (2.0 * dt_fd)
+    lhs = derivative(omega_over_rho, dt_fd, 2)
     du = frame.read("velocity_gradient").astype(float) @ np.asarray(frame.inv, float)
     rhs = du @ omega_over_rho(0.0)
     return lhs - rhs

@@ -23,14 +23,15 @@ generators, variation triples and the composed configuration take labels
 (..., 3).  The Noether flux is evaluated once per time, on one stack of the
 12 stencil-shifted copies of the nodes.  The scan and the Rund-Trautman split
 reduce one ladder S(0), [S(eps)], and the split takes its two braces once; each
-brace uses the action's own p = p_eos(rho0 J0 / J) and reads G once per
-(label stack, time).  Label-only data (delta_a, its Jacobian and rho0 J0) is
-evaluated once per label stack and reused across times and eps rungs; the
-memo is keyed on the stack's content and owned by the relabeling triple, the
-bulk brace's EOS pressure field or the Noether term that reads it.  Each
-node's term is bitwise equal to a one-label evaluation, and quadrature sums
-are accumulated with math.fsum (exactly rounded, so independent of order):
-results are deterministic and S(eps) - S(0) is not lost to summation noise.
+brace uses the action's own p = p_eos(rho0 J0 / J).  The action and every brace
+read x, xdot and G with its checked J through one Frame per (label stack, time).
+Label-only data (delta_a, its Jacobian and rho0 J0) is evaluated once per label
+stack and reused across times and eps rungs; the memo is keyed on the stack's
+content and owned by the relabeling triple, the bulk brace's EOS pressure field
+or the Noether term that reads it.  Each node's term is bitwise equal to a
+one-label evaluation, and quadrature sums are accumulated with math.fsum
+(exactly rounded, so independent of order): results are deterministic and
+S(eps) - S(0) is not lost to summation noise.
 """
 
 from __future__ import annotations
@@ -251,16 +252,13 @@ class SpaceTimeQuadrature:
 # ---------------------------------------------------------------------------
 
 
-def _lagrangian_density(field, material, a, t, rho0j0, j):
-    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 at labels ``a`` (..., 3), rho = rho0 J0 / J."""
-    v = field.velocity(a, t)
-    x = field.position(a, t)
-    _reject(j == 0.0, j, a, "J", t=t)
-    rho = rho0j0 / j
-    _reject(rho <= 0.0, rho, a, "rho", t=t)
+def _lagrangian_density(frame: Frame, material, rho0j0):
+    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 on a frame's labels, rho from :func:`_density`."""
+    v = frame.read("velocity")
     kinetic = 0.5 * np.vecdot(v, v)
-    energy = np.asarray(material.eos.energy(rho), float)
-    return (kinetic - energy - np.asarray(material.potential(x, t), float)) * rho0j0
+    energy = np.asarray(material.eos.energy(_density(frame, rho0j0)), float)
+    potential = np.asarray(material.potential(frame.read("position"), frame.t), float)
+    return (kinetic - energy - potential) * rho0j0
 
 
 def action(
@@ -274,12 +272,10 @@ def action(
     configurations are referenced consistently with their base.
     """
     nodes = quad.space_nodes
-    rho0 = np.asarray(material.initial_density(nodes), float)
-    rho0j0 = rho0 * det3(field.position_gradient(nodes, field.t0))
+    rho0j0 = _mass_reference(field, material, nodes)
     terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
-        j = det3(field.position_gradient(nodes, t))  # no singular-map check: L tests J and rho
-        L = _lagrangian_density(field, material, nodes, t, rho0j0, j)
+        L = _lagrangian_density(Frame(field, nodes, t), material, rho0j0)
         terms.extend(wt * quad.space_weights * L)
     return math.fsum(terms)
 
@@ -491,15 +487,16 @@ class VariationTriple:
 
 def local_variation_of_triple(field: TrajectoryField, var: VariationTriple, a, t) -> np.ndarray:
     """delta-bar x = delta_x - xdot delta_t - (delta_a . grad_a) x."""
-    return _local_variation(field, var, a, t, field.position_gradient(a, t))
+    return _local_variation(Frame(field, a, t), var)
 
 
-def _local_variation(field, var, a, t, g):
-    """:func:`local_variation_of_triple` given G at (a, t)."""
-    return var.dx(a, t) - field.velocity(a, t) * var.dt(t) - matvec(g, var.da(a))
+def _local_variation(frame: Frame, var):
+    """:func:`local_variation_of_triple` on a frame."""
+    a, t = frame.labels, frame.t
+    return var.dx(a, t) - frame.read("velocity") * var.dt(t) - matvec(frame.matrix, var.da(a))
 
 
-class DeformedTrajectoryField:
+class DeformedTrajectoryField(TrajectoryField):
     """The composed configuration y(a, t) = x(a~, t~) + eps delta_x(a~, t~).
 
     Only the pieces the action needs are implemented (position, velocity,
@@ -512,13 +509,10 @@ class DeformedTrajectoryField:
     backend = "deformed"
 
     def __init__(self, base: TrajectoryField, var: VariationTriple, eps: float):
+        super().__init__(base.box, base.t0, base.t1, base.order)
         self.base = base
         self.var = var
         self.eps = float(eps)
-        self.box = base.box
-        self.t0 = base.t0
-        self.t1 = base.t1
-        self.order = base.order
 
     def _chart(self, a, t):
         a = np.asarray(a, float)
@@ -717,7 +711,7 @@ def el_part(
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         frame = Frame(field, nodes, t)
         res = _momentum_residual(frame, material, pressure, rho0j0)
-        dbar = _local_variation(field, var, nodes, t, frame.matrix)
+        dbar = _local_variation(frame, var)
         terms.extend(-wa * wt * np.vecdot(res, dbar))
     return math.fsum(terms)
 
@@ -743,21 +737,19 @@ def noether_boundary_term(
     rho0j0 = _per_stack(lambda b: _mass_reference(field, material, b))
 
     def endpoint_integrand(t):
-        rj = rho0j0(nodes)
-        g = field.position_gradient(nodes, t)
-        L = _lagrangian_density(field, material, nodes, t, rj, det3(g))
-        dbar = _local_variation(field, var, nodes, t, g)
-        return L * var.dt(t) + rj * np.vecdot(field.velocity(nodes, t), dbar)
+        frame, rj = Frame(field, nodes, t), rho0j0(nodes)
+        dbar = _local_variation(frame, var)
+        return (_lagrangian_density(frame, material, rj) * var.dt(t)
+                + rj * np.vecdot(frame.read("velocity"), dbar))
 
     endpoint = math.fsum(wa * (endpoint_integrand(t_hi) - endpoint_integrand(t_lo)))
     div_step = 1e-3 * min(field.box.extent)
 
     def flux(b, t):
-        frame = Frame(field, b, t)
-        rj = rho0j0(b)
-        L = _lagrangian_density(field, material, b, t, rj, frame.det)
+        frame, rj = Frame(field, b, t), rho0j0(b)
+        L = _lagrangian_density(frame, material, rj)
         p = np.asarray(material.eos.pressure(rj / frame.det), float)
-        dbar = _local_variation(field, var, b, t, frame.matrix)
+        dbar = _local_variation(frame, var)
         cof_t = np.swapaxes(frame.cof, -1, -2)
         return L[..., None] * var.da(b) + p[..., None] * matvec(cof_t, dbar)
 

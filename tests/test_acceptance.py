@@ -339,8 +339,9 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_verify_reports_byte_identical(self):
-        cmd = [sys.executable, "-m", "vortlab.cli", "verify", "--fixture", "rigid-rotation",
-               "--grid", "5,5,5", "--nt", "4", "--t1", "2", "--seed", "11"]
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "vortlab.cli", "verify",
+               "--fixture", "rigid-rotation", "--grid", "5,5,5", "--nt", "4", "--t1", "2",
+               "--seed", "11"]
         r1 = subprocess.run(cmd, capture_output=True)
         r2 = subprocess.run(cmd, capture_output=True)
         ok = r1.returncode == 0 and r1.stdout == r2.stdout and len(r1.stdout) > 0

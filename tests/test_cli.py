@@ -55,7 +55,8 @@ class TestExitCodes:
         ["--fixture", "identity", "--t0", "5"],
     ])
     def test_bad_fixture_arguments_usage_error(self, args):
-        r = subprocess.run([sys.executable, "-m", "vortlab.cli", "verify", *args],
+        r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "vortlab.cli",
+                            "verify", *args],
                            capture_output=True, text=True)
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
@@ -108,6 +109,25 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == "" and captured.err.startswith(f"vortlab: fixture {args[2]!r}: ")
 
+    @pytest.mark.parametrize("fixture,param", [
+        ("dilation", "rho0=1e308"), ("gerstner", "rho0=1e308"),  # rho0 times the body force
+        ("dilation", "t1=1e308"),  # det G of the finite G = (1 + t) I
+    ])
+    def test_overflow_past_the_map_reads_usage_error(self, fixture, param, capsys):
+        code = main(["verify", "--fixture", fixture, "--param", param])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith(f"vortlab: fixture {fixture!r}: ")
+        assert "a --param value is too large" in captured.err
+
+    def test_singular_map_error_names_its_scaled_determinant(self, capsys):
+        # |J| = 1 but the row norms reach 1e308: singular by the scale-invariant rule
+        code = main(["verify", "--fixture", "shear", "--param", "rate=1e308"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.search(r"\|J\| over the product of G's row norms is [0-9.e-]+ < 1e-14\): "
+                         r"Jacobian determinant 1\.0 below degeneracy threshold", captured.err)
+
     @pytest.mark.parametrize("command", ["verify", "identities", "export"])
     def test_unwritable_out_usage_error(self, command, tmp_path, capsys):
         out = {"verify": tmp_path / "missing" / "x.json", "identities": tmp_path,
@@ -150,8 +170,9 @@ class TestIdentities:
 class TestDeterminism:
     def test_verify_reports_byte_identical(self, tmp_path):
         # separate interpreter runs must agree byte for byte
-        cmd = [sys.executable, "-m", "vortlab.cli", "verify", "--fixture", "rigid-rotation",
-               "--grid", "4,4,4", "--nt", "3", "--t1", "1", "--seed", "3"]
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "vortlab.cli", "verify",
+               "--fixture", "rigid-rotation", "--grid", "4,4,4", "--nt", "3", "--t1", "1",
+               "--seed", "3"]
         r1 = subprocess.run(cmd, capture_output=True, text=True)
         r2 = subprocess.run(cmd, capture_output=True, text=True)
         assert r1.returncode == 0 and r1.stdout == r2.stdout

@@ -13,6 +13,18 @@ from vortlab.fields import AnalyticTrajectoryField, Box, LabelGrid, ScalarField
 from vortlab.invariants import cauchy_drift
 from vortlab.kinematics import Frame, JacobianBundle, jacobian
 from vortlab.theorems import LabelRegion, ertel_drift, helicity_drift
+from vortlab.variational import (
+    RelabelGenerator,
+    SpaceTimeQuadrature,
+    VariationTriple,
+    action,
+    bump_potential,
+    density_from_map,
+    el_part,
+    local_variation_of_triple,
+    noether_boundary_term,
+    weak_form_integral,
+)
 
 BACKEND_METHODS = ("position", "velocity", "acceleration", "position_gradient",
                    "velocity_gradient", "acceleration_gradient", "position_hessian")
@@ -66,6 +78,62 @@ class TestFrame:
             frame.omega
         with pytest.raises(DegenerateMapError):
             jacobian(field, (0.1, 0.2, 0.3), 1.0)
+
+
+BOX = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+
+
+def collapsing_at_one():
+    """x = (a1, a2, (1 - t)^2 a3) over [0, 2]: singular at t = 1 only."""
+    return AnalyticTrajectoryField(
+        lambda a, t: np.stack([a[..., 0], a[..., 1], (1 - t) ** 2 * a[..., 2]], axis=-1),
+        BOX, 0.0, 2.0, position_gradient=lambda a, t: np.diag([1.0, 1.0, (1 - t) ** 2]))
+
+
+def ill_conditioned():
+    """x = G a with one constant G of |J| = 1e-15 and unit row norms: singular at every time."""
+    g = np.array([[1.0, 0.0, 0.0], [1.0, 1e-15, 0.0], [0.0, 0.0, 1.0]])
+    zero = lambda a, t: np.zeros(np.shape(a))
+    return AnalyticTrajectoryField(
+        lambda a, t: a @ g.T, BOX, 0.0, 2.0, velocity=zero, acceleration=zero,
+        position_gradient=lambda a, t: g.copy())
+
+
+class TestVariationalLayerReadsThroughFrames:
+    """The action and the braces judge a map as every other check does."""
+
+    @pytest.mark.parametrize("make,t", [(collapsing_at_one, 1.0), (ill_conditioned, 0.0)])
+    @pytest.mark.parametrize("call", ["action", "el_part", "noether_boundary_term",
+                                      "weak_form_integral", "density_from_map"])
+    def test_singular_map_raises_degenerate_map_error(self, make, t, call):
+        field, material = make(), flows.make_fixture("identity").material
+        quad = SpaceTimeQuadrature.midpoint(BOX, (2, 2, 2), (0.0, 2.0), 1)  # one time: t = 1
+        gen = RelabelGenerator.from_curl(bump_potential(BOX))
+        var = VariationTriple.relabeling(gen)
+        run = {
+            "action": lambda: action(field, material, quad),
+            "el_part": lambda: el_part(field, material, var, quad),
+            "noether_boundary_term": lambda: noether_boundary_term(field, material, var, quad),
+            "weak_form_integral": lambda: weak_form_integral(
+                field, material, gen, quad, ScalarField.constant(0.0)),
+            "density_from_map": lambda: density_from_map(field, material, quad.space_nodes, 1.0),
+        }[call]
+        want = rf"below degeneracy threshold at a=.*, t={t}$"
+        with pytest.raises(DegenerateMapError, match=want):
+            run()
+
+    @pytest.mark.parametrize("call", ["local_variation_of_triple", "convective_gradient_residual"])
+    def test_out_of_box_label_raises_out_of_domain_error(self, call):
+        field = flows.make_fixture("rigid-rotation").field
+        var = VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(field.box)))
+        a = np.array([5.0, 0.0, 0.0])
+        run = {
+            "local_variation_of_triple": lambda: local_variation_of_triple(field, var, a, 1.0),
+            "convective_gradient_residual": lambda: kinematics.convective_gradient_residual(
+                field, a, 1.0),
+        }[call]
+        with pytest.raises(OutOfDomainError, match=r"label \(5\.0, 0\.0, 0\.0\) outside"):
+            run()
 
 
 class TestVerifyReadsEachFrameOnce:

@@ -12,7 +12,7 @@ import pytest
 from vortlab import cli, flows, variational
 from vortlab.errors import FoldedRelabelingError, NonPositiveDensityError, VortlabError
 from vortlab.fields import Box, ScalarField, VectorField, derivative
-from vortlab.kinematics import cof3, det3
+from vortlab.kinematics import Frame, cof3, det3
 from vortlab.poly import Poly
 from vortlab.variational import (
     BarotropicEOS,
@@ -603,8 +603,7 @@ class TestBatchedVariationalLayer:
         for field in (fx.field, DeformedTrajectoryField(fx.field, var, 1e-2)):
             rj = np.array([ref_rho0j0(field, material, a) for a in nodes])
             for t in quad.time_nodes:
-                j = det3(field.position_gradient(nodes, t))
-                got = variational._lagrangian_density(field, material, nodes, t, rj, j)
+                got = variational._lagrangian_density(Frame(field, nodes, t), material, rj)
                 want = [ref_lagrangian(field, material, a, t, r) for a, r in zip(nodes, rj)]
                 assert (got == np.array(want)).all()
         for t in quad.time_nodes:
