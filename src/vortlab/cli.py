@@ -8,7 +8,8 @@ Subcommands::
     vortlab drift      --fixture NAME ...   one --theorem's drift, or the --dt convergence probe
     vortlab export     --fixture NAME --out FILE   sampled-grid export (.npz or .csv)
 
-Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error.
+Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error, or float
+arithmetic that overflows, divides by zero or goes invalid.
 Reports are deterministic: identical configs (including --seed) produce
 byte-identical output, and no timestamps or machine identifiers are embedded.
 """
@@ -19,7 +20,6 @@ import argparse
 import contextlib
 import functools
 import io
-import itertools
 import math
 import random
 import sys
@@ -37,7 +37,6 @@ from .kinematics import (
     _convective_residual,
     _frame_rate_residual,
     _inverse_rate_residual,
-    det3,
     run_identity_battery,
 )
 from .report import DriftReport, dumps_deterministic
@@ -70,8 +69,6 @@ from .variational import (
 
 _SAMPLED = ("abc", "taylor-green")
 THEOREMS = ("cauchy", "circulation", "ertel", "helicity")
-_CORNER_READS = ("position", "velocity", "acceleration",
-                 "position_gradient", "velocity_gradient", "acceleration_gradient")
 
 
 @dataclass
@@ -169,38 +166,8 @@ def _build_fixture(cfg: RunConfig) -> Fixture:
         params.setdefault("t1", cfg.t1)
     if cfg.t0 is not None:
         params.setdefault("t0", cfg.t0)
-    with _usage_error(f"fixture {cfg.fixture!r}"), np.errstate(all="ignore"):
-        fixture = make_fixture(cfg.fixture, **params)
-        _check_corners(fixture)
-    return fixture
-
-
-def _check_corners(fixture: Fixture):
-    """Reject a fixture whose reads are not finite at the box corners at either window
-    end, as a --param too large for float arithmetic makes them; an overflow that raises
-    there is left to the caller's catch.  The reads are the field's evaluators, det G,
-    the body force rho0 (xddot + grad P(x)) and the fixture pressure with its gradient.
-    A sampled field is read only in its stored positions and velocities, and its body
-    force as rho0 grad P(x): any other read computes a whole slice."""
-    field, material = fixture.field, fixture.material
-    sampled = field.backend == "sampled"
-    corners = np.array(list(itertools.product(*zip(field.box.lo, field.box.hi))), float)
-    rho0 = np.expand_dims(np.asarray(material.rho0(corners, 0.0), float), -1)
-    for t in (field.t0, field.t1):
-        reads = {m: getattr(field, m)(corners, t)
-                 for m in (_CORNER_READS[:2] if sampled else _CORNER_READS)}
-        force = material.potential.gradient(reads["position"], t)
-        if sampled:
-            reads["rho0 grad P(x)"] = rho0 * force
-        else:
-            reads["det G"] = det3(reads["position_gradient"])
-            reads["rho0 (acceleration + grad P(x))"] = rho0 * (reads["acceleration"] + force)
-            reads["pressure"] = fixture.pressure(corners, t)
-            reads["pressure gradient"] = fixture.pressure.gradient(corners, t)
-        for name, value in reads.items():
-            if not np.isfinite(np.asarray(value, float)).all():
-                raise VortlabError(f"fixture {fixture.spec.name!r}: {name} is not finite at "
-                                   f"the box corners at t = {t:g}; a --param value is too large")
+    with _usage_error(f"fixture {cfg.fixture!r}"):
+        return make_fixture(cfg.fixture, **params)
 
 
 def _window(cfg: RunConfig, fixture: Fixture) -> tuple[float, float]:
@@ -661,15 +628,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t1", type=float, default=None)
         p.add_argument("--nt", type=int, default=9, help="number of time samples")
         p.add_argument("--fd-order", type=int, default=4, choices=(2, 4))
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", default="json", choices=("json", "csv"))
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--dt", default=None, help="integrator step(s), e.g. 0.01 or 0.01,0.005")
         p.add_argument("--config", default=None, help="plain key=value file of extra flags")
 
+    def tolerance(p):  # only the commands whose checks read it
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+
     p_verify = sub.add_parser("verify", help="run the full invariant suite on a fixture")
     common(p_verify)
+    tolerance(p_verify)
     p_id = sub.add_parser("identities", help="exact-arithmetic identity battery")
     common(p_id, fixture_required=False)
     p_id.add_argument("--trials", type=int, default=100)
@@ -680,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("--rund-trautman", action="store_true", help="only the variational split")
     p_drift = sub.add_parser("drift", help="drift reports")
     common(p_drift)
+    tolerance(p_drift)
     p_drift.add_argument("--theorem", default="cauchy", choices=THEOREMS,
                          help="the drift to report, as verify measures it")
     p_exp = sub.add_parser("export", help="export a fixture in the sampled-grid format")
@@ -708,7 +679,7 @@ def _config_from_args(args) -> RunConfig:
         t1=args.t1,
         nt=args.nt,
         fd_order=args.fd_order,
-        tol=args.tol,
+        tol=getattr(args, "tol", None),
         out=args.out,
         format=args.format,
         seed=args.seed,
@@ -736,23 +707,33 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.config is not None:  # a second --config, or one read from the config file
+            raise VortlabError("config error: only one --config is read, and not from a "
+                               f"config file; got --config {args.config}")
         cfg = _config_from_args(args)
         cfg.validate()
-        if args.command == "verify":
-            code, report = cmd_verify(cfg)
-        elif args.command == "identities":
-            code, report = cmd_identities(cfg)
-        elif args.command == "action":
-            chosen = (args.scan, args.weak_form, args.rund_trautman)  # none chosen: all three
-            code, report = cmd_action(cfg, *(chosen if any(chosen) else (True,) * 3))
-        elif args.command == "drift":
-            code, report = cmd_drift(cfg, args.theorem)
-        elif args.command == "export":
-            code, report = cmd_export(cfg)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
+        # an overflow, a division by zero or an invalid value (inf - inf, 0 * inf) raises at
+        # the operation; leaving the block restores the caller's error state
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "verify":
+                code, report = cmd_verify(cfg)
+            elif args.command == "identities":
+                code, report = cmd_identities(cfg)
+            elif args.command == "action":
+                chosen = (args.scan, args.weak_form, args.rund_trautman)  # none chosen: all three
+                code, report = cmd_action(cfg, *(chosen if any(chosen) else (True,) * 3))
+            elif args.command == "drift":
+                code, report = cmd_drift(cfg, args.theorem)
+            elif args.command == "export":
+                code, report = cmd_export(cfg)
+            else:  # pragma: no cover
+                parser.error(f"unknown command {args.command}")
         _emit(report, cfg)
         return code
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"vortlab: fixture {args.fixture!r}: a --param value is too large for float "
+              f"arithmetic ({exc})", file=sys.stderr)
+        return 2
     except VortlabError as exc:
         print(f"vortlab: {exc}", file=sys.stderr)
         return 2

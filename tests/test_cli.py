@@ -1,10 +1,13 @@
 """CLI contract: exit codes, determinism, report formats, export."""
 
+import inspect
 import json
+import numbers
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vortlab.cli import build_parser, main
 from vortlab.fields import load_grid
+from vortlab.flows import _CATALOG
 
 
 def run_cli(args, capsys):
@@ -139,6 +143,63 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.startswith("vortlab: --out: ")
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("command,args", [
+        ("action", ["--fixture", "rigid-rotation", "--grid", "4", "--nt", "3"]),
+        ("export", ["--fixture", "identity", "--out", "x.npz"]),
+        ("identities", ["--trials", "1"]),
+    ])
+    def test_tol_on_a_command_that_reads_none_usage_error(self, command, args, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main([command, *args, "--tol", "1e-30"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "unrecognized arguments: --tol" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
+# every scalar keyword of every catalog maker, at values that break float arithmetic
+SWEEP_VALUES = ("-1", "2", "1e308", "-1e308", "1e200", "1e-308")
+SWEEP_SHAPE = {"abc": ["--param", "shape=8,8,8"], "taylor-green": ["--param", "shape=8,8,4"]}
+
+
+def _scalar_keys(maker):
+    return [key for key, p in inspect.signature(maker).parameters.items()
+            if isinstance(p.default, numbers.Real) and not isinstance(p.default, bool)]
+
+
+class TestFloatingPointPolicy:
+    @pytest.mark.parametrize("command", ["verify", "action"])
+    @pytest.mark.parametrize("fixture", sorted(_CATALOG))
+    def test_overflow_sweep_exits_0_1_or_2(self, command, fixture, capsys):
+        bad = []
+        for key in _scalar_keys(_CATALOG[fixture]):
+            for value in SWEEP_VALUES:
+                argv = [command, "--fixture", fixture, "--grid", "4", "--nt", "3",
+                        *SWEEP_SHAPE.get(fixture, []), "--param", f"{key}={value}"]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                captured = capsys.readouterr()
+                runtime = [str(w.message) for w in caught
+                           if issubclass(w.category, RuntimeWarning)]
+                if runtime or code not in (0, 1, 2) or (code == 2 and (
+                        captured.out or not captured.err.startswith("vortlab: "))):
+                    bad.append((f"{key}={value}", code, runtime, captured.err[:120]))
+        assert bad == []
+
+    def test_main_leaves_numpy_error_state_as_found(self, capsys):
+        before = np.geterr()
+        assert main(["verify", "--fixture", "identity", "--grid", "4", "--nt", "3"]) == 0
+        assert np.geterr() == before
+        assert main(["action", "--fixture", "rigid-rotation", "--grid", "4", "--nt", "3",
+                     "--param", "rho0=1e308"]) == 2
+        assert "a --param value is too large for float arithmetic (" in capsys.readouterr().err
+        assert np.geterr() == before
+        # library code after main still only warns
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert np.isinf(np.float64(1e308) * 10)
+
 
 class TestIdentities:
     def test_default_battery_passes(self, capsys):
@@ -217,6 +278,20 @@ class TestFormatsAndConfig:
         code = main(["verify", "--fixture", "gerstner", "--config", str(cfg)])
         assert code == 2
         assert capsys.readouterr().err.startswith("vortlab: config error: ")
+
+    @pytest.mark.parametrize("second", ["argv", "file"])
+    def test_second_config_usage_error(self, second, tmp_path, capsys):
+        # only one --config is read: a second one, on the line or in the file, is not dropped
+        b = tmp_path / "b.cfg"
+        b.write_text("trials=2\nseed=5\n")
+        a = tmp_path / "a.cfg"
+        a.write_text("trials=1\n" + (f"config={b}\n" if second == "file" else ""))
+        code = main(["identities", "--config", str(a),
+                     *(["--config", str(b)] if second == "argv" else [])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("vortlab: config error: ")
+        assert str(b) in captured.err
 
     @pytest.mark.parametrize("flag", [["--grid", "4,x,4"], ["--grid", ""], ["--dt", "0.1,fast"]])
     def test_unparsable_numbers_usage_error(self, flag, capsys):
