@@ -29,7 +29,14 @@ import numpy as np
 
 from . import __version__
 from .errors import VortlabError
-from .fields import LabelGrid, SampledTrajectoryField, ScalarField, VectorField, save_grid
+from .fields import (
+    LabelGrid,
+    SampledTrajectoryField,
+    ScalarField,
+    VectorField,
+    _fit_stencil,
+    save_grid,
+)
 from .flows import Fixture, integrate_trajectories, make_fixture
 from .invariants import cauchy_drift
 from .kinematics import (
@@ -171,9 +178,12 @@ def _build_fixture(cfg: RunConfig) -> Fixture:
 
 
 def _window(cfg: RunConfig, fixture: Fixture) -> tuple[float, float]:
-    t0 = cfg.t0 if cfg.t0 is not None else fixture.field.t0
-    t1 = cfg.t1 if cfg.t1 is not None else fixture.field.t1
-    return float(t0), float(t1)
+    t0 = float(cfg.t0 if cfg.t0 is not None else fixture.field.t0)
+    t1 = float(cfg.t1 if cfg.t1 is not None else fixture.field.t1)
+    if not math.isfinite(t1 - t0):
+        raise VortlabError(f"time window [{t0}, {t1}] is too wide for float arithmetic: "
+                           "t1 - t0 overflows")
+    return t0, t1
 
 
 def _pipeline_tolerance(field) -> tuple[float, float]:
@@ -553,6 +563,8 @@ def cmd_export(cfg: RunConfig) -> tuple[int, dict]:
     if fixture.field.backend == "sampled":
         field = fixture.field
     else:
+        for j, n in enumerate(cfg.grid, start=1):  # before the whole field is sampled
+            _fit_stencil(n, cfg.fd_order, f"--grid axis{j}")
         grid = LabelGrid.nodes_inclusive(fixture.field.box, cfg.grid)
         times = np.linspace(window[0], window[1], cfg.nt)
         field = SampledTrajectoryField.from_analytic(
@@ -731,7 +743,10 @@ def main(argv=None) -> int:
         _emit(report, cfg)
         return code
     except (FloatingPointError, OverflowError) as exc:
-        print(f"vortlab: fixture {args.fixture!r}: a --param value is too large for float "
+        given = [f"--{key}" for key in ("t0", "t1", "dt", "tol")
+                 if getattr(cfg, key) not in (None, ())]
+        culprit = "a --param value" if cfg.params else " or ".join(given) or "a numeric flag"
+        print(f"vortlab: fixture {args.fixture!r}: {culprit} is too large for float "
               f"arithmetic ({exc})", file=sys.stderr)
         return 2
     except VortlabError as exc:

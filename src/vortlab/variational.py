@@ -22,11 +22,12 @@ time under the evaluation protocol of :mod:`vortlab.fields`: material data,
 generators, variation triples and the composed configuration take labels
 (..., 3).  The Noether flux is evaluated once per time, on one stack of the
 12 stencil-shifted copies of the nodes.  The scan and the Rund-Trautman split
-reduce one ladder S(0), [S(eps)], and the split takes its two braces once; each
-brace uses the action's own p = p_eos(rho0 J0 / J).  The action and every brace
-read x, xdot and G with its checked J through one Frame per (label stack, time).
-Label-only data (delta_a, its Jacobian and rho0 J0) is evaluated once per label
-stack and reused across times and eps rungs; the memo is keyed on the stack's
+reduce one ladder S(0), [S(eps)], evaluated as one stack per time (the nodes
+repeated per rung, (R, N, 3)), and the split takes its two braces once; each
+brace uses the action's own p = p_eos(rho0 J0 / J).  The action, every ladder
+and every brace read x, xdot and G with its checked J through one Frame per
+(label stack, time).  Label-only data (delta_a, its Jacobian and rho0 J0) is
+evaluated once per label stack, shared by times and rungs; the memo is keyed on
 content and owned by the relabeling triple, the bulk brace's EOS pressure field
 or the Noether term that reads it.  Each node's term is bitwise equal to a
 one-label evaluation, and quadrature sums are accumulated with math.fsum
@@ -36,6 +37,7 @@ S(eps) - S(0) is not lost to summation noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import Callable
@@ -118,16 +120,19 @@ def _reject(bad, values, a, what: str, error=NonPositiveDensityError, t=None):
 
 def _per_stack(fn):
     """The label-only function ``fn``, evaluated once per distinct label stack:
-    keyed on the stack's shape and bytes (not its identity), values read-only."""
+    keyed on the stack's shape and bytes (not its identity), values read-only;
+    a stack repeated along a broadcast leading axis (a ladder's rungs) is read once."""
     memo = {}
 
     def cached(a):
         a = np.asarray(a, float)
-        key = (a.shape, a.tobytes())
+        stack = a[0] if a.ndim > 2 and a.strides[0] == 0 else a
+        key = (stack.shape, stack.tobytes())
         if key not in memo:
-            memo[key] = np.asarray(fn(a))
+            memo[key] = np.asarray(fn(stack))
             memo[key].flags.writeable = False
-        return memo[key]
+        value = memo[key]
+        return value if stack is a else np.broadcast_to(value, a.shape[:1] + value.shape)
 
     return cached
 
@@ -231,9 +236,10 @@ class SpaceTimeQuadrature:
     @classmethod
     def gauss(cls, box: Box, orders, window, nt: int) -> "SpaceTimeQuadrature":
         """Tensor Gauss-Legendre; exact for smooth integrands at low cost."""
+        rule = functools.cache(np.polynomial.legendre.leggauss)  # once per distinct order
         pts, wts = [], []
         for lo, hi, n in zip(box.lo, box.hi, orders):
-            x, w = np.polynomial.legendre.leggauss(n)
+            x, w = rule(n)
             pts.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
             wts.append(0.5 * (hi - lo) * w)
         g1, g2, g3 = np.meshgrid(*pts, indexing="ij")
@@ -241,7 +247,7 @@ class SpaceTimeQuadrature:
         w1, w2, w3 = np.meshgrid(*wts, indexing="ij")
         weights = (w1 * w2 * w3).ravel()
         t0, t1 = window
-        xt, wt = np.polynomial.legendre.leggauss(nt)
+        xt, wt = rule(nt)
         times = 0.5 * (t1 - t0) * xt + 0.5 * (t1 + t0)
         tweights = 0.5 * (t1 - t0) * wt
         return cls(nodes, weights, times, tweights, (float(t0), float(t1)), label="gauss")
@@ -271,13 +277,16 @@ def action(
     The mass reference rho0 J0 is frozen at the field's own t0, so deformed
     configurations are referenced consistently with their base.
     """
-    nodes = quad.space_nodes
-    rho0j0 = _mass_reference(field, material, nodes)
-    terms = []
-    for t, wt in zip(quad.time_nodes, quad.time_weights):
-        L = _lagrangian_density(Frame(field, nodes, t), material, rho0j0)
-        terms.extend(wt * quad.space_weights * L)
-    return math.fsum(terms)
+    return _actions(field, material, quad, quad.space_nodes)[0]
+
+
+def _actions(field, material, quad, labels) -> list[float]:
+    """[S] on the nodes (N, 3), or one fsum-reduced S per rung of a ladder's nodes (R, N, 3)."""
+    rho0j0 = _mass_reference(field, material, quad.space_nodes, Frame(field, labels, field.t0))
+    w = quad.space_weights
+    terms = [wt * w * _lagrangian_density(Frame(field, labels, t), material, rho0j0)
+             for t, wt in zip(quad.time_nodes, quad.time_weights)]
+    return [math.fsum(row) for row in np.atleast_2d(np.concatenate(terms, -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +347,19 @@ def _bump1d(s):
     return out
 
 
-def _bump1d_deriv(s):
+def _bump1d_deriv(s, bump):
+    """d/ds of the bump at ``s`` from its values ``bump`` = _bump1d(s) there."""
     out = np.zeros(np.shape(s))
     inside = np.abs(s) < 1.0
     si = s[inside]
-    out[inside] = _bump1d(si) * (-2.0 * si / elementwise(pow, 1.0 - si * si, 2))
+    out[inside] = bump[inside] * (-2.0 * si / elementwise(pow, 1.0 - si * si, 2))
     return out
 
 
 def _separable_potential(values, slopes) -> VectorField:
     """Vector potential (0, 0, f1(a1) f2(a2) f3(a3)) from the per-axis values
-    ``values(a)`` = [f_i] and derivatives ``slopes(a)`` = [f_i']; each product
-    is taken in axis order."""
+    ``values(a)`` = [f_i] and derivatives ``slopes(a, f)`` = [f_i'], given the
+    values f just computed; each product is taken in axis order."""
 
     def val(a, t):
         f = values(a)
@@ -358,7 +368,8 @@ def _separable_potential(values, slopes) -> VectorField:
         return out
 
     def jac(a, t):
-        f, df = values(a), slopes(a)
+        f = values(a)
+        df = slopes(a, f)
         out = np.zeros(np.shape(a) + (3,))
         out[..., 2, 0] = df[0] * f[1] * f[2]
         out[..., 2, 1] = f[0] * df[1] * f[2]
@@ -380,9 +391,9 @@ def bump_potential(box: Box, margin: float = 0.05) -> VectorField:
         s = (a - c) / half
         return [_bump1d(s[..., i]) for i in range(3)]
 
-    def slopes(a):
+    def slopes(a, f):
         s = (a - c) / half
-        return [_bump1d_deriv(s[..., i]) / half[i] for i in range(3)]
+        return [_bump1d_deriv(s[..., i], f[i]) / half[i] for i in range(3)]
 
     return _separable_potential(values, slopes)
 
@@ -405,7 +416,7 @@ def sine_potential(box: Box, exponents=(0, 0, 0)) -> VectorField:
     def values(a):
         return [mono(a, i) * elementwise(math.sin, k[i] * (a[..., i] - lo[i])) for i in range(3)]
 
-    def slopes(a):
+    def slopes(a, f):
         ders = []
         for i, e in enumerate(exponents):
             ph = k[i] * (a[..., i] - lo[i])
@@ -502,45 +513,64 @@ class DeformedTrajectoryField(TrajectoryField):
     Only the pieces the action needs are implemented (position, velocity,
     position gradient), for labels (..., 3) like the other backends;
     gradients carry the product-rule factor (I + eps grad delta_a^T).  A fold
-    of the label chart (non-positive det(I + eps D delta_a)) raises
-    immediately.
+    of the label chart (non-positive det(I + eps D delta_a)) raises immediately.
+    A ladder ``eps`` of R amplitudes takes labels (R, ..., 3), rung r at eps[r];
+    the rungs that share a chart time t~ read the base together.
     """
 
     backend = "deformed"
 
-    def __init__(self, base: TrajectoryField, var: VariationTriple, eps: float):
+    def __init__(self, base: TrajectoryField, var: VariationTriple, eps):
         super().__init__(base.box, base.t0, base.t1, base.order)
         self.base = base
         self.var = var
-        self.eps = float(eps)
+        self.eps = np.asarray(eps, float)
 
-    def _chart(self, a, t):
+    def _rungs(self, a):
+        """Labels with a rung axis (one amplitude: a ladder of one), eps shaped to scale them."""
         a = np.asarray(a, float)
-        at = a + self.eps * self.var.da(a)
-        tt = t + self.eps * self.var.dt(t)
-        return at, tt
+        a = a if self.eps.ndim else a[None]
+        return a, self.eps.reshape((-1,) + (1,) * (a.ndim - 1))
+
+    def _rung_chart(self, a):
+        """I + eps D delta_a at labels ``a``, rung axis leading."""
+        a, eps = self._rungs(a)
+        return np.eye(3) + eps[..., None] * self.var.da_jac(a)
+
+    def _on_chart(self, a, t, fn):
+        """fn(rungs, eps, a~, t~) on each mask ``rungs`` of rungs sharing a chart time t~."""
+        a, eps = self._rungs(a)
+        at = a + eps * self.var.da(a)
+        tt = t + self.eps.reshape(-1) * self.var.dt(t)
+        out = None
+        for s in dict.fromkeys(tt.tolist()):
+            rungs = tt == s
+            value = fn(rungs, eps[rungs], at[rungs], s)
+            out = np.empty(tt.shape + value.shape[1:]) if out is None else out
+            out[rungs] = value
+        return out if self.eps.ndim else out[0]
 
     def fold_factor(self, a):
         """det(I + eps D delta_a) at labels ``a``; raises FoldedRelabelingError
-        at the first label where it is not positive."""
-        det = det3(np.eye(3) + self.eps * self.var.da_jac(a))
+        at the first label (of the first rung) where it is not positive."""
+        det = det3(self._rung_chart(a))
         _reject(det <= 0.0, det, a, "relabeling folds the domain: det", FoldedRelabelingError)
-        return det
+        return det if self.eps.ndim else det[0]
 
     def position(self, a, t):
-        at, tt = self._chart(a, t)
-        return self.base.position(at, tt) + self.eps * self.var.dx(at, tt)
+        return self._on_chart(a, t, lambda r, eps, at, tt: (
+            self.base.position(at, tt) + eps * self.var.dx(at, tt)))
 
     def velocity(self, a, t):
-        at, tt = self._chart(a, t)
-        rate = 1.0 + self.eps * self.var.dt_rate(t)
-        return rate * (self.base.velocity(at, tt) + self.eps * self.var.dx_dot(at, tt))
+        return self._on_chart(a, t, lambda r, eps, at, tt: (
+            (1.0 + eps * self.var.dt_rate(t))
+            * (self.base.velocity(at, tt) + eps * self.var.dx_dot(at, tt))))
 
     def position_gradient(self, a, t):
-        at, tt = self._chart(a, t)
-        chart = np.eye(3) + self.eps * self.var.da_jac(a)
-        core = self.base.position_gradient(at, tt) + self.eps * self.var.dx_jac(at, tt)
-        return core @ chart
+        chart = self._rung_chart(a)
+        return self._on_chart(a, t, lambda r, eps, at, tt: (
+            (self.base.position_gradient(at, tt) + eps[..., None] * self.var.dx_jac(at, tt))
+            @ chart[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +613,15 @@ DEFAULT_EPS_LADDER = (1e-2, 3e-3, 1e-3, 3e-4)
 
 
 def _action_ladder(field, material, var, quad, eps_list, s0=None):
-    """S(0) (unless given) and [S(eps)] of one triple on one quadrature; each
-    rung's chart is checked for folds before its action is evaluated."""
+    """S(0) (unless given) and [S(eps)] of one triple on one quadrature: one composed
+    configuration over the nodes repeated per rung (R, N, 3), one Frame per time for
+    all rungs, every rung's chart checked for folds before the actions are evaluated."""
     s0 = action(field, material, quad) if s0 is None else s0
-    rungs = []
-    for eps in eps_list:
-        deformed = DeformedTrajectoryField(field, var, eps)
-        deformed.fold_factor(quad.space_nodes)
-        rungs.append(action(deformed, material, quad))
-    return s0, rungs
+    nodes = quad.space_nodes
+    labels = np.broadcast_to(nodes, (len(eps_list),) + nodes.shape)
+    deformed = DeformedTrajectoryField(field, var, eps_list)
+    deformed.fold_factor(labels)
+    return s0, _actions(deformed, material, quad, labels)
 
 
 def _scan_result(gen, var, quad, eps_list, s0, rungs) -> ScanResult:

@@ -124,6 +124,29 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.startswith(f"vortlab: fixture {fixture!r}: ")
         assert "a --param value is too large" in captured.err
 
+    def test_overflowing_flag_is_named_instead_of_a_param(self, capsys):
+        code = main(["action", "--fixture", "translation", "--t1", "1e308", "--grid", "4",
+                     "--nt", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("vortlab: fixture 'translation': --t1 is too large for "
+                                       "float arithmetic (")
+        assert "--param" not in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "action", "drift", "export"])
+    @pytest.mark.parametrize("window", [["--t0=-1e308", "--t1", "1e308"],
+                                        ["--param", "t0=-1e308", "--param", "t1=1e308"]])
+    def test_window_too_wide_for_float_arithmetic_usage_error(self, command, window, tmp_path,
+                                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main([command, "--fixture", "identity", *window, "--nt", "3", "--grid", "5",
+                     *(["--out", "x.npz"] if command == "export" else [])])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("vortlab: time window [-1e+308, 1e+308] is too wide for float "
+                                "arithmetic: t1 - t0 overflows\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_singular_map_error_names_its_scaled_determinant(self, capsys):
         # |J| = 1 but the row norms reach 1e308: singular by the scale-invariant rule
         code = main(["verify", "--fixture", "shear", "--param", "rate=1e308"])
@@ -355,21 +378,24 @@ class TestActionSharing:
 
     ARGS = ["action", "--fixture", "rigid-rotation", "--grid", "4", "--nt", "3"]
 
-    @pytest.mark.parametrize("flags,calls", [([], 9), (["--scan"], 9),
-                                             (["--rund-trautman"], 5)])
-    def test_each_distinct_action_evaluated_once(self, flags, calls, monkeypatch, capsys):
+    @pytest.mark.parametrize("flags,actions", [([], 9), (["--scan"], 9),
+                                               (["--rund-trautman"], 5)])
+    def test_each_distinct_action_evaluated_once(self, flags, actions, monkeypatch, capsys):
+        # S(0) and one S(eps) per rung: a ladder's rungs are evaluated together,
+        # so the actions a call returns are counted, not the calls
         from vortlab import variational
         count = [0]
-        action = variational.action
+        evaluate = variational._actions
 
         def counted(*args):
-            count[0] += 1
-            return action(*args)
+            values = evaluate(*args)
+            count[0] += len(values)
+            return values
 
-        monkeypatch.setattr(variational, "action", counted)
+        monkeypatch.setattr(variational, "_actions", counted)
         code, _ = run_cli(self.ARGS + flags, capsys)
         assert code == 0
-        assert count[0] == calls
+        assert count[0] == actions
 
     @pytest.mark.parametrize("flag,block", [("--scan", "scan"),
                                             ("--rund-trautman", "rund_trautman")])
@@ -517,6 +543,21 @@ class TestExport:
         assert code == 2
         assert "axis2 of length 4 is too short" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_grid_shorter_than_stencil_rejected_before_sampling(self, tmp_path, monkeypatch,
+                                                                capsys):
+        from vortlab import cli
+
+        def sample(*args, **kwargs):
+            raise AssertionError("the field was sampled before --grid was checked")
+
+        monkeypatch.setattr(cli.SampledTrajectoryField, "from_analytic", sample)
+        code = main(["export", "--fixture", "identity", "--grid", "4",
+                     "--out", str(tmp_path / "x.npz")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "vortlab: --grid axis1 of length 4 is too short for the 5-point order-4 stencils\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_suffix_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
         code = main(["export", "--fixture", "identity", "--out", str(tmp_path / "x.txt")])

@@ -785,3 +785,63 @@ class TestBatchedVariationalLayer:
         assert code == 0
         assert 0 < calls["jacobian_fn"] <= 40
         assert calls["density_from_map"] == 0
+
+
+def _outcome(run):
+    """The bytes of what ``run`` returns, or the type and message of what it raises."""
+    try:
+        return np.array(run(), float).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+LADDER_SHAPES = {"abc": (8, 8, 8), "taylor-green": (8, 8, 4)}
+
+
+class TestStackedLadder:
+    """`_action_ladder` evaluates every rung on one (R, N, 3) stack; each S(eps)
+    must be the bits of the composed configuration's own action."""
+
+    @staticmethod
+    def _triples(box):
+        divergent = RelabelGenerator(VectorField(value=lambda a, t: np.asarray(a, float),
+                                                 jacobian_fn=lambda a, t: np.eye(3)))
+        return {"bump": VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(box))),
+                "divergent-control": VariationTriple.relabeling(divergent),
+                "time-translation": VariationTriple.time_translation()}
+
+    @pytest.mark.parametrize("name", sorted(flows._CATALOG))
+    def test_ladder_bitwise_rung_by_rung(self, name):
+        shape = LADDER_SHAPES.get(name)
+        fx = flows.make_fixture(name, **({"shape": shape} if shape else {}))
+        box = fx.field.box
+        quad = SpaceTimeQuadrature.midpoint(box, (4, 4, 4), (fx.field.t0, fx.field.t1), 3)
+        eps = variational.DEFAULT_EPS_LADDER
+        for label, var in self._triples(box).items():
+            stacked = _outcome(lambda: variational._action_ladder(
+                fx.field, fx.material, var, quad, eps)[1])
+            singles = _outcome(lambda: [action(DeformedTrajectoryField(fx.field, var, e),
+                                               fx.material, quad) for e in eps])
+            assert stacked == singles, label
+            assert isinstance(stacked, bytes), (label, stacked)  # a ladder that evaluates
+
+    def test_second_rung_fold_raises_as_rung_by_rung(self):
+        fx, material, _, quad = _batched_case("rigid-rotation")
+        # D delta_a = -2 I where a1 > 0.2: det (1 - 2 eps)^3 folds at eps = 0.9, not at 0.1
+        folding = VariationTriple.relabeling(RelabelGenerator(VectorField(
+            value=lambda a, t: np.zeros(3), jacobian_fn=lambda a, t: np.where(
+                a[..., 0, None, None] > 0.2, -2.0, 0.0) * np.eye(3))))
+        eps = (0.1, 0.9)
+
+        def rung_by_rung():
+            for e in eps:
+                deformed = DeformedTrajectoryField(fx.field, folding, e)
+                deformed.fold_factor(quad.space_nodes)
+                action(deformed, material, quad)
+
+        with pytest.raises(FoldedRelabelingError) as single:
+            rung_by_rung()
+        with pytest.raises(FoldedRelabelingError) as stacked:
+            variational._action_ladder(fx.field, material, folding, quad, eps)
+        assert str(stacked.value) == str(single.value)
+        assert "-0.512" in str(single.value)
