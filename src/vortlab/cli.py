@@ -23,7 +23,7 @@ import io
 import math
 import random
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .fields import (
     _fit_stencil,
     save_grid,
 )
-from .flows import Fixture, integrate_trajectories, make_fixture
+from .flows import ADVECTED, Fixture, integrate_trajectories, make_fixture
 from .invariants import cauchy_drift
 from .kinematics import (
     Frame,
@@ -74,7 +74,6 @@ from .variational import (
     weak_form_integral,
 )
 
-_SAMPLED = ("abc", "taylor-green")
 THEOREMS = ("cauchy", "circulation", "ertel", "helicity")
 
 
@@ -113,6 +112,9 @@ class RunConfig:
             raise VortlabError(f"--trials must be >= 0, got {self.trials}")
         if self.t0 is not None and self.t1 is not None and self.t1 <= self.t0:
             raise VortlabError(f"time window needs t1 > t0, got [{self.t0}, {self.t1}]")
+        if self.dt and self.fixture not in ADVECTED:
+            raise VortlabError(f"--dt applies to the advected fixtures ({', '.join(ADVECTED)}), "
+                               f"not {self.fixture!r}")
 
 
 def _parse_params(pairs) -> dict:
@@ -163,27 +165,32 @@ def _usage_error(prefix: str, kinds=(TypeError, ValueError, OverflowError)):
         raise VortlabError(f"{prefix}: {exc}") from exc
 
 
-def _build_fixture(cfg: RunConfig) -> Fixture:
+def _build_fixture(cfg: RunConfig) -> tuple[Fixture, tuple[float, float]]:
+    """The fixture and its time window: each end is the flag's value if one is given, else the
+    field's.  --t0, --t1 and --dt reach the maker as its params, so each has one route."""
     params = dict(cfg.params)
-    if cfg.fixture in _SAMPLED:
-        if cfg.dt:
-            params.setdefault("dt", cfg.dt[0])
-        params.setdefault("order", cfg.fd_order)
-    if cfg.t1 is not None:
-        params.setdefault("t1", cfg.t1)
-    if cfg.t0 is not None:
-        params.setdefault("t0", cfg.t0)
+    if "order" in params:
+        raise VortlabError("--param order: the stencil order is set by --fd-order")
+    if len(cfg.dt) > 1:
+        raise VortlabError("--dt takes one step outside drift's step-pair probe, got "
+                           f"{','.join(map(str, cfg.dt))}")
+    for key, flag in (("t0", cfg.t0), ("t1", cfg.t1), ("dt", cfg.dt[0] if cfg.dt else None)):
+        if flag is not None:
+            if key in params:
+                raise VortlabError(f"--{key} and --param {key} set the same value; give one")
+            params[key] = flag
+    t0, t1 = params.get("t0"), params.get("t1")
+    if isinstance(t0, (int, float)) and isinstance(t1, (int, float)):  # else the maker says why
+        if not math.isfinite(float(t1) - float(t0)):  # before an advected build steps through it
+            raise VortlabError(f"time window [{float(t0)}, {float(t1)}] is too wide for float "
+                               "arithmetic: t1 - t0 overflows")
+    if cfg.fixture in ADVECTED:
+        params["order"] = cfg.fd_order
     with _usage_error(f"fixture {cfg.fixture!r}"):
-        return make_fixture(cfg.fixture, **params)
-
-
-def _window(cfg: RunConfig, fixture: Fixture) -> tuple[float, float]:
-    t0 = float(cfg.t0 if cfg.t0 is not None else fixture.field.t0)
-    t1 = float(cfg.t1 if cfg.t1 is not None else fixture.field.t1)
-    if not math.isfinite(t1 - t0):
-        raise VortlabError(f"time window [{t0}, {t1}] is too wide for float arithmetic: "
-                           "t1 - t0 overflows")
-    return t0, t1
+        fixture = make_fixture(cfg.fixture, **params)
+    window = (float(cfg.t0 if cfg.t0 is not None else fixture.field.t0),
+              float(cfg.t1 if cfg.t1 is not None else fixture.field.t1))
+    return fixture, window
 
 
 def _pipeline_tolerance(field) -> tuple[float, float]:
@@ -216,12 +223,12 @@ def _drift_grid(cfg: RunConfig, field, window):
     return grid, np.linspace(window[0], window[1], cfg.nt)
 
 
-def _drift_reports(cfg: RunConfig, fixture: Fixture, tol, theorems=THEOREMS) -> dict:
+def _drift_reports(cfg: RunConfig, fixture: Fixture, window, tol, theorems=THEOREMS) -> dict:
     """The drift report of each of ``theorems`` on the grid, times, loop, region and S that
     ``verify`` and ``drift`` share; theorems on the same nodes read one held frame per time."""
     field, box = fixture.field, fixture.field.box
     sampled = field.backend == "sampled"
-    grid, times = _drift_grid(cfg, field, _window(cfg, fixture))
+    grid, times = _drift_grid(cfg, field, window)
 
     def held(nodes):  # t -> the Frame of nodes at t, made once and held for the call
         return functools.cache(lambda t: Frame(field, nodes, t))
@@ -283,9 +290,8 @@ def _check(name, value, tol, asserted=True, **extra) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
-    fixture = _build_fixture(cfg)
+    fixture, window = _build_fixture(cfg)
     field, material = fixture.field, fixture.material
-    window = _window(cfg, fixture)
     sampled = field.backend == "sampled"
     pipeline_err, default_tol = _pipeline_tolerance(field)
     base_tol = cfg.tol if cfg.tol is not None else default_tol
@@ -313,7 +319,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         value = max(float(np.max(np.abs(np.asarray(fn(*f), float)))) for f in frames)
         return _check(name, value, base_tol)
 
-    drift = _drift_reports(cfg, fixture, base_tol)
+    drift = _drift_reports(cfg, fixture, window, base_tol)
     crep, hrep = drift["circulation"], drift["helicity"]
     checks = [
         probe_check("kinematic_rate_identity", lambda f, _: _frame_rate_residual(f, h_fd)),
@@ -385,8 +391,7 @@ def _default_generator(box) -> RelabelGenerator:
 
 
 def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tuple[int, dict]:
-    fixture = _build_fixture(cfg)
-    window = _window(cfg, fixture)
+    fixture, window = _build_fixture(cfg)
     box = fixture.field.box
     quad = SpaceTimeQuadrature.midpoint(box, cfg.grid, window, cfg.nt)
     report = {
@@ -472,8 +477,6 @@ def cmd_drift(cfg: RunConfig, theorem: str = "cauchy") -> tuple[int, dict]:
         "seed": cfg.seed,
     }
     if len(cfg.dt) >= 2:
-        if cfg.fixture not in _SAMPLED:
-            raise VortlabError("--dt pairs apply to the advected fixtures (abc, taylor-green)")
         if theorem != "cauchy":
             raise VortlabError(f"--dt pairs probe the Cauchy drift, not --theorem {theorem}")
         if cfg.params:
@@ -485,9 +488,9 @@ def cmd_drift(cfg: RunConfig, theorem: str = "cauchy") -> tuple[int, dict]:
         report["pass"] = passed
         return (0 if passed else 1), report
 
-    fixture = _build_fixture(cfg)
+    fixture, window = _build_fixture(cfg)
     tol = cfg.tol if cfg.tol is not None else _pipeline_tolerance(fixture.field)[1]
-    rep = _drift_reports(cfg, fixture, tol, (theorem,))[theorem]
+    rep = _drift_reports(cfg, fixture, window, tol, (theorem,))[theorem]
     passed = bool(rep.passed) or not _claimable(rep)
     report.update({"parameters": fixture.spec.parameters, theorem: rep.to_dict(), "pass": passed})
     return (0 if passed else 1), report
@@ -508,7 +511,6 @@ def _dt_ratio_probe(cfg: RunConfig) -> dict:
     advected.
     """
     from .fields import Box
-    from .flows import abc_velocity, taylor_green_velocity
 
     if len(cfg.dt) != 2 or not math.isclose(cfg.dt[1], cfg.dt[0] / 2, rel_tol=1e-12):
         raise VortlabError("--dt pairs need exactly two steps A,B with B = A/2 (the pass band "
@@ -522,7 +524,7 @@ def _dt_ratio_probe(cfg: RunConfig) -> dict:
             f"--dt {cfg.dt[1]} needs probe spacing {h:.3g} < 0.001, below which "
             "finite-difference rounding swamps the integrator drift; use steps >= 0.0025"
         )
-    u = abc_velocity() if cfg.fixture == "abc" else taylor_green_velocity()
+    u = ADVECTED[cfg.fixture]()
     center = np.array([1.3, 2.1, 0.7])
     half = h * (n - 1) / 2
     box = Box(tuple(center - half), tuple(center + half))
@@ -558,8 +560,7 @@ def _dt_ratio_probe(cfg: RunConfig) -> dict:
 def cmd_export(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.out:
         raise VortlabError("export needs --out FILE (.npz or .csv)")
-    fixture = _build_fixture(cfg)
-    window = _window(cfg, fixture)
+    fixture, window = _build_fixture(cfg)
     if fixture.field.backend == "sampled":
         field = fixture.field
     else:
@@ -631,73 +632,66 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fixture_required=True):
-        p.add_argument("--fixture", required=fixture_required, help="catalog fixture name")
-        p.add_argument("--param", action="append", metavar="KEY=VALUE",
+    def output(p):  # every command
+        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        p.add_argument("--format", default="json", choices=("json", "csv"))
+        p.add_argument("--config", default=None, help="plain key=value file of extra flags")
+
+    def fixture(p):  # the commands that build a fixture
+        p.add_argument("--fixture", required=True, help="catalog fixture name")
+        p.add_argument("--param", dest="params", action="append", metavar="KEY=VALUE",
                        help="fixture parameter override (repeatable)")
         p.add_argument("--grid", default="9,9,9", help="label grid resolution N1,N2,N3")
         p.add_argument("--t0", type=float, default=None)
         p.add_argument("--t1", type=float, default=None)
         p.add_argument("--nt", type=int, default=9, help="number of time samples")
         p.add_argument("--fd-order", type=int, default=4, choices=(2, 4))
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", default="json", choices=("json", "csv"))
-        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--dt", default=None, help="integrator step(s), e.g. 0.01 or 0.01,0.005")
-        p.add_argument("--config", default=None, help="plain key=value file of extra flags")
+
+    def seed(p):
+        p.add_argument("--seed", type=int, default=1)
 
     def tolerance(p):  # only the commands whose checks read it
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
-    p_verify = sub.add_parser("verify", help="run the full invariant suite on a fixture")
-    common(p_verify)
-    tolerance(p_verify)
-    p_id = sub.add_parser("identities", help="exact-arithmetic identity battery")
-    common(p_id, fixture_required=False)
-    p_id.add_argument("--trials", type=int, default=100)
-    p_act = sub.add_parser("action", help="relabeling/variational checks")
-    common(p_act)
+    def command(name, about, *groups):  # only the flags the command reads: any other exits 2
+        p = sub.add_parser(name, help=about)
+        for group in (output, *groups):
+            group(p)
+        return p
+
+    command("verify", "run the full invariant suite on a fixture", fixture, seed, tolerance)
+    command("identities", "exact-arithmetic identity battery", seed).add_argument(
+        "--trials", type=int, default=100)
+    p_act = command("action", "relabeling/variational checks", fixture, seed)
     p_act.add_argument("--scan", action="store_true", help="only the invariance scan")
     p_act.add_argument("--weak-form", action="store_true", help="only the weak-form pairing")
     p_act.add_argument("--rund-trautman", action="store_true", help="only the variational split")
-    p_drift = sub.add_parser("drift", help="drift reports")
-    common(p_drift)
-    tolerance(p_drift)
-    p_drift.add_argument("--theorem", default="cauchy", choices=THEOREMS,
-                         help="the drift to report, as verify measures it")
-    p_exp = sub.add_parser("export", help="export a fixture in the sampled-grid format")
-    common(p_exp)
+    command("drift", "drift reports", fixture, seed, tolerance).add_argument(
+        "--theorem", default="cauchy", choices=THEOREMS,
+        help="the drift to report, as verify measures it")
+    command("export", "export a fixture in the sampled-grid format", fixture)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    try:
-        grid = tuple(int(v) for v in str(args.grid).split(","))
-    except ValueError:
-        raise VortlabError(f"--grid wants 1 or 3 integers, got {args.grid!r}") from None
-    if len(grid) == 1:
-        grid = grid * 3
-    if len(grid) != 3:
-        raise VortlabError(f"--grid wants 1 or 3 integers, got {args.grid!r}")
-    try:
-        dt = tuple(float(v) for v in str(args.dt).split(",")) if args.dt else ()
-    except ValueError:
-        raise VortlabError(f"--dt wants numbers separated by commas, got {args.dt!r}") from None
-    return RunConfig(
-        fixture=getattr(args, "fixture", None),
-        params=_parse_params(getattr(args, "param", None)),
-        grid=grid,
-        t0=args.t0,
-        t1=args.t1,
-        nt=args.nt,
-        fd_order=args.fd_order,
-        tol=getattr(args, "tol", None),
-        out=args.out,
-        format=args.format,
-        seed=args.seed,
-        dt=dt,
-        trials=getattr(args, "trials", 100),
-    )
+    """The RunConfig of the flags the command registered; its defaults stand for the rest."""
+    given = vars(args)
+    cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    if "fixture" in given:  # the fixture group's number lists and params
+        try:
+            cfg.grid = tuple(int(v) for v in str(args.grid).split(","))
+        except ValueError:
+            cfg.grid = ()  # named by the length check
+        if len(cfg.grid) not in (1, 3):
+            raise VortlabError(f"--grid wants 1 or 3 integers, got {args.grid!r}")
+        cfg.grid *= 3 // len(cfg.grid)  # one integer stands for all three axes
+        try:
+            cfg.dt = tuple(float(v) for v in str(args.dt).split(",")) if args.dt else ()
+        except ValueError:
+            raise VortlabError(f"--dt wants numbers separated by commas, got {args.dt!r}") from None
+        cfg.params = _parse_params(args.params)
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -746,7 +740,7 @@ def main(argv=None) -> int:
         given = [f"--{key}" for key in ("t0", "t1", "dt", "tol")
                  if getattr(cfg, key) not in (None, ())]
         culprit = "a --param value" if cfg.params else " or ".join(given) or "a numeric flag"
-        print(f"vortlab: fixture {args.fixture!r}: {culprit} is too large for float "
+        print(f"vortlab: fixture {cfg.fixture!r}: {culprit} is out of range for float "
               f"arithmetic ({exc})", file=sys.stderr)
         return 2
     except VortlabError as exc:

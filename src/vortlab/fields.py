@@ -860,7 +860,6 @@ class SampledTrajectoryField(TrajectoryField):
         field: TrajectoryField,
         grid: LabelGrid,
         times: np.ndarray,
-        store_derivatives: bool = True,
         order: int = 4,
         periodic=(False, False, False),
     ) -> "SampledTrajectoryField":
@@ -869,13 +868,12 @@ class SampledTrajectoryField(TrajectoryField):
         nodes = grid.mesh()
         shape = (len(times), *grid.shape, 3)
         pos = np.empty(shape)
-        vel = np.empty(shape) if store_derivatives else None
-        acc = np.empty(shape) if store_derivatives else None
+        vel = np.empty(shape)
+        acc = np.empty(shape)
         for k, t in enumerate(times):
             pos[k] = field.position(nodes, t)
-            if store_derivatives:
-                vel[k] = field.velocity(nodes, t)
-                acc[k] = field.acceleration(nodes, t)
+            vel[k] = field.velocity(nodes, t)
+            acc[k] = field.acceleration(nodes, t)
         return cls(grid, times, pos, vel, acc, periodic=periodic, order=order)
 
 

@@ -578,12 +578,17 @@ def integrate_trajectories(
         periodic=periodic, order=order)
 
 
-def _advected(name, u, p, shape, t0, t1, dt, rho0, order, parameters) -> Fixture:
-    """A steady field ``u`` advected on the 2 pi periodic cell (labels = initial
-    positions), with the Eulerian pressure ``p`` pulled back to the labels."""
+# the Eulerian velocity of each advected fixture, by name, built from its recorded parameters
+ADVECTED = {"abc": abc_velocity, "taylor-green": taylor_green_velocity}
+
+
+def _advected(name, p, shape, t0, t1, dt, rho0, order, parameters) -> Fixture:
+    """The steady field ``ADVECTED[name](**parameters)`` advected on the 2 pi periodic cell
+    (labels = initial positions), with the Eulerian pressure ``p`` pulled back to the labels."""
     box = Box((0.0, 0.0, 0.0), (TWO_PI, TWO_PI, TWO_PI))
     grid = LabelGrid.periodic_cell(box, shape)
-    fld = integrate_trajectories(u, grid, t0, t1, dt, periodic=(True, True, True), order=order)
+    fld = integrate_trajectories(ADVECTED[name](**parameters), grid, t0, t1, dt,
+                                 periodic=(True, True, True), order=order)
     pressure = eulerian_pressure_as_label_field(fld, p)
     spec = FixtureSpec(name, {**parameters, "shape": list(shape), "dt": dt}, box, t0, t1,
                        extremal=True, notes="numerically advected")
@@ -602,16 +607,16 @@ def make_abc(
     order=4,
 ) -> Fixture:
     """ABC trajectories on the full periodic box, labels = initial positions."""
-    return _advected("abc", abc_velocity(A, B, C), abc_pressure(A, B, C), shape, t0, t1, dt,
-                     rho0, order, {"A": A, "B": B, "C": C})
+    return _advected("abc", abc_pressure(A, B, C), shape, t0, t1, dt, rho0, order,
+                     {"A": A, "B": B, "C": C})
 
 
 def make_taylor_green(
     shape=(24, 24, 4), t0=0.0, t1=1.0, dt=0.05, rho0=1.0, order=4
 ) -> Fixture:
     """Taylor-Green cellular trajectories; planar vorticity, zero helicity."""
-    return _advected("taylor-green", taylor_green_velocity(), taylor_green_pressure(), shape,
-                     t0, t1, dt, rho0, order, {})
+    return _advected("taylor-green", taylor_green_pressure(), shape, t0, t1, dt, rho0, order,
+                     {})
 
 
 def eulerian_pressure_as_label_field(

@@ -116,30 +116,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("fixture,param", [
         ("dilation", "rho0=1e308"), ("gerstner", "rho0=1e308"),  # rho0 times the body force
         ("dilation", "t1=1e308"),  # det G of the finite G = (1 + t) I
+        ("rigid-rotation", "rho0=1e-308"),  # too small: a division by rho0 overflows
     ])
     def test_overflow_past_the_map_reads_usage_error(self, fixture, param, capsys):
         code = main(["verify", "--fixture", fixture, "--param", param])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and captured.err.startswith(f"vortlab: fixture {fixture!r}: ")
-        assert "a --param value is too large" in captured.err
+        assert "a --param value is out of range" in captured.err
 
     def test_overflowing_flag_is_named_instead_of_a_param(self, capsys):
         code = main(["action", "--fixture", "translation", "--t1", "1e308", "--grid", "4",
                      "--nt", "3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("vortlab: fixture 'translation': --t1 is too large for "
-                                       "float arithmetic (")
+        assert captured.err.startswith("vortlab: fixture 'translation': --t1 is out of range "
+                                       "for float arithmetic (")
         assert "--param" not in captured.err
 
     @pytest.mark.parametrize("command", ["verify", "action", "drift", "export"])
     @pytest.mark.parametrize("window", [["--t0=-1e308", "--t1", "1e308"],
                                         ["--param", "t0=-1e308", "--param", "t1=1e308"]])
-    def test_window_too_wide_for_float_arithmetic_usage_error(self, command, window, tmp_path,
-                                                              monkeypatch, capsys):
+    @pytest.mark.parametrize("fixture", ["identity", "abc", "taylor-green"])
+    def test_window_too_wide_for_float_arithmetic_usage_error(self, command, window, fixture,
+                                                              tmp_path, monkeypatch, capsys):
+        # checked before an advected fixture's build steps through the window
         monkeypatch.chdir(tmp_path)
-        code = main([command, "--fixture", "identity", *window, "--nt", "3", "--grid", "5",
+        code = main([command, "--fixture", fixture, *window, "--nt", "3", "--grid", "5",
                      *(["--out", "x.npz"] if command == "export" else [])])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -166,19 +169,39 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.startswith("vortlab: --out: ")
         assert not (tmp_path / "missing").exists()
 
-    @pytest.mark.parametrize("command,args", [
-        ("action", ["--fixture", "rigid-rotation", "--grid", "4", "--nt", "3"]),
-        ("export", ["--fixture", "identity", "--out", "x.npz"]),
-        ("identities", ["--trials", "1"]),
+    @pytest.mark.parametrize("command,args,flag", [
+        ("action", ["--fixture", "rigid-rotation", "--grid", "4", "--nt", "3"], "--tol"),
+        ("export", ["--fixture", "identity", "--out", "x.npz"], "--tol"),
+        ("identities", ["--trials", "1"], "--tol"),
+        ("identities", ["--trials", "1"], "--grid"),
+        ("export", ["--fixture", "identity", "--out", "x.npz"], "--seed"),
     ])
-    def test_tol_on_a_command_that_reads_none_usage_error(self, command, args, tmp_path,
-                                                          monkeypatch, capsys):
+    def test_flag_the_command_does_not_read_usage_error(self, command, args, flag, tmp_path,
+                                                        monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code = main([command, *args, "--tol", "1e-30"])
+        code = main([command, *args, flag, "3"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "" and "unrecognized arguments: --tol" in captured.err
+        assert captured.out == "" and f"unrecognized arguments: {flag} 3" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args,message", [
+        (["--fixture", "identity", "--param", "t1=1", "--t1", "2"],
+         "--t1 and --param t1 set the same value; give one"),
+        (["--fixture", "abc", "--param", "dt=0.05", "--dt", "0.05"],
+         "--dt and --param dt set the same value; give one"),
+        (["--fixture", "abc", "--param", "order=2"],
+         "--param order: the stencil order is set by --fd-order"),
+        (["--fixture", "identity", "--dt", "0.5"],
+         "--dt applies to the advected fixtures (abc, taylor-green), not 'identity'"),
+        (["--fixture", "abc", "--dt", "0.05,0.025"],
+         "--dt takes one step outside drift's step-pair probe, got 0.05,0.025"),
+    ], ids=["t1-twice", "dt-twice", "order-param", "dt-analytic", "dt-pair-outside-drift"])
+    def test_one_route_per_fixture_value_usage_error(self, args, message, capsys):
+        code = main(["verify", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err == f"vortlab: {message}\n"
 
 
 # every scalar keyword of every catalog maker, at values that break float arithmetic
@@ -217,7 +240,7 @@ class TestFloatingPointPolicy:
         assert np.geterr() == before
         assert main(["action", "--fixture", "rigid-rotation", "--grid", "4", "--nt", "3",
                      "--param", "rho0=1e308"]) == 2
-        assert "a --param value is too large for float arithmetic (" in capsys.readouterr().err
+        assert "a --param value is out of range for float arithmetic (" in capsys.readouterr().err
         assert np.geterr() == before
         # library code after main still only warns
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -318,7 +341,7 @@ class TestFormatsAndConfig:
 
     @pytest.mark.parametrize("flag", [["--grid", "4,x,4"], ["--grid", ""], ["--dt", "0.1,fast"]])
     def test_unparsable_numbers_usage_error(self, flag, capsys):
-        code = main(["identities", "--trials", "1", *flag])
+        code = main(["verify", "--fixture", "identity", *flag])
         assert code == 2
         assert capsys.readouterr().err.startswith("vortlab: ")
 
