@@ -43,6 +43,7 @@ from .variational import (
     VariationTriple,
     action,
     density_from_map,
+    mass_reference,
     momentum_residual,
 )
 from .flows import Fixture, FixtureSpec, fixture_names, integrate_trajectories, make_fixture

@@ -41,18 +41,18 @@ from .flows import ADVECTED, Fixture, integrate_trajectories, make_fixture
 from .invariants import cauchy_drift
 from .kinematics import (
     Frame,
-    _convective_residual,
-    _frame_rate_residual,
-    _inverse_rate_residual,
+    convective_gradient_residual,
+    inverse_jacobian_rate_residual,
+    jacobian_rate_residual,
     run_identity_battery,
 )
 from .report import DriftReport, dumps_deterministic
 from .theorems import (
     LabelLoop,
     LabelRegion,
-    _beltrami,
-    _dalembert_euler,
+    beltrami_residual,
     circulation_drift,
+    dalembert_euler_residual,
     ertel_drift,
     helicity_drift,
 )
@@ -61,15 +61,15 @@ from .variational import (
     RelabelGenerator,
     SpaceTimeQuadrature,
     VariationTriple,
-    _action_ladder,
-    _mass_reference,
-    _momentum_residual,
-    _scan_result,
-    _split_rows,
+    action_ladder,
     bump_potential,
     el_part,
     fit_loglog_slope,
+    mass_reference,
+    momentum_residual,
     noether_boundary_term,
+    relabeling_invariance_scan,
+    rund_trautman_check,
     sine_potential,
     weak_form_integral,
 )
@@ -322,18 +322,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     drift = _drift_reports(cfg, fixture, window, base_tol)
     crep, hrep = drift["circulation"], drift["helicity"]
     checks = [
-        probe_check("kinematic_rate_identity", lambda f, _: _frame_rate_residual(f, h_fd)),
+        probe_check("kinematic_rate_identity", lambda f, _: jacobian_rate_residual(f, h_fd)),
         probe_check("kinematic_inverse_rate_identity",
-                    lambda f, _: _inverse_rate_residual(f, f.read("velocity_gradient"))),
-        probe_check("kinematic_convective_identity", lambda f, _: _convective_residual(
+                    lambda f, _: inverse_jacobian_rate_residual(f, f.read("velocity_gradient"))),
+        probe_check("kinematic_convective_identity", lambda f, _: convective_gradient_residual(
             f.read("velocity"), f.read("velocity_gradient"))),
-        probe_check("momentum_residual", lambda f, f0: _momentum_residual(
-            f, material, fixture.pressure, _mass_reference(field, material, f.labels, f0))),
+        probe_check("momentum_residual", lambda f, f0: momentum_residual(
+            f, material, fixture.pressure, mass_reference(field, material, f.labels, f0))),
         _check("cauchy_drift", drift["cauchy"].max_drift, base_tol),
         _check("circulation_drift", crep.max_drift, base_tol, circulation=crep.values[0]),
         _check("ertel_drift", drift["ertel"].max_drift, base_tol),
-        probe_check("dalembert_euler_residual", lambda f, _: _dalembert_euler(f)),
-        probe_check("beltrami_residual", lambda f, f0: _beltrami(f, f0, material, h_fd), bel),
+        probe_check("dalembert_euler_residual", lambda f, _: dalembert_euler_residual(f)),
+        probe_check("beltrami_residual", lambda f, f0: beltrami_residual(f, f0, material, h_fd),
+                    bel),
         _check("helicity_drift", hrep.max_drift, hrep.tolerance, asserted=_claimable(hrep),
                helicity=hrep.values[0], boundary_tangency=hrep.metadata["boundary_tangency"]),
     ]
@@ -409,18 +410,19 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
     field, material = fixture.field, fixture.material
     if run_scan or run_rt:  # one S(0) and one bump ladder for the scan, its control and the split
         var = VariationTriple.relabeling(bump)
-        s0, rungs = _action_ladder(field, material, var, quad, DEFAULT_EPS_LADDER)
+        s0, rungs = action_ladder(field, material, var, quad, DEFAULT_EPS_LADDER)
 
     if run_scan:
-        scan = _scan_result(bump, var, quad, DEFAULT_EPS_LADDER, s0, rungs)
+        scan = relabeling_invariance_scan(bump, var, quad, DEFAULT_EPS_LADDER, s0, rungs)
         divergent = RelabelGenerator(
             VectorField(value=lambda a, t: np.asarray(a, float),
                         jacobian_fn=lambda a, t: np.eye(3)),
             label="divergent-control",
         )
         dvar = VariationTriple.relabeling(divergent)
-        bad = _scan_result(divergent, dvar, quad, DEFAULT_EPS_LADDER,
-                           *_action_ladder(field, material, dvar, quad, DEFAULT_EPS_LADDER, s0))
+        bad = relabeling_invariance_scan(
+            divergent, dvar, quad, DEFAULT_EPS_LADDER,
+            *action_ladder(field, material, dvar, quad, DEFAULT_EPS_LADDER, s0))
         control = bad.to_dict()
         if any(bad.deviation):
             scan_ok = scan.symmetric and not bad.symmetric
@@ -448,8 +450,9 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
 
     if run_rt:
         # the split uses the action's own (EOS-derived) pressure
-        rows = _split_rows(s0, rungs, DEFAULT_EPS_LADDER, el_part(field, material, var, quad),
-                           noether_boundary_term(field, material, var, quad))
+        rows = rund_trautman_check(s0, rungs, DEFAULT_EPS_LADDER,
+                                   el_part(field, material, var, quad),
+                                   noether_boundary_term(field, material, var, quad))
         ladder = [{"eps": eps, "total": tot, "el_part": el, "bd_part": bd,
                    "mismatch": abs(tot - el - bd)}
                   for eps, (tot, el, bd) in zip(DEFAULT_EPS_LADDER, rows)]
@@ -658,6 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         for group in (output, *groups):
             group(p)
+        p.set_defaults(command_parser=p)  # a flag it does not take is named under its usage
         return p
 
     command("verify", "run the full invariant suite on a fixture", fixture, seed, tolerance)
@@ -709,7 +713,9 @@ def main(argv=None) -> int:
         argv = argv[:idx] + extra + argv[idx + 2:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -28,7 +28,6 @@ from .fields import (
     curl,
     derivative,
     entries,
-    fd_jacobian,
     matvec,
 )
 from .poly import Rat, random_point, random_poly
@@ -189,28 +188,16 @@ def pullback_gradient(bundle: JacobianBundle, grad_x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fd_order(field: TrajectoryField) -> int:
-    """Stencil order of an FD route: the field's own, or 4 on the exact backend."""
-    return field.order if field.order in (2, 4) else 4
-
-
-def jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None):
-    """Residual of d(G^T)/dt = G^T (grad_x u)^T with the Eulerian velocity
-    gradient recovered by inverse pullback.
-
-    With ``h`` the left side uses a centered time difference of G (an
-    independent route with O(h^order) truncation); without it the backend's
-    velocity-gradient evaluator is used and the residual isolates the exact
-    matrix algebra (identically zero on the polynomial backend).
-    """
-    return _frame_rate_residual(jacobian(field, a, t), h)
-
-
-def _frame_rate_residual(frame: Frame, h: float | None = None):
-    """:func:`jacobian_rate_residual` on a frame, whose shifted G reads feed the time stencil."""
-    gv = frame.read("velocity_gradient")
-    lhs = gv if h is None else derivative(
-        lambda s: frame.read("position_gradient", s), h, _fd_order(frame.field))
+def jacobian_rate_residual(frame: Frame, h: float):
+    """Residual of d(G^T)/dt = G^T (grad_x u)^T on a frame, with the Eulerian velocity
+    gradient recovered by inverse pullback and the left side a centered time difference
+    of G at step ``h`` (an independent route with O(h^order) truncation, order the
+    field's own or 4 on the exact backend), whose shifted G reads the frame keeps.
+    The exact route, with the backend's velocity gradient on the left, is
+    :func:`_rate_residual`: identically zero on the polynomial backend."""
+    gv, order = frame.read("velocity_gradient"), frame.field.order
+    lhs = derivative(lambda s: frame.read("position_gradient", s), h,
+                     order if order in (2, 4) else 4)
     return _rate_residual(frame, gv, np.swapaxes(lhs, -1, -2))
 
 
@@ -220,53 +207,24 @@ def _rate_residual(bundle: JacobianBundle, gv, lhs):
     return lhs - np.swapaxes(bundle.matrix, -1, -2) @ grad_u_t
 
 
-def inverse_jacobian_rate_residual(field: TrajectoryField, a, t, h: float | None = None):
-    """Residual of d(G^-1)/dt = -G^-1 (grad_x u)^T.
+def inverse_jacobian_rate_residual(bundle: JacobianBundle, gv):
+    """Residual of d(G^-1)/dt = -G^-1 (grad_x u)^T from a bundle (or frame) and dG/dt
+    ``gv``; stacks (..., 3, 3).
 
-    The exact route is multiplied through by J^2 so every term is polynomial
-    in the entries of G and dG/dt:  J d(adj G)/dt - (dJ/dt) adj G + adj G
-    dG/dt adj G = 0, then divided back by J^2.
+    It is multiplied through by J^2 so every term is polynomial in the entries
+    of G and dG/dt:  J d(adj G)/dt - (dJ/dt) adj G + adj G dG/dt adj G = 0,
+    then divided back by J^2.
     """
-    frame = jacobian(field, a, t)
-    gv = frame.read("velocity_gradient")
-    if h is None:
-        return _inverse_rate_residual(frame, gv)
-    dinv_dt = derivative(lambda s: JacobianBundle(frame.read("position_gradient", s)).inv,
-                         h, _fd_order(field))
-    grad_u_t = gv @ frame.inv  # (grad_x u^T)^T = dG/dt G^-1
-    return dinv_dt + frame.inv @ grad_u_t
-
-
-def _inverse_rate_residual(bundle: JacobianBundle, gv):
-    """The exact J^2-scaled route of :func:`inverse_jacobian_rate_residual`; stacks (..., 3, 3)."""
     adj = np.swapaxes(bundle.cof, -1, -2)
     adj_rate = np.swapaxes(cofactor_rate(bundle.matrix, gv), -1, -2)
     j, j_rate = (np.expand_dims(x, (-2, -1)) for x in (bundle.det, det_rate(bundle.cof, gv)))
     return (j * adj_rate - j_rate * adj + adj @ gv @ adj) / (j * j)
 
 
-def convective_gradient_residual(field: TrajectoryField, a, t, h: float | None = None):
-    """Residual of (grad_a v^T) v = grad_a(|v|^2) / 2.
-
-    Without ``h`` the right side differentiates the speed-squared exactly
-    through the backend (symbolic product rule on the polynomial backend);
-    with ``h`` it uses a centered difference of |v|^2 in the labels.
-    """
-    frame = Frame(field, a, t)
-    v, gv = frame.read("velocity"), frame.read("velocity_gradient")
-    if h is None:
-        return _convective_residual(v, gv)
-
-    def speed2(b):
-        w = field.velocity(b, t)
-        return np.vecdot(w, w)
-
-    return matvec(np.swapaxes(gv, -1, -2), v) - 0.5 * fd_jacobian(speed2, a, h, _fd_order(field))
-
-
-def _convective_residual(v, gv):
-    """(grad_a v^T) v minus grad_a(|v|^2) / 2 assembled from the same dv/da;
-    v (..., 3) and gv (..., 3, 3)."""
+def convective_gradient_residual(v, gv):
+    """Residual of (grad_a v^T) v = grad_a(|v|^2) / 2 from v (..., 3) and dv/da
+    ``gv`` (..., 3, 3), the right side differentiating the speed-squared through
+    the same dv/da (symbolic product rule on the polynomial backend)."""
     # component-wise, mirroring d(v_m v_m)/da_j = 2 v_m dv_m/da_j
     e = entries(gv)
     rhs = np.stack([sum(v[..., m][()] * e[m][j] for m in range(3)) for j in range(3)], axis=-1)
@@ -331,8 +289,8 @@ def run_identity_battery(seed: int, trials: int, box=None) -> dict:
                 for _ in range(2))
         residuals = {
             "rate": _rate_residual(frame, gv, np.swapaxes(gv, -1, -2)).flat,
-            "inverse_rate": _inverse_rate_residual(frame, gv).flat,
-            "convective": _convective_residual(frame.read("velocity"), gv),
+            "inverse_rate": inverse_jacobian_rate_residual(frame, gv).flat,
+            "convective": convective_gradient_residual(frame.read("velocity"), gv),
             "curl_pullback": _curl_pullback_residual(frame, frame.read("position_hessian"),
                                                     q(pos, t), q.jacobian(pos, t), F.hessian(a, t)),
             "curl_cross": [curl_cross_identity_residual(

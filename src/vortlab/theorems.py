@@ -13,10 +13,11 @@ Loops use the composite trapezoid rule on their periodic parametrization;
 regions use the midpoint rule on cells, with boundary face quadratures for
 the tangency number.
 
-The residuals and the potential vorticity take labels (..., 3), and the
-drift reports call the same kernels on their whole label stack once per
-time: the Ertel drift shares the grid loop of the Cauchy drift, and the
-circulation and helicity drifts share one loop over a scalar time series.
+The residuals and the potential vorticity take a :class:`~vortlab.kinematics.Frame`
+(labels (..., 3) at one time), and the drift reports call the same functions on
+the frame of their whole label stack once per time: the Ertel drift shares the
+grid loop of the Cauchy drift, and the circulation and helicity drifts share
+one loop over a scalar time series.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative
 from .invariants import _grid_drift, image_velocity, lagrangian_vorticity
 from .kinematics import Frame, _image
 from .report import DriftReport
-from .variational import FlowMaterial, _density, _mass_reference
+from .variational import FlowMaterial, density_from_map, mass_reference
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +148,28 @@ class LabelRegion:
 # ---------------------------------------------------------------------------
 
 
-def dalembert_euler_residual(field: TrajectoryField, a, t) -> np.ndarray:
-    """curl_x of the material acceleration, pulled back through the cofactors.
+def dalembert_euler_residual(frame: Frame) -> np.ndarray:
+    """curl_x of the material acceleration on a frame's labels, pulled back through the
+    cofactors.
 
     Equals inv(cof^T) = G / J applied to the Cauchy residual R = curl_a(dV/dt),
     so it vanishes exactly where R does.
     """
-    return _dalembert_euler(Frame(field, a, t))
-
-
-def _dalembert_euler(frame: Frame) -> np.ndarray:
-    """:func:`dalembert_euler_residual` on a frame."""
     return _image(np.swapaxes(frame.matrix, -1, -2), frame.cauchy) / np.expand_dims(frame.det, -1)
 
 
-def beltrami_residual(
-    field: TrajectoryField,
-    material: FlowMaterial,
-    a,
-    t,
-    dt_fd: float | None = None,
-) -> np.ndarray:
-    """Residual of d/dt (omega/rho) = ((omega/rho) . grad_x) u along a parcel.
+def beltrami_residual(frame: Frame, frame0: Frame, material: FlowMaterial,
+                      dt_fd: float) -> np.ndarray:
+    """Residual of d/dt (omega/rho) = ((omega/rho) . grad_x) u along a parcel, on the
+    frame of (a, t) and ``frame0``, that of (a, t0) at the field's own t0.
 
     omega comes from the vorticity transport formula seeded at t0, so
     omega/rho = G Omega0 / (rho0 J0) and the material derivative is a
-    centered difference of step dt_fd (default 1e-3 of the window).
+    centered difference of step dt_fd, whose shifted G reads the frame keeps.
     """
-    dt_fd = 1e-3 * (field.t1 - field.t0) if dt_fd is None else dt_fd
-    return _beltrami(Frame(field, a, t), Frame(field, a, field.t0), material, dt_fd)
-
-
-def _beltrami(frame: Frame, frame0: Frame, material: FlowMaterial, dt_fd: float) -> np.ndarray:
-    """:func:`beltrami_residual` on the frame of (a, t) and ``frame0``, that of (a, t0)."""
     omega0 = frame0.omega.astype(float)
-    rho0j0 = float(_mass_reference(frame.field, material, frame.labels, frame0))
-    _density(frame, rho0j0)  # raises on rho <= 0
+    rho0j0 = float(mass_reference(frame.field, material, frame.labels, frame0))
+    density_from_map(frame, rho0j0)  # raises on rho <= 0
 
     def omega_over_rho(s):
         return (frame.read("position_gradient", s).astype(float) @ omega0) / rho0j0
@@ -193,22 +180,17 @@ def _beltrami(frame: Frame, frame0: Frame, material: FlowMaterial, dt_fd: float)
     return lhs - rhs
 
 
-def _pv(frame: Frame, S: ScalarField, rho0j0):
-    """q on a frame's labels given rho0 J0 there: with J = det G, omega = G Omega / J,
-    rho = rho0 J0 / J and grad_x S = cof(G) grad_a S / J, q = (omega / rho) . grad_x S."""
+def ertel_pv(frame: Frame, S: ScalarField, rho0j0):
+    """Potential vorticity q = (omega/rho) . grad_x S for a label-only S on a frame's
+    labels, given rho0 J0 there (:func:`vortlab.variational.mass_reference`): with
+    J = det G, omega = G Omega / J, rho = rho0 J0 / J and grad_x S = cof(G) grad_a S / J."""
     jv = np.expand_dims(frame.det, -1)
     omega = _image(np.swapaxes(frame.matrix, -1, -2), frame.omega) / jv
-    rho = _density(frame, rho0j0)
+    rho = density_from_map(frame, rho0j0)
     grad_S = np.asarray(S.gradient(frame.labels, frame.t), float)
     grad_x_S = _image(np.swapaxes(frame.cof, -1, -2), grad_S) / jv
     q = (omega / np.expand_dims(rho, -1)) * grad_x_S
     return q[..., 0] + q[..., 1] + q[..., 2]
-
-
-def ertel_pv(field: TrajectoryField, material: FlowMaterial, S: ScalarField, a, t):
-    """Potential vorticity q = (omega/rho) . grad_x S for a label-only S, at
-    labels (..., 3); one label gives a float."""
-    return _pv(Frame(field, a, t), S, _mass_reference(field, material, a))
 
 
 def ertel_pv_label_form(
@@ -216,7 +198,7 @@ def ertel_pv_label_form(
 ) -> float:
     """The equivalent label-space form q = Omega . grad_a S / (rho0 J0)."""
     omega_label = lagrangian_vorticity(field, a, t).astype(float)
-    rho0j0 = float(_mass_reference(field, material, a))
+    rho0j0 = float(mass_reference(field, material, a))
     return float(omega_label @ np.asarray(S.gradient(a, t), float)) / rho0j0
 
 
@@ -234,9 +216,9 @@ def ertel_drift(
     frame at the field's t0; ``frames`` is as in :func:`vortlab.invariants.cauchy_drift`."""
     nodes = grid.nodes()
     frames = frames or (lambda t: Frame(field, nodes, t))
-    rho0j0 = _mass_reference(field, material, nodes, frames(field.t0))
+    rho0j0 = mass_reference(field, material, nodes, frames(field.t0))
     return _grid_drift(
-        "ertel", lambda t: _pv(frames(t), S, rho0j0), grid, times, tolerance,
+        "ertel", lambda t: ertel_pv(frames(t), S, rho0j0), grid, times, tolerance,
         {"backend": field.backend, "grid_shape": list(grid.shape)},
     )
 

@@ -157,38 +157,23 @@ class FlowMaterial:
 # ---------------------------------------------------------------------------
 
 
-def _mass_reference(field, material, a, frame0: Frame | None = None):
+def mass_reference(field, material, a, frame0: Frame | None = None):
     """rho0 J0 at labels ``a``, J0 taken at the field's own t0 (from ``frame0``, if given)."""
     rho0 = np.asarray(material.initial_density(a), float)
     return rho0 * (frame0 or Frame(field, a, field.t0)).det
 
 
-def _density(frame: Frame, rho0j0):
-    """rho = rho0 J0 / J on a frame's labels; raises where it is not positive."""
+def density_from_map(frame: Frame, rho0j0):
+    """rho = rho0 J0 / J on a frame's labels, given rho0 J0 there (:func:`mass_reference`);
+    raises where it is not positive."""
     rho = rho0j0 / frame.det
     _reject(rho <= 0.0, rho, frame.labels, "density", t=frame.t)
     return rho
 
 
-def density_from_map(field: TrajectoryField, material: FlowMaterial, a, t):
-    """rho = rho0(a) J(a, t0) / J(a, t)."""
-    return _density(Frame(field, a, t), _mass_reference(field, material, a))
-
-
-def momentum_residual(
-    field: TrajectoryField,
-    material: FlowMaterial,
-    pressure: ScalarField,
-    a,
-    t,
-) -> np.ndarray:
-    """rho0 J0 (xddot + grad_x P) + cof(G) grad_a p; zero on extremal flows."""
-    return _momentum_residual(Frame(field, a, t), material, pressure,
-                              _mass_reference(field, material, a))
-
-
-def _momentum_residual(frame: Frame, material, pressure, rho0j0):
-    """:func:`momentum_residual` on a frame, given rho0 J0 on its labels."""
+def momentum_residual(frame: Frame, material: FlowMaterial, pressure: ScalarField, rho0j0):
+    """rho0 J0 (xddot + grad_x P) + cof(G) grad_a p on a frame's labels, given rho0 J0
+    there; zero on extremal flows."""
     x = frame.read("position")
     body = frame.read("acceleration") + material.potential.gradient(x, frame.t)
     grad_p = pressure.gradient(frame.labels, frame.t)
@@ -198,10 +183,11 @@ def _momentum_residual(frame: Frame, material, pressure, rho0j0):
 def pressure_from_eos(field: TrajectoryField, material: FlowMaterial) -> ScalarField:
     """p(a, t) = p_eos(rho0 J0 / J(a, t)) as a label field (FD gradient), the
     density of :func:`density_from_map` with rho0 J0 taken once per label stack."""
-    rho0j0 = _per_stack(lambda a: _mass_reference(field, material, a))
+    rho0j0 = _per_stack(lambda a: mass_reference(field, material, a))
 
     def val(a, t):
-        return np.asarray(material.eos.pressure(_density(Frame(field, a, t), rho0j0(a))), float)[()]
+        rho = density_from_map(Frame(field, a, t), rho0j0(a))
+        return np.asarray(material.eos.pressure(rho), float)[()]
 
     return ScalarField(value=val)
 
@@ -259,10 +245,10 @@ class SpaceTimeQuadrature:
 
 
 def _lagrangian_density(frame: Frame, material, rho0j0):
-    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 on a frame's labels, rho from :func:`_density`."""
+    """(|v|^2/2 - E(rho) - P(x)) rho0 J0 on a frame's labels, rho from :func:`density_from_map`."""
     v = frame.read("velocity")
     kinetic = 0.5 * np.vecdot(v, v)
-    energy = np.asarray(material.eos.energy(_density(frame, rho0j0)), float)
+    energy = np.asarray(material.eos.energy(density_from_map(frame, rho0j0)), float)
     potential = np.asarray(material.potential(frame.read("position"), frame.t), float)
     return (kinetic - energy - potential) * rho0j0
 
@@ -282,7 +268,7 @@ def action(
 
 def _actions(field, material, quad, labels) -> list[float]:
     """[S] on the nodes (N, 3), or one fsum-reduced S per rung of a ladder's nodes (R, N, 3)."""
-    rho0j0 = _mass_reference(field, material, quad.space_nodes, Frame(field, labels, field.t0))
+    rho0j0 = mass_reference(field, material, quad.space_nodes, Frame(field, labels, field.t0))
     w = quad.space_weights
     terms = [wt * w * _lagrangian_density(Frame(field, labels, t), material, rho0j0)
              for t, wt in zip(quad.time_nodes, quad.time_weights)]
@@ -496,13 +482,8 @@ class VariationTriple:
         return cls(label="zero")
 
 
-def local_variation_of_triple(field: TrajectoryField, var: VariationTriple, a, t) -> np.ndarray:
-    """delta-bar x = delta_x - xdot delta_t - (delta_a . grad_a) x."""
-    return _local_variation(Frame(field, a, t), var)
-
-
-def _local_variation(frame: Frame, var):
-    """:func:`local_variation_of_triple` on a frame."""
+def local_variation_of_triple(frame: Frame, var: VariationTriple) -> np.ndarray:
+    """delta-bar x = delta_x - xdot delta_t - (delta_a . grad_a) x on a frame's labels."""
     a, t = frame.labels, frame.t
     return var.dx(a, t) - frame.read("velocity") * var.dt(t) - matvec(frame.matrix, var.da(a))
 
@@ -612,7 +593,7 @@ def fit_loglog_slope(xs, ys, floor: float = SLOPE_FLOOR) -> float | None:
 DEFAULT_EPS_LADDER = (1e-2, 3e-3, 1e-3, 3e-4)
 
 
-def _action_ladder(field, material, var, quad, eps_list, s0=None):
+def action_ladder(field, material, var, quad, eps_list, s0=None):
     """S(0) (unless given) and [S(eps)] of one triple on one quadrature: one composed
     configuration over the nodes repeated per rung (R, N, 3), one Frame per time for
     all rungs, every rung's chart checked for folds before the actions are evaluated."""
@@ -624,8 +605,17 @@ def _action_ladder(field, material, var, quad, eps_list, s0=None):
     return s0, _actions(deformed, material, quad, labels)
 
 
-def _scan_result(gen, var, quad, eps_list, s0, rungs) -> ScanResult:
-    """The invariance scan of ``gen`` (relabeling triple ``var``) read off its ladder."""
+def relabeling_invariance_scan(gen: RelabelGenerator, var: VariationTriple,
+                               quad: SpaceTimeQuadrature, eps_list, s0, rungs) -> ScanResult:
+    """|S(eps) - S(0)| ladder for a relabeling direction ``gen``, read off the ladder
+    S(0), [S(eps)] that :func:`action_ladder` built on its relabeling triple ``var``.
+
+    S(eps) is the action of the composed configuration on the same
+    quadrature.  A divergence-free generator leaves no first-order term, so
+    the fitted log-log slope is ~2 (or better, symmetric at SLOPE_THRESHOLD);
+    a divergent generator is flagged by its ~1 slope.  The divergence of delta_a
+    is read from ``var``, whose per-stack memo the ladder filled on the nodes.
+    """
     deltas = [abs(s - s0) for s in rungs]
     max_div = float(np.max(np.abs(var.delta_a.divergence(quad.space_nodes, 0.0))))
     slope = fit_loglog_slope(eps_list, deltas, floor=max(abs(s0), 1.0) * 1e-14)
@@ -633,25 +623,6 @@ def _scan_result(gen, var, quad, eps_list, s0, rungs) -> ScanResult:
                       max_divergence=max_div, base_action=s0,
                       symmetric=slope is None or slope >= SLOPE_THRESHOLD,
                       metadata={"generator": gen.label, "quadrature": quad.label})
-
-
-def relabeling_invariance_scan(
-    field: TrajectoryField,
-    material: FlowMaterial,
-    gen: RelabelGenerator,
-    quad: SpaceTimeQuadrature,
-    eps_list=DEFAULT_EPS_LADDER,
-) -> ScanResult:
-    """|S(eps) - S(0)| ladder for a relabeling direction.
-
-    S(eps) is the action of the composed configuration on the same
-    quadrature.  A divergence-free generator leaves no first-order term, so
-    the fitted log-log slope is ~2 (or better, symmetric at SLOPE_THRESHOLD);
-    a divergent generator is flagged by its ~1 slope.
-    """
-    var = VariationTriple.relabeling(gen)
-    return _scan_result(gen, var, quad, eps_list,
-                        *_action_ladder(field, material, var, quad, eps_list))
 
 
 # ---------------------------------------------------------------------------
@@ -676,28 +647,24 @@ def weak_form_integral(
     if gen.potential is None:
         raise VortlabError("weak_form_integral needs a curl-form generator (vector potential)")
     nodes, wa = quad.space_nodes, quad.space_weights
-    rho0j0 = _mass_reference(field, material, nodes)
+    rho0j0 = mass_reference(field, material, nodes)
     da = gen.delta_a(nodes)
     dR = np.asarray(gen.potential(nodes, 0.0), float)
     lhs_terms, rhs_terms = [], []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         w = wa * wt
         frame = Frame(field, nodes, t)
-        res = _momentum_residual(frame, material, pressure, rho0j0)
+        res = momentum_residual(frame, material, pressure, rho0j0)
         lhs_terms.extend(w * np.vecdot(res, -matvec(frame.matrix, da)))
         # the Cauchy residual curl_a(G^T xddot) on the same G
         rhs_terms.extend(-w * rho0j0 * np.vecdot(frame.cauchy, dR))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 
-def rund_trautman_check(
-    field: TrajectoryField,
-    material: FlowMaterial,
-    var: VariationTriple,
-    quad: SpaceTimeQuadrature,
-    eps=1e-3,
-) -> tuple[float, float, float] | list[tuple[float, float, float]]:
-    """(total, el_part, bd_part) of the fundamental variational split.
+def rund_trautman_check(s0, rungs, eps_list, el, bd) -> list[tuple[float, float, float]]:
+    """(total, el_part, bd_part) of the fundamental variational split, one row per rung
+    of the ladder S(0), [S(eps)] of :func:`action_ladder`, given the two braces ``el``
+    (:func:`el_part`) and ``bd`` (:func:`noether_boundary_term`) of the same triple.
 
     total: finite difference (S(eps) - S(0)) / eps of the action under the
     composed configuration.  el_part: bulk Euler-Lagrange pairing with the
@@ -705,24 +672,14 @@ def rund_trautman_check(
     quadrature.  The identity total = el_part + bd_part holds to O(eps) plus
     quadrature error.
 
-    ``eps`` may be a sequence (a ladder); the result is then a list with one
-    triple per rung.  S(0), el_part and bd_part do not depend on eps and are
-    computed once for the whole ladder, the one the scan reduces (folds are
-    checked per rung); ``vortlab action`` evaluates it once for both.
+    S(0), el_part and bd_part do not depend on eps and are taken once for the
+    whole ladder, which the scan reduces too (folds are checked per rung);
+    ``vortlab action`` evaluates it once for both.
 
     Both braces use the action's own stress p = rho^2 E'(rho) at
     rho = rho0 J0 / J (:func:`el_part`, :func:`noether_boundary_term`); any
     other pressure, such as a momentum-balancing one, breaks the identity.
     """
-    eps_list = np.ravel(eps).tolist()
-    s0, rungs = _action_ladder(field, material, var, quad, eps_list)
-    rows = _split_rows(s0, rungs, eps_list, el_part(field, material, var, quad),
-                       noether_boundary_term(field, material, var, quad))
-    return rows if np.ndim(eps) else rows[0]
-
-
-def _split_rows(s0, rungs, eps_list, el, bd):
-    """(total, el_part, bd_part) per rung, total = (S(eps) - S(0)) / eps."""
     return [((s - s0) / e, el, bd) for s, e in zip(rungs, eps_list)]
 
 
@@ -736,12 +693,12 @@ def el_part(
     the FD-differentiated :func:`pressure_from_eos`; cof(G) and delta-bar x share one G."""
     pressure = pressure_from_eos(field, material)
     nodes, wa = quad.space_nodes, quad.space_weights
-    rho0j0 = _mass_reference(field, material, nodes)
+    rho0j0 = mass_reference(field, material, nodes)
     terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         frame = Frame(field, nodes, t)
-        res = _momentum_residual(frame, material, pressure, rho0j0)
-        dbar = _local_variation(frame, var)
+        res = momentum_residual(frame, material, pressure, rho0j0)
+        dbar = local_variation_of_triple(frame, var)
         terms.extend(-wa * wt * np.vecdot(res, dbar))
     return math.fsum(terms)
 
@@ -764,11 +721,11 @@ def noether_boundary_term(
     """
     t_lo, t_hi = quad.window
     nodes, wa = quad.space_nodes, quad.space_weights
-    rho0j0 = _per_stack(lambda b: _mass_reference(field, material, b))
+    rho0j0 = _per_stack(lambda b: mass_reference(field, material, b))
 
     def endpoint_integrand(t):
         frame, rj = Frame(field, nodes, t), rho0j0(nodes)
-        dbar = _local_variation(frame, var)
+        dbar = local_variation_of_triple(frame, var)
         return (_lagrangian_density(frame, material, rj) * var.dt(t)
                 + rj * np.vecdot(frame.read("velocity"), dbar))
 
@@ -779,7 +736,7 @@ def noether_boundary_term(
         frame, rj = Frame(field, b, t), rho0j0(b)
         L = _lagrangian_density(frame, material, rj)
         p = np.asarray(material.eos.pressure(rj / frame.det), float)
-        dbar = _local_variation(frame, var)
+        dbar = local_variation_of_triple(frame, var)
         cof_t = np.swapaxes(frame.cof, -1, -2)
         return L[..., None] * var.da(b) + p[..., None] * matvec(cof_t, dbar)
 

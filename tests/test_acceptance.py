@@ -23,7 +23,7 @@ import pytest
 from vortlab import flows
 from vortlab.fields import Box, LabelGrid, ScalarField, VectorField
 from vortlab.invariants import cauchy_drift, cauchy_residual
-from vortlab.kinematics import run_identity_battery
+from vortlab.kinematics import Frame, run_identity_battery
 from vortlab.poly import Poly
 from vortlab.theorems import (
     LabelLoop,
@@ -39,8 +39,11 @@ from vortlab.variational import (
     RelabelGenerator,
     SpaceTimeQuadrature,
     VariationTriple,
+    action_ladder,
     bump_potential,
+    el_part,
     fit_loglog_slope,
+    noether_boundary_term,
     relabeling_invariance_scan,
     rund_trautman_check,
     sine_potential,
@@ -175,22 +178,25 @@ class TestCriterion4:
 
 
 class TestCriterion5:
+    @staticmethod
+    def _scan(fx, gen, quad):
+        var = VariationTriple.relabeling(gen)
+        return relabeling_invariance_scan(
+            gen, var, quad, DEFAULT_EPS_LADDER,
+            *action_ladder(fx.field, fx.material, var, quad, DEFAULT_EPS_LADDER))
+
     def test_relabeling_invariance_slopes(self):
         fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
         quad = SpaceTimeQuadrature.midpoint(fx.field.box, (8, 8, 8), (0.0, 1.0), 6)
-        good = relabeling_invariance_scan(fx.field, fx.material, poly_generator(), quad,
-                                          eps_list=DEFAULT_EPS_LADDER)
-        bump = relabeling_invariance_scan(
-            fx.field, fx.material,
-            RelabelGenerator.from_curl(bump_potential(fx.field.box), label="bump"),
-            quad, eps_list=DEFAULT_EPS_LADDER,
-        )
-        divergent = relabeling_invariance_scan(
-            fx.field, fx.material,
+        good = self._scan(fx, poly_generator(), quad)
+        bump = self._scan(
+            fx, RelabelGenerator.from_curl(bump_potential(fx.field.box), label="bump"), quad)
+        divergent = self._scan(
+            fx,
             RelabelGenerator(VectorField(value=lambda a, t: np.asarray(a, float),
                                          jacobian_fn=lambda a, t: np.eye(3)),
                              label="divergent"),
-            quad, eps_list=DEFAULT_EPS_LADDER,
+            quad,
         )
         g_ok = good.slope is None or good.slope >= 1.9
         b_ok = bump.slope is None or bump.slope >= 1.9
@@ -230,11 +236,11 @@ class TestCriterion7:
     FLOOR = 1e-12
 
     def _ladder(self, fx, quad, triple):
-        rows = []
-        for eps in DEFAULT_EPS_LADDER:
-            tot, el, bd = rund_trautman_check(fx.field, fx.material, triple, quad, eps=eps)
-            rows.append(abs(tot - (el + bd)))
-        return rows
+        rows = rund_trautman_check(
+            *action_ladder(fx.field, fx.material, triple, quad, DEFAULT_EPS_LADDER),
+            DEFAULT_EPS_LADDER, el_part(fx.field, fx.material, triple, quad),
+            noether_boundary_term(fx.field, fx.material, triple, quad))
+        return [abs(tot - (el + bd)) for tot, el, bd in rows]
 
     def test_variational_split_first_order(self):
         fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
@@ -281,13 +287,15 @@ class TestCriterion8:
             for _ in range(20):
                 a = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.lo, box.hi)])
                 t = rng.uniform(fx.field.t0, fx.field.t1)
-                dal = max(dal, float(np.max(np.abs(dalembert_euler_residual(fx.field, a, t)))))
+                dal = max(dal, float(np.max(np.abs(dalembert_euler_residual(
+                    Frame(fx.field, a, t))))))
         dal_ok = dal < 1e-8
 
         abc = flows.make_fixture("abc", shape=(32, 32, 32), t1=1.0, dt=0.0125)
         a = np.array([1.3, 2.1, 0.7])
         norms = [float(np.linalg.norm(
-            beltrami_residual(abc.field, abc.material, a, 0.5, dt_fd=dtf)))
+            beltrami_residual(Frame(abc.field, a, 0.5), Frame(abc.field, a, abc.field.t0),
+                              abc.material, dtf)))
             for dtf in (0.2, 0.1, 0.05)]
         ratios = (norms[0] / norms[1], norms[1] / norms[2])
         bel_ok = all(2.5 < r < 6.0 for r in ratios)

@@ -185,6 +185,22 @@ class TestExitCodes:
         assert captured.out == "" and f"unrecognized arguments: {flag} 3" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,args,flag,taken", [
+        ("identities", ["--trials", "1"], "--grid", "--trials"),
+        ("export", ["--fixture", "identity", "--out", "x.npz"], "--seed", "--fixture"),
+        ("action", ["--fixture", "rigid-rotation"], "--tol", "--scan"),
+    ])
+    def test_foreign_flag_gets_the_commands_usage(self, command, args, flag, taken, tmp_path,
+                                                  monkeypatch, capsys):
+        # the command's own usage lists the flags it does take
+        monkeypatch.chdir(tmp_path)
+        code = main([command, *args, flag, "4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"usage: vortlab {command} ")
+        assert taken in err.split(f"vortlab {command}: error:")[0]
+        assert err.endswith(f"vortlab {command}: error: unrecognized arguments: {flag} 4\n")
+
     @pytest.mark.parametrize("args,message", [
         (["--fixture", "identity", "--param", "t1=1", "--t1", "2"],
          "--t1 and --param t1 set the same value; give one"),
@@ -345,13 +361,20 @@ class TestFormatsAndConfig:
         assert code == 2
         assert capsys.readouterr().err.startswith("vortlab: ")
 
-    # key=value lines with real option names and arbitrary values; --out and
-    # --trials stay out so an example can neither write files nor run long
+    # key=value lines with verify's option names and arbitrary values, except that --grid
+    # and --nt draw from small or malformed values, so no example runs long; the analytic
+    # fixture given after the file wins over a fixture line, and --out stays out, so no
+    # example advects a field or writes a file
+    _SMALL = st.sampled_from(["2", "3", "1", "0", "-2", "", "x", "2.5", "1e1", " 3", "3,3",
+                              "2,3,2", "2,,3", "3,3,3,3"])
     _CONFIG_LINES = st.lists(
-        st.tuples(
-            st.sampled_from(["grid", "nt", "dt", "t0", "t1", "seed", "tol", "fd-order",
-                             "format", "param", "fixture", "config", "bogus", ""]),
-            st.text(max_size=12),
+        st.one_of(
+            st.tuples(st.sampled_from(["grid", "nt"]), _SMALL),
+            st.tuples(
+                st.sampled_from(["dt", "t0", "t1", "seed", "tol", "fd-order", "format",
+                                 "param", "fixture", "config", "bogus", ""]),
+                st.text(max_size=12),
+            ),
         ).map(lambda kv: f"{kv[0]}={kv[1]}"),
         max_size=5,
     ).map(lambda lines: "\n".join(lines).encode("utf-8"))
@@ -362,7 +385,7 @@ class TestFormatsAndConfig:
     def test_fuzzed_config_runs_or_exits_2(self, tmp_path, capsys, data):
         cfg = tmp_path / "fuzz.cfg"
         cfg.write_bytes(data)
-        code = main(["identities", "--config", str(cfg), "--trials", "1"])
+        code = main(["verify", "--config", str(cfg), "--fixture", "shear"])
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         if code == 2:
@@ -430,6 +453,36 @@ class TestActionSharing:
             full, alone = full["ladder"], alone["ladder"]
         # repr round-trips floats, so equal dumps mean equal bits
         assert json.dumps(alone) == json.dumps(full)
+
+
+class TestCommandsReachEachPublicCheck:
+    """`verify` and `action` call each traced check by its public name, so the
+    benchmark's span tracer, which wraps these names, records them."""
+
+    NAMES = ("ertel_pv", "beltrami_residual", "dalembert_euler_residual",
+             "momentum_residual", "density_from_map",
+             "relabeling_invariance_scan", "rund_trautman_check")
+
+    def test_each_name_records_calls(self, monkeypatch, capsys):
+        # one counting wrapper per function, bound wherever a vortlab namespace holds it
+        calls = dict.fromkeys(self.NAMES, 0)
+        modules = [m for name, m in sorted(sys.modules.items())
+                   if name == "vortlab" or name.startswith("vortlab.")]
+        for name in self.NAMES:
+            originals = {vars(m)[name] for m in modules if name in vars(m)}
+            assert len(originals) == 1, name
+
+            def counted(*args, _fn=originals.pop(), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in modules:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted)
+        assert main(["verify", "--fixture", "gerstner", "--grid", "3", "--nt", "3"]) == 0
+        assert main(["action", "--fixture", "rigid-rotation", "--grid", "2", "--nt", "2"]) == 0
+        capsys.readouterr()
+        assert [name for name, n in calls.items() if n == 0] == []
 
 
 class TestParser:

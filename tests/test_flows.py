@@ -13,7 +13,8 @@ from vortlab.cli import main
 from vortlab.errors import OutOfDomainError, VortlabError
 from vortlab.fields import Box, LabelGrid, SampledTrajectoryField, VectorField, load_grid
 from vortlab.invariants import cauchy_residual, lagrangian_vorticity
-from vortlab.variational import momentum_residual
+from vortlab.kinematics import Frame
+from vortlab.variational import mass_reference, momentum_residual
 
 
 def _random_probes(fx, n, seed=0):
@@ -58,13 +59,16 @@ class TestCatalog:
             assert fx.extremal
             worst = 0.0
             for a, t in _random_probes(fx, 100, seed=11):
-                r = momentum_residual(fx.field, fx.material, fx.pressure, a, t)
+                r = momentum_residual(Frame(fx.field, a, t), fx.material, fx.pressure,
+                                      mass_reference(fx.field, fx.material, a))
                 worst = max(worst, float(np.max(np.abs(r))))
             assert worst < 1e-8, (name, worst)
 
     def test_non_extremal_controls_are_detected(self):
         dil = flows.make_fixture("dilation")
-        r = momentum_residual(dil.field, dil.material, dil.pressure, (0.1, 0.1, 0.1), 0.5)
+        a = (0.1, 0.1, 0.1)
+        r = momentum_residual(Frame(dil.field, a, 0.5), dil.material, dil.pressure,
+                              mass_reference(dil.field, dil.material, a))
         assert np.max(np.abs(r)) > 1e-3
         ne = flows.make_fixture("non-euler")
         assert np.max(np.abs(cauchy_residual(ne.field, (0.0, 1.0, 0.0), 1.0).astype(float))) > 1e-3
@@ -192,8 +196,8 @@ class TestIntegrator:
             nodes = fx.field.grid.nodes()
             worst = 0.0
             for idx in (0, 57, 311):
-                r = momentum_residual(fx.field, fx.material, fx.pressure,
-                                      nodes[idx], 0.1)
+                r = momentum_residual(Frame(fx.field, nodes[idx], 0.1), fx.material, fx.pressure,
+                                      mass_reference(fx.field, fx.material, nodes[idx]))
                 worst = max(worst, float(np.max(np.abs(r))))
             assert worst < 5e-2, (name, worst)
 

@@ -22,6 +22,7 @@ from vortlab.variational import (
     density_from_map,
     el_part,
     local_variation_of_triple,
+    mass_reference,
     noether_boundary_term,
     weak_form_integral,
 )
@@ -116,7 +117,9 @@ class TestVariationalLayerReadsThroughFrames:
             "noether_boundary_term": lambda: noether_boundary_term(field, material, var, quad),
             "weak_form_integral": lambda: weak_form_integral(
                 field, material, gen, quad, ScalarField.constant(0.0)),
-            "density_from_map": lambda: density_from_map(field, material, quad.space_nodes, 1.0),
+            "density_from_map": lambda: density_from_map(
+                Frame(field, quad.space_nodes, 1.0),
+                mass_reference(field, material, quad.space_nodes)),
         }[call]
         want = rf"below degeneracy threshold at a=.*, t={t}$"
         with pytest.raises(DegenerateMapError, match=want):
@@ -127,10 +130,13 @@ class TestVariationalLayerReadsThroughFrames:
         field = flows.make_fixture("rigid-rotation").field
         var = VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(field.box)))
         a = np.array([5.0, 0.0, 0.0])
+        # each reads through the frame of (a, t), whose construction checks the domain
         run = {
-            "local_variation_of_triple": lambda: local_variation_of_triple(field, var, a, 1.0),
+            "local_variation_of_triple": lambda: local_variation_of_triple(
+                Frame(field, a, 1.0), var),
             "convective_gradient_residual": lambda: kinematics.convective_gradient_residual(
-                field, a, 1.0),
+                Frame(field, a, 1.0).read("velocity"),
+                Frame(field, a, 1.0).read("velocity_gradient")),
         }[call]
         with pytest.raises(OutOfDomainError, match=r"label \(5\.0, 0\.0, 0\.0\) outside"):
             run()

@@ -31,6 +31,7 @@ from vortlab.invariants import (
 from vortlab.kinematics import Frame, jacobian, pullback_gradient
 from vortlab.poly import Poly, random_point, random_poly
 from vortlab.theorems import dalembert_euler_residual, ertel_pv
+from vortlab.variational import mass_reference
 
 BOX = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -317,8 +318,9 @@ class TestGridEvaluation:
             "cauchy_vorticity_reconstruct(callable)": lambda a, v: cauchy_vorticity_reconstruct(
                 field, lambda b: lagrangian_vorticity(field, b, field.t0), a, t),
             "pullback_gradient": lambda a, v: pullback_gradient(jacobian(field, a, t), v),
-            "ertel_pv": lambda a, v: ertel_pv(field, fx.material, S, a, t),
-            "dalembert_euler_residual": lambda a, v: dalembert_euler_residual(field, a, t),
+            "ertel_pv": lambda a, v: ertel_pv(Frame(field, a, t), S,
+                                              mass_reference(field, fx.material, a)),
+            "dalembert_euler_residual": lambda a, v: dalembert_euler_residual(Frame(field, a, t)),
         }
         for name, kernel in kernels.items():
             stacked = np.asarray(kernel(nodes, w), float)

@@ -16,8 +16,6 @@ from vortlab.fields import (
 from vortlab.kinematics import (
     Frame,
     JacobianBundle,
-    _convective_residual,
-    _inverse_rate_residual,
     _rate_residual,
     checked_det,
     cof3,
@@ -192,30 +190,23 @@ class TestPullbackAndTransport:
 
 class TestRateIdentities:
     def test_identity_map_zero(self):
-        f = flows.make_fixture("identity").field
-        assert np.allclose(jacobian_rate_residual(f, (0.1, 0.2, 0.3), 0.5), 0.0)
-        assert np.allclose(inverse_jacobian_rate_residual(f, (0.1, 0.2, 0.3), 0.5), 0.0)
-        assert np.allclose(convective_gradient_residual(f, (0.1, 0.2, 0.3), 0.5), 0.0)
-
-    def test_translation_zero(self):
-        f = flows.make_fixture("translation").field
-        assert np.allclose(convective_gradient_residual(f, (0.1, 0.2, 0.3), 0.5, h=1e-3), 0.0,
-                           atol=1e-12)
+        frame = jacobian(flows.make_fixture("identity").field, (0.1, 0.2, 0.3), 0.5)
+        gv = frame.read("velocity_gradient")
+        assert np.allclose(inverse_jacobian_rate_residual(frame, gv), 0.0)
+        assert np.allclose(convective_gradient_residual(frame.read("velocity"), gv), 0.0)
 
     def test_rotation_residuals_with_fd_in_time(self):
         f = flows.make_fixture("rigid-rotation", omega0=1.0).field
         a, t = np.array([0.4, -0.3, 0.2]), 2.1
-        assert np.max(np.abs(jacobian_rate_residual(f, a, t, h=1e-3))) < 1e-10
-        assert np.max(np.abs(inverse_jacobian_rate_residual(f, a, t, h=1e-3))) < 1e-10
-        assert np.max(np.abs(convective_gradient_residual(f, a, t, h=1e-3))) < 1e-10
+        assert np.max(np.abs(jacobian_rate_residual(jacobian(f, a, t), 1e-3))) < 1e-10
 
     def test_polynomial_shear_exactly_zero(self):
         a1, a2, a3, t = (Poly.variable(4, i) for i in range(4))
         fld = PolynomialTrajectoryField([a1 + t * a2, a2, a3], BOX, 0.0, 2.0)
-        pt, tt = (Fraction(1, 3), Fraction(-1, 2), Fraction(1)), Fraction(3, 4)
-        assert all(v == 0 for v in jacobian_rate_residual(fld, pt, tt).flat)
-        assert all(v == 0 for v in inverse_jacobian_rate_residual(fld, pt, tt).flat)
-        assert all(v == 0 for v in convective_gradient_residual(fld, pt, tt))
+        frame = jacobian(fld, (Fraction(1, 3), Fraction(-1, 2), Fraction(1)), Fraction(3, 4))
+        gv = frame.read("velocity_gradient")
+        assert all(v == 0 for v in inverse_jacobian_rate_residual(frame, gv).flat)
+        assert all(v == 0 for v in convective_gradient_residual(frame.read("velocity"), gv))
 
 
 class TestStackedCores:
@@ -223,8 +214,8 @@ class TestStackedCores:
         "cofactor_rate": lambda b, gv, v: cofactor_rate(b.matrix, gv),
         "det_rate": lambda b, gv, v: det_rate(b.cof, gv),
         "rate": lambda b, gv, v: _rate_residual(b, gv, np.swapaxes(gv, -1, -2)),
-        "inverse_rate": lambda b, gv, v: _inverse_rate_residual(b, gv),
-        "convective": lambda b, gv, v: _convective_residual(v, gv),
+        "inverse_rate": lambda b, gv, v: inverse_jacobian_rate_residual(b, gv),
+        "convective": lambda b, gv, v: convective_gradient_residual(v, gv),
     }
 
     @staticmethod
@@ -315,7 +306,7 @@ class TestBattery:
         # the residual is then (1/7) d(adj G)/dt / J'^2, here computed in plain Fractions
         off = JacobianBundle(bundle.matrix)
         off.det = off.det + Rat(1, 7)
-        inv = _inverse_rate_residual(off, gv)
+        inv = inverse_jacobian_rate_residual(off, gv)
         plain = np.vectorize(Fraction, otypes=[object])
         adj_rate = np.swapaxes(cofactor_rate(plain(bundle.matrix), plain(gv)), -1, -2)
         want = Fraction(1, 7) * adj_rate / Fraction(off.det) ** 2

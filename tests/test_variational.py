@@ -22,11 +22,13 @@ from vortlab.variational import (
     SpaceTimeQuadrature,
     VariationTriple,
     action,
+    action_ladder,
     bump_potential,
     density_from_map,
     el_part,
     fit_loglog_slope,
     local_variation_of_triple,
+    mass_reference,
     momentum_residual,
     noether_boundary_term,
     pressure_from_eos,
@@ -50,6 +52,31 @@ def poly_generator():
     return RelabelGenerator.from_potential_polys([zero, zero, a1 * a2], label="psi=a1*a2")
 
 
+def scan_of(field, material, gen, quad, eps_list=variational.DEFAULT_EPS_LADDER):
+    """The invariance scan of ``gen`` read off its own ladder, as ``vortlab action`` runs it."""
+    var = VariationTriple.relabeling(gen)
+    return relabeling_invariance_scan(gen, var, quad, eps_list,
+                                      *action_ladder(field, material, var, quad, eps_list))
+
+
+def split_of(field, material, var, quad, eps_list):
+    """The Rund-Trautman rows of ``var``, one per rung, as ``vortlab action`` runs them."""
+    return rund_trautman_check(*action_ladder(field, material, var, quad, eps_list), eps_list,
+                               el_part(field, material, var, quad),
+                               noether_boundary_term(field, material, var, quad))
+
+
+def density_at(field, material, a, t):
+    """rho at labels ``a`` and time t, through the frame of (a, t)."""
+    return density_from_map(Frame(field, a, t), mass_reference(field, material, a))
+
+
+def momentum_at(field, material, pressure, a, t):
+    """The momentum residual at labels ``a`` and time t, through the frame of (a, t)."""
+    return momentum_residual(Frame(field, a, t), material, pressure,
+                             mass_reference(field, material, a))
+
+
 class TestEOS:
     def test_polytropic_pressure_exact_for_rationals(self):
         eos = BarotropicEOS.polytropic(Fraction(2), 3)
@@ -66,17 +93,17 @@ class TestEOS:
 class TestMassAndMomentum:
     def test_identity_density(self):
         fx = flows.make_fixture("identity")
-        assert density_from_map(fx.field, fx.material, (0.1, 0.2, 0.3), 0.7) == pytest.approx(1.0)
+        assert density_at(fx.field, fx.material, (0.1, 0.2, 0.3), 0.7) == pytest.approx(1.0)
 
     def test_dilation_density(self):
         fx = flows.make_fixture("dilation")
-        rho = density_from_map(fx.field, fx.material, (0.1, 0.2, 0.3), 1.0)
+        rho = density_at(fx.field, fx.material, (0.1, 0.2, 0.3), 1.0)
         assert rho == pytest.approx((1.0 + 1.0) ** -3)
 
     def test_rotation_density_constant(self):
         fx = flows.make_fixture("rigid-rotation")
         for t in (0.0, 3.3, 9.9):
-            assert density_from_map(fx.field, fx.material, (0.4, 0.1, 0.0), t) == pytest.approx(1.0)
+            assert density_at(fx.field, fx.material, (0.4, 0.1, 0.0), t) == pytest.approx(1.0)
 
     def test_hydrostatic_rest_balances(self):
         # x = a, p = -g rho0 a3, P = g x3
@@ -91,12 +118,12 @@ class TestMassAndMomentum:
             value=lambda a, t: -g * a[..., 2],
             gradient_fn=lambda a, t: np.array([0.0, 0.0, -g]),
         )
-        r = momentum_residual(fx.field, material, pressure, (0.3, -0.3, 0.5), 0.5)
+        r = momentum_at(fx.field, material, pressure, (0.3, -0.3, 0.5), 0.5)
         assert np.max(np.abs(r)) < 1e-12
 
     def test_translation_constant_pressure(self):
         fx = flows.make_fixture("translation")
-        r = momentum_residual(fx.field, fx.material, ScalarField.constant(7.0),
+        r = momentum_at(fx.field, fx.material, ScalarField.constant(7.0),
                               (0.1, 0.1, 0.1), 0.5)
         assert np.max(np.abs(r)) < 1e-12
 
@@ -107,7 +134,7 @@ class TestMassAndMomentum:
         for _ in range(20):
             a = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.lo, box.hi)])
             t = rng.uniform(fx.field.t0, fx.field.t1)
-            r = momentum_residual(fx.field, fx.material, fx.pressure, a, t)
+            r = momentum_at(fx.field, fx.material, fx.pressure, a, t)
             assert np.max(np.abs(r)) < 1e-8
 
     def test_eos_pressure_field_route(self):
@@ -184,20 +211,21 @@ class TestLocalVariation:
     def test_identity_map(self):
         fx = flows.make_fixture("identity")
         var = VariationTriple.relabeling(poly_generator())
-        out = local_variation_of_triple(fx.field, var, (0.3, 0.4, 0.0), 0.2)
+        out = local_variation_of_triple(Frame(fx.field, (0.3, 0.4, 0.0), 0.2), var)
         assert np.allclose(out, [-0.3, 0.4, 0.0])
 
     def test_dilation_scaling(self):
         fx = flows.make_fixture("dilation")
         var = VariationTriple.relabeling(poly_generator())
-        out = local_variation_of_triple(fx.field, var, (0.3, 0.4, 0.0), 1.0)
+        out = local_variation_of_triple(Frame(fx.field, (0.3, 0.4, 0.0), 1.0), var)
         assert np.allclose(out, [-0.6, 0.8, 0.0])
 
     def test_shear_matrix(self):
         f = flows.make_fixture("shear", t1=5.0).field
         gen = RelabelGenerator(VectorField(value=lambda a, t: np.array([0.0, 1.0, 0.0]),
                                            jacobian_fn=lambda a, t: np.zeros((3, 3))))
-        out = local_variation_of_triple(f, VariationTriple.relabeling(gen), (0.0, 0.0, 0.0), 3.0)
+        out = local_variation_of_triple(Frame(f, (0.0, 0.0, 0.0), 3.0),
+                                        VariationTriple.relabeling(gen))
         assert np.allclose(out, [-3.0, -1.0, 0.0])
 
     def test_matches_triple_form(self):
@@ -205,7 +233,7 @@ class TestLocalVariation:
         gen = poly_generator()
         var = VariationTriple.relabeling(gen)
         a, t = np.array([0.2, -0.6, 0.1]), 1.1
-        assert np.allclose(local_variation_of_triple(fx.field, var, a, t),
+        assert np.allclose(local_variation_of_triple(Frame(fx.field, a, t), var),
                            -(fx.field.position_gradient(a, t) @ gen.delta_a(a)))
 
 
@@ -221,22 +249,21 @@ class TestInvarianceScan:
         assert action(deformed, self.fx.material, self.quad) == s0
 
     def test_divergence_free_generator_passes(self):
-        scan = relabeling_invariance_scan(self.fx.field, self.fx.material, poly_generator(),
-                                          self.quad)
+        scan = scan_of(self.fx.field, self.fx.material, poly_generator(), self.quad)
         assert scan.symmetric
         assert scan.slope is None or scan.slope >= 1.9
         assert scan.max_divergence < 1e-12
 
     def test_compact_bump_generator_second_order(self):
         gen = RelabelGenerator.from_curl(bump_potential(self.fx.field.box), label="bump")
-        scan = relabeling_invariance_scan(self.fx.field, self.fx.material, gen, self.quad)
+        scan = scan_of(self.fx.field, self.fx.material, gen, self.quad)
         assert scan.symmetric
         assert 1.9 <= scan.slope <= 2.6
 
     def test_divergent_generator_flagged(self):
         bad = RelabelGenerator(VectorField(value=lambda a, t: np.asarray(a, float),
                                            jacobian_fn=lambda a, t: np.eye(3)), label="divergent")
-        scan = relabeling_invariance_scan(self.fx.field, self.fx.material, bad, self.quad)
+        scan = scan_of(self.fx.field, self.fx.material, bad, self.quad)
         assert not scan.symmetric
         assert scan.slope <= 1.2
         assert scan.max_divergence > 1.0
@@ -246,8 +273,7 @@ class TestInvarianceScan:
                                            jacobian_fn=lambda a, t: -2.0 * np.eye(3)),
                                label="folding")
         with pytest.raises(FoldedRelabelingError):
-            relabeling_invariance_scan(self.fx.field, self.fx.material, bad, self.quad,
-                                       eps_list=(0.9,))
+            scan_of(self.fx.field, self.fx.material, bad, self.quad, eps_list=(0.9,))
 
     def test_scalar_field_invariance_under_relabeling(self):
         # a parcel-attached scalar evaluated through the inverted relabeling
@@ -384,8 +410,7 @@ class TestRundTrautman:
     def test_zero_triple_all_zero(self):
         fx = flows.make_fixture("rigid-rotation", t1=2.0)
         quad = SpaceTimeQuadrature.midpoint(fx.field.box, (4, 4, 4), (0.0, 1.0), 3)
-        tot, el, bd = rund_trautman_check(fx.field, fx.material, VariationTriple.zero(), quad,
-                                          eps=1e-3)
+        [(tot, el, bd)] = split_of(fx.field, fx.material, VariationTriple.zero(), quad, (1e-3,))
         assert tot == 0.0 and el == 0.0 and abs(bd) < 1e-13
 
     def test_relabeling_triple_on_extremal(self):
@@ -394,8 +419,8 @@ class TestRundTrautman:
         gen = poly_generator()
         mism = []
         for eps in (1e-2, 3e-3, 1e-3):
-            tot, el, bd = rund_trautman_check(
-                fx.field, fx.material, VariationTriple.relabeling(gen), quad, eps=eps,
+            [(tot, el, bd)] = split_of(
+                fx.field, fx.material, VariationTriple.relabeling(gen), quad, (eps,),
             )
             assert abs(el) < 1e-8 and abs(bd) < 1e-8
             mism.append(abs(tot - el - bd))
@@ -407,8 +432,8 @@ class TestRundTrautman:
         # rounding floor and the identity holds degenerately
         fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
         quad = SpaceTimeQuadrature.midpoint(fx.field.box, (5, 5, 5), (0.0, 1.0), 4)
-        tot, el, bd = rund_trautman_check(
-            fx.field, fx.material, VariationTriple.time_translation(), quad, eps=1e-3,
+        [(tot, el, bd)] = split_of(
+            fx.field, fx.material, VariationTriple.time_translation(), quad, (1e-3,),
         )
         assert abs(tot) < 1e-9 and abs(el) < 1e-12 and abs(bd) < 1e-9
 
@@ -426,7 +451,7 @@ class TestRundTrautman:
         ))
         mism = []
         for eps in (1e-2, 3e-3, 1e-3):
-            tot, el, bd = rund_trautman_check(ne.field, ne.material, vt, quad, eps=eps)
+            [(tot, el, bd)] = split_of(ne.field, ne.material, vt, quad, (eps,))
             assert abs(el) > 0.1 and abs(bd) > 0.1
             mism.append(abs(tot - el - bd))
         slope = fit_loglog_slope((1e-2, 3e-3, 1e-3), mism, floor=1e-13)
@@ -450,7 +475,7 @@ class TestRundTrautman:
             time_derivative_fn=lambda a, t: first_component(0.2 * (1 + a[..., 1])),
         ))
         eps = 1e-4
-        tot, el, bd = rund_trautman_check(fx.field, fx.material, vt, quad, eps=eps)
+        [(tot, el, bd)] = split_of(fx.field, fx.material, vt, quad, (eps,))
         assert abs(el) > 0.01 and abs(bd) > 0.01
         assert abs(tot - el - bd) < 1e-3 * max(1.0, abs(tot))
 
@@ -581,7 +606,7 @@ class TestBatchedVariationalLayer:
         assert action(fx.field, material, quad) == s0
         var = VariationTriple.relabeling(gen)
         ladder = (1e-2, 3e-3)
-        scan = relabeling_invariance_scan(fx.field, material, gen, quad, eps_list=ladder)
+        scan = scan_of(fx.field, material, gen, quad, eps_list=ladder)
         want = []
         for eps in ladder:
             s_eps = ref_action(DeformedTrajectoryField(fx.field, var, eps), material, quad)
@@ -607,10 +632,10 @@ class TestBatchedVariationalLayer:
                 want = [ref_lagrangian(field, material, a, t, r) for a, r in zip(nodes, rj)]
                 assert (got == np.array(want)).all()
         for t in quad.time_nodes:
-            got = momentum_residual(fx.field, material, pressure, nodes, t)
+            got = momentum_at(fx.field, material, pressure, nodes, t)
             want = [ref_momentum_residual(fx.field, material, pressure, a, t) for a in nodes]
             assert (got == np.array(want)).all()
-            got = local_variation_of_triple(fx.field, var, nodes, t)
+            got = local_variation_of_triple(Frame(fx.field, nodes, t), var)
             want = [ref_local_variation(fx.field, var, a, t) for a in nodes]
             assert (got == np.array(want)).all()
 
@@ -624,23 +649,12 @@ class TestBatchedVariationalLayer:
         got = noether_boundary_term(fx.field, material, var, quad)
         assert abs(got - ref_noether(fx.field, material, var, quad, pressure)) <= 1e-13
 
-    def test_rund_trautman_ladder_matches_single_rungs(self, monkeypatch):
+    def test_rund_trautman_ladder_matches_single_rungs(self):
         fx, material, gen, quad = _batched_case("rigid-rotation")
         var = VariationTriple.relabeling(gen)
         ladder = (1e-2, 1e-3)
-        singles = [rund_trautman_check(fx.field, material, var, quad, eps=e) for e in ladder]
-        calls = {"el_part": 0, "noether_boundary_term": 0}
-        for fn in calls:
-            original = getattr(variational, fn)
-
-            def counted(*args, _fn=fn, _original=original, **kwargs):
-                calls[_fn] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(variational, fn, counted)
-        rows = rund_trautman_check(fx.field, material, var, quad, eps=ladder)
-        assert rows == singles
-        assert calls == {"el_part": 1, "noether_boundary_term": 1}
+        singles = [split_of(fx.field, material, var, quad, (e,))[0] for e in ladder]
+        assert split_of(fx.field, material, var, quad, ladder) == singles
 
     def test_fold_error_names_first_folded_node(self):
         fx, material, _, quad = _batched_case("rigid-rotation")
@@ -652,7 +666,7 @@ class TestBatchedVariationalLayer:
         )
         first = next(a for a in quad.space_nodes if a[0] > 0.2)
         with pytest.raises(FoldedRelabelingError, match=re.escape(str(tuple(first.tolist())))):
-            relabeling_invariance_scan(fx.field, material, folding, quad, eps_list=(0.9,))
+            scan_of(fx.field, material, folding, quad, eps_list=(0.9,))
 
     def test_nonpositive_density_still_raises(self):
         fx, _, gen, quad = _batched_case("rigid-rotation")
@@ -661,7 +675,7 @@ class TestBatchedVariationalLayer:
                                 eos=BarotropicEOS.zero(), potential=ScalarField.constant(0.0))
         first = str(tuple(next(a for a in quad.space_nodes if a[0] <= 0.0).tolist()))
         for run in (lambda: action(fx.field, material, quad),
-                    lambda: density_from_map(fx.field, material, quad.space_nodes, 0.5),
+                    lambda: density_at(fx.field, material, quad.space_nodes, 0.5),
                     lambda: el_part(fx.field, material, VariationTriple.relabeling(gen), quad)):
             with pytest.raises(NonPositiveDensityError, match=re.escape(first)):
                 run()
@@ -745,9 +759,8 @@ class TestBatchedVariationalLayer:
         fx, material, gen, quad = _batched_case(name)
         plain = VariationTriple(delta_a=gen.field)
         ladder = (1e-2, 1e-3)
-        assert rund_trautman_check(fx.field, material, VariationTriple.relabeling(gen), quad,
-                                   eps=ladder) == \
-            rund_trautman_check(fx.field, material, plain, quad, eps=ladder)
+        assert split_of(fx.field, material, VariationTriple.relabeling(gen), quad, ladder) == \
+            split_of(fx.field, material, plain, quad, ladder)
 
     @pytest.mark.parametrize("name", BATCHED_CASES)
     def test_eos_pressure_bitwise(self, name):
@@ -755,16 +768,16 @@ class TestBatchedVariationalLayer:
         pressure = pressure_from_eos(fx.field, material)
         nodes = quad.space_nodes
         for t in quad.time_nodes:
-            want = material.eos.pressure(density_from_map(fx.field, material, nodes, t))
+            want = material.eos.pressure(density_at(fx.field, material, nodes, t))
             for _ in range(2):  # the second call reads rho0 J0 from the memo
                 assert (pressure(nodes, t) == want).all()
         a = tuple(nodes[5].tolist())
-        assert pressure(a, 0.5) == material.eos.pressure(density_from_map(fx.field, material, a, 0.5))
+        assert pressure(a, 0.5) == material.eos.pressure(density_at(fx.field, material, a, 0.5))
 
     def test_action_evaluates_generator_once_per_stack(self, monkeypatch):
-        calls = {"jacobian_fn": 0, "density_from_map": 0}
+        calls = {"jacobian_fn": 0, "mass_reference": 0}
         original_bump = cli.bump_potential
-        original_density = variational.density_from_map
+        original_mass = variational.mass_reference
 
         def counted_bump(*args, **kwargs):
             pot = original_bump(*args, **kwargs)
@@ -775,16 +788,19 @@ class TestBatchedVariationalLayer:
 
             return dataclasses.replace(pot, jacobian_fn=jac)
 
-        def counted_density(*args, **kwargs):
-            calls["density_from_map"] += 1
-            return original_density(*args, **kwargs)
+        def counted_mass(*args, **kwargs):
+            calls["mass_reference"] += 1
+            return original_mass(*args, **kwargs)
 
         monkeypatch.setattr(cli, "bump_potential", counted_bump)
-        monkeypatch.setattr(variational, "density_from_map", counted_density)
+        monkeypatch.setattr(variational, "mass_reference", counted_mass)
         code, _ = cli.cmd_action(cli.RunConfig(fixture="rigid-rotation", grid=(4, 4, 4), nt=3))
         assert code == 0
         assert 0 < calls["jacobian_fn"] <= 40
-        assert calls["density_from_map"] == 0
+        # rho0 J0 once per label stack and owner, never per density: S(0), the bump and
+        # control ladders, the weak form, el_part and its EOS pressure's shifted stack,
+        # and the Noether term's endpoint nodes and shifted flux stack
+        assert calls["mass_reference"] == 8
 
 
 def _outcome(run):
@@ -799,7 +815,7 @@ LADDER_SHAPES = {"abc": (8, 8, 8), "taylor-green": (8, 8, 4)}
 
 
 class TestStackedLadder:
-    """`_action_ladder` evaluates every rung on one (R, N, 3) stack; each S(eps)
+    """`action_ladder` evaluates every rung on one (R, N, 3) stack; each S(eps)
     must be the bits of the composed configuration's own action."""
 
     @staticmethod
@@ -818,7 +834,7 @@ class TestStackedLadder:
         quad = SpaceTimeQuadrature.midpoint(box, (4, 4, 4), (fx.field.t0, fx.field.t1), 3)
         eps = variational.DEFAULT_EPS_LADDER
         for label, var in self._triples(box).items():
-            stacked = _outcome(lambda: variational._action_ladder(
+            stacked = _outcome(lambda: variational.action_ladder(
                 fx.field, fx.material, var, quad, eps)[1])
             singles = _outcome(lambda: [action(DeformedTrajectoryField(fx.field, var, e),
                                                fx.material, quad) for e in eps])
@@ -842,6 +858,6 @@ class TestStackedLadder:
         with pytest.raises(FoldedRelabelingError) as single:
             rung_by_rung()
         with pytest.raises(FoldedRelabelingError) as stacked:
-            variational._action_ladder(fx.field, material, folding, quad, eps)
+            variational.action_ladder(fx.field, material, folding, quad, eps)
         assert str(stacked.value) == str(single.value)
         assert "-0.512" in str(single.value)
