@@ -94,6 +94,9 @@ class RunConfig:
     seed: int = 1
     dt: tuple[float, ...] = ()
     trials: int = 100
+    # the fields whose flag was given; flags with a parser default (--fd-order, --format,
+    # --seed, --trials) never count, and a RunConfig made in code has none
+    given: frozenset[str] = frozenset()
 
     def validate(self):
         if any(n < 2 for n in self.grid):
@@ -485,6 +488,11 @@ def cmd_drift(cfg: RunConfig, theorem: str = "cauchy") -> tuple[int, dict]:
         if cfg.params:
             raise VortlabError("--dt pairs advect the fixture's default velocity and take no "
                                f"--param, got {', '.join(sorted(cfg.params))}")
+        ignored = [f"--{name}" for name in ("grid", "nt", "tol") if name in cfg.given]
+        if ignored:
+            raise VortlabError("--dt pairs measure their own patch at six stamps against the "
+                               "band [12, 20] and take no --grid, --nt or --tol, got "
+                               + ", ".join(ignored))
         ratio = _dt_ratio_probe(cfg)
         report.update(ratio)
         passed = 12.0 <= ratio["drift_ratio"] <= 20.0
@@ -543,7 +551,11 @@ def _dt_ratio_probe(cfg: RunConfig) -> dict:
 
     def drift_at(dt):  # one advected patch alive at a time
         with _usage_error(f"fixture {cfg.fixture!r}"):
-            field = integrate_trajectories(u, grid, 0.0, t1, dt, order=cfg.fd_order)
+            # when the six read times are steps, store only those stamps; else an off-ladder
+            # read interpolates between neighbouring steps, so every step is stored
+            steps = round(t1 / dt)
+            every = steps // 5 if steps > 0 and steps % 5 == 0 else 1
+            field = integrate_trajectories(u, grid, 0.0, t1, dt, order=cfg.fd_order, every=every)
         return cauchy_drift(field, igrid, times).max_drift
 
     drift = [drift_at(dt) for dt in cfg.dt]
@@ -564,7 +576,11 @@ def cmd_export(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.out:
         raise VortlabError("export needs --out FILE (.npz or .csv)")
     fixture, window = _build_fixture(cfg)
-    if fixture.field.backend == "sampled":
+    if fixture.field.backend == "sampled":  # saved on the grid and stamps it was advected on
+        for name, own in (("grid", "label grid, which --param shape sets"),
+                          ("nt", "integrator stamps, which --dt and --t1 set")):
+            if name in cfg.given:
+                raise VortlabError(f"--{name}: export saves {cfg.fixture} on its own {own}")
         field = fixture.field
     else:
         for j, n in enumerate(cfg.grid, start=1):  # before the whole field is sampled
@@ -644,10 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture", required=True, help="catalog fixture name")
         p.add_argument("--param", dest="params", action="append", metavar="KEY=VALUE",
                        help="fixture parameter override (repeatable)")
-        p.add_argument("--grid", default="9,9,9", help="label grid resolution N1,N2,N3")
+        p.add_argument("--grid", default=None, help="label grid resolution N1,N2,N3 (9,9,9)")
         p.add_argument("--t0", type=float, default=None)
         p.add_argument("--t1", type=float, default=None)
-        p.add_argument("--nt", type=int, default=9, help="number of time samples")
+        p.add_argument("--nt", type=int, default=None, help="number of time samples (9)")
         p.add_argument("--fd-order", type=int, default=4, choices=(2, 4))
         p.add_argument("--dt", default=None, help="integrator step(s), e.g. 0.01 or 0.01,0.005")
 
@@ -679,10 +695,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The RunConfig of the flags the command registered; its defaults stand for the rest."""
-    given = vars(args)
-    cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
-    if "fixture" in given:  # the fixture group's number lists and params
+    """The RunConfig of the flags the command registered and that hold a value; its defaults
+    stand for the rest."""
+    names = {f.name for f in fields(RunConfig)}
+    values = {name: value for name, value in vars(args).items()
+              if name in names and value is not None}
+    cfg = RunConfig(**values, given=frozenset(
+        name for name in values if args.command_parser.get_default(name) is None))
+    if "grid" in values:
         try:
             cfg.grid = tuple(int(v) for v in str(args.grid).split(","))
         except ValueError:
@@ -690,6 +710,7 @@ def _config_from_args(args) -> RunConfig:
         if len(cfg.grid) not in (1, 3):
             raise VortlabError(f"--grid wants 1 or 3 integers, got {args.grid!r}")
         cfg.grid *= 3 // len(cfg.grid)  # one integer stands for all three axes
+    if "fixture" in values:  # the fixture group's step list and params
         try:
             cfg.dt = tuple(float(v) for v in str(args.dt).split(",")) if args.dt else ()
         except ValueError:

@@ -515,16 +515,19 @@ def integrate_trajectories(
     periodic: tuple[bool, bool, bool] = (False, False, False),
     domain: Box | None = None,
     order: int = 4,
+    every: int = 1,
 ) -> SampledTrajectoryField:
     """Advect every grid label through u with the classical 4th-order scheme.
 
-    Positions and stage-1 velocities are stored at every step, so each step
-    evaluates u four times; accelerations are computed per stored
-    slice on its first read, by :func:`material_accelerations`.  Positions
-    are kept unwrapped so the displacement x - a stays a periodic function
-    of the labels for periodic fields; for non-periodic fields a ``domain``
-    box triggers an out-of-domain error at the earliest step any trajectory
-    left it.
+    Every step is taken and evaluates u four times, but positions and
+    stage-1 velocities are stored only at steps 0, every, 2 every, ..., the
+    last: the field's ladder is ``times[::every]`` of the every-step ladder,
+    the same floats, and a stride that does not divide the step count raises
+    ValueError.  Accelerations are computed per stored slice on its first
+    read, by :func:`material_accelerations`.  Positions are kept unwrapped so
+    the displacement x - a stays a periodic function of the labels for
+    periodic fields; for non-periodic fields a ``domain`` box triggers an
+    out-of-domain error at the earliest step any trajectory left it.
 
     Contiguous chunks of the label stack are advected concurrently, one per
     CPU the process may run on but at least ``_CHUNK_FLOOR`` labels each:
@@ -539,10 +542,13 @@ def integrate_trajectories(
     nsteps = int(round((t1 - t0) / dt))
     if not math.isclose(t0 + nsteps * dt, t1, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError("t1 - t0 must be an integer number of steps")
+    if every < 1 or nsteps % every:
+        raise ValueError(f"store stride {every} does not divide the {nsteps} steps")
     times = t0 + dt * np.arange(nsteps + 1)
+    stamps = times[::every]
     nodes = grid.nodes()
 
-    shape = (len(times), len(nodes), 3)
+    shape = (len(stamps), len(nodes), 3)
     pos = np.empty(shape)
     vel = np.empty(shape)
 
@@ -553,8 +559,9 @@ def integrate_trajectories(
             if domain is not None and not domain.contains(xs):
                 return k
             k1 = u(xs, t)
-            pos[k, lo:hi] = xs
-            vel[k, lo:hi] = k1
+            if k % every == 0:
+                pos[k // every, lo:hi] = xs
+                vel[k // every, lo:hi] = k1
             if k == len(times) - 1:
                 break
             k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)
@@ -572,9 +579,9 @@ def integrate_trajectories(
         escaped = [k for k in (f.result() for f in futures) if k is not None]
     if escaped:
         raise OutOfDomainError(f"trajectory left the velocity domain at t={times[min(escaped)]}")
-    pos, vel = (v.reshape(len(times), *grid.shape, 3) for v in (pos, vel))
+    pos, vel = (v.reshape(len(stamps), *grid.shape, 3) for v in (pos, vel))
     return SampledTrajectoryField(
-        grid, times, pos, vel, lambda k: material_accelerations(u, pos[k], times[k], vel[k]),
+        grid, stamps, pos, vel, lambda k: material_accelerations(u, pos[k], stamps[k], vel[k]),
         periodic=periodic, order=order)
 
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from vortlab import cli
 from vortlab.cli import build_parser, main
 from vortlab.fields import load_grid
 from vortlab.flows import _CATALOG
@@ -598,6 +600,63 @@ class TestDriftCommand:
         code, _ = run_cli(["drift", "--fixture", "identity", "--dt", "0.1,0.05"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--grid", "5"], "--grid"),
+        (["--nt", "4"], "--nt"),
+        (["--tol", "9"], "--tol"),
+        (["--grid", "9,9,9", "--nt", "9", "--tol", "9"], "--grid, --nt, --tol"),
+    ])
+    def test_step_pair_with_flag_it_ignores_usage_error(self, flags, named, capsys):
+        # the probe's patch, stamps and pass band are its own; a flag at its default counts too
+        code = main(["drift", "--fixture", "abc", "--dt", "0.1,0.05", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.endswith(f"got {named}\n")
+
+
+class TestStepPairStorage:
+    """The --dt probe stores only the six stamps it reads when they are steps."""
+
+    @staticmethod
+    def _probe(argv, monkeypatch, capsys, every=None):
+        """(exit code, stdout, stamps stored per advected patch), storing every
+        ``every``-th step when it is given."""
+        stored = []
+        integrate = cli.integrate_trajectories
+
+        def recording(*args, **kwargs):
+            if every is not None:
+                kwargs["every"] = every
+            field = integrate(*args, **kwargs)
+            stored.append(len(field.times))
+            return field
+
+        monkeypatch.setattr(cli, "integrate_trajectories", recording)
+        code = main(argv)
+        return code, capsys.readouterr().out, stored
+
+    @pytest.mark.parametrize("window,stored", [([], [6, 6]), (["--t1", "0.33"], [34, 67])])
+    def test_probe_stores_what_it_reads_with_the_bytes_of_every_step(
+            self, window, stored, monkeypatch, capsys):
+        # --t1 0.33 puts the read times between steps, so every step stays stored
+        argv = ["drift", "--fixture", "abc", "--dt", "0.01,0.005", *window]
+        code, out, got = self._probe(argv, monkeypatch, capsys)
+        assert got == stored
+        every_step = self._probe(argv, monkeypatch, capsys, every=1)
+        assert every_step[:2] == (code, out)
+        assert code == (0 if not window else 1)
+
+    def test_readme_pair_traced_peak_stays_small(self, capsys):
+        # storing all 201 steps of the finer run traces a 23 MB peak
+        tracemalloc.start()
+        try:
+            code = main(["drift", "--fixture", "abc", "--dt", "0.01,0.005"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(capsys.readouterr().out)["pass"]
+        assert peak < 8e6, peak
+
 
 class TestExport:
     @pytest.mark.parametrize("suffix", [".npz", ".csv"])
@@ -610,6 +669,30 @@ class TestExport:
         field = load_grid(str(path))
         assert field.grid.shape == (5, 4, 5)
         assert len(field.times) == 3
+
+    @pytest.mark.parametrize("fixture", ["abc", "taylor-green"])
+    @pytest.mark.parametrize("flag,own", [
+        (["--grid", "5"], "label grid, which --param shape sets"),
+        (["--nt", "3"], "integrator stamps, which --dt and --t1 set"),
+    ])
+    def test_advected_grid_or_stamps_flag_usage_error(self, fixture, flag, own, tmp_path,
+                                                      capsys):
+        # an advected fixture is saved on the grid and stamps it was advected on
+        path = tmp_path / "advected.npz"
+        code = main(["export", "--fixture", fixture, *flag, "--out", str(path),
+                     "--param", "shape=4,4,4", "--dt", "0.25", "--t1", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not path.exists()
+        assert captured.err == f"vortlab: {flag[0]}: export saves {fixture} on its own {own}\n"
+
+    def test_advected_grid_and_stamps_follow_their_routes(self, tmp_path, capsys):
+        path = tmp_path / "abc.npz"
+        code, out = run_cli(["export", "--fixture", "abc", "--out", str(path),
+                             "--param", "shape=4,5,6", "--dt", "0.25", "--t1", "0.5"], capsys)
+        assert code == 0
+        assert (json.loads(out)["shape"], json.loads(out)["times"]) == ([4, 5, 6], 3)
+        field = load_grid(str(path))
+        assert field.grid.shape == (4, 5, 6) and len(field.times) == 3
 
     @pytest.mark.parametrize("suffix", [".npz", ".csv"])
     def test_axis_shorter_than_stencil_is_a_usage_error(self, tmp_path, capsys, suffix):

@@ -346,6 +346,30 @@ class TestConcurrentAdvection:
         assert np.array_equal(fld.accelerations, acc)
 
 
+class TestStoreStride:
+    @pytest.mark.parametrize("chunks", [1, 2])
+    @pytest.mark.parametrize("name", ["abc", "unsteady"])
+    def test_stride_stores_the_every_step_run_bitwise(self, name, chunks, force_chunks):
+        force_chunks(chunks)
+        u, grid = _advection_case(name, (24, 24, 8))  # 4,608 labels: two chunks of 2,304
+        full = flows.integrate_trajectories(u, grid, 0.0, 0.5, 0.0625)  # 8 steps
+        for every in (1, 2, 4, 8):
+            calls = []
+            fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.0625,
+                                               every=every)
+            assert calls == [4608 // chunks] * chunks * (4 * 8 + 1)
+            assert np.array_equal(fld.times, full.times[::every])
+            assert np.array_equal(fld.positions, full.positions[::every])
+            assert np.array_equal(fld.velocities, full.velocities[::every])
+            assert np.array_equal(fld.accelerations, full.accelerations[::every])
+
+    @pytest.mark.parametrize("every", [-1, 0, 3, 16])
+    def test_stride_that_does_not_divide_the_steps_raises(self, every):
+        u, grid = _advection_case("abc", (3, 3, 3))
+        with pytest.raises(ValueError, match=f"store stride {every} does not divide the 8 "):
+            flows.integrate_trajectories(u, grid, 0.0, 0.5, 0.0625, every=every)
+
+
 class TestAccelerationsOnFirstRead:
     def test_one_jacobian_call_per_stamp_on_its_first_read(self, monkeypatch):
         u, grid = _advection_case("unsteady", (5, 5, 5))
