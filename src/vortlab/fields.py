@@ -44,9 +44,10 @@ Three interchangeable backends implement this protocol:
     node data on a rectilinear grid of labels and a uniform time ladder;
     derivatives by finite differences at a declared order (one-sided stencils
     of matching order at non-periodic edges), trilinear-in-space /
-    linear-in-time interpolation off the nodes.  A query within rounding of a
-    node or a stored slice reads it exactly; labels beyond the grid on a
-    non-periodic axis raise :class:`~vortlab.errors.OutOfDomainError`.
+    linear-in-time interpolation off the nodes, each read differentiating
+    only the block of nodes it touches.  A query within rounding of a node or
+    a stored slice reads it exactly; labels beyond the grid on a non-periodic
+    axis raise :class:`~vortlab.errors.OutOfDomainError`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridFormatError, OutOfDomainError, VortlabError
-from .poly import Poly, Rat, is_rational
+from .poly import Poly, is_rational
 
 Vec = np.ndarray
 
@@ -75,21 +76,22 @@ _SNAP = 1e-9
 FD_STEP = 1e-4
 ANALYTIC_FD_STEP = 1e-3
 
-# Centered first-derivative stencils: offsets and weights (divide by h).
+# Centered first-derivative stencils: offsets and weights (divide by h).  Every
+# weight is the correctly rounded float of its fraction (int / int is).
 _CENTRAL_1 = {
-    2: ((-1, 1), (Rat(-1, 2), Rat(1, 2))),
-    4: ((-2, -1, 1, 2), (Rat(1, 12), Rat(-2, 3), Rat(2, 3), Rat(-1, 12))),
+    2: ((-1, 1), (-1 / 2, 1 / 2)),
+    4: ((-2, -1, 1, 2), (1 / 12, -2 / 3, 2 / 3, -1 / 12)),
 }
 # Edge stencils of matching order anchored at the boundary: entry i holds the
 # weights (on points 0..width-1) for the derivative AT point i.  Mirrored and
 # negated for the other end.
 _EDGE_1 = {
     2: [
-        (Rat(-3, 2), Rat(2), Rat(-1, 2)),
+        (-3 / 2, 2.0, -1 / 2),
     ],
     4: [
-        (Rat(-25, 12), Rat(4), Rat(-3), Rat(4, 3), Rat(-1, 4)),
-        (Rat(-1, 4), Rat(-5, 6), Rat(3, 2), Rat(-1, 2), Rat(1, 12)),
+        (-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4),
+        (-1 / 4, -5 / 6, 3 / 2, -1 / 2, 1 / 12),
     ],
 }
 
@@ -97,7 +99,7 @@ _EDGE_1 = {
 def _combine(weights, values, h):
     """``sum(w * value) / h`` in stencil order: the one sum of every
     first-derivative stencil in the package."""
-    return sum(float(w) * v for w, v in zip(weights, values)) / h
+    return sum(w * v for w, v in zip(weights, values)) / h
 
 
 def derivative(g: Callable[[float], float], h: float, order: int = 4):
@@ -672,9 +674,19 @@ class SampledTrajectoryField(TrajectoryField):
     ``positions`` has shape (nt, n1, n2, n3, 3); ``velocities`` and
     ``accelerations`` are optional and, when absent, are produced by finite
     differences along the time axis.  ``accelerations`` may also be a
-    callable giving the slice at a stamp index, called on its first read.
-    Spatial derivatives of the positions go through the displacement field
-    x - a so that periodic axes can wrap; cached node arrays are read-only.
+    callable ``(k, block)`` giving the accelerations at stamp index ``k`` on
+    the nodes ``positions[k][block]``, ``block`` an index into (n1, n2, n3)
+    (``...`` for all of them).  Spatial derivatives of the positions go
+    through the displacement field x - a so that periodic axes can wrap.
+
+    A read computes on the block of nodes it touches: the trilinear corners
+    of its labels, with the stencil half-width around them for a gradient,
+    at each stamp it interpolates between.  Derivatives and lazy
+    accelerations on that block are bitwise those of the whole slice there.
+    Only a read whose block is the whole grid (the field's own node stack,
+    or labels spread across it) computes whole slices and fills the slice
+    cache of :meth:`node_gradients` and :meth:`node_values`; a slice already
+    cached is read from.  Cached node arrays are read-only.
     """
 
     backend = "sampled"
@@ -685,7 +697,7 @@ class SampledTrajectoryField(TrajectoryField):
         times: np.ndarray,
         positions: np.ndarray,
         velocities: np.ndarray | None = None,
-        accelerations: np.ndarray | Callable[[int], np.ndarray] | None = None,
+        accelerations: np.ndarray | Callable[[int, tuple], np.ndarray] | None = None,
         periodic: tuple[bool, bool, bool] = (False, False, False),
         order: int = 4,
     ):
@@ -713,6 +725,7 @@ class SampledTrajectoryField(TrajectoryField):
         self._origin = np.array([[ax[0]] for ax in grid.axes])
         self._step = np.array([[ax[1] - ax[0]] for ax in grid.axes])
         self._bounded = ~np.array([[p] for p in self.periodic])
+        self._size = np.array([[n] for n in grid.shape])
         self._cache: dict = {}
 
     # -- node-level data ----------------------------------------------------
@@ -742,53 +755,89 @@ class SampledTrajectoryField(TrajectoryField):
         if kind == "acceleration" and callable(self._accelerations):
             key = ("acceleration", ti)
             if key not in self._cache:
-                self._cache[key] = _frozen(np.asarray(self._accelerations(ti), float))
+                self._cache[key] = _frozen(np.asarray(self._accelerations(ti, ...), float))
             return self._cache[key]
         return self._time_series(kind)[ti]
 
     def node_gradients(self, kind: str, ti: int) -> np.ndarray:
         """(n1, n2, n3, 3, 3) array of d(field_i)/da_j at grid nodes."""
         key = ("grad", kind, ti)
-        if key in self._cache:
-            return self._cache[key]
-        data = self.node_values(kind, ti)
+        if key not in self._cache:
+            self._cache[key] = _frozen(self._differentiate(kind, self.node_values(kind, ti)))
+        return self._cache[key]
+
+    def _differentiate(self, kind: str, data: np.ndarray, block=...) -> np.ndarray:
+        """(..., 3, 3) d(data_i)/da_j of node data of ``kind`` on ``block`` of
+        the grid.  The block reaches past every node a read uses by the
+        stencil half-width, or to a bounded edge, so those nodes take the
+        whole slice's stencils; a periodic axis the block cuts wraps around
+        the block, which changes only the half-width at its ends."""
         if kind == "position":
             # differentiate the displacement so periodic wrap is exact
-            data = data - self._mesh
-        cols = []
-        for j in range(3):
-            cols.append(
-                _axis_derivative(data, self.grid.spacings[j], axis=j, order=self.order,
-                                 periodic=self.periodic[j], name=f"non-periodic axis{j + 1}")
-            )
+            data = data - self._mesh[block]
+        cols = [_axis_derivative(data, h, axis=j, order=self.order, periodic=self.periodic[j],
+                                 name=f"non-periodic axis{j + 1}")
+                for j, h in enumerate(self.grid.spacings)]
         grad = np.stack(cols, axis=-1)  # (..., 3 comps, 3 dirs)
-        if kind == "position":
-            grad = grad + np.eye(3)
-        self._cache[key] = _frozen(grad)
-        return grad
+        return grad + np.eye(3) if kind == "position" else grad
 
     # -- evaluation protocol --------------------------------------------------
 
-    def _locate(self, vals: np.ndarray, a) -> np.ndarray:
-        """Trilinear interpolation of node data ``vals`` (n1, n2, n3, ...) at
-        labels ``a`` (..., 3).
+    def _at_hand(self, kind: str, ti: int, gradient: bool) -> bool:
+        """Whether the whole node slice of a read is stored or cached."""
+        if gradient:
+            return ("grad", kind, ti) in self._cache
+        return (kind != "acceleration" or not callable(self._accelerations)
+                or ("acceleration", ti) in self._cache)
 
-        A coordinate within rounding of a node index reads that node, so an
-        on-node query returns the node data exactly (the field's own node
-        stack a read-only view of ``vals``).  Periodic axes wrap; on the
-        others a label beyond the grid raises OutOfDomainError.
+    def _block(self, idx: np.ndarray, need: int):
+        """Per-axis start and length of the node block holding the indices
+        ``idx`` (3, ...) and ``need`` nodes each side of them.
+
+        On a periodic axis it is a wrapped range, across the seam where that
+        is shorter.  On a bounded axis it reaches the edge where an index
+        lies within ``need`` of it, so that index keeps its one-sided
+        stencil, and it is at least the edge stencil wide.  An axis held
+        whole starts at 0.
         """
-        a = np.asarray(a, float)
-        tail = vals.shape[3:]
-        if a.size == self._mesh.size and np.array_equal(a.reshape(self._mesh.shape), self._mesh):
-            return _frozen(vals.reshape(a.shape[:-1] + tail))
+        width = len(_EDGE_1[self.order][0]) if need else 1
+        flat = idx.reshape(3, -1)
+        starts, sizes = [], []
+        for c, lo, hi, n, periodic in zip(flat, flat.min(axis=1).tolist(),
+                                          flat.max(axis=1).tolist(), self.grid.shape,
+                                          self.periodic):
+            if periodic:
+                if hi - lo + 1 + 2 * need >= n:
+                    # the shortest range ends before the widest gap between indices
+                    u = np.unique(c)
+                    g = int(np.argmax(np.diff(u, append=u[0] + n)))
+                    if g < len(u) - 1:
+                        lo, hi = int(u[g + 1]), int(u[g]) + n
+                start, size = lo - need, hi - lo + 1 + 2 * need
+            else:
+                start, stop = max(lo - need, 0), min(hi + need + 1, n)
+                if stop - start < width:
+                    start, stop = (0, min(width, n)) if start == 0 else (max(stop - width, 0), stop)
+                size = stop - start
+            starts.append(start % n if size < n else 0)
+            sizes.append(min(size, n))
+        return starts, tuple(sizes)
+
+    def _corners(self, a: np.ndarray):
+        """The trilinear stencil of labels ``a`` (..., 3): node indices
+        (3, corners, M), one row per axis; the periods (3, corners, M) by
+        which each index wrapped, or None when no index left the grid; and
+        the corner weights (corners, M), None when every label is on a node.
+
+        A coordinate within rounding of a node index reads that node.
+        Periodic axes wrap; on the others a label beyond the grid raises
+        OutOfDomainError.
+        """
         q = np.ascontiguousarray(a.reshape(-1, 3).T)  # (3, M): one row per axis
-        shape = vals.shape[:3]
         s = _snap((q - self._origin) / self._step)
         i0 = np.floor(s)
         if not all(self.periodic):
-            n = np.array(shape)[:, None]
-            outside = self._bounded & ~((s >= 0) & (s <= n - 1))
+            outside = self._bounded & ~((s >= 0) & (s <= self._size - 1))
             if outside.any():
                 m = np.argmax(outside.any(axis=0))  # the first flagged label in stack order
                 j = np.argmax(outside[:, m])
@@ -796,30 +845,71 @@ class SampledTrajectoryField(TrajectoryField):
                                        f"grid on axis {j + 1}")
         frac = s - i0
         d = _CORNERS[tuple(frac.any(axis=1).tolist())]  # (3, corners, 1)
-        # "wrap" is the periodic index; "clip" keeps the upper corner of a label
-        # on a bounded axis's last node, whose weight is 0, on that node
-        modes = ["wrap" if p else "clip" for p in self.periodic]
-        flat_idx = np.ravel_multi_index(i0.astype(int)[:, None, :] + d, shape, mode=modes)
-        data = np.take(vals.reshape(-1, *tail), flat_idx, axis=0)  # (corners, M, ...)
+        idx, periods = i0.astype(int)[:, None, :] + d, None
+        n = self._size[:, :, None]
+        if not ((idx >= 0) & (idx < n)).all():
+            bounded = self._bounded[:, :, None]
+            periods, wrapped = np.divmod(idx, n)
+            # a bounded axis keeps the upper corner of a label on its last
+            # node, whose weight is 0, on that node
+            idx = np.where(bounded, np.minimum(idx, n - 1), wrapped)
+            periods = np.where(bounded, 0, periods) if any(self.periodic) else None
         if d.shape[1] == 1:
-            out = data[0]
+            return idx, periods, None
+        w = np.where(d, frac[:, None, :], 1 - frac[:, None, :])
+        return idx, periods, w[0] * w[1] * w[2]
+
+    def _locate(self, kind: str, ti: int, gradient: bool, corners, lead: tuple) -> np.ndarray:
+        """``kind``'s node data, or with ``gradient`` its label gradients, at
+        stamp ``ti``, interpolated at the labels of leading shape ``lead``
+        whose :meth:`_corners` are ``corners``; None for the field's own node
+        stack, read as a read-only view of the whole slice."""
+        get = self.node_gradients if gradient else self.node_values
+        if corners is None:
+            vals = get(kind, ti)
+            return _frozen(vals.reshape(lead + vals.shape[3:]))
+        idx, periods, weights = corners
+        sizes = self.grid.shape
+        if not self._at_hand(kind, ti, gradient):
+            starts, sizes = self._block(idx, self.order // 2 if gradient else 0)
+        if sizes == self.grid.shape:
+            vals, local = get(kind, ti), idx
         else:
-            w = np.where(d, frac[:, None, :], 1 - frac[:, None, :])
-            terms = (w[0] * w[1] * w[2]).reshape(*flat_idx.shape, *(1,) * len(tail)) * data
+            block = np.ix_(*((s + np.arange(m)) % n
+                             for s, m, n in zip(starts, sizes, self.grid.shape)))
+            # lazy accelerations not yet cached are computed on the block only
+            vals = (self.node_values(kind, ti)[block] if self._at_hand(kind, ti, False)
+                    else np.asarray(self._accelerations(ti, block), float))
+            if gradient:
+                vals = self._differentiate(kind, vals, block)
+            local = (idx - np.array(starts)[:, None, None]) % self._size[:, :, None]
+        tail = vals.shape[3:]
+        data = np.take(vals.reshape(-1, *tail), np.ravel_multi_index(local, sizes), axis=0)
+        if periods is not None and kind == "position" and not gradient:
+            # x - a is periodic, so a corner wrapped by p periods L reads x + p L on its axis
+            shift = np.moveaxis(periods, 0, -1) * np.multiply(self.grid.shape, self.grid.spacings)
+            data = np.where(shift != 0, data + shift, data)
+        if weights is None:
+            out = data[0]  # (M, ...)
+        else:
+            terms = weights.reshape(*weights.shape, *(1,) * len(tail)) * data
             out = terms[0]
             for term in terms[1:]:
                 out = out + term
-        return out.reshape(a.shape[:-1] + tail)
+        return out.reshape(lead + tail)
 
     def _interp(self, kind: str, a, t, gradient: bool = False):
         s = float(_snap((float(t) - self.t0) / self.dt))
-        k0 = min(max(math.floor(s), 0), len(self.times) - 2)
+        last = len(self.times) - 1  # read alone, not after the slice before it at weight 0
+        k0 = last if s == last else min(max(math.floor(s), 0), last - 1)
         f = s - k0
-        get = self.node_gradients if gradient else self.node_values
-        v0 = self._locate(get(kind, k0), a)
+        a = np.asarray(a, float)
+        own = a.size == self._mesh.size and np.array_equal(a.reshape(self._mesh.shape), self._mesh)
+        corners = None if own else self._corners(a)
+        v0 = self._locate(kind, k0, gradient, corners, a.shape[:-1])
         if f == 0.0:
             return v0
-        v1 = self._locate(get(kind, k0 + 1), a)
+        v1 = self._locate(kind, k0 + 1, gradient, corners, a.shape[:-1])
         return (1 - f) * v0 + f * v1
 
     def position(self, a, t) -> Vec:

@@ -11,7 +11,7 @@ the initial density is the initial Eulerian density.  The integrator is the
 classical one-step 4th-order scheme; velocities come from the generating
 field and accelerations from du/dt + (u . grad) u along the path, so sampled
 fields carry exact-in-time derivative data at the nodes; the accelerations
-are computed per stored slice on its first read.
+are computed when read, on the nodes the read touches.
 """
 
 from __future__ import annotations
@@ -523,8 +523,10 @@ def integrate_trajectories(
     stage-1 velocities are stored only at steps 0, every, 2 every, ..., the
     last: the field's ladder is ``times[::every]`` of the every-step ladder,
     the same floats, and a stride that does not divide the step count raises
-    ValueError.  Accelerations are computed per stored slice on its first
-    read, by :func:`material_accelerations`.  Positions are kept unwrapped so
+    ValueError.  Accelerations are computed when read, by
+    :func:`material_accelerations` on the node block the read touches (a
+    stored stamp and an index into the grid); only a read of the whole grid
+    computes, and caches, a whole slice.  Positions are kept unwrapped so
     the displacement x - a stays a periodic function of the labels for
     periodic fields; for non-periodic fields a ``domain`` box triggers an
     out-of-domain error at the earliest step any trajectory left it.
@@ -581,7 +583,8 @@ def integrate_trajectories(
         raise OutOfDomainError(f"trajectory left the velocity domain at t={times[min(escaped)]}")
     pos, vel = (v.reshape(len(stamps), *grid.shape, 3) for v in (pos, vel))
     return SampledTrajectoryField(
-        grid, stamps, pos, vel, lambda k: material_accelerations(u, pos[k], stamps[k], vel[k]),
+        grid, stamps, pos, vel,
+        lambda k, block: material_accelerations(u, pos[k][block], stamps[k], vel[k][block]),
         periodic=periodic, order=order)
 
 

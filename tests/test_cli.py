@@ -539,6 +539,14 @@ class TestDriftCommand:
         assert code == 0
         assert 12.0 <= rep["drift_ratio"] <= 20.0
 
+    def test_taylor_green_step_pair_drifts_at_rounding_floor_exit_1(self, capsys):
+        # README: on taylor-green both drifts sit at the rounding floor, so the ratio misses the band
+        code, out = run_cli(["drift", "--fixture", "taylor-green", "--dt", "0.01,0.005"], capsys)
+        rep = json.loads(out)
+        assert code == 1 and rep["pass"] is False
+        assert all(0 < d < 1e-10 for d in rep["drift"])
+        assert not 12.0 <= rep["drift_ratio"] <= 20.0
+
     def test_step_pair_below_probe_rounding_floor_usage_error(self, capsys):
         code = main(["drift", "--fixture", "abc", "--dt", "0.002,0.001"])
         assert code == 2

@@ -566,6 +566,89 @@ class TestSampledBackend:
         with pytest.raises(ValueError):
             SampledTrajectoryField(grid, np.array([0.0, 0.1, 0.3]), pos)
 
+    def test_position_reads_across_the_periodic_seam_add_the_period(self):
+        field = flows.make_fixture("abc", shape=(24, 24, 24), t1=0.1, dt=0.05).field
+        h = field.grid.spacings[0]
+        labels = np.array([[2 * math.pi - h / 2, 1.0, 1.0], [2 * math.pi + 0.05, 1.0, 1.0]])
+        # at t0 the positions are the labels: both read themselves, not x at node 0 unshifted
+        assert np.allclose(field.position(labels, 0.0), labels, rtol=0.0, atol=1e-12)
+        for a in labels:
+            assert np.allclose(field.position(a, 0.0), a, rtol=0.0, atol=1e-12)
+
+
+def _advected_field(shape, periodic, order):
+    """abc trajectories on ``shape`` over [0, 0.3] with lazy accelerations; bounded axes
+    simply stop at the cell's last node."""
+    grid = LabelGrid.periodic_cell(Box((0.0, 0.0, 0.0), (6.0, 6.0, 6.0)), shape)
+    return flows.integrate_trajectories(flows.abc_velocity(), grid, 0.0, 0.3, 0.1,
+                                        periodic=periodic, order=order)
+
+
+@st.composite
+def _block_reads(draw):
+    """A field's shape, periodic flags and order, a small label stack on or off its nodes
+    (past the seam on periodic axes, up to the edge on bounded ones) and a read time."""
+    order = draw(st.sampled_from([2, 4]))
+    periodic = tuple(draw(st.booleans()) for _ in range(3))
+    shape = tuple(draw(st.integers(5, 10)) for _ in range(3))
+    fracs = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.875])
+    labels = []
+    for _ in range(draw(st.integers(1, 3))):
+        s = [draw(st.integers(-1 if p else 0, n if p else n - 1)) + draw(fracs)
+             for n, p in zip(shape, periodic)]
+        labels.append([6.0 / n * (x if p else min(x, n - 1))
+                       for x, n, p in zip(s, shape, periodic)])
+    t = 0.1 * draw(st.integers(0, 3)) + draw(st.sampled_from([0.0, 0.03]))
+    return shape, periodic, order, np.array(labels), min(t, 0.3)
+
+
+def _read_bytes(field, method, labels, t):
+    try:
+        return getattr(field, method)(labels, t).tobytes()
+    except OutOfDomainError as exc:  # a Hessian stencil stepping past a bounded edge
+        return str(exc)
+
+
+class TestBlockReads:
+    """A read computes on the node block it touches, bitwise as the whole slice gives it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_block_reads())
+    def test_block_reads_equal_whole_slice_reads_bitwise(self, case):
+        shape, periodic, order, labels, t = case
+        fresh = _advected_field(shape, periodic, order)
+        whole = _advected_field(shape, periodic, order)
+        for k in range(len(whole.times)):  # every whole slice cached: reads gather from them
+            for kind in ("position", "velocity", "acceleration"):
+                whole.node_gradients(kind, k)
+        for stack in (labels, labels[0]):
+            for method in PROTOCOL_METHODS:
+                # bytes compare signed zeros too
+                assert (_read_bytes(fresh, method, stack, t)
+                        == _read_bytes(whole, method, stack, t)), method
+
+    def test_one_node_reads_compute_no_whole_slice(self, monkeypatch):
+        field = flows.make_fixture("abc").field
+        slices, nodes = [], []
+        node_gradients = field.node_gradients
+        monkeypatch.setattr(field, "node_gradients",
+                            lambda kind, ti: slices.append((kind, ti)) or node_gradients(kind, ti))
+        accelerations = flows.material_accelerations
+        monkeypatch.setattr(flows, "material_accelerations",
+                            lambda u, xs, t, v: nodes.append(xs.size // 3)
+                            or accelerations(u, xs, t, v))
+        i, k = 1234, 7
+        a, t = field.grid.nodes()[i], field.times[k]
+        g, ga = field.position_gradient(a, t), field.acceleration_gradient(a, t)
+        assert slices == [] and nodes == [5 ** 3]  # one order-4 block, on accelerations only
+        # a read in the seam cell, between nodes 23 and 0 of axis 1, takes the range across it
+        field.acceleration_gradient((2 * math.pi - field.grid.spacings[0] / 2, *a[1:]), t)
+        assert slices == [] and nodes == [5 ** 3, 6 * 5 * 5]
+        assert g.tobytes() == field.node_gradients("position", k).reshape(-1, 3, 3)[i].tobytes()
+        assert (ga.tobytes()
+                == field.node_gradients("acceleration", k).reshape(-1, 3, 3)[i].tobytes())
+        assert nodes == [5 ** 3, 6 * 5 * 5, 24 ** 3]
+
 
 class TestGridIO:
     def _small_field(self):

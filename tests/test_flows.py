@@ -371,21 +371,23 @@ class TestStoreStride:
 
 
 class TestAccelerationsOnFirstRead:
-    def test_one_jacobian_call_per_stamp_on_its_first_read(self, monkeypatch):
+    def test_one_whole_slice_jacobian_call_per_stamp_on_its_first_read(self, monkeypatch):
         u, grid = _advection_case("unsteady", (5, 5, 5))
-        calls = []
+        calls = []  # (time, nodes) of each call
         jacobian = VectorField.jacobian
         monkeypatch.setattr(VectorField, "jacobian",
-                            lambda self, p, t: calls.append(t) or jacobian(self, p, t))
+                            lambda self, p, t: calls.append((t, np.size(p) // 3))
+                            or jacobian(self, p, t))
         fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.125)
         assert calls == []
         a = grid.nodes()[7]
-        fld.acceleration(a, fld.times[2])
+        fld.acceleration(a, fld.times[2])  # its block is the one node
+        # the order-4 stencils of a 5-node bounded axis span it: the whole slice, then cached
         fld.acceleration_gradient(a, fld.times[2])
         fld.node_values("acceleration", 2)
-        assert calls == [fld.times[2]]
+        assert calls == [(fld.times[2], 1), (fld.times[2], 125)]
         assert fld.accelerations.shape == fld.positions.shape
-        assert sorted(calls) == sorted(fld.times)
+        assert sorted(t for t, n in calls if n == 125) == sorted(fld.times)
 
     def test_dt_pair_probe_never_evaluates_the_velocity_jacobian(self, monkeypatch, capsys):
         calls = []
