@@ -45,7 +45,7 @@ Three interchangeable backends implement this protocol:
     derivatives by finite differences at a declared order (one-sided stencils
     of matching order at non-periodic edges), trilinear-in-space /
     linear-in-time interpolation off the nodes, each read differentiating
-    only the block of nodes it touches.  A query within rounding of a node or
+    only at the nodes it touches.  A query within rounding of a node or
     a stored slice reads it exactly; labels beyond the grid on a non-periodic
     axis raise :class:`~vortlab.errors.OutOfDomainError`.
 """
@@ -668,25 +668,43 @@ def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic
     return out
 
 
+def _stencil_rows(i: np.ndarray, n: np.ndarray, bounded, order: int):
+    """The stencils :func:`_axis_derivative` takes at the indices ``i`` of axes of ``n``
+    points (``n`` and ``bounded`` broadcast to ``i``), one per row present: (where in
+    ``i``, point indices in term order (width, m), weights, whether the sum is negated).
+    A periodic axis wraps the central row; a bounded one takes the one-sided rows at its
+    first and last order/2 points, negating the right edge's."""
+    need = order // 2
+    rows = np.where(bounded, np.minimum(i, need) - np.minimum(n - 1 - i, need), 0)
+    for r in (np.flatnonzero(np.bincount((rows + need).ravel())) - need).tolist():
+        where = np.nonzero(rows == r)
+        if r == 0:
+            offsets, weights = _CENTRAL_1[order]
+            yield where, (i[where] + np.array(offsets)[:, None]) % n[where], weights, False
+        else:
+            weights = _EDGE_1[order][need - abs(r)]
+            k = np.arange(len(weights))[:, None]
+            yield where, k if r < 0 else n[where] - 1 - k, weights, r > 0
+
+
 class SampledTrajectoryField(TrajectoryField):
     """Trajectory data sampled on a label grid and a uniform time ladder.
 
     ``positions`` has shape (nt, n1, n2, n3, 3); ``velocities`` and
     ``accelerations`` are optional and, when absent, are produced by finite
     differences along the time axis.  ``accelerations`` may also be a
-    callable ``(k, block)`` giving the accelerations at stamp index ``k`` on
-    the nodes ``positions[k][block]``, ``block`` an index into (n1, n2, n3)
-    (``...`` for all of them).  Spatial derivatives of the positions go
-    through the displacement field x - a so that periodic axes can wrap.
+    callable ``(k, nodes)`` giving the accelerations at stamp index ``k`` on
+    ``positions[k][nodes]``, ``nodes`` an index into (n1, n2, n3): ``...``
+    for all of them, or a tuple of three index arrays.  Spatial derivatives
+    of the positions go through the displacement field x - a so that
+    periodic axes can wrap.
 
-    A read computes on the block of nodes it touches: the trilinear corners
-    of its labels, with the stencil half-width around them for a gradient,
-    at each stamp it interpolates between.  Derivatives and lazy
-    accelerations on that block are bitwise those of the whole slice there.
-    Only a read whose block is the whole grid (the field's own node stack,
-    or labels spread across it) computes whole slices and fills the slice
-    cache of :meth:`node_gradients` and :meth:`node_values`; a slice already
-    cached is read from.  Cached node arrays are read-only.
+    The field keeps no derived array.  A read of its own node stack computes
+    the whole slices it needs; any other read computes at its labels'
+    trilinear corners alone, at each stamp it interpolates between (gradients
+    from each corner's stencil points, time derivatives of unstored data from
+    the stamps of the time stencil, lazy accelerations on those nodes only),
+    bitwise as the whole slice gives them there.
     """
 
     backend = "sampled"
@@ -726,102 +744,90 @@ class SampledTrajectoryField(TrajectoryField):
         self._step = np.array([[ax[1] - ax[0]] for ax in grid.axes])
         self._bounded = ~np.array([[p] for p in self.periodic])
         self._size = np.array([[n] for n in grid.shape])
-        self._cache: dict = {}
 
     # -- node-level data ----------------------------------------------------
 
     @property
     def accelerations(self) -> np.ndarray | None:
-        """(nt, n1, n2, n3, 3) stored accelerations, every slice computed if not yet read."""
+        """(nt, n1, n2, n3, 3) stored accelerations, computed slice by slice if lazy."""
         if callable(self._accelerations):
             return np.stack([self.node_values("acceleration", k) for k in range(len(self.times))])
         return self._accelerations
 
-    def _time_series(self, kind: str) -> np.ndarray:
-        """Node data of ``kind`` at every stamp: the stored array, or the time
-        derivative of the kind before it."""
+    def _values(self, kind: str, ti: int, flat=None) -> np.ndarray:
+        """``kind``'s data at stamp ``ti``, the whole slice or (K, 3) at flat node indices
+        (K,); lazy accelerations, and the time derivative of the kind before it from the
+        stamps of ti's time stencil alone, are computed once per distinct node."""
         stored, prev = {"position": (self.positions, None),
                         "velocity": (self.velocities, "position"),
                         "acceleration": (self._accelerations, "velocity")}[kind]
-        if stored is not None:
-            return stored
-        if ("series", kind) not in self._cache:
-            self._cache["series", kind] = _frozen(_axis_derivative(
-                self._time_series(prev), self.dt, 0, self.order, False, "time ladder"))
-        return self._cache["series", kind]
+        nodes = ... if flat is None else np.unravel_index(flat, self.grid.shape)
+        if stored is not None and not callable(stored):
+            return stored[ti][nodes]
+        if flat is not None and len(flat) > 1:
+            unique, inverse = np.unique(flat, return_inverse=True)
+            if len(unique) < len(flat):
+                return self._values(kind, ti, unique)[inverse.reshape(-1)]
+        if callable(stored):
+            return np.asarray(stored(ti, nodes), float)
+        _fit_stencil(len(self.times), self.order, "time ladder")
+        ((_, stamps, weights, negate),) = _stencil_rows(np.array([ti]), np.array(self.times.shape),
+                                                         True, self.order)
+        d = _combine(weights, (self._values(prev, k, flat) for k in stamps[:, 0]), self.dt)
+        return -d if negate else d
 
     def node_values(self, kind: str, ti: int) -> np.ndarray:
-        """(n1, n2, n3, 3) node data of ``kind`` at stamp index ``ti``."""
-        if kind == "acceleration" and callable(self._accelerations):
-            key = ("acceleration", ti)
-            if key not in self._cache:
-                self._cache[key] = _frozen(np.asarray(self._accelerations(ti, ...), float))
-            return self._cache[key]
-        return self._time_series(kind)[ti]
+        """(n1, n2, n3, 3) read-only node data of ``kind`` at stamp index ``ti``."""
+        return _frozen(self._values(kind, ti))
 
     def node_gradients(self, kind: str, ti: int) -> np.ndarray:
-        """(n1, n2, n3, 3, 3) array of d(field_i)/da_j at grid nodes."""
-        key = ("grad", kind, ti)
-        if key not in self._cache:
-            self._cache[key] = _frozen(self._differentiate(kind, self.node_values(kind, ti)))
-        return self._cache[key]
-
-    def _differentiate(self, kind: str, data: np.ndarray, block=...) -> np.ndarray:
-        """(..., 3, 3) d(data_i)/da_j of node data of ``kind`` on ``block`` of
-        the grid.  The block reaches past every node a read uses by the
-        stencil half-width, or to a bounded edge, so those nodes take the
-        whole slice's stencils; a periodic axis the block cuts wraps around
-        the block, which changes only the half-width at its ends."""
+        """(n1, n2, n3, 3, 3) read-only array of d(field_i)/da_j at grid nodes."""
+        data = self._values(kind, ti)
         if kind == "position":
-            # differentiate the displacement so periodic wrap is exact
-            data = data - self._mesh[block]
+            data = data - self._mesh  # the displacement, so periodic wrap is exact
         cols = [_axis_derivative(data, h, axis=j, order=self.order, periodic=self.periodic[j],
                                  name=f"non-periodic axis{j + 1}")
                 for j, h in enumerate(self.grid.spacings)]
         grad = np.stack(cols, axis=-1)  # (..., 3 comps, 3 dirs)
+        return _frozen(grad + np.eye(3) if kind == "position" else grad)
+
+    def _gradients(self, kind: str, ti: int, flat: np.ndarray) -> np.ndarray:
+        """(U, 3, 3) d(kind_i)/da_j at stamp ``ti`` at the flat node indices ``flat`` (U,),
+        bitwise the rows of :meth:`node_gradients` there: the stencil points of every node
+        along the three axes, gathered in one take, summed one stencil row at a time in
+        :func:`_axis_derivative`'s term order.  Each distinct node is computed once, and
+        from the whole slice once their 3 * order stencil points would outnumber it."""
+        shape, size = self.grid.shape, math.prod(self.grid.shape)
+        if 3 * self.order * len(flat) >= size:  # count the distinct nodes in one pass
+            touched = np.zeros(size, bool)
+            touched[flat] = True
+            if 3 * self.order * np.count_nonzero(touched) >= size:
+                return np.take(self.node_gradients(kind, ti).reshape(-1, 3, 3), flat, axis=0)
+        if len(flat) > 1:
+            unique, inverse = np.unique(flat, return_inverse=True)
+            if len(unique) < len(flat):
+                return self._gradients(kind, ti, unique)[inverse.reshape(-1)]
+        _check_stencil_fit(self)
+        coords = np.array(np.unravel_index(flat, shape))  # (3 axes, U)
+        strides = np.array([shape[1] * shape[2], shape[2], 1])
+        rows = []  # (axis, node, weights, negated, flat point indices (width, m))
+        for (axis, node), along, weights, negate in _stencil_rows(
+                coords, np.broadcast_to(self._size, coords.shape), self._bounded, self.order):
+            points = flat[node] + (along - coords[axis, node]) * strides[axis]
+            rows.append((axis, node, weights, negate, points))
+        points = np.concatenate([row[-1].ravel() for row in rows])
+        data = self._values(kind, ti, points)
+        if kind == "position":
+            data = data - np.take(self._mesh.reshape(-1, 3), points, axis=0)
+        grad, start, spacings = np.empty((len(flat), 3, 3)), 0, np.array(self.grid.spacings)
+        for axis, node, weights, negate, p in rows:
+            d = _combine(weights, data[start:start + p.size].reshape(*p.shape, 3),
+                         spacings[axis][:, None])
+            grad[node, :, axis] = -d if negate else d
+            start += p.size
         return grad + np.eye(3) if kind == "position" else grad
 
     # -- evaluation protocol --------------------------------------------------
-
-    def _at_hand(self, kind: str, ti: int, gradient: bool) -> bool:
-        """Whether the whole node slice of a read is stored or cached."""
-        if gradient:
-            return ("grad", kind, ti) in self._cache
-        return (kind != "acceleration" or not callable(self._accelerations)
-                or ("acceleration", ti) in self._cache)
-
-    def _block(self, idx: np.ndarray, need: int):
-        """Per-axis start and length of the node block holding the indices
-        ``idx`` (3, ...) and ``need`` nodes each side of them.
-
-        On a periodic axis it is a wrapped range, across the seam where that
-        is shorter.  On a bounded axis it reaches the edge where an index
-        lies within ``need`` of it, so that index keeps its one-sided
-        stencil, and it is at least the edge stencil wide.  An axis held
-        whole starts at 0.
-        """
-        width = len(_EDGE_1[self.order][0]) if need else 1
-        flat = idx.reshape(3, -1)
-        starts, sizes = [], []
-        for c, lo, hi, n, periodic in zip(flat, flat.min(axis=1).tolist(),
-                                          flat.max(axis=1).tolist(), self.grid.shape,
-                                          self.periodic):
-            if periodic:
-                if hi - lo + 1 + 2 * need >= n:
-                    # the shortest range ends before the widest gap between indices
-                    u = np.unique(c)
-                    g = int(np.argmax(np.diff(u, append=u[0] + n)))
-                    if g < len(u) - 1:
-                        lo, hi = int(u[g + 1]), int(u[g]) + n
-                start, size = lo - need, hi - lo + 1 + 2 * need
-            else:
-                start, stop = max(lo - need, 0), min(hi + need + 1, n)
-                if stop - start < width:
-                    start, stop = (0, min(width, n)) if start == 0 else (max(stop - width, 0), stop)
-                size = stop - start
-            starts.append(start % n if size < n else 0)
-            sizes.append(min(size, n))
-        return starts, tuple(sizes)
 
     def _corners(self, a: np.ndarray):
         """The trilinear stencil of labels ``a`` (..., 3): node indices
@@ -862,29 +868,16 @@ class SampledTrajectoryField(TrajectoryField):
     def _locate(self, kind: str, ti: int, gradient: bool, corners, lead: tuple) -> np.ndarray:
         """``kind``'s node data, or with ``gradient`` its label gradients, at
         stamp ``ti``, interpolated at the labels of leading shape ``lead``
-        whose :meth:`_corners` are ``corners``; None for the field's own node
-        stack, read as a read-only view of the whole slice."""
-        get = self.node_gradients if gradient else self.node_values
-        if corners is None:
-            vals = get(kind, ti)
-            return _frozen(vals.reshape(lead + vals.shape[3:]))
+        whose :meth:`_corners` are ``corners``, computed at those corner nodes
+        alone; None for the field's own node stack, read as its whole slice."""
+        if corners is None:  # read-only, as the node arrays are
+            vals = (self.node_gradients if gradient else self.node_values)(kind, ti)
+            return vals.reshape(lead + vals.shape[3:])
         idx, periods, weights = corners
-        sizes = self.grid.shape
-        if not self._at_hand(kind, ti, gradient):
-            starts, sizes = self._block(idx, self.order // 2 if gradient else 0)
-        if sizes == self.grid.shape:
-            vals, local = get(kind, ti), idx
-        else:
-            block = np.ix_(*((s + np.arange(m)) % n
-                             for s, m, n in zip(starts, sizes, self.grid.shape)))
-            # lazy accelerations not yet cached are computed on the block only
-            vals = (self.node_values(kind, ti)[block] if self._at_hand(kind, ti, False)
-                    else np.asarray(self._accelerations(ti, block), float))
-            if gradient:
-                vals = self._differentiate(kind, vals, block)
-            local = (idx - np.array(starts)[:, None, None]) % self._size[:, :, None]
-        tail = vals.shape[3:]
-        data = np.take(vals.reshape(-1, *tail), np.ravel_multi_index(local, sizes), axis=0)
+        flat = np.ravel_multi_index(idx, self.grid.shape)
+        vals = (self._gradients if gradient else self._values)(kind, ti, flat.ravel())
+        tail = vals.shape[1:]
+        data = vals.reshape(flat.shape + tail)
         if periods is not None and kind == "position" and not gradient:
             # x - a is periodic, so a corner wrapped by p periods L reads x + p L on its axis
             shift = np.moveaxis(periods, 0, -1) * np.multiply(self.grid.shape, self.grid.spacings)
@@ -975,37 +968,40 @@ _GRID_MAGIC = "vortlab-grid"
 _GRID_VERSION = 1
 
 
-def _check_stencil_fit(path, field: SampledTrajectoryField):
-    """Grid files hold fields whose non-periodic axes fit the order's one-sided stencil."""
+def _check_stencil_fit(field: SampledTrajectoryField, prefix="", error=VortlabError):
+    """Raise ``error`` for a non-periodic axis shorter than the order's one-sided stencil."""
     for j, (n, periodic) in enumerate(zip(field.grid.shape, field.periodic), start=1):
         if not periodic:
-            _fit_stencil(n, field.order, f"{path}: non-periodic axis{j}", GridFormatError)
+            _fit_stencil(n, field.order, f"{prefix}non-periodic axis{j}", error)
 
 
 def save_grid(field: SampledTrajectoryField, path: str):
     """Write the self-describing binary (.npz) or CSV (.csv) grid format."""
     if not str(path).endswith((".npz", ".csv")):
         raise GridFormatError(f"{path}: a grid file is named *.npz or *.csv")
-    _check_stencil_fit(path, field)
+    _check_stencil_fit(field, f"{path}: ", GridFormatError)
     if str(path).endswith(".csv"):
         _save_grid_csv(field, path)
         return
-    arrays = {
+    nodes = _node_arrays(field)
+    np.savez(path, **{
         "format": np.array([_GRID_MAGIC]),
         "version": np.array([_GRID_VERSION]),
         "axis1": field.grid.axes[0],
         "axis2": field.grid.axes[1],
         "axis3": field.grid.axes[2],
         "times": field.times,
-        "positions": field.positions,
+        "positions": nodes.pop("positions"),
         "periodic": np.array(field.periodic, dtype=bool),
         "order": np.array([field.order]),
-    }
-    if field.velocities is not None:
-        arrays["velocities"] = field.velocities
-    if field.accelerations is not None:
-        arrays["accelerations"] = field.accelerations
-    np.savez(path, **arrays)
+        **nodes,
+    })
+
+
+def _node_arrays(field: SampledTrajectoryField) -> dict:
+    """The node data a grid file holds by kind, each read once (lazy ones computed once)."""
+    return {kind: data for kind in ("positions", "velocities", "accelerations")
+            if (data := getattr(field, kind)) is not None}
 
 
 def load_grid(path: str) -> SampledTrajectoryField:
@@ -1051,28 +1047,24 @@ def _field_from_arrays(path, axes, times, positions, velocities, accelerations, 
         )
     except ValueError as exc:
         raise GridFormatError(f"{path}: {exc}") from exc
-    _check_stencil_fit(path, field)
+    _check_stencil_fit(field, f"{path}: ", GridFormatError)
     return field
 
 
 def _save_grid_csv(field: SampledTrajectoryField, path: str):
     n1, n2, n3 = field.grid.shape
-    kinds = ["positions"]
-    if field.velocities is not None:
-        kinds.append("velocities")
-    if field.accelerations is not None:
-        kinds.append("accelerations")
+    nodes = _node_arrays(field)
     buf = io.StringIO()
     buf.write(f"# {_GRID_MAGIC} {_GRID_VERSION}\n")
     buf.write(f"# shape {n1} {n2} {n3} {len(field.times)}\n")
     for j, ax in enumerate(field.grid.axes, start=1):
         buf.write(f"# axis{j} {float(ax[0])!r} {float(field.grid.spacings[j - 1])!r}\n")
     buf.write(f"# times {float(field.times[0])!r} {float(field.dt)!r}\n")
-    buf.write(f"# fields {' '.join(kinds)}\n")
+    buf.write(f"# fields {' '.join(nodes)}\n")
     buf.write(f"# periodic {' '.join(str(int(p)) for p in field.periodic)}\n")
     buf.write(f"# order {field.order}\n")
     # one row per (time, node), the kinds side by side
-    table = np.concatenate([getattr(field, kind).reshape(-1, 3) for kind in kinds], axis=1)
+    table = np.concatenate([data.reshape(-1, 3) for data in nodes.values()], axis=1)
     for row in table.tolist():
         buf.write(",".join(map(repr, row)) + "\n")
     with open(path, "w") as fh:

@@ -524,9 +524,9 @@ def integrate_trajectories(
     last: the field's ladder is ``times[::every]`` of the every-step ladder,
     the same floats, and a stride that does not divide the step count raises
     ValueError.  Accelerations are computed when read, by
-    :func:`material_accelerations` on the node block the read touches (a
-    stored stamp and an index into the grid); only a read of the whole grid
-    computes, and caches, a whole slice.  Positions are kept unwrapped so
+    :func:`material_accelerations` on the nodes the read touches (a stored
+    stamp and an index into the grid), and are not kept; only a read of the
+    whole grid computes a whole slice.  Positions are kept unwrapped so
     the displacement x - a stays a periodic function of the labels for
     periodic fields; for non-periodic fields a ``domain`` box triggers an
     out-of-domain error at the earliest step any trajectory left it.
@@ -584,7 +584,7 @@ def integrate_trajectories(
     pos, vel = (v.reshape(len(stamps), *grid.shape, 3) for v in (pos, vel))
     return SampledTrajectoryField(
         grid, stamps, pos, vel,
-        lambda k, block: material_accelerations(u, pos[k][block], stamps[k], vel[k][block]),
+        lambda k, nodes: material_accelerations(u, pos[k][nodes], stamps[k], vel[k][nodes]),
         periodic=periodic, order=order)
 
 

@@ -24,8 +24,9 @@ zero exactly when the flow is extremal at (a, t).
 Each quantity has one implementation, on a :class:`vortlab.kinematics.Frame`:
 the kinematics of one label stack (..., 3) at one time under the protocol of
 :mod:`vortlab.fields`, one label being the empty leading shape.  The drift
-reports read one frame per time on their whole label stack; a caller that
-holds the frames (``vortlab verify``) hands them to every drift on those nodes.
+reports are sweeps of one drift loop, which makes one frame per time and
+node stack and hands it to every sweep reading there (``vortlab verify`` runs
+its grid drifts in one loop), then drops it.
 """
 
 from __future__ import annotations
@@ -75,15 +76,44 @@ def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _grid_drift(theorem: str, quantity, grid: LabelGrid, times, tolerance, metadata) -> DriftReport:
-    """Max and cell-weighted L2 over the grid of the per-node deviation of
-    ``quantity(t)`` from ``quantity(times[0])``: the Euclidean norm of a
-    vector quantity (N, 3), the absolute value of a scalar one (N,)."""
-    times = [float(t) for t in times]
-    base = quantity(times[0])
+def _drift_loop(field: TrajectoryField, sweeps) -> list:
+    """What each sweep returns (its report), the sweeps run side by side over ``field``.
+    A sweep is a generator that yields ``(nodes, t)`` for each :class:`Frame` it reads
+    and is sent that frame.  The loop serves the earliest time any sweep waits for: it
+    makes one frame per node stack read there (stacks compared bitwise), hands it to each
+    sweep waiting on it in sweep order, and drops it once none waits there."""
+    reports, waiting = [None] * len(sweeps), {}  # sweep index -> the (nodes, t) it waits for
+
+    def send(i, frame):
+        try:
+            waiting[i] = sweeps[i].send(frame)
+        except StopIteration as done:
+            waiting.pop(i, None)
+            reports[i] = done.value
+
+    for i in range(len(sweeps)):
+        send(i, None)
+    while waiting:
+        t, frames = min(s for _, s in waiting.values()), []  # the (nodes, frame) pairs at t
+        while ready := [i for i, (_, s) in waiting.items() if s == t]:
+            for i in ready:
+                nodes = waiting[i][0]
+                frame = next((f for n, f in frames if np.array_equal(n, nodes)), None)
+                if frame is None:
+                    frames.append((nodes, frame := Frame(field, nodes, t)))
+                send(i, frame)
+    return reports
+
+
+def _grid_sweep(theorem: str, quantity, grid: LabelGrid, times, tolerance, metadata):
+    """Sweep of :func:`_drift_loop` giving the max and cell-weighted L2 over the grid of
+    the per-node deviation of ``quantity(frame)`` from its value at ``times[0]``: the
+    Euclidean norm of a vector quantity (N, 3), the absolute value of a scalar one (N,)."""
+    nodes, times = grid.nodes(), [float(t) for t in times]
+    base = quantity((yield nodes, times[0]))
     max_dev, l2_dev = [0.0], [0.0]
     for t in times[1:]:
-        diff = quantity(t) - base
+        diff = quantity((yield nodes, t)) - base
         dev = np.sqrt(np.sum(diff * diff, axis=1)) if diff.ndim > 1 else np.abs(diff)
         max_dev.append(float(np.max(dev)))
         l2_dev.append(math.sqrt(float(np.sum(dev**2)) * grid.cell_volume))
@@ -91,18 +121,11 @@ def _grid_drift(theorem: str, quantity, grid: LabelGrid, times, tolerance, metad
                        l2_deviation=l2_dev, tolerance=tolerance, metadata=metadata)
 
 
-def cauchy_drift(
-    field: TrajectoryField,
-    grid: LabelGrid,
-    times,
-    tolerance: float | None = None,
-    *, frames=None,
-) -> DriftReport:
-    """Max and grid-weighted L2 deviation of Omega(a, t) from Omega(a, t0); ``frames(t)``,
-    when given, is the :class:`Frame` of the grid's nodes at t that the caller holds."""
-    nodes = grid.nodes()
-    frames = frames or (lambda t: Frame(field, nodes, t))
-    return _grid_drift(
-        "cauchy", lambda t: frames(t).omega, grid, times, tolerance,
-        {"backend": field.backend, "grid_shape": list(grid.shape), "fd_order": field.order},
-    )
+def _cauchy_sweep(field: TrajectoryField, grid: LabelGrid, times, tolerance=None):
+    return _grid_sweep("cauchy", lambda frame: frame.omega, grid, times, tolerance, {
+        "backend": field.backend, "grid_shape": list(grid.shape), "fd_order": field.order})
+
+
+def cauchy_drift(field: TrajectoryField, grid: LabelGrid, times, tolerance=None) -> DriftReport:
+    """Max and grid-weighted L2 deviation of Omega(a, t) from Omega(a, t0)."""
+    return _drift_loop(field, [_cauchy_sweep(field, grid, times, tolerance)])[0]

@@ -96,8 +96,8 @@ class Frame(JacobianBundle):
     domain checked once: each evaluator :meth:`read`, G with its checked J,
     cof(G), G^-1, V = G^T xdot (``image``), Omega = curl_a V (``omega``) and the
     Cauchy residual curl_a(G^T xddot) (``cauchy``), each computed on first read
-    and kept.  A command holds one frame per (stack, time) while its checks
-    read there and hands it to each of them; nothing else keeps frames."""
+    and kept.  A command or the drift loop holds one frame per (stack, time) while
+    its checks read there and hands it to each; nothing else keeps frames."""
 
     def __init__(self, field: TrajectoryField, labels, t):
         field.check_domain(labels, t)

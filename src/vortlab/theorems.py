@@ -15,9 +15,9 @@ the tangency number.
 
 The residuals and the potential vorticity take a :class:`~vortlab.kinematics.Frame`
 (labels (..., 3) at one time), and the drift reports call the same functions on
-the frame of their whole label stack once per time: the Ertel drift shares the
-grid loop of the Cauchy drift, and the circulation and helicity drifts share
-one loop over a scalar time series.
+the frame of their whole label stack once per time: the Ertel and helicity
+drifts are sweeps of the drift loop of :mod:`vortlab.invariants`, as the Cauchy
+drift is, and the circulation and helicity drifts share one scalar-series report.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import VortlabError
 from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative
-from .invariants import _grid_drift, image_velocity, lagrangian_vorticity
+from .invariants import _drift_loop, _grid_sweep, image_velocity, lagrangian_vorticity
 from .kinematics import Frame, _image
 from .report import DriftReport
 from .variational import FlowMaterial, density_from_map, mass_reference
@@ -202,25 +202,19 @@ def ertel_pv_label_form(
     return float(omega_label @ np.asarray(S.gradient(a, t), float)) / rho0j0
 
 
-def ertel_drift(
-    field: TrajectoryField,
-    material: FlowMaterial,
-    S: ScalarField,
-    grid: LabelGrid,
-    times,
-    tolerance: float | None = None,
-    *, frames=None,
-) -> DriftReport:
-    """Max and grid-weighted L2 deviation of the potential vorticity from t = times[0]:
-    :func:`ertel_pv` once per time over all nodes, with rho0 J0 taken once from the
-    frame at the field's t0; ``frames`` is as in :func:`vortlab.invariants.cauchy_drift`."""
+def _ertel_sweep(field, material, S, grid: LabelGrid, times, tolerance=None):
     nodes = grid.nodes()
-    frames = frames or (lambda t: Frame(field, nodes, t))
-    rho0j0 = mass_reference(field, material, nodes, frames(field.t0))
-    return _grid_drift(
-        "ertel", lambda t: ertel_pv(frames(t), S, rho0j0), grid, times, tolerance,
-        {"backend": field.backend, "grid_shape": list(grid.shape)},
-    )
+    rho0j0 = mass_reference(field, material, nodes, (yield nodes, field.t0))
+    metadata = {"backend": field.backend, "grid_shape": list(grid.shape)}
+    return (yield from _grid_sweep("ertel", lambda frame: ertel_pv(frame, S, rho0j0), grid, times,
+                                   tolerance, metadata))
+
+
+def ertel_drift(field: TrajectoryField, material: FlowMaterial, S: ScalarField, grid: LabelGrid,
+                times, tolerance: float | None = None) -> DriftReport:
+    """Max and grid-weighted L2 deviation of :func:`ertel_pv` over all nodes from t = times[0],
+    with rho0 J0 taken once from the frame at the field's t0."""
+    return _drift_loop(field, [_ertel_sweep(field, material, S, grid, times, tolerance)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +243,20 @@ def _circulation_series(field: TrajectoryField, loop: LabelLoop):
         np.einsum("nj,nj->n", image_velocity(field, labels, t), tangents) / n)
 
 
-def _series_drift(theorem: str, value, times, tolerance, metadata) -> DriftReport:
-    """Scalar series ``value(t)`` and its deviation from ``value(times[0])`` (max = L2)."""
-    times = [float(t) for t in times]
-    values = [value(t) for t in times]
+def _series_report(theorem: str, times, values, tolerance, metadata) -> DriftReport:
+    """A scalar series and its deviation from ``values[0]`` (max = L2)."""
     devs = [abs(v - values[0]) for v in values]
     devs[0] = 0.0
     return DriftReport(theorem=theorem, times=times, values=values, max_deviation=devs,
                        l2_deviation=devs, tolerance=tolerance, metadata=metadata)
 
 
-def circulation_drift(
-    field: TrajectoryField,
-    loop: LabelLoop,
-    times,
-    tolerance: float | None = None,
-) -> DriftReport:
-    return _series_drift(
-        "circulation", _circulation_series(field, loop), times, tolerance,
-        {"backend": field.backend, "loop_nodes": loop.nodes},
-    )
+def circulation_drift(field: TrajectoryField, loop: LabelLoop, times,
+                      tolerance: float | None = None) -> DriftReport:
+    times = [float(t) for t in times]
+    series = _circulation_series(field, loop)
+    return _series_report("circulation", times, [series(t) for t in times], tolerance,
+                          {"backend": field.backend, "loop_nodes": loop.nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +289,20 @@ def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:
                for o, (_, normal, area) in zip(np.split(omega, ends), faces))
 
 
-def helicity_drift(
-    field: TrajectoryField,
-    region: LabelRegion,
-    times,
-    tolerance: float | None = None,
-    *, frames=None,
-) -> DriftReport:
-    """Helicity time series; the report always carries the tangency number, and
-    conservation is only claimable when it vanishes (or the region is a full periodic
-    cell).  ``frames`` is as in :func:`vortlab.invariants.cauchy_drift`, on its grid."""
-    grid = region.grid()
+def _helicity_sweep(field, region: LabelRegion, times, tolerance=None):
+    grid, times, values = region.grid(), [float(t) for t in times], []
     nodes = grid.nodes()
-    frames = frames or (lambda t: Frame(field, nodes, t))
-    report = _series_drift(
-        "helicity", lambda t: _helicity(frames(t), grid), times, tolerance,
-        {"backend": field.backend, "region_shape": list(region.shape), "periodic": region.periodic},
-    )
+    for t in times:
+        values.append(_helicity((yield nodes, t), grid))
+    report = _series_report("helicity", times, values, tolerance, {
+        "backend": field.backend, "region_shape": list(region.shape), "periodic": region.periodic})
     report.metadata["boundary_tangency"] = (
-        0.0 if region.periodic else boundary_tangency(field, region, report.times[0]))
+        0.0 if region.periodic else boundary_tangency(field, region, times[0]))
     return report
+
+
+def helicity_drift(field: TrajectoryField, region: LabelRegion, times,
+                   tolerance: float | None = None) -> DriftReport:
+    """Helicity time series; the report always carries the tangency number, and conservation
+    is only claimable when it vanishes (or the region is a full periodic cell)."""
+    return _drift_loop(field, [_helicity_sweep(field, region, times, tolerance)])[0]

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vortlab import cli
 from vortlab.cli import build_parser, main
-from vortlab.fields import load_grid
+from vortlab.fields import SampledTrajectoryField, load_grid
 from vortlab.flows import _CATALOG
 
 
@@ -541,11 +541,20 @@ class TestDriftCommand:
 
     def test_taylor_green_step_pair_drifts_at_rounding_floor_exit_1(self, capsys):
         # README: on taylor-green both drifts sit at the rounding floor, so the ratio misses the band
-        code, out = run_cli(["drift", "--fixture", "taylor-green", "--dt", "0.01,0.005"], capsys)
-        rep = json.loads(out)
+        code = main(["drift", "--fixture", "taylor-green", "--dt", "0.01,0.005"])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
         assert code == 1 and rep["pass"] is False
         assert all(0 < d < 1e-10 for d in rep["drift"])
         assert not 12.0 <= rep["drift_ratio"] <= 20.0
+        # stderr names the floor, with both drifts, in one line
+        assert captured.err == (f"vortlab: both Cauchy drifts {tuple(rep['drift'])} lie below "
+                                "1e-10, at the rounding floor: the pair measured rounding, not "
+                                "the integrator's order\n")
+
+    def test_step_pair_above_rounding_floor_prints_no_floor_line(self, capsys):
+        assert main(["drift", "--fixture", "abc", "--dt", "0.01,0.005"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_step_pair_below_probe_rounding_floor_usage_error(self, capsys):
         code = main(["drift", "--fixture", "abc", "--dt", "0.002,0.001"])
@@ -664,6 +673,57 @@ class TestStepPairStorage:
             tracemalloc.stop()
         assert code == 0 and json.loads(capsys.readouterr().out)["pass"]
         assert peak < 8e6, peak
+
+
+class TestStencilOrderFlag:
+    """--fd-order is read by the advected fixtures and by export; verify, action and drift
+    compute no label stencil on any other fixture, so the flag exits 2 there."""
+
+    @pytest.mark.parametrize("command", ["verify", "action", "drift"])
+    def test_analytic_fixture_usage_error(self, command, capsys):
+        for fixture in ("gerstner", "non-euler"):
+            code = main([command, "--fixture", fixture, "--fd-order", "4"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("vortlab: --fd-order sets the stencils")
+            assert repr(fixture) in captured.err
+
+    def test_default_order_has_one_owner(self, capsys):
+        assert build_parser().parse_args(["verify", "--fixture", "abc"]).fd_order is None
+        code, out = run_cli(["verify", "--fixture", "rigid-rotation", "--grid", "3", "--nt", "3"],
+                            capsys)
+        assert code == 0 and json.loads(out)["fd_order"] == cli.RunConfig.fd_order == 4
+
+    def test_export_of_an_analytic_fixture_reads_it(self, tmp_path, capsys):
+        path = str(tmp_path / "g.npz")
+        code = main(["export", "--fixture", "gerstner", "--grid", "5", "--nt", "3",
+                     "--fd-order", "2", "--out", path])
+        assert code == 0 and load_grid(path).order == 2
+
+
+class TestVerifyHoldsOneStamp:
+    """``verify`` on an advected fixture holds one drift stamp's frames at a time and
+    differentiates each whole gradient slice it reads once: 22 slices (position and
+    velocity at the 11 drift stamps), the pipeline error reading the last stamp's frame."""
+
+    @pytest.mark.parametrize("fixture,limit_mib", [("abc", 26), ("taylor-green", 5)])
+    def test_traced_peak_and_whole_slices(self, fixture, limit_mib, monkeypatch):
+        cfg = cli.RunConfig(fixture=fixture)
+        cli.cmd_verify(cfg)  # warm-up: first-call allocations are not the run's
+        slices = []
+        node_gradients = SampledTrajectoryField.node_gradients
+        monkeypatch.setattr(SampledTrajectoryField, "node_gradients",
+                            lambda self, kind, ti: slices.append((kind, ti))
+                            or node_gradients(self, kind, ti))
+        tracemalloc.start()
+        try:
+            code, _ = cli.cmd_verify(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < limit_mib * 2 ** 20, peak
+        assert len(slices) == len(set(slices)) == 22
 
 
 class TestExport:

@@ -1,6 +1,7 @@
 """Trajectory-field backends, label-space operators and grid file I/O."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from vortlab.fields import (
     SampledTrajectoryField,
     ScalarField,
     VectorField,
+    _axis_derivative,
     derivative,
     eval_state,
     fd_jacobian,
@@ -576,18 +578,23 @@ class TestSampledBackend:
             assert np.allclose(field.position(a, 0.0), a, rtol=0.0, atol=1e-12)
 
 
-def _advected_field(shape, periodic, order):
-    """abc trajectories on ``shape`` over [0, 0.3] with lazy accelerations; bounded axes
-    simply stop at the cell's last node."""
+def _advected_field(shape, periodic, order, positions_only=False):
+    """abc trajectories on ``shape`` over [0, 0.6] with lazy accelerations, or from their
+    positions alone; bounded axes simply stop at the cell's last node."""
     grid = LabelGrid.periodic_cell(Box((0.0, 0.0, 0.0), (6.0, 6.0, 6.0)), shape)
-    return flows.integrate_trajectories(flows.abc_velocity(), grid, 0.0, 0.3, 0.1,
-                                        periodic=periodic, order=order)
+    field = flows.integrate_trajectories(flows.abc_velocity(), grid, 0.0, 0.6, 0.1,
+                                         periodic=periodic, order=order)
+    if positions_only:
+        return SampledTrajectoryField(grid, field.times, field.positions, periodic=periodic,
+                                      order=order)
+    return field
 
 
 @st.composite
 def _block_reads(draw):
-    """A field's shape, periodic flags and order, a small label stack on or off its nodes
-    (past the seam on periodic axes, up to the edge on bounded ones) and a read time."""
+    """A field's shape, periodic flags, order and data (lazy accelerations or positions
+    only), a small label stack on or off its nodes (past the seam on periodic axes, up to
+    the edge on bounded ones) and a read time, on or off the stamps, end stamps included."""
     order = draw(st.sampled_from([2, 4]))
     periodic = tuple(draw(st.booleans()) for _ in range(3))
     shape = tuple(draw(st.integers(5, 10)) for _ in range(3))
@@ -598,34 +605,66 @@ def _block_reads(draw):
              for n, p in zip(shape, periodic)]
         labels.append([6.0 / n * (x if p else min(x, n - 1))
                        for x, n, p in zip(s, shape, periodic)])
-    t = 0.1 * draw(st.integers(0, 3)) + draw(st.sampled_from([0.0, 0.03]))
-    return shape, periodic, order, np.array(labels), min(t, 0.3)
+    t = 0.1 * draw(st.integers(0, 6)) + draw(st.sampled_from([0.0, 0.03]))
+    return shape, periodic, order, draw(st.booleans()), np.array(labels), min(t, 0.6)
 
 
-def _read_bytes(field, method, labels, t):
+def _read_bytes(read, method, labels, t):
     try:
-        return getattr(field, method)(labels, t).tobytes()
+        return read(method, labels, t).tobytes()
     except OutOfDomainError as exc:  # a Hessian stencil stepping past a bounded edge
         return str(exc)
 
 
+def _whole_slice_read(field, method, labels, t):
+    """``method`` at ``labels`` and ``t`` from whole slices: ``node_values`` or
+    ``node_gradients`` at each stamp the time falls between, taken at the labels' trilinear
+    corners and weighted as the field weights them."""
+    if method == "position_hessian":
+        return fd_jacobian(lambda b: _whole_slice_read(field, "position_gradient", b, t),
+                           labels, min(field.grid.spacings), 2)
+    kind, gradient = method.removesuffix("_gradient"), method.endswith("_gradient")
+    x = (t - field.t0) / field.dt
+    s = float(round(x)) if abs(x - round(x)) <= 1e-9 else x
+    last = len(field.times) - 1
+    k0 = last if s == last else min(max(math.floor(s), 0), last - 1)
+    a = np.asarray(labels, float)
+    idx, periods, weights = field._corners(a)
+
+    def at(k):
+        whole = (field.node_gradients if gradient else field.node_values)(kind, k)
+        data = whole[tuple(idx)]  # (corners, labels, ...)
+        if periods is not None and kind == "position" and not gradient:
+            period = np.multiply(field.grid.shape, field.grid.spacings)
+            shift = np.moveaxis(periods, 0, -1) * period
+            data = np.where(shift != 0, data + shift, data)
+        if weights is None:
+            return data[0].reshape(a.shape[:-1] + whole.shape[3:])
+        terms = weights.reshape(*weights.shape, *(1,) * (whole.ndim - 3)) * data
+        out = terms[0]
+        for term in terms[1:]:
+            out = out + term
+        return out.reshape(a.shape[:-1] + whole.shape[3:])
+
+    return at(k0) if s == k0 else (1 - (s - k0)) * at(k0) + (s - k0) * at(k0 + 1)
+
+
 class TestBlockReads:
-    """A read computes on the node block it touches, bitwise as the whole slice gives it."""
+    """A read other than the field's own node stack computes only at the nodes it
+    touches, bitwise as the whole slice gives it there."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=_block_reads())
     def test_block_reads_equal_whole_slice_reads_bitwise(self, case):
-        shape, periodic, order, labels, t = case
-        fresh = _advected_field(shape, periodic, order)
-        whole = _advected_field(shape, periodic, order)
-        for k in range(len(whole.times)):  # every whole slice cached: reads gather from them
-            for kind in ("position", "velocity", "acceleration"):
-                whole.node_gradients(kind, k)
+        shape, periodic, order, positions_only, labels, t = case
+        field = _advected_field(shape, periodic, order, positions_only)
         for stack in (labels, labels[0]):
             for method in PROTOCOL_METHODS:
                 # bytes compare signed zeros too
-                assert (_read_bytes(fresh, method, stack, t)
-                        == _read_bytes(whole, method, stack, t)), method
+                got = _read_bytes(lambda m, a, s: getattr(field, m)(a, s), method, stack, t)
+                want = _read_bytes(lambda m, a, s: _whole_slice_read(field, m, a, s),
+                                   method, stack, t)
+                assert got == want, method
 
     def test_one_node_reads_compute_no_whole_slice(self, monkeypatch):
         field = flows.make_fixture("abc").field
@@ -640,14 +679,43 @@ class TestBlockReads:
         i, k = 1234, 7
         a, t = field.grid.nodes()[i], field.times[k]
         g, ga = field.position_gradient(a, t), field.acceleration_gradient(a, t)
-        assert slices == [] and nodes == [5 ** 3]  # one order-4 block, on accelerations only
-        # a read in the seam cell, between nodes 23 and 0 of axis 1, takes the range across it
+        # accelerations only at the node's 12 order-4 stencil points, 4 along each axis
+        assert slices == [] and nodes == [12]
+        # a read in the seam cell, between nodes 23 and 0 of axis 1, takes both corners'
+        # stencils across it: 21, 22, 23, 0, 1, 2 along axis 1 and 4 + 4 along each other
         field.acceleration_gradient((2 * math.pi - field.grid.spacings[0] / 2, *a[1:]), t)
-        assert slices == [] and nodes == [5 ** 3, 6 * 5 * 5]
+        assert slices == [] and nodes == [12, 6 + 8 + 8]
         assert g.tobytes() == field.node_gradients("position", k).reshape(-1, 3, 3)[i].tobytes()
         assert (ga.tobytes()
                 == field.node_gradients("acceleration", k).reshape(-1, 3, 3)[i].tobytes())
-        assert nodes == [5 ** 3, 6 * 5 * 5, 24 ** 3]
+        assert nodes == [12, 22, 24 ** 3]
+
+    def test_positions_only_read_takes_its_time_stencil_at_the_node_alone(self):
+        fx = flows.make_fixture("rigid-rotation")
+        grid = LabelGrid.nodes_inclusive(fx.field.box, (24, 24, 24))
+        times = np.linspace(fx.field.t0, fx.field.t1, 21)
+        positions = np.stack([fx.field.position(grid.mesh(), t) for t in times])
+        field = SampledTrajectoryField(grid, times, positions)
+        i, before = 1234, dict(vars(field))
+        a = grid.nodes()[i]
+        tracemalloc.start()
+        try:
+            field.acceleration(a, times[10])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # the read leaves the field as it found it: no derived array is kept
+        assert vars(field).keys() == before.keys()
+        assert all(vars(field)[key] is value for key, value in before.items())
+        # bitwise the time derivatives of the whole position series, one-sided rows at
+        # the end stamps included
+        velocities = _axis_derivative(positions, field.dt, 0, 4, False, "time ladder")
+        accelerations = _axis_derivative(velocities, field.dt, 0, 4, False, "time ladder")
+        for k, t in enumerate(times):
+            assert field.velocity(a, t).tobytes() == velocities[k].reshape(-1, 3)[i].tobytes()
+            assert (field.acceleration(a, t).tobytes()
+                    == accelerations[k].reshape(-1, 3)[i].tobytes())
 
 
 class TestGridIO:

@@ -371,7 +371,7 @@ class TestStoreStride:
 
 
 class TestAccelerationsOnFirstRead:
-    def test_one_whole_slice_jacobian_call_per_stamp_on_its_first_read(self, monkeypatch):
+    def test_jacobian_calls_cover_only_the_nodes_each_read_gathers(self, monkeypatch):
         u, grid = _advection_case("unsteady", (5, 5, 5))
         calls = []  # (time, nodes) of each call
         jacobian = VectorField.jacobian
@@ -380,14 +380,18 @@ class TestAccelerationsOnFirstRead:
                             or jacobian(self, p, t))
         fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.125)
         assert calls == []
-        a = grid.nodes()[7]
-        fld.acceleration(a, fld.times[2])  # its block is the one node
-        # the order-4 stencils of a 5-node bounded axis span it: the whole slice, then cached
-        fld.acceleration_gradient(a, fld.times[2])
+        a, t2 = grid.nodes()[7], fld.times[2]  # node (0, 1, 2) of the bounded 5^3 grid
+        fld.acceleration(a, t2)  # the one node
+        # its order-4 stencil points: rows 0 and 1 of the one-sided stencils on axes 1
+        # and 2 (5 points each, the node itself among both) and the central one on axis 3
+        fld.acceleration_gradient(a, t2)
+        # nothing is kept: each whole-slice read computes the slice again
         fld.node_values("acceleration", 2)
-        assert calls == [(fld.times[2], 1), (fld.times[2], 125)]
+        fld.node_values("acceleration", 2)
+        assert calls == [(t2, 1), (t2, 5 + 4 + 4), (t2, 125), (t2, 125)]
+        calls.clear()
         assert fld.accelerations.shape == fld.positions.shape
-        assert sorted(t for t, n in calls if n == 125) == sorted(fld.times)
+        assert calls == [(t, 125) for t in fld.times]
 
     def test_dt_pair_probe_never_evaluates_the_velocity_jacobian(self, monkeypatch, capsys):
         calls = []

@@ -246,6 +246,32 @@ class TestCauchyDrift:
         assert (tmp_path / "drift.csv").read_text() == csv
 
 
+class TestDriftLoop:
+    """Sweeps run side by side read one frame per node stack and time, each in its own
+    time order, and give the reports they give alone."""
+
+    def test_shared_frames_and_standalone_reports(self, monkeypatch):
+        from vortlab.invariants import _cauchy_sweep, _drift_loop
+        from vortlab.theorems import LabelRegion, _helicity_sweep, helicity_drift
+
+        fx = flows.make_fixture("taylor-green", shape=(8, 8, 4), t1=0.5)
+        field, grid = fx.field, fx.field.grid
+        region = LabelRegion(fx.spec.box, grid.shape, periodic=True)  # the grid's nodes
+        cauchy_times, helicity_times = [0.5, 0.0, 0.25], [0.0, 0.5]
+        alone = [cauchy_drift(field, grid, cauchy_times).to_dict(),
+                 helicity_drift(field, region, helicity_times).to_dict()]
+        made = []
+        init = Frame.__init__
+        monkeypatch.setattr(Frame, "__init__",
+                            lambda self, f, labels, t: made.append(t) or init(self, f, labels, t))
+        together = _drift_loop(field, [_cauchy_sweep(field, grid, cauchy_times),
+                                       _helicity_sweep(field, region, helicity_times)])
+        assert [report.to_dict() for report in together] == alone
+        # the earliest waiting time first: 0.0 for helicity, 0.5 for both on one frame, then
+        # cauchy's 0.0 and 0.25, in its own order
+        assert made == [0.0, 0.5, 0.0, 0.25]
+
+
 class TestSingularMapPolicy:
     def test_nearly_singular_map_raises(self):
         # |J| = 1e-16 against row norms 1, 1, sqrt 2: singular at the scale of the map

@@ -258,15 +258,15 @@ class TestGridDriftEvaluatesOncePerTime:
                 count[name] = calls["_locate"]
                 assert calls["ertel_pv"] == (len(times) if name == "ertel" else 0)
             counts.append(count)
-        # ertel: position at t0, then position and velocity per time; cauchy:
-        # position and velocity per time; at most two slices per evaluation
+        # ertel and cauchy: position and velocity per time (ertel's rho0 J0 at t0 reads the
+        # frame of times[0], which is t0); at most two slices per evaluation
         assert counts[0] == counts[1]
         assert 0 < counts[0]["ertel"] + counts[0]["cauchy"] <= 2 * (1 + 4 * len(times))
         # lookups pinned per report (circulation: position gradient and
         # velocity per time; helicity: those and the velocity gradient, plus
         # the boundary-tangency vorticity at times[0]); the last stamp, 0.5, is
         # one lookup, not two with the slice before it at weight 0
-        assert counts[0] == {"ertel": 11, "cauchy": 10, "circulation": 10, "helicity": 17}
+        assert counts[0] == {"ertel": 10, "cauchy": 10, "circulation": 10, "helicity": 17}
         # the counters see pointwise work when there is some
         calls.update({"_locate": 0, "ertel_pv": 0})
         node = fx.field.grid.nodes()[1]
