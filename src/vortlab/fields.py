@@ -52,6 +52,8 @@ Three interchangeable backends implement this protocol:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import itertools
 import math
@@ -299,25 +301,18 @@ class LabelGrid:
 
     @classmethod
     def cell_centers(cls, box: Box, shape: Sequence[int]) -> "LabelGrid":
-        axes, spac = [], []
-        for lo, hi, n in zip(box.lo, box.hi, shape):
-            if n < 1:
-                raise ValueError("need at least one cell per axis")
-            h = (hi - lo) / n
-            axes.append(lo + h * (np.arange(n) + 0.5))
-            spac.append(h)
-        return cls(tuple(axes), tuple(spac))
+        if min(shape) < 1:
+            raise ValueError("need at least one cell per axis")
+        return cls(*zip(*((lo + (hi - lo) / n * (np.arange(n) + 0.5), (hi - lo) / n)
+                          for lo, hi, n in zip(box.lo, box.hi, shape))))
 
     @classmethod
     def nodes_inclusive(cls, box: Box, shape: Sequence[int]) -> "LabelGrid":
         """Endpoint-inclusive nodes (>= 2 per axis)."""
-        axes, spac = [], []
-        for lo, hi, n in zip(box.lo, box.hi, shape):
-            if n < 2:
-                raise ValueError("need at least two nodes per axis")
-            axes.append(np.linspace(lo, hi, n))
-            spac.append((hi - lo) / (n - 1))
-        return cls(tuple(axes), tuple(spac))
+        if min(shape) < 2:
+            raise ValueError("need at least two nodes per axis")
+        return cls(*zip(*((np.linspace(lo, hi, n), (hi - lo) / (n - 1))
+                          for lo, hi, n in zip(box.lo, box.hi, shape))))
 
     @classmethod
     def periodic_cell(cls, box: Box, shape: Sequence[int]) -> "LabelGrid":
@@ -658,22 +653,28 @@ def _axis_derivative(data: np.ndarray, h: float, axis: int, order: int, periodic
         return _combine(weights, (wrapped[sl(slice(need + k, need + k + n))] for k in offsets), h)
 
     _fit_stencil(n, order, name)
-    out = np.zeros_like(data)
-    out[sl(slice(need, n - need))] = _combine(
-        weights, (data[sl(slice(need + k, n - need + k))] for k in offsets), h)
-    # edges: boundary-anchored stencils, mirrored (with sign flip) on the right
-    for i, ws in enumerate(_EDGE_1[order]):
-        out[sl(i)] = _combine(ws, (data[sl(k)] for k in range(len(ws))), h)
-        out[sl(n - 1 - i)] = -_combine(ws, (data[sl(n - 1 - k)] for k in range(len(ws))), h)
+    out = np.empty_like(data)
+    for where, points, ws, negate in _bounded_runs(n, order):
+        d = _combine(ws, (data[sl(p)] for p in points), h)
+        out[sl(where)] = -d if negate else d
     return out
 
 
+@functools.cache
+def _bounded_runs(n: int, order: int):
+    """:func:`_stencil_rows` of a whole bounded axis of ``n`` points as slices: there every
+    row's indices, and each of its terms' points, are one run."""
+    run = lambda idx: slice(int(idx[0]), int(idx[0]) + len(idx))
+    return [(run(where), [run(p) for p in points], ws, negate) for (where,), points, ws, negate
+            in _stencil_rows(np.arange(n), np.full(n, n), True, order)]
+
+
 def _stencil_rows(i: np.ndarray, n: np.ndarray, bounded, order: int):
-    """The stencils :func:`_axis_derivative` takes at the indices ``i`` of axes of ``n``
-    points (``n`` and ``bounded`` broadcast to ``i``), one per row present: (where in
-    ``i``, point indices in term order (width, m), weights, whether the sum is negated).
-    A periodic axis wraps the central row; a bounded one takes the one-sided rows at its
-    first and last order/2 points, negating the right edge's."""
+    """The first-derivative stencils at the indices ``i`` of axes of ``n`` points (``n`` and
+    ``bounded`` broadcast to ``i``), one per row present: (where in ``i``, point indices in
+    term order (width, m), weights, whether the sum is negated).  A periodic axis wraps the
+    central row; a bounded one takes the one-sided rows at its first and last order/2
+    points, negating the right edge's: for whole bounded axes, gathers and the time axis."""
     need = order // 2
     rows = np.where(bounded, np.minimum(i, need) - np.minimum(n - 1 - i, need), 0)
     for r in (np.flatnonzero(np.bincount((rows + need).ravel())) - need).tolist():
@@ -699,12 +700,13 @@ class SampledTrajectoryField(TrajectoryField):
     of the positions go through the displacement field x - a so that
     periodic axes can wrap.
 
-    The field keeps no derived array.  A read of its own node stack computes
-    the whole slices it needs; any other read computes at its labels'
-    trilinear corners alone, at each stamp it interpolates between (gradients
-    from each corner's stencil points, time derivatives of unstored data from
-    the stamps of the time stencil, lazy accelerations on those nodes only),
-    bitwise as the whole slice gives them there.
+    The field keeps no derived array outside a :meth:`holding` block.  A read
+    of its own node stack computes the whole slices it needs; any other read
+    computes at its labels' trilinear corners alone, at each stamp it
+    interpolates between (gradients from each corner's stencil points, time
+    derivatives of unstored data from the stamps of the time stencil, lazy
+    accelerations on those nodes only), bitwise as the whole slice gives them
+    there.
     """
 
     backend = "sampled"
@@ -744,6 +746,23 @@ class SampledTrajectoryField(TrajectoryField):
         self._step = np.array([[ax[1] - ax[0]] for ax in grid.axes])
         self._bounded = ~np.array([[p] for p in self.periodic])
         self._size = np.array([[n] for n in grid.shape])
+        self._held: dict | None = None
+
+    @contextlib.contextmanager
+    def holding(self):
+        """Keep the whole slices computed inside the block, for every read, until the outermost
+        block ends: for a command whose label stacks read the same stamps many times."""
+        outer, self._held = self._held, {} if self._held is None else self._held
+        try:
+            yield self
+        finally:
+            self._held = outer
+
+    def _whole(self, key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """``compute()``, a whole slice, computed once per :meth:`holding` block."""
+        if self._held is not None and key not in self._held:
+            self._held[key] = compute()
+        return compute() if self._held is None else self._held[key]
 
     # -- node-level data ----------------------------------------------------
 
@@ -761,9 +780,11 @@ class SampledTrajectoryField(TrajectoryField):
         stored, prev = {"position": (self.positions, None),
                         "velocity": (self.velocities, "position"),
                         "acceleration": (self._accelerations, "velocity")}[kind]
+        whole = (stored[ti] if stored is not None and not callable(stored)
+                 else (self._held or {}).get((kind, ti)))
+        if whole is not None:
+            return whole if flat is None else np.take(whole.reshape(-1, 3), flat, axis=0)
         nodes = ... if flat is None else np.unravel_index(flat, self.grid.shape)
-        if stored is not None and not callable(stored):
-            return stored[ti][nodes]
         if flat is not None and len(flat) > 1:
             unique, inverse = np.unique(flat, return_inverse=True)
             if len(unique) < len(flat):
@@ -773,23 +794,26 @@ class SampledTrajectoryField(TrajectoryField):
         _fit_stencil(len(self.times), self.order, "time ladder")
         ((_, stamps, weights, negate),) = _stencil_rows(np.array([ti]), np.array(self.times.shape),
                                                          True, self.order)
-        d = _combine(weights, (self._values(prev, k, flat) for k in stamps[:, 0]), self.dt)
+        d = _combine(weights, (self.node_values(prev, k) if flat is None
+                               else self._values(prev, k, flat) for k in stamps[:, 0]), self.dt)
         return -d if negate else d
 
     def node_values(self, kind: str, ti: int) -> np.ndarray:
         """(n1, n2, n3, 3) read-only node data of ``kind`` at stamp index ``ti``."""
-        return _frozen(self._values(kind, ti))
+        return self._whole((kind, ti), lambda: _frozen(self._values(kind, ti)))
 
     def node_gradients(self, kind: str, ti: int) -> np.ndarray:
         """(n1, n2, n3, 3, 3) read-only array of d(field_i)/da_j at grid nodes."""
-        data = self._values(kind, ti)
-        if kind == "position":
-            data = data - self._mesh  # the displacement, so periodic wrap is exact
-        cols = [_axis_derivative(data, h, axis=j, order=self.order, periodic=self.periodic[j],
-                                 name=f"non-periodic axis{j + 1}")
-                for j, h in enumerate(self.grid.spacings)]
-        grad = np.stack(cols, axis=-1)  # (..., 3 comps, 3 dirs)
-        return _frozen(grad + np.eye(3) if kind == "position" else grad)
+        def whole():
+            data = self.node_values(kind, ti)
+            if kind == "position":
+                data = data - self._mesh  # the displacement, so periodic wrap is exact
+            cols = [_axis_derivative(data, h, axis=j, order=self.order,
+                                     periodic=self.periodic[j], name=f"non-periodic axis{j + 1}")
+                    for j, h in enumerate(self.grid.spacings)]
+            grad = np.stack(cols, axis=-1)  # (..., 3 comps, 3 dirs)
+            return _frozen(grad + np.eye(3) if kind == "position" else grad)
+        return self._whole(("grad", kind, ti), whole)
 
     def _gradients(self, kind: str, ti: int, flat: np.ndarray) -> np.ndarray:
         """(U, 3, 3) d(kind_i)/da_j at stamp ``ti`` at the flat node indices ``flat`` (U,),

@@ -77,28 +77,22 @@ class Fixture:
         return self.spec.extremal
 
 
-def _const_vec(c):
+def _const(c):
     c = np.asarray(c, float)
     return lambda a, t: c.copy()
 
 
-def _const_mat(m):
-    m = np.asarray(m, float)
-    return lambda a, t: m.copy()
-
-
-_ZERO3 = _const_vec(np.zeros(3))
-_ZERO33 = _const_mat(np.zeros((3, 3)))
-_EYE3 = _const_mat(np.eye(3))
+_ZERO3 = _const(np.zeros(3))
+_ZERO33 = _const(np.zeros((3, 3)))
+_EYE3 = _const(np.eye(3))
 _ZERO333 = lambda a, t: np.zeros((3, 3, 3))
 
 
-def _simple_material(rho0: float = 1.0) -> FlowMaterial:
-    return FlowMaterial(
-        rho0=ScalarField.constant(rho0),
-        eos=BarotropicEOS.zero(),
-        potential=ScalarField.constant(0.0),
-    )
+def _simple_material(rho0: float = 1.0, gravity: float | None = None) -> FlowMaterial:
+    """Constant rho0, no internal energy, and uniform gravity along x3 if ``gravity`` is given."""
+    potential = ScalarField.constant(0.0) if gravity is None else gravity_potential(gravity)
+    return FlowMaterial(rho0=ScalarField.constant(rho0), eos=BarotropicEOS.zero(),
+                        potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +123,7 @@ def make_translation(c=(1.0, 0.0, 0.0), box=None, t0=0.0, t1=1.0) -> Fixture:
     cv = np.asarray(c, float)
     fld = AnalyticTrajectoryField(
         position=lambda a, t: np.asarray(a, float) + cv * (t - t0),
-        velocity=_const_vec(cv),
+        velocity=_const(cv),
         acceleration=_ZERO3,
         position_gradient=_EYE3,
         velocity_gradient=_ZERO33,
@@ -166,7 +160,7 @@ def make_shear(rate=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
         velocity=vel,
         acceleration=_ZERO3,
         position_gradient=grad,
-        velocity_gradient=_const_mat([[0.0, k, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        velocity_gradient=_const([[0.0, k, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         acceleration_gradient=_ZERO33,
         position_hessian=_ZERO333,
         box=box,
@@ -208,11 +202,7 @@ def make_rigid_rotation(omega0=1.0, gravity=0.0, rho0=1.0, box=None, t0=0.0, t1=
         t1=t1,
     )
     g = float(gravity)
-    material = FlowMaterial(
-        rho0=ScalarField.constant(rho0),
-        eos=BarotropicEOS.zero(),
-        potential=gravity_potential(g),
-    )
+    material = _simple_material(rho0, g)
     pressure = ScalarField(
         value=lambda a, t: rho0 * (0.5 * w * w * (a[..., 0] ** 2 + a[..., 1] ** 2) - g * a[..., 2]),
         gradient_fn=lambda a, t: rho0 * np.stack(
@@ -246,11 +236,7 @@ def make_dilation(rho0=1.0, gravity=9.81, box=None, t0=0.0, t1=1.0) -> Fixture:
         t0=t0,
         t1=t1,
     )
-    material = FlowMaterial(
-        rho0=ScalarField.constant(rho0),
-        eos=BarotropicEOS.zero(),
-        potential=gravity_potential(float(gravity)),
-    )
+    material = _simple_material(rho0, float(gravity))
     spec = FixtureSpec(
         "dilation", {"rho0": rho0, "gravity": float(gravity)}, box, t0, t1, extremal=False
     )
@@ -289,31 +275,30 @@ def make_gerstner(
     b_top = math.log(s) / k
     box = Box((0.0, 0.0, b_top - depth), (TWO_PI / k, width, b_top))
 
-    def phase(a, t):
-        return k * (a[..., 0] + c * (t - t0))
-
-    def amp(a):
-        return np.exp(k * a[..., 2])
+    def orbit(a, t):
+        """exp(k a3) and the cosine and sine of the phase k (a1 + c (t - t0))."""
+        ph = k * (a[..., 0] + c * (t - t0))
+        return np.exp(k * a[..., 2]), np.cos(ph), np.sin(ph)
 
     def pos(a, t):
-        E, ph = amp(a), phase(a, t)
+        E, cs, sn = orbit(a, t)
         x = a.copy()
-        x[..., 0] -= E / k * np.sin(ph)
-        x[..., 2] += E / k * np.cos(ph)
+        x[..., 0] -= E / k * sn
+        x[..., 2] += E / k * cs
         return x
 
     def vel(a, t):
-        E, ph = amp(a), phase(a, t)
+        E, cs, sn = orbit(a, t)
         v = np.zeros_like(a)
-        v[..., 0] = -c * E * np.cos(ph)
-        v[..., 2] = -c * E * np.sin(ph)
+        v[..., 0] = -c * E * cs
+        v[..., 2] = -c * E * sn
         return v
 
     def acc(a, t):
-        E, ph = amp(a), phase(a, t)
+        E, cs, sn = orbit(a, t)
         w = np.zeros_like(a)
-        w[..., 0] = g * E * np.sin(ph)
-        w[..., 2] = -g * E * np.cos(ph)
+        w[..., 0] = g * E * sn
+        w[..., 2] = -g * E * cs
         return w
 
     def xz_block(a, diag, xx, xz, zz):
@@ -324,25 +309,21 @@ def make_gerstner(
         return m
 
     def grad(a, t):
-        E, ph = amp(a), phase(a, t)
-        cs, sn = np.cos(ph), np.sin(ph)
+        E, cs, sn = orbit(a, t)
         return xz_block(a, 1.0, 1.0 - E * cs, -E * sn, 1.0 + E * cs)
 
     def vgrad(a, t):
-        E, ph = amp(a), phase(a, t)
-        cs, sn = np.cos(ph), np.sin(ph)
+        E, cs, sn = orbit(a, t)
         kc = k * c
         return xz_block(a, 0.0, kc * E * sn, -kc * E * cs, -kc * E * sn)
 
     def agrad(a, t):
-        E, ph = amp(a), phase(a, t)
-        cs, sn = np.cos(ph), np.sin(ph)
+        E, cs, sn = orbit(a, t)
         kg = k * g
         return xz_block(a, 0.0, kg * E * cs, kg * E * sn, -kg * E * cs)
 
     def hessian(a, t):
-        E, ph = amp(a), phase(a, t)
-        cs, sn = np.cos(ph), np.sin(ph)
+        E, cs, sn = orbit(a, t)
         H = np.zeros(E.shape + (3, 3, 3))
         H[..., 0, 0, 0] = k * E * sn
         H[..., 0, 0, 2] = H[..., 0, 2, 0] = -k * E * cs
@@ -364,11 +345,7 @@ def make_gerstner(
         t0=t0,
         t1=t1,
     )
-    material = FlowMaterial(
-        rho0=ScalarField.constant(rho0),
-        eos=BarotropicEOS.zero(),
-        potential=gravity_potential(g),
-    )
+    material = _simple_material(rho0, g)
     # dp/da3 = -rho0 g (1 - exp(2 k a3)); balances the orbital acceleration.
     def p_grad(a, t):
         out = np.zeros(np.shape(a))

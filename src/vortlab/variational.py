@@ -462,9 +462,7 @@ class VariationTriple:
         return self._zeros(a, (3, 3)) if self.delta_x is None else self.delta_x.jacobian(a, t)
 
     def dx_dot(self, a, t) -> np.ndarray:
-        if self.delta_x is None:
-            return self._zeros(a, (3,))
-        return self.delta_x.time_derivative(a, t)
+        return self._zeros(a, (3,)) if self.delta_x is None else self.delta_x.time_derivative(a, t)
 
     @classmethod
     def relabeling(cls, gen: RelabelGenerator) -> "VariationTriple":

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vortlab import cli
+from vortlab import cli, fields
 from vortlab.cli import build_parser, main
 from vortlab.fields import SampledTrajectoryField, load_grid
 from vortlab.flows import _CATALOG
@@ -526,6 +526,19 @@ class TestDriftCommand:
         assert code == 0
         assert all(v == 0.0 for v in rep["cauchy"]["max_deviation"])
 
+    def test_tol_skips_the_pipeline_read(self, monkeypatch):
+        # drift reports no pipeline error, so with --tol it reads no frame for one: the
+        # circulation loop alone takes no whole slice, the default tolerance takes G at t1
+        slices = []
+        node_gradients = SampledTrajectoryField.node_gradients
+        monkeypatch.setattr(SampledTrajectoryField, "node_gradients",
+                            lambda self, kind, ti: slices.append((kind, ti))
+                            or node_gradients(self, kind, ti))
+        assert cli.cmd_drift(cli.RunConfig(fixture="abc", tol=1.0), "circulation")[0] == 0
+        assert slices == []
+        assert cli.cmd_drift(cli.RunConfig(fixture="abc"), "circulation")[0] == 0
+        assert slices == [("position", 20)]
+
     def test_step_pair_reports_fourth_order_ratio(self, capsys):
         code, out = run_cli(["drift", "--fixture", "abc", "--dt", "0.1,0.05"], capsys)
         rep = json.loads(out)
@@ -726,6 +739,30 @@ class TestVerifyHoldsOneStamp:
         assert len(slices) == len(set(slices)) == 22
 
 
+class TestActionHoldsItsSlices:
+    """``action`` reads the same stamps through many label stacks (S(0), the rungs, the FD
+    shifts of the pressure, the flux copies): inside its holding block each whole gradient
+    slice is differentiated once, and the field keeps none after the command."""
+
+    def test_each_whole_gradient_slice_differentiated_once(self, monkeypatch):
+        slices, derivatives, built = [], [], []
+        node_gradients = SampledTrajectoryField.node_gradients
+        monkeypatch.setattr(SampledTrajectoryField, "node_gradients",
+                            lambda self, kind, ti: slices.append((kind, ti))
+                            or node_gradients(self, kind, ti))
+        axis_derivative = fields._axis_derivative
+        monkeypatch.setattr(fields, "_axis_derivative",
+                            lambda *args, **kw: derivatives.append(kw["axis"])
+                            or axis_derivative(*args, **kw))
+        build = cli._build_fixture
+        monkeypatch.setattr(cli, "_build_fixture",
+                            lambda cfg, *rest: built.append(build(cfg, *rest)) or built[-1])
+        cli.cmd_action(cli.RunConfig(fixture="taylor-green"))
+        assert len(slices) > len(set(slices))  # the stacks read slices again
+        assert len(derivatives) == 3 * len(set(slices))  # three axes per distinct slice
+        assert built[0][0].field._held is None
+
+
 class TestExport:
     @pytest.mark.parametrize("suffix", [".npz", ".csv"])
     def test_roundtrip_via_cli(self, tmp_path, capsys, suffix):
@@ -773,7 +810,7 @@ class TestExport:
 
     def test_grid_shorter_than_stencil_rejected_before_sampling(self, tmp_path, monkeypatch,
                                                                 capsys):
-        from vortlab import cli
+        from vortlab import cli, fields
 
         def sample(*args, **kwargs):
             raise AssertionError("the field was sampled before --grid was checked")

@@ -1,5 +1,6 @@
 """Trajectory-field backends, label-space operators and grid file I/O."""
 
+import contextlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vortlab import flows
+from vortlab import fields, flows
 from vortlab.errors import GridFormatError, OutOfDomainError
 from vortlab.fields import (
     AnalyticTrajectoryField,
@@ -562,6 +563,21 @@ class TestSampledBackend:
                 got = _axis_derivative(data, 0.3, axis, order, True, "axis")
                 assert got.tobytes() == rolled.tobytes()
 
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_bounded_stencils_are_exact_on_polynomials_of_their_order(self, order, n):
+        # central rows inside, one-sided rows at both edges, the right edge's negated:
+        # every row is exact on a polynomial of the stencil order, edges included
+        poly = np.polynomial.Polynomial([0.5, -1.0, 0.75, 2.0, -1.5][:order + 1])
+        x = 0.3 * np.arange(n)
+        for axis in range(3):
+            shape, along = [2, 3, 2], [1, 1, 1]
+            shape[axis] = along[axis] = n
+            data = np.broadcast_to(poly(x).reshape(along), shape)
+            got = _axis_derivative(data, 0.3, axis, order, False, "axis")
+            want = np.broadcast_to(poly.deriv()(x).reshape(along), shape)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-11)
+
     def test_rejects_nonuniform_times(self):
         grid = LabelGrid.nodes_inclusive(BOX, (5, 5, 5))
         pos = np.zeros((3, 5, 5, 5, 3))
@@ -658,13 +674,17 @@ class TestBlockReads:
     def test_block_reads_equal_whole_slice_reads_bitwise(self, case):
         shape, periodic, order, positions_only, labels, t = case
         field = _advected_field(shape, periodic, order, positions_only)
-        for stack in (labels, labels[0]):
-            for method in PROTOCOL_METHODS:
-                # bytes compare signed zeros too
-                got = _read_bytes(lambda m, a, s: getattr(field, m)(a, s), method, stack, t)
-                want = _read_bytes(lambda m, a, s: _whole_slice_read(field, m, a, s),
-                                   method, stack, t)
-                assert got == want, method
+        # in a holding block the reference's whole slices are kept and the reads take them
+        for block in (contextlib.nullcontext(), field.holding()):
+            with block:
+                for stack in (labels, labels[0]):
+                    for method in PROTOCOL_METHODS:
+                        want = _read_bytes(lambda m, a, s: _whole_slice_read(field, m, a, s),
+                                           method, stack, t)
+                        # bytes compare signed zeros too
+                        got = _read_bytes(lambda m, a, s: getattr(field, m)(a, s),
+                                          method, stack, t)
+                        assert got == want, method
 
     def test_one_node_reads_compute_no_whole_slice(self, monkeypatch):
         field = flows.make_fixture("abc").field
@@ -689,6 +709,30 @@ class TestBlockReads:
         assert (ga.tobytes()
                 == field.node_gradients("acceleration", k).reshape(-1, 3, 3)[i].tobytes())
         assert nodes == [12, 22, 24 ** 3]
+
+    def test_holding_block_computes_each_whole_slice_once(self, monkeypatch):
+        field = flows.make_fixture("abc").field
+        derivatives, nodes = [], []
+        axis_derivative = fields._axis_derivative
+        monkeypatch.setattr(fields, "_axis_derivative",
+                            lambda *args, **kw: derivatives.append(kw["axis"])
+                            or axis_derivative(*args, **kw))
+        accelerations = flows.material_accelerations
+        monkeypatch.setattr(flows, "material_accelerations",
+                            lambda u, xs, t, v: nodes.append(xs.size // 3)
+                            or accelerations(u, xs, t, v))
+        # labels spread over the grid, off its nodes and stamps: reads of whole slices
+        labels = field.grid.mesh() + field.grid.spacings[0] / 2
+        t = (field.times[3] + field.times[4]) / 2
+        reads = ("acceleration_gradient", "acceleration", "acceleration_gradient")
+        with field.holding():
+            held = [getattr(field, method)(labels, t).tobytes() for method in reads]
+        # each stamp's lazy accelerations evaluated on every node once, then differentiated
+        # once along each axis; the later reads come from the kept slices
+        assert nodes == [24 ** 3] * 2 and len(derivatives) == 6
+        assert field._held is None
+        assert held == [getattr(field, method)(labels, t).tobytes() for method in reads]
+        assert len(derivatives) == 6 + 2 * 6  # outside it each gradient read computes again
 
     def test_positions_only_read_takes_its_time_stencil_at_the_node_alone(self):
         fx = flows.make_fixture("rigid-rotation")
