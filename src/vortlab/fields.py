@@ -11,20 +11,23 @@ Conventions used throughout the package:
 * ``position_hessian(a, t)[i, j, k] = d^2 x_i / (da_j da_k)``.
 
 Evaluation protocol: every trajectory-field method takes labels of shape
-(..., 3) and a scalar time, and returns (..., 3), (..., 3, 3) or
-(..., 3, 3, 3); one label is the case with an empty leading shape.  A grid or
+(..., 3) and a time, and returns (..., 3), (..., 3, 3) or (..., 3, 3, 3); one
+label is the case with an empty leading shape.  The time is a scalar, or a
+numpy array of the labels' leading shape giving each label its own time.  A grid or
 loop diagnostic evaluates all of its labels in one call per time.  Two field
 types, :class:`ScalarField` and :class:`VectorField`, cover every scalar and
 vector field, whether over labels ``(a, t)`` or over physical space
 ``(x, t)``, and follow the same rule (values (...) or (..., 3), gradients
 (..., 3), Hessians and Jacobians (..., 3, 3)).  Callables supplied to any of
-them receive the whole (..., 3) stack, indexed ``a[..., i]``, and return the
-full output shape or a constant of one label's shape, such as a (3, 3)
-matrix, which is broadcast; any other shape raises ValueError.  A derivative
-without a callable is an order-4 finite difference at :data:`FD_STEP`.  A
-stack evaluates bitwise like its labels one at a time: matrix-vector products
-go through :func:`matvec` and libm functions through :func:`elementwise`
-where numpy's loops round differently.
+them receive the whole (..., 3) stack, indexed ``a[..., i]``, and a scalar
+time (per-label times reach them through :func:`by_time`, one call per
+distinct time), and return the full output shape or a constant of one label's
+shape, such as a (3, 3) matrix, which is broadcast; any other shape raises
+ValueError.  A derivative without a callable is an order-4 finite difference
+at :data:`FD_STEP`.  A stack evaluates bitwise like its labels one at a time,
+each at its own time: matrix-vector products go through :func:`matvec` and
+libm functions through :func:`elementwise` where numpy's loops round
+differently.
 
 Three interchangeable backends implement this protocol:
 
@@ -36,10 +39,12 @@ Three interchangeable backends implement this protocol:
     vector or matrix, and every curl through :func:`curl`.  A label gradient
     is one call of the lower evaluator: :func:`fd_jacobian` hands it one
     stack of shape ``(3 * len(offsets), *a.shape)`` holding every
-    stencil-shifted copy of the labels.
+    stencil-shifted copy of the labels.  Per-label times call each closed
+    form once per distinct time.
 ``PolynomialTrajectoryField``
     components are :class:`~vortlab.poly.Poly` in (a1, a2, a3, t); every
     derivative is exact, and rational query points give Fraction results.
+    Per-label times are one more broadcast coordinate.
 ``SampledTrajectoryField``
     node data on a rectilinear grid of labels and a uniform time ladder;
     derivatives by finite differences at a declared order (one-sided stencils
@@ -47,7 +52,10 @@ Three interchangeable backends implement this protocol:
     linear-in-time interpolation off the nodes, each read differentiating
     only at the nodes it touches.  A query within rounding of a node or
     a stored slice reads it exactly; labels beyond the grid on a non-periodic
-    axis raise :class:`~vortlab.errors.OutOfDomainError`.
+    axis raise :class:`~vortlab.errors.OutOfDomainError`.  Per-label times
+    read stored data in one gather over (stamp, node) pairs, compute lazy
+    accelerations once per distinct stamp and blend each off-stamp label
+    between its own two stamps.
 """
 
 from __future__ import annotations
@@ -153,6 +161,27 @@ def curl(d):
     return np.stack([e[2][1] - e[1][2], e[0][2] - e[2][0], e[1][0] - e[0][1]], axis=-1)
 
 
+def per_label(t) -> bool:
+    """Whether the time ``t`` gives each label its own: an array with an axis (a cheap test,
+    made on every evaluation)."""
+    return isinstance(t, np.ndarray) and t.ndim > 0
+
+
+def by_time(t, fn):
+    """``fn(where, s)`` for each distinct time ``s`` of the array ``t``, in order of first
+    appearance, with ``where`` the mask of ``t``'s entries at ``s``; each result (count,
+    ...) fills those entries of one array of ``t``'s shape and the results' tail.  Per-label
+    times reach closed forms written for one time through here."""
+    t, out = np.asarray(t), None
+    for s in dict.fromkeys(t.ravel().tolist()):
+        where = t == s
+        value = np.asarray(fn(where, s))
+        if out is None:
+            out = np.empty(t.shape + value.shape[1:], value.dtype)
+        out[where] = value
+    return out
+
+
 def _supplied(fn, a, t, tail: tuple):
     """``fn(a, t)`` under the protocol, for labels or points ``a`` (..., 3).
 
@@ -162,8 +191,13 @@ def _supplied(fn, a, t, tail: tuple):
     a stack of leading shape ``lead``, a value of shape ``tail`` (one label's)
     is a constant and is broadcast; any shape other than ``lead + tail``
     raises ValueError, so a callable written for one label (``a[i]`` where the
-    protocol needs ``a[..., i]``) fails on a stack.
+    protocol needs ``a[..., i]``) fails on a stack.  Per-label times ``t``
+    (broadcast to ``lead``) call ``fn`` once per distinct time, on its labels.
     """
+    if per_label(t):
+        a = np.asarray(a)
+        return by_time(np.broadcast_to(t, a.shape[:-1]),
+                       lambda where, s: _supplied(fn, a[where], s, tail))
     if not isinstance(a, np.ndarray):
         exact = all(isinstance(x, (int, Fraction)) for x in a)
         a = np.array(a, dtype=object) if exact else np.asarray(a, float)
@@ -210,7 +244,8 @@ def _poly_jacobian(polys) -> np.ndarray:
 def _poly_eval(polys: np.ndarray, a, *rest) -> np.ndarray:
     """Evaluate an object array of Polys at points ``a`` of shape (..., n).
 
-    ``rest`` holds trailing scalar coordinates (the time).  The result has
+    ``rest`` holds trailing coordinates (the time), scalars or arrays of the
+    points' leading shape, broadcast like the point coordinates.  The result has
     shape ``a.shape[:-1] + polys.shape``: an object array of Fractions when
     every coordinate is rational, a float array otherwise.
     """
@@ -255,9 +290,16 @@ class Box:
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError("box must have positive extent on every axis")
 
+    def outside(self, a) -> np.ndarray:
+        """Whether each label of ``a`` (one label or a stack (..., 3)), in stack
+        order, lies outside the box: a flat boolean array."""
+        flat = np.asarray(a, float).reshape(-1, 3)
+        inside = (flat >= np.asarray(self.lo, float)) & (flat <= np.asarray(self.hi, float))
+        return ~inside.all(axis=1)
+
     def first_outside(self, a):
         """The first label of ``a`` (one label or a stack (..., 3)) outside
-        the box, in stack order, or None."""
+        the box, in stack order, or None (one reduction when none is)."""
         flat = np.asarray(a, float).reshape(-1, 3)
         inside = (flat >= np.asarray(self.lo, float)) & (flat <= np.asarray(self.hi, float))
         if inside.all():
@@ -465,7 +507,8 @@ class TrajectoryField:
         self.t1 = float(t1)
         self.order = order
 
-    # Subclasses implement, for labels a of shape (..., 3) and a scalar t:
+    # Subclasses implement, for labels a of shape (..., 3) and a time t, a
+    # scalar or an array of the labels' leading shape:
     #   position, velocity, acceleration           -> (..., 3)
     #   position_gradient, velocity_gradient,
     #   acceleration_gradient                      -> (..., 3, 3)
@@ -473,7 +516,16 @@ class TrajectoryField:
 
     def check_domain(self, a, t):
         """Raise OutOfDomainError for the first label of ``a`` outside the box
-        or a time outside the window."""
+        or a time outside the window.  With per-label times, the error is the
+        one-label call's for the first label that it would reject."""
+        if per_label(t):
+            times = np.ravel(t)
+            ft = times.astype(float)
+            bad = self.box.outside(a) | ~((self.t0 <= ft) & (ft <= self.t1))
+            if bad.any():
+                k = int(np.argmax(bad))
+                self.check_domain(np.reshape(np.asarray(a, float), (-1, 3))[k], times[k])
+            return
         bad = self.box.first_outside(a)
         if bad is not None:
             raise OutOfDomainError(f"label {tuple(float(x) for x in bad)} outside {self.box}")
@@ -773,13 +825,19 @@ class SampledTrajectoryField(TrajectoryField):
             return np.stack([self.node_values("acceleration", k) for k in range(len(self.times))])
         return self._accelerations
 
-    def _values(self, kind: str, ti: int, flat=None) -> np.ndarray:
+    def _values(self, kind: str, ti, flat=None) -> np.ndarray:
         """``kind``'s data at stamp ``ti``, the whole slice or (K, 3) at flat node indices
         (K,); lazy accelerations, and the time derivative of the kind before it from the
-        stamps of ti's time stencil alone, are computed once per distinct node."""
+        stamps of ti's time stencil alone, are computed once per distinct node.  With
+        ``ti`` an array (K,), a stamp per node: stored data is one gather over the (stamp,
+        node) pairs, data it derives is computed once per distinct stamp."""
         stored, prev = {"position": (self.positions, None),
                         "velocity": (self.velocities, "position"),
                         "acceleration": (self._accelerations, "velocity")}[kind]
+        if per_label(ti):
+            if stored is None or callable(stored):
+                return by_time(ti, lambda where, k: self._values(kind, k, flat[where]))
+            return stored[(ti, *np.unravel_index(flat, self.grid.shape))]
         whole = (stored[ti] if stored is not None and not callable(stored)
                  else (self._held or {}).get((kind, ti)))
         if whole is not None:
@@ -815,22 +873,28 @@ class SampledTrajectoryField(TrajectoryField):
             return _frozen(grad + np.eye(3) if kind == "position" else grad)
         return self._whole(("grad", kind, ti), whole)
 
-    def _gradients(self, kind: str, ti: int, flat: np.ndarray) -> np.ndarray:
+    def _gradients(self, kind: str, ti, flat: np.ndarray) -> np.ndarray:
         """(U, 3, 3) d(kind_i)/da_j at stamp ``ti`` at the flat node indices ``flat`` (U,),
         bitwise the rows of :meth:`node_gradients` there: the stencil points of every node
         along the three axes, gathered in one take, summed one stencil row at a time in
         :func:`_axis_derivative`'s term order.  Each distinct node is computed once, and
-        from the whole slice once their 3 * order stencil points would outnumber it."""
+        from the whole slice once their 3 * order stencil points would outnumber it.  With
+        ``ti`` an array (U,), a stamp per node: each distinct (stamp, node) pair once, and
+        the stencil points of all of them in one gather."""
         shape, size = self.grid.shape, math.prod(self.grid.shape)
+        per_node = per_label(ti)
         if 3 * self.order * len(flat) >= size:  # count the distinct nodes in one pass
+            if per_node:
+                return by_time(ti, lambda where, k: self._gradients(kind, k, flat[where]))
             touched = np.zeros(size, bool)
             touched[flat] = True
             if 3 * self.order * np.count_nonzero(touched) >= size:
                 return np.take(self.node_gradients(kind, ti).reshape(-1, 3, 3), flat, axis=0)
         if len(flat) > 1:
-            unique, inverse = np.unique(flat, return_inverse=True)
+            unique, inverse = np.unique(ti * size + flat if per_node else flat, return_inverse=True)
             if len(unique) < len(flat):
-                return self._gradients(kind, ti, unique)[inverse.reshape(-1)]
+                at = np.divmod(unique, size) if per_node else (ti, unique)
+                return self._gradients(kind, *at)[inverse.reshape(-1)]
         _check_stencil_fit(self)
         coords = np.array(np.unravel_index(flat, shape))  # (3 axes, U)
         strides = np.array([shape[1] * shape[2], shape[2], 1])
@@ -840,6 +904,9 @@ class SampledTrajectoryField(TrajectoryField):
             points = flat[node] + (along - coords[axis, node]) * strides[axis]
             rows.append((axis, node, weights, negate, points))
         points = np.concatenate([row[-1].ravel() for row in rows])
+        if per_node:  # each stencil point at its node's stamp
+            ti = np.concatenate([np.broadcast_to(ti[node], p.shape).ravel()
+                                 for _, node, _, _, p in rows])
         data = self._values(kind, ti, points)
         if kind == "position":
             data = data - np.take(self._mesh.reshape(-1, 3), points, axis=0)
@@ -889,16 +956,18 @@ class SampledTrajectoryField(TrajectoryField):
         w = np.where(d, frac[:, None, :], 1 - frac[:, None, :])
         return idx, periods, w[0] * w[1] * w[2]
 
-    def _locate(self, kind: str, ti: int, gradient: bool, corners, lead: tuple) -> np.ndarray:
+    def _locate(self, kind: str, ti, gradient: bool, corners, lead: tuple) -> np.ndarray:
         """``kind``'s node data, or with ``gradient`` its label gradients, at
-        stamp ``ti``, interpolated at the labels of leading shape ``lead``
-        whose :meth:`_corners` are ``corners``, computed at those corner nodes
-        alone; None for the field's own node stack, read as its whole slice."""
+        stamp ``ti`` (or at one stamp per label, an array (M,)), interpolated at
+        the labels of leading shape ``lead`` whose :meth:`_corners` are
+        ``corners``, computed at those corner nodes alone; None for the field's
+        own node stack, read as its whole slice."""
         if corners is None:  # read-only, as the node arrays are
             vals = (self.node_gradients if gradient else self.node_values)(kind, ti)
             return vals.reshape(lead + vals.shape[3:])
         idx, periods, weights = corners
         flat = np.ravel_multi_index(idx, self.grid.shape)
+        ti = np.broadcast_to(ti, flat.shape).ravel() if per_label(ti) else ti
         vals = (self._gradients if gradient else self._values)(kind, ti, flat.ravel())
         tail = vals.shape[1:]
         data = vals.reshape(flat.shape + tail)
@@ -909,18 +978,28 @@ class SampledTrajectoryField(TrajectoryField):
         if weights is None:
             out = data[0]  # (M, ...)
         else:
-            terms = weights.reshape(*weights.shape, *(1,) * len(tail)) * data
+            w = weights.reshape(*weights.shape, *(1,) * len(tail))
+            terms = w * data
             out = terms[0]
-            for term in terms[1:]:
-                out = out + term
+            # a label on the node of an axis that others are off adds no upper corner there
+            # (weight 0): its own one-label sum, signed zeros included
+            for wk, term in zip(w[1:], terms[1:]):
+                out = out + term if wk.all() else np.where(wk != 0, out + term, out)
         return out.reshape(lead + tail)
 
+    def _stamp(self, t):
+        """The fractional ladder index of ``t`` (a scalar or an array), within rounding of a
+        stamp set to it."""
+        return _snap((np.asarray(t, float) - self.t0) / self.dt)
+
     def _interp(self, kind: str, a, t, gradient: bool = False):
-        s = float(_snap((float(t) - self.t0) / self.dt))
+        a = np.asarray(a, float)
+        if per_label(t):
+            return self._interp_each(kind, a, np.broadcast_to(t, a.shape[:-1]), gradient)
+        s = float(self._stamp(t))
         last = len(self.times) - 1  # read alone, not after the slice before it at weight 0
         k0 = last if s == last else min(max(math.floor(s), 0), last - 1)
         f = s - k0
-        a = np.asarray(a, float)
         own = a.size == self._mesh.size and np.array_equal(a.reshape(self._mesh.shape), self._mesh)
         corners = None if own else self._corners(a)
         v0 = self._locate(kind, k0, gradient, corners, a.shape[:-1])
@@ -928,6 +1007,26 @@ class SampledTrajectoryField(TrajectoryField):
             return v0
         v1 = self._locate(kind, k0 + 1, gradient, corners, a.shape[:-1])
         return (1 - f) * v0 + f * v1
+
+    def _interp_each(self, kind: str, a: np.ndarray, t: np.ndarray, gradient: bool):
+        """:meth:`_interp` at per-label times ``t`` (the labels' leading shape): every label
+        read at its own stamp in one :meth:`_locate`, those off their stamp blended with
+        the next as a one-label read blends them."""
+        s = self._stamp(t).ravel()
+        last = len(self.times) - 1
+        k0 = np.where(s == last, last, np.clip(np.floor(s), 0, last - 1)).astype(int)
+        f = s - k0
+        corners = self._corners(a)
+        v0 = self._locate(kind, k0, gradient, corners, (len(s),))
+        off = np.flatnonzero(f != 0.0)
+        if len(off):
+            idx, periods, weights = corners
+            sub = (idx[:, :, off], None if periods is None else periods[:, :, off],
+                   None if weights is None else weights[:, off])
+            v1 = self._locate(kind, k0[off] + 1, gradient, sub, (len(off),))
+            fo = f[off].reshape((-1,) + (1,) * (v0.ndim - 1))
+            v0[off] = (1 - fo) * v0[off] + fo * v1
+        return v0.reshape(a.shape[:-1] + v0.shape[1:])
 
     def position(self, a, t) -> Vec:
         return self._interp("position", a, t)
@@ -954,7 +1053,7 @@ class SampledTrajectoryField(TrajectoryField):
     def time_index(self, t: float) -> int:
         """Index of the stored slice at ``t``: ValueError off the ladder,
         OutOfDomainError for an on-ladder time outside the window."""
-        s = float(_snap((float(t) - self.t0) / self.dt))
+        s = float(self._stamp(t))
         if not s.is_integer():
             raise ValueError(f"time {t} is not on the stored ladder")
         if not 0 <= s < len(self.times):

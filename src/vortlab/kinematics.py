@@ -29,6 +29,7 @@ from .fields import (
     derivative,
     entries,
     matvec,
+    per_label,
 )
 from .poly import Rat, random_point, random_poly
 
@@ -92,12 +93,14 @@ class JacobianBundle:
 
 
 class Frame(JacobianBundle):
-    """The kinematics of ``field`` on one label stack (..., 3) at one time t, its
+    """The kinematics of ``field`` on one label stack (..., 3) at a time t, one
+    for the stack or one per label (an array of the stack's leading shape), its
     domain checked once: each evaluator :meth:`read`, G with its checked J,
     cof(G), G^-1, V = G^T xdot (``image``), Omega = curl_a V (``omega``) and the
     Cauchy residual curl_a(G^T xddot) (``cauchy``), each computed on first read
     and kept.  A command or the drift loop holds one frame per (stack, time) while
-    its checks read there and hands it to each; nothing else keeps frames."""
+    its checks read there and hands it to each; nothing else keeps frames.  Every
+    value at a label is bitwise the one-label frame's at that label and its time."""
 
     def __init__(self, field: TrajectoryField, labels, t):
         field.check_domain(labels, t)
@@ -110,6 +113,13 @@ class Frame(JacobianBundle):
             t = self.t + s if s else self.t
             self._reads[method, s] = getattr(self.field, method)(self.labels, t)
         return self._reads[method, s]
+
+    def take(self, index) -> "Frame":
+        """The frame of the labels (and times) ``index`` picks on the leading axis, holding
+        every read made here so far, sliced, not read again."""
+        sub = Frame(self.field, self.labels[index], self.t[index] if per_label(self.t) else self.t)
+        sub._reads = {key: value[index] for key, value in self._reads.items()}
+        return sub
 
     _checked = cached_property(lambda self: (g := self.read("position_gradient"),
                                              checked_det(g, self.labels, self.t)))
@@ -129,7 +139,8 @@ def checked_det(g, a=None, t=None):
     product of the row norms of G (each taken by np.hypot, so a finite norm
     does not overflow).  J == 0 is decided exactly on Fraction matrices.
     ``g`` is one matrix (3, 3) or a stack (..., 3, 3); given the labels ``a``
-    of ``g`` and its time ``t``, the error names the first singular label and ``t``.
+    of ``g`` and its time ``t`` (a scalar or per-label times), the error names
+    the first singular label and its time.
     """
     d = det3(g)
     gf = np.asarray(g, float)
@@ -143,7 +154,7 @@ def checked_det(g, a=None, t=None):
         at = ""
         if a is not None:
             label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
-            at = f" at a={label}, t={t}"
+            at = f" at a={label}, t={np.ravel(t)[k] if per_label(t) else t}"
         raise DegenerateMapError(
             f"singular map (|J| over the product of G's row norms is {ratio:.3g} < "
             f"{DEGENERACY_RTOL:g}): Jacobian determinant {dk} below degeneracy threshold{at}")

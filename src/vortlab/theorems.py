@@ -14,10 +14,10 @@ regions use the midpoint rule on cells, with boundary face quadratures for
 the tangency number.
 
 The residuals and the potential vorticity take a :class:`~vortlab.kinematics.Frame`
-(labels (..., 3) at one time), and the drift reports call the same functions on
-the frame of their whole label stack once per time: the Ertel and helicity
-drifts are sweeps of the drift loop of :mod:`vortlab.invariants`, as the Cauchy
-drift is, and the circulation and helicity drifts share one scalar-series report.
+(labels (..., 3) at one time, or each at its own), and the drift reports call the
+same functions on the frame of their whole label stack once per time: the Ertel and
+helicity drifts are sweeps of the drift loop of :mod:`vortlab.invariants`, as the
+Cauchy drift is, and the circulation and helicity drifts share one scalar-series report.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import VortlabError
-from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative
+from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative, matvec
 from .invariants import _drift_loop, _grid_sweep, image_velocity, lagrangian_vorticity
 from .kinematics import Frame, _image
 from .report import DriftReport
@@ -160,24 +160,25 @@ def dalembert_euler_residual(frame: Frame) -> np.ndarray:
 
 def beltrami_residual(frame: Frame, frame0: Frame, material: FlowMaterial,
                       dt_fd: float) -> np.ndarray:
-    """Residual of d/dt (omega/rho) = ((omega/rho) . grad_x) u along a parcel, on the
-    frame of (a, t) and ``frame0``, that of (a, t0) at the field's own t0.
+    """Residual of d/dt (omega/rho) = ((omega/rho) . grad_x) u along each parcel, on the
+    frame of labels a (..., 3) at their times t and ``frame0``, that of the same labels
+    at the field's own t0; (..., 3).
 
     omega comes from the vorticity transport formula seeded at t0, so
     omega/rho = G Omega0 / (rho0 J0) and the material derivative is a
     centered difference of step dt_fd, whose shifted G reads the frame keeps.
     """
     omega0 = frame0.omega.astype(float)
-    rho0j0 = float(mass_reference(frame.field, material, frame.labels, frame0))
+    rho0j0 = mass_reference(frame.field, material, frame.labels, frame0).astype(float)
     density_from_map(frame, rho0j0)  # raises on rho <= 0
 
     def omega_over_rho(s):
-        return (frame.read("position_gradient", s).astype(float) @ omega0) / rho0j0
+        g = frame.read("position_gradient", s).astype(float)
+        return matvec(g, omega0) / np.expand_dims(rho0j0, -1)
 
     lhs = derivative(omega_over_rho, dt_fd, 2)
     du = frame.read("velocity_gradient").astype(float) @ np.asarray(frame.inv, float)
-    rhs = du @ omega_over_rho(0.0)
-    return lhs - rhs
+    return lhs - matvec(du, omega_over_rho(0.0))
 
 
 def ertel_pv(frame: Frame, S: ScalarField, rho0j0):

@@ -52,10 +52,12 @@ from .fields import (
     ScalarField,
     TrajectoryField,
     VectorField,
+    by_time,
     derivative,
     elementwise,
     fd_jacobian,
     matvec,
+    per_label,
 )
 from .kinematics import Frame, det3
 
@@ -109,11 +111,14 @@ class BarotropicEOS:
 
 def _reject(bad, values, a, what: str, error=NonPositiveDensityError, t=None):
     """Raise ``error`` naming the first label of ``a`` (one label or a stack)
-    where ``bad`` holds, with ``values`` there."""
+    where ``bad`` holds, with ``values`` there, and its time of ``t`` (a scalar
+    or per-label times), if given."""
     flags = np.ravel(bad)
     if flags.any():
         k = int(np.argmax(flags))
         label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
+        if per_label(t):
+            t = np.ravel(t)[k]
         at = f"a={label}" if t is None else f"a={label}, t={t}"
         raise error(f"{what} = {np.ravel(values)[k]} at {at}")
 
@@ -494,7 +499,9 @@ class DeformedTrajectoryField(TrajectoryField):
     gradients carry the product-rule factor (I + eps grad delta_a^T).  A fold
     of the label chart (non-positive det(I + eps D delta_a)) raises immediately.
     A ladder ``eps`` of R amplitudes takes labels (R, ..., 3), rung r at eps[r];
-    the rungs that share a chart time t~ read the base together.
+    the rungs that share a chart time t~ read the base together.  Per-label
+    times read each time's labels as a ladder of one-label rungs, each at its
+    own amplitude.
     """
 
     backend = "deformed"
@@ -516,17 +523,22 @@ class DeformedTrajectoryField(TrajectoryField):
         a, eps = self._rungs(a)
         return np.eye(3) + eps[..., None] * self.var.da_jac(a)
 
+    def _each_time(self, method: str, a, t):
+        """``method`` at per-label times ``t``: each time's labels as a ladder of one-label
+        rungs at their own amplitudes."""
+        a = np.asarray(a, float)
+        lead = a.shape[:-1]
+        eps = np.broadcast_to(self.eps.reshape(self.eps.shape + (1,) * (len(lead) - self.eps.ndim)),
+                              lead)
+        return by_time(np.broadcast_to(t, lead), lambda where, s: getattr(
+            DeformedTrajectoryField(self.base, self.var, eps[where]), method)(a[where], s))
+
     def _on_chart(self, a, t, fn):
         """fn(rungs, eps, a~, t~) on each mask ``rungs`` of rungs sharing a chart time t~."""
         a, eps = self._rungs(a)
         at = a + eps * self.var.da(a)
         tt = t + self.eps.reshape(-1) * self.var.dt(t)
-        out = None
-        for s in dict.fromkeys(tt.tolist()):
-            rungs = tt == s
-            value = fn(rungs, eps[rungs], at[rungs], s)
-            out = np.empty(tt.shape + value.shape[1:]) if out is None else out
-            out[rungs] = value
+        out = by_time(tt, lambda rungs, s: fn(rungs, eps[rungs], at[rungs], s))
         return out if self.eps.ndim else out[0]
 
     def fold_factor(self, a):
@@ -537,15 +549,21 @@ class DeformedTrajectoryField(TrajectoryField):
         return det if self.eps.ndim else det[0]
 
     def position(self, a, t):
+        if per_label(t):
+            return self._each_time("position", a, t)
         return self._on_chart(a, t, lambda r, eps, at, tt: (
             self.base.position(at, tt) + eps * self.var.dx(at, tt)))
 
     def velocity(self, a, t):
+        if per_label(t):
+            return self._each_time("velocity", a, t)
         return self._on_chart(a, t, lambda r, eps, at, tt: (
             (1.0 + eps * self.var.dt_rate(t))
             * (self.base.velocity(at, tt) + eps * self.var.dx_dot(at, tt))))
 
     def position_gradient(self, a, t):
+        if per_label(t):
+            return self._each_time("position_gradient", a, t)
         chart = self._rung_chart(a)
         return self._on_chart(a, t, lambda r, eps, at, tt: (
             (self.base.position_gradient(at, tt) + eps[..., None] * self.var.dx_jac(at, tt))

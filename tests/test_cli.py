@@ -18,7 +18,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from vortlab import cli, fields
 from vortlab.cli import build_parser, main
 from vortlab.fields import SampledTrajectoryField, load_grid
-from vortlab.flows import _CATALOG
+from vortlab.flows import _CATALOG, make_fixture
+from vortlab.kinematics import (
+    Frame,
+    convective_gradient_residual,
+    inverse_jacobian_rate_residual,
+    jacobian_rate_residual,
+)
+from vortlab.theorems import beltrami_residual, dalembert_euler_residual
+from vortlab.variational import mass_reference, momentum_residual
 
 
 def run_cli(args, capsys):
@@ -907,3 +915,42 @@ class TestReadmeExamples:
             assert 12.0 <= rep["drift_ratio"] <= 20.0
         if "--out" in argv:
             assert load_grid(argv[argv.index("--out") + 1]).grid.shape == (17, 5, 17)
+
+
+class TestVerifyProbeStack:
+    """``verify`` reads its 20 probes as one stack at their own times and one at t0, and
+    Beltrami's subset of them: each of the six probe checks reports the value of a
+    per-probe loop of one-label frames, computed here."""
+
+    @pytest.mark.parametrize("name", sorted(_CATALOG))
+    def test_probe_checks_equal_a_per_probe_loop(self, name, monkeypatch):
+        fixture = make_fixture(name)
+        monkeypatch.setattr(cli, "make_fixture", lambda *args, **params: fixture)  # built once
+        field, material = fixture.field, fixture.material
+        for seed in range(8):
+            cfg = cli.RunConfig(fixture=name, seed=seed)
+            got = {c["check"]: c["value"] for c in cli.cmd_verify(cfg)[1]["checks"]}
+            window = cli._build_fixture(cfg)[1]
+            labels, times = cli._sample_points(fixture, window, seed)
+            h = field.dt if field.backend == "sampled" else 1e-3 * (window[1] - window[0])
+            probes = [(Frame(field, a, t), Frame(field, a, field.t0))
+                      for a, t in zip(labels, times.tolist())]
+            bel = [p for p in probes if window[0] + 2 * h <= p[0].t <= window[1] - 2 * h][:10]
+
+            def worst(fn, frames=probes):
+                return max(float(np.max(np.abs(np.asarray(fn(*p), float)))) for p in frames)
+
+            want = {
+                "kinematic_rate_identity": worst(lambda f, _: jacobian_rate_residual(f, h)),
+                "kinematic_inverse_rate_identity": worst(
+                    lambda f, _: inverse_jacobian_rate_residual(f, f.read("velocity_gradient"))),
+                "kinematic_convective_identity": worst(lambda f, _: convective_gradient_residual(
+                    f.read("velocity"), f.read("velocity_gradient"))),
+                "momentum_residual": worst(lambda f, f0: momentum_residual(
+                    f, material, fixture.pressure, mass_reference(field, material, f.labels, f0))),
+                "dalembert_euler_residual": worst(lambda f, _: dalembert_euler_residual(f)),
+                "beltrami_residual": worst(
+                    lambda f, f0: beltrami_residual(f, f0, material, h), bel),
+            }
+            for check, value in want.items():
+                assert got[check] == value, (seed, check)

@@ -1,7 +1,9 @@
 """Trajectory-field backends, label-space operators and grid file I/O."""
 
 import contextlib
+import functools
 import math
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +30,12 @@ from vortlab.fields import (
 )
 from vortlab.poly import Poly
 from vortlab.theorems import LabelRegion
+from vortlab.variational import (
+    DeformedTrajectoryField,
+    RelabelGenerator,
+    VariationTriple,
+    bump_potential,
+)
 
 BOX = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 
@@ -656,10 +664,10 @@ def _whole_slice_read(field, method, labels, t):
             data = np.where(shift != 0, data + shift, data)
         if weights is None:
             return data[0].reshape(a.shape[:-1] + whole.shape[3:])
-        terms = weights.reshape(*weights.shape, *(1,) * (whole.ndim - 3)) * data
-        out = terms[0]
-        for term in terms[1:]:
-            out = out + term
+        w = weights.reshape(*weights.shape, *(1,) * (whole.ndim - 3))
+        out = w[0] * data[0]
+        for wk, dk in zip(w[1:], data[1:]):  # a corner of weight 0 is not added
+            out = np.where(wk != 0, out + wk * dk, out)
         return out.reshape(a.shape[:-1] + whole.shape[3:])
 
     return at(k0) if s == k0 else (1 - (s - k0)) * at(k0) + (s - k0) * at(k0 + 1)
@@ -760,6 +768,128 @@ class TestBlockReads:
             assert field.velocity(a, t).tobytes() == velocities[k].reshape(-1, 3)[i].tobytes()
             assert (field.acceleration(a, t).tobytes()
                     == accelerations[k].reshape(-1, 3)[i].tobytes())
+
+
+@functools.cache
+def _per_label_field(case):
+    """The field of a per-label-time case, built once: (field, methods, kind of labels)."""
+    if case in ("identity", "translation", "shear", "rigid-rotation", "dilation", "gerstner"):
+        return flows.make_fixture(case).field, PROTOCOL_METHODS, "box"
+    if case == "analytic-fd-fallback":
+        field = AnalyticTrajectoryField(
+            lambda a, t: a + t * np.sin(a[..., ::-1]) + t * t * a[..., [1, 2, 0]] ** 2, BOX)
+        return field, PROTOCOL_METHODS, "box"
+    if case in ("polynomial", "polynomial-fraction"):
+        return flows.make_fixture("non-euler").field, PROTOCOL_METHODS, case
+    if case.startswith("deformed"):
+        base = flows.make_fixture("gerstner").field
+        var = (VariationTriple.time_translation() if case == "deformed-time" else
+               VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(base.box))))
+        eps = (0.01, 0.03) if case == "deformed-ladder" else 0.02
+        return (DeformedTrajectoryField(base, var, eps),
+                ("position", "velocity", "position_gradient"), case)
+    # sampled: the advected fixtures (lazy accelerations) and grid files of abc
+    if case == "taylor-green":
+        return flows.make_fixture(case, shape=(8, 8, 4), t1=0.3).field, PROTOCOL_METHODS, "nodes"
+    field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.3).field
+    if case == "abc":
+        return field, PROTOCOL_METHODS, "nodes"
+    if case == "positions-npz":
+        field = SampledTrajectoryField(field.grid, field.times, field.positions,
+                                       periodic=field.periodic)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/grid.{case.split('-')[-1]}"
+        save_grid(field, path)
+        return load_grid(path), PROTOCOL_METHODS, "nodes"
+
+
+PER_LABEL_CASES = ("identity", "translation", "shear", "rigid-rotation", "dilation", "gerstner",
+                   "analytic-fd-fallback", "polynomial", "polynomial-fraction", "abc",
+                   "taylor-green", "grid-npz", "grid-csv", "positions-npz", "deformed",
+                   "deformed-ladder", "deformed-time")
+
+
+@st.composite
+def _per_label_reads(draw):
+    """A case, and a label stack with a time per label: repeated and distinct times; on a
+    sampled field, labels on or off the nodes (past the periodic seam too) and times on the
+    stamps, between them, on the last one and outside the window."""
+    case = draw(st.sampled_from(PER_LABEL_CASES))
+    field, methods, kind = _per_label_field(case)
+    n = draw(st.integers(1, 4))
+    if kind == "nodes":
+        shape, nt = field.grid.shape, len(field.times)
+        fracs = st.sampled_from([0.0, 0.0, 0.25, 0.5])
+        labels = [[ax[0] + field.grid.spacings[j] * (draw(st.integers(0, shape[j])) + draw(fracs))
+                   for j, ax in enumerate(field.grid.axes)] for _ in range(n)]
+        stamps = st.one_of(st.integers(0, nt - 1).map(float), st.sampled_from(
+            [0.3, 1.5, nt - 1.0, nt - 1.7, -0.4, nt - 0.7]))
+        times = [field.t0 + field.dt * draw(stamps) for _ in range(n)]
+        return case, np.array(labels), np.array(times)
+    if kind == "polynomial-fraction":
+        rat = st.fractions(-1, 1, max_denominator=7)
+        labels = np.array([[draw(rat) for _ in range(3)] for _ in range(n)], dtype=object)
+        times = np.array([draw(st.fractions(0, 1, max_denominator=5)) for _ in range(n)],
+                         dtype=object)
+        return case, labels, times
+    lo, hi = np.asarray(field.box.lo), np.asarray(field.box.hi)
+    fracs = st.sampled_from([0.1, 0.3, 0.5, 0.77, 0.9])
+    labels = np.array([lo + (hi - lo) * [draw(fracs) for _ in range(3)] for _ in range(n)])
+    times = field.t0 + (field.t1 - field.t0) * np.array(
+        [draw(st.sampled_from([0.0, 0.2, 0.2, 0.65, 1.0])) for _ in range(n)])
+    if kind == "deformed-ladder":  # rungs lead: (R, n, 3) labels, (R, n) times
+        labels, times = np.stack([labels, labels[::-1]]), np.stack([times, times[::-1]])
+    return case, labels, times
+
+
+def _one_label_reads(field, method, labels, times):
+    """``method`` one label at a time at its scalar time; on a ladder, each rung's own field."""
+    if isinstance(field, DeformedTrajectoryField) and np.ndim(field.eps):
+        return np.stack([_one_label_reads(DeformedTrajectoryField(field.base, field.var, e),
+                                          method, a, t)
+                         for e, a, t in zip(field.eps, labels, times)])
+    return np.stack([getattr(field, method)(a, t) for a, t in zip(labels, times)])
+
+
+class TestPerLabelTimes:
+    """A stack with a time per label evaluates bitwise like its labels one at a time, each at
+    its own scalar time, on every backend (signed zeros compared too)."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(read=_per_label_reads())
+    def test_stack_equals_one_label_calls(self, read):
+        case, labels, times = read
+        field, methods, _ = _per_label_field(case)
+        for method in methods:
+            got = getattr(field, method)(labels, times)
+            want = _one_label_reads(field, method, labels, times)
+            assert got.shape == want.shape, method
+            if want.dtype == object:
+                assert got.dtype == object and (got == want).all(), method
+                assert all(isinstance(v, Fraction) for v in got.flat), method
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), method
+
+    @pytest.mark.parametrize("per_label", [False, True])
+    def test_stack_of_labels_on_and_off_a_node_axis_keeps_signed_zeros(self, per_label):
+        # the first label is on a node of axis 1, the second half-way: the stack adds an
+        # upper corner of weight 0 for the first, whose own velocity holds a -0.0
+        field = _per_label_field("taylor-green")[0]
+        labels = np.array([[math.pi / 2, 0.0, 0.0], [math.pi / 8, 0.0, 0.0]])
+        t = np.zeros(2) if per_label else 0.0
+        for method in PROTOCOL_METHODS:
+            want = np.stack([getattr(field, method)(a, 0.0) for a in labels])
+            assert getattr(field, method)(labels, t).tobytes() == want.tobytes(), method
+
+    def test_lazy_accelerations_once_per_distinct_stamp(self, monkeypatch):
+        field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.3).field
+        calls = []
+        accelerations = flows.material_accelerations
+        monkeypatch.setattr(flows, "material_accelerations",
+                            lambda u, xs, t, v: calls.append(t) or accelerations(u, xs, t, v))
+        nodes = field.grid.nodes()[[3, 40, 41, 100]]
+        field.acceleration(nodes, field.times[[1, 4, 1, 4]])
+        assert calls == [field.times[1], field.times[4]]
 
 
 class TestGridIO:

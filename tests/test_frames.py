@@ -80,6 +80,24 @@ class TestFrame:
         with pytest.raises(DegenerateMapError):
             jacobian(field, (0.1, 0.2, 0.3), 1.0)
 
+    def test_take_holds_the_reads_made_so_far_sliced(self, monkeypatch):
+        fx = flows.make_fixture("gerstner")
+        labels = LabelGrid.cell_centers(fx.field.box, (2, 2, 2)).nodes()
+        times = np.linspace(0.1, 0.8, 8)
+        frame = Frame(fx.field, labels, times)
+        frame.read("position_gradient", 0.01)
+        frame.omega
+        calls = []
+        original = fx.field.position_gradient
+        monkeypatch.setattr(fx.field, "position_gradient",
+                            lambda a, t: calls.append(t) or original(a, t))
+        sub = frame.take([5, 2])
+        assert np.array_equal(sub.labels, labels[[5, 2]]) and np.array_equal(sub.t, times[[5, 2]])
+        assert sub.read("position_gradient", 0.01).tobytes() == original(
+            labels[[5, 2]], times[[5, 2]] + 0.01).tobytes()
+        assert sub.omega.tobytes() == frame.omega[[5, 2]].tobytes()
+        assert calls == []
+
 
 BOX = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 
@@ -145,7 +163,13 @@ class TestVariationalLayerReadsThroughFrames:
 class TestVerifyReadsEachFrameOnce:
     """Counts named before frames landed, under ``verify --seed 1``.  Before,
     abc made 23 stacked Omega builds, 35 stacked checked determinants and 535
-    evaluator calls; gerstner 24 Omega builds and 492 evaluator calls."""
+    evaluator calls; gerstner 24 Omega builds and 492 evaluator calls.  With
+    one frame per probe, abc made 11 stacked Omega builds (the probes' one-label
+    builds uncounted), 22 stacked determinants and at most 330 evaluator calls,
+    gerstner 19 Omega builds and at most 340 evaluator calls.  The probes' two
+    stacked frames and Beltrami's subset of them add the Cauchy residual of the
+    probe stack and Omega of Beltrami's stack at t0 (2 builds), and a checked
+    determinant on each of the four frames (4)."""
 
     @staticmethod
     def count(fixture, monkeypatch, capsys):
@@ -181,14 +205,15 @@ class TestVerifyReadsEachFrameOnce:
 
     def test_abc(self, monkeypatch, capsys):
         counts = self.count("abc", monkeypatch, capsys)
-        assert counts["omega"] == 11
-        assert counts["det"] == 22
-        assert counts["evaluator"] <= 330
+        assert counts["omega"] == 13
+        assert counts["det"] == 26
+        assert counts["evaluator"] <= 82
 
     def test_gerstner(self, monkeypatch, capsys):
         counts = self.count("gerstner", monkeypatch, capsys)
-        assert counts["omega"] == 19
-        assert counts["evaluator"] <= 340
+        assert counts["omega"] == 21
+        assert counts["det"] == 32
+        assert counts["evaluator"] <= 73
 
 
 class TestSharedFramesKeepStandaloneValues:
@@ -262,3 +287,40 @@ class TestDriftTheorem:
         assert main(["drift", "--fixture", "identity", "--theorem", "beltrami"]) == 2
         assert main(["drift", "--fixture", "abc", "--dt", "0.01,0.005", "--theorem", "ertel"]) == 2
         assert "Cauchy drift" in capsys.readouterr().err
+
+
+class TestPerLabelTimeErrors:
+    """An error from a stack with a time per label names the first offending label and that
+    label's own time: the one-label call's error, word for word."""
+
+    @staticmethod
+    def message(call):
+        with pytest.raises(Exception) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    def test_singular_map(self):
+        field = collapsing_at_one()
+        labels = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        times = np.array([0.5, 1.0, 1.0])
+        got = self.message(lambda: Frame(field, labels, times).det)
+        assert got == self.message(lambda: jacobian(field, labels[1], 1.0))
+        assert got[0] is DegenerateMapError and "t=1.0" in got[1]
+
+    @pytest.mark.parametrize("times, first", [((0.5, 2.5, 0.5), 1), ((0.5, 0.5, 2.5), 2)])
+    def test_out_of_domain(self, times, first):
+        field = collapsing_at_one()  # window [0, 2]; the third label lies outside the box
+        labels = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [1.5, 0.0, 0.0]])
+        got = self.message(lambda: Frame(field, labels, np.array(times)))
+        assert got == self.message(lambda: Frame(field, labels[first], times[first]))
+        assert got[0] is OutOfDomainError
+
+    def test_non_positive_density(self):
+        fx = flows.make_fixture("gerstner")
+        labels = LabelGrid.cell_centers(fx.field.box, (3, 1, 1)).nodes()
+        times = np.array([0.2, 0.4, 0.6])
+        rho0j0 = np.array([1.0, 1.0, -1.0])
+        got = self.message(lambda: density_from_map(Frame(fx.field, labels, times), rho0j0))
+        assert got == self.message(
+            lambda: density_from_map(Frame(fx.field, labels[2], 0.6), rho0j0[2]))
+        assert "t=0.6" in got[1]
