@@ -306,17 +306,9 @@ class Box:
             return None
         return flat[np.argmin(inside.all(axis=1))]
 
-    def contains(self, a) -> bool:
-        """Whether the label ``a``, or every label of a stack (..., 3), lies in the box."""
-        return self.first_outside(a) is None
-
     @property
     def extent(self) -> np.ndarray:
         return np.asarray(self.hi, float) - np.asarray(self.lo, float)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extent))
 
     @property
     def center(self) -> np.ndarray:
@@ -1049,16 +1041,6 @@ class SampledTrajectoryField(TrajectoryField):
     def position_hessian(self, a, t) -> Vec:
         # FD of the interpolated gradient; adequate for diagnostics only.
         return fd_jacobian(lambda b: self.position_gradient(b, t), a, min(self.grid.spacings), 2)
-
-    def time_index(self, t: float) -> int:
-        """Index of the stored slice at ``t``: ValueError off the ladder,
-        OutOfDomainError for an on-ladder time outside the window."""
-        s = float(self._stamp(t))
-        if not s.is_integer():
-            raise ValueError(f"time {t} is not on the stored ladder")
-        if not 0 <= s < len(self.times):
-            raise OutOfDomainError(f"time {t} outside window [{self.t0}, {self.t1}]")
-        return int(s)
 
     @classmethod
     def from_analytic(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError, VortlabError
+from .errors import VortlabError
 from .fields import (
     AnalyticTrajectoryField,
     Box,
@@ -71,10 +71,6 @@ class Fixture:
     field: TrajectoryField
     material: FlowMaterial
     pressure: ScalarField | None = None
-
-    @property
-    def extremal(self) -> bool:
-        return self.spec.extremal
 
 
 def _const(c):
@@ -490,7 +486,6 @@ def integrate_trajectories(
     t1: float,
     dt: float,
     periodic: tuple[bool, bool, bool] = (False, False, False),
-    domain: Box | None = None,
     order: int = 4,
     every: int = 1,
 ) -> SampledTrajectoryField:
@@ -505,8 +500,7 @@ def integrate_trajectories(
     stamp and an index into the grid), and are not kept; only a read of the
     whole grid computes a whole slice.  Positions are kept unwrapped so
     the displacement x - a stays a periodic function of the labels for
-    periodic fields; for non-periodic fields a ``domain`` box triggers an
-    out-of-domain error at the earliest step any trajectory left it.
+    periodic fields.
 
     Contiguous chunks of the label stack are advected concurrently, one per
     CPU the process may run on but at least ``_CHUNK_FLOOR`` labels each:
@@ -532,11 +526,9 @@ def integrate_trajectories(
     vel = np.empty(shape)
 
     def advect(lo, hi):
-        # RK4 on labels lo:hi; the first step at which one left ``domain``, or None
+        # RK4 on labels lo:hi
         xs = nodes[lo:hi].copy()
         for k, t in enumerate(times):
-            if domain is not None and not domain.contains(xs):
-                return k
             k1 = u(xs, t)
             if k % every == 0:
                 pos[k // every, lo:hi] = xs
@@ -547,7 +539,6 @@ def integrate_trajectories(
             k3 = u(xs + 0.5 * dt * k2, t + 0.5 * dt)
             k4 = u(xs + dt * k3, t + dt)
             xs = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return None
 
     chunks = max(1, min(_usable_cpus(), len(nodes) // _CHUNK_FLOOR))
     bounds = [len(nodes) * i // chunks for i in range(chunks + 1)]
@@ -555,9 +546,8 @@ def integrate_trajectories(
         # each chunk runs in a copy of the caller's context, so an np.errstate holds there
         futures = [pool.submit(contextvars.copy_context().run, advect, lo, hi)
                    for lo, hi in zip(bounds, bounds[1:])]
-        escaped = [k for k in (f.result() for f in futures) if k is not None]
-    if escaped:
-        raise OutOfDomainError(f"trajectory left the velocity domain at t={times[min(escaped)]}")
+        for f in futures:
+            f.result()  # re-raises a worker's exception here
     pos, vel = (v.reshape(len(stamps), *grid.shape, 3) for v in (pos, vel))
     return SampledTrajectoryField(
         grid, stamps, pos, vel,

@@ -1,4 +1,4 @@
-"""Shared drift-report container with deterministic JSON/CSV serialization.
+"""Shared drift-report container with deterministic JSON serialization.
 
 All drift and residual suites emit this one schema (a ``theorem`` tag tells
 the rows apart), so CLI output stays plot-ready and diffable: identical
@@ -8,7 +8,6 @@ inputs produce byte-identical files.  Floats are serialized with ``repr``
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -69,30 +68,6 @@ class DriftReport:
 
     def to_json(self) -> str:
         return dumps_deterministic(self.to_dict())
-
-    def to_csv(self) -> str:
-        """One row per time stamp; metadata as leading '#' comment lines."""
-        buf = io.StringIO()
-        buf.write(f"# schema_version {SCHEMA_VERSION}\n")
-        buf.write(f"# theorem {self.theorem}\n")
-        for key in sorted(self.metadata):
-            buf.write(f"# {key} {self.metadata[key]}\n")
-        if self.tolerance is not None:
-            buf.write(f"# tolerance {self.tolerance!r}\n")
-        cols = ["time", "max_deviation", "l2_deviation"]
-        series = [self.times, self.max_deviation, self.l2_deviation]
-        if self.values is not None:
-            cols.insert(1, "value")
-            series.insert(1, self.values)
-        buf.write(",".join(cols) + "\n")
-        for row in zip(*series):
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
-    def write(self, path: str):
-        text = self.to_csv() if str(path).endswith(".csv") else self.to_json() + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def dumps_deterministic(obj) -> str:

@@ -81,33 +81,6 @@ class LabelLoop:
 
         return cls(point=point, tangent=tangent, nodes=nodes)
 
-    @classmethod
-    def square(cls, center, half_side: float, nodes: int = 64, axes=(0, 1)) -> "LabelLoop":
-        center = np.asarray(center, float)
-        i, j = axes
-        corners = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-
-        def point(s):
-            s = s % 1.0
-            leg = min(int(s * 4), 3)
-            frac = s * 4 - leg
-            (x0, y0), (x1, y1) = corners[leg], corners[(leg + 1) % 4]
-            a = center.copy()
-            a[i] += half_side * (x0 + (x1 - x0) * frac)
-            a[j] += half_side * (y0 + (y1 - y0) * frac)
-            return a
-
-        def tangent(s):
-            s = s % 1.0
-            leg = min(int(s * 4), 3)
-            (x0, y0), (x1, y1) = corners[leg], corners[(leg + 1) % 4]
-            v = np.zeros(3)
-            v[i] = 4.0 * half_side * (x1 - x0)
-            v[j] = 4.0 * half_side * (y1 - y0)
-            return v
-
-        return cls(point=point, tangent=tangent, nodes=nodes)
-
 
 @dataclass(frozen=True)
 class LabelRegion:
@@ -227,9 +200,7 @@ def circulation(field: TrajectoryField, loop: LabelLoop, t) -> float:
     """Loop integral of V . da by the equal-weight periodic rule.
 
     Samples sit at cell midpoints of the parametrization, which keeps the
-    spectral accuracy of the periodic trapezoid rule for smooth loops and
-    avoids evaluating the tangent at parametrization corners (square loops
-    would otherwise degrade to first order).
+    spectral accuracy of the periodic trapezoid rule for smooth loops.
     """
     return _circulation_series(field, loop)(t)
 

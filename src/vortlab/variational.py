@@ -320,14 +320,6 @@ class RelabelGenerator:
         ])
         return cls(curl, potential=VectorField.from_polys(comps), label=label)
 
-    @classmethod
-    def from_scalar_pair(
-        cls, dR1: ScalarField, R2: ScalarField, label="cross-gradient"
-    ) -> "RelabelGenerator":
-        """delta_a = grad dR1 x grad R2 (the alternative representation)."""
-        delta = VectorField(value=lambda a, t: np.cross(dR1.gradient(a, t), R2.gradient(a, t)))
-        return cls(delta, label=label)
-
 
 def _bump1d(s):
     # C-infinity bump on (-1, 1), elementwise; libm exp, as for one label
@@ -480,10 +472,6 @@ class VariationTriple:
     def time_translation(cls) -> "VariationTriple":
         return cls(delta_t=lambda t: 1.0, delta_t_rate=lambda t: 0.0, label="time-translation")
 
-    @classmethod
-    def zero(cls) -> "VariationTriple":
-        return cls(label="zero")
-
 
 def local_variation_of_triple(frame: Frame, var: VariationTriple) -> np.ndarray:
     """delta-bar x = delta_x - xdot delta_t - (delta_a . grad_a) x on a frame's labels."""
@@ -499,9 +487,8 @@ class DeformedTrajectoryField(TrajectoryField):
     gradients carry the product-rule factor (I + eps grad delta_a^T).  A fold
     of the label chart (non-positive det(I + eps D delta_a)) raises immediately.
     A ladder ``eps`` of R amplitudes takes labels (R, ..., 3), rung r at eps[r];
-    the rungs that share a chart time t~ read the base together.  Per-label
-    times read each time's labels as a ladder of one-label rungs, each at its
-    own amplitude.
+    the rungs that share a chart time t~ read the base together.  Times are
+    one scalar t per call: per-label times raise TypeError.
     """
 
     backend = "deformed"
@@ -523,18 +510,10 @@ class DeformedTrajectoryField(TrajectoryField):
         a, eps = self._rungs(a)
         return np.eye(3) + eps[..., None] * self.var.da_jac(a)
 
-    def _each_time(self, method: str, a, t):
-        """``method`` at per-label times ``t``: each time's labels as a ladder of one-label
-        rungs at their own amplitudes."""
-        a = np.asarray(a, float)
-        lead = a.shape[:-1]
-        eps = np.broadcast_to(self.eps.reshape(self.eps.shape + (1,) * (len(lead) - self.eps.ndim)),
-                              lead)
-        return by_time(np.broadcast_to(t, lead), lambda where, s: getattr(
-            DeformedTrajectoryField(self.base, self.var, eps[where]), method)(a[where], s))
-
     def _on_chart(self, a, t, fn):
         """fn(rungs, eps, a~, t~) on each mask ``rungs`` of rungs sharing a chart time t~."""
+        if per_label(t):
+            raise TypeError(f"the {self.backend} backend takes one time t, not per-label times")
         a, eps = self._rungs(a)
         at = a + eps * self.var.da(a)
         tt = t + self.eps.reshape(-1) * self.var.dt(t)
@@ -549,21 +528,15 @@ class DeformedTrajectoryField(TrajectoryField):
         return det if self.eps.ndim else det[0]
 
     def position(self, a, t):
-        if per_label(t):
-            return self._each_time("position", a, t)
         return self._on_chart(a, t, lambda r, eps, at, tt: (
             self.base.position(at, tt) + eps * self.var.dx(at, tt)))
 
     def velocity(self, a, t):
-        if per_label(t):
-            return self._each_time("velocity", a, t)
         return self._on_chart(a, t, lambda r, eps, at, tt: (
             (1.0 + eps * self.var.dt_rate(t))
             * (self.base.velocity(at, tt) + eps * self.var.dx_dot(at, tt))))
 
     def position_gradient(self, a, t):
-        if per_label(t):
-            return self._each_time("position_gradient", a, t)
         chart = self._rung_chart(a)
         return self._on_chart(a, t, lambda r, eps, at, tt: (
             (self.base.position_gradient(at, tt) + eps[..., None] * self.var.dx_jac(at, tt))

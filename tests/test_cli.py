@@ -51,6 +51,23 @@ class TestExitCodes:
         failed = {c["check"] for c in rep["checks"] if not c["pass"]}
         assert "momentum_residual" in failed
 
+    @pytest.mark.parametrize("fixture,t1", [("rigid-rotation", "1e-5"), ("gerstner", "1e-5"),
+                                            ("shear", "1e-6"), ("non-euler", "5e-5")])
+    def test_verify_window_below_the_rounding_floor_usage_error(self, fixture, t1, capsys):
+        # the rate check's time difference steps 1e-3 of the window: rounding, not the
+        # identity, would fail it below a window of 1e-4
+        code = main(["verify", "--fixture", fixture, "--t1", t1])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.endswith("rounding swamps the kinematic rate identity; "
+                                     "use a window >= 0.0001\n")
+
+    def test_verify_window_at_the_floor_runs(self, capsys):
+        code, out = run_cli(["verify", "--fixture", "gerstner", "--t1", "1e-4"], capsys)
+        assert code == 0
+        rate = json.loads(out)["checks"][0]
+        assert rate["check"] == "kinematic_rate_identity" and rate["value"] < 1e-8 / 3
+
     def test_unknown_fixture_usage_error(self, capsys):
         code, _ = run_cli(["verify", "--fixture", "nosuch"], capsys)
         assert code == 2

@@ -408,7 +408,7 @@ class TestEvaluationProtocol:
 
     def test_on_node_queries_return_node_arrays(self):
         field, labels, t, _ = _protocol_case("sampled-on-node")
-        ti = field.time_index(t)
+        ti = 2  # t is the third stamp
         idx = [0, 7, 50, 129, 215]
         for kind in ("position", "velocity", "acceleration"):
             assert np.array_equal(getattr(field, kind)(labels, t),
@@ -499,17 +499,6 @@ class TestSampledBackend:
         shifted = a + np.array([2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi])
         assert np.allclose(field.position_gradient(shifted, 0.1),
                            field.position_gradient(a, 0.1), rtol=0.0, atol=1e-12)
-
-    def test_time_index_rejects_on_ladder_times_outside_window(self):
-        samp = self._translation_export()
-        dt = samp.dt
-        assert samp.time_index(samp.t1) == len(samp.times) - 1
-        assert samp.time_index(samp.t0) == 0
-        for t in (samp.t1 + dt, samp.t0 - 2 * dt):
-            with pytest.raises(OutOfDomainError):
-                samp.time_index(t)
-        with pytest.raises(ValueError):
-            samp.time_index(samp.t0 + 0.5 * dt)
 
     @staticmethod
     def _own_node_field(periodic):
@@ -772,41 +761,33 @@ class TestBlockReads:
 
 @functools.cache
 def _per_label_field(case):
-    """The field of a per-label-time case, built once: (field, methods, kind of labels)."""
+    """The field of a per-label-time case, built once: (field, kind of labels)."""
     if case in ("identity", "translation", "shear", "rigid-rotation", "dilation", "gerstner"):
-        return flows.make_fixture(case).field, PROTOCOL_METHODS, "box"
+        return flows.make_fixture(case).field, "box"
     if case == "analytic-fd-fallback":
         field = AnalyticTrajectoryField(
             lambda a, t: a + t * np.sin(a[..., ::-1]) + t * t * a[..., [1, 2, 0]] ** 2, BOX)
-        return field, PROTOCOL_METHODS, "box"
+        return field, "box"
     if case in ("polynomial", "polynomial-fraction"):
-        return flows.make_fixture("non-euler").field, PROTOCOL_METHODS, case
-    if case.startswith("deformed"):
-        base = flows.make_fixture("gerstner").field
-        var = (VariationTriple.time_translation() if case == "deformed-time" else
-               VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(base.box))))
-        eps = (0.01, 0.03) if case == "deformed-ladder" else 0.02
-        return (DeformedTrajectoryField(base, var, eps),
-                ("position", "velocity", "position_gradient"), case)
+        return flows.make_fixture("non-euler").field, case
     # sampled: the advected fixtures (lazy accelerations) and grid files of abc
     if case == "taylor-green":
-        return flows.make_fixture(case, shape=(8, 8, 4), t1=0.3).field, PROTOCOL_METHODS, "nodes"
+        return flows.make_fixture(case, shape=(8, 8, 4), t1=0.3).field, "nodes"
     field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.3).field
     if case == "abc":
-        return field, PROTOCOL_METHODS, "nodes"
+        return field, "nodes"
     if case == "positions-npz":
         field = SampledTrajectoryField(field.grid, field.times, field.positions,
                                        periodic=field.periodic)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/grid.{case.split('-')[-1]}"
         save_grid(field, path)
-        return load_grid(path), PROTOCOL_METHODS, "nodes"
+        return load_grid(path), "nodes"
 
 
 PER_LABEL_CASES = ("identity", "translation", "shear", "rigid-rotation", "dilation", "gerstner",
                    "analytic-fd-fallback", "polynomial", "polynomial-fraction", "abc",
-                   "taylor-green", "grid-npz", "grid-csv", "positions-npz", "deformed",
-                   "deformed-ladder", "deformed-time")
+                   "taylor-green", "grid-npz", "grid-csv", "positions-npz")
 
 
 @st.composite
@@ -815,7 +796,7 @@ def _per_label_reads(draw):
     sampled field, labels on or off the nodes (past the periodic seam too) and times on the
     stamps, between them, on the last one and outside the window."""
     case = draw(st.sampled_from(PER_LABEL_CASES))
-    field, methods, kind = _per_label_field(case)
+    field, kind = _per_label_field(case)
     n = draw(st.integers(1, 4))
     if kind == "nodes":
         shape, nt = field.grid.shape, len(field.times)
@@ -837,32 +818,21 @@ def _per_label_reads(draw):
     labels = np.array([lo + (hi - lo) * [draw(fracs) for _ in range(3)] for _ in range(n)])
     times = field.t0 + (field.t1 - field.t0) * np.array(
         [draw(st.sampled_from([0.0, 0.2, 0.2, 0.65, 1.0])) for _ in range(n)])
-    if kind == "deformed-ladder":  # rungs lead: (R, n, 3) labels, (R, n) times
-        labels, times = np.stack([labels, labels[::-1]]), np.stack([times, times[::-1]])
     return case, labels, times
-
-
-def _one_label_reads(field, method, labels, times):
-    """``method`` one label at a time at its scalar time; on a ladder, each rung's own field."""
-    if isinstance(field, DeformedTrajectoryField) and np.ndim(field.eps):
-        return np.stack([_one_label_reads(DeformedTrajectoryField(field.base, field.var, e),
-                                          method, a, t)
-                         for e, a, t in zip(field.eps, labels, times)])
-    return np.stack([getattr(field, method)(a, t) for a, t in zip(labels, times)])
 
 
 class TestPerLabelTimes:
     """A stack with a time per label evaluates bitwise like its labels one at a time, each at
-    its own scalar time, on every backend (signed zeros compared too)."""
+    its own scalar time, on every backend that takes them (signed zeros compared too)."""
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(read=_per_label_reads())
     def test_stack_equals_one_label_calls(self, read):
         case, labels, times = read
-        field, methods, _ = _per_label_field(case)
-        for method in methods:
+        field, _ = _per_label_field(case)
+        for method in PROTOCOL_METHODS:
             got = getattr(field, method)(labels, times)
-            want = _one_label_reads(field, method, labels, times)
+            want = np.stack([getattr(field, method)(a, t) for a, t in zip(labels, times)])
             assert got.shape == want.shape, method
             if want.dtype == object:
                 assert got.dtype == object and (got == want).all(), method
@@ -880,6 +850,17 @@ class TestPerLabelTimes:
         for method in PROTOCOL_METHODS:
             want = np.stack([getattr(field, method)(a, 0.0) for a in labels])
             assert getattr(field, method)(labels, t).tobytes() == want.tobytes(), method
+
+    @pytest.mark.parametrize("eps", [0.02, (0.01, 0.03)])
+    def test_deformed_backend_rejects_per_label_times(self, eps):
+        base = flows.make_fixture("gerstner").field
+        var = VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(base.box)))
+        field = DeformedTrajectoryField(base, var, eps)
+        labels = np.stack([base.box.center, base.box.center])
+        for method in ("position", "velocity", "position_gradient"):
+            with pytest.raises(TypeError, match="the deformed backend takes one time t"):
+                getattr(field, method)(labels, np.array([0.1, 0.2]))
+            getattr(field, method)(labels, 0.1)  # one time is fine
 
     def test_lazy_accelerations_once_per_distinct_stamp(self, monkeypatch):
         field = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.3).field
@@ -1102,7 +1083,7 @@ class TestGrids:
         grid = LabelGrid.cell_centers(BOX, (4, 4, 4))
         nodes = grid.nodes()
         assert len(nodes) == 64
-        assert abs(grid.cell_volume * 64 - BOX.volume) < 1e-12
+        assert abs(grid.cell_volume * 64 - np.prod(BOX.extent)) < 1e-12
 
     def test_periodic_cell_matches_the_fixture_and_region_layouts(self):
         two_pi = 2.0 * math.pi

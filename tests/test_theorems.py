@@ -289,19 +289,6 @@ class TestCirculation:
         assert rep.values[0] == pytest.approx(2.0 * math.pi, abs=1e-10)
         assert rep.passed
 
-    def test_gerstner_square_loop_drift_is_quadrature_limited(self):
-        # corners cap the trapezoid rule at second order, so the drift is
-        # pure quadrature error and must shrink ~4x when nodes double
-        fx = flows.make_fixture("gerstner")
-        times = np.linspace(fx.field.t0, fx.field.t1, 5)
-        drifts = []
-        for nodes in (128, 256, 512):
-            loop = LabelLoop.square((3.0, 0.5, -1.5), 0.4, nodes=nodes, axes=(0, 2))
-            drifts.append(circulation_drift(fx.field, loop, times).max_drift)
-        assert drifts[0] / drifts[1] > 3.0
-        assert drifts[1] / drifts[2] > 3.0
-        assert drifts[2] < 1e-3
-
     def test_stokes_self_consistency(self):
         # Gamma(r) / (pi r^2) approaches Omega . n at second order in r
         fx = flows.make_fixture("gerstner")
