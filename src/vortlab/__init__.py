@@ -34,7 +34,7 @@ from .invariants import (
     lagrangian_vorticity_pullback,
 )
 from .report import DriftReport
-from .theorems import LabelLoop, LabelRegion, circulation, helicity
+from .theorems import LabelLoop, LabelRegion
 from .variational import (
     BarotropicEOS,
     FlowMaterial,

@@ -51,9 +51,9 @@ from .theorems import (
     LabelLoop,
     LabelRegion,
     beltrami_residual,
+    _circulation_sweep,
     _ertel_sweep,
     _helicity_sweep,
-    circulation_drift,
     dalembert_euler_residual,
 )
 from .variational import (
@@ -231,7 +231,7 @@ def _drift_grid(cfg: RunConfig, field, window):
 def _drift_reports(cfg: RunConfig, fixture: Fixture, window, theorems=THEOREMS, pipeline=True):
     """(pipeline error, tolerance: --tol or the pipeline's, the drift report of each of
     ``theorems``) on the grid, times, loop, region and S that ``verify`` and ``drift``
-    share; the grid drifts and the pipeline error read their frames in one drift loop.
+    share; the drifts and the pipeline error read their frames in one drift loop.
     Without ``pipeline`` (a caller with --tol that reports no pipeline error) the error
     is not measured and comes back None."""
     field, box = fixture.field, fixture.field.box
@@ -240,21 +240,20 @@ def _drift_reports(cfg: RunConfig, fixture: Fixture, window, theorems=THEOREMS, 
     small = grid if sampled else LabelGrid.cell_centers(box, (5, 5, 5))
     region = LabelRegion(fixture.spec.box, field.grid.shape if sampled else cfg.grid,
                          periodic=sampled and all(field.periodic))
+    loop = LabelLoop.circle(box.center, 0.2 * float(min(box.extent)), max(64, 8 * cfg.grid[0]))
     S = ScalarField(value=lambda a, t: a[..., 2],
                     gradient_fn=lambda a, t: np.array([0.0, 0.0, 1.0]))
     sweeps = {  # generators: one that is not handed to the loop never runs
         "cauchy": _cauchy_sweep(field, grid, times),
+        "circulation": _circulation_sweep(field, loop, times),
         "ertel": _ertel_sweep(field, fixture.material, S, small, times[::max(1, len(times) // 5)]),
         "helicity": _helicity_sweep(field, region, times[::max(1, len(times) // 4)]),
         "pipeline": _pipeline_tolerance(field),
     }
-    names = [name for name in (*theorems, "pipeline" if pipeline else None) if name in sweeps]
+    names = [*theorems, "pipeline"] if pipeline else list(theorems)
     reports = dict(zip(names, _drift_loop(field, [sweeps[name] for name in names])))
     pipeline_err, default_tol = reports.pop("pipeline", (None, None))
     tol = cfg.tol if cfg.tol is not None else default_tol
-    if "circulation" in theorems:
-        loop = LabelLoop.circle(box.center, 0.2 * float(min(box.extent)), max(64, 8 * cfg.grid[0]))
-        reports["circulation"] = circulation_drift(field, loop, times)
     for rep in reports.values():
         rep.tolerance = tol
     if "helicity" in reports:  # the tolerance scales with |H(t0)|

@@ -33,14 +33,14 @@ Three interchangeable backends implement this protocol:
 
 ``AnalyticTrajectoryField``
     closed-form evaluators with centered order-4 finite-difference fallbacks
-    (step :data:`ANALYTIC_FD_STEP`) for any derivative not supplied.  Every
-    fallback in the package goes through :func:`derivative`,
-    :func:`second_derivative` or :func:`fd_jacobian` applied to the whole
-    vector or matrix, and every curl through :func:`curl`.  A label gradient
-    is one call of the lower evaluator: :func:`fd_jacobian` hands it one
-    stack of shape ``(3 * len(offsets), *a.shape)`` holding every
-    stencil-shifted copy of the labels.  Per-label times call each closed
-    form once per distinct time.
+    (step :data:`ANALYTIC_FD_STEP`) for any derivative not supplied, always for
+    the position Hessian.  Every fallback in the package goes through
+    :func:`derivative`, :func:`second_derivative` or :func:`fd_jacobian` applied
+    to the whole vector or matrix, and every curl through :func:`curl`.  A label
+    gradient is one call of the lower evaluator: :func:`fd_jacobian` hands it
+    one stack of shape ``(3 * len(offsets), *a.shape)`` holding every
+    stencil-shifted copy of the labels; per-label times call each closed form
+    once per distinct time.
 ``PolynomialTrajectoryField``
     components are :class:`~vortlab.poly.Poly` in (a1, a2, a3, t); every
     derivative is exact, and rational query points give Fraction results.
@@ -482,7 +482,6 @@ class VectorField:
 _TAIL = {
     "position": (3,), "velocity": (3,), "acceleration": (3,),
     "position_gradient": (3, 3), "velocity_gradient": (3, 3), "acceleration_gradient": (3, 3),
-    "position_hessian": (3, 3, 3),
 }
 
 
@@ -536,7 +535,7 @@ class AnalyticTrajectoryField(TrajectoryField):
 
     Any derivative evaluator that is not supplied is replaced by a centered
     order-4 finite difference of the next-lower-level evaluator at
-    :data:`ANALYTIC_FD_STEP`.
+    :data:`ANALYTIC_FD_STEP`; the position Hessian takes no evaluator.
     """
 
     backend = "analytic"
@@ -552,7 +551,6 @@ class AnalyticTrajectoryField(TrajectoryField):
         position_gradient: Callable | None = None,
         velocity_gradient: Callable | None = None,
         acceleration_gradient: Callable | None = None,
-        position_hessian: Callable | None = None,
     ):
         super().__init__(box, t0, t1)
         self._fn = {
@@ -562,7 +560,6 @@ class AnalyticTrajectoryField(TrajectoryField):
             "position_gradient": position_gradient,
             "velocity_gradient": velocity_gradient,
             "acceleration_gradient": acceleration_gradient,
-            "position_hessian": position_hessian,
         }
 
     def _evaluate(self, name, a, t, lower=None):
@@ -570,7 +567,7 @@ class AnalyticTrajectoryField(TrajectoryField):
         protocol shape; without one, the FD fallback: time derivatives of the
         position, or the label gradient of the evaluator ``lower``."""
         a = np.asarray(a, float)
-        fn = self._fn[name]
+        fn = self._fn.get(name)
         if fn is not None:
             return np.asarray(_supplied(fn, a, t, _TAIL[name]), float)
         if name == "velocity":
@@ -766,15 +763,17 @@ class SampledTrajectoryField(TrajectoryField):
         order: int = 4,
     ):
         times = np.asarray(times, float)
-        if len(times) < 2 or not np.allclose(np.diff(times), times[1] - times[0]):
+        if len(times) < 2 or not np.allclose(np.diff(times), times[1] - times[0], atol=0.0):
             raise ValueError("need a uniform time ladder with >= 2 stamps")
         if order not in (2, 4):
             raise ValueError("derivative order must be 2 or 4")
         box = Box(tuple(float(ax[0]) for ax in grid.axes), tuple(float(ax[-1]) for ax in grid.axes))
         super().__init__(box, times[0], times[-1], order)
         expected = (len(times), *grid.shape, 3)
-        if positions.shape != expected:
-            raise ValueError(f"positions shape {positions.shape} != {expected}")
+        for name, data in (("positions", positions), ("velocities", velocities),
+                           ("accelerations", accelerations)):
+            if data is not None and not callable(data) and data.shape != expected:
+                raise ValueError(f"{name} shape {data.shape} != {expected}")
         self.grid = grid
         self.times = times
         self.dt = float(times[1] - times[0])
@@ -872,12 +871,10 @@ class SampledTrajectoryField(TrajectoryField):
         :func:`_axis_derivative`'s term order.  Each distinct node is computed once, and
         from the whole slice once their 3 * order stencil points would outnumber it.  With
         ``ti`` an array (U,), a stamp per node: each distinct (stamp, node) pair once, and
-        the stencil points of all of them in one gather."""
+        the stencil points of all of them in one gather, never a whole slice."""
         shape, size = self.grid.shape, math.prod(self.grid.shape)
         per_node = per_label(ti)
-        if 3 * self.order * len(flat) >= size:  # count the distinct nodes in one pass
-            if per_node:
-                return by_time(ti, lambda where, k: self._gradients(kind, k, flat[where]))
+        if not per_node and 3 * self.order * len(flat) >= size:  # count the distinct nodes
             touched = np.zeros(size, bool)
             touched[flat] = True
             if 3 * self.order * np.count_nonzero(touched) >= size:
@@ -1109,32 +1106,41 @@ def _node_arrays(field: SampledTrajectoryField) -> dict:
             if (data := getattr(field, kind)) is not None}
 
 
+# The arrays of an .npz grid file: (number of axes, dtype kinds) of each
+_NPZ_ARRAYS = {"format": (1, "U"), "version": (1, "iu"), "order": (1, "iu"), "periodic": (1, "biu"),
+               **{name: (1, "iuf") for name in ("axis1", "axis2", "axis3", "times")},
+               **{name: (5, "iuf") for name in ("positions", "velocities", "accelerations")}}
+
+
 def load_grid(path: str) -> SampledTrajectoryField:
     """Read either grid format; malformed content raises GridFormatError."""
     if str(path).endswith(".csv"):
         return _load_grid_csv(path)
-    try:
+    try:  # np.load refuses an object array as well, which would need unpickling
         data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise GridFormatError(f"{path} holds one bare array, not an .npz archive")
+        with data:
+            arrays = {name: data[name] for name in _NPZ_ARRAYS if name in data}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise GridFormatError(f"{path} is not an .npz archive ({exc})") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise GridFormatError(f"{path} holds one bare array, not an .npz archive")
-    with data:
-        if "format" not in data or str(data["format"][0]) != _GRID_MAGIC:
-            raise GridFormatError(f"{path} is not a grid file")
-        try:
-            axes = (data["axis1"], data["axis2"], data["axis3"])
-            times, positions = data["times"], data["positions"]
-            periodic = tuple(bool(b) for b in data["periodic"])
-            order = int(data["order"][0])
-        except KeyError as exc:
-            raise GridFormatError(f"{path}: missing array ({exc})") from exc
-        return _field_from_arrays(
-            path, axes, times, positions,
-            data["velocities"] if "velocities" in data else None,
-            data["accelerations"] if "accelerations" in data else None,
-            periodic, order,
-        )
+        raise GridFormatError(f"{path} is not a readable .npz archive ({exc})") from exc
+    if arrays.get("format", np.array([])).tolist() != [_GRID_MAGIC]:
+        raise GridFormatError(f"{path} is not a grid file")
+    if missing := sorted(_NPZ_ARRAYS.keys() - {"velocities", "accelerations"} - arrays.keys()):
+        raise GridFormatError(f"{path}: missing array {missing[0]!r}")
+    for name, array in arrays.items():
+        ndim, kinds = _NPZ_ARRAYS[name]
+        if array.ndim != ndim or array.dtype.kind not in kinds:
+            raise GridFormatError(f"{path}: {name} is not a {ndim}-axis array of kind "
+                                  f"{'/'.join(kinds)}, got {array.dtype} of shape {array.shape}")
+    if arrays["version"].tolist() != [_GRID_VERSION]:
+        raise GridFormatError(f"{path}: version {arrays['version'].tolist()} is not supported")
+    if arrays["order"].shape != (1,):
+        raise GridFormatError(f"{path}: order holds {arrays['order'].size} values, not one")
+    return _field_from_arrays(
+        path, [arrays[f"axis{j}"] for j in (1, 2, 3)], arrays["times"], arrays["positions"],
+        arrays.get("velocities"), arrays.get("accelerations"),
+        tuple(bool(b) for b in arrays["periodic"]), int(arrays["order"][0]))
 
 
 def _field_from_arrays(path, axes, times, positions, velocities, accelerations, periodic, order):
@@ -1142,7 +1148,7 @@ def _field_from_arrays(path, axes, times, positions, velocities, accelerations, 
     spac = []
     for j, ax in enumerate(axes, start=1):
         steps = np.diff(ax)
-        if len(steps) == 0 or not np.allclose(steps, steps[0]):
+        if len(steps) == 0 or not np.allclose(steps, steps[0], atol=0.0):
             raise GridFormatError(f"{path}: axis{j} is not uniformly spaced")
         spac.append(float(steps[0]))
     try:
@@ -1197,8 +1203,8 @@ def _load_grid_csv(path: str) -> SampledTrajectoryField:
                         raise GridFormatError(f"{path}: bad number in data row ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise GridFormatError(f"{path} is not UTF-8 text ({exc})") from exc
-    if _GRID_MAGIC not in header:
-        raise GridFormatError(f"{path}: missing '{_GRID_MAGIC}' header line")
+    if header.get(_GRID_MAGIC) != [str(_GRID_VERSION)]:
+        raise GridFormatError(f"{path}: needs the header line '# {_GRID_MAGIC} {_GRID_VERSION}'")
     try:
         n1, n2, n3, nt = (int(v) for v in header["shape"])
         axis_steps = []

@@ -81,7 +81,6 @@ def _const(c):
 _ZERO3 = _const(np.zeros(3))
 _ZERO33 = _const(np.zeros((3, 3)))
 _EYE3 = _const(np.eye(3))
-_ZERO333 = lambda a, t: np.zeros((3, 3, 3))
 
 
 def _simple_material(rho0: float = 1.0, gravity: float | None = None) -> FlowMaterial:
@@ -105,7 +104,6 @@ def make_identity(box=None, t0=0.0, t1=1.0) -> Fixture:
         position_gradient=_EYE3,
         velocity_gradient=_ZERO33,
         acceleration_gradient=_ZERO33,
-        position_hessian=_ZERO333,
         box=box,
         t0=t0,
         t1=t1,
@@ -124,7 +122,6 @@ def make_translation(c=(1.0, 0.0, 0.0), box=None, t0=0.0, t1=1.0) -> Fixture:
         position_gradient=_EYE3,
         velocity_gradient=_ZERO33,
         acceleration_gradient=_ZERO33,
-        position_hessian=_ZERO333,
         box=box,
         t0=t0,
         t1=t1,
@@ -158,7 +155,6 @@ def make_shear(rate=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
         position_gradient=grad,
         velocity_gradient=_const([[0.0, k, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         acceleration_gradient=_ZERO33,
-        position_hessian=_ZERO333,
         box=box,
         t0=t0,
         t1=t1,
@@ -192,7 +188,6 @@ def make_rigid_rotation(omega0=1.0, gravity=0.0, rho0=1.0, box=None, t0=0.0, t1=
         position_gradient=lambda a, t: _rotmat(w * (t - t0)),
         velocity_gradient=lambda a, t: w * _SPIN @ _rotmat(w * (t - t0)),
         acceleration_gradient=lambda a, t: (w * w) * _SPIN @ _SPIN @ _rotmat(w * (t - t0)),
-        position_hessian=_ZERO333,
         box=box,
         t0=t0,
         t1=t1,
@@ -227,7 +222,6 @@ def make_dilation(rho0=1.0, gravity=9.81, box=None, t0=0.0, t1=1.0) -> Fixture:
         position_gradient=lambda a, t: (1.0 + t) * np.eye(3),
         velocity_gradient=_EYE3,
         acceleration_gradient=_ZERO33,
-        position_hessian=_ZERO333,
         box=box,
         t0=t0,
         t1=t1,
@@ -318,17 +312,6 @@ def make_gerstner(
         kg = k * g
         return xz_block(a, 0.0, kg * E * cs, kg * E * sn, -kg * E * cs)
 
-    def hessian(a, t):
-        E, cs, sn = orbit(a, t)
-        H = np.zeros(E.shape + (3, 3, 3))
-        H[..., 0, 0, 0] = k * E * sn
-        H[..., 0, 0, 2] = H[..., 0, 2, 0] = -k * E * cs
-        H[..., 0, 2, 2] = -k * E * sn
-        H[..., 2, 0, 0] = -k * E * cs
-        H[..., 2, 0, 2] = H[..., 2, 2, 0] = -k * E * sn
-        H[..., 2, 2, 2] = k * E * cs
-        return H
-
     fld = AnalyticTrajectoryField(
         position=pos,
         velocity=vel,
@@ -336,7 +319,6 @@ def make_gerstner(
         position_gradient=grad,
         velocity_gradient=vgrad,
         acceleration_gradient=agrad,
-        position_hessian=hessian,
         box=box,
         t0=t0,
         t1=t1,

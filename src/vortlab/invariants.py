@@ -26,7 +26,7 @@ the kinematics of one label stack (..., 3) at one time under the protocol of
 :mod:`vortlab.fields`, one label being the empty leading shape.  The drift
 reports are sweeps of one drift loop, which makes one frame per time and
 node stack and hands it to every sweep reading there (``vortlab verify`` runs
-its grid drifts in one loop), then drops it.
+all of its drifts in one loop) and drops it; the commands set the tolerance.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _drift_loop(field: TrajectoryField, sweeps) -> list:
     return reports
 
 
-def _grid_sweep(theorem: str, quantity, grid: LabelGrid, times, tolerance, metadata):
+def _grid_sweep(theorem: str, quantity, grid: LabelGrid, times, metadata):
     """Sweep of :func:`_drift_loop` giving the max and cell-weighted L2 over the grid of
     the per-node deviation of ``quantity(frame)`` from its value at ``times[0]``: the
     Euclidean norm of a vector quantity (N, 3), the absolute value of a scalar one (N,)."""
@@ -118,14 +118,14 @@ def _grid_sweep(theorem: str, quantity, grid: LabelGrid, times, tolerance, metad
         max_dev.append(float(np.max(dev)))
         l2_dev.append(math.sqrt(float(np.sum(dev**2)) * grid.cell_volume))
     return DriftReport(theorem=theorem, times=times, max_deviation=max_dev,
-                       l2_deviation=l2_dev, tolerance=tolerance, metadata=metadata)
+                       l2_deviation=l2_dev, metadata=metadata)
 
 
-def _cauchy_sweep(field: TrajectoryField, grid: LabelGrid, times, tolerance=None):
-    return _grid_sweep("cauchy", lambda frame: frame.omega, grid, times, tolerance, {
+def _cauchy_sweep(field: TrajectoryField, grid: LabelGrid, times):
+    return _grid_sweep("cauchy", lambda frame: frame.omega, grid, times, {
         "backend": field.backend, "grid_shape": list(grid.shape), "fd_order": field.order})
 
 
-def cauchy_drift(field: TrajectoryField, grid: LabelGrid, times, tolerance=None) -> DriftReport:
+def cauchy_drift(field: TrajectoryField, grid: LabelGrid, times) -> DriftReport:
     """Max and grid-weighted L2 deviation of Omega(a, t) from Omega(a, t0)."""
-    return _drift_loop(field, [_cauchy_sweep(field, grid, times, tolerance)])[0]
+    return _drift_loop(field, [_cauchy_sweep(field, grid, times)])[0]

@@ -15,9 +15,9 @@ the tangency number.
 
 The residuals and the potential vorticity take a :class:`~vortlab.kinematics.Frame`
 (labels (..., 3) at one time, or each at its own), and the drift reports call the
-same functions on the frame of their whole label stack once per time: the Ertel and
-helicity drifts are sweeps of the drift loop of :mod:`vortlab.invariants`, as the
-Cauchy drift is, and the circulation and helicity drifts share one scalar-series report.
+same functions on the frame of their whole label stack once per time: each drift is a
+sweep of the drift loop of :mod:`vortlab.invariants`, and circulation and helicity share
+one scalar-series sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import VortlabError
 from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative, matvec
-from .invariants import _drift_loop, _grid_sweep, image_velocity, lagrangian_vorticity
+from .invariants import _drift_loop, _grid_sweep, lagrangian_vorticity
 from .kinematics import Frame, _image
 from .report import DriftReport
 from .variational import FlowMaterial, density_from_map, mass_reference
@@ -43,10 +43,10 @@ from .variational import FlowMaterial, density_from_map, mass_reference
 
 @dataclass(frozen=True)
 class LabelLoop:
-    """Closed material curve a(s), s in [0, 1], with quadrature node count."""
+    """Closed material curve a(s), s in [0, 1], its tangent da/ds and quadrature node count."""
 
     point: Callable[[float], np.ndarray]
-    tangent: Callable[[float], np.ndarray] | None = None
+    tangent: Callable[[float], np.ndarray]
     nodes: int = 64
 
     def __post_init__(self):
@@ -55,11 +55,6 @@ class LabelLoop:
         gap = np.asarray(self.point(0.0), float) - np.asarray(self.point(1.0), float)
         if float(np.max(np.abs(gap))) > 1e-12:
             raise VortlabError(f"loop is not closed: |a(0) - a(1)| = {np.max(np.abs(gap))}")
-
-    def tangent_at(self, s: float) -> np.ndarray:
-        if self.tangent is not None:
-            return np.asarray(self.tangent(s), float)
-        return derivative(lambda d: np.asarray(self.point((s + d) % 1.0), float), 1e-5, 2)
 
     @classmethod
     def circle(cls, center, radius: float, nodes: int = 64, axes=(0, 1)) -> "LabelLoop":
@@ -176,19 +171,30 @@ def ertel_pv_label_form(
     return float(omega_label @ np.asarray(S.gradient(a, t), float)) / rho0j0
 
 
-def _ertel_sweep(field, material, S, grid: LabelGrid, times, tolerance=None):
+def _ertel_sweep(field, material, S, grid: LabelGrid, times):
     nodes = grid.nodes()
     rho0j0 = mass_reference(field, material, nodes, (yield nodes, field.t0))
     metadata = {"backend": field.backend, "grid_shape": list(grid.shape)}
     return (yield from _grid_sweep("ertel", lambda frame: ertel_pv(frame, S, rho0j0), grid, times,
-                                   tolerance, metadata))
+                                   metadata))
 
 
 def ertel_drift(field: TrajectoryField, material: FlowMaterial, S: ScalarField, grid: LabelGrid,
-                times, tolerance: float | None = None) -> DriftReport:
+                times) -> DriftReport:
     """Max and grid-weighted L2 deviation of :func:`ertel_pv` over all nodes from t = times[0],
     with rho0 J0 taken once from the frame at the field's t0."""
-    return _drift_loop(field, [_ertel_sweep(field, material, S, grid, times, tolerance)])[0]
+    return _drift_loop(field, [_ertel_sweep(field, material, S, grid, times)])[0]
+
+
+def _series_sweep(theorem: str, value, labels, times, metadata):
+    """Sweep of the drift loop giving the scalar ``value(frame)`` on the frame of ``labels`` at
+    each time, and its deviation from the value at ``times[0]`` (max = L2)."""
+    times, values = [float(t) for t in times], []
+    for t in times:
+        values.append(value((yield labels, t)))
+    devs = [0.0] + [abs(v - values[0]) for v in values[1:]]
+    return DriftReport(theorem=theorem, times=times, values=values, max_deviation=devs,
+                       l2_deviation=devs, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -196,56 +202,27 @@ def ertel_drift(field: TrajectoryField, material: FlowMaterial, S: ScalarField, 
 # ---------------------------------------------------------------------------
 
 
-def circulation(field: TrajectoryField, loop: LabelLoop, t) -> float:
-    """Loop integral of V . da by the equal-weight periodic rule.
-
-    Samples sit at cell midpoints of the parametrization, which keeps the
-    spectral accuracy of the periodic trapezoid rule for smooth loops.
-    """
-    return _circulation_series(field, loop)(t)
-
-
-def _circulation_series(field: TrajectoryField, loop: LabelLoop):
-    """:func:`circulation` as a function of t, the loop quadrature built once."""
+def _circulation_sweep(field, loop: LabelLoop, times):
+    """The loop integral of V . da by the equal-weight periodic rule.  Samples sit at cell
+    midpoints of the parametrization, which keeps the spectral accuracy of the periodic
+    trapezoid rule for smooth loops."""
     n = loop.nodes
     s = (np.arange(n) + 0.5) / n
-    labels = np.array([loop.point(si) for si in s], float)
-    tangents = np.array([loop.tangent_at(si) for si in s], float)
-    return lambda t: math.fsum(
-        np.einsum("nj,nj->n", image_velocity(field, labels, t), tangents) / n)
+    tangents = np.array([loop.tangent(si) for si in s], float)
+    return (yield from _series_sweep(
+        "circulation", lambda frame: math.fsum(np.einsum("nj,nj->n", frame.image, tangents) / n),
+        np.array([loop.point(si) for si in s], float), times,
+        {"backend": field.backend, "loop_nodes": n}))
 
 
-def _series_report(theorem: str, times, values, tolerance, metadata) -> DriftReport:
-    """A scalar series and its deviation from ``values[0]`` (max = L2)."""
-    devs = [abs(v - values[0]) for v in values]
-    devs[0] = 0.0
-    return DriftReport(theorem=theorem, times=times, values=values, max_deviation=devs,
-                       l2_deviation=devs, tolerance=tolerance, metadata=metadata)
-
-
-def circulation_drift(field: TrajectoryField, loop: LabelLoop, times,
-                      tolerance: float | None = None) -> DriftReport:
-    times = [float(t) for t in times]
-    series = _circulation_series(field, loop)
-    return _series_report("circulation", times, [series(t) for t in times], tolerance,
-                          {"backend": field.backend, "loop_nodes": loop.nodes})
+def circulation_drift(field: TrajectoryField, loop: LabelLoop, times) -> DriftReport:
+    """Circulation time series around a material loop and its deviation from times[0]."""
+    return _drift_loop(field, [_circulation_sweep(field, loop, times)])[0]
 
 
 # ---------------------------------------------------------------------------
 # Helicity
 # ---------------------------------------------------------------------------
-
-
-def helicity(field: TrajectoryField, region: LabelRegion, t) -> float:
-    """Volume integral of Omega . V over the region (midpoint rule); a region
-    node outside the field's domain raises OutOfDomainError naming it."""
-    grid = region.grid()
-    return _helicity(Frame(field, grid.nodes(), t), grid)
-
-
-def _helicity(frame: Frame, grid: LabelGrid) -> float:
-    """:func:`helicity` on the frame of the region grid's nodes."""
-    return math.fsum(np.vecdot(frame.image, frame.omega) * grid.cell_volume)
 
 
 def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:
@@ -261,20 +238,20 @@ def boundary_tangency(field: TrajectoryField, region: LabelRegion, t) -> float:
                for o, (_, normal, area) in zip(np.split(omega, ends), faces))
 
 
-def _helicity_sweep(field, region: LabelRegion, times, tolerance=None):
-    grid, times, values = region.grid(), [float(t) for t in times], []
-    nodes = grid.nodes()
-    for t in times:
-        values.append(_helicity((yield nodes, t), grid))
-    report = _series_report("helicity", times, values, tolerance, {
-        "backend": field.backend, "region_shape": list(region.shape), "periodic": region.periodic})
+def _helicity_sweep(field, region: LabelRegion, times):
+    """The volume integral of Omega . V over the region (midpoint rule); a region node
+    outside the field's domain raises OutOfDomainError naming it."""
+    grid = region.grid()
+    report = yield from _series_sweep(
+        "helicity", lambda frame: math.fsum(np.vecdot(frame.image, frame.omega) * grid.cell_volume),
+        grid.nodes(), times, {"backend": field.backend, "region_shape": list(region.shape),
+                              "periodic": region.periodic})
     report.metadata["boundary_tangency"] = (
-        0.0 if region.periodic else boundary_tangency(field, region, times[0]))
+        0.0 if region.periodic else boundary_tangency(field, region, report.times[0]))
     return report
 
 
-def helicity_drift(field: TrajectoryField, region: LabelRegion, times,
-                   tolerance: float | None = None) -> DriftReport:
+def helicity_drift(field: TrajectoryField, region: LabelRegion, times) -> DriftReport:
     """Helicity time series; the report always carries the tangency number, and conservation
     is only claimable when it vanishes (or the region is a full periodic cell)."""
-    return _drift_loop(field, [_helicity_sweep(field, region, times, tolerance)])[0]
+    return _drift_loop(field, [_helicity_sweep(field, region, times)])[0]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vortlab import fields, flows
+from vortlab.cli import main
 from vortlab.errors import GridFormatError, OutOfDomainError
 from vortlab.fields import (
     AnalyticTrajectoryField,
@@ -1076,6 +1077,59 @@ class TestGridIO:
         self._rewrite_npz(path, axis1=np.array([-1.0, -0.5, 0.25, 0.5, 1.0]))
         with pytest.raises(GridFormatError):
             load_grid(path)
+
+    @pytest.mark.parametrize("change", [
+        {"positions": np.zeros((4, 5, 5, 5, 3), dtype=object)},
+        {"order": np.array(["x"])},
+        {"order": np.array([], dtype=int)},
+        {"format": np.array([], dtype=str)},
+        {"axis1": np.tile(np.linspace(-1.0, 1.0, 5), (2, 1))},
+        {"axis1": np.array(["a", "b", "c", "d", "e"])},
+        {"velocities": np.zeros((4, 5, 5, 4, 3))},
+        {"accelerations": np.zeros((3, 5, 5, 5, 3))},
+        {"version": np.array([2])},
+        {"order": np.array([4.7])},
+        {"axis1": np.array([0.0, 1e-9, 5e-9, 6e-9, 7e-9])},
+    ], ids=["object-array", "text-order", "empty-order", "empty-format", "2d-axis",
+            "text-axis", "velocities-shape", "accelerations-shape", "version-2",
+            "fractional-order", "nanoscale-nonuniform-axis"])
+    def test_rejects_malformed_npz_array(self, tmp_path, change):
+        path = str(tmp_path / "grid.npz")
+        self._rewrite_npz(path, **change)
+        with pytest.raises(GridFormatError, match="grid.npz"):
+            load_grid(path)
+
+    def test_rejects_other_csv_version(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        save_grid(self._small_field(), str(path))
+        path.write_text(path.read_text().replace("# vortlab-grid 1\n", "# vortlab-grid 7\n"))
+        with pytest.raises(GridFormatError, match="needs the header line .# vortlab-grid 1."):
+            load_grid(str(path))
+
+    def test_stored_kinds_must_match_the_positions(self):
+        field = self._small_field()
+        for kind in ("velocities", "accelerations"):
+            arrays = {"velocities": field.velocities, "accelerations": field.accelerations,
+                      kind: field.velocities[:, :, :, :4]}
+            with pytest.raises(ValueError, match=f"{kind} shape"):
+                SampledTrajectoryField(field.grid, field.times, field.positions, **arrays)
+
+    def test_time_ladder_is_uniform_to_relative_rounding(self):
+        grid = LabelGrid.nodes_inclusive(BOX, (5, 5, 5))
+        with pytest.raises(ValueError, match="uniform time ladder"):
+            SampledTrajectoryField(grid, [0.0, 1e-9, 5e-9], np.zeros((3, 5, 5, 5, 3)))
+        # a ladder of nanosecond steps that is uniform builds
+        field = SampledTrajectoryField(grid, [0.0, 1e-9, 2e-9], np.zeros((3, 5, 5, 5, 3)))
+        assert field.dt == 1e-9
+
+    @pytest.mark.parametrize("name", flows.fixture_names())
+    def test_every_catalog_export_reloads(self, tmp_path, name):
+        # the .npz file stores the ladders as written; the CSV loader rebuilds them as
+        # start + step * arange(n), uniform to rounding by construction
+        path = str(tmp_path / f"{name}.npz")
+        assert main(["export", "--fixture", name, "--out", path]) == 0
+        field = load_grid(path)
+        assert field.positions.shape[1:] == (*field.grid.shape, 3)
 
 
 class TestGrids:
