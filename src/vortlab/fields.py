@@ -62,13 +62,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import itertools
 import math
+import os
 import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -1085,7 +1085,7 @@ def save_grid(field: SampledTrajectoryField, path: str):
     if str(path).endswith(".csv"):
         _save_grid_csv(field, path)
         return
-    nodes = _node_arrays(field)
+    nodes = {name: getattr(field, name) for name in _stored_kinds(field)}  # lazy ones once
     np.savez(path, **{
         "format": np.array([_GRID_MAGIC]),
         "version": np.array([_GRID_VERSION]),
@@ -1100,10 +1100,15 @@ def save_grid(field: SampledTrajectoryField, path: str):
     })
 
 
-def _node_arrays(field: SampledTrajectoryField) -> dict:
-    """The node data a grid file holds by kind, each read once (lazy ones computed once)."""
-    return {kind: data for kind in ("positions", "velocities", "accelerations")
-            if (data := getattr(field, kind)) is not None}
+# the node data kinds of a grid file, by the name the file gives them
+_STORED_KINDS = {"positions": "position", "velocities": "velocity", "accelerations": "acceleration"}
+
+
+def _stored_kinds(field: SampledTrajectoryField) -> dict:
+    """The kinds of ``field``'s node data a grid file holds, by file name."""
+    stored = (field.positions, field.velocities, field._accelerations)
+    return {name: kind for (name, kind), data in zip(_STORED_KINDS.items(), stored)
+            if data is not None}
 
 
 # The arrays of an .npz grid file: (number of axes, dtype kinds) of each
@@ -1151,6 +1156,9 @@ def _field_from_arrays(path, axes, times, positions, velocities, accelerations, 
         if len(steps) == 0 or not np.allclose(steps, steps[0], atol=0.0):
             raise GridFormatError(f"{path}: axis{j} is not uniformly spaced")
         spac.append(float(steps[0]))
+    for name, data in zip(_STORED_KINDS, (positions, velocities, accelerations)):
+        if data is not None and not np.isfinite(data).all():
+            raise GridFormatError(f"{path}: {name} holds a non-finite number")
     try:
         field = SampledTrajectoryField(
             LabelGrid(tuple(axes), tuple(spac)), times, positions, velocities, accelerations,
@@ -1163,75 +1171,123 @@ def _field_from_arrays(path, axes, times, positions, velocities, accelerations, 
 
 
 def _save_grid_csv(field: SampledTrajectoryField, path: str):
+    """The header, then one stamp's rows at a time, into a sibling file that replaces ``path``
+    once whole: a failed or interrupted export leaves no partial file, and ``path`` as it was."""
     n1, n2, n3 = field.grid.shape
-    nodes = _node_arrays(field)
-    buf = io.StringIO()
-    buf.write(f"# {_GRID_MAGIC} {_GRID_VERSION}\n")
-    buf.write(f"# shape {n1} {n2} {n3} {len(field.times)}\n")
-    for j, ax in enumerate(field.grid.axes, start=1):
-        buf.write(f"# axis{j} {float(ax[0])!r} {float(field.grid.spacings[j - 1])!r}\n")
-    buf.write(f"# times {float(field.times[0])!r} {float(field.dt)!r}\n")
-    buf.write(f"# fields {' '.join(nodes)}\n")
-    buf.write(f"# periodic {' '.join(str(int(p)) for p in field.periodic)}\n")
-    buf.write(f"# order {field.order}\n")
-    # one row per (time, node), the kinds side by side
-    table = np.concatenate([data.reshape(-1, 3) for data in nodes.values()], axis=1)
-    for row in table.tolist():
-        buf.write(",".join(map(repr, row)) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    kinds = _stored_kinds(field)
+    header = [
+        f"# {_GRID_MAGIC} {_GRID_VERSION}",
+        f"# shape {n1} {n2} {n3} {len(field.times)}",
+        *(f"# axis{j} {float(ax[0])!r} {float(field.grid.spacings[j - 1])!r}"
+          for j, ax in enumerate(field.grid.axes, start=1)),
+        f"# times {float(field.times[0])!r} {float(field.dt)!r}",
+        f"# fields {' '.join(kinds)}",
+        f"# periodic {' '.join(str(int(p)) for p in field.periodic)}",
+        f"# order {field.order}",
+    ]
+    directory, name = os.path.split(os.fspath(path))
+    sibling = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(sibling, "x") as fh:
+            fh.write("\n".join(header) + "\n")
+            for k in range(len(field.times)):
+                # one row per node, the kinds side by side
+                table = np.concatenate(
+                    [field.node_values(kind, k).reshape(-1, 3) for kind in kinds.values()], axis=1)
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        os.replace(sibling, path)
+    except OSError as exc:  # named by the caller's path, not the sibling's
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(sibling)
 
 
 def _load_grid_csv(path: str) -> SampledTrajectoryField:
-    header: dict[str, list[str]] = {}
-    rows = []
+    """The header, then the data one stamp at a time into one float table."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if not parts:
-                        raise GridFormatError(f"{path}: empty header line")
-                    header[parts[0]] = parts[1:]
-                else:
-                    try:
-                        rows.append([float(v) for v in line.split(",")])
-                    except ValueError as exc:
-                        raise GridFormatError(f"{path}: bad number in data row ({exc})") from exc
+            header, data = _csv_header(path, fh)
+            try:
+                n1, n2, n3, nt = (int(v) for v in header["shape"])
+                axis_steps = []
+                for j in range(1, 4):
+                    start, step = (float(v) for v in header[f"axis{j}"])
+                    axis_steps.append((start, step))
+                t0, dt = (float(v) for v in header["times"])
+                kinds = header["fields"]
+                periodic = tuple(bool(int(v)) for v in header["periodic"])
+                order = int(header["order"][0])
+            except (KeyError, ValueError, IndexError) as exc:
+                raise GridFormatError(f"{path}: malformed header ({exc})") from exc
+            if "positions" not in kinds:
+                raise GridFormatError(f"{path}: '# fields' does not list positions")
+            if len(set(kinds)) < len(kinds) or not set(kinds) <= _STORED_KINDS.keys():
+                raise GridFormatError(f"{path}: '# fields' names each of "
+                                      f"{', '.join(_STORED_KINDS)} at most once, and no other")
+            if min(n1, n2, n3, nt) < 1:
+                raise GridFormatError(f"{path}: '# shape' needs positive sizes")
+            rows, cols = nt * n1 * n2 * n3, 3 * len(kinds)
+            # a row is at least 2 cols - 1 bytes, so a shape the file cannot hold allocates nothing
+            if rows * (2 * cols - 1) > os.fstat(fh.fileno()).st_size:
+                raise GridFormatError(f"{path}: expected {rows} rows x {cols} cols")
+            starts_steps = [*axis_steps, (t0, dt)]
+            ends = [start + step * (n - 1)
+                    for (start, step), n in zip(starts_steps, (n1, n2, n3, nt))]
+            if not all(map(math.isfinite, [*itertools.chain(*starts_steps), *ends])):
+                raise GridFormatError(f"{path}: axis and time ladders need finite numbers")
+            table = _read_csv_table(path, data, nt, n1 * n2 * n3, cols)
     except UnicodeDecodeError as exc:
         raise GridFormatError(f"{path} is not UTF-8 text ({exc})") from exc
-    if header.get(_GRID_MAGIC) != [str(_GRID_VERSION)]:
-        raise GridFormatError(f"{path}: needs the header line '# {_GRID_MAGIC} {_GRID_VERSION}'")
-    try:
-        n1, n2, n3, nt = (int(v) for v in header["shape"])
-        axis_steps = []
-        for j in range(1, 4):
-            start, step = (float(v) for v in header[f"axis{j}"])
-            axis_steps.append((start, step))
-        t0, dt = (float(v) for v in header["times"])
-        kinds = header["fields"]
-        periodic = tuple(bool(int(v)) for v in header["periodic"])
-        order = int(header["order"][0])
-    except (KeyError, ValueError, IndexError) as exc:
-        raise GridFormatError(f"{path}: malformed header ({exc})") from exc
-    if "positions" not in kinds:
-        raise GridFormatError(f"{path}: '# fields' does not list positions")
-    if min(n1, n2, n3, nt) < 1:
-        raise GridFormatError(f"{path}: '# shape' needs positive sizes")
-    starts_steps = [*axis_steps, (t0, dt)]
-    ends = [start + step * (n - 1) for (start, step), n in zip(starts_steps, (n1, n2, n3, nt))]
-    if not all(map(math.isfinite, [*itertools.chain(*starts_steps), *ends])):
-        raise GridFormatError(f"{path}: axis and time ladders need finite numbers")
-    expected = (nt * n1 * n2 * n3, 3 * len(kinds))
-    if len(rows) != expected[0] or any(len(r) != expected[1] for r in rows):
-        raise GridFormatError(f"{path}: expected {expected[0]} rows x {expected[1]} cols")
     axes = [start + step * np.arange(n) for (start, step), n in zip(axis_steps, (n1, n2, n3))]
-    blocks = np.asarray(rows).reshape(nt, n1, n2, n3, 3 * len(kinds))
+    blocks = table.reshape(nt, n1, n2, n3, cols)
     arrays = {kind: blocks[..., 3 * i:3 * i + 3] for i, kind in enumerate(kinds)}
     return _field_from_arrays(
         path, axes, t0 + dt * np.arange(nt), arrays["positions"], arrays.get("velocities"),
         arrays.get("accelerations"), periodic, order,
     )
+
+
+def _csv_header(path: str, fh) -> tuple[dict[str, list[str]], Iterator[str]]:
+    """The header lines of an open CSV grid file by key, and the data lines after them
+    (stripped, blank ones skipped): the magic line first, the others each key once, and
+    all of them before the first data row."""
+    first = fh.readline().strip()
+    if first[:1] != "#" or first[1:].split() != [_GRID_MAGIC, str(_GRID_VERSION)]:
+        raise GridFormatError(
+            f"{path}: needs the header line '# {_GRID_MAGIC} {_GRID_VERSION}' first")
+    header = {_GRID_MAGIC: [str(_GRID_VERSION)]}
+    lines = (stripped for line in fh if (stripped := line.strip()))
+    for line in lines:
+        if not line.startswith("#"):
+            return header, itertools.chain([line], lines)
+        parts = line[1:].split()
+        if not parts:
+            raise GridFormatError(f"{path}: empty header line")
+        if parts[0] in header:
+            raise GridFormatError(f"{path}: header key {parts[0]!r} is given twice")
+        header[parts[0]] = parts[1:]
+    return header, lines
+
+
+def _read_csv_table(path: str, data, nt: int, per_stamp: int, cols: int) -> np.ndarray:
+    """(nt, per_stamp, cols) float table of the data lines, parsed one stamp at a time: a
+    header line among them, a bad number, or another count of rows or cols raises."""
+    table = np.empty((nt, per_stamp, cols))
+    expected = f"{path}: expected {nt * per_stamp} rows x {cols} cols"
+    filled = 0
+    for chunk in iter(lambda: list(itertools.islice(data, per_stamp)), []):
+        if heading := next((s for s in chunk if s.startswith("#")), None):
+            raise GridFormatError(f"{path}: header line {heading!r} after the data rows")
+        if filled == nt or len(chunk) < per_stamp or any(s.count(",") != cols - 1 for s in chunk):
+            raise GridFormatError(expected)
+        cells = itertools.chain.from_iterable(map(str.split, chunk, itertools.repeat(",")))
+        try:
+            values = np.fromiter(map(float, cells), float, per_stamp * cols)
+        except ValueError as exc:
+            raise GridFormatError(f"{path}: bad number in data row ({exc})") from exc
+        table[filled] = values.reshape(per_stamp, cols)
+        filled += 1
+    if filled < nt:
+        raise GridFormatError(expected)
+    return table

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from vortlab import fields, flows
 from vortlab.cli import main
@@ -888,8 +888,8 @@ class TestGridIO:
         save_grid(field, path)
         back = load_grid(path)
         assert back.grid.shape == field.grid.shape
-        assert np.allclose(back.positions, field.positions)
-        assert np.allclose(back.velocities, field.velocities)
+        for kind in ("positions", "velocities", "accelerations"):  # repr round-trips
+            assert np.array_equal(getattr(back, kind), getattr(field, kind))
         assert back.periodic == field.periodic
         assert back.order == field.order
 
@@ -967,6 +967,124 @@ class TestGridIO:
         path.write_text(text)
         with pytest.raises(GridFormatError):
             load_grid(str(path))
+
+    def _edit_csv(self, tmp_path, edit):
+        """The small grid saved as CSV, its lines passed through ``edit``."""
+        path = tmp_path / "grid.csv"
+        save_grid(self._small_field(), str(path))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("where", ["second", "last"])
+    def test_magic_line_must_be_the_first(self, tmp_path, where):
+        def move(lines):
+            magic, *rest = lines
+            return [rest[0], magic, *rest[1:]] if where == "second" else [*rest, magic]
+        with pytest.raises(GridFormatError, match="needs the header line .# vortlab-grid 1. first"):
+            load_grid(self._edit_csv(tmp_path, move))
+
+    def test_rejects_repeated_csv_header_key(self, tmp_path):
+        path = self._edit_csv(tmp_path, lambda lines: [
+            *(line for line in lines if line.startswith("#")), "# order 2",
+            *(line for line in lines if not line.startswith("#"))])
+        with pytest.raises(GridFormatError, match="header key 'order' is given twice"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("row", [1, 130, None], ids=["first-stamp", "second-stamp", "end"])
+    def test_rejects_csv_header_line_after_the_data(self, tmp_path, row):
+        def insert(lines):
+            i = len(lines) if row is None else 9 + row
+            return [*lines[:i], "# note a line", *lines[i:]]
+        with pytest.raises(GridFormatError, match="header line '# note a line' after the data"):
+            load_grid(self._edit_csv(tmp_path, insert))
+
+    @pytest.mark.parametrize("fields", ["positions positions accelerations",
+                                        "positions velocities vorticity"])
+    def test_rejects_csv_fields_twice_or_unknown(self, tmp_path, fields):
+        path = self._edit_csv(tmp_path, lambda lines: [
+            f"# fields {fields}" if line.startswith("# fields") else line for line in lines])
+        with pytest.raises(GridFormatError, match="'# fields' names each of"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+    @pytest.mark.parametrize("column, kind", [(0, "positions"), (4, "velocities"),
+                                              (8, "accelerations")])
+    def test_rejects_nonfinite_csv_node_data(self, tmp_path, value, column, kind):
+        def put(lines):
+            cells = lines[20].split(",")
+            cells[column] = value
+            return [*lines[:20], ",".join(cells), *lines[21:]]
+        with pytest.raises(GridFormatError, match=f"{kind} holds a non-finite number"):
+            load_grid(self._edit_csv(tmp_path, put))
+
+    @pytest.mark.parametrize("kind", ["positions", "velocities", "accelerations"])
+    def test_rejects_nonfinite_npz_node_data(self, tmp_path, kind):
+        path = str(tmp_path / "grid.npz")
+        save_grid(self._small_field(), path)
+        with np.load(path) as data:
+            array = data[kind].copy()
+        array[1, 2, 3, 4, 2] = np.inf
+        self._rewrite_npz(path, **{kind: array})
+        with pytest.raises(GridFormatError, match=f"{kind} holds a non-finite number"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("shape", ["100000 100000 100000 1000", f"{'9' * 400} 5 5 4"],
+                             ids=["huge", "400-digit"])
+    def test_oversized_csv_shape_allocates_nothing(self, tmp_path, shape):
+        path = self._edit_csv(tmp_path, lambda lines: [
+            f"# shape {shape}" if line.startswith("# shape") else line for line in lines])
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridFormatError, match="expected [0-9]+ rows x 9 cols"):
+                load_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("error", [FloatingPointError, KeyboardInterrupt])
+    def test_failed_csv_export_leaves_no_file_and_the_old_one(self, tmp_path, error):
+        field = self._small_field()
+
+        def accelerations(k, nodes):  # fails at the third stamp, after two are written
+            if k == 2:
+                raise error("stamp 2")
+            return field.accelerations[k][nodes]
+
+        failing = SampledTrajectoryField(field.grid, field.times, field.positions,
+                                         field.velocities, accelerations)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(error):
+            save_grid(failing, str(path))
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("an earlier export\n")
+        with pytest.raises(error):
+            save_grid(failing, str(path))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "an earlier export\n"
+        save_grid(field, str(path))
+        assert list(tmp_path.iterdir()) == [path]
+        assert np.array_equal(load_grid(str(path)).accelerations, field.accelerations)
+
+    def test_unwritable_csv_error_names_the_path(self, tmp_path):
+        path = str(tmp_path / "missing" / "grid.csv")
+        with pytest.raises(FileNotFoundError) as info:
+            save_grid(self._small_field(), path)
+        assert info.value.filename == path
+
+    def test_csv_io_holds_one_stamp_at_a_time(self, tmp_path):
+        field = flows.make_fixture("abc", shape=(12, 12, 12)).field
+        table = 3 * field.positions.nbytes  # positions, velocities, lazy accelerations
+        assert table == 21 * 12 ** 3 * 9 * 8
+        path = str(tmp_path / "abc.csv")
+        for op in (lambda: save_grid(field, path), lambda: load_grid(path)):
+            tracemalloc.start()
+            try:
+                op()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * table
 
     def _rewrite_npz(self, path, **changes):
         save_grid(self._small_field(), path)
@@ -1065,6 +1183,46 @@ class TestGridIO:
         except GridFormatError:
             return
         assert field.position(field.grid.nodes()[0], field.t0).shape == (3,)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        row=st.integers(min_value=0, max_value=4 * 5 ** 3 - 1),
+        cells=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                st.sampled_from(["", " ", "nan", "inf", "-inf", "1e400", "-1e400", "1e-400",
+                                 "x", "0x1p3", "1_0", "#", "1.5 2.5"]),
+            ),
+            min_size=7, max_size=11,
+        ),
+    )
+    @example(row=0, cells=["0.5"] * 9)
+    @example(row=3, cells=["0.5", "", *["1.0"] * 7])
+    @example(row=3, cells=["0.5"] * 10)
+    @example(row=3, cells=["0.5"] * 8)
+    @example(row=7, cells=["nan", *["1.0"] * 8])
+    @example(row=7, cells=[*["1.0"] * 4, "inf", *["1.0"] * 4])
+    @example(row=7, cells=[*["1.0"] * 8, "1e400"])
+    @example(row=499, cells=["1.0", "x", *["1.0"] * 7])
+    def test_fuzzed_csv_data_row_loads_or_raises_format_error(self, tmp_path, row, cells):
+        path = tmp_path / "fuzz.csv"
+        if not path.exists():
+            save_grid(self._small_field(), str(path))
+            (tmp_path / "fuzz.orig").write_text(path.read_text())
+        lines = (tmp_path / "fuzz.orig").read_text().splitlines()
+        lines[9 + row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            field = load_grid(str(path))
+        except GridFormatError:
+            return
+        # it loads only as nine finite numbers, read as Python reads them
+        values = [float(cell) for cell in cells]
+        assert len(values) == 9 and all(map(math.isfinite, values))
+        k, node = divmod(row, 5 ** 3)
+        stored = [field.positions, field.velocities, field.accelerations]
+        assert [float(v) for data in stored for v in data[k].reshape(-1, 3)[node]] == values
 
     def test_rejects_missing_npz_array(self, tmp_path):
         path = str(tmp_path / "grid.npz")
