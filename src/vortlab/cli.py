@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import io
 import math
 import random
@@ -410,7 +411,7 @@ def cmd_action(cfg: RunConfig, run_scan=True, run_weak=True, run_rt=True) -> tup
     }
     field, material = fixture.field, fixture.material
     # the rungs, shifts and flux copies read the same stamps many times: keep their slices
-    with field.holding() if field.backend == "sampled" else contextlib.nullcontext():
+    with field.holding():
         ok = True
         bump = _default_generator(box)
         if run_scan or run_rt:  # one S(0) and bump ladder for the scan, its control and the split
@@ -570,6 +571,10 @@ def _dt_ratio_probe(cfg: RunConfig) -> dict:
         "drift": drift,
         "drift_ratio": drift[0] / drift[1],
         "patch": {"center": list(center), "spacing": h, "nodes": n, "margin": margin},
+        # the advected velocity's own defaults, and the stencil order of both drifts
+        "parameters": {name: p.default for name, p
+                       in inspect.signature(ADVECTED[cfg.fixture]).parameters.items()},
+        "fd_order": cfg.fd_order,
     }
 
 

@@ -54,8 +54,8 @@ Three interchangeable backends implement this protocol:
     a stored slice reads it exactly; labels beyond the grid on a non-periodic
     axis raise :class:`~vortlab.errors.OutOfDomainError`.  Per-label times
     read stored data in one gather over (stamp, node) pairs, compute lazy
-    accelerations once per distinct stamp and blend each off-stamp label
-    between its own two stamps.
+    velocities and accelerations once per distinct stamp and blend each
+    off-stamp label between its own two stamps.
 """
 
 from __future__ import annotations
@@ -234,6 +234,41 @@ def elementwise(fn, *args):
     """
     out = np.frompyfunc(fn, len(args), 1)(*args)
     return out.astype(float) if isinstance(out, np.ndarray) else float(out)
+
+
+# Below this many terms math.fsum beats the extraction's numpy calls (crossover measured at
+# about 300 terms on a 2-core x86-64 machine, numpy 2.4).
+FSUM_BELOW = 300
+
+
+def exact_sum(array) -> float:
+    """``math.fsum(array)``, bitwise, for an array of floats of any shape: the correctly
+    rounded sum.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31:189, 2008): with
+    sigma = 2**M 2**e, 2**e > max|p| and 2**M >= n + 2, q = (sigma + p) - sigma keeps each
+    term's bits above 2**-53 sigma, p - q is the exact rest, and sum(q) is exact in any
+    order.  Each level strips at least 53 - M bits below the largest rest, until no rest is
+    left; fsum then rounds the few exact level sums once.  An array with a non-finite term,
+    terms near overflow or no nonzero term goes to fsum itself, so its errors
+    (``-inf + inf``, intermediate overflow) and special values are fsum's, and so are
+    arrays of fewer than :data:`FSUM_BELOW` terms, where fsum's own loop is faster.
+    """
+    p = np.asarray(array, float).ravel()
+    if p.size < FSUM_BELOW:
+        return math.fsum(p)
+    m = (p.size + 1).bit_length()  # 2**m >= n + 2
+    top = float(np.max(np.abs(p))) if p.size else 0.0
+    if not 0.0 < top < 2.0 ** (1022 - m):  # NaN fails too
+        return math.fsum(p)
+    levels = []
+    while top:
+        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
+        q = (sigma + p) - sigma
+        p = p - q
+        levels.append(float(np.sum(q)))
+        top = float(np.max(np.abs(p)))
+    return math.fsum(levels)
 
 
 def _poly_jacobian(polys) -> np.ndarray:
@@ -505,6 +540,11 @@ class TrajectoryField:
     #   acceleration_gradient                      -> (..., 3, 3)
     #   position_hessian                           -> (..., 3, 3, 3)
 
+    def holding(self):
+        """A block in which the field may keep what its reads compute; this backend keeps
+        nothing, so callers need not ask which backend they hold."""
+        return contextlib.nullcontext(self)
+
     def check_domain(self, a, t):
         """Raise OutOfDomainError for the first label of ``a`` outside the box
         or a time outside the window.  With per-label times, the error is the
@@ -734,8 +774,8 @@ class SampledTrajectoryField(TrajectoryField):
 
     ``positions`` has shape (nt, n1, n2, n3, 3); ``velocities`` and
     ``accelerations`` are optional and, when absent, are produced by finite
-    differences along the time axis.  ``accelerations`` may also be a
-    callable ``(k, nodes)`` giving the accelerations at stamp index ``k`` on
+    differences along the time axis.  Either may also be a callable
+    ``(k, nodes)`` giving its data at stamp index ``k`` on
     ``positions[k][nodes]``, ``nodes`` an index into (n1, n2, n3): ``...``
     for all of them, or a tuple of three index arrays.  Spatial derivatives
     of the positions go through the displacement field x - a so that
@@ -746,8 +786,8 @@ class SampledTrajectoryField(TrajectoryField):
     computes at its labels' trilinear corners alone, at each stamp it
     interpolates between (gradients from each corner's stencil points, time
     derivatives of unstored data from the stamps of the time stencil, lazy
-    accelerations on those nodes only), bitwise as the whole slice gives them
-    there.
+    data on those nodes only, or from a held whole slice), bitwise as the
+    whole slice gives them there.
     """
 
     backend = "sampled"
@@ -757,7 +797,7 @@ class SampledTrajectoryField(TrajectoryField):
         grid: LabelGrid,
         times: np.ndarray,
         positions: np.ndarray,
-        velocities: np.ndarray | None = None,
+        velocities: np.ndarray | Callable[[int, tuple], np.ndarray] | None = None,
         accelerations: np.ndarray | Callable[[int, tuple], np.ndarray] | None = None,
         periodic: tuple[bool, bool, bool] = (False, False, False),
         order: int = 4,
@@ -778,7 +818,7 @@ class SampledTrajectoryField(TrajectoryField):
         self.times = times
         self.dt = float(times[1] - times[0])
         self.positions = positions
-        self.velocities = velocities
+        self._velocities = velocities
         self._accelerations = accelerations
         self.periodic = tuple(bool(p) for p in periodic)
         if len(self.periodic) != 3:
@@ -809,28 +849,38 @@ class SampledTrajectoryField(TrajectoryField):
 
     # -- node-level data ----------------------------------------------------
 
-    @property
-    def accelerations(self) -> np.ndarray | None:
-        """(nt, n1, n2, n3, 3) stored accelerations, computed slice by slice if lazy."""
-        if callable(self._accelerations):
-            return np.stack([self.node_values("acceleration", k) for k in range(len(self.times))])
-        return self._accelerations
+    def _series(self, kind: str, data):
+        """(nt, n1, n2, n3, 3) ``kind``'s stored ``data``, computed slice by slice if lazy."""
+        if not callable(data):
+            return data
+        out = np.empty(self.positions.shape)
+        for k in range(len(self.times)):
+            out[k] = self.node_values(kind, k)
+        return out
+
+    velocities = property(lambda self: self._series("velocity", self._velocities))
+    accelerations = property(lambda self: self._series("acceleration", self._accelerations))
 
     def _values(self, kind: str, ti, flat=None) -> np.ndarray:
         """``kind``'s data at stamp ``ti``, the whole slice or (K, 3) at flat node indices
-        (K,); lazy accelerations, and the time derivative of the kind before it from the
-        stamps of ti's time stencil alone, are computed once per distinct node.  With
-        ``ti`` an array (K,), a stamp per node: stored data is one gather over the (stamp,
-        node) pairs, data it derives is computed once per distinct stamp."""
+        (K,); lazy data, and the time derivative of the kind before it from the stamps of
+        ti's time stencil alone, are computed once per distinct node.  Inside a
+        :meth:`holding` block a read takes the rows of the stamp's held whole slice,
+        computing it first when the read is as large as a gradient read that takes the whole
+        slice.  With ``ti`` an array (K,), a stamp per node: stored data is one gather over
+        the (stamp, node) pairs, data it derives is computed once per distinct stamp."""
         stored, prev = {"position": (self.positions, None),
-                        "velocity": (self.velocities, "position"),
+                        "velocity": (self._velocities, "position"),
                         "acceleration": (self._accelerations, "velocity")}[kind]
         if per_label(ti):
             if stored is None or callable(stored):
                 return by_time(ti, lambda where, k: self._values(kind, k, flat[where]))
             return stored[(ti, *np.unravel_index(flat, self.grid.shape))]
-        whole = (stored[ti] if stored is not None and not callable(stored)
-                 else (self._held or {}).get((kind, ti)))
+        whole = stored[ti] if stored is not None and not callable(stored) else None
+        held, size = self._held, math.prod(self.grid.shape)
+        if whole is None and flat is not None and held is not None and (
+                (kind, ti) in held or 3 * self.order * len(flat) >= size):
+            whole = self.node_values(kind, ti)
         if whole is not None:
             return whole if flat is None else np.take(whole.reshape(-1, 3), flat, axis=0)
         nodes = ... if flat is None else np.unravel_index(flat, self.grid.shape)
@@ -869,9 +919,10 @@ class SampledTrajectoryField(TrajectoryField):
         bitwise the rows of :meth:`node_gradients` there: the stencil points of every node
         along the three axes, gathered in one take, summed one stencil row at a time in
         :func:`_axis_derivative`'s term order.  Each distinct node is computed once, and
-        from the whole slice once their 3 * order stencil points would outnumber it.  With
-        ``ti`` an array (U,), a stamp per node: each distinct (stamp, node) pair once, and
-        the stencil points of all of them in one gather, never a whole slice."""
+        from the whole slice once it is held or their 3 * order stencil points would
+        outnumber it.  With ``ti`` an array (U,), a stamp per node: each distinct (stamp,
+        node) pair once, and the stencil points of all of them in one gather, never a whole
+        slice."""
         shape, size = self.grid.shape, math.prod(self.grid.shape)
         per_node = per_label(ti)
         if not per_node and 3 * self.order * len(flat) >= size:  # count the distinct nodes
@@ -879,6 +930,8 @@ class SampledTrajectoryField(TrajectoryField):
             touched[flat] = True
             if 3 * self.order * np.count_nonzero(touched) >= size:
                 return np.take(self.node_gradients(kind, ti).reshape(-1, 3, 3), flat, axis=0)
+        if not per_node and ("grad", kind, ti) in (self._held or {}):  # a smaller read
+            return np.take(self._held["grad", kind, ti].reshape(-1, 3, 3), flat, axis=0)
         if len(flat) > 1:
             unique, inverse = np.unique(ti * size + flat if per_node else flat, return_inverse=True)
             if len(unique) < len(flat):
@@ -1106,7 +1159,7 @@ _STORED_KINDS = {"positions": "position", "velocities": "velocity", "acceleratio
 
 def _stored_kinds(field: SampledTrajectoryField) -> dict:
     """The kinds of ``field``'s node data a grid file holds, by file name."""
-    stored = (field.positions, field.velocities, field._accelerations)
+    stored = (field.positions, field._velocities, field._accelerations)
     return {name: kind for (name, kind), data in zip(_STORED_KINDS.items(), stored)
             if data is not None}
 

@@ -8,10 +8,11 @@ enters their diagnostics.
 
 For advected flows the labels are the initial positions, so G(a, t0) = I and
 the initial density is the initial Eulerian density.  The integrator is the
-classical one-step 4th-order scheme; velocities come from the generating
-field and accelerations from du/dt + (u . grad) u along the path, so sampled
-fields carry exact-in-time derivative data at the nodes; the accelerations
-are computed when read, on the nodes the read touches.
+classical one-step 4th-order scheme, and it stores positions alone;
+velocities come from the generating field and accelerations from du/dt +
+(u . grad) u along the path, so sampled fields carry exact-in-time
+derivative data at the nodes; both are computed when read, on the nodes the
+read touches.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import inspect
 import math
 import numbers
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -473,16 +475,18 @@ def integrate_trajectories(
 ) -> SampledTrajectoryField:
     """Advect every grid label through u with the classical 4th-order scheme.
 
-    Every step is taken and evaluates u four times, but positions and
-    stage-1 velocities are stored only at steps 0, every, 2 every, ..., the
-    last: the field's ladder is ``times[::every]`` of the every-step ladder,
-    the same floats, and a stride that does not divide the step count raises
-    ValueError.  Accelerations are computed when read, by
-    :func:`material_accelerations` on the nodes the read touches (a stored
-    stamp and an index into the grid), and are not kept; only a read of the
-    whole grid computes a whole slice.  Positions are kept unwrapped so
-    the displacement x - a stays a periodic function of the labels for
-    periodic fields.
+    Every step is taken and evaluates u four times, but positions are
+    stored only at steps 0, every, 2 every, ..., the last: the field's
+    ladder is ``times[::every]`` of the every-step ladder, the same floats,
+    and a stride that does not divide the step count raises ValueError.
+    Velocities u(x_k, t_k), bitwise the steps' stage-1 values, and
+    accelerations by :func:`material_accelerations` are computed when read,
+    on the nodes the read touches (a stored stamp and an index into the
+    grid), and are not kept; only a read of the whole grid computes a whole
+    slice, and inside the field's ``holding()`` an acceleration takes the
+    velocities from a held slice.  Positions are kept unwrapped so the
+    displacement x - a stays a periodic function of the labels for periodic
+    fields.
 
     Contiguous chunks of the label stack are advected concurrently, one per
     CPU the process may run on but at least ``_CHUNK_FLOOR`` labels each:
@@ -490,7 +494,8 @@ def integrate_trajectories(
     eat the second core's gain (measured on abc and taylor-green).  A stack
     evaluates bitwise like its labels one at a time, so the stored arrays do
     not depend on the number of chunks or CPUs.  ``u`` is called from worker
-    threads and must not mutate shared state unguarded.
+    threads, and later by the field's reads, and must not mutate shared state
+    unguarded.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -503,20 +508,17 @@ def integrate_trajectories(
     stamps = times[::every]
     nodes = grid.nodes()
 
-    shape = (len(stamps), len(nodes), 3)
-    pos = np.empty(shape)
-    vel = np.empty(shape)
+    pos = np.empty((len(stamps), len(nodes), 3))
 
     def advect(lo, hi):
         # RK4 on labels lo:hi
         xs = nodes[lo:hi].copy()
         for k, t in enumerate(times):
-            k1 = u(xs, t)
             if k % every == 0:
                 pos[k // every, lo:hi] = xs
-                vel[k // every, lo:hi] = k1
             if k == len(times) - 1:
                 break
+            k1 = u(xs, t)
             k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)
             k3 = u(xs + 0.5 * dt * k2, t + 0.5 * dt)
             k4 = u(xs + dt * k3, t + dt)
@@ -530,11 +532,20 @@ def integrate_trajectories(
                    for lo, hi in zip(bounds, bounds[1:])]
         for f in futures:
             f.result()  # re-raises a worker's exception here
-    pos, vel = (v.reshape(len(stamps), *grid.shape, 3) for v in (pos, vel))
-    return SampledTrajectoryField(
-        grid, stamps, pos, vel,
-        lambda k, nodes: material_accelerations(u, pos[k][nodes], stamps[k], vel[k][nodes]),
-        periodic=periodic, order=order)
+    pos = pos.reshape(len(stamps), *grid.shape, 3)
+
+    def accelerations(k, at):  # the velocities read through the field, a held slice's if any
+        fld = owner()
+        v = (fld.node_values("velocity", k) if at is ...
+             else fld._values("velocity", k, np.ravel_multi_index(at, grid.shape)))
+        return material_accelerations(u, pos[k][at], stamps[k], v)
+
+    field = SampledTrajectoryField(grid, stamps, pos, lambda k, at: u(pos[k][at], stamps[k]),
+                                   accelerations, periodic=periodic, order=order)
+    # held weakly: a field and its own callable in a reference cycle would outlive their last
+    # user until the cyclic collector ran, and repeated builds would pile up their positions
+    owner = weakref.ref(field)
+    return field
 
 
 # the Eulerian velocity of each advected fixture, by name, built from its recorded parameters

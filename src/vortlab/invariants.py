@@ -81,7 +81,8 @@ def _drift_loop(field: TrajectoryField, sweeps) -> list:
     A sweep is a generator that yields ``(nodes, t)`` for each :class:`Frame` it reads
     and is sent that frame.  The loop serves the earliest time any sweep waits for: it
     makes one frame per node stack read there (stacks compared bitwise), hands it to each
-    sweep waiting on it in sweep order, and drops it once none waits there."""
+    sweep waiting on it in sweep order, and drops it once none waits there.  Each time is
+    served inside ``field.holding()``, so a whole slice its frames read is computed once."""
     reports, waiting = [None] * len(sweeps), {}  # sweep index -> the (nodes, t) it waits for
 
     def send(i, frame):
@@ -95,13 +96,14 @@ def _drift_loop(field: TrajectoryField, sweeps) -> list:
         send(i, None)
     while waiting:
         t, frames = min(s for _, s in waiting.values()), []  # the (nodes, frame) pairs at t
-        while ready := [i for i, (_, s) in waiting.items() if s == t]:
-            for i in ready:
-                nodes = waiting[i][0]
-                frame = next((f for n, f in frames if np.array_equal(n, nodes)), None)
-                if frame is None:
-                    frames.append((nodes, frame := Frame(field, nodes, t)))
-                send(i, frame)
+        with field.holding():
+            while ready := [i for i, (_, s) in waiting.items() if s == t]:
+                for i in ready:
+                    nodes = waiting[i][0]
+                    frame = next((f for n, f in frames if np.array_equal(n, nodes)), None)
+                    if frame is None:
+                        frames.append((nodes, frame := Frame(field, nodes, t)))
+                    send(i, frame)
     return reports
 
 

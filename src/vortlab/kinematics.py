@@ -35,6 +35,8 @@ from .poly import Rat, random_point, random_poly
 
 # Relative threshold for the scale-invariant singularity test.
 DEGENERACY_RTOL = 1e-14
+# The smallest normal float: above it a product's rounding error is relative.
+_TINY = np.finfo(float).tiny
 
 
 def det3(m):
@@ -141,15 +143,37 @@ def checked_det(g, a=None, t=None):
     ``g`` is one matrix (3, 3) or a stack (..., 3, 3); given the labels ``a``
     of ``g`` and its time ``t`` (a scalar or per-label times), the error names
     the first singular label and its time.
+
+    A float stack first clears the labels where |J| > 2 DEGENERACY_RTOL times the
+    product of the row 1-norms, each no smaller than its 2-norm; the factor 2 covers
+    the rounding of both bounds wherever every product in this one is finite and
+    normal.  Only the other labels take the norms by np.hypot.
     """
     d = det3(g)
     gf = np.asarray(g, float)
-    rows = np.hypot(np.hypot(gf[..., 0], gf[..., 1]), gf[..., 2])
-    bound = DEGENERACY_RTOL * rows[..., 0] * rows[..., 1] * rows[..., 2]
-    singular = np.ravel((d == 0) | (np.abs(np.asarray(d, float)) < bound))
+    df = np.ravel(np.asarray(d, float))
+    suspect = np.arange(df.size)
+    if np.asarray(g).dtype != object:
+        with np.errstate(all="ignore"):  # a product out of range only leaves its label suspect
+            m = np.abs(gf)
+            norms1 = m[..., 0] + m[..., 1] + m[..., 2]
+            p1 = (2 * DEGENERACY_RTOL) * norms1[..., 0]
+            p2 = p1 * norms1[..., 1]
+            p3 = p2 * norms1[..., 2]
+            # an overflow leaves p3 inf or NaN, which no |J| exceeds
+            clear = (p1 >= _TINY) & (p2 >= _TINY) & (p3 >= _TINY) & (
+                np.abs(np.reshape(df, p3.shape)) > p3)
+            suspect = np.flatnonzero(~clear)
+        if not suspect.size:
+            return d
+    gs = gf.reshape(-1, 3, 3)[suspect]
+    rows = np.hypot(np.hypot(gs[..., 0], gs[..., 1]), gs[..., 2])
+    bound = DEGENERACY_RTOL * rows[:, 0] * rows[:, 1] * rows[:, 2]
+    ds = np.ravel(d)[suspect]
+    singular = (ds == 0) | (np.abs(df[suspect]) < bound)
     if singular.any():
-        k = int(np.argmax(singular))
-        dk, norms = np.ravel(d)[k], np.reshape(rows, (-1, 3))[k].tolist()
+        j = int(np.argmax(singular))
+        k, dk, norms = int(suspect[j]), ds[j], rows[j].tolist()
         ratio = abs(float(dk)) / norms[0] / norms[1] / norms[2] if dk != 0 else 0.0
         at = ""
         if a is not None:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import VortlabError
-from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative, matvec
+from .fields import Box, LabelGrid, ScalarField, TrajectoryField, derivative, exact_sum, matvec
 from .invariants import _drift_loop, _grid_sweep, lagrangian_vorticity
 from .kinematics import Frame, _image
 from .report import DriftReport
@@ -210,7 +210,7 @@ def _circulation_sweep(field, loop: LabelLoop, times):
     s = (np.arange(n) + 0.5) / n
     tangents = np.array([loop.tangent(si) for si in s], float)
     return (yield from _series_sweep(
-        "circulation", lambda frame: math.fsum(np.einsum("nj,nj->n", frame.image, tangents) / n),
+        "circulation", lambda frame: exact_sum(np.einsum("nj,nj->n", frame.image, tangents) / n),
         np.array([loop.point(si) for si in s], float), times,
         {"backend": field.backend, "loop_nodes": n}))
 
@@ -243,7 +243,7 @@ def _helicity_sweep(field, region: LabelRegion, times):
     outside the field's domain raises OutOfDomainError naming it."""
     grid = region.grid()
     report = yield from _series_sweep(
-        "helicity", lambda frame: math.fsum(np.vecdot(frame.image, frame.omega) * grid.cell_volume),
+        "helicity", lambda frame: exact_sum(np.vecdot(frame.image, frame.omega) * grid.cell_volume),
         grid.nodes(), times, {"backend": field.backend, "region_shape": list(region.shape),
                               "periodic": region.periodic})
     report.metadata["boundary_tangency"] = (

@@ -30,9 +30,9 @@ and every brace read x, xdot and G with its checked J through one Frame per
 evaluated once per label stack, shared by times and rungs; the memo is keyed on
 content and owned by the relabeling triple, the bulk brace's EOS pressure field
 or the Noether term that reads it.  Each node's term is bitwise equal to a
-one-label evaluation, and quadrature sums are accumulated with math.fsum
-(exactly rounded, so independent of order): results are deterministic and
-S(eps) - S(0) is not lost to summation noise.
+one-label evaluation, and quadrature sums are reduced by
+:func:`~vortlab.fields.exact_sum`, bitwise math.fsum (exactly rounded, so independent
+of order): results are deterministic and S(eps) - S(0) is not lost to summation noise.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .fields import (
     by_time,
     derivative,
     elementwise,
+    exact_sum,
     fd_jacobian,
     matvec,
     per_label,
@@ -272,12 +273,12 @@ def action(
 
 
 def _actions(field, material, quad, labels) -> list[float]:
-    """[S] on the nodes (N, 3), or one fsum-reduced S per rung of a ladder's nodes (R, N, 3)."""
+    """[S] on the nodes (N, 3), or one exactly summed S per rung of a ladder's nodes (R, N, 3)."""
     rho0j0 = mass_reference(field, material, quad.space_nodes, Frame(field, labels, field.t0))
     w = quad.space_weights
     terms = [wt * w * _lagrangian_density(Frame(field, labels, t), material, rho0j0)
              for t, wt in zip(quad.time_nodes, quad.time_weights)]
-    return [math.fsum(row) for row in np.atleast_2d(np.concatenate(terms, -1))]
+    return [exact_sum(row) for row in np.atleast_2d(np.concatenate(terms, -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +645,10 @@ def weak_form_integral(
         w = wa * wt
         frame = Frame(field, nodes, t)
         res = momentum_residual(frame, material, pressure, rho0j0)
-        lhs_terms.extend(w * np.vecdot(res, -matvec(frame.matrix, da)))
+        lhs_terms.append(w * np.vecdot(res, -matvec(frame.matrix, da)))
         # the Cauchy residual curl_a(G^T xddot) on the same G
-        rhs_terms.extend(-w * rho0j0 * np.vecdot(frame.cauchy, dR))
-    return math.fsum(lhs_terms), math.fsum(rhs_terms)
+        rhs_terms.append(-w * rho0j0 * np.vecdot(frame.cauchy, dR))
+    return exact_sum(np.concatenate(lhs_terms)), exact_sum(np.concatenate(rhs_terms))
 
 
 def rund_trautman_check(s0, rungs, eps_list, el, bd) -> list[tuple[float, float, float]]:
@@ -688,8 +689,8 @@ def el_part(
         frame = Frame(field, nodes, t)
         res = momentum_residual(frame, material, pressure, rho0j0)
         dbar = local_variation_of_triple(frame, var)
-        terms.extend(-wa * wt * np.vecdot(res, dbar))
-    return math.fsum(terms)
+        terms.append(-wa * wt * np.vecdot(res, dbar))
+    return exact_sum(np.concatenate(terms))
 
 
 def noether_boundary_term(
@@ -718,7 +719,7 @@ def noether_boundary_term(
         return (_lagrangian_density(frame, material, rj) * var.dt(t)
                 + rj * np.vecdot(frame.read("velocity"), dbar))
 
-    endpoint = math.fsum(wa * (endpoint_integrand(t_hi) - endpoint_integrand(t_lo)))
+    endpoint = exact_sum(wa * (endpoint_integrand(t_hi) - endpoint_integrand(t_lo)))
     div_step = 1e-3 * min(field.box.extent)
 
     def flux(b, t):
@@ -732,5 +733,5 @@ def noether_boundary_term(
     div_terms = []
     for t, wt in zip(quad.time_nodes, quad.time_weights):
         d = fd_jacobian(lambda b: flux(b, t), nodes, div_step, 4)
-        div_terms.extend(wa * wt * (d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]))
-    return endpoint + math.fsum(div_terms)
+        div_terms.append(wa * wt * (d[..., 0, 0] + d[..., 1, 1] + d[..., 2, 2]))
+    return endpoint + exact_sum(np.concatenate(div_terms))

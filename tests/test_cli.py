@@ -1,5 +1,6 @@
 """CLI contract: exit codes, determinism, report formats, export."""
 
+import dataclasses
 import inspect
 import json
 import numbers
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vortlab import cli, fields
+from vortlab import cli, fields, flows
 from vortlab.cli import build_parser, main
 from vortlab.fields import SampledTrajectoryField, load_grid
 from vortlab.flows import _CATALOG, make_fixture
@@ -590,6 +591,14 @@ class TestDriftCommand:
                                 "1e-10, at the rounding floor: the pair measured rounding, not "
                                 "the integrator's order\n")
 
+    @pytest.mark.parametrize("fixture,parameters", [("abc", {"A": 1.0, "B": 1.0, "C": 1.0}),
+                                                    ("taylor-green", {})])
+    def test_step_pair_records_the_velocity_parameters_and_order(self, fixture, parameters,
+                                                               capsys):
+        main(["drift", "--fixture", fixture, "--dt", "0.1,0.05"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["parameters"] == parameters and rep["fd_order"] == 4
+
     def test_step_pair_above_rounding_floor_prints_no_floor_line(self, capsys):
         assert main(["drift", "--fixture", "abc", "--dt", "0.01,0.005"]) == 0
         assert capsys.readouterr().err == ""
@@ -742,7 +751,21 @@ class TestStencilOrderFlag:
 class TestVerifyHoldsOneStamp:
     """``verify`` on an advected fixture holds one drift stamp's frames at a time and
     differentiates each whole gradient slice it reads once: 22 slices (position and
-    velocity at the 11 drift stamps), the pipeline error reading the last stamp's frame."""
+    velocity at the 11 drift stamps), the pipeline error reading the last stamp's frame.
+    Each stamp's whole velocity slice is evaluated once, for its gradient and the image."""
+
+    def test_whole_velocity_slices_evaluated_once_per_drift_stamp(self, monkeypatch):
+        shapes = []
+        abc = flows.ADVECTED["abc"]
+
+        def counted(**params):
+            u = abc(**params)
+            return dataclasses.replace(u, value=lambda x, t: shapes.append(np.shape(x))
+                                       or u.value(x, t))
+
+        monkeypatch.setitem(flows.ADVECTED, "abc", counted)
+        assert cli.cmd_verify(cli.RunConfig(fixture="abc"))[0] == 0
+        assert shapes.count((24, 24, 24, 3)) == 11
 
     @pytest.mark.parametrize("fixture,limit_mib", [("abc", 26), ("taylor-green", 5)])
     def test_traced_peak_and_whole_slices(self, fixture, limit_mib, monkeypatch):

@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import math
+import struct
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from vortlab.fields import (
     _axis_derivative,
     derivative,
     eval_state,
+    exact_sum,
     fd_jacobian,
     load_grid,
     save_grid,
@@ -732,6 +734,23 @@ class TestBlockReads:
         assert held == [getattr(field, method)(labels, t).tobytes() for method in reads]
         assert len(derivatives) == 6 + 2 * 6  # outside it each gradient read computes again
 
+    def test_held_gradient_slice_serves_a_small_read(self, monkeypatch):
+        # a loop's few labels would gather their stencil points; inside a holding block
+        # where the stamp's whole slice is held they take its rows, bitwise the gather's
+        field = flows.make_fixture("abc", shape=(12, 12, 12)).field
+        labels = field.grid.nodes()[[5, 700, 1500]] + 0.1
+        t, rows = field.times[3], []
+        stencil_rows = fields._stencil_rows
+        monkeypatch.setattr(fields, "_stencil_rows",
+                            lambda *args: rows.append(args) or stencil_rows(*args))
+        gathered = field.position_gradient(labels, t).tobytes()
+        assert rows
+        rows.clear()
+        with field.holding():
+            field.node_gradients("position", 3)
+            held = field.position_gradient(labels, t).tobytes()
+        assert rows == [] and held == gathered
+
     def test_positions_only_read_takes_its_time_stencil_at_the_node_alone(self):
         fx = flows.make_fixture("rigid-rotation")
         grid = LabelGrid.nodes_inclusive(fx.field.box, (24, 24, 24))
@@ -1346,3 +1365,64 @@ class TestGrids:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             Box((0.0, 0.0, 0.0), (1.0, 0.0, 1.0))
+
+
+def _sum_outcome(fn, values):
+    """What ``fn(values)`` gives: the float's bytes (signed zeros count), "nan", or the
+    exception's type and text."""
+    try:
+        total = fn(values)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(total) else struct.pack("<d", total)
+
+
+class TestExactSum:
+    """``exact_sum`` is ``math.fsum`` bitwise, errors and special values included: on short
+    arrays too when they take the extraction path."""
+
+    @pytest.fixture(autouse=True, params=["extracted", "default"])
+    def floor(self, request, monkeypatch):
+        if request.param == "extracted":
+            monkeypatch.setattr(fields, "FSUM_BELOW", 0)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [0.0, -0.0], [-0.0, -0.0], [0.0] * 1000,
+        [1e16, 1.0, -1e16], [0.1] * 10 + [-1.0], [1.0, 1e100, 1.0, -1e100],
+        [1e-308, -1e-308, 5e-324], [5e-324, 5e-324, -1e-323], [5e-324] * 3, [2.0 ** -1060] * 7,
+        [1.7e308, -1.7e308, 1e308], [1.7e308, 1e291], [2.0 ** 1000] * 300, [-1e308, 1e308] * 4,
+        [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -105], [1.0, -(2.0 ** -54), 2.0 ** -106],
+        [math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0], [math.nan, math.inf],
+        [-math.inf, math.inf], [math.inf, math.nan, -math.inf], [1e308, 1e308],
+        [1e308, 1e308, -math.inf], [math.inf, 1e308, 1e308],
+    ])
+    def test_named_cases(self, values):
+        x = np.array(values, float)
+        assert _sum_outcome(exact_sum, x) == _sum_outcome(math.fsum, x)
+
+    def test_fsum_errors_come_back(self):
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            exact_sum(np.array([-math.inf, math.inf]))
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            exact_sum(np.array([1e308, 1e308]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(width=64), max_size=40),
+           cancel=st.lists(st.integers(0, 39), max_size=10), shape=st.sampled_from([-1, 2]))
+    def test_equals_fsum_on_any_floats(self, values, cancel, shape):
+        # subnormals, extremes, inf and NaN come from the float strategy; negated copies of
+        # some terms cancel exactly
+        x = np.array(values + [-values[i] for i in cancel if i < len(values)], float)
+        if shape == 2 and x.size % 2 == 0:
+            x = x.reshape(2, -1)  # any shape is summed whole
+        assert _sum_outcome(exact_sum, x) == _sum_outcome(math.fsum, np.ravel(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20000),
+           lo=st.integers(-1074, 1000), spread=st.integers(0, 1100))
+    def test_equals_fsum_on_long_arrays(self, seed, n, lo, spread):
+        rng = np.random.default_rng(seed)
+        exponents = rng.integers(lo, min(lo + spread, 1000) + 1, n)
+        x = rng.standard_normal(n) * np.ldexp(1.0, exponents)
+        x[rng.integers(0, n, n // 3)] *= -1
+        assert _sum_outcome(exact_sum, x) == _sum_outcome(math.fsum, x)

@@ -1,9 +1,12 @@
 """Fixture catalog and the trajectory integrator."""
 
 import dataclasses
+import gc
 import math
 import sys
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -167,7 +170,7 @@ class TestIntegrator:
             u = VectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
         grid = LabelGrid.nodes_inclusive(Box((0.1, 0.2, 0.3), (0.6, 0.9, 0.5)), (4, 3, 5))
         fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.125)
-        assert len(calls) == 4 * 8 + 1
+        assert len(calls) == 4 * 8  # the last stamp stores its position alone
         for k, t in enumerate(fld.times):
             x = fld.positions[k].reshape(-1, 3)
             expected = np.einsum("...ij,...j->...i", u.jacobian(x, t), u(x, t))
@@ -270,8 +273,10 @@ class TestConcurrentAdvection:
         u, grid = _advection_case(name, (24, 24, 8))  # 4,608 labels: two chunks of 2,304
         calls = []
         fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.125)
-        assert calls == [2304] * 2 * (4 * 4 + 1)
+        assert calls == [2304] * 2 * 4 * 4
         pos, vel, acc = _serial_rk4(u, grid, 0.0, 0.5, 0.125)
+        # the chunks' stored positions, and the velocities read back from them on the
+        # whole grid: bitwise the serial run's stage-1 values
         assert np.array_equal(fld.positions, pos)
         assert np.array_equal(fld.velocities, vel)
         assert np.array_equal(fld.accelerations, acc)
@@ -281,7 +286,7 @@ class TestConcurrentAdvection:
         u, grid = _advection_case("abc", (12, 12, 14))  # 2,016 labels, below the floor
         calls = []
         flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.25, 0.125)
-        assert calls == [2016] * (4 * 2 + 1)
+        assert calls == [2016] * 4 * 2
 
     def test_worker_exception_reaches_the_caller(self, force_chunks):
         class Boom(RuntimeError):
@@ -314,7 +319,7 @@ class TestConcurrentAdvection:
         finally:
             sys.setswitchinterval(interval)
         assert time.monotonic() - start < 60.0
-        assert calls == [108] * 8 * (4 * 10 + 1)
+        assert calls == [108] * 8 * 4 * 10
         pos, vel, acc = _serial_rk4(u, grid, 0.0, 0.5, 0.05)
         assert np.array_equal(fld.positions, pos)
         assert np.array_equal(fld.velocities, vel)
@@ -332,7 +337,7 @@ class TestStoreStride:
             calls = []
             fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.0625,
                                                every=every)
-            assert calls == [4608 // chunks] * chunks * (4 * 8 + 1)
+            assert calls == [4608 // chunks] * chunks * 4 * 8
             assert np.array_equal(fld.times, full.times[::every])
             assert np.array_equal(fld.positions, full.positions[::every])
             assert np.array_equal(fld.velocities, full.velocities[::every])
@@ -385,3 +390,68 @@ class TestAccelerationsOnFirstRead:
         grid = LabelGrid.periodic_cell(box, (24, 24, 24))
         _, _, acc = _serial_rk4(flows.abc_velocity(), grid, 0.0, 0.1, 0.05)
         assert load_grid(path).accelerations.tobytes() == acc.tobytes()
+
+
+class TestVelocitiesOnRead:
+    """An advected field stores its positions alone; a velocity read evaluates u(x_k, t_k) on
+    the nodes it touches, bitwise the steps' stage-1 values."""
+
+    def test_fixture_keeps_the_bytes_of_its_positions_not_twice_them(self):
+        flows.make_fixture("abc", shape=(4, 4, 4))  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            fx = flows.make_fixture("abc", shape=(12, 12, 12))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        positions = fx.field.positions.nbytes
+        assert positions == 21 * 12 ** 3 * 3 * 8
+        assert positions <= kept < 1.25 * positions, kept  # 2.06 x with stored velocities
+
+    def test_fixture_is_freed_with_its_last_reference(self):
+        # no reference cycle between the field and its lazy callables: freed without the
+        # cyclic collector, so repeated builds do not pile up their positions
+        fx = flows.make_fixture("abc", shape=(6, 6, 6))
+        fx.field.acceleration(fx.field.grid.nodes()[:2], 0.5)
+        field = weakref.ref(fx.field)
+        gc.disable()
+        try:
+            del fx
+            assert field() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", ["abc", "unsteady"])
+    def test_velocity_reads_equal_u_at_the_stored_positions_bitwise(self, name):
+        u, grid = _advection_case(name, (6, 5, 4))
+        fld = flows.integrate_trajectories(u, grid, 0.0, 0.5, 0.125)
+        nodes, idx = grid.nodes(), np.array([0, 7, 7, 59, 119])  # a node twice
+        for k, t in enumerate(fld.times):
+            x = fld.positions[k]
+            whole = u(x, t).tobytes()
+            assert fld.node_values("velocity", k).tobytes() == whole
+            assert fld.velocity(grid.mesh(), t).tobytes() == whole
+            assert fld.velocity(nodes[idx], t).tobytes() == u(x.reshape(-1, 3)[idx], t).tobytes()
+        # per-label times, each label at its own stamp
+        ks = np.array([0, 3, 1, 4, 2])
+        want = [u(fld.positions[k].reshape(-1, 3)[i], fld.times[k]) for i, k in zip(idx, ks)]
+        assert fld.velocity(nodes[idx], fld.times[ks]).tobytes() == np.stack(want).tobytes()
+
+    def test_held_velocity_slice_serves_gathers_and_accelerations(self):
+        u, grid = _advection_case("abc", (6, 5, 4))
+        shapes = []
+        fld = flows.integrate_trajectories(
+            dataclasses.replace(u, value=lambda x, t: shapes.append(np.shape(x)) or u(x, t)),
+            grid, 0.0, 0.5, 0.125)
+        shapes.clear()
+        labels, t = grid.nodes()[[3, 8, 8]], fld.times[2]
+        with fld.holding():
+            fld.node_values("velocity", 2)
+            gathered = [fld.velocity(labels, t), fld.acceleration(labels, t),
+                        fld.node_values("acceleration", 2)]
+        assert shapes == [(6, 5, 4, 3)]  # one evaluation of the stamp, on the whole grid
+        shapes.clear()
+        assert [v.tobytes() for v in gathered] == [
+            v.tobytes() for v in (fld.velocity(labels, t), fld.acceleration(labels, t),
+                                  fld.node_values("acceleration", 2))]
+        assert shapes == [(2, 3), (2, 3), (6, 5, 4, 3)]  # outside it, each read evaluates u

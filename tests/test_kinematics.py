@@ -12,8 +12,10 @@ from vortlab.fields import (
     AnalyticTrajectoryField,
     Box,
     PolynomialTrajectoryField,
+    per_label,
 )
 from vortlab.kinematics import (
+    DEGENERACY_RTOL,
     Frame,
     JacobianBundle,
     _rate_residual,
@@ -134,6 +136,95 @@ class TestBatchedMatrixHelpers:
             checked_det(g)
         g[2, 2] = Fraction(1, 7)
         assert checked_det(g) == Fraction(1, 21)
+
+
+def _hypot_checked_det(g, a=None, t=None):
+    """checked_det as it was before its 1-norm pre-check: np.hypot row norms at every label."""
+    d = det3(g)
+    gf = np.asarray(g, float)
+    rows = np.hypot(np.hypot(gf[..., 0], gf[..., 1]), gf[..., 2])
+    bound = DEGENERACY_RTOL * rows[..., 0] * rows[..., 1] * rows[..., 2]
+    singular = np.ravel((d == 0) | (np.abs(np.asarray(d, float)) < bound))
+    if singular.any():
+        k = int(np.argmax(singular))
+        dk, norms = np.ravel(d)[k], np.reshape(rows, (-1, 3))[k].tolist()
+        ratio = abs(float(dk)) / norms[0] / norms[1] / norms[2] if dk != 0 else 0.0
+        at = ""
+        if a is not None:
+            label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
+            at = f" at a={label}, t={np.ravel(t)[k] if per_label(t) else t}"
+        raise DegenerateMapError(
+            f"singular map (|J| over the product of G's row norms is {ratio:.3g} < "
+            f"{DEGENERACY_RTOL:g}): Jacobian determinant {dk} below degeneracy threshold{at}")
+    return d
+
+
+def _det_outcome(fn, g, a, t):
+    """The determinant's bytes, or the error's type and text, of ``fn(g, a, t)``."""
+    try:
+        return "det", np.asarray(fn(g, a, t), float).tobytes()
+    except (DegenerateMapError, FloatingPointError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _det_stack(rng, n, kinds):
+    """(n, 3, 3) matrices, each of a kind drawn from ``kinds``: 0 plain, 1 |J| over the row
+    norms' product within a decade of DEGENERACY_RTOL, 2 rows scaled by 1e-160 to 1e300,
+    3 a zero row, 4 an infinite entry, 5 a NaN entry."""
+    g = rng.standard_normal((n, 3, 3))
+    kind = rng.choice(kinds, n)
+    near = np.flatnonzero(kind == 1)
+    r1, r2 = g[near, 0], g[near, 1]
+    plane = rng.standard_normal((len(near), 2, 1))
+    r3 = plane[:, 0] * r1 + plane[:, 1] * r2
+    normal = np.cross(r1, r2)
+    area = np.linalg.norm(normal, axis=1)
+    target = DEGENERACY_RTOL * 10.0 ** rng.uniform(-1, 1, len(near))
+    lift = target * np.prod(np.linalg.norm([r1, r2, r3], axis=2), axis=0) / area
+    g[near, 2] = r3 + (rng.choice([-1.0, 1.0], len(near)) * lift / area)[:, None] * normal
+    scaled = kind == 2
+    g[scaled] *= 10.0 ** rng.uniform(-160, 300, (scaled.sum(), 3, 1))
+    for k, value in ((3, 0.0), (4, np.inf), (5, np.nan)):
+        at = np.flatnonzero(kind == k)
+        if k == 3:
+            g[at, rng.integers(0, 3, len(at))] = value
+        else:
+            g[at, rng.integers(0, 3, len(at)), rng.integers(0, 3, len(at))] = value
+    return g
+
+
+class TestCheckedDetPreCheck:
+    """The 1-norm pre-check returns what the hypot test alone returns, and raises the same
+    error naming the same first label."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kinds", [(0, 1, 2), (0, 1, 2, 3, 4, 5), (1,), (2,)])
+    def test_matches_the_hypot_test(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        g = _det_stack(rng, 400, kinds)
+        a = rng.uniform(-1.0, 1.0, (400, 3))
+        cases = [(g, a, 0.5), (g, a, rng.uniform(0.0, 1.0, 400)), (g[:7], None, None)]
+        cases += [(g[k], a[k], 0.25) for k in range(0, 400, 37)]  # one matrix each
+        # the CLI's float errors raise; without them, the stacks run through
+        for state in ({"over": "raise", "invalid": "raise", "divide": "raise"}, {"all": "ignore"}):
+            with np.errstate(**state):
+                for case in cases:
+                    assert _det_outcome(checked_det, *case) == _det_outcome(_hypot_checked_det,
+                                                                            *case)
+
+    def test_regular_stack_returns_its_determinants(self):
+        # rows scaled by 1e-60 to 1e60: no product leaves the float range, no label is singular
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((1000, 3, 3)) * 10.0 ** rng.uniform(-60, 60, (1000, 3, 1))
+        assert checked_det(g).tobytes() == _hypot_checked_det(g).tobytes()
+
+    def test_fraction_stacks_take_the_hypot_test(self):
+        rng = np.random.default_rng(5)
+        g = np.array([[[Fraction(int(v), 3) for v in row] for row in m]
+                      for m in rng.integers(-3, 4, (50, 3, 3))], dtype=object)
+        for stack in (g, g[np.flatnonzero(det3(g) != 0)]):
+            assert _det_outcome(checked_det, stack, None, None) == _det_outcome(
+                _hypot_checked_det, stack, None, None)
 
 
 class TestVolumeTransport:
