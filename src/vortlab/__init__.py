@@ -20,11 +20,10 @@ from .fields import (
     ScalarField,
     TrajectoryField,
     VectorField,
-    eval_state,
     load_grid,
     save_grid,
 )
-from .kinematics import JacobianBundle, jacobian, pullback_gradient
+from .kinematics import jacobian
 from .invariants import (
     cauchy_drift,
     cauchy_residual,

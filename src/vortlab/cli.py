@@ -8,8 +8,8 @@ Subcommands::
     vortlab drift      --fixture NAME ...   one --theorem's drift, or the --dt convergence probe
     vortlab export     --fixture NAME --out FILE   sampled-grid export (.npz or .csv)
 
-Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error, or float
-arithmetic that overflows, divides by zero or goes invalid.
+Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error, float
+arithmetic that overflows, divides by zero or goes invalid, or a run that outgrows memory.
 Reports are deterministic: identical configs (including --seed) produce
 byte-identical output, and no timestamps or machine identifiers are embedded.
 """
@@ -779,6 +779,11 @@ def main(argv=None) -> int:
         return 2
     except VortlabError as exc:
         print(f"vortlab: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # no flag caps a run's size, so this is the last resort
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"vortlab: the run outgrew memory{detail}; --param shape, --grid, --nt, --dt "
+              "and --t1 size it", file=sys.stderr)
         return 2
 
 

@@ -528,7 +528,7 @@ class TrajectoryField:
     def __init__(self, box: Box, t0: float, t1: float, order: int = 4):
         if t1 <= t0:
             raise ValueError("time window must have t1 > t0")
-        self.box = box
+        self.box = self._domain = box  # _domain: the box check_domain bounds labels by
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.order = order
@@ -547,27 +547,22 @@ class TrajectoryField:
 
     def check_domain(self, a, t):
         """Raise OutOfDomainError for the first label of ``a`` outside the box
-        or a time outside the window.  With per-label times, the error is the
-        one-label call's for the first label that it would reject."""
+        (a sampled field bounds only its non-periodic axes) or a time outside the
+        window.  With per-label times, the error is the one-label call's for the
+        first label that it would reject."""
         if per_label(t):
             times = np.ravel(t)
             ft = times.astype(float)
-            bad = self.box.outside(a) | ~((self.t0 <= ft) & (ft <= self.t1))
+            bad = self._domain.outside(a) | ~((self.t0 <= ft) & (ft <= self.t1))
             if bad.any():
                 k = int(np.argmax(bad))
                 self.check_domain(np.reshape(np.asarray(a, float), (-1, 3))[k], times[k])
             return
-        bad = self.box.first_outside(a)
+        bad = self._domain.first_outside(a)
         if bad is not None:
-            raise OutOfDomainError(f"label {tuple(float(x) for x in bad)} outside {self.box}")
+            raise OutOfDomainError(f"label {tuple(float(x) for x in bad)} outside {self._domain}")
         if not (self.t0 <= float(t) <= self.t1):
             raise OutOfDomainError(f"time {t} outside window [{self.t0}, {self.t1}]")
-
-
-def eval_state(field: TrajectoryField, a, t):
-    """Position, velocity and acceleration of the parcel labeled ``a`` at ``t``."""
-    field.check_domain(a, t)
-    return field.position(a, t), field.velocity(a, t), field.acceleration(a, t)
 
 
 class AnalyticTrajectoryField(TrajectoryField):
@@ -807,6 +802,8 @@ class SampledTrajectoryField(TrajectoryField):
             raise ValueError("need a uniform time ladder with >= 2 stamps")
         if order not in (2, 4):
             raise ValueError("derivative order must be 2 or 4")
+        if min(grid.shape) < 2:  # the nodes' hull would have no extent on that axis
+            raise ValueError(f"grid shape {grid.shape} needs at least two nodes per axis")
         box = Box(tuple(float(ax[0]) for ax in grid.axes), tuple(float(ax[-1]) for ax in grid.axes))
         super().__init__(box, times[0], times[-1], order)
         expected = (len(times), *grid.shape, 3)
@@ -823,6 +820,11 @@ class SampledTrajectoryField(TrajectoryField):
         self.periodic = tuple(bool(p) for p in periodic)
         if len(self.periodic) != 3:
             raise ValueError(f"need one periodic flag per label axis, got {len(self.periodic)}")
+        # periodic axes wrap, as in _corners, so only the others bound a label; ``box``
+        # stays the nodes' hull, which sizes the commands' loops and quadratures
+        lo = tuple(-math.inf if p else x for p, x in zip(self.periodic, box.lo))
+        hi = tuple(math.inf if p else x for p, x in zip(self.periodic, box.hi))
+        self._domain = Box(lo, hi)
         self._mesh = grid.mesh()
         # per-axis columns for the (3, M) label rows of the lookup
         self._origin = np.array([[ax[0]] for ax in grid.axes])

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .fields import LabelGrid, TrajectoryField, matvec
-from .kinematics import Frame, gradient_curl, jacobian  # noqa: F401 (gradient_curl re-exported)
+from .kinematics import Frame, jacobian
 from .report import DriftReport
 
 
@@ -66,9 +66,9 @@ def cauchy_vorticity_reconstruct(field: TrajectoryField, omega0, a, t) -> np.nda
     ``omega0`` is either a 3-vector (label-independent check) or a callable
     a -> Omega(a, t0).
     """
-    bundle = jacobian(field, a, t)
+    frame = jacobian(field, a, t)
     base = omega0(a) if callable(omega0) else omega0
-    return matvec(bundle.matrix, base) / np.expand_dims(bundle.det, -1)
+    return matvec(frame.matrix, base) / np.expand_dims(frame.det, -1)
 
 
 # ---------------------------------------------------------------------------

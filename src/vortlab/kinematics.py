@@ -1,10 +1,11 @@
-"""Jacobian bundle and kinematic frame of the label map, and checkable kinematic identities.
+"""Kinematic frame of the label map, and checkable kinematic identities.
 
-The bundle at a point (a, t) collects the gradient matrix G (``G[i, j] =
+A :class:`Frame` at (a, t) holds the gradient matrix G (``G[i, j] =
 dx_i/da_j``), its determinant J, the cofactor matrix and the inverse.  The
 cofactor matrix is built directly from 2x2 minors, so it stays meaningful
-near (but not at) singular maps; the inverse is then cof^T / J.  A :class:`Frame`
-adds a field's evaluator reads, V, Omega and the Cauchy residual on one label stack.
+near (but not at) singular maps; the inverse is then cof^T / J.  The frame
+also holds a field's evaluator reads, V, Omega and the Cauchy residual on one
+label stack.
 
 Matrix arguments are one matrix (3, 3) or, outside the curl identities, a
 stack (..., 3, 3), of floats or Fractions alike: Fraction object arrays give
@@ -81,24 +82,12 @@ def det_rate(cof, gv):
     return sum(c[i][j] * v[i][j] for i in range(3) for j in range(3))
 
 
-class JacobianBundle:
-    """[G] (``matrix``), J = det G (``det``, checked by :func:`checked_det`), the
-    cofactor matrix and the inverse (each computed on first read) at one point
-    (a, t), or at every label of a stack: matrices (..., 3, 3), determinants (...)."""
-
-    def __init__(self, g: np.ndarray, a=None, t=None):
-        self.matrix, self.det = g, checked_det(g, a, t)
-
-    cof = cached_property(lambda self: cof3(self.matrix))
-    inv = cached_property(
-        lambda self: np.swapaxes(self.cof, -1, -2) / np.expand_dims(self.det, (-2, -1)))
-
-
-class Frame(JacobianBundle):
+class Frame:
     """The kinematics of ``field`` on one label stack (..., 3) at a time t, one
     for the stack or one per label (an array of the stack's leading shape), its
-    domain checked once: each evaluator :meth:`read`, G with its checked J,
-    cof(G), G^-1, V = G^T xdot (``image``), Omega = curl_a V (``omega``) and the
+    domain checked once: each evaluator :meth:`read`, G (``matrix``) with its J
+    (``det``, checked by :func:`checked_det`), cof(G) (``cof``), G^-1 (``inv``),
+    V = G^T xdot (``image``), Omega = curl_a V (``omega``) and the
     Cauchy residual curl_a(G^T xddot) (``cauchy``), each computed on first read
     and kept.  A command or the drift loop holds one frame per (stack, time) while
     its checks read there and hands it to each; nothing else keeps frames.  Every
@@ -127,6 +116,9 @@ class Frame(JacobianBundle):
                                              checked_det(g, self.labels, self.t)))
     matrix = property(lambda self: self._checked[0])
     det = property(lambda self: self._checked[1])
+    cof = cached_property(lambda self: cof3(self.matrix))
+    inv = cached_property(
+        lambda self: np.swapaxes(self.cof, -1, -2) / np.expand_dims(self.det, (-2, -1)))
     image = cached_property(lambda self: _image(self.matrix, self.read("velocity")))
     omega = cached_property(lambda self: gradient_curl(self.read("velocity_gradient"), self.matrix))
     cauchy = cached_property(
@@ -213,11 +205,6 @@ def jacobian(field: TrajectoryField, a, t) -> Frame:
     return frame
 
 
-def pullback_gradient(bundle: JacobianBundle, grad_x) -> np.ndarray:
-    """Label-space gradient of a quantity whose physical gradient is grad_x."""
-    return matvec(np.swapaxes(bundle.matrix, -1, -2), grad_x)
-
-
 # ---------------------------------------------------------------------------
 # Identity battery
 # ---------------------------------------------------------------------------
@@ -236,23 +223,23 @@ def jacobian_rate_residual(frame: Frame, h: float):
     return _rate_residual(frame, gv, np.swapaxes(lhs, -1, -2))
 
 
-def _rate_residual(bundle: JacobianBundle, gv, lhs):
+def _rate_residual(frame: Frame, gv, lhs):
     """lhs - G^T (grad_x u)^T, with lhs a value of d(G^T)/dt; stacks (..., 3, 3)."""
-    grad_u_t = np.swapaxes(bundle.inv, -1, -2) @ np.swapaxes(gv, -1, -2)  # G^-T dG^T/dt
-    return lhs - np.swapaxes(bundle.matrix, -1, -2) @ grad_u_t
+    grad_u_t = np.swapaxes(frame.inv, -1, -2) @ np.swapaxes(gv, -1, -2)  # G^-T dG^T/dt
+    return lhs - np.swapaxes(frame.matrix, -1, -2) @ grad_u_t
 
 
-def inverse_jacobian_rate_residual(bundle: JacobianBundle, gv):
-    """Residual of d(G^-1)/dt = -G^-1 (grad_x u)^T from a bundle (or frame) and dG/dt
+def inverse_jacobian_rate_residual(frame: Frame, gv):
+    """Residual of d(G^-1)/dt = -G^-1 (grad_x u)^T from a frame and dG/dt
     ``gv``; stacks (..., 3, 3).
 
     It is multiplied through by J^2 so every term is polynomial in the entries
     of G and dG/dt:  J d(adj G)/dt - (dJ/dt) adj G + adj G dG/dt adj G = 0,
     then divided back by J^2.
     """
-    adj = np.swapaxes(bundle.cof, -1, -2)
-    adj_rate = np.swapaxes(cofactor_rate(bundle.matrix, gv), -1, -2)
-    j, j_rate = (np.expand_dims(x, (-2, -1)) for x in (bundle.det, det_rate(bundle.cof, gv)))
+    adj = np.swapaxes(frame.cof, -1, -2)
+    adj_rate = np.swapaxes(cofactor_rate(frame.matrix, gv), -1, -2)
+    j, j_rate = (np.expand_dims(x, (-2, -1)) for x in (frame.det, det_rate(frame.cof, gv)))
     return (j * adj_rate - j_rate * adj + adj @ gv @ adj) / (j * j)
 
 
@@ -266,13 +253,13 @@ def convective_gradient_residual(v, gv):
     return matvec(np.swapaxes(gv, -1, -2), v) - rhs
 
 
-def _curl_pullback_residual(bundle: JacobianBundle, hess, qval, dq, hessF):
+def _curl_pullback_residual(frame: Frame, hess, qval, dq, hessF):
     """curl_a(G^T q(x) + grad_a F) - cof(G)^T curl_x q from the values at one point; the
     map's Hessian terms cancel only inside the antisymmetrization."""
-    g = bundle.matrix
+    g = frame.matrix
     # d/da_j of (G^T q(x) + grad F)_k at [k, j]; dq @ g is d q(x) / da by the chain rule
     d = hessF.T + np.einsum("mjk,m->kj", hess, qval) + g.T @ (dq @ g)
-    return curl(d) - bundle.cof.T @ curl(dq)
+    return curl(d) - frame.cof.T @ curl(dq)
 
 
 def curl_cross_identity_residual(v, w, dv, dw):

@@ -310,17 +310,6 @@ class RelabelGenerator:
     def from_curl(cls, potential: VectorField, label="curl") -> "RelabelGenerator":
         return cls(VectorField(value=potential.curl), potential=potential, label=label)
 
-    @classmethod
-    def from_potential_polys(cls, comps, label="curl-poly") -> "RelabelGenerator":
-        """Exact generator from three polynomials in (a1, a2, a3, t)."""
-        comps = list(comps)
-        curl = VectorField.from_polys([
-            comps[2].diff(1) - comps[1].diff(2),
-            comps[0].diff(2) - comps[2].diff(0),
-            comps[1].diff(0) - comps[0].diff(1),
-        ])
-        return cls(curl, potential=VectorField.from_polys(comps), label=label)
-
 
 def _bump1d(s):
     # C-infinity bump on (-1, 1), elementwise; libm exp, as for one label
@@ -468,10 +457,6 @@ class VariationTriple:
         da, jac = _per_stack(gen.delta_a), _per_stack(gen.jacobian)
         delta_a = VectorField(value=lambda a, t: da(a), jacobian_fn=lambda a, t: jac(a))
         return cls(delta_a=delta_a, label=f"relabeling[{gen.label}]")
-
-    @classmethod
-    def time_translation(cls) -> "VariationTriple":
-        return cls(delta_t=lambda t: 1.0, delta_t_rate=lambda t: 0.0, label="time-translation")
 
 
 def local_variation_of_triple(frame: Frame, var: VariationTriple) -> np.ndarray:

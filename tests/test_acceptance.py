@@ -24,7 +24,6 @@ from vortlab import flows
 from vortlab.fields import Box, LabelGrid, ScalarField, VectorField
 from vortlab.invariants import cauchy_drift, cauchy_residual
 from vortlab.kinematics import Frame, run_identity_battery
-from vortlab.poly import Poly
 from vortlab.theorems import (
     LabelLoop,
     LabelRegion,
@@ -50,16 +49,12 @@ from vortlab.variational import (
     weak_form_integral,
 )
 
+from support import poly_generator, time_translation
+
 
 def report(number: int, passed: bool, detail: str):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {number:>2} {status} - {detail}")
-
-
-def poly_generator():
-    a1, a2 = Poly.variable(4, 0), Poly.variable(4, 1)
-    zero = Poly(4, {})
-    return RelabelGenerator.from_potential_polys([zero, zero, a1 * a2], label="psi=a1*a2")
 
 
 S_A3 = ScalarField(value=lambda a, t: a[..., 2],
@@ -246,7 +241,7 @@ class TestCriterion7:
         fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
         quad = SpaceTimeQuadrature.midpoint(fx.field.box, (6, 6, 6), (0.0, 1.0), 4)
         rel = self._ladder(fx, quad, VariationTriple.relabeling(poly_generator()))
-        tt = self._ladder(fx, quad, VariationTriple.time_translation())
+        tt = self._ladder(fx, quad, time_translation())
         rel_slope = fit_loglog_slope(DEFAULT_EPS_LADDER, rel, floor=self.FLOOR)
         tt_slope = fit_loglog_slope(DEFAULT_EPS_LADDER, tt, floor=self.FLOOR)
         # a triple whose mismatch sits below the floor everywhere has converged

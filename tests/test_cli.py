@@ -247,6 +247,26 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == "" and captured.err == f"vortlab: {message}\n"
 
+    def test_one_node_advected_axis_usage_error_names_the_shape(self, capsys):
+        code = main(["verify", "--fixture", "abc", "--param", "shape=5,5,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("vortlab: fixture 'abc': grid shape (5, 5, 1) needs at least "
+                                "two nodes per axis\n")
+
+    def test_run_that_outgrows_memory_exits_2_naming_the_flags_that_size_it(self, monkeypatch,
+                                                                            capsys):
+        def nodes(grid):  # the advection's first allocation of the size of the grid
+            raise MemoryError(f"Unable to allocate the label stack of shape {grid.shape}")
+
+        monkeypatch.setattr(fields.LabelGrid, "nodes", nodes)
+        code = main(["verify", "--fixture", "abc", "--param", "shape=4096,4096,4096"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "vortlab: the run outgrew memory (Unable to allocate the label stack of shape "
+            "(4096, 4096, 4096)); --param shape, --grid, --nt, --dt and --t1 size it\n")
+
 
 # every scalar keyword of every catalog maker, at values that break float arithmetic
 SWEEP_VALUES = ("-1", "2", "1e308", "-1e308", "1e200", "1e-308")

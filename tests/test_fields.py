@@ -25,12 +25,12 @@ from vortlab.fields import (
     VectorField,
     _axis_derivative,
     derivative,
-    eval_state,
     exact_sum,
     fd_jacobian,
     load_grid,
     save_grid,
 )
+from vortlab.kinematics import Frame, gradient_curl
 from vortlab.poly import Poly
 from vortlab.theorems import LabelRegion
 from vortlab.variational import (
@@ -46,34 +46,6 @@ BOX = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 def _fit_slope(hs, errs):
     hs, errs = np.asarray(hs, float), np.asarray(errs, float)
     return np.polyfit(np.log(hs), np.log(errs), 1)[0]
-
-
-class TestEvalState:
-    def test_identity_map(self):
-        fx = flows.make_fixture("identity")
-        x, v, acc = eval_state(fx.field, (1.0, 0.5, -0.5), 0.5)
-        assert np.allclose(x, [1.0, 0.5, -0.5])
-        assert np.allclose(v, 0.0) and np.allclose(acc, 0.0)
-
-    def test_translation(self):
-        fx = flows.make_fixture("translation", c=(1.0, 0.0, 0.0))
-        _, v, acc = eval_state(fx.field, (0.0, 0.0, 0.0), 0.7)
-        assert np.allclose(v, [1.0, 0.0, 0.0]) and np.allclose(acc, 0.0)
-
-    def test_polynomial_map_exact(self):
-        a1, a2, a3, t = (Poly.variable(4, i) for i in range(4))
-        f = PolynomialTrajectoryField([a1 + t * t * a2, a2, a3], BOX, 0.0, 3.0)
-        x, v, acc = eval_state(f, (Fraction(1), Fraction(1), Fraction(0)), Fraction(2))
-        assert list(x) == [5, 1, 0]
-        assert list(v) == [4, 0, 0]
-        assert list(acc) == [2, 0, 0]
-
-    def test_out_of_domain_raises(self):
-        fx = flows.make_fixture("identity")
-        with pytest.raises(OutOfDomainError):
-            eval_state(fx.field, (5.0, 0.0, 0.0), 0.5)
-        with pytest.raises(OutOfDomainError):
-            eval_state(fx.field, (0.0, 0.0, 0.0), 99.0)
 
 
 class TestPolyEval:
@@ -592,6 +564,20 @@ class TestSampledBackend:
         assert np.allclose(field.position(labels, 0.0), labels, rtol=0.0, atol=1e-12)
         for a in labels:
             assert np.allclose(field.position(a, 0.0), a, rtol=0.0, atol=1e-12)
+
+    def test_frames_take_labels_across_the_periodic_seam(self):
+        # the seam cell, between the last node and the period, lies beyond the nodes' hull
+        # (field.box): only the non-periodic axes and the window bound a frame's labels
+        field = flows.make_fixture("abc").field
+        a, t = np.array([2 * math.pi * 23.5 / 24, 1.0, 1.0]), 0.5
+        want = gradient_curl(field.velocity_gradient(a, t), field.position_gradient(a, t))
+        assert np.array_equal(Frame(field, a, t).omega, want)
+        mixed = _advected_field((6, 6, 6), (True, False, False), 4)
+        Frame(mixed, np.array([5.5, 1.0, 1.0]), 0.3).omega  # past the last node, 5.0
+        with pytest.raises(OutOfDomainError, match=r"label \(1\.0, 5\.5, 1\.0\) outside"):
+            Frame(mixed, np.array([1.0, 5.5, 1.0]), 0.3)
+        with pytest.raises(OutOfDomainError, match="time"):
+            Frame(field, a, 2.0)
 
 
 def _advected_field(shape, periodic, order, positions_only=False):

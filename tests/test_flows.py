@@ -184,6 +184,19 @@ class TestIntegrator:
         v = fx.field.node_values("velocity", 0)
         assert np.allclose(v[..., 2], 0.0)
 
+    def test_taylor_green_default_a3_axis_reads_no_variation(self):
+        # the default a3 axis has 4 periodic nodes, so its order-4 stencil aliases (the +-2
+        # points coincide); its derivatives are exact only because nothing varies along a3:
+        # G[..., 2] = e3 and dv/da3 = 0, to the rounding of the stencil sums
+        field = flows.make_fixture("taylor-green").field
+        assert (field.grid.shape[2], field.order, field.periodic[2]) == (4, 4, True)
+        with field.holding():
+            for k in range(len(field.times)):
+                g = field.node_gradients("position", k)[..., 2]
+                gv = field.node_gradients("velocity", k)[..., 2]
+                assert np.max(np.abs(g - [0.0, 0.0, 1.0])) < 1e-15, k
+                assert np.max(np.abs(gv)) < 1e-15, k
+
     def test_advected_fixtures_balance_momentum_at_nodes(self):
         # checks the analytic pressure wiring of the two steady Euler fields;
         # the error budget is the sampled pipeline's FD error

@@ -11,7 +11,7 @@ from vortlab.cli import main
 from vortlab.errors import DegenerateMapError, OutOfDomainError
 from vortlab.fields import AnalyticTrajectoryField, Box, LabelGrid, ScalarField
 from vortlab.invariants import cauchy_drift
-from vortlab.kinematics import Frame, JacobianBundle, jacobian
+from vortlab.kinematics import Frame, jacobian
 from vortlab.theorems import LabelRegion, ertel_drift, helicity_drift
 from vortlab.variational import (
     RelabelGenerator,
@@ -26,6 +26,8 @@ from vortlab.variational import (
     noether_boundary_term,
     weak_form_integral,
 )
+
+from support import frame_of
 
 BACKEND_METHODS = ("position", "velocity", "acceleration", "position_gradient",
                    "velocity_gradient", "acceleration_gradient", "position_hessian")
@@ -55,9 +57,9 @@ class TestFrame:
     def test_frame_values_are_the_bundle_values(self):
         fx = flows.make_fixture("gerstner")
         a, t = np.array([2.3, 0.5, -1.1]), 0.4
-        frame, bundle = Frame(fx.field, a, t), JacobianBundle(fx.field.position_gradient(a, t))
+        frame, of_g = Frame(fx.field, a, t), frame_of(fx.field.position_gradient(a, t))
         for name in ("matrix", "det", "cof", "inv"):
-            assert np.array_equal(getattr(frame, name), getattr(bundle, name)), name
+            assert np.array_equal(getattr(frame, name), getattr(of_g, name)), name
 
     def test_domain_checked_once_at_construction_and_not_at_shifted_reads(self):
         fx = flows.make_fixture("abc", shape=(6, 6, 6), t1=0.2, dt=0.05)

@@ -23,12 +23,11 @@ from vortlab.invariants import (
     cauchy_drift,
     cauchy_residual,
     cauchy_vorticity_reconstruct,
-    gradient_curl,
     image_velocity,
     lagrangian_vorticity,
     lagrangian_vorticity_pullback,
 )
-from vortlab.kinematics import Frame, jacobian, pullback_gradient
+from vortlab.kinematics import Frame, gradient_curl, jacobian
 from vortlab.poly import Poly, random_point, random_poly
 from vortlab.theorems import dalembert_euler_residual, ertel_pv
 from vortlab.variational import mass_reference
@@ -340,7 +339,6 @@ class TestGridEvaluation:
                 lambda a, v: cauchy_vorticity_reconstruct(field, v, a, t),
             "cauchy_vorticity_reconstruct(callable)": lambda a, v: cauchy_vorticity_reconstruct(
                 field, lambda b: lagrangian_vorticity(field, b, field.t0), a, t),
-            "pullback_gradient": lambda a, v: pullback_gradient(jacobian(field, a, t), v),
             "ertel_pv": lambda a, v: ertel_pv(Frame(field, a, t), S,
                                               mass_reference(field, fx.material, a)),
             "dalembert_euler_residual": lambda a, v: dalembert_euler_residual(Frame(field, a, t)),

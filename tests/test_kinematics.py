@@ -1,7 +1,8 @@
-"""Jacobian bundle and the kinematic identity battery."""
+"""Frame matrices (G, J, cofactors, inverse) and the kinematic identity battery."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from vortlab.fields import (
 from vortlab.kinematics import (
     DEGENERACY_RTOL,
     Frame,
-    JacobianBundle,
     _rate_residual,
     checked_det,
     cof3,
@@ -29,10 +29,11 @@ from vortlab.kinematics import (
     inverse_jacobian_rate_residual,
     jacobian,
     jacobian_rate_residual,
-    pullback_gradient,
     run_identity_battery,
 )
 from vortlab.poly import Poly, Rat, random_point, random_poly
+
+from support import frame_of
 
 BOX = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -51,7 +52,7 @@ class TestBundle:
 
     def test_dilation_scaling(self):
         # x = 2a: J = 8, cofactors 4 I
-        b = JacobianBundle(2.0 * np.eye(3))
+        b = frame_of(2.0 * np.eye(3))
         assert b.det == pytest.approx(8.0)
         assert np.allclose(b.cof, 4.0 * np.eye(3))
         assert np.allclose(b.inv, 0.5 * np.eye(3))
@@ -247,38 +248,6 @@ class TestVolumeTransport:
         assert np.max(np.abs(b.matrix @ b.inv - np.eye(3))) < 1e-12
 
 
-class TestPullbackAndTransport:
-    def test_identity_pullback(self):
-        b = JacobianBundle(np.eye(3))
-        assert np.allclose(pullback_gradient(b, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    def test_dilation_pullback(self):
-        b = JacobianBundle(2.0 * np.eye(3))
-        assert np.allclose(pullback_gradient(b, [1.0, 1.0, 1.0]), [2.0, 2.0, 2.0])
-
-    def test_shear_pullback(self):
-        b = jacobian(shear_field(), (0.0, 0.0, 0.0), 3.0)
-        assert np.allclose(pullback_gradient(b, [1.0, 0.0, 0.0]), [1.0, 3.0, 0.0])
-
-    def test_pullback_gradient_matches_fd_composition(self):
-        # grad_a of psi(x(a, t)) equals G^T grad_x psi
-        fx = flows.make_fixture("gerstner")
-        a, t = np.array([2.3, 0.5, -1.1]), 0.4
-        b = jacobian(fx.field, a, t)
-        x = fx.field.position(a, t)
-        grad_x = np.array([np.cos(x[0]) * x[2], 0.0, np.sin(x[0])])
-        want = pullback_gradient(b, grad_x)
-        h = 1e-5
-        got = np.empty(3)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            xp = fx.field.position(a + h * e, t)
-            xm = fx.field.position(a - h * e, t)
-            got[j] = (np.sin(xp[0]) * xp[2] - np.sin(xm[0]) * xm[2]) / (2 * h)
-        assert np.allclose(want, got, atol=1e-8)
-
-
 class TestRateIdentities:
     def test_identity_map_zero(self):
         frame = jacobian(flows.make_fixture("identity").field, (0.1, 0.2, 0.3), 0.5)
@@ -321,11 +290,11 @@ class TestStackedCores:
         rng = np.random.default_rng(11)
         g = np.eye(3, dtype=object if exact else float) + self._draw(rng, (5, 3, 3), exact) / 4
         gv, v = self._draw(rng, (5, 3, 3), exact), self._draw(rng, (5, 3), exact)
-        stacked_bundle = JacobianBundle(g)
+        stacked_frame = frame_of(g)
         for name, core in self.CORES.items():
-            stacked = core(stacked_bundle, gv, v)
+            stacked = core(stacked_frame, gv, v)
             for n in range(5):
-                one = core(JacobianBundle(g[n]), gv[n], v[n])
+                one = core(frame_of(g[n]), gv[n], v[n])
                 if exact:
                     assert all(isinstance(x, Fraction) for x in np.ravel(one)), name
                     assert np.all(stacked[n] == one), name
@@ -394,9 +363,9 @@ class TestBattery:
         want[1, 0] = Fraction(-1, 7)
         assert (rate == want).all() and all(type(x) is Rat for x in rate.flat)
         # the J^2-scaled inverse route vanishes for every dG/dt, so its control perturbs J:
-        # the residual is then (1/7) d(adj G)/dt / J'^2, here computed in plain Fractions
-        off = JacobianBundle(bundle.matrix)
-        off.det = off.det + Rat(1, 7)
+        # the residual is then (1/7) d(adj G)/dt / J'^2, here computed in plain Fractions; a
+        # frame's J is its G's, so the core reads a stand-in holding the frame's G and cof(G)
+        off = SimpleNamespace(matrix=bundle.matrix, cof=bundle.cof, det=bundle.det + Rat(1, 7))
         inv = inverse_jacobian_rate_residual(off, gv)
         plain = np.vectorize(Fraction, otypes=[object])
         adj_rate = np.swapaxes(cofactor_rate(plain(bundle.matrix), plain(gv)), -1, -2)

@@ -36,20 +36,15 @@ ALLOWED = {
     "theorems.ertel_drift": _PIN,
     "theorems.helicity_drift": _PIN,
     "poly.Poly.__call__": _PIN,
-    "fields.eval_state": _ITEM6,
     "invariants.cauchy_vorticity_reconstruct": _ITEM6,
     "invariants.lagrangian_vorticity_pullback": _ITEM6,
-    "kinematics.pullback_gradient": _ITEM6,
     "theorems.ertel_pv_label_form": _ITEM6,
     **{f"poly.Poly.{name}": _ITEM18 for name in (
         "__eq__", "__hash__", "__neg__", "__pow__", "__repr__", "__rsub__", "__setattr__",
         "__sub__", "compose", "degree", "is_zero")},
     "poly.Rat.__rsub__": _ITEM18 + " (Rat arithmetic with an int on the left)",
     "poly.Rat.__rtruediv__": _ITEM18 + " (Rat arithmetic with an int on the left)",
-    "kinematics.JacobianBundle.__init__": "test tool: a bundle of a given G, without a field",
     "variational.BarotropicEOS.polytropic": "test tool: a nonzero EOS for the variational tests",
-    "variational.RelabelGenerator.from_potential_polys": "test tool: exact polynomial generators",
-    "variational.VariationTriple.time_translation": "test tool: a triple with a time shift",
     "fields.VectorField.time_derivative": "test tool: unsteady velocities; every catalog "
                                           "velocity is steady and no command's triple has a "
                                           "delta_x (ROADMAP item 22)",

@@ -38,18 +38,14 @@ from vortlab.variational import (
     weak_form_integral,
 )
 
+from support import poly_generator, potential_generator, time_translation
+
 
 def first_component(x):
     """Vectors (x, 0, 0) for every label of a stack: (..., 3)."""
     out = np.zeros(np.shape(x) + (3,))
     out[..., 0] = x
     return out
-
-
-def poly_generator():
-    a1, a2 = Poly.variable(4, 0), Poly.variable(4, 1)
-    zero = Poly(4, {})
-    return RelabelGenerator.from_potential_polys([zero, zero, a1 * a2], label="psi=a1*a2")
 
 
 def scan_of(field, material, gen, quad, eps_list=variational.DEFAULT_EPS_LADDER):
@@ -180,7 +176,7 @@ class TestRelabelGenerators:
     def test_gradient_potential_gives_zero(self):
         # delta_R = grad(phi) has zero curl
         phi = Poly.variable(4, 0) * Poly.variable(4, 1) * Poly.variable(4, 2)
-        gen = RelabelGenerator.from_potential_polys([phi.diff(0), phi.diff(1), phi.diff(2)])
+        gen = potential_generator([phi.diff(0), phi.diff(1), phi.diff(2)])
         assert np.allclose(gen.delta_a((0.5, -0.4, 0.8)), 0.0)
 
     def test_divergence_free_for_random_polynomial_potentials(self):
@@ -190,7 +186,7 @@ class TestRelabelGenerators:
 
         rng = random.Random(99)
         for _ in range(10):
-            gen = RelabelGenerator.from_potential_polys(
+            gen = potential_generator(
                 [random_poly(rng, 4, degree=3, nterms=4) for _ in range(3)]
             )
             for _ in range(5):
@@ -424,7 +420,7 @@ class TestRundTrautman:
         fx = flows.make_fixture("rigid-rotation", omega0=1.0, t1=2.0)
         quad = SpaceTimeQuadrature.midpoint(fx.field.box, (5, 5, 5), (0.0, 1.0), 4)
         [(tot, el, bd)] = split_of(
-            fx.field, fx.material, VariationTriple.time_translation(), quad, (1e-3,),
+            fx.field, fx.material, time_translation(), quad, (1e-3,),
         )
         assert abs(tot) < 1e-9 and abs(el) < 1e-12 and abs(bd) < 1e-9
 
@@ -580,7 +576,7 @@ def _batched_case(name):
                                 potential=material.potential)
         a2, a3 = Poly.variable(4, 1), Poly.variable(4, 2)
         zero = Poly(4, {})
-        gen = RelabelGenerator.from_potential_polys([a2 * a3 * a3, zero, zero],
+        gen = potential_generator([a2 * a3 * a3, zero, zero],
                                                     label="psi=a2*a3^2")
     quad = SpaceTimeQuadrature.gauss(fx.field.box, (4, 4, 4), (0.1, 0.9), 2)
     return fx, material, gen, quad
@@ -815,7 +811,7 @@ class TestStackedLadder:
                                                  jacobian_fn=lambda a, t: np.eye(3)))
         return {"bump": VariationTriple.relabeling(RelabelGenerator.from_curl(bump_potential(box))),
                 "divergent-control": VariationTriple.relabeling(divergent),
-                "time-translation": VariationTriple.time_translation()}
+                "time-translation": time_translation()}
 
     @pytest.mark.parametrize("name", sorted(flows._CATALOG))
     def test_ladder_bitwise_rung_by_rung(self, name):
