@@ -48,6 +48,42 @@ def _fit_slope(hs, errs):
     return np.polyfit(np.log(hs), np.log(errs), 1)[0]
 
 
+class TestEvalState:
+    """A parcel's state (position, velocity, acceleration) read through a domain-checked
+    one-label :class:`Frame`."""
+
+    @staticmethod
+    def _state(field, a, t):
+        frame = Frame(field, a, t)
+        return tuple(frame.read(name) for name in ("position", "velocity", "acceleration"))
+
+    def test_identity_map(self):
+        fx = flows.make_fixture("identity")
+        x, v, acc = self._state(fx.field, (1.0, 0.5, -0.5), 0.5)
+        assert np.allclose(x, [1.0, 0.5, -0.5])
+        assert np.allclose(v, 0.0) and np.allclose(acc, 0.0)
+
+    def test_translation(self):
+        fx = flows.make_fixture("translation", c=(1.0, 0.0, 0.0))
+        _, v, acc = self._state(fx.field, (0.0, 0.0, 0.0), 0.7)
+        assert np.allclose(v, [1.0, 0.0, 0.0]) and np.allclose(acc, 0.0)
+
+    def test_polynomial_map_exact(self):
+        a1, a2, a3, t = (Poly.variable(4, i) for i in range(4))
+        f = PolynomialTrajectoryField([a1 + t * t * a2, a2, a3], BOX, 0.0, 3.0)
+        x, v, acc = self._state(f, (Fraction(1), Fraction(1), Fraction(0)), Fraction(2))
+        assert list(x) == [5, 1, 0]
+        assert list(v) == [4, 0, 0]
+        assert list(acc) == [2, 0, 0]
+
+    def test_out_of_domain_raises(self):
+        fx = flows.make_fixture("identity")
+        with pytest.raises(OutOfDomainError):
+            self._state(fx.field, (5.0, 0.0, 0.0), 0.5)
+        with pytest.raises(OutOfDomainError):
+            self._state(fx.field, (0.0, 0.0, 0.0), 99.0)
+
+
 class TestPolyEval:
     def test_exactness_decided_once_per_call(self, monkeypatch):
         from vortlab import fields, poly

@@ -248,6 +248,40 @@ class TestVolumeTransport:
         assert np.max(np.abs(b.matrix @ b.inv - np.eye(3))) < 1e-12
 
 
+class TestPullbackAndTransport:
+    """G^T grad_x psi is the label-space gradient of psi(x(a, t))."""
+
+    def test_identity_pullback(self):
+        b = frame_of(np.eye(3))
+        assert np.allclose(b.matrix.T @ [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+    def test_dilation_pullback(self):
+        b = frame_of(2.0 * np.eye(3))
+        assert np.allclose(b.matrix.T @ [1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+
+    def test_shear_pullback(self):
+        b = jacobian(shear_field(), (0.0, 0.0, 0.0), 3.0)
+        assert np.allclose(b.matrix.T @ [1.0, 0.0, 0.0], [1.0, 3.0, 0.0])
+
+    def test_pullback_gradient_matches_fd_composition(self):
+        # grad_a of psi(x(a, t)) equals G^T grad_x psi
+        fx = flows.make_fixture("gerstner")
+        a, t = np.array([2.3, 0.5, -1.1]), 0.4
+        b = jacobian(fx.field, a, t)
+        x = fx.field.position(a, t)
+        grad_x = np.array([np.cos(x[0]) * x[2], 0.0, np.sin(x[0])])
+        want = b.matrix.T @ grad_x
+        h = 1e-5
+        got = np.empty(3)
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = 1.0
+            xp = fx.field.position(a + h * e, t)
+            xm = fx.field.position(a - h * e, t)
+            got[j] = (np.sin(xp[0]) * xp[2] - np.sin(xm[0]) * xm[2]) / (2 * h)
+        assert np.allclose(want, got, atol=1e-8)
+
+
 class TestRateIdentities:
     def test_identity_map_zero(self):
         frame = jacobian(flows.make_fixture("identity").field, (0.1, 0.2, 0.3), 0.5)
