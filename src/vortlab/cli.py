@@ -598,9 +598,11 @@ def cmd_export(cfg: RunConfig) -> tuple[int, dict]:
             _fit_stencil(n, cfg.fd_order, f"--grid axis{j}")
         grid = LabelGrid.nodes_inclusive(fixture.field.box, cfg.grid)
         times = np.linspace(window[0], window[1], cfg.nt)
-        field = SampledTrajectoryField.from_analytic(
-            fixture.field, grid, times, order=cfg.fd_order
-        )
+        # far from 0 a fine ladder's stamps are not where a read locates them
+        with _usage_error(f"--nt {cfg.nt} stamps over [{window[0]}, {window[1]}]", ValueError):
+            field = SampledTrajectoryField.from_analytic(
+                fixture.field, grid, times, order=cfg.fd_order
+            )
     with _usage_error("--out", OSError):
         save_grid(field, cfg.out)
     report = {

@@ -53,9 +53,7 @@ Three interchangeable backends implement this protocol:
     only at the nodes it touches.  A query within rounding of a node or
     a stored slice reads it exactly; labels beyond the grid on a non-periodic
     axis raise :class:`~vortlab.errors.OutOfDomainError`.  Per-label times
-    read stored data in one gather over (stamp, node) pairs, compute lazy
-    velocities and accelerations once per distinct stamp and blend each
-    off-stamp label between its own two stamps.
+    are one scalar-time read per distinct time, through :func:`by_time`.
 """
 
 from __future__ import annotations
@@ -180,6 +178,14 @@ def by_time(t, fn):
             out = np.empty(t.shape + value.shape[1:], value.dtype)
         out[where] = value
     return out
+
+
+def label_at(a, k: int, t=None) -> str:
+    """``a=(...)`` for the k-th label of ``a`` (one label or a stack (..., 3)), and ``, t=...``
+    for its time of ``t`` (a scalar or per-label times) when one is given: how an error names
+    the label it rejects."""
+    label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
+    return f"a={label}" if t is None else f"a={label}, t={np.ravel(t)[k] if per_label(t) else t}"
 
 
 def _supplied(fn, a, t, tail: tuple):
@@ -314,6 +320,16 @@ def _snap(s):
     return np.where(np.abs(s - r) <= _SNAP, r, s)
 
 
+def _on_ladder(x) -> bool:
+    """Whether each entry i of ``x`` (two or more) lies within half of :data:`_SNAP` of i
+    when located as a read locates it, at ``(x - x[0]) / (x[1] - x[0])``: a read at a
+    stored coordinate then reads that node or stamp."""
+    x = np.asarray(x, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        index = (x - x[0]) / (x[1] - x[0])
+    return bool(np.all(np.abs(index - np.arange(len(x))) <= _SNAP / 2))
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box in label space."""
@@ -330,16 +346,8 @@ class Box:
         order, lies outside the box: a flat boolean array."""
         flat = np.asarray(a, float).reshape(-1, 3)
         inside = (flat >= np.asarray(self.lo, float)) & (flat <= np.asarray(self.hi, float))
-        return ~inside.all(axis=1)
-
-    def first_outside(self, a):
-        """The first label of ``a`` (one label or a stack (..., 3)) outside
-        the box, in stack order, or None (one reduction when none is)."""
-        flat = np.asarray(a, float).reshape(-1, 3)
-        inside = (flat >= np.asarray(self.lo, float)) & (flat <= np.asarray(self.hi, float))
-        if inside.all():
-            return None
-        return flat[np.argmin(inside.all(axis=1))]
+        # one whole-array reduction when every label is inside, as nearly every call finds
+        return np.zeros(len(flat), bool) if inside.all() else ~inside.all(axis=1)
 
     @property
     def extent(self) -> np.ndarray:
@@ -558,9 +566,10 @@ class TrajectoryField:
                 k = int(np.argmax(bad))
                 self.check_domain(np.reshape(np.asarray(a, float), (-1, 3))[k], times[k])
             return
-        bad = self._domain.first_outside(a)
-        if bad is not None:
-            raise OutOfDomainError(f"label {tuple(float(x) for x in bad)} outside {self._domain}")
+        bad = self._domain.outside(a)
+        if bad.any():
+            label = np.reshape(np.asarray(a, float), (-1, 3))[int(np.argmax(bad))]
+            raise OutOfDomainError(f"label {tuple(float(x) for x in label)} outside {self._domain}")
         if not (self.t0 <= float(t) <= self.t1):
             raise OutOfDomainError(f"time {t} outside window [{self.t0}, {self.t1}]")
 
@@ -798,12 +807,15 @@ class SampledTrajectoryField(TrajectoryField):
         order: int = 4,
     ):
         times = np.asarray(times, float)
-        if len(times) < 2 or not np.allclose(np.diff(times), times[1] - times[0], atol=0.0):
+        if len(times) < 2 or not _on_ladder(times):
             raise ValueError("need a uniform time ladder with >= 2 stamps")
         if order not in (2, 4):
             raise ValueError("derivative order must be 2 or 4")
         if min(grid.shape) < 2:  # the nodes' hull would have no extent on that axis
             raise ValueError(f"grid shape {grid.shape} needs at least two nodes per axis")
+        for j, ax in enumerate(grid.axes, start=1):  # _corners locates labels as origin + i step
+            if not _on_ladder(ax):
+                raise ValueError(f"axis{j} is not uniformly spaced")
         box = Box(tuple(float(ax[0]) for ax in grid.axes), tuple(float(ax[-1]) for ax in grid.axes))
         super().__init__(box, times[0], times[-1], order)
         expected = (len(times), *grid.shape, 3)
@@ -869,15 +881,10 @@ class SampledTrajectoryField(TrajectoryField):
         ti's time stencil alone, are computed once per distinct node.  Inside a
         :meth:`holding` block a read takes the rows of the stamp's held whole slice,
         computing it first when the read is as large as a gradient read that takes the whole
-        slice.  With ``ti`` an array (K,), a stamp per node: stored data is one gather over
-        the (stamp, node) pairs, data it derives is computed once per distinct stamp."""
+        slice."""
         stored, prev = {"position": (self.positions, None),
                         "velocity": (self._velocities, "position"),
                         "acceleration": (self._accelerations, "velocity")}[kind]
-        if per_label(ti):
-            if stored is None or callable(stored):
-                return by_time(ti, lambda where, k: self._values(kind, k, flat[where]))
-            return stored[(ti, *np.unravel_index(flat, self.grid.shape))]
         whole = stored[ti] if stored is not None and not callable(stored) else None
         held, size = self._held, math.prod(self.grid.shape)
         if whole is None and flat is not None and held is not None and (
@@ -922,23 +929,19 @@ class SampledTrajectoryField(TrajectoryField):
         along the three axes, gathered in one take, summed one stencil row at a time in
         :func:`_axis_derivative`'s term order.  Each distinct node is computed once, and
         from the whole slice once it is held or their 3 * order stencil points would
-        outnumber it.  With ``ti`` an array (U,), a stamp per node: each distinct (stamp,
-        node) pair once, and the stencil points of all of them in one gather, never a whole
-        slice."""
+        outnumber it."""
         shape, size = self.grid.shape, math.prod(self.grid.shape)
-        per_node = per_label(ti)
-        if not per_node and 3 * self.order * len(flat) >= size:  # count the distinct nodes
+        if 3 * self.order * len(flat) >= size:  # count the distinct nodes
             touched = np.zeros(size, bool)
             touched[flat] = True
             if 3 * self.order * np.count_nonzero(touched) >= size:
                 return np.take(self.node_gradients(kind, ti).reshape(-1, 3, 3), flat, axis=0)
-        if not per_node and ("grad", kind, ti) in (self._held or {}):  # a smaller read
+        if ("grad", kind, ti) in (self._held or {}):  # a smaller read
             return np.take(self._held["grad", kind, ti].reshape(-1, 3, 3), flat, axis=0)
         if len(flat) > 1:
-            unique, inverse = np.unique(ti * size + flat if per_node else flat, return_inverse=True)
+            unique, inverse = np.unique(flat, return_inverse=True)
             if len(unique) < len(flat):
-                at = np.divmod(unique, size) if per_node else (ti, unique)
-                return self._gradients(kind, *at)[inverse.reshape(-1)]
+                return self._gradients(kind, ti, unique)[inverse.reshape(-1)]
         _check_stencil_fit(self)
         coords = np.array(np.unravel_index(flat, shape))  # (3 axes, U)
         strides = np.array([shape[1] * shape[2], shape[2], 1])
@@ -948,9 +951,6 @@ class SampledTrajectoryField(TrajectoryField):
             points = flat[node] + (along - coords[axis, node]) * strides[axis]
             rows.append((axis, node, weights, negate, points))
         points = np.concatenate([row[-1].ravel() for row in rows])
-        if per_node:  # each stencil point at its node's stamp
-            ti = np.concatenate([np.broadcast_to(ti[node], p.shape).ravel()
-                                 for _, node, _, _, p in rows])
         data = self._values(kind, ti, points)
         if kind == "position":
             data = data - np.take(self._mesh.reshape(-1, 3), points, axis=0)
@@ -1002,16 +1002,14 @@ class SampledTrajectoryField(TrajectoryField):
 
     def _locate(self, kind: str, ti, gradient: bool, corners, lead: tuple) -> np.ndarray:
         """``kind``'s node data, or with ``gradient`` its label gradients, at
-        stamp ``ti`` (or at one stamp per label, an array (M,)), interpolated at
-        the labels of leading shape ``lead`` whose :meth:`_corners` are
-        ``corners``, computed at those corner nodes alone; None for the field's
-        own node stack, read as its whole slice."""
+        stamp ``ti``, interpolated at the labels of leading shape ``lead`` whose
+        :meth:`_corners` are ``corners``, computed at those corner nodes alone;
+        None for the field's own node stack, read as its whole slice."""
         if corners is None:  # read-only, as the node arrays are
             vals = (self.node_gradients if gradient else self.node_values)(kind, ti)
             return vals.reshape(lead + vals.shape[3:])
         idx, periods, weights = corners
         flat = np.ravel_multi_index(idx, self.grid.shape)
-        ti = np.broadcast_to(ti, flat.shape).ravel() if per_label(ti) else ti
         vals = (self._gradients if gradient else self._values)(kind, ti, flat.ravel())
         tail = vals.shape[1:]
         data = vals.reshape(flat.shape + tail)
@@ -1031,16 +1029,13 @@ class SampledTrajectoryField(TrajectoryField):
                 out = out + term if wk.all() else np.where(wk != 0, out + term, out)
         return out.reshape(lead + tail)
 
-    def _stamp(self, t):
-        """The fractional ladder index of ``t`` (a scalar or an array), within rounding of a
-        stamp set to it."""
-        return _snap((np.asarray(t, float) - self.t0) / self.dt)
-
     def _interp(self, kind: str, a, t, gradient: bool = False):
         a = np.asarray(a, float)
         if per_label(t):
-            return self._interp_each(kind, a, np.broadcast_to(t, a.shape[:-1]), gradient)
-        s = float(self._stamp(t))
+            return by_time(np.broadcast_to(t, a.shape[:-1]),
+                           lambda where, s: self._interp(kind, a[where], s, gradient))
+        # the fractional ladder index of t, within rounding of a stamp set to it
+        s = float(_snap((np.asarray(t, float) - self.t0) / self.dt))
         last = len(self.times) - 1  # read alone, not after the slice before it at weight 0
         k0 = last if s == last else min(max(math.floor(s), 0), last - 1)
         f = s - k0
@@ -1051,26 +1046,6 @@ class SampledTrajectoryField(TrajectoryField):
             return v0
         v1 = self._locate(kind, k0 + 1, gradient, corners, a.shape[:-1])
         return (1 - f) * v0 + f * v1
-
-    def _interp_each(self, kind: str, a: np.ndarray, t: np.ndarray, gradient: bool):
-        """:meth:`_interp` at per-label times ``t`` (the labels' leading shape): every label
-        read at its own stamp in one :meth:`_locate`, those off their stamp blended with
-        the next as a one-label read blends them."""
-        s = self._stamp(t).ravel()
-        last = len(self.times) - 1
-        k0 = np.where(s == last, last, np.clip(np.floor(s), 0, last - 1)).astype(int)
-        f = s - k0
-        corners = self._corners(a)
-        v0 = self._locate(kind, k0, gradient, corners, (len(s),))
-        off = np.flatnonzero(f != 0.0)
-        if len(off):
-            idx, periods, weights = corners
-            sub = (idx[:, :, off], None if periods is None else periods[:, :, off],
-                   None if weights is None else weights[:, off])
-            v1 = self._locate(kind, k0[off] + 1, gradient, sub, (len(off),))
-            fo = f[off].reshape((-1,) + (1,) * (v0.ndim - 1))
-            v0[off] = (1 - fo) * v0[off] + fo * v1
-        return v0.reshape(a.shape[:-1] + v0.shape[1:])
 
     def position(self, a, t) -> Vec:
         return self._interp("position", a, t)
@@ -1204,19 +1179,16 @@ def load_grid(path: str) -> SampledTrajectoryField:
 
 
 def _field_from_arrays(path, axes, times, positions, velocities, accelerations, periodic, order):
-    """Sampled field over uniformly spaced axes; whatever it rejects is a format error."""
-    spac = []
-    for j, ax in enumerate(axes, start=1):
-        steps = np.diff(ax)
-        if len(steps) == 0 or not np.allclose(steps, steps[0], atol=0.0):
-            raise GridFormatError(f"{path}: axis{j} is not uniformly spaced")
-        spac.append(float(steps[0]))
+    """Sampled field over the axes, each spaced by its first step; whatever it rejects is a
+    format error."""
     for name, data in zip(_STORED_KINDS, (positions, velocities, accelerations)):
         if data is not None and not np.isfinite(data).all():
             raise GridFormatError(f"{path}: {name} holds a non-finite number")
+    # an axis of one node has no step; the constructor rejects it by the grid's shape
+    spacings = tuple(float(ax[1] - ax[0]) if len(ax) > 1 else math.inf for ax in axes)
     try:
         field = SampledTrajectoryField(
-            LabelGrid(tuple(axes), tuple(spac)), times, positions, velocities, accelerations,
+            LabelGrid(tuple(axes), spacings), times, positions, velocities, accelerations,
             periodic=periodic, order=order,
         )
     except ValueError as exc:

@@ -29,6 +29,7 @@ from .fields import (
     curl,
     derivative,
     entries,
+    label_at,
     matvec,
     per_label,
 )
@@ -167,10 +168,7 @@ def checked_det(g, a=None, t=None):
         j = int(np.argmax(singular))
         k, dk, norms = int(suspect[j]), ds[j], rows[j].tolist()
         ratio = abs(float(dk)) / norms[0] / norms[1] / norms[2] if dk != 0 else 0.0
-        at = ""
-        if a is not None:
-            label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
-            at = f" at a={label}, t={np.ravel(t)[k] if per_label(t) else t}"
+        at = "" if a is None else f" at {label_at(a, k, t)}"
         raise DegenerateMapError(
             f"singular map (|J| over the product of G's row norms is {ratio:.3g} < "
             f"{DEGENERACY_RTOL:g}): Jacobian determinant {dk} below degeneracy threshold{at}")

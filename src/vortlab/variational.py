@@ -57,6 +57,7 @@ from .fields import (
     elementwise,
     exact_sum,
     fd_jacobian,
+    label_at,
     matvec,
     per_label,
 )
@@ -117,11 +118,7 @@ def _reject(bad, values, a, what: str, error=NonPositiveDensityError, t=None):
     flags = np.ravel(bad)
     if flags.any():
         k = int(np.argmax(flags))
-        label = tuple(np.reshape(np.asarray(a, float), (-1, 3))[k].tolist())
-        if per_label(t):
-            t = np.ravel(t)[k]
-        at = f"a={label}" if t is None else f"a={label}, t={t}"
-        raise error(f"{what} = {np.ravel(values)[k]} at {at}")
+        raise error(f"{what} = {np.ravel(values)[k]} at {label_at(a, k, t)}")
 
 
 def _per_stack(fn):

@@ -891,6 +891,17 @@ class TestExport:
             "vortlab: --grid axis1 of length 4 is too short for the 5-point order-4 stencils\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_window_whose_stamps_miss_their_ladder_is_a_usage_error(self, tmp_path, capsys):
+        # at t0 = 1e6 a step of 1.25e-4 rounds, so the stamps sit up to 1e-6 of a step off the
+        # ladder a read locates them on: the file could not be read at its own stamps
+        code = main(["export", "--fixture", "gerstner", "--t0", "1e6", "--t1", "1000000.001",
+                     "--out", str(tmp_path / "x.npz")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("vortlab: --nt 9 stamps over [1000000.0, 1000000.001]: need a "
+                                "uniform time ladder with >= 2 stamps\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_suffix_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
         code = main(["export", "--fixture", "identity", "--out", str(tmp_path / "x.txt")])
         assert code == 2

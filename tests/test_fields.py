@@ -1321,6 +1321,26 @@ class TestGridIO:
         field = SampledTrajectoryField(grid, [0.0, 1e-9, 2e-9], np.zeros((3, 5, 5, 5, 3)))
         assert field.dt == 1e-9
 
+    def test_axis_or_ladder_off_where_reads_locate_it_is_rejected(self, tmp_path):
+        # reads locate node i at origin + i step and stamp k at t0 + k dt, so a ladder off
+        # that rule would read another node, or beside the stored one
+        grid = LabelGrid.nodes_inclusive(Box((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)), (5, 5, 5))
+        times = np.array([0.0, 0.5, 1.0])
+        positions = np.broadcast_to(grid.mesh(), (3, *grid.shape, 3)).copy()
+        gap = LabelGrid((np.array([0.0, 1.0, 3.0, 4.0, 5.0]), *grid.axes[1:]), grid.spacings)
+        with pytest.raises(ValueError, match="^axis1 is not uniformly spaced$"):
+            SampledTrajectoryField(gap, times, positions)
+        with pytest.raises(ValueError, match="uniform time ladder"):
+            SampledTrajectoryField(grid, times + [0.0, 1e-7 * 0.5, 0.0], positions)
+        path = tmp_path / "grid.npz"
+        save_grid(SampledTrajectoryField(grid, times, positions), str(path))
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["axis1"][4] += 1e-6
+        np.savez(path, **arrays)
+        with pytest.raises(GridFormatError, match="grid.npz: axis1 is not uniformly spaced"):
+            load_grid(str(path))
+
     @pytest.mark.parametrize("name", flows.fixture_names())
     def test_every_catalog_export_reloads(self, tmp_path, name):
         # the .npz file stores the ladders as written; the CSV loader rebuilds them as

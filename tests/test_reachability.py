@@ -101,6 +101,8 @@ def _runs(tmp_path):
              # a non-extremal fixture's weak form, and the CSV report
              cmd("action", "--fixture", "non-euler", "--weak-form", "--grid", "2", "--nt", "2"),
              cmd("verify", "--fixture", "rigid-rotation", "--param", "omega0=2", "--format", "csv"),
+             # exit 2 on a singular map, whose error names the label and time
+             cmd("verify", "--fixture", "shear", "--param", "rate=1e308"),
              cmd("verify", "--config", str(config))]
     [tour] = re.findall(r"A quick tour:\n\n```python\n(.*?)```", _README.read_text(), re.DOTALL)
     runs.append(lambda: exec(compile(tour, "README.md", "exec"), {}))
