@@ -9,7 +9,8 @@ Subcommands::
     vortlab export     --fixture NAME --out FILE   sampled-grid export (.npz or .csv)
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error, float
-arithmetic that overflows, divides by zero or goes invalid, or a run that outgrows memory.
+arithmetic that overflows, divides by zero or goes invalid, or a run that outgrows memory;
+3 internal error (a fault of vortlab itself, with its traceback).
 Reports are deterministic: identical configs (including --seed) produce
 byte-identical output, and no timestamps or machine identifiers are embedded.
 """
@@ -24,6 +25,7 @@ import io
 import math
 import random
 import sys
+import traceback
 from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
@@ -787,6 +789,10 @@ def main(argv=None) -> int:
         print(f"vortlab: the run outgrew memory{detail}; --param shape, --grid, --nt, --dt "
               "and --t1 size it", file=sys.stderr)
         return 2
+    except Exception:  # a fault of vortlab itself, not of the run's flags or tolerances
+        traceback.print_exc()
+        print("vortlab: internal error", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

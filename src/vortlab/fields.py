@@ -107,7 +107,8 @@ _EDGE_1 = {
 def _combine(weights, values, h):
     """``sum(w * value) / h`` in stencil order: the one sum of every
     first-derivative stencil in the package."""
-    return sum(w * v for w, v in zip(weights, values)) / h
+    terms = (w * v for w, v in zip(weights, values))
+    return sum(terms, next(terms)) / h  # from the first term, a -0.0 one kept
 
 
 def derivative(g: Callable[[float], float], h: float, order: int = 4):
@@ -399,7 +400,7 @@ class LabelGrid:
         return cls(*zip(*((np.linspace(lo, hi, n, endpoint=False), (hi - lo) / n)
                           for lo, hi, n in zip(box.lo, box.hi, shape))))
 
-    @property
+    @functools.cached_property  # a hot read of the sampled backend's lookups
     def shape(self) -> tuple[int, int, int]:
         return tuple(len(ax) for ax in self.axes)
 
@@ -779,9 +780,11 @@ class SampledTrajectoryField(TrajectoryField):
     ``positions`` has shape (nt, n1, n2, n3, 3); ``velocities`` and
     ``accelerations`` are optional and, when absent, are produced by finite
     differences along the time axis.  Either may also be a callable
-    ``(k, nodes)`` giving its data at stamp index ``k`` on
+    ``(k, nodes, prev)`` giving its data at stamp index ``k`` on
     ``positions[k][nodes]``, ``nodes`` an index into (n1, n2, n3): ``...``
-    for all of them, or a tuple of three index arrays.  Spatial derivatives
+    for all of them, or a tuple of three index arrays; ``prev`` is the kind
+    before it (positions for velocities, velocities for accelerations) at
+    ``k`` on those nodes, as the field reads it.  Spatial derivatives
     of the positions go through the displacement field x - a so that
     periodic axes can wrap.
 
@@ -801,8 +804,8 @@ class SampledTrajectoryField(TrajectoryField):
         grid: LabelGrid,
         times: np.ndarray,
         positions: np.ndarray,
-        velocities: np.ndarray | Callable[[int, tuple], np.ndarray] | None = None,
-        accelerations: np.ndarray | Callable[[int, tuple], np.ndarray] | None = None,
+        velocities: np.ndarray | Callable[[int, tuple, np.ndarray], np.ndarray] | None = None,
+        accelerations: np.ndarray | Callable[[int, tuple, np.ndarray], np.ndarray] | None = None,
         periodic: tuple[bool, bool, bool] = (False, False, False),
         order: int = 4,
     ):
@@ -897,13 +900,16 @@ class SampledTrajectoryField(TrajectoryField):
             unique, inverse = np.unique(flat, return_inverse=True)
             if len(unique) < len(flat):
                 return self._values(kind, ti, unique)[inverse.reshape(-1)]
+
+        def before(k):  # the kind before this one at stamp k, on the read's nodes
+            return self.node_values(prev, k) if flat is None else self._values(prev, k, flat)
+
         if callable(stored):
-            return np.asarray(stored(ti, nodes), float)
+            return np.asarray(stored(ti, nodes, before(ti)), float)
         _fit_stencil(len(self.times), self.order, "time ladder")
         ((_, stamps, weights, negate),) = _stencil_rows(np.array([ti]), np.array(self.times.shape),
                                                          True, self.order)
-        d = _combine(weights, (self.node_values(prev, k) if flat is None
-                               else self._values(prev, k, flat) for k in stamps[:, 0]), self.dt)
+        d = _combine(weights, (before(k) for k in stamps[:, 0]), self.dt)
         return -d if negate else d
 
     def node_values(self, kind: str, ti: int) -> np.ndarray:

@@ -22,7 +22,6 @@ import inspect
 import math
 import numbers
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -481,10 +480,8 @@ def integrate_trajectories(
     and a stride that does not divide the step count raises ValueError.
     Velocities u(x_k, t_k), bitwise the steps' stage-1 values, and
     accelerations by :func:`material_accelerations` are computed when read,
-    on the nodes the read touches (a stored stamp and an index into the
-    grid), and are not kept; only a read of the whole grid computes a whole
-    slice, and inside the field's ``holding()`` an acceleration takes the
-    velocities from a held slice.  Positions are kept unwrapped so the
+    on the nodes the read touches, from the positions and velocities the
+    field hands them, and are not kept.  Positions are kept unwrapped so the
     displacement x - a stays a periodic function of the labels for periodic
     fields.
 
@@ -534,18 +531,10 @@ def integrate_trajectories(
             f.result()  # re-raises a worker's exception here
     pos = pos.reshape(len(stamps), *grid.shape, 3)
 
-    def accelerations(k, at):  # the velocities read through the field, a held slice's if any
-        fld = owner()
-        v = (fld.node_values("velocity", k) if at is ...
-             else fld._values("velocity", k, np.ravel_multi_index(at, grid.shape)))
-        return material_accelerations(u, pos[k][at], stamps[k], v)
-
-    field = SampledTrajectoryField(grid, stamps, pos, lambda k, at: u(pos[k][at], stamps[k]),
-                                   accelerations, periodic=periodic, order=order)
-    # held weakly: a field and its own callable in a reference cycle would outlive their last
-    # user until the cyclic collector ran, and repeated builds would pile up their positions
-    owner = weakref.ref(field)
-    return field
+    return SampledTrajectoryField(
+        grid, stamps, pos, lambda k, at, x: u(x, stamps[k]),
+        lambda k, at, v: material_accelerations(u, pos[k][at], stamps[k], v),
+        periodic=periodic, order=order)
 
 
 # the Eulerian velocity of each advected fixture, by name, built from its recorded parameters

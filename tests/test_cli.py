@@ -267,6 +267,18 @@ class TestExitCodes:
             "vortlab: the run outgrew memory (Unable to allocate the label stack of shape "
             "(4096, 4096, 4096)); --param shape, --grid, --nt, --dt and --t1 size it\n")
 
+    def test_internal_error_exits_3_with_its_traceback(self, monkeypatch, capsys):
+        def verify(cfg):  # a fault of vortlab, not of the flags: exit 1 would read as a failure
+            raise RuntimeError("a fault in the command")
+
+        monkeypatch.setattr(cli, "cmd_verify", verify)
+        code = main(["verify", "--fixture", "shear"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith(
+            "RuntimeError: a fault in the command\nvortlab: internal error\n")
+
 
 # every scalar keyword of every catalog maker, at values that break float arithmetic
 SWEEP_VALUES = ("-1", "2", "1e308", "-1e308", "1e200", "1e-308")

@@ -756,6 +756,38 @@ class TestBlockReads:
         assert held == [getattr(field, method)(labels, t).tobytes() for method in reads]
         assert len(derivatives) == 6 + 2 * 6  # outside it each gradient read computes again
 
+    def test_lazy_callables_receive_the_kind_before_on_the_nodes_a_read_touches(self):
+        grid = LabelGrid.nodes_inclusive(BOX, (5, 4, 6))
+        times = np.linspace(0.0, 1.0, 6)
+        positions = np.random.default_rng(0).standard_normal((6, *grid.shape, 3))
+        calls = []  # (kind, stamp, flat nodes or None for the whole slice, prev)
+
+        def lazy(kind, scale):
+            def data(k, nodes, prev):
+                flat = None if nodes is ... else np.ravel_multi_index(nodes, grid.shape).tolist()
+                calls.append((kind, k, flat, prev.tobytes()))
+                return scale * prev
+            return data
+
+        field = SampledTrajectoryField(grid, times, positions, lazy("velocity", 2.0),
+                                       lazy("acceleration", 3.0))
+        x = positions[2]
+        field.node_values("acceleration", 2)  # a whole slice
+        assert calls == [("velocity", 2, None, x.tobytes()),
+                         ("acceleration", 2, None, (2.0 * x).tobytes())]
+        calls.clear()
+        labels = grid.nodes()[[30, 7, 30]]  # a gather, one node twice
+        rows, want = x.reshape(-1, 3)[[7, 30]], 6.0 * x.reshape(-1, 3)[[30, 7, 30]]
+        assert field.acceleration(labels, times[2]).tobytes() == want.tobytes()
+        assert calls == [("velocity", 2, [7, 30], rows.tobytes()),
+                         ("acceleration", 2, [7, 30], (2.0 * rows).tobytes())]
+        calls.clear()
+        with field.holding():  # a held velocity slice serves the accelerations' gather
+            field.node_values("velocity", 2)
+            field.acceleration(labels, times[2])
+        assert calls == [("velocity", 2, None, x.tobytes()),
+                         ("acceleration", 2, [7, 30], (2.0 * rows).tobytes())]
+
     def test_held_gradient_slice_serves_a_small_read(self, monkeypatch):
         # a loop's few labels would gather their stencil points; inside a holding block
         # where the stamp's whole slice is held they take its rows, bitwise the gather's
@@ -1087,7 +1119,7 @@ class TestGridIO:
     def test_failed_csv_export_leaves_no_file_and_the_old_one(self, tmp_path, error):
         field = self._small_field()
 
-        def accelerations(k, nodes):  # fails at the third stamp, after two are written
+        def accelerations(k, nodes, velocities):  # fails at the third stamp, after two are written
             if k == 2:
                 raise error("stamp 2")
             return field.accelerations[k][nodes]
