@@ -257,17 +257,19 @@ def exact_sum(array) -> float:
     term's bits above 2**-53 sigma, p - q is the exact rest, and sum(q) is exact in any
     order.  Each level strips at least 53 - M bits below the largest rest, until no rest is
     left; fsum then rounds the few exact level sums once.  An array with a non-finite term,
-    terms near overflow or no nonzero term goes to fsum itself, so its errors
-    (``-inf + inf``, intermediate overflow) and special values are fsum's, and so are
-    arrays of fewer than :data:`FSUM_BELOW` terms, where fsum's own loop is faster.
+    terms near overflow or no nonzero term goes to fsum itself, so its special values are
+    fsum's, and so do arrays of fewer than :data:`FSUM_BELOW` terms, where fsum's own loop
+    is faster.  fsum's errors (``-inf + inf``, intermediate overflow) are raised as
+    FloatingPointError with fsum's message: the error numpy raises for an overflow or an
+    invalid value under ``np.errstate``.
     """
     p = np.asarray(array, float).ravel()
     if p.size < FSUM_BELOW:
-        return math.fsum(p)
+        return _fsum(p)
     m = (p.size + 1).bit_length()  # 2**m >= n + 2
     top = float(np.max(np.abs(p))) if p.size else 0.0
     if not 0.0 < top < 2.0 ** (1022 - m):  # NaN fails too
-        return math.fsum(p)
+        return _fsum(p)
     levels = []
     while top:
         sigma = math.ldexp(1.0, m + math.frexp(top)[1])
@@ -276,6 +278,14 @@ def exact_sum(array) -> float:
         levels.append(float(np.sum(q)))
         top = float(np.max(np.abs(p)))
     return math.fsum(levels)
+
+
+def _fsum(terms) -> float:
+    """``math.fsum(terms)``, its ValueError and OverflowError raised as FloatingPointError."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError) as exc:
+        raise FloatingPointError(str(exc)) from exc
 
 
 def _poly_jacobian(polys) -> np.ndarray:
@@ -779,12 +789,18 @@ class SampledTrajectoryField(TrajectoryField):
 
     ``positions`` has shape (nt, n1, n2, n3, 3); ``velocities`` and
     ``accelerations`` are optional and, when absent, are produced by finite
-    differences along the time axis.  Either may also be a callable
-    ``(k, nodes, prev)`` giving its data at stamp index ``k`` on
-    ``positions[k][nodes]``, ``nodes`` an index into (n1, n2, n3): ``...``
-    for all of them, or a tuple of three index arrays; ``prev`` is the kind
-    before it (positions for velocities, velocities for accelerations) at
-    ``k`` on those nodes, as the field reads it.  Spatial derivatives
+    differences along the time axis.  Any of the three may also be a
+    callable ``(k, nodes, prev)`` giving its data at stamp index ``k`` on
+    the nodes ``nodes``, an index into (n1, n2, n3): ``...`` for all of
+    them, or a tuple of three index arrays; ``prev`` is the kind before it
+    (positions for velocities, velocities for accelerations, None for
+    positions) at ``k`` on those nodes, as the field reads it.  Such a
+    callable may block until stamp k exists and raise for it: an advected
+    field's positions wait per stamp for the thread that integrates them
+    (:func:`vortlab.flows.integrate_trajectories`), so a read of stamp k
+    waits for stamp k alone, every lazy velocity and acceleration through
+    the positions it reads, and the whole arrays (:attr:`positions`,
+    :func:`save_grid`) for every stamp.  Spatial derivatives
     of the positions go through the displacement field x - a so that
     periodic axes can wrap.
 
@@ -803,7 +819,7 @@ class SampledTrajectoryField(TrajectoryField):
         self,
         grid: LabelGrid,
         times: np.ndarray,
-        positions: np.ndarray,
+        positions: np.ndarray | Callable[[int, tuple, None], np.ndarray],
         velocities: np.ndarray | Callable[[int, tuple, np.ndarray], np.ndarray] | None = None,
         accelerations: np.ndarray | Callable[[int, tuple, np.ndarray], np.ndarray] | None = None,
         periodic: tuple[bool, bool, bool] = (False, False, False),
@@ -829,7 +845,7 @@ class SampledTrajectoryField(TrajectoryField):
         self.grid = grid
         self.times = times
         self.dt = float(times[1] - times[0])
-        self.positions = positions
+        self._positions = positions
         self._velocities = velocities
         self._accelerations = accelerations
         self.periodic = tuple(bool(p) for p in periodic)
@@ -870,11 +886,12 @@ class SampledTrajectoryField(TrajectoryField):
         """(nt, n1, n2, n3, 3) ``kind``'s stored ``data``, computed slice by slice if lazy."""
         if not callable(data):
             return data
-        out = np.empty(self.positions.shape)
+        out = np.empty((len(self.times), *self.grid.shape, 3))
         for k in range(len(self.times)):
             out[k] = self.node_values(kind, k)
         return out
 
+    positions = property(lambda self: self._series("position", self._positions))
     velocities = property(lambda self: self._series("velocity", self._velocities))
     accelerations = property(lambda self: self._series("acceleration", self._accelerations))
 
@@ -885,7 +902,7 @@ class SampledTrajectoryField(TrajectoryField):
         :meth:`holding` block a read takes the rows of the stamp's held whole slice,
         computing it first when the read is as large as a gradient read that takes the whole
         slice."""
-        stored, prev = {"position": (self.positions, None),
+        stored, prev = {"position": (self._positions, None),
                         "velocity": (self._velocities, "position"),
                         "acceleration": (self._accelerations, "velocity")}[kind]
         whole = stored[ti] if stored is not None and not callable(stored) else None
@@ -902,6 +919,8 @@ class SampledTrajectoryField(TrajectoryField):
                 return self._values(kind, ti, unique)[inverse.reshape(-1)]
 
         def before(k):  # the kind before this one at stamp k, on the read's nodes
+            if prev is None:
+                return None
             return self.node_values(prev, k) if flat is None else self._values(prev, k, flat)
 
         if callable(stored):
@@ -1142,7 +1161,7 @@ _STORED_KINDS = {"positions": "position", "velocities": "velocity", "acceleratio
 
 def _stored_kinds(field: SampledTrajectoryField) -> dict:
     """The kinds of ``field``'s node data a grid file holds, by file name."""
-    stored = (field.positions, field._velocities, field._accelerations)
+    stored = (field._positions, field._velocities, field._accelerations)
     return {name: kind for (name, kind), data in zip(_STORED_KINDS.items(), stored)
             if data is not None}
 

@@ -21,8 +21,8 @@ import contextvars
 import inspect
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,15 +451,63 @@ def material_accelerations(u: VectorField, xs, t, v) -> np.ndarray:
     return u.time_derivative(xs, t) + convective
 
 
-# Fewest labels per concurrently advected chunk; smaller ones gained nothing reliable
-_CHUNK_FLOOR = 2048
+class _Advection:
+    """The classical RK4 run of a label stack on one daemon thread, which the first
+    :meth:`stamp` starts, in the context that was current when the run was set up.  Each
+    stored stamp is published under a condition, so a read of stamp k waits for stamp k
+    alone.  The thread holds no reference to the field it feeds, and it stops at its next
+    step once :attr:`cancel` is set."""
 
+    def __init__(self, u: VectorField, nodes: np.ndarray, times: np.ndarray, dt: float,
+                 every: int, out: np.ndarray):
+        self._run_args = (u, nodes, times, dt, every)
+        self._out = out
+        # the build's context, so a caller's np.errstate holds on the thread too
+        self._context = contextvars.copy_context()
+        self._stored = 0  # stamps written so far
+        self._error: BaseException | None = None
+        self._changed = threading.Condition()
+        self._thread: threading.Thread | None = None
+        self.cancel = threading.Event()
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    def stamp(self, k: int) -> np.ndarray:
+        """(n1, n2, n3, 3) positions at stamp ``k`` once stored, or the thread's exception if
+        it failed before storing them."""
+        k = range(len(self._out))[k]  # as the array indexes: from the end if negative
+        with self._changed:
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._context.run, args=(self._run,),
+                                                name="vortlab-advect", daemon=True)
+                self._thread.start()
+            while self._stored <= k and self._error is None:
+                self._changed.wait()
+            if self._stored <= k:
+                raise self._error
+        return self._out[k]
+
+    def _run(self):
+        u, xs, times, dt, every = self._run_args
+        out = self._out.reshape(len(self._out), -1, 3)  # one row per label
+        try:
+            for k, t in enumerate(times):
+                if self.cancel.is_set():
+                    return
+                if k % every == 0:
+                    out[k // every] = xs
+                    with self._changed:
+                        self._stored += 1
+                        self._changed.notify_all()
+                if k == len(times) - 1:
+                    break
+                k1 = u(xs, t)
+                k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)
+                k3 = u(xs + 0.5 * dt * k2, t + 0.5 * dt)
+                k4 = u(xs + dt * k3, t + dt)
+                xs = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except BaseException as exc:  # every kind: no read may wait for a stamp never stored
+            with self._changed:
+                self._error = exc  # raised by each read past the failed step
+                self._changed.notify_all()
 
 
 def integrate_trajectories(
@@ -485,14 +533,16 @@ def integrate_trajectories(
     displacement x - a stays a periodic function of the labels for periodic
     fields.
 
-    Contiguous chunks of the label stack are advected concurrently, one per
-    CPU the process may run on but at least ``_CHUNK_FLOOR`` labels each:
-    on smaller chunks the thread hand-offs between numpy's many small calls
-    eat the second core's gain (measured on abc and taylor-green).  A stack
-    evaluates bitwise like its labels one at a time, so the stored arrays do
-    not depend on the number of chunks or CPUs.  ``u`` is called from worker
-    threads, and later by the field's reads, and must not mutate shared state
-    unguarded.
+    The whole label stack is advected on one daemon thread, started by the
+    field's first read, never here; it runs in a copy of the caller's
+    context, so an np.errstate around this call holds there.  A read of
+    stamp k waits until stamp k is stored, so the reads of early stamps run
+    while later ones integrate; a whole-array read (``positions``,
+    ``save_grid``) waits for every stamp.  An exception of ``u`` on the thread
+    is raised, unchanged, by every read of a stamp past the step that failed.
+    The thread stops at its next step once the field is collected.  ``u`` is
+    called from the thread and from the field's reads at the same time, and
+    must not mutate shared state unguarded.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -503,38 +553,18 @@ def integrate_trajectories(
         raise ValueError(f"store stride {every} does not divide the {nsteps} steps")
     times = t0 + dt * np.arange(nsteps + 1)
     stamps = times[::every]
-    nodes = grid.nodes()
+    run = _Advection(u, grid.nodes(), times, dt, every,
+                     np.empty((len(stamps), *grid.shape, 3)))
 
-    pos = np.empty((len(stamps), len(nodes), 3))
+    def positions(k, at, _):
+        return run.stamp(k)[at]
 
-    def advect(lo, hi):
-        # RK4 on labels lo:hi
-        xs = nodes[lo:hi].copy()
-        for k, t in enumerate(times):
-            if k % every == 0:
-                pos[k // every, lo:hi] = xs
-            if k == len(times) - 1:
-                break
-            k1 = u(xs, t)
-            k2 = u(xs + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = u(xs + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = u(xs + dt * k3, t + dt)
-            xs = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    chunks = max(1, min(_usable_cpus(), len(nodes) // _CHUNK_FLOOR))
-    bounds = [len(nodes) * i // chunks for i in range(chunks + 1)]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        # each chunk runs in a copy of the caller's context, so an np.errstate holds there
-        futures = [pool.submit(contextvars.copy_context().run, advect, lo, hi)
-                   for lo, hi in zip(bounds, bounds[1:])]
-        for f in futures:
-            f.result()  # re-raises a worker's exception here
-    pos = pos.reshape(len(stamps), *grid.shape, 3)
-
-    return SampledTrajectoryField(
-        grid, stamps, pos, lambda k, at, x: u(x, stamps[k]),
-        lambda k, at, v: material_accelerations(u, pos[k][at], stamps[k], v),
+    field = SampledTrajectoryField(
+        grid, stamps, positions, lambda k, at, x: u(x, stamps[k]),
+        lambda k, at, v: material_accelerations(u, positions(k, at, None), stamps[k], v),
         periodic=periodic, order=order)
+    weakref.finalize(field, run.cancel.set)
+    return field
 
 
 # the Eulerian velocity of each advected fixture, by name, built from its recorded parameters

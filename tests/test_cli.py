@@ -145,6 +145,7 @@ class TestExitCodes:
         ("dilation", "rho0=1e308"), ("gerstner", "rho0=1e308"),  # rho0 times the body force
         ("dilation", "t1=1e308"),  # det G of the finite G = (1 + t) I
         ("rigid-rotation", "rho0=1e-308"),  # too small: a division by rho0 overflows
+        ("translation", "c=1e308,0,0"),  # circulation's sum reaches -inf + inf
     ])
     def test_overflow_past_the_map_reads_usage_error(self, fixture, param, capsys):
         code = main(["verify", "--fixture", fixture, "--param", param])

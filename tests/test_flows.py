@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -170,6 +171,8 @@ class TestIntegrator:
             u = VectorField(value=value, jacobian_fn=jac, time_derivative_fn=dudt)
         grid = LabelGrid.nodes_inclusive(Box((0.1, 0.2, 0.3), (0.6, 0.9, 0.5)), (4, 3, 5))
         fld = flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.125)
+        assert calls == []  # the worker starts at the first read
+        fld.positions  # waits for every stamp
         assert len(calls) == 4 * 8  # the last stamp stores its position alone
         for k, t in enumerate(fld.times):
             x = fld.positions[k].reshape(-1, 3)
@@ -267,92 +270,181 @@ def _counting(u, calls):
     return dataclasses.replace(u, value=lambda x, t: calls.append(len(x)) or u.value(x, t))
 
 
-@pytest.fixture
-def force_chunks(monkeypatch):
-    """Pin the CPU count (and optionally the chunk floor) the integrator sees."""
+def _within(seconds, fn):
+    """``fn()`` on a helper thread that must finish within ``seconds``: its value, or the
+    exception it raised."""
+    out = []
 
-    def force(cpus, floor=None):
-        monkeypatch.setattr(flows, "_usable_cpus", lambda: cpus)
-        if floor is not None:
-            monkeypatch.setattr(flows, "_CHUNK_FLOOR", floor)
+    def run():
+        try:
+            out.append(fn())
+        except BaseException as exc:
+            out.append(exc)
 
-    return force
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"no result within {seconds} s"
+    return out[0]
+
+
+def _held_after(u, t_free):
+    """``u`` whose calls at times past ``t_free`` set ``blocked`` and then wait for ``gate``
+    (30 s at most): (u, blocked, gate)."""
+    blocked, gate = threading.Event(), threading.Event()
+
+    def value(x, t):
+        if t > t_free:
+            blocked.set()
+            gate.wait(30.0)
+        return u.value(x, t)
+
+    return dataclasses.replace(u, value=value), blocked, gate
 
 
 class TestConcurrentAdvection:
+    """One worker per advected field, started by its first read, integrates the whole stack;
+    a read of stamp k waits for stamp k alone."""
+
     @pytest.mark.parametrize("name", ["abc", "unsteady"])
-    def test_chunks_match_serial_reference_bitwise(self, name, force_chunks):
-        force_chunks(2)
-        u, grid = _advection_case(name, (24, 24, 8))  # 4,608 labels: two chunks of 2,304
+    def test_reads_match_serial_reference_bitwise(self, name):
+        u, grid = _advection_case(name, (12, 12, 6))  # 864 labels
         calls = []
         fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.125)
-        assert calls == [2304] * 2 * 4 * 4
+        assert calls == []  # the worker starts at the first read, not at the build
         pos, vel, acc = _serial_rk4(u, grid, 0.0, 0.5, 0.125)
-        # the chunks' stored positions, and the velocities read back from them on the
+        # a stamp index counts from the end if negative, as on a stored array
+        assert np.array_equal(_within(30.0, lambda: fld.node_values("position", -1)), pos[-1])
+        # the worker's stored positions, and the velocities read back from them on the
         # whole grid: bitwise the serial run's stage-1 values
-        assert np.array_equal(fld.positions, pos)
+        assert np.array_equal(_within(30.0, lambda: fld.positions), pos)
+        assert calls == [864] * 4 * 4  # one stack, four calls per step
         assert np.array_equal(fld.velocities, vel)
         assert np.array_equal(fld.accelerations, acc)
 
-    def test_small_stacks_stay_in_one_chunk(self, force_chunks):
-        force_chunks(2)
-        u, grid = _advection_case("abc", (12, 12, 14))  # 2,016 labels, below the floor
-        calls = []
-        flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.25, 0.125)
-        assert calls == [2016] * 4 * 2
+    @pytest.mark.parametrize("name", ["abc", "taylor-green"])
+    def test_building_a_fixture_starts_no_worker(self, name):
+        before = set(threading.enumerate())
+        fx = flows.make_fixture(name, shape=(4, 4, 4), t1=0.2)
+        assert set(threading.enumerate()) <= before  # earlier tests' workers may end meanwhile
+        assert fx.field.position(fx.field.grid.nodes()[:1], 0.2).shape == (1, 3)
 
-    def test_worker_exception_reaches_the_caller(self, force_chunks):
+    def test_worker_keeps_the_error_state_of_the_build(self):
+        u, grid = _advection_case("abc", (4, 4, 4))
+
+        def value(x, t):  # |u| reaches 2, so the scaled field overflows past stamp 2
+            return u.value(x, t) * (1e308 if t > 0.25 else 1.0)
+
+        with np.errstate(over="raise"):
+            fld = flows.integrate_trajectories(dataclasses.replace(u, value=value), grid,
+                                               0.0, 1.0, 0.125)
+        # read outside the block: the worker runs in the build's context, not the reader's
+        pos, _, _ = _serial_rk4(u, grid, 0.0, 0.25, 0.125)
+        assert np.array_equal(_within(10.0, lambda: fld.node_values("position", 2)), pos[2])
+        assert type(_within(10.0, lambda: fld.node_values("position", 3))) is FloatingPointError
+
+    def test_read_of_an_early_stamp_returns_while_a_later_step_runs(self):
+        u, grid = _advection_case("unsteady", (4, 3, 5))
+        slow, blocked, gate = _held_after(u, 0.25)  # steps from stamp 2 on wait at the gate
+        fld = flows.integrate_trajectories(slow, grid, 0.0, 1.0, 0.125)
+        pos, vel, acc = _serial_rk4(u, grid, 0.0, 1.0, 0.125)
+        nodes = grid.nodes()
+        try:
+            x1 = _within(10.0, lambda: fld.node_values("position", 1))
+            assert blocked.wait(10.0)  # the worker is held past stamp 2
+            got = _within(10.0, lambda: (fld.velocity(nodes[[0, 5]], fld.times[1]),
+                                         fld.node_values("acceleration", 2)))
+        finally:
+            gate.set()
+        assert np.array_equal(x1, pos[1])
+        assert np.array_equal(got[0], vel[1].reshape(-1, 3)[[0, 5]])
+        assert np.array_equal(got[1], acc[2])
+        assert np.array_equal(_within(30.0, lambda: fld.positions), pos)
+
+    def test_worker_exception_surfaces_at_the_first_read_past_the_failed_step(self):
         class Boom(RuntimeError):
             pass
 
+        u, grid = _advection_case("abc", (4, 4, 4))
+
         def value(x, t):
-            if t > 0.3 and x.reshape(-1, 3)[0, 0] > 0.75:  # second chunk only
+            if t > 0.25:  # step 2, from stamp 2 to stamp 3
                 raise Boom("velocity failed")
-            return np.zeros(x.shape)
+            return u.value(x, t)
 
-        force_chunks(2, floor=8)
-        u = VectorField(value=value, steady=True)
-        grid = LabelGrid.nodes_inclusive(Box((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), (4, 3, 3))
-        with pytest.raises(Boom):
-            flows.integrate_trajectories(u, grid, 0.0, 1.0, 0.1)
+        fld = flows.integrate_trajectories(dataclasses.replace(u, value=value), grid,
+                                           0.0, 1.0, 0.125)
+        pos, vel, _ = _serial_rk4(u, grid, 0.0, 0.25, 0.125)
+        for k in range(3):  # the stamps stored before the failure still read
+            assert np.array_equal(_within(10.0, lambda: fld.node_values("position", k)), pos[k])
+            assert np.array_equal(fld.node_values("velocity", k), vel[k])
+        for read in (lambda: fld.node_values("position", 3),
+                     lambda: fld.velocity(grid.nodes()[:2], fld.times[5]),
+                     lambda: fld.positions):
+            assert type(_within(10.0, read)) is Boom
 
-    @pytest.mark.parametrize("name", ["abc", "unsteady"])
-    def test_stress_more_chunks_than_cores(self, name, force_chunks):
-        # 8 chunks of 108 labels on any core count, with thread switches
-        # forced every microsecond: every chunk writes only its own rows of
-        # the shared arrays, so the result stays bitwise the serial one
-        force_chunks(8, floor=16)
-        u, grid = _advection_case(name, (12, 12, 6))
+    def test_dropping_the_field_ends_its_worker(self):
+        u, grid = _advection_case("abc", (4, 4, 4))
         calls = []
+        slow, blocked, gate = _held_after(_counting(u, calls), 0.25)
+        fld = flows.integrate_trajectories(slow, grid, 0.0, 10.0, 0.125)  # 80 steps
+        before = set(threading.enumerate())
+        try:
+            _within(10.0, lambda: fld.node_values("position", 1))
+            (worker,) = set(threading.enumerate()) - before  # one worker per field
+            assert blocked.wait(10.0)
+            held = len(calls)
+            del fld
+        finally:
+            gate.set()
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert len(calls) - held <= 3  # it finished the step it was in, and took no other
+
+    def test_stress_four_fields_read_interleaved(self):
+        # four workers and the reads of all four fields, with thread switches forced every
+        # microsecond: every field still reads the serial run's bits
+        cases = [(name, shape) for name in ("abc", "unsteady") for shape in ((6, 6, 6),
+                                                                              (8, 5, 6))]
+        runs = [_advection_case(name, shape) for name, shape in cases]
+        fields = [flows.integrate_trajectories(u, grid, 0.0, 0.5, 0.05) for u, grid in runs]
+        idx = np.array([0, 7, 7, 100])
+        reads = []
+
+        def read_all():
+            for k in range(11):
+                for fld in fields:
+                    reads.append((fld.node_values("position", k), fld.node_values("velocity", k),
+                                  fld.acceleration(fld.grid.nodes()[idx], fld.times[k])))
+
         interval = sys.getswitchinterval()
         start = time.monotonic()
         try:
             sys.setswitchinterval(1e-6)
-            fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.05)
+            _within(60.0, read_all)
         finally:
             sys.setswitchinterval(interval)
         assert time.monotonic() - start < 60.0
-        assert calls == [108] * 8 * 4 * 10
-        pos, vel, acc = _serial_rk4(u, grid, 0.0, 0.5, 0.05)
-        assert np.array_equal(fld.positions, pos)
-        assert np.array_equal(fld.velocities, vel)
-        assert np.array_equal(fld.accelerations, acc)
+        serial = [_serial_rk4(u, grid, 0.0, 0.5, 0.05) for u, grid in runs]
+        for i, (x, v, a) in enumerate(reads):
+            pos, vel, acc = serial[i % 4]
+            k = i // 4
+            assert np.array_equal(x, pos[k]) and np.array_equal(v, vel[k])
+            assert np.array_equal(a, acc[k].reshape(-1, 3)[idx])
 
 
 class TestStoreStride:
-    @pytest.mark.parametrize("chunks", [1, 2])
     @pytest.mark.parametrize("name", ["abc", "unsteady"])
-    def test_stride_stores_the_every_step_run_bitwise(self, name, chunks, force_chunks):
-        force_chunks(chunks)
-        u, grid = _advection_case(name, (24, 24, 8))  # 4,608 labels: two chunks of 2,304
+    def test_stride_stores_the_every_step_run_bitwise(self, name):
+        u, grid = _advection_case(name, (24, 24, 8))  # 4,608 labels
         full = flows.integrate_trajectories(u, grid, 0.0, 0.5, 0.0625)  # 8 steps
         for every in (1, 2, 4, 8):
             calls = []
             fld = flows.integrate_trajectories(_counting(u, calls), grid, 0.0, 0.5, 0.0625,
                                                every=every)
-            assert calls == [4608 // chunks] * chunks * 4 * 8
             assert np.array_equal(fld.times, full.times[::every])
             assert np.array_equal(fld.positions, full.positions[::every])
+            assert calls == [4608] * 4 * 8  # every step is taken
             assert np.array_equal(fld.velocities, full.velocities[::every])
             assert np.array_equal(fld.accelerations, full.accelerations[::every])
 
@@ -456,6 +548,7 @@ class TestVelocitiesOnRead:
         fld = flows.integrate_trajectories(
             dataclasses.replace(u, value=lambda x, t: shapes.append(np.shape(x)) or u(x, t)),
             grid, 0.0, 0.5, 0.125)
+        fld.positions  # the worker's calls, on the label stack
         shapes.clear()
         labels, t = grid.nodes()[[3, 8, 8]], fld.times[2]
         with fld.holding():

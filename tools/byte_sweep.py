@@ -41,6 +41,8 @@ def runs() -> list[list[str]]:
         out.append(["export", "--fixture", name, "--out", "grid.npz"])
     out += [  # exit 1 or 2
         ["verify", "--fixture", "shear", "--param", "rate=1e308"],
+        ["verify", "--fixture", "translation", "--param", "c=1e308,0,0"],
+        ["verify", "--fixture", "abc", "--param", "A=1e308"],
         ["verify", "--fixture", "abc", "--param", "shape=5,5,1"],
         ["verify", "--fixture", "abc", "--t1", "0"],
         ["verify", "--fixture", "taylor-green", "--t1", "-1"],
