@@ -74,14 +74,9 @@ class Fixture:
     pressure: ScalarField | None = None
 
 
-def _const(c):
-    c = np.asarray(c, float)
-    return lambda a, t: c.copy()
-
-
-_ZERO3 = _const(np.zeros(3))
-_ZERO33 = _const(np.zeros((3, 3)))
-_EYE3 = _const(np.eye(3))
+# zero rates, one label's value that the protocol broadcasts over a stack
+_ZERO3 = lambda a, t: np.zeros(3)
+_ZERO33 = lambda a, t: np.zeros((3, 3))
 
 
 def _simple_material(rho0: float = 1.0, gravity: float | None = None) -> FlowMaterial:
@@ -96,19 +91,46 @@ def _simple_material(rho0: float = 1.0, gravity: float | None = None) -> FlowMat
 # ---------------------------------------------------------------------------
 
 
-def make_identity(box=None, t0=0.0, t1=1.0) -> Fixture:
-    box = box or Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-    fld = AnalyticTrajectoryField(
-        position=lambda a, t: np.asarray(a, float),
-        velocity=_ZERO3,
-        acceleration=_ZERO3,
-        position_gradient=_EYE3,
-        velocity_gradient=_ZERO33,
-        acceleration_gradient=_ZERO33,
+def _affine_field(box, t0, t1, m, m_dot=None, m_ddot=None, shift=None, rate=None):
+    """The field of a linear map x = M(t) a + c(t), so that G = M, V = M-dot and
+    W = M-ddot at every label.
+
+    ``m``, ``m_dot`` and ``m_ddot`` take t to a fresh (3, 3) matrix, None
+    standing for zero; ``shift`` takes t to c(t), whose rate ``rate`` is a
+    constant vector.
+    """
+    def linear(mat, c):
+        """a, t -> mat(t) a + c(t), either part None for zero."""
+        if mat is None:
+            return _ZERO3 if c is None else lambda a, t: np.array(c(t), float)
+        if c is None:
+            # matvec is M @ a bitwise for every label of the stack (np.inner is not)
+            return lambda a, t: matvec(mat(t), a)
+        return lambda a, t: matvec(mat(t), a) + c(t)
+
+    def gradient(mat):
+        return _ZERO33 if mat is None else lambda a, t: mat(t)
+
+    return AnalyticTrajectoryField(
+        position=linear(m, shift),
+        velocity=linear(m_dot, None if rate is None else lambda t: rate),
+        acceleration=linear(m_ddot, None),
+        position_gradient=gradient(m),
+        velocity_gradient=gradient(m_dot),
+        acceleration_gradient=gradient(m_ddot),
         box=box,
         t0=t0,
         t1=t1,
     )
+
+
+def _eye(t):
+    return np.eye(3)
+
+
+def make_identity(box=None, t0=0.0, t1=1.0) -> Fixture:
+    box = box or Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    fld = _affine_field(box, t0, t1, _eye)
     spec = FixtureSpec("identity", {}, box, t0, t1, extremal=True, notes="fluid at rest")
     return Fixture(spec, fld, _simple_material(), pressure=ScalarField.constant(0.0))
 
@@ -116,17 +138,7 @@ def make_identity(box=None, t0=0.0, t1=1.0) -> Fixture:
 def make_translation(c=(1.0, 0.0, 0.0), box=None, t0=0.0, t1=1.0) -> Fixture:
     box = box or Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     cv = np.asarray(c, float)
-    fld = AnalyticTrajectoryField(
-        position=lambda a, t: np.asarray(a, float) + cv * (t - t0),
-        velocity=_const(cv),
-        acceleration=_ZERO3,
-        position_gradient=_EYE3,
-        velocity_gradient=_ZERO33,
-        acceleration_gradient=_ZERO33,
-        box=box,
-        t0=t0,
-        t1=t1,
-    )
+    fld = _affine_field(box, t0, t1, _eye, shift=lambda t: cv * (t - t0), rate=cv)
     spec = FixtureSpec("translation", {"c": list(cv)}, box, t0, t1, extremal=True)
     return Fixture(spec, fld, _simple_material(), pressure=ScalarField.constant(0.0))
 
@@ -135,30 +147,10 @@ def make_shear(rate=1.0, box=None, t0=0.0, t1=1.0) -> Fixture:
     """Unidirectional shear x1 = a1 + rate * t * a2 (steady Euler solution)."""
     box = box or Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     k = float(rate)
-
-    def pos(a, t):
-        x = a.copy()
-        x[..., 0] += k * t * a[..., 1]
-        return x
-
-    def vel(a, t):
-        v = np.zeros_like(a)
-        v[..., 0] = k * a[..., 1]
-        return v
-
-    def grad(a, t):
-        return np.array([[1.0, k * t, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-    fld = AnalyticTrajectoryField(
-        position=pos,
-        velocity=vel,
-        acceleration=_ZERO3,
-        position_gradient=grad,
-        velocity_gradient=_const([[0.0, k, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        acceleration_gradient=_ZERO33,
-        box=box,
-        t0=t0,
-        t1=t1,
+    fld = _affine_field(
+        box, t0, t1,
+        lambda t: np.array([[1.0, k * t, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        lambda t: np.array([[0.0, k, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
     )
     spec = FixtureSpec("shear", {"rate": k}, box, t0, t1, extremal=True)
     return Fixture(spec, fld, _simple_material(), pressure=ScalarField.constant(0.0))
@@ -180,18 +172,11 @@ def make_rigid_rotation(omega0=1.0, gravity=0.0, rho0=1.0, box=None, t0=0.0, t1=
     """
     box = box or Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     w = float(omega0)
-
-    fld = AnalyticTrajectoryField(
-        # matvec is M @ a bitwise for every label of the stack (np.inner is not)
-        position=lambda a, t: matvec(_rotmat(w * (t - t0)), a),
-        velocity=lambda a, t: matvec(w * (_SPIN @ _rotmat(w * (t - t0))), a),
-        acceleration=lambda a, t: matvec((w * w) * (_SPIN @ _SPIN @ _rotmat(w * (t - t0))), a),
-        position_gradient=lambda a, t: _rotmat(w * (t - t0)),
-        velocity_gradient=lambda a, t: w * _SPIN @ _rotmat(w * (t - t0)),
-        acceleration_gradient=lambda a, t: (w * w) * _SPIN @ _SPIN @ _rotmat(w * (t - t0)),
-        box=box,
-        t0=t0,
-        t1=t1,
+    fld = _affine_field(
+        box, t0, t1,
+        lambda t: _rotmat(w * (t - t0)),
+        lambda t: w * _SPIN @ _rotmat(w * (t - t0)),
+        lambda t: (w * w) * _SPIN @ _SPIN @ _rotmat(w * (t - t0)),
     )
     g = float(gravity)
     material = _simple_material(rho0, g)
@@ -215,18 +200,7 @@ def make_dilation(rho0=1.0, gravity=9.81, box=None, t0=0.0, t1=1.0) -> Fixture:
     non-extremality shows up in the momentum residual.
     """
     box = box or Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-
-    fld = AnalyticTrajectoryField(
-        position=lambda a, t: (1.0 + t) * np.asarray(a, float),
-        velocity=lambda a, t: np.asarray(a, float),
-        acceleration=_ZERO3,
-        position_gradient=lambda a, t: (1.0 + t) * np.eye(3),
-        velocity_gradient=_EYE3,
-        acceleration_gradient=_ZERO33,
-        box=box,
-        t0=t0,
-        t1=t1,
-    )
+    fld = _affine_field(box, t0, t1, lambda t: (1.0 + t) * np.eye(3), _eye)
     material = _simple_material(rho0, float(gravity))
     spec = FixtureSpec(
         "dilation", {"rho0": rho0, "gravity": float(gravity)}, box, t0, t1, extremal=False

@@ -31,7 +31,6 @@ from .fields import (
     entries,
     label_at,
     matvec,
-    per_label,
 )
 from .poly import Rat, random_point, random_poly
 
@@ -105,13 +104,6 @@ class Frame:
             t = self.t + s if s else self.t
             self._reads[method, s] = getattr(self.field, method)(self.labels, t)
         return self._reads[method, s]
-
-    def take(self, index) -> "Frame":
-        """The frame of the labels (and times) ``index`` picks on the leading axis, holding
-        every read made here so far, sliced, not read again."""
-        sub = Frame(self.field, self.labels[index], self.t[index] if per_label(self.t) else self.t)
-        sub._reads = {key: value[index] for key, value in self._reads.items()}
-        return sub
 
     _checked = cached_property(lambda self: (g := self.read("position_gradient"),
                                              checked_det(g, self.labels, self.t)))

@@ -624,6 +624,16 @@ class TestDriftCommand:
                                 "1e-10, at the rounding floor: the pair measured rounding, not "
                                 "the integrator's order\n")
 
+    @pytest.mark.parametrize("dt,t1,code", [("0.01,0.005", "0.05", 1), ("0.02,0.01", "0.1", 0)])
+    def test_step_pair_passes_only_above_the_rounding_floor(self, dt, t1, code, capsys):
+        # at --t1 0.05 both drifts lie below 1e-10 while their ratio lands in the band by chance
+        assert main(["drift", "--fixture", "abc", "--dt", dt, "--t1", t1]) == code
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        assert 12.0 <= rep["drift_ratio"] <= 20.0
+        assert rep["pass"] is (code == 0)
+        assert (max(rep["drift"]) < 1e-10) is (code == 1) is ("rounding floor" in captured.err)
+
     @pytest.mark.parametrize("fixture,parameters", [("abc", {"A": 1.0, "B": 1.0, "C": 1.0}),
                                                     ("taylor-green", {})])
     def test_step_pair_records_the_velocity_parameters_and_order(self, fixture, parameters,

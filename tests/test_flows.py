@@ -15,7 +15,15 @@ import pytest
 from vortlab import flows
 from vortlab.cli import main
 from vortlab.errors import VortlabError
-from vortlab.fields import Box, LabelGrid, SampledTrajectoryField, VectorField, load_grid
+from vortlab.fields import (
+    Box,
+    LabelGrid,
+    SampledTrajectoryField,
+    VectorField,
+    derivative,
+    fd_jacobian,
+    load_grid,
+)
 from vortlab.invariants import cauchy_residual, lagrangian_vorticity
 from vortlab.kinematics import Frame
 from vortlab.variational import mass_reference, momentum_residual
@@ -77,6 +85,41 @@ class TestCatalog:
         ne = flows.make_fixture("non-euler")
         assert np.max(np.abs(cauchy_residual(ne.field, (0.0, 1.0, 0.0), 1.0).astype(float))) > 1e-3
         assert not dil.spec.extremal and not ne.spec.extremal
+
+
+# (evaluator, the evaluator it derives from, "t" for a time derivative or "a" for a label gradient)
+_CHAINS = [("velocity", "position", "t"), ("acceleration", "velocity", "t"),
+           ("position_gradient", "position", "a"), ("velocity_gradient", "velocity", "a"),
+           ("acceleration_gradient", "acceleration", "a")]
+
+
+class TestAnalyticEvaluatorsAgree:
+    """Each closed-form evaluator of an analytic fixture is the finite-difference
+    derivative of the one it derives from, so a typo in one matrix or rate shows."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("identity", {}), ("identity", {"t0": 0.5, "t1": 2.0}),
+        ("translation", {}), ("translation", {"c": (0.3, -1.2, 2.0), "t0": 0.5, "t1": 2.0}),
+        ("shear", {}), ("shear", {"rate": -2.5, "t0": 0.5, "t1": 2.0}),
+        ("rigid-rotation", {}),
+        ("rigid-rotation", {"omega0": 1.7, "gravity": 2.0, "rho0": 3.0, "t0": 0.5, "t1": 3.0}),
+        ("dilation", {}), ("dilation", {"rho0": 2.0, "gravity": 1.0, "t0": 0.5, "t1": 2.0}),
+        ("gerstner", {}), ("gerstner", {"wavenumber": 2.0, "gravity": 3.0, "t0": 0.5}),
+    ])
+    def test_rates_and_gradients_are_derivatives(self, name, params):
+        field = flows.make_fixture(name, **params).field
+        rng = np.random.default_rng(7)
+        labels = rng.uniform(field.box.lo, field.box.hi, (16, 3))
+        h = 1e-3
+        for t in rng.uniform(field.t0 + 2 * h, field.t1 - 2 * h, 4):
+            for method, lower, by in _CHAINS:
+                of = getattr(field, lower)
+                want = (derivative(lambda s: of(labels, t + s), h) if by == "t"
+                        else fd_jacobian(lambda b: of(b, t), labels, h))
+                got = getattr(field, method)(labels, t)
+                assert got.shape == want.shape
+                scale = 1.0 + np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) < 1e-8 * scale, (name, method, t)
 
 
 class TestIntegrator:

@@ -10,9 +10,15 @@ trees compare with ``diff``::
     python tools/byte_sweep.py > change.txt
     diff parent.txt change.txt
 
+or in one call, against the ``src/`` of a git revision of this checkout, which
+prints only the runs that differ (``-`` the revision, ``+`` this tree) and exits 1
+if any do::
+
+    python tools/byte_sweep.py --against HEAD~1
+
 The list covers ``verify`` (default seed, seeds 1 to 8, CSV), ``drift``,
 ``action`` and ``export`` on every fixture, argv that exit 1 or 2, ``drift``
-with each theorem and the ``--dt`` pair, small ``action`` grids, CSV grid
+with each theorem and the ``--dt`` pairs, small ``action`` grids, CSV grid
 files and ``identities``.
 """
 
@@ -20,15 +26,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 FIXTURES = ["abc", "dilation", "gerstner", "identity", "non-euler", "rigid-rotation", "shear",
             "taylor-green", "translation"]
 THEOREMS = ["cauchy", "circulation", "ertel", "helicity"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def runs() -> list[list[str]]:
@@ -52,6 +61,8 @@ def runs() -> list[list[str]]:
     for name in ("rigid-rotation", "abc", "taylor-green"):
         out += [["drift", "--fixture", name, "--theorem", th] for th in THEOREMS]
     out.append(["drift", "--fixture", "abc", "--dt", "0.01,0.005"])
+    out += [["drift", "--fixture", "abc", "--dt", dt, "--t1", t1]  # above and at the floor
+            for dt, t1 in (("0.02,0.01", "0.1"), ("0.01,0.005", "0.05"))]
     for name in ("rigid-rotation", "dilation", "non-euler", "abc"):
         out.append(["action", "--fixture", name, "--grid", "3", "--nt", "2"])
     for fixture in (["gerstner"], ["abc", "--param", "shape=6,6,6"]):
@@ -76,18 +87,44 @@ def digest(argv: list[str], src: Path) -> tuple[str, int]:
     return h.hexdigest(), proc.returncode
 
 
+def line(argv: list[str], src: Path) -> str:
+    sha, code = digest(argv, src)
+    return f"{sha}  {code}  {' '.join(argv)}"
+
+
+def against(rev: str, src: Path) -> int:
+    """Run every argv on ``rev``'s src/ and on ``src``; print the runs that differ."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        differ = 0
+        for run in runs():
+            old, new = line(run, Path(tree) / "src"), line(run, src)
+            if old != new:
+                differ += 1
+                print(f"- {old}\n+ {new}", flush=True)
+    print(f"{differ} of {len(runs())} runs differ from {rev}", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the source tree to run, holding the vortlab package "
                              "(default: this checkout's src)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run the src/ of git revision REV and print only the runs "
+                             "that differ; exit 1 if any do")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "vortlab" / "__init__.py").is_file():
         parser.error(f"no vortlab package under {src}")
+    if args.against:
+        return against(args.against, src)
     for run in runs():
-        sha, code = digest(run, src)
-        print(f"{sha}  {code}  {' '.join(run)}", flush=True)
+        print(line(run, src), flush=True)
     return 0
 
 
